@@ -1,8 +1,9 @@
 //! # esg-bench — experiment reports and benchmarks
 //!
-//! One binary per table/figure/ablation (see DESIGN.md's experiment
-//! index), plus Criterion benches over the hot components. Binaries print
-//! measured numbers next to the paper's, and note the expected *shape*.
+//! One binary per remaining one-off figure/sweep/ablation (see DESIGN.md's
+//! experiment index); everything else runs through `esg-lab`. Binaries
+//! print measured numbers next to the paper's, and note the expected
+//! *shape*.
 
 use std::fmt::Display;
 
@@ -37,11 +38,6 @@ pub fn sparkline(values: &[f64]) -> String {
         })
         .collect()
 }
-
-// The flow-scaling harness lives in esg-lab now (the lab's user_scaling
-// executor is its primary consumer); re-exported so `esg_bench::scaling`
-// callers keep working.
-pub use esg_lab::scaling;
 
 #[cfg(test)]
 mod tests {

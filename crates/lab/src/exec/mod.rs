@@ -6,8 +6,8 @@
 //! pre-migration bench bins operation-for-operation (same construction
 //! order, same RNG streams, same event schedule), so the golden trace
 //! pins and committed `BENCH_*.json` baselines carry over bit-for-bit —
-//! `tests/lab_equivalence.rs` at the workspace root holds inline copies
-//! of the old bin logic and asserts exactly that.
+//! `tests/lab_equivalence.rs` at the workspace root pins the sha256 each
+//! bin produced before it was deleted.
 
 use crate::gate::Baseline;
 use crate::journal::TrialRecord;
@@ -18,6 +18,7 @@ use esg_simnet::prelude::{Fault, FaultKind};
 use esg_simnet::{SimDuration, SimTime};
 
 pub mod campaign;
+mod campaign_round;
 pub mod lifeline;
 pub mod mixed;
 pub mod pipeline;
@@ -55,9 +56,8 @@ pub fn run_trial(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     Ok(record)
 }
 
-/// Assemble the committed `BENCH_*.json` artifact from the finished rows
-/// (byte-format-identical to what the pre-migration bin wrote). Kinds
-/// without an artifact return `None`.
+/// Assemble the committed `BENCH_*.json` artifact from the finished rows.
+/// Kinds without an artifact return `None`.
 pub fn assemble_artifact(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
     match spec.kind.as_str() {
         "user_scaling" => user_scaling::assemble(spec, rows),
@@ -74,11 +74,59 @@ pub fn assemble_artifact(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<St
 /// `wall_regression` gates.
 pub fn baseline_metrics(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
     match spec.kind.as_str() {
-        "user_scaling" => user_scaling::baseline(spec, artifact),
+        "user_scaling" | "rm_scaling" => curve_baseline(spec, artifact),
         "request_pipeline" => pipeline::baseline(artifact),
-        "rm_scaling" => rm_scaling::baseline(spec, artifact),
         other => Err(format!("kind '{other}' has no baseline extractor")),
     }
+}
+
+/// A curve artifact: header, then one per-point fragment per line in row
+/// order (keeps the committed file greppable). `extra_header` is spliced
+/// in verbatim after the seed line.
+fn assemble_points(
+    bench: &str,
+    extra_header: &str,
+    spec: &ScenarioSpec,
+    rows: &[TrialRecord],
+) -> String {
+    let mut json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"seed\": {},\n{extra_header}  \"points\": [\n",
+        spec.seeds.first().copied().unwrap_or(17),
+    );
+    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
+    for (i, frag) in fragments.iter().enumerate() {
+        json.push_str("    ");
+        json.push_str(frag);
+        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// Baseline for `wall_regression` on a curve artifact: match each spec
+/// variant to the committed point with the same `n` and expose its
+/// `wall_ms`.
+fn curve_baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
+    let points = artifact
+        .get("points")
+        .and_then(Json::as_arr)
+        .ok_or("baseline has no points array")?;
+    let mut out = Baseline::new();
+    for v in spec.effective_variants() {
+        let n = spec.params.merged(&v.overrides).u64("n", 0);
+        let Some(point) = points
+            .iter()
+            .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
+        else {
+            continue; // gate reports the missing variant as an explicit error
+        };
+        let mut m = std::collections::BTreeMap::new();
+        if let Some(val) = point.get("wall_ms").and_then(Json::as_f64) {
+            m.insert("wall_ms".to_string(), val);
+        }
+        out.insert(v.name.clone(), m);
+    }
+    Ok(out)
 }
 
 /// Translate a spec-level declarative fault schedule into simnet faults

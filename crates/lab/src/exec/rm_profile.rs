@@ -1,9 +1,9 @@
 //! `rm_profile` executor: where does the wall go in an n-files-per-round
 //! replication campaign?
 //!
-//! One trial drives the same campaign as `rm_scaling`'s indexed arm with
-//! the whole streaming observability plane switched on — online lifeline
-//! analyzer, live stall probes, metrics flight recorder — and the
+//! One trial drives the same campaign as `rm_scaling` with the whole
+//! streaming observability plane switched on — online lifeline analyzer,
+//! live stall probes, metrics flight recorder — and the
 //! [`esg_simnet::profile`] subsystem profiler wrapped around the single
 //! `run_until` that does the work. The committed `BENCH_profile.json`
 //! answers ROADMAP item 1's question with numbers: how much of the wall is
@@ -18,33 +18,21 @@
 //! trace (`live_match`): same phase totals, same stall set, same critical
 //! paths, same tiling verdicts.
 
+use super::campaign_round::{tmp_path, CampaignRound};
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
 use crate::spec::ScenarioSpec;
 use esg_netlogger::LifelineSet;
-use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec};
-use esg_simnet::prelude::inject_all;
+use esg_reqman::CampaignOutcome;
 use esg_simnet::profile;
-use esg_simnet::{SimDuration, SimTime};
-use std::cell::RefCell;
+use esg_simnet::SimDuration;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::rc::Rc;
 
-/// Same source dataset shape as `rm_scaling`: replicated at two OC-12
-/// sites, pulled to the OC-3 portal.
+/// The campaign's source dataset.
 const DS: &str = "pcm_rmprof.b06";
-const TARGET_SITE: usize = 4;
 
 fn num(v: f64) -> MetricValue {
     MetricValue::Num(v)
-}
-
-fn tmp_path(ctx: &TrialCtx, tag: &str, ext: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "esg-lab-{}-{}-s{}-r{}-{tag}.{ext}",
-        ctx.spec.name, ctx.variant, ctx.seed, ctx.rep
-    ))
 }
 
 /// One instrumented run's harvest.
@@ -98,70 +86,31 @@ fn live_matches_offline(
 
 fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let p = &ctx.params;
-    let n = p.usize("n", 1000);
-    let bpf = p.u64("bytes_per_file", 1_000_000);
-    let max_active = p.usize("max_active", 24);
-    let batch = match p.usize("batch_files", 0) {
-        0 => n,
-        b => b,
-    };
-    let ckpt_every = p.u64("checkpoint_every_s", 1);
-    let recorder_every = p.u64("recorder_every_s", 30);
     let stall_s = p.f64("stall_threshold_s", 120.0);
-    let horizon = SimTime::from_secs(p.u64("horizon_s", 6000));
 
-    let mut tb = esg_core::esg_testbed(ctx.seed);
-    tb.publish_dataset(DS, n, 1, bpf, &[1, 3]);
-    {
-        let rm = &mut tb.sim.world.rm;
-        rm.scheduler.indexed = true;
-        rm.scheduler.max_active_per_request = max_active;
-        rm.enable_live_analysis(SimDuration::from_secs_f64(stall_s));
-    }
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let faults = super::spec_faults(&ctx.spec.faults, &tb.sites)?;
-    inject_all(&mut tb.sim, &faults);
-
-    let coll = tb
+    let mut round = CampaignRound::prepare(ctx, DS, "rm-profile", tag, 1000)?;
+    round
+        .tb
         .sim
         .world
-        .metadata
-        .collection_of(DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
-    let target = tb.sites[TARGET_SITE].host.clone();
-    let ckpt = tmp_path(ctx, tag, "ckpt");
+        .rm
+        .enable_live_analysis(SimDuration::from_secs_f64(stall_s));
     let tape = tmp_path(ctx, tag, "jsonl");
-    let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&tape);
-
-    let mut spec = CampaignSpec::new("rm-profile", coll, target);
-    spec.batch_files = batch;
-    spec.checkpoint = Some(ckpt.clone());
-    spec.checkpoint_every = SimDuration::from_secs(ckpt_every);
-    spec.recorder = Some(tape.clone());
-    spec.recorder_every = SimDuration::from_secs(recorder_every);
-    let outcome: Rc<RefCell<Option<CampaignOutcome>>> = Rc::new(RefCell::new(None));
-    let sink = Rc::clone(&outcome);
-    tb.sim.schedule_at(SimTime::from_secs(105), move |sim| {
-        start_campaign(sim, spec, move |_, o| *sink.borrow_mut() = Some(o));
-    });
+    round.spec.recorder = Some(tape.clone());
+    round.spec.recorder_every = SimDuration::from_secs(p.u64("recorder_every_s", 30));
+    round.launch(ctx)?;
 
     profile::start();
-    tb.sim.run_until(horizon);
+    round.tb.sim.run_until(round.horizon);
     let report = profile::stop();
 
-    let outcome = outcome
-        .borrow_mut()
-        .take()
-        .ok_or_else(|| format!("campaign did not finish by horizon (n={n})"))?;
+    let outcome = round.finish()?;
     let tape_body =
         std::fs::read_to_string(&tape).map_err(|e| format!("read {}: {e}", tape.display()))?;
-    let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&tape);
 
-    let world = &mut tb.sim.world;
+    let world = &mut round.tb.sim.world;
     let offline = LifelineSet::from_log(&world.rm.log);
     let live = world.rm.log.live().ok_or("live analyzer not attached")?;
     let live_match = live_matches_offline(live, &offline, stall_s)
@@ -341,16 +290,5 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
 /// The committed `BENCH_profile.json`: one fragment per curve point.
 pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let mut json = format!(
-        "{{\n  \"bench\": \"rm_profile\",\n  \"seed\": {},\n  \"points\": [\n",
-        spec.seeds.first().copied().unwrap_or(17),
-    );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    Some(json)
+    Some(super::assemble_points("rm_profile", "", spec, rows))
 }

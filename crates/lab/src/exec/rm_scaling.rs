@@ -1,222 +1,89 @@
 //! `rm_scaling` executor: one trial = one point of the A16
-//! files-per-round scaling curve, running the *same* replication
-//! campaign twice — once on the legacy O(N)-rescan request-manager
-//! paths (`scheduler.indexed = false`) and once on the indexed hot
-//! path — and holding the two arms to bitwise-identical traces,
-//! manifests, deliveries, and checkpoint journals.
+//! files-per-round scaling curve — a replication campaign of `n`
+//! single-step files in one round through the request manager.
 //!
-//! The legacy arm additionally reports the `rm.sched.queue_rescans` /
-//! `rm.ledger.scan_len` counters (how many full passes it took, and how
-//! many elements they visited); the indexed arm must keep both at
-//! exactly zero. Wall clock is measured around the single `run_until`
-//! that drives the campaign, best-of-`repeats`.
+//! Wall clock is measured around the single `run_until` that drives the
+//! campaign, best-of-`repeats`. The legacy O(N)-rescan arm this curve
+//! used to race against was removed once its bitwise equivalence was on
+//! record (EXPERIMENTS.md A16); each point's trace and manifest sha256
+//! are pinned in the committed `BENCH_rm_scaling.json`.
 
+use super::campaign_round::CampaignRound;
 use super::TrialCtx;
-use crate::gate::Baseline;
 use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
-use crate::json::Json;
 use crate::spec::ScenarioSpec;
-use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec, LEDGER_SCAN_LEN, QUEUE_RESCANS};
-use esg_simnet::prelude::inject_all;
-use esg_simnet::{SimDuration, SimTime};
-use std::cell::RefCell;
+use esg_reqman::CampaignOutcome;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::rc::Rc;
 
-/// The campaign's source dataset, replicated at two OC-12 sites so
-/// admission has replicas to spread over.
+/// The campaign's source dataset.
 const DS: &str = "pcm_rmscale.b06";
-/// Campaign destination (OC-3 access link).
-const TARGET_SITE: usize = 4;
 
 fn num(v: f64) -> MetricValue {
     MetricValue::Num(v)
 }
 
-/// One arm's harvest: equivalence witnesses plus the scan counters.
-struct ArmStats {
+struct RunStats {
     wall_ms: f64,
     outcome: CampaignOutcome,
     trace_sha256: String,
-    journal_sha256: String,
-    queue_rescans: u64,
-    ledger_scan_len: u64,
 }
 
-fn ckpt_path(ctx: &TrialCtx, tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "esg-lab-{}-{}-s{}-r{}-{tag}.ckpt",
-        ctx.spec.name, ctx.variant, ctx.seed, ctx.rep
-    ))
-}
-
-/// Build and drive one campaign of `n` single-step files through the
-/// chosen pipeline arm. Identical inputs construct identical sims; only
-/// `indexed` differs between the arms, so any trace or manifest
-/// divergence is the indexed rewrite's fault.
-fn run_arm(ctx: &TrialCtx, indexed: bool) -> Result<ArmStats, String> {
-    let p = &ctx.params;
-    let n = p.usize("n", 100);
-    let bpf = p.u64("bytes_per_file", 1_000_000);
-    let max_active = p.usize("max_active", 24);
-    // 0 = the whole collection in a single round — the "n files per
-    // round" regime this curve exists to measure.
-    let batch = match p.usize("batch_files", 0) {
-        0 => n,
-        b => b,
-    };
-    let ckpt_every = p.u64("checkpoint_every_s", 1);
-    let horizon = SimTime::from_secs(p.u64("horizon_s", 6000));
-
-    let mut tb = esg_core::esg_testbed(ctx.seed);
-    tb.publish_dataset(DS, n, 1, bpf, &[1, 3]);
-    {
-        let rm = &mut tb.sim.world.rm;
-        rm.scheduler.indexed = indexed;
-        rm.scheduler.max_active_per_request = max_active;
-    }
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let faults = super::spec_faults(&ctx.spec.faults, &tb.sites)?;
-    inject_all(&mut tb.sim, &faults);
-
-    let coll = tb
-        .sim
-        .world
-        .metadata
-        .collection_of(DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
-    let target = tb.sites[TARGET_SITE].host.clone();
-    let ckpt = ckpt_path(ctx, if indexed { "idx" } else { "leg" });
-    let _ = std::fs::remove_file(&ckpt);
-
-    let mut spec = CampaignSpec::new("rm-scale", coll, target);
-    spec.batch_files = batch;
-    spec.checkpoint = Some(ckpt.clone());
-    spec.checkpoint_every = SimDuration::from_secs(ckpt_every);
-    let outcome: Rc<RefCell<Option<CampaignOutcome>>> = Rc::new(RefCell::new(None));
-    let sink = Rc::clone(&outcome);
-    tb.sim.schedule_at(SimTime::from_secs(105), move |sim| {
-        start_campaign(sim, spec, move |_, o| *sink.borrow_mut() = Some(o));
-    });
+fn run_once(ctx: &TrialCtx) -> Result<RunStats, String> {
+    let mut round = CampaignRound::prepare(ctx, DS, "rm-scale", "run", 100)?;
+    round.launch(ctx)?;
 
     let wall = std::time::Instant::now();
-    tb.sim.run_until(horizon);
+    round.tb.sim.run_until(round.horizon);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let outcome = outcome
-        .borrow_mut()
-        .take()
-        .ok_or_else(|| format!("campaign did not finish by horizon (n={n}, indexed={indexed})"))?;
-    let journal =
-        std::fs::read_to_string(&ckpt).map_err(|e| format!("read {}: {e}", ckpt.display()))?;
-    let _ = std::fs::remove_file(&ckpt);
-    let world = &tb.sim.world;
-    Ok(ArmStats {
+    Ok(RunStats {
         wall_ms,
-        outcome,
-        trace_sha256: crate::sha_hex(&world.rm.log.to_ulm()),
-        journal_sha256: crate::sha_hex(&journal),
-        queue_rescans: world.rm.metrics.counter(QUEUE_RESCANS),
-        ledger_scan_len: world.rm.metrics.counter(LEDGER_SCAN_LEN),
+        outcome: round.finish()?,
+        trace_sha256: crate::sha_hex(&round.tb.sim.world.rm.log.to_ulm()),
     })
 }
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
-    let p = &ctx.params;
-    let n = p.usize("n", 100);
-    let repeats = p.usize("repeats", 1);
+    let repeats = ctx.params.usize("repeats", 1);
 
-    // Interleave the arms so ambient machine noise hits both equally;
-    // keep the minimum wall per arm (the usual best-of discipline — the
-    // sims are deterministic, so every repeat harvests identical stats).
-    let mut legacy = run_arm(ctx, false)?;
-    let mut indexed = run_arm(ctx, true)?;
+    // Best-of-N wall: the sims are deterministic, so every repeat
+    // harvests identical stats and only the timing tightens.
+    let mut best = run_once(ctx)?;
     for _ in 1..repeats {
-        legacy.wall_ms = legacy.wall_ms.min(run_arm(ctx, false)?.wall_ms);
-        indexed.wall_ms = indexed.wall_ms.min(run_arm(ctx, true)?.wall_ms);
+        let r = run_once(ctx)?;
+        if r.trace_sha256 != best.trace_sha256 {
+            return Err("repeat run produced a different trace".into());
+        }
+        best.wall_ms = best.wall_ms.min(r.wall_ms);
     }
-
-    let trace_match = legacy.trace_sha256 == indexed.trace_sha256;
-    let manifest_match = legacy.outcome.manifest_sha256 == indexed.outcome.manifest_sha256;
-    let journal_match = legacy.journal_sha256 == indexed.journal_sha256;
-    let deliveries_match = legacy.outcome.files_delivered == indexed.outcome.files_delivered
-        && legacy.outcome.files_failed == indexed.outcome.files_failed
-        && legacy.outcome.bytes_transferred == indexed.outcome.bytes_transferred;
-    let as01 = |b: bool| num(if b { 1.0 } else { 0.0 });
+    let o = &best.outcome;
+    let n = o.files_total;
 
     let metrics = vec![
         ("n".into(), num(n as f64)),
-        (
-            "files_total".into(),
-            num(indexed.outcome.files_total as f64),
-        ),
-        (
-            "files_delivered".into(),
-            num(indexed.outcome.files_delivered as f64),
-        ),
-        ("rounds".into(), num(indexed.outcome.rounds as f64)),
-        ("trace_match".into(), as01(trace_match)),
-        ("manifest_match".into(), as01(manifest_match)),
-        ("journal_match".into(), as01(journal_match)),
-        ("deliveries_match".into(), as01(deliveries_match)),
-        (
-            "legacy_queue_rescans".into(),
-            num(legacy.queue_rescans as f64),
-        ),
-        (
-            "legacy_ledger_scan_len".into(),
-            num(legacy.ledger_scan_len as f64),
-        ),
-        (
-            "indexed_queue_rescans".into(),
-            num(indexed.queue_rescans as f64),
-        ),
-        (
-            "indexed_ledger_scan_len".into(),
-            num(indexed.ledger_scan_len as f64),
-        ),
+        ("files_total".into(), num(o.files_total as f64)),
+        ("files_delivered".into(), num(o.files_delivered as f64)),
+        ("rounds".into(), num(o.rounds as f64)),
         (
             "trace_sha256".into(),
-            MetricValue::Str(indexed.trace_sha256.clone()),
+            MetricValue::Str(best.trace_sha256.clone()),
         ),
         (
             "manifest_sha256".into(),
-            MetricValue::Str(indexed.outcome.manifest_sha256.clone()),
+            MetricValue::Str(o.manifest_sha256.clone()),
         ),
     ];
-    let timing = vec![
-        ("wall_ms_legacy".into(), legacy.wall_ms),
-        ("wall_ms_indexed".into(), indexed.wall_ms),
-    ];
+    let timing = vec![("wall_ms".into(), best.wall_ms)];
 
     let mut frag = String::new();
     write!(
         frag,
         concat!(
             "{{\"n\": {}, \"files_delivered\": {}, \"rounds\": {}, ",
-            "\"wall_ms_legacy\": {:.3}, \"wall_ms_indexed\": {:.3}, ",
-            "\"speedup_indexed_vs_legacy\": {:.3}, ",
-            "\"legacy_queue_rescans\": {}, \"legacy_ledger_scan_len\": {}, ",
-            "\"indexed_queue_rescans\": {}, \"indexed_ledger_scan_len\": {}, ",
-            "\"equivalent\": {}, \"trace_sha256\": \"{}\", ",
-            "\"manifest_sha256\": \"{}\"}}"
+            "\"wall_ms\": {:.3}, ",
+            "\"trace_sha256\": \"{}\", \"manifest_sha256\": \"{}\"}}"
         ),
-        n,
-        indexed.outcome.files_delivered,
-        indexed.outcome.rounds,
-        legacy.wall_ms,
-        indexed.wall_ms,
-        legacy.wall_ms / indexed.wall_ms.max(1e-9),
-        legacy.queue_rescans,
-        legacy.ledger_scan_len,
-        indexed.queue_rescans,
-        indexed.ledger_scan_len,
-        trace_match && manifest_match && journal_match && deliveries_match,
-        indexed.trace_sha256,
-        indexed.outcome.manifest_sha256,
+        n, o.files_delivered, o.rounds, best.wall_ms, best.trace_sha256, o.manifest_sha256,
     )
     .unwrap();
 
@@ -236,44 +103,5 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 /// The committed `BENCH_rm_scaling.json`: per-point fragments in row
 /// order, one line per curve point.
 pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let mut json = format!(
-        "{{\n  \"bench\": \"rm_scaling_curve\",\n  \"seed\": {},\n  \"points\": [\n",
-        spec.seeds.first().copied().unwrap_or(17),
-    );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    Some(json)
-}
-
-/// Baseline for `wall_regression`: match each spec variant to the
-/// committed curve point with the same `n` and expose both arms' walls.
-pub fn baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
-    let points = artifact
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no points array")?;
-    let mut out = Baseline::new();
-    for v in spec.effective_variants() {
-        let merged = spec.params.merged(&v.overrides);
-        let n = merged.u64("n", 0);
-        let Some(point) = points
-            .iter()
-            .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
-        else {
-            continue; // gate reports the missing variant as an explicit error
-        };
-        let mut m = std::collections::BTreeMap::new();
-        for key in ["wall_ms_legacy", "wall_ms_indexed"] {
-            if let Some(val) = point.get(key).and_then(Json::as_f64) {
-                m.insert(key.to_string(), val);
-            }
-        }
-        out.insert(v.name.clone(), m);
-    }
-    Ok(out)
+    Some(super::assemble_points("rm_scaling_curve", "", spec, rows))
 }

@@ -1,15 +1,11 @@
 //! `user_scaling` executor: one trial = one point of the A10/A14 flow
-//! scaling curve, running the sequential reference solver and the
-//! parallel scratch-arena solver on the same seeded workload (plus the
-//! full-recompute trace ablation where affordable), bitwise
-//! equivalence-checked with in-run oracle probes — exactly
-//! `scaling::run_curve_point`, which the pre-migration bin also called.
+//! scaling curve — the seeded workload on the allocator's default
+//! configuration, checked against the from-scratch oracle by in-run
+//! probes (`scaling::run_curve_point`).
 
 use super::TrialCtx;
-use crate::gate::Baseline;
 use crate::journal::{MetricValue, TrialRecord};
-use crate::json::Json;
-use crate::scaling::{run_curve_point, trace_sha256_hex, PointReport};
+use crate::scaling::{run_curve_point, RunResult};
 use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
 
@@ -17,85 +13,60 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
     let n = p.usize("n", 1200);
     let regions = p.usize("regions", 32);
-    let full_ablation = p.bool("full_ablation", false);
     let oracle_probes = p.usize("oracle_probes", 8);
     let repeats = p.usize("repeats", 3);
     if !ctx.spec.faults.is_empty() {
         return Err("user_scaling does not take a spec fault schedule".into());
     }
 
-    // run_curve_point panics on any equivalence violation; reaching the
-    // return means every arm and every oracle probe matched bitwise.
-    let point = run_curve_point(n, regions, ctx.seed, full_ablation, oracle_probes, repeats);
+    // run_curve_point panics on any divergence; reaching the return means
+    // every oracle probe matched bitwise and every repeat was identical.
+    let point = run_curve_point(n, regions, ctx.seed, oracle_probes, repeats);
+    let num = |v: f64| MetricValue::Num(v);
+    let trace_sha256 = crate::sha_hex(&point.trace_ulm);
 
-    let mut metrics = vec![
-        ("n".to_string(), MetricValue::Num(point.n as f64)),
-        (
-            "regions".to_string(),
-            MetricValue::Num(point.regions as f64),
-        ),
-        ("equivalent".to_string(), MetricValue::Num(1.0)),
+    let metrics = vec![
+        ("n".to_string(), num(n as f64)),
+        ("regions".to_string(), num(regions as f64)),
+        ("equivalent".to_string(), num(1.0)),
         (
             "oracle_probes".to_string(),
-            MetricValue::Num(point.par.oracle_probes_run as f64),
+            num(point.oracle_probes_run as f64),
         ),
         (
             "recompute_passes".to_string(),
-            MetricValue::Num(point.par.stats.recompute_passes as f64),
+            num(point.stats.recompute_passes as f64),
         ),
         (
             "components_solved".to_string(),
-            MetricValue::Num(point.par.stats.components_solved as f64),
+            num(point.stats.components_solved as f64),
         ),
         (
             "flow_solves".to_string(),
-            MetricValue::Num(point.par.stats.flow_solves as f64),
+            num(point.stats.flow_solves as f64),
         ),
         (
             "parallel_batches".to_string(),
-            MetricValue::Num(point.par.stats.parallel_batches as f64),
+            num(point.stats.parallel_batches as f64),
         ),
         (
             "peak_concurrent_flows".to_string(),
-            MetricValue::Num(point.par.peak_concurrent as f64),
+            num(point.peak_concurrent as f64),
         ),
         (
             "trace_sha256".to_string(),
-            MetricValue::Str(trace_sha256_hex(&point.par)),
+            MetricValue::Str(trace_sha256.clone()),
         ),
-        (
-            "solver_parallel".to_string(),
-            MetricValue::Str(point.par.solver.clone()),
-        ),
+        ("solver".to_string(), MetricValue::Str(point.solver.clone())),
     ];
-    if point.full.is_some() {
-        metrics.push(("full_ablation".to_string(), MetricValue::Num(1.0)));
-    }
 
-    let mut timing = vec![
+    let timing = vec![
+        ("wall_ms".to_string(), point.wall.as_secs_f64() * 1e3),
         (
-            "wall_ms_sequential".to_string(),
-            point.seq.wall.as_secs_f64() * 1e3,
-        ),
-        (
-            "wall_ms_parallel".to_string(),
-            point.par.wall.as_secs_f64() * 1e3,
-        ),
-        (
-            "peak_rss_kb_sequential".to_string(),
-            point.seq.peak_rss_kb.unwrap_or(0) as f64,
-        ),
-        (
-            "peak_rss_kb_parallel".to_string(),
-            point.par.peak_rss_kb.unwrap_or(0) as f64,
+            "peak_rss_kb".to_string(),
+            point.peak_rss_kb.unwrap_or(0) as f64,
         ),
     ];
-    if let Some(f) = &point.full {
-        timing.push((
-            "wall_ms_full_recompute".to_string(),
-            f.wall.as_secs_f64() * 1e3,
-        ));
-    }
 
     Ok(TrialRecord {
         key: crate::journal::TrialKey {
@@ -105,110 +76,52 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         },
         metrics,
         timing,
-        fragment: Some(json_point(&point)),
+        fragment: Some(json_point(n, regions, &point, &trace_sha256)),
         aux: vec![],
     })
 }
 
-/// One curve point as a single JSON line — byte-format-identical to the
-/// pre-migration bin (keeps the committed file greppable and lets the
-/// regression check stay dependency-free).
-fn json_point(p: &PointReport) -> String {
+/// One curve point as a single JSON line (keeps the committed file
+/// greppable and lets the regression check stay dependency-free).
+fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> String {
     let mut s = String::new();
     write!(
         s,
         concat!(
-            "{{\"n\": {}, \"regions\": {}, ",
-            "\"wall_ms_sequential\": {:.3}, \"wall_ms_parallel\": {:.3}, "
-        ),
-        p.n,
-        p.regions,
-        p.seq.wall.as_secs_f64() * 1e3,
-        p.par.wall.as_secs_f64() * 1e3,
-    )
-    .unwrap();
-    match &p.full {
-        Some(f) => write!(
-            s,
-            "\"wall_ms_full_recompute\": {:.3}, ",
-            f.wall.as_secs_f64() * 1e3
-        ),
-        None => write!(s, "\"wall_ms_full_recompute\": null, "),
-    }
-    .unwrap();
-    write!(
-        s,
-        concat!(
-            "\"speedup_parallel_vs_sequential\": {:.3}, ",
-            "\"peak_rss_kb_sequential\": {}, \"peak_rss_kb_parallel\": {}, ",
-            "\"solver_parallel\": \"{}\", \"oracle_probes\": {}, ",
+            "{{\"n\": {}, \"regions\": {}, \"wall_ms\": {:.3}, ",
+            "\"peak_rss_kb\": {}, \"solver\": \"{}\", \"oracle_probes\": {}, ",
             "\"recompute_passes\": {}, \"components_solved\": {}, ",
             "\"flow_solves\": {}, \"parallel_batches\": {}, ",
             "\"peak_concurrent_flows\": {}, \"equivalent\": true, ",
             "\"trace_sha256\": \"{}\"}}"
         ),
-        p.seq.wall.as_secs_f64() / p.par.wall.as_secs_f64().max(1e-9),
-        p.seq.peak_rss_kb.unwrap_or(0),
-        p.par.peak_rss_kb.unwrap_or(0),
-        p.par.solver,
-        p.par.oracle_probes_run,
-        p.par.stats.recompute_passes,
-        p.par.stats.components_solved,
-        p.par.stats.flow_solves,
-        p.par.stats.parallel_batches,
-        p.par.peak_concurrent,
-        trace_sha256_hex(&p.par),
+        n,
+        regions,
+        p.wall.as_secs_f64() * 1e3,
+        p.peak_rss_kb.unwrap_or(0),
+        p.solver,
+        p.oracle_probes_run,
+        p.stats.recompute_passes,
+        p.stats.components_solved,
+        p.stats.flow_solves,
+        p.stats.parallel_batches,
+        p.peak_concurrent,
+        trace_sha256,
     )
     .unwrap();
     s
 }
 
-/// The committed curve file, assembled from per-point fragments in row
-/// order — same bytes the old `--curve` bin wrote.
+/// The committed `BENCH_user_scaling.json`.
 pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let mut json = format!(
-        concat!(
-            "{{\n  \"bench\": \"user_scaling_curve\",\n  \"seed\": {},\n",
-            "  \"clients_per_region\": {},\n  \"points\": [\n"
-        ),
-        spec.seeds.first().copied().unwrap_or(17),
-        crate::scaling::CLIENTS_PER_REGION,
+    let clients = format!(
+        "  \"clients_per_region\": {},\n",
+        crate::scaling::CLIENTS_PER_REGION
     );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    Some(json)
-}
-
-/// Baseline for `wall_regression`: match each spec variant to the
-/// committed curve point with the same `n` and expose its parallel-arm
-/// wall clock.
-pub fn baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
-    let points = artifact
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no points array")?;
-    let mut out = Baseline::new();
-    for v in spec.effective_variants() {
-        let merged = spec.params.merged(&v.overrides);
-        let n = merged.u64("n", 0);
-        let Some(point) = points
-            .iter()
-            .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
-        else {
-            continue; // gate reports the missing variant as an explicit error
-        };
-        let mut m = std::collections::BTreeMap::new();
-        for key in ["wall_ms_sequential", "wall_ms_parallel"] {
-            if let Some(val) = point.get(key).and_then(Json::as_f64) {
-                m.insert(key.to_string(), val);
-            }
-        }
-        out.insert(v.name.clone(), m);
-    }
-    Ok(out)
+    Some(super::assemble_points(
+        "user_scaling_curve",
+        &clients,
+        spec,
+        rows,
+    ))
 }

@@ -14,8 +14,7 @@
 //! (kind-specific executors, operation-for-operation ports of the old
 //! bench bins) → `journal` (resume) → `gate` (pass/fail/error) →
 //! `runner` (the matrix loop tying it together). `scaling` hosts the
-//! flow-scaling harness that moved here from esg-bench so the bench bins
-//! can depend on the lab without a cycle.
+//! flow-scaling harness behind the `user_scaling` executor.
 
 pub mod exec;
 pub mod gate;

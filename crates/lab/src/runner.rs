@@ -193,8 +193,7 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
 /// Run a scenario and print the standard report: header, trial counts,
 /// the deterministic analysis table, the timing section, gate lines and
 /// the artifact/journal paths. Returns whether the run completed with
-/// every gate passing — the shared body of the `lab` CLI and the thin
-/// per-bench shim bins, so they all render results identically.
+/// every gate passing — the body of the `lab` CLI.
 pub fn run_and_report(spec: &ScenarioSpec, opts: &RunOptions) -> Result<bool, String> {
     println!(
         "== scenario {} ({}, {} variants x {} seeds x {} reps) ==",

@@ -2,30 +2,24 @@
 //!
 //! Builds a WAN of independent regions — each a storage server feeding
 //! several clients through a shared regional uplink — and pushes N
-//! concurrent flows through it, in either the incremental-allocator
-//! mode (default) or the `--full-recompute` ablation. Both modes must
-//! produce bitwise-identical per-flow completion times and NetLogger
-//! traces; only the wall clock and the allocation-work counters differ.
+//! concurrent flows through it on the allocator's default configuration.
 //!
 //! Regions are disjoint on purpose: real deployments are many mostly-
 //! independent site↔client paths, and that independence is exactly the
-//! structure a component-scoped allocator exploits. The ablation solves
-//! every region on every event; the incremental path solves only the
-//! region an event touches.
+//! structure a component-scoped allocator exploits: an event re-solves
+//! only the region it touches.
 //!
-//! On top of the single-point harness sits the A14 **scaling curve**
-//! (1k → 10k → 100k flows, [`run_curve_point`]): at every point the
-//! sequential reference solver and the parallel scratch-arena/worker-pool
-//! solver run the same seeded workload and must be observably identical
-//! (completion instants and ULM traces, bit for bit). In-run oracle
-//! probes additionally check the live incremental allocation against
-//! [`FlowNet::oracle_rates`] — a from-scratch re-solve that ignores the
-//! persistent index — at geometrically spaced sim instants, so the
-//! incremental-vs-oracle ablation holds at scales where a full-recompute
-//! *trace* ablation is computationally out of reach. Peak memory is
-//! captured per arm from `VmHWM` after resetting the kernel's RSS
-//! high-water mark, giving the committed wall-clock/peak-memory
-//! baselines in `BENCH_user_scaling.json`.
+//! On top of the single run sits the A14 **scaling curve** (1k → 10k →
+//! 100k flows, [`run_curve_point`]): best-of-N wall clock and peak memory
+//! per point, with in-run oracle probes checking the live incremental
+//! allocation against [`FlowNet::oracle_rates`] — a from-scratch re-solve
+//! that ignores the persistent index — at geometrically spaced sim
+//! instants. The sequential-solver and full-recompute arms this harness
+//! used to race against were removed once their bitwise equivalence was
+//! on record (EXPERIMENTS.md A10/A14); the trace sha256 of every curve
+//! point is pinned in the committed `BENCH_user_scaling.json`. Peak
+//! memory is captured from `VmHWM` after resetting the kernel's RSS
+//! high-water mark.
 
 use esg_netlogger::{LogEvent, NetLog};
 use esg_simnet::prelude::*;
@@ -36,10 +30,11 @@ use std::rc::Rc;
 
 pub const CLIENTS_PER_REGION: usize = 4;
 
-/// Result of one variant run.
-pub struct VariantResult {
-    pub mode: &'static str,
-    /// Human-readable solver label ("sequential", "parallel(w=8,thr=4096)").
+/// Result of one run.
+pub struct RunResult {
+    /// Pool shape the allocator ran with ("pool(w=8,thr=4096)") — the
+    /// wall clock depends on the host's parallelism, so it is reported
+    /// beside it.
     pub solver: String,
     pub wall: std::time::Duration,
     pub stats: AllocStats,
@@ -48,25 +43,12 @@ pub struct VariantResult {
     /// ULM dump of the flow.start/flow.complete trace.
     pub trace_ulm: String,
     pub peak_concurrent: usize,
-    /// Peak resident set (KiB) over this arm, from `/proc/self/status`
+    /// Peak resident set (KiB) over this run, from `/proc/self/status`
     /// `VmHWM` after a `clear_refs` reset; `None` off-Linux.
     pub peak_rss_kb: Option<u64>,
     /// How many in-run incremental-vs-oracle probes executed (all must
     /// match bitwise or the run panics).
     pub oracle_probes_run: usize,
-}
-
-/// Full configuration for one arm of the harness.
-pub struct RunConfig {
-    pub n: usize,
-    pub regions: usize,
-    pub seed: u64,
-    pub full_recompute: bool,
-    /// Solver override; `None` keeps the allocator's default
-    /// (parallel scratch-arena, workers = host parallelism).
-    pub solver: Option<SolverConfig>,
-    /// Number of in-run oracle probes at sim times 5·2^k seconds.
-    pub oracle_probes: usize,
 }
 
 struct World {
@@ -77,7 +59,7 @@ struct World {
 }
 
 /// Reset the kernel's peak-RSS high-water mark so `VmHWM` measures only
-/// the arm that follows. Best-effort: silently a no-op off-Linux.
+/// the run that follows. Best-effort: silently a no-op off-Linux.
 fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
@@ -91,39 +73,10 @@ fn peak_rss_kb() -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-fn solver_label(cfg: &SolverConfig) -> String {
-    match cfg.mode {
-        SolverMode::Sequential => "sequential".into(),
-        SolverMode::Parallel { workers, threshold } => {
-            format!("parallel(w={workers},thr={threshold})")
-        }
-    }
-}
-
-/// Run `n` flows over `regions` regions with the given seed (legacy
-/// entry point: default solver, no oracle probes).
-pub fn run_variant(n: usize, regions: usize, seed: u64, full_recompute: bool) -> VariantResult {
-    run_variant_cfg(RunConfig {
-        n,
-        regions,
-        seed,
-        full_recompute,
-        solver: None,
-        oracle_probes: 0,
-    })
-}
-
-/// Run one fully configured arm.
-pub fn run_variant_cfg(cfg: RunConfig) -> VariantResult {
+/// Run `n` flows over `regions` regions with the given seed, with
+/// `oracle_probes` in-run oracle probes at sim times 5·2^k seconds.
+pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> RunResult {
     reset_peak_rss();
-    let RunConfig {
-        n,
-        regions,
-        seed,
-        full_recompute,
-        solver,
-        oracle_probes,
-    } = cfg;
     let mut topo = Topology::new();
     let mut servers = Vec::with_capacity(regions);
     let mut clients = Vec::with_capacity(regions);
@@ -152,14 +105,11 @@ pub fn run_variant_cfg(cfg: RunConfig) -> VariantResult {
             oracle_probes: 0,
         })),
     );
-    sim.net.set_full_recompute(full_recompute);
-    let solver_cfg = solver.unwrap_or_default();
-    sim.net.set_solver(solver_cfg);
-    let label = solver_label(&sim.net.solver());
+    let SolverConfig { workers, threshold } = sim.net.solver();
 
-    // Deterministic workload, identical across variants: arrivals
-    // staggered over 20 s, sizes chosen so every flow outlives the
-    // arrival window — the whole population is concurrently active.
+    // Deterministic workload: arrivals staggered over 20 s, sizes chosen
+    // so every flow outlives the arrival window — the whole population is
+    // concurrently active.
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..n {
         let region = i % regions;
@@ -238,13 +188,8 @@ pub fn run_variant_cfg(cfg: RunConfig) -> VariantResult {
         n,
         "not every flow completed before the horizon"
     );
-    VariantResult {
-        mode: if full_recompute {
-            "full-recompute"
-        } else {
-            "incremental"
-        },
-        solver: label,
+    RunResult {
+        solver: format!("pool(w={workers},thr={threshold})"),
         wall,
         stats: sim.net.alloc_stats(),
         completions: world.completions.clone(),
@@ -255,113 +200,28 @@ pub fn run_variant_cfg(cfg: RunConfig) -> VariantResult {
     }
 }
 
-/// Assert the two variants are observably identical: same completion
-/// order and instants, byte-identical traces. Panics on divergence —
-/// this is the allocation-equivalence tripwire CI relies on.
-pub fn assert_equivalent(a: &VariantResult, b: &VariantResult) {
-    assert_eq!(
-        a.completions.len(),
-        b.completions.len(),
-        "completion counts differ: {}/{} vs {}/{}",
-        a.mode,
-        a.solver,
-        b.mode,
-        b.solver
-    );
-    for (i, (x, y)) in a.completions.iter().zip(&b.completions).enumerate() {
-        assert_eq!(
-            x, y,
-            "completion {i} diverged between {}/{} and {}/{}",
-            a.mode, a.solver, b.mode, b.solver
-        );
-    }
-    assert_eq!(
-        a.trace_ulm, b.trace_ulm,
-        "NetLogger traces diverged between {}/{} and {}/{}",
-        a.mode, a.solver, b.mode, b.solver
-    );
-}
-
-pub fn trace_sha256_hex(v: &VariantResult) -> String {
-    esg_gsi::sha256(v.trace_ulm.as_bytes())
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
-}
-
-/// One point of the A14 scaling curve: the same seeded workload under
-/// the sequential reference solver and the parallel solver, bitwise
-/// equivalence-checked, each with in-run oracle probes and peak-RSS
-/// accounting; optionally also the full-recompute trace ablation
-/// (affordable only at small N — its cost is quadratic in flows).
-pub struct PointReport {
-    pub n: usize,
-    pub regions: usize,
-    pub seq: VariantResult,
-    pub par: VariantResult,
-    pub full: Option<VariantResult>,
-}
-
+/// One point of the A14 scaling curve: the seeded workload with in-run
+/// oracle probes, best-of-`repeats` wall clock. The simulation is
+/// deterministic, so repeats only tighten the timing (min filters
+/// scheduler/frequency noise); that determinism is re-asserted on every
+/// repeat for free.
 pub fn run_curve_point(
     n: usize,
     regions: usize,
     seed: u64,
-    full_ablation: bool,
     oracle_probes: usize,
     repeats: usize,
-) -> PointReport {
-    // Best-of-N wall clock per arm: the simulation is deterministic, so
-    // repeats only tighten the timing (min filters scheduler/frequency
-    // noise); equivalence is re-asserted every round for free.
-    let mut seq: Option<VariantResult> = None;
-    let mut par: Option<VariantResult> = None;
-    for _ in 0..repeats.max(1) {
-        let s = run_variant_cfg(RunConfig {
-            n,
-            regions,
-            seed,
-            full_recompute: false,
-            solver: Some(SolverConfig {
-                mode: SolverMode::Sequential,
-            }),
-            oracle_probes,
-        });
-        let p = run_variant_cfg(RunConfig {
-            n,
-            regions,
-            seed,
-            full_recompute: false,
-            solver: None, // allocator default: parallel scratch-arena
-            oracle_probes,
-        });
-        assert_equivalent(&s, &p);
-        if seq.as_ref().is_none_or(|b| s.wall < b.wall) {
-            seq = Some(s);
-        }
-        if par.as_ref().is_none_or(|b| p.wall < b.wall) {
-            par = Some(p);
+) -> RunResult {
+    let mut best = run_flows(n, regions, seed, oracle_probes);
+    for _ in 1..repeats {
+        let r = run_flows(n, regions, seed, oracle_probes);
+        assert_eq!(r.completions, best.completions, "repeat run diverged");
+        assert_eq!(r.trace_ulm, best.trace_ulm, "repeat run trace diverged");
+        if r.wall < best.wall {
+            best = r;
         }
     }
-    let (seq, par) = (seq.expect("repeats >= 1"), par.expect("repeats >= 1"));
-    let full = full_ablation.then(|| {
-        let f = run_variant_cfg(RunConfig {
-            n,
-            regions,
-            seed,
-            full_recompute: true,
-            solver: None,
-            oracle_probes,
-        });
-        assert_equivalent(&seq, &f);
-        f
-    });
-    PointReport {
-        n,
-        regions,
-        seq,
-        par,
-        full,
-    }
+    best
 }
 
 #[cfg(test)]
@@ -369,42 +229,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaling_variants_are_equivalent_at_small_n() {
-        let inc = run_variant(48, 6, 7, false);
-        let full = run_variant(48, 6, 7, true);
-        assert_equivalent(&inc, &full);
-        // The ablation must do strictly more allocation work.
-        assert!(full.stats.flow_solves > inc.stats.flow_solves);
-        assert_eq!(trace_sha256_hex(&inc), trace_sha256_hex(&full));
-    }
-
-    #[test]
-    fn curve_point_runs_all_arms_and_probes() {
-        let p = run_curve_point(32, 4, 11, true, 4, 2);
-        assert_eq!(p.seq.solver, "sequential");
-        assert!(p.par.solver.starts_with("parallel("));
+    fn curve_point_runs_its_probes() {
+        let p = run_curve_point(32, 4, 11, 4, 2);
+        assert!(p.solver.starts_with("pool(w="));
         // All probes executed (they panic internally on divergence).
-        assert_eq!(p.seq.oracle_probes_run, 4);
-        assert_eq!(p.par.oracle_probes_run, 4);
-        let full = p.full.expect("ablation arm requested");
-        assert_eq!(full.mode, "full-recompute");
-        assert!(full.stats.flow_solves > p.par.stats.flow_solves);
+        assert_eq!(p.oracle_probes_run, 4);
+        assert_eq!(p.completions.len(), 32);
     }
 
     #[test]
     fn oracle_probes_are_trace_neutral() {
         // The committed goldens run without probes; the curve runs with
         // them. Both must see the exact same simulation.
-        let quiet = run_variant(24, 3, 5, false);
-        let probed = run_variant_cfg(RunConfig {
-            n: 24,
-            regions: 3,
-            seed: 5,
-            full_recompute: false,
-            solver: None,
-            oracle_probes: 6,
-        });
+        let quiet = run_flows(24, 3, 5, 0);
+        let probed = run_flows(24, 3, 5, 6);
         assert_eq!(probed.oracle_probes_run, 6);
-        assert_equivalent(&quiet, &probed);
+        assert_eq!(quiet.completions, probed.completions);
+        assert_eq!(quiet.trace_ulm, probed.trace_ulm);
     }
 }

@@ -25,7 +25,6 @@ fn probe_spec() -> ScenarioSpec {
         reps: 1,
         params: Params(vec![
             ("regions".into(), Json::Int(8)),
-            ("full_ablation".into(), Json::Bool(false)),
             ("oracle_probes".into(), Json::Int(2)),
             ("repeats".into(), Json::Int(1)),
         ]),

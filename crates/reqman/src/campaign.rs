@@ -164,9 +164,11 @@ pub(crate) struct CampaignState {
     span: SpanId,
     /// Last journaled marker offset per in-flight file.
     last_marker: HashMap<String, u64>,
-    /// Persistent journal handle (indexed pipeline): torn-tail healing
-    /// runs once at open instead of on every append. `None` under the
-    /// legacy flag or when no checkpoint is configured.
+    /// Persistent journal handle: torn-tail healing runs once at open
+    /// instead of on every append. `None` when no checkpoint is
+    /// configured or the journal could not be opened at campaign start —
+    /// decided once, so a path that turns writable mid-run never starts
+    /// a header-less journal.
     writer: Option<JournalWriter>,
     /// Delta state of the metrics flight recorder when a tape is
     /// configured.
@@ -174,15 +176,12 @@ pub(crate) struct CampaignState {
 }
 
 impl CampaignState {
-    /// Append journal lines: through the persistent writer when one is
-    /// open, else the legacy re-read-and-heal [`append_lines`] path.
-    /// Both produce byte-identical journals (the campaign is the only
-    /// writer mid-run). Returns durability; `false` with no checkpoint.
+    /// Append journal lines. Returns durability: `false` with no open
+    /// journal.
     fn journal(&mut self, lines: &[String]) -> bool {
-        match (&mut self.writer, &self.spec.checkpoint) {
-            (Some(w), _) => w.append(lines).is_ok(),
-            (None, Some(path)) => append_lines(path, lines).is_ok(),
-            (None, None) => false,
+        match &mut self.writer {
+            Some(w) => w.append(lines).is_ok(),
+            None => false,
         }
     }
 }
@@ -234,10 +233,9 @@ fn dec(s: &str) -> String {
     out
 }
 
-/// An open journal whose torn tail was healed once, at open; appends are
-/// then O(lines written). The per-call [`append_lines`] path below re-reads
-/// the whole journal on every append — O(journal) per settled batch, the
-/// cost the `rm_scaling` bench charges to the legacy arm.
+/// An open journal whose torn tail (left by a crash mid-write) was
+/// truncated once, at open — the lab journal's healing discipline;
+/// appends are then O(lines written).
 struct JournalWriter {
     file: std::fs::File,
 }
@@ -273,34 +271,6 @@ impl JournalWriter {
         }
         self.file.flush()
     }
-}
-
-/// Append `lines` to the journal, first truncating any torn tail left by
-/// a crash mid-write (mirrors the lab journal's healing discipline).
-fn append_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom, Write};
-    let _j = profile::scope(profile::JOURNAL);
-    profile::count("journal.lines", lines.len() as u64);
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    let keep = match buf.iter().rposition(|&b| b == b'\n') {
-        Some(i) => i + 1,
-        None => 0,
-    };
-    if keep != buf.len() {
-        f.set_len(keep as u64)?;
-    }
-    f.seek(SeekFrom::End(0))?;
-    for l in lines {
-        writeln!(f, "{l}")?;
-    }
-    f.flush()
 }
 
 /// Parsed checkpoint: the settled map, whether the journal already holds a
@@ -530,16 +500,12 @@ pub fn start_campaign<W: RmWorld>(
         FlightRecorder::new()
     });
 
-    // The indexed pipeline holds the journal open for the campaign's
-    // lifetime: one heal at open, O(lines) per append. Legacy re-opens
-    // and re-reads per batch.
-    let mut writer = if rm.scheduler.indexed {
-        spec.checkpoint
-            .as_ref()
-            .and_then(|path| JournalWriter::open(path).ok())
-    } else {
-        None
-    };
+    // The journal stays open for the campaign's lifetime: one heal at
+    // open, O(lines) per append.
+    let mut writer = spec
+        .checkpoint
+        .as_ref()
+        .and_then(|path| JournalWriter::open(path).ok());
 
     // Checkpoint facts only count when they still describe a current file
     // (name and size both match); anything else is retried. Indexed by
@@ -577,12 +543,10 @@ pub fn start_campaign<W: RmWorld>(
                 .field("skipped", files_skipped as u64)
                 .field("bytes_skipped", bytes_skipped),
         );
-        if let Some(path) = &spec.checkpoint {
-            let line = format!("resume skipped={files_skipped} bytes={bytes_skipped}");
-            let _ = match &mut writer {
-                Some(w) => w.append(&[line]),
-                None => append_lines(path, &[line]),
-            };
+        if let Some(w) = &mut writer {
+            let _ = w.append(&[format!(
+                "resume skipped={files_skipped} bytes={bytes_skipped}"
+            )]);
         }
     }
 
@@ -946,29 +910,9 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, camp: SharedCampaign) {
     }
     let req = camp.borrow().current_request;
     if let Some(req) = req {
-        // The indexed pipeline reads only the files with banked unfinished
-        // bytes from the request's incremental progress set; the legacy
-        // path clones every FileStatus of the round and filters, and is
-        // charged one rescan of the round per tick for it. Both yield the
-        // same (name, offset) sequence in the same order.
-        let progress: Option<Vec<(String, u64)>> = if sim.world.reqman().scheduler.indexed {
-            sim.world.reqman().marker_progress(req)
-        } else {
-            let rm = sim.world.reqman();
-            let statuses = rm.status(req);
-            if let Some(statuses) = &statuses {
-                rm.metrics.counter_add(crate::manager::QUEUE_RESCANS, 1);
-                rm.metrics
-                    .counter_add(crate::manager::LEDGER_SCAN_LEN, statuses.len() as u64);
-            }
-            statuses.map(|v| {
-                v.into_iter()
-                    .filter(|fs| !fs.done && fs.bytes_done != 0)
-                    .map(|fs| (fs.name, fs.bytes_done))
-                    .collect()
-            })
-        };
-        if let Some(progress) = progress {
+        // Only the files with banked unfinished bytes, from the request's
+        // incremental progress set.
+        if let Some(progress) = sim.world.reqman().marker_progress(req) {
             let (lines, id) = {
                 let mut c = camp.borrow_mut();
                 let round = c.round_idx as u64;
@@ -1418,8 +1362,11 @@ mod tests {
         let cp = load_checkpoint(&ckpt, &sha).expect("journal must load");
         assert_eq!(cp.settled.len(), 1);
         assert!(cp.settled["pcm.run1.f000"].done);
-        // Appending heals the tear before writing.
-        append_lines(&ckpt, &["resume skipped=1 bytes=0".into()]).unwrap();
+        // Opening the journal heals the tear before anything is appended.
+        JournalWriter::open(&ckpt)
+            .unwrap()
+            .append(&["resume skipped=1 bytes=0".into()])
+            .unwrap();
         let raw = std::fs::read_to_string(&ckpt).unwrap();
         assert!(!raw.contains("f001 si"), "torn fragment must be truncated");
         assert!(raw.ends_with("resume skipped=1 bytes=0\n"));
@@ -1494,6 +1441,42 @@ mod tests {
         assert_eq!(o.files_delivered, FILES - 1, "the failed entry is retried");
         assert_eq!(o.files_failed, 0);
         let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn unopenable_checkpoint_runs_to_completion_without_durability() {
+        // Whether the journal exists is decided once, at campaign start:
+        // a checkpoint path in a missing directory never becomes a file,
+        // the campaign still delivers everything, and every round says
+        // its checkpoint was not durable.
+        let dir = std::env::temp_dir().join(format!("esg-campaign-nodir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = dir.join("mirror.ckpt");
+        let (mut sim, _) = setup();
+        start_campaign(&mut sim, spec_with("mirror", Some(ckpt.clone())), |s, o| {
+            s.world.outcomes.push(o)
+        });
+        // The directory appearing mid-run must not start a header-less
+        // journal.
+        sim.schedule_at(SimTime::from_secs(1), {
+            let dir = dir.clone();
+            move |_| std::fs::create_dir_all(&dir).unwrap()
+        });
+        sim.run();
+        let o = &sim.world.outcomes[0];
+        assert_eq!(o.files_delivered, FILES);
+        assert_eq!(o.rounds, FILES / 2);
+        let durable: Vec<f64> = sim
+            .world
+            .rm
+            .log
+            .named("rm.campaign.checkpoint")
+            .filter_map(|e| e.get_num("durable"))
+            .collect();
+        assert_eq!(durable, vec![0.0; FILES / 2]);
+        assert!(dir.exists(), "the mid-run mkdir must have fired");
+        assert!(!ckpt.exists(), "no journal may be created");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub use campaign::{cancel_campaign, start_campaign, CampaignOutcome, CampaignSpe
 pub use integrity::{verify_blocks, IntegrityManager, SegRecord, SegmentView, VerifyReport};
 pub use manager::{
     cancel_request, submit_request, submit_request_for_tenant, FileStatus, HasReqMan,
-    RequestManager, RequestOutcome, RmWorld, TransferTuning, LEDGER_SCAN_LEN, QUEUE_RESCANS,
+    RequestManager, RequestOutcome, RmWorld, TransferTuning,
 };
-pub use monitor::{render_monitor, render_monitor_metered};
+pub use monitor::render_monitor;
 pub use planner::plan_spread;
 pub use reliability::{BreakerState, BreakerTransition, CircuitBreaker, RetryPolicy};
 pub use replication::{replicate_collection, ReplicationOutcome};

@@ -47,15 +47,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
-/// Counter: full linear passes over a request's file vector (or the tenant
-/// table) on the legacy hot path. The indexed path (`scheduler.indexed`)
-/// never rescans, so the differential tests pin this to zero there.
-pub const QUEUE_RESCANS: &str = "rm.sched.queue_rescans";
-/// Counter: elements visited by those legacy scans (files per monitor/
-/// marker/outcome pass, tenants per active-weight recompute). O(1)-bounded
-/// per event on the indexed path — it stays zero.
-pub const LEDGER_SCAN_LEN: &str = "rm.ledger.scan_len";
-
 /// World bound shared by all request-manager operations.
 pub trait RmWorld: HasGridFtp + HasNws + HasReqMan + 'static {}
 impl<W: HasGridFtp + HasNws + HasReqMan + 'static> RmWorld for W {}
@@ -183,14 +174,14 @@ struct RequestState {
     /// A per-request monitor tick is scheduled.
     monitor_active: bool,
     /// Indices with a live transfer handle (`current.is_some()` and not
-    /// settled) — the monitor tick's working set on the indexed path.
-    /// A `BTreeSet` so iteration is in ascending index order, i.e. the
-    /// exact order the legacy full scan visits files.
+    /// settled) — the monitor tick's working set. A `BTreeSet` so
+    /// iteration is in ascending index order, which the pinned traces
+    /// depend on.
     live: BTreeSet<usize>,
     /// Indices with banked-but-unfinished bytes
     /// (`bytes_done > 0 && !done`) — the campaign marker tick's working
-    /// set on the indexed path. Failed files with banked bytes stay in,
-    /// matching the legacy marker filter bit for bit.
+    /// set. Failed files with banked bytes stay in: their restart markers
+    /// are still worth journaling.
     progress: BTreeSet<usize>,
     /// Sum of catalog sizes, fixed at submit — the outcome's
     /// `total_bytes` without an O(files) re-sum at completion.
@@ -293,7 +284,7 @@ pub struct RequestManager {
     /// Cached active-weight sum for the fair-share limit:
     /// `((tenant_epoch, table_epoch, default_weight), weight)`. Valid
     /// while neither the active tenant set nor the tenant table changed,
-    /// so the indexed admission path skips the per-event tenant scan.
+    /// so the admission path skips the per-event tenant scan.
     active_weight_cache: Option<((u64, u64, u32), u64)>,
     /// Live campaign state, keyed by campaign id (see `campaign.rs`).
     pub(crate) campaigns: HashMap<u64, crate::campaign::SharedCampaign>,
@@ -458,30 +449,22 @@ impl RequestManager {
     }
 
     /// [`tenant_limit`](Self::tenant_limit) on the admission hot path:
-    /// the indexed pipeline serves the active-weight sum from a cache
-    /// invalidated by tenant-set / table epochs (recomputed only when a
-    /// tenant activates/retires or a weight changes); the legacy path
-    /// rescans every call and says so in the scaling counters.
-    fn tenant_limit_metered(&mut self, tenant: &str) -> usize {
-        let active_weight = if self.scheduler.indexed {
-            let key = (
-                self.tenant_epoch,
-                self.tenants.epoch(),
-                self.tenants.default_weight,
-            );
-            match self.active_weight_cache {
-                Some((k, w)) if k == key => w,
-                _ => {
-                    let w = self.active_weight_scan();
-                    self.active_weight_cache = Some((key, w));
-                    w
-                }
+    /// the active-weight sum comes from a cache invalidated by tenant-set
+    /// / table epochs (recomputed only when a tenant activates/retires or
+    /// a weight changes).
+    fn tenant_limit_cached(&mut self, tenant: &str) -> usize {
+        let key = (
+            self.tenant_epoch,
+            self.tenants.epoch(),
+            self.tenants.default_weight,
+        );
+        let active_weight = match self.active_weight_cache {
+            Some((k, w)) if k == key => w,
+            _ => {
+                let w = self.active_weight_scan();
+                self.active_weight_cache = Some((key, w));
+                w
             }
-        } else {
-            self.metrics.counter_add(QUEUE_RESCANS, 1);
-            self.metrics
-                .counter_add(LEDGER_SCAN_LEN, self.tenant_live.len() as u64);
-            self.active_weight_scan()
         };
         self.tenants.limit(tenant, active_weight)
     }
@@ -489,8 +472,8 @@ impl RequestManager {
     /// Banked-progress snapshot for the campaign marker tick, served from
     /// the request's incremental `progress` index: only files with
     /// unfinished banked bytes are visited (and nothing is cloned but
-    /// their names), in the same ascending order the legacy full scan
-    /// produces. `None` when the request already finished.
+    /// their names), in ascending file order. `None` when the request
+    /// already finished.
     pub fn marker_progress(&self, request: u64) -> Option<Vec<(String, u64)>> {
         let state = self.requests.get(&request)?;
         let st = state.borrow();
@@ -1056,30 +1039,18 @@ fn note_tenant_starvation<W: RmWorld>(sim: &mut Sim<W>, tenant: &str, now: SimTi
 type DoneCell<W> = Rc<RefCell<Option<Box<dyn FnOnce(&mut Sim<W>, RequestOutcome)>>>>;
 
 fn finish_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>) {
-    let indexed = sim.world.reqman().scheduler.indexed;
     let outcome = {
         let st = state.borrow();
         // The file snapshot is cloned exactly once, here at completion;
-        // the byte total was fixed at submit on the indexed path, while
-        // the legacy path re-sums (and is charged for the scan below).
+        // the byte total was fixed at submit.
         RequestOutcome {
             id: st.id,
             started: st.started,
             finished: sim.now(),
             files: st.files.iter().map(|f| f.status.clone()).collect(),
-            total_bytes: if indexed {
-                st.total_size
-            } else {
-                st.files.iter().map(|f| f.status.size).sum()
-            },
+            total_bytes: st.total_size,
         }
     };
-    if !indexed {
-        let n = state.borrow().files.len() as u64;
-        let rm = sim.world.reqman();
-        rm.metrics.counter_add(QUEUE_RESCANS, 1);
-        rm.metrics.counter_add(LEDGER_SCAN_LEN, n);
-    }
     let id = outcome.id;
     let tenant = state.borrow().tenant.clone();
     let now = sim.now();
@@ -1457,7 +1428,7 @@ fn start_file_worker<W: RmWorld>(
     let (tenant_blocked, delay) = {
         let rm = sim.world.reqman();
         if rm.scheduler.enabled {
-            let limit = rm.tenant_limit_metered(&tenant);
+            let limit = rm.tenant_limit_cached(&tenant);
             (
                 rm.inflight().tenant_load(&tenant) >= limit,
                 rm.scheduler.defer_retry,
@@ -1766,31 +1737,14 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, state: SharedRequest, cb: DoneCell
         .reqman()
         .metrics
         .counter_add("rm.monitor.ticks", 1);
-    let indexed = sim.world.reqman().scheduler.indexed;
-    if !indexed {
-        let n = state.borrow().files.len() as u64;
-        let rm = sim.world.reqman();
-        rm.metrics.counter_add(QUEUE_RESCANS, 1);
-        rm.metrics.counter_add(LEDGER_SCAN_LEN, n);
-    }
     let live: Vec<(usize, TransferHandle)> = {
         let st = state.borrow();
-        if indexed {
-            // The incremental `live` index holds exactly the unsettled
-            // files with a transfer handle, in ascending index order —
-            // the same sequence the legacy full scan yields.
-            st.live
-                .iter()
-                .filter_map(|&i| st.files[i].current.map(|h| (i, h)))
-                .collect()
-        } else {
-            st.files
-                .iter()
-                .enumerate()
-                .filter(|(_, fw)| !fw.status.done && !fw.status.failed)
-                .filter_map(|(i, fw)| fw.current.map(|h| (i, h)))
-                .collect()
-        }
+        // The incremental `live` index holds exactly the unsettled files
+        // with a transfer handle, in ascending index order.
+        st.live
+            .iter()
+            .filter_map(|&i| st.files[i].current.map(|h| (i, h)))
+            .collect()
     };
     if live.is_empty() {
         // Nothing in flight: retire. The next transfer start re-arms us.
@@ -2423,46 +2377,6 @@ mod tests {
         let mut reg = esg_netlogger::MetricsRegistry::new();
         g.export_metrics(&mut reg);
         assert_eq!(reg.counter("gridftp.cache_hits"), g.cache_hits);
-    }
-
-    #[test]
-    fn indexed_pipeline_is_trace_identical_and_scan_free() {
-        // The ablation contract behind `SchedulerConfig::indexed`: both
-        // arms must emit bit-identical traces and outcomes, and only the
-        // legacy arm may pay (and report) O(N) rescans.
-        let run = |indexed: bool| {
-            let (mut sim, client) = setup(Policy::BestBandwidth);
-            sim.world.rm.scheduler.indexed = indexed;
-            {
-                let rm = &mut sim.world.rm;
-                for i in 0..8 {
-                    let f = format!("wave{i}.esg");
-                    rm.catalog.add_logical_file("co2", &f, 10_000_000).unwrap();
-                    rm.catalog.add_file_to_location("co2", "llnl", &f).unwrap();
-                }
-            }
-            let files: Vec<(String, String)> = (0..8)
-                .map(|i| ("co2".to_string(), format!("wave{i}.esg")))
-                .collect();
-            submit_request(&mut sim, client, files, |s, o| s.world.outcomes.push(o));
-            sim.run();
-            assert_eq!(sim.world.outcomes.len(), 1);
-            let rm = &sim.world.rm;
-            (
-                rm.log.to_ulm(),
-                rm.metrics.counter(QUEUE_RESCANS),
-                rm.metrics.counter(LEDGER_SCAN_LEN),
-                sim.world.outcomes[0].clone(),
-            )
-        };
-        let (ulm_i, rescans_i, scan_i, out_i) = run(true);
-        let (ulm_l, rescans_l, scan_l, out_l) = run(false);
-        assert_eq!(ulm_i, ulm_l, "indexed trace diverged from legacy");
-        assert_eq!(out_i, out_l, "indexed outcome diverged from legacy");
-        assert_eq!(rescans_i, 0, "indexed path must not rescan");
-        assert_eq!(scan_i, 0, "indexed path must not scan elements");
-        assert!(rescans_l > 0, "legacy path must report its rescans");
-        assert!(scan_l >= rescans_l, "legacy scans visit >= 1 element each");
     }
 
     #[test]

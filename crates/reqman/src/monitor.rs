@@ -9,7 +9,7 @@
 //! selection and file transfer ... are displayed." (§4)
 
 use crate::manager::FileStatus;
-use esg_netlogger::{LiveLifelines, MetricsRegistry, NetLog};
+use esg_netlogger::{LiveLifelines, NetLog};
 use esg_simnet::SimTime;
 use std::fmt::Write;
 
@@ -36,23 +36,6 @@ fn human_bytes(b: u64) -> String {
     } else {
         format!("{x:.1} {}", UNITS[u])
     }
-}
-
-/// [`render_monitor`] with render-cost accounting: `monitor.renders`
-/// counts invocations, `monitor.events_scanned` counts events actually
-/// formatted into the message pane. After the tail fix the latter grows by
-/// at most 8 per render; before it, every render scanned the entire log
-/// (the counter would have grown by `log.len()`), so a periodic monitor
-/// over a long soak degraded quadratically.
-pub fn render_monitor_metered(
-    now: SimTime,
-    files: &[FileStatus],
-    log: &NetLog,
-    reg: &mut MetricsRegistry,
-) -> String {
-    reg.counter_add("monitor.renders", 1);
-    reg.counter_add("monitor.events_scanned", log.tail(8).len() as u64);
-    render_monitor(now, files, log)
 }
 
 /// One per-file progress bar line, shared by the detailed top pane and
@@ -329,22 +312,6 @@ mod tests {
                 "recent msg {i} missing"
             );
         }
-    }
-
-    #[test]
-    fn metered_render_scans_constant_tail() {
-        let mut log = NetLog::new();
-        for i in 0..1000u64 {
-            log.push(LogEvent::new(SimTime::from_secs(i), format!("rm.msg{i}")));
-        }
-        let mut reg = MetricsRegistry::new();
-        for _ in 0..5 {
-            render_monitor_metered(SimTime::from_secs(2000), &[], &log, &mut reg);
-        }
-        assert_eq!(reg.counter("monitor.renders"), 5);
-        // 8 events per render regardless of log length — the pre-fix
-        // full-log collect would have scanned 1000 each time.
-        assert_eq!(reg.counter("monitor.events_scanned"), 40);
     }
 
     #[test]

@@ -80,16 +80,6 @@ pub struct SchedulerConfig {
     /// transfer at the previously observed rate (a self-fulfilling
     /// underestimate), so the window gets headroom to discover more.
     pub bdp_headroom: f64,
-    /// Use the indexed hot path: incremental per-request live/progress
-    /// sets, cached tenant active-weight, and a persistent campaign
-    /// journal writer, so per-event cost stays O(1) at 10k files per
-    /// round. `false` keeps the legacy O(N)-rescan paths (the
-    /// `rm_scaling` ablation baseline); both paths must produce bitwise
-    /// identical traces, deliveries, and manifests — the legacy arm
-    /// additionally counts `rm.sched.queue_rescans` / `rm.ledger.scan_len`
-    /// so the differential tests can prove the indexed arm stopped
-    /// scanning.
-    pub indexed: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -107,7 +97,6 @@ impl Default for SchedulerConfig {
             window_max: (4u64 << 20) as f64,
             max_streams: 8,
             bdp_headroom: 2.0,
-            indexed: true,
         }
     }
 }
@@ -268,7 +257,7 @@ pub struct TenantTable {
     weights: HashMap<String, u32>,
     quotas: HashMap<String, usize>,
     /// Bumped on every weight/quota edit so the manager's cached
-    /// active-weight sum (indexed path) knows when to recompute.
+    /// active-weight sum knows when to recompute.
     epoch: u64,
 }
 

@@ -18,22 +18,21 @@
 //! mathematically identical to a global solve; because each component is
 //! assembled in a canonical order (flows by id, resources by first
 //! encounter), it is also *bitwise* reproducible regardless of which other
-//! components were or weren't re-solved. [`FlowNet::set_full_recompute`]
-//! restores the from-scratch behaviour (every component re-solved on every
-//! change) for ablation benchmarks, and [`FlowNet::oracle_rates`] rebuilds
-//! the whole problem from routes and topology for differential tests.
+//! components were or weren't re-solved. [`FlowNet::oracle_rates`] rebuilds
+//! the whole problem from routes and topology as the from-scratch reference
+//! for differential tests.
 //!
 //! ## Parallel component solve
 //!
 //! Components are independent subproblems, so a recompute pass may fan them
-//! out across a worker pool ([`SolverMode::Parallel`]). Each worker solves
+//! out across a worker pool ([`SolverConfig`]). Each worker solves
 //! pure subproblems against a shared immutable snapshot of the network and
 //! an arena of its own ([`SolveScratch`]); the results are then *applied in
 //! ascending component order on the main thread*. Components are disjoint
 //! (no shared flows or capacity) and assembly is canonical, so the merged
-//! rates are bitwise identical to the sequential reference solver no matter
-//! how the OS schedules the workers. `tests/alloc_differential.rs` holds a
-//! property test pinning sequential ≡ parallel ≡ oracle.
+//! rates are bitwise identical to an inline solve no matter how the OS
+//! schedules the workers. `tests/alloc_differential.rs` holds a property
+//! test pinning inline ≡ pooled ≡ oracle.
 //!
 //! ## Scale: O(events), not O(flows · events)
 //!
@@ -157,9 +156,8 @@ struct FlowRt {
     loss: f64,
     /// Bytes delivered as of `anchor`. Progress past the anchor is implied
     /// by `rate` and only *materialized* when the rate changes bitwise —
-    /// the lazy-integration contract that keeps the incremental and
-    /// full-recompute modes byte-identical (both materialize at exactly the
-    /// same instants, with exactly the same arithmetic).
+    /// the lazy-integration contract that makes byte trajectories a pure
+    /// function of the rate trajectory, however the solve was scheduled.
     bytes_done: f64,
     /// Instant `bytes_done` was last materialized.
     anchor: SimTime,
@@ -220,7 +218,7 @@ impl FlowRt {
     /// Fold progress since `anchor` into `bytes_done`. Called exactly when
     /// the rate is about to change (or the flow stalls) — never on clean
     /// advances — so the float-addition sequence is a pure function of the
-    /// rate trajectory, identical across allocator modes.
+    /// rate trajectory.
     fn materialize(&mut self, t: SimTime) {
         if self.rate > 0.0 && t > self.anchor {
             self.bytes_done += self.rate * t.since(self.anchor).as_secs_f64();
@@ -267,7 +265,7 @@ enum ResKey {
 }
 
 /// Cumulative counters for allocation work — the observability hook behind
-/// the recompute-count regression tests and the `user_scaling` ablation.
+/// the recompute-count regression tests and the `user_scaling` curve.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
     /// Recompute passes that solved at least one component.
@@ -284,45 +282,24 @@ pub struct AllocStats {
     pub parallel_batches: u64,
 }
 
-/// How recompute passes solve their dirty components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverMode {
-    /// Reference implementation: one component at a time, per-component
-    /// hash-map interning (the original solver, kept as the sequential
-    /// baseline for the scaling ablation).
-    Sequential,
-    /// Scratch-arena assembly, fanned out across `workers` OS threads when
-    /// a pass carries at least `threshold` flows (passes below the
-    /// threshold run inline on the caller's thread — spawn overhead would
-    /// swamp small solves). Bitwise identical to `Sequential`.
-    Parallel {
-        workers: usize,
-        /// Minimum total flows in a pass before threads are spawned.
-        threshold: usize,
-    },
-}
-
-/// Solver selection for [`FlowNet`].
+/// How recompute passes solve their dirty components: scratch-arena
+/// assembly, fanned out across `workers` OS threads when a pass carries at
+/// least `threshold` flows (passes below the threshold run inline on the
+/// caller's thread — spawn overhead would swamp small solves). The result
+/// is bitwise identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    pub mode: SolverMode,
+    pub workers: usize,
+    /// Minimum total flows in a pass before threads are spawned.
+    pub threshold: usize,
 }
 
 impl Default for SolverConfig {
-    /// Parallel with one worker per available core (override with the
-    /// `ESG_ALLOC_WORKERS` environment variable); single-worker pools run
-    /// inline.
+    /// One worker per available core; single-worker pools run inline.
     fn default() -> Self {
-        let workers = std::env::var("ESG_ALLOC_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         SolverConfig {
-            mode: SolverMode::Parallel {
-                workers,
-                threshold: 4096,
-            },
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threshold: 4096,
         }
     }
 }
@@ -335,7 +312,7 @@ impl Default for SolverConfig {
 /// that stays in L1; a component that outgrows the list promotes to
 /// epoch-stamped dense `stamp`/`local` arrays sized to the whole resource
 /// table. Both regimes assign local ids in first-encounter order, so the
-/// interning is bitwise identical to the legacy hash-map solver's.
+/// interning is bitwise identical to the oracle's hash-map interning.
 #[derive(Debug, Default)]
 struct SolveScratch {
     epoch: u32,
@@ -594,11 +571,6 @@ pub struct FlowNet {
     /// up-state changes (the only mutations that can change BFS routes).
     /// Negative results are cached too.
     route_cache: HashMap<(NodeId, NodeId), CachedRoute>,
-    /// Ablation switch: treat every dirty event as a full invalidation, so
-    /// each recompute re-solves every component from scratch (the seed
-    /// behaviour this allocator replaces). Rates are bitwise identical
-    /// either way.
-    full_recompute: bool,
     solver: SolverConfig,
     /// Arena for inline (non-parallel) solves.
     scratch: SolveScratch,
@@ -628,7 +600,6 @@ impl FlowNet {
             dirty_all: false,
             events: BTreeSet::new(),
             route_cache: HashMap::new(),
-            full_recompute: false,
             solver: SolverConfig::default(),
             scratch: SolveScratch::default(),
             worker_scratch: Vec::new(),
@@ -637,19 +608,8 @@ impl FlowNet {
         }
     }
 
-    /// Switch between the incremental allocator (default) and the
-    /// from-scratch ablation. Both produce bitwise-identical rates; the
-    /// ablation just re-solves every component on every change.
-    pub fn set_full_recompute(&mut self, on: bool) {
-        self.full_recompute = on;
-    }
-
-    pub fn full_recompute(&self) -> bool {
-        self.full_recompute
-    }
-
-    /// Select how recompute passes solve their components. Every mode is
-    /// bitwise identical; this only trades wall-clock.
+    /// Select how recompute passes solve their components. Every setting
+    /// is bitwise identical; this only trades wall-clock.
     pub fn set_solver(&mut self, cfg: SolverConfig) {
         self.solver = cfg;
     }
@@ -1132,44 +1092,11 @@ impl FlowNet {
         max_min_fair(&scratch.capacities, &aflows)
     }
 
-    /// The original per-component solver, kept verbatim as the sequential
-    /// reference: hash-map interning per component. Bitwise identical to
-    /// [`FlowNet::solve_component_rates`] (local ids are assigned in the
-    /// same first-encounter order either way).
-    fn solve_component_rates_legacy(&self, comp: &[u64]) -> Vec<f64> {
-        let mut local: HashMap<u32, usize> = HashMap::new();
-        let mut capacities: Vec<f64> = Vec::new();
-        let mut aflows: Vec<AllocFlow> = Vec::with_capacity(comp.len());
-        for &fid in comp {
-            let f = self.flow(fid);
-            let mut rs: Vec<usize> = Vec::with_capacity(f.res.len());
-            for &r in &f.res {
-                let cap = self.capacity_of(self.res_keys[r as usize]);
-                if !cap.is_finite() {
-                    continue;
-                }
-                let next = local.len();
-                let lid = *local.entry(r).or_insert_with(|| {
-                    capacities.push(cap);
-                    next
-                });
-                rs.push(lid);
-            }
-            rs.sort_unstable();
-            aflows.push(AllocFlow {
-                resources: rs,
-                cap: f.current_cap(),
-            });
-        }
-        max_min_fair(&capacities, &aflows)
-    }
-
     /// Commit one solved component: flows whose rate changed *bitwise*
     /// materialize their progress at the present and refresh their
     /// completion entry; unchanged flows are untouched (same anchor, same
-    /// pending events) — in every solver mode and in the full-recompute
-    /// ablation alike, which is what keeps byte progress bit-identical
-    /// across them.
+    /// pending events), which is what keeps byte progress bit-identical
+    /// however many clean components a pass happens to re-solve.
     fn apply_rates(&mut self, comp: &[u64], rates: &[f64]) {
         let t = self.last_advance;
         for (&fid, &rate) in comp.iter().zip(rates) {
@@ -1192,30 +1119,21 @@ impl FlowNet {
         self.stats.flow_solves += comp.len() as u64;
     }
 
-    /// Solve a batch of components under the configured solver mode and
-    /// commit the results in ascending component order.
+    /// Solve a batch of components — on the worker pool when the pass is
+    /// past the configured threshold, inline otherwise — and commit the
+    /// results in ascending component order.
     fn solve_components(&mut self, comps: &[Vec<u64>]) {
-        match self.solver.mode {
-            SolverMode::Sequential => {
-                for comp in comps {
-                    let rates = self.solve_component_rates_legacy(comp);
-                    self.apply_rates(comp, &rates);
-                }
+        let total: usize = comps.iter().map(|c| c.len()).sum();
+        let workers = self.solver.workers.min(comps.len());
+        if workers > 1 && total >= self.solver.threshold {
+            self.solve_components_parallel(comps, workers);
+        } else {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            for comp in comps {
+                let rates = self.solve_component_rates(comp, &mut scratch);
+                self.apply_rates(comp, &rates);
             }
-            SolverMode::Parallel { workers, threshold } => {
-                let total: usize = comps.iter().map(|c| c.len()).sum();
-                let workers = workers.min(comps.len());
-                if workers > 1 && total >= threshold {
-                    self.solve_components_parallel(comps, workers);
-                } else {
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    for comp in comps {
-                        let rates = self.solve_component_rates(comp, &mut scratch);
-                        self.apply_rates(comp, &rates);
-                    }
-                    self.scratch = scratch;
-                }
-            }
+            self.scratch = scratch;
         }
     }
 
@@ -1284,9 +1202,6 @@ impl FlowNet {
         if !self.is_dirty() {
             return;
         }
-        if self.full_recompute {
-            self.dirty_all = true;
-        }
         let seeds = self.dirty_seeds();
         self.dirty_all = false;
         self.dirty_flows.clear();
@@ -1310,7 +1225,7 @@ impl FlowNet {
         if !self.is_dirty() {
             return;
         }
-        if self.dirty_all || self.full_recompute {
+        if self.dirty_all {
             self.ensure_fresh();
             return;
         }
@@ -1847,35 +1762,6 @@ mod tests {
     }
 
     #[test]
-    fn full_recompute_mode_is_bitwise_identical() {
-        let run = |full: bool| -> (Vec<(FlowId, f64)>, Vec<f64>) {
-            let (mut net, a, b, c, d) = twin_dumbbells();
-            net.set_full_recompute(full);
-            net.start_flow(SimTime::ZERO, big_window_spec(a, b, 300e6))
-                .unwrap();
-            net.start_flow(SimTime::ZERO, big_window_spec(c, d, 200e6))
-                .unwrap();
-            net.advance_to(SimTime::from_secs(1));
-            net.start_flow(net.now(), big_window_spec(a, b, 100e6))
-                .unwrap();
-            net.advance_to(SimTime::from_secs(3));
-            let rates = net.snapshot_rates();
-            let bytes = (0..3).map(|i| net.flow_bytes(FlowId(i))).collect();
-            (rates, bytes)
-        };
-        let (ri, bi) = run(false);
-        let (rf, bf) = run(true);
-        assert_eq!(ri.len(), rf.len());
-        for ((fi, a), (ff, b)) in ri.iter().zip(&rf) {
-            assert_eq!(fi, ff);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in bi.iter().zip(&bf) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn capacity_change_dirties_only_its_component() {
         let (mut net, a, b, c, d) = twin_dumbbells();
         let fab = net
@@ -1915,7 +1801,7 @@ mod tests {
 
     /// Drive a multi-region workload under a given solver and collect the
     /// full observable state trajectory.
-    fn solver_trajectory(mode: SolverMode) -> Vec<(u64, u64, u64)> {
+    fn solver_trajectory(workers: usize) -> Vec<(u64, u64, u64)> {
         let mut t = Topology::new();
         let mut pairs = Vec::new();
         for i in 0..8 {
@@ -1925,7 +1811,11 @@ mod tests {
             pairs.push((a, b));
         }
         let mut net = FlowNet::new(t);
-        net.set_solver(SolverConfig { mode });
+        // threshold 0: every pass with >1 worker goes through the pool.
+        net.set_solver(SolverConfig {
+            workers,
+            threshold: 0,
+        });
         let mut ids = Vec::new();
         for (i, &(a, b)) in pairs.iter().enumerate() {
             for j in 0..4 {
@@ -1951,19 +1841,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solver_is_bitwise_identical_to_sequential() {
-        let seq = solver_trajectory(SolverMode::Sequential);
-        // threshold 0: every pass goes through the worker pool.
-        let par = solver_trajectory(SolverMode::Parallel {
-            workers: 4,
-            threshold: 0,
-        });
-        let inline = solver_trajectory(SolverMode::Parallel {
-            workers: 1,
-            threshold: 0,
-        });
-        assert_eq!(seq, par);
-        assert_eq!(seq, inline);
+    fn pooled_solver_is_bitwise_identical_to_inline() {
+        assert_eq!(solver_trajectory(1), solver_trajectory(4));
     }
 
     #[test]
@@ -1977,10 +1856,8 @@ mod tests {
         t.add_link(c, d, 100e6, SimDuration::ZERO);
         let mut net = FlowNet::new(t);
         net.set_solver(SolverConfig {
-            mode: SolverMode::Parallel {
-                workers: 2,
-                threshold: 0,
-            },
+            workers: 2,
+            threshold: 0,
         });
         net.start_flow(SimTime::ZERO, big_window_spec(a, b, f64::INFINITY))
             .unwrap();

@@ -57,9 +57,7 @@ pub mod tcp;
 pub mod time;
 pub mod timerwheel;
 
-pub use flownet::{
-    AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig, SolverMode,
-};
+pub use flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig};
 pub use kernel::Sim;
 pub use network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};
 pub use profile::ProfileReport;
@@ -71,7 +69,7 @@ pub mod prelude {
     pub use crate::builders::{dumbbell, star_sites, Dumbbell, DumbbellParams};
     pub use crate::failure::{inject, inject_all, Fault, FaultKind};
     pub use crate::flownet::{
-        AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig, SolverMode,
+        AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig,
     };
     pub use crate::kernel::Sim;
     pub use crate::network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};

@@ -232,23 +232,23 @@ proptest! {
         );
     }
 
-    /// Property 5 — solver-mode equivalence. The same script run under the
-    /// sequential reference solver, the inline scratch-arena solver, and
-    /// the threaded worker pool (threshold 0 so every pass crosses the
-    /// pool) produces bitwise-identical rate AND byte trajectories at every
-    /// step, and the final state matches the from-scratch oracle. This is
-    /// the determinism contract of the parallel component solve: thread
-    /// scheduling may change when a component's result is produced, never
-    /// which result or the order it is applied in.
+    /// Property 4 — pool equivalence. The same script run on the inline
+    /// scratch-arena solver and on the threaded worker pool (threshold 0
+    /// so every pass crosses the pool) produces bitwise-identical rate AND
+    /// byte trajectories at every step, and the final state matches the
+    /// from-scratch oracle. This is the determinism contract of the
+    /// parallel component solve: thread scheduling may change when a
+    /// component's result is produced, never which result or the order it
+    /// is applied in.
     #[test]
-    fn parallel_solve_matches_sequential_and_oracle(
+    fn pooled_solve_matches_inline_and_oracle(
         topo in topo_strategy(),
         ops in ops_strategy(30),
     ) {
         let (n_hosts, links) = topo;
-        let run = |mode: SolverMode| {
+        let run = |workers: usize| {
             let (mut net, hosts, lids) = build_net(n_hosts, &links);
-            net.set_solver(SolverConfig { mode });
+            net.set_solver(SolverConfig { workers, threshold: 0 });
             let mut script = Script::new();
             let mut trajectory: Vec<(u64, u64)> = Vec::new();
             for op in &ops {
@@ -260,46 +260,6 @@ proptest! {
             assert_matches_oracle(&mut net);
             trajectory
         };
-        let seq = run(SolverMode::Sequential);
-        let inline = run(SolverMode::Parallel { workers: 1, threshold: 0 });
-        let pooled = run(SolverMode::Parallel { workers: 3, threshold: 0 });
-        prop_assert_eq!(&seq, &inline, "inline scratch solver diverged from sequential");
-        prop_assert_eq!(&seq, &pooled, "worker pool diverged from sequential");
-    }
-
-    /// Property 4 — the `--full-recompute` ablation is bitwise identical:
-    /// same script, same rates, same delivered bytes, in either mode.
-    #[test]
-    fn full_recompute_ablation_is_bitwise_identical(
-        topo in topo_strategy(),
-        ops in ops_strategy(30),
-    ) {
-        let (n_hosts, links) = topo;
-        let run = |full: bool| {
-            let (mut net, hosts, lids) = build_net(n_hosts, &links);
-            net.set_full_recompute(full);
-            let mut script = Script::new();
-            for op in &ops {
-                script.apply(&mut net, &hosts, &lids, op);
-            }
-            let rates = net.snapshot_rates();
-            let bytes: Vec<(FlowId, f64)> = script
-                .flows
-                .iter()
-                .map(|&f| (f, net.flow_bytes(f)))
-                .collect();
-            (rates, bytes)
-        };
-        let (ri, bi) = run(false);
-        let (rf, bf) = run(true);
-        prop_assert_eq!(ri.len(), rf.len());
-        for ((fi, a), (ff, b)) in ri.iter().zip(&rf) {
-            prop_assert_eq!(fi, ff);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "rate diverged: {} vs {}", a, b);
-        }
-        for ((fi, a), (ff, b)) in bi.iter().zip(&bf) {
-            prop_assert_eq!(fi, ff);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "bytes diverged: {} vs {}", a, b);
-        }
+        prop_assert_eq!(run(1), run(3), "worker pool diverged from inline solve");
     }
 }

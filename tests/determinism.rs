@@ -102,26 +102,18 @@ fn sha_hex(s: &str) -> String {
         .collect()
 }
 
-/// Golden trace hash for `user_scaling_trace_survives_incremental_allocator`
-/// (N=64, regions=8, seed=17). If an intentional change to the workload,
+/// Golden trace hash for `user_scaling_trace_is_pinned` (N=64, regions=8,
+/// seed=17) — the trace the pre-incremental full-recompute allocator, the
+/// sequential solver and today's allocator all produced (A10/A14). If an intentional change to the workload,
 /// topology or logging shifts the trace, regenerate with:
 /// `cargo test user_scaling_trace -- --nocapture` and update.
 const USER_SCALING_GOLDEN: &str =
     "05f2528ace6624dc347f92bb74847ce0ace90a81498e43e7fea734732c95f071";
 
 #[test]
-fn user_scaling_trace_survives_incremental_allocator() {
-    use esg_bench::scaling::run_variant;
-    // "Before" (full recompute — the pre-incremental allocator) and
-    // "after" (incremental) must emit byte-identical NetLogger traces.
-    let inc = run_variant(64, 8, 17, false);
-    let full = run_variant(64, 8, 17, true);
-    assert_eq!(
-        inc.trace_ulm, full.trace_ulm,
-        "user_scaling trace changed under the incremental allocator"
-    );
-    assert_eq!(inc.completions, full.completions);
-    let hex = sha_hex(&inc.trace_ulm);
+fn user_scaling_trace_is_pinned() {
+    let run = esg_lab::scaling::run_flows(64, 8, 17, 0);
+    let hex = sha_hex(&run.trace_ulm);
     println!("user_scaling trace sha256: {hex}");
     assert_eq!(
         hex, USER_SCALING_GOLDEN,
@@ -139,8 +131,7 @@ fn user_scaling_trace_survives_incremental_allocator() {
 /// discontinuities, and `rm.tune.path` events carry the new data-channel
 /// `cached` field. The old trace rounded completions up by a nanosecond
 /// and jump-integrated across events, so every downstream timestamp
-/// shifted; the new trace is still bit-stable run-to-run and identical
-/// across all solver modes and the full-recompute ablation.
+/// shifted; the new trace is still bit-stable run-to-run.
 const SCHED_PIPELINE_GOLDEN: &str =
     "52cc912ddd664ac88dde92090d4890ec244cb19e5ef67e7d360390e5e4b285e3";
 
@@ -208,8 +199,7 @@ fn scheduler_pipeline_trace_is_pinned() {
     assert_eq!(hex, SCHED_PIPELINE_GOLDEN, "pinned scheduler trace drifted");
 }
 
-/// Golden trace hash for `soak_trace_survives_incremental_allocator`
-/// (seed 11). Regenerate with
+/// Golden trace hash for `soak_trace_is_pinned` (seed 11). Regenerate with
 /// `cargo test soak_trace -- --nocapture` after intentional changes.
 ///
 /// Regenerated once alongside `SCHED_PIPELINE_GOLDEN` for the 100k-scale
@@ -218,17 +208,15 @@ fn scheduler_pipeline_trace_is_pinned() {
 const SOAK_GOLDEN: &str = "aef364ab53c4997fa698932eeedb6ea5fdbc938bc39f68a5fb869be4f0af7dad";
 
 #[test]
-fn soak_trace_survives_incremental_allocator() {
+fn soak_trace_is_pinned() {
     use esg::core::esg_testbed;
     use esg::reqman::submit_request;
     use esg::simnet::prelude::{inject_all, Fault, FaultKind};
     use esg::simnet::SimTime;
 
-    // A miniature soak_faults run: seeded faults + seeded request schedule,
-    // identical under both allocator modes.
-    let run = |full_recompute: bool| -> String {
+    // A miniature soak_faults run: seeded faults + seeded request schedule.
+    let run = || -> String {
         let mut tb = esg_testbed(11);
-        tb.sim.net.set_full_recompute(full_recompute);
         tb.publish_dataset("pcm_det.b06", 8, 4, 2_000_000, &[1, 2, 3]);
         let collection = tb.sim.world.metadata.collection_of("pcm_det.b06").unwrap();
         tb.start_nws(SimDuration::from_secs(25));
@@ -276,13 +264,46 @@ fn soak_trace_survives_incremental_allocator() {
         tb.sim.world.rm.log.to_ulm()
     };
 
-    let inc = run(false);
-    let full = run(true);
-    assert_eq!(
-        inc, full,
-        "faulted request-manager trace changed under the incremental allocator"
-    );
-    let hex = sha_hex(&inc);
+    let hex = sha_hex(&run());
     println!("soak trace sha256: {hex}");
     assert_eq!(hex, SOAK_GOLDEN, "pinned soak trace drifted");
+}
+
+/// Golden trace and delivery-manifest hashes of the n=100 `rm_scaling`
+/// curve point (seed 17) — the values the legacy O(N)-rescan request
+/// manager and the indexed one both produced (A16), as committed in
+/// `BENCH_rm_scaling.json`.
+const RM_SCALING_N100_TRACE: &str =
+    "025ec9850b32404819ed33a09b9db1a80881e00a377f647af6799cf83d9bee1e";
+const RM_SCALING_N100_MANIFEST: &str =
+    "cb385cfe023d655675cdcca6d7a709a69be703dbee0830371d2c1542302bf165";
+
+#[test]
+fn rm_scaling_n100_trace_and_manifest_are_pinned() {
+    use esg_lab::exec::{run_trial, TrialCtx};
+    use esg_lab::journal::MetricValue;
+    use esg_lab::spec::ScenarioSpec;
+
+    // The CI scenario's own n100 point, through the lab executor.
+    let spec = ScenarioSpec::load("rm_scaling_smoke").unwrap();
+    let variant = spec
+        .effective_variants()
+        .into_iter()
+        .find(|v| v.name == "n100")
+        .unwrap();
+    let record = run_trial(&TrialCtx {
+        spec: &spec,
+        params: spec.params.merged(&variant.overrides),
+        variant: variant.name,
+        seed: 17,
+        rep: 0,
+    })
+    .unwrap();
+    let sha = |name: &str| match record.metric(name) {
+        Some(MetricValue::Str(s)) => s.clone(),
+        other => panic!("metric {name} must be a string, got {other:?}"),
+    };
+    assert_eq!(sha("trace_sha256"), RM_SCALING_N100_TRACE);
+    assert_eq!(sha("manifest_sha256"), RM_SCALING_N100_MANIFEST);
+    assert_eq!(record.value("files_delivered"), Some(100.0));
 }

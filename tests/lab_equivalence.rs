@@ -1,25 +1,18 @@
-//! Migrated-bin equivalence: the scenario-lab executors must reproduce
-//! the pre-migration bench bins operation-for-operation — same world
-//! construction order, same RNG streams, same event schedule — so the
-//! committed BENCH metrics and golden trace pins carry over bit-for-bit.
-//!
-//! Each test holds an inline copy of the old bin's logic (as of the
-//! migration commit) at a debug-friendly scale, runs the same scenario
-//! through the lab runner, and asserts that every deterministic metric
-//! and every trace sha256 pin is identical. If an executor drifts from
-//! its bin ancestry, this is the tripwire.
+//! Lab-executor trace pins: the scenario-lab executors were migrated
+//! from the old per-experiment bench bins operation-for-operation — same
+//! world construction order, same RNG streams, same event schedule. The
+//! bins (and the inline copies of them this file used to carry) are
+//! gone; what remains is their evidence. Each constant below is the
+//! sha256 the pre-migration logic and the lab executor both produced for
+//! one reduced-scale run, recorded at the last commit that still held
+//! both. If an executor drifts from its bin ancestry, this is the
+//! tripwire.
 
-use esg::core::esg_testbed;
-use esg::reqman::submit_request;
-use esg::simnet::prelude::{inject_all, Fault, FaultKind};
-use esg::simnet::{SimDuration, SimTime};
 use esg_lab::journal::{MetricValue, TrialRecord};
 use esg_lab::json::Json;
 use esg_lab::runner::{run_scenario, RunOptions};
 use esg_lab::sha_hex;
 use esg_lab::spec::{Params, ScenarioSpec, Variant};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("esg_lab_equiv_{}_{tag}", std::process::id()));
@@ -28,575 +21,143 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// Run a spec through the full lab stack (runner + journal + gates) and
-/// hand back the finished rows.
-fn run_lab(spec: &ScenarioSpec, tag: &str) -> Vec<TrialRecord> {
+/// Run one reduced-scale scenario through the full lab stack (runner +
+/// journal + gates) and hand back the finished rows.
+fn run_lab(
+    kind: &str,
+    seed: u64,
+    params: Vec<(&str, Json)>,
+    variants: Vec<Variant>,
+) -> Vec<TrialRecord> {
+    let spec = ScenarioSpec {
+        name: format!("equiv_{kind}"),
+        kind: kind.into(),
+        description: String::new(),
+        seeds: vec![seed],
+        reps: 1,
+        params: Params(params.into_iter().map(|(k, v)| (k.into(), v)).collect()),
+        variants,
+        faults: Vec::new(),
+        metrics: Vec::new(),
+        gates: Vec::new(),
+        artifact: None,
+        baseline: None,
+    };
     let outcome = run_scenario(
-        spec,
+        &spec,
         &RunOptions {
-            journal_dir: tmp_dir(tag),
+            journal_dir: tmp_dir(kind),
             fresh: true,
             max_trials: None,
             quiet: true,
         },
     )
     .unwrap();
-    assert!(outcome.complete, "{tag}: lab run must complete");
-    assert!(
-        outcome.gates.all_pass(),
-        "{tag}: lab gates must pass: {:?}",
-        outcome.gates.results
-    );
+    assert!(outcome.complete, "{kind}: lab run must complete");
     outcome.rows
 }
 
-fn str_metric(r: &TrialRecord, name: &str) -> String {
+fn str_metric<'a>(r: &'a TrialRecord, name: &str) -> &'a str {
     match r.metric(name) {
-        Some(MetricValue::Str(s)) => s.clone(),
+        Some(MetricValue::Str(s)) => s,
         other => panic!("metric {name} must be a string, got {other:?}"),
     }
 }
 
-fn num_metric(r: &TrialRecord, name: &str) -> f64 {
-    r.value(name)
-        .unwrap_or_else(|| panic!("metric {name} missing"))
-}
-
-// ---------------------------------------------------------------------------
-// user_scaling: the flow-scaling harness moved verbatim from esg-bench
-// into esg-lab; the executor must still hit the golden trace pinned in
-// tests/determinism.rs for the same (N=64, regions=8, seed=17) workload.
-// ---------------------------------------------------------------------------
-
-/// Same constant as `USER_SCALING_GOLDEN` in tests/determinism.rs.
-const USER_SCALING_GOLDEN: &str =
-    "05f2528ace6624dc347f92bb74847ce0ace90a81498e43e7fea734732c95f071";
+/// Same constant as `USER_SCALING_GOLDEN` in tests/determinism.rs: the
+/// executor runs the identical (N=64, regions=8, seed=17) workload.
+const USER_SCALING_TRACE: &str = "05f2528ace6624dc347f92bb74847ce0ace90a81498e43e7fea734732c95f071";
 
 #[test]
-fn user_scaling_executor_matches_pre_migration_solver() {
-    let spec = ScenarioSpec {
-        name: "equiv_user_scaling".into(),
-        kind: "user_scaling".into(),
-        description: String::new(),
-        seeds: vec![17],
-        reps: 1,
-        params: Params(vec![
-            ("n".into(), Json::Int(64)),
-            ("regions".into(), Json::Int(8)),
-            ("full_ablation".into(), Json::Bool(false)),
-            ("oracle_probes".into(), Json::Int(2)),
-            ("repeats".into(), Json::Int(1)),
-        ]),
-        variants: Vec::new(),
-        faults: Vec::new(),
-        metrics: Vec::new(),
-        gates: Vec::new(),
-        artifact: None,
-        baseline: None,
-    };
-    let rows = run_lab(&spec, "user_scaling");
-    assert_eq!(rows.len(), 1);
-    let row = &rows[0];
-
-    // The pre-migration reference: the solver entry point the old bin
-    // called, still exported through the esg_bench facade.
-    let inc = esg_bench::scaling::run_variant(64, 8, 17, false);
-    assert_eq!(str_metric(row, "trace_sha256"), sha_hex(&inc.trace_ulm));
-    assert_eq!(
-        str_metric(row, "trace_sha256"),
-        USER_SCALING_GOLDEN,
-        "lab executor drifted off the determinism golden"
-    );
-    assert_eq!(num_metric(row, "equivalent"), 1.0);
-    assert_eq!(num_metric(row, "n"), 64.0);
-    assert_eq!(
-        num_metric(row, "peak_concurrent_flows"),
-        inc.peak_concurrent as f64
-    );
-}
-
-// ---------------------------------------------------------------------------
-// request_pipeline: inline copy of the old bin's run() (both arms).
-// ---------------------------------------------------------------------------
-
-struct PipeRef {
-    makespan: f64,
-    completes: usize,
-    verified: usize,
-    failovers: usize,
-    defers: usize,
-    prestaged: u64,
-    tuned: u64,
-    peak_host_inflight: usize,
-    deliveries_sha: String,
-    trace_sha: String,
-}
-
-/// The pre-migration request_pipeline bin's run(), verbatim apart from
-/// the report plumbing.
-fn pipeline_reference(seed: u64, n_requests: usize, scheduler_on: bool) -> PipeRef {
-    use esg::storage::{Hrm, TapeParams};
-    const DISK_DS: &str = "pcm_pipe.disk";
-    const TAPE_DS: &str = "pcm_pipe.tape";
-
-    let mut tb = esg_testbed(seed);
-    tb.sim.world.rm.scheduler.enabled = scheduler_on;
-    tb.sim.world.rm.min_rate = 2.6e6;
-    tb.sim.world.rm.grace = SimDuration::from_secs(6);
-    tb.sim.world.rm.retry.base = SimDuration::from_secs(6);
-    tb.sim.world.rm.add_hrm(
-        "hpss.lbl.gov",
-        Hrm::new(
-            TapeParams {
-                drives: 4,
-                mount: SimDuration::from_secs(10),
-                seek: SimDuration::from_secs(5),
-                rate: 25e6,
-            },
-            1 << 38,
-        ),
-    );
-    tb.publish_dataset(DISK_DS, 96, 4, 10_000_000, &[1, 2, 3]);
-    tb.publish_dataset(TAPE_DS, 16, 2, 15_000_000, &[0]);
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let disk_coll = tb.sim.world.metadata.collection_of(DISK_DS).unwrap();
-    let tape_coll = tb.sim.world.metadata.collection_of(TAPE_DS).unwrap();
-    let disk_files: Vec<String> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(DISK_DS)
-        .unwrap()
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
-    let tape_files: Vec<String> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(TAPE_DS)
-        .unwrap()
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
-
-    let client = tb.client;
-    for r in 0..n_requests {
-        let mut files: Vec<(String, String)> = (0..16)
-            .map(|k| {
-                let f = &disk_files[(r * 16 + k) % disk_files.len()];
-                (disk_coll.clone(), f.clone())
-            })
-            .collect();
-        for k in 0..2 {
-            let f = &tape_files[(r * 2 + k) % tape_files.len()];
-            files.push((tape_coll.clone(), f.clone()));
-        }
-        let at = SimTime::from_secs(100 + 2 * r as u64);
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
-    tb.sim.run_until(SimTime::from_secs(3600));
-
-    let outcomes = &tb.sim.world.outcomes;
-    assert_eq!(outcomes.len(), n_requests, "reference run must finish");
-    let first_start = outcomes.iter().map(|o| o.started).min().unwrap();
-    let last_finish = outcomes.iter().map(|o| o.finished).max().unwrap();
-    let mut deliveries: Vec<(u64, String, u64, u64, bool)> = outcomes
-        .iter()
-        .flat_map(|o| {
-            o.files
-                .iter()
-                .map(move |f| (o.id, f.name.clone(), f.size, f.bytes_done, f.done))
-        })
-        .collect();
-    deliveries.sort();
-    let mut manifest = String::new();
-    for (id, name, size, done_b, done) in &deliveries {
-        use std::fmt::Write as _;
-        writeln!(manifest, "{id} {name} {size} {done_b} {done}").unwrap();
-    }
-
-    let rm = &tb.sim.world.rm;
-    let count = |name: &str| rm.log.named(name).count();
-    PipeRef {
-        makespan: last_finish.since(first_start).as_secs_f64(),
-        completes: count("rm.file.complete"),
-        verified: count("integrity.file.verified"),
-        failovers: count("rm.reliability.failover"),
-        defers: count("rm.sched.defer"),
-        prestaged: rm.sched_stats().prestaged,
-        tuned: rm.sched_stats().tuned,
-        peak_host_inflight: rm.inflight().peak_attempts(),
-        deliveries_sha: sha_hex(&manifest),
-        trace_sha: sha_hex(&rm.log.to_ulm()),
-    }
-}
-
-#[test]
-fn request_pipeline_executor_matches_pre_migration_bin() {
-    let seed = 23;
-    let n = 2;
-    let spec = ScenarioSpec {
-        name: "equiv_pipeline".into(),
-        kind: "request_pipeline".into(),
-        description: String::new(),
-        seeds: vec![seed],
-        reps: 1,
-        params: Params(vec![
-            ("requests".into(), Json::Int(n as i128)),
-            ("min_rate".into(), Json::Float(2.6e6)),
-        ]),
-        variants: vec![
-            Variant {
-                name: "scheduler".into(),
-                overrides: Params(vec![("mode".into(), Json::str("scheduler"))]),
-            },
-            Variant {
-                name: "legacy".into(),
-                overrides: Params(vec![("mode".into(), Json::str("legacy"))]),
-            },
+fn user_scaling_executor_holds_its_pin() {
+    let rows = run_lab(
+        "user_scaling",
+        17,
+        vec![
+            ("n", Json::Int(64)),
+            ("regions", Json::Int(8)),
+            ("oracle_probes", Json::Int(2)),
+            ("repeats", Json::Int(1)),
         ],
-        faults: Vec::new(),
-        metrics: Vec::new(),
-        gates: Vec::new(),
-        artifact: None,
-        baseline: None,
-    };
-    let rows = run_lab(&spec, "pipeline");
-    assert_eq!(rows.len(), 2);
+        Vec::new(),
+    );
+    assert_eq!(rows.len(), 1);
+    assert_eq!(str_metric(&rows[0], "trace_sha256"), USER_SCALING_TRACE);
+    assert_eq!(rows[0].value("equivalent"), Some(1.0));
+}
 
-    for (variant, scheduler_on) in [("scheduler", true), ("legacy", false)] {
+/// request_pipeline at seed 23, 2 requests: `(variant, trace, deliveries)`.
+const PIPELINE_PINS: [(&str, &str, &str); 2] = [
+    (
+        "scheduler",
+        "9b0369c296591af18e906a58add59e1b1729f6b3e4f4bfbe516b621cfd7df12d",
+        "3a3c5b982d60e6852233cda853ed189a0c0fd7fb4f5fbdf946b3bf8f5b442d95",
+    ),
+    (
+        "legacy",
+        "a6fdb810cacdc2a44556cd909628e8ccaee0965601944f3d16ab4f8c6588bc51",
+        "3a3c5b982d60e6852233cda853ed189a0c0fd7fb4f5fbdf946b3bf8f5b442d95",
+    ),
+];
+
+#[test]
+fn request_pipeline_executor_holds_its_pins() {
+    let mode = |m: &str| Variant {
+        name: m.into(),
+        overrides: Params(vec![("mode".into(), Json::str(m))]),
+    };
+    let rows = run_lab(
+        "request_pipeline",
+        23,
+        vec![("requests", Json::Int(2)), ("min_rate", Json::Float(2.6e6))],
+        vec![mode("scheduler"), mode("legacy")],
+    );
+    assert_eq!(rows.len(), 2);
+    for (variant, trace, deliveries) in PIPELINE_PINS {
         let row = rows.iter().find(|r| r.key.variant == variant).unwrap();
-        let reference = pipeline_reference(seed, n, scheduler_on);
-        assert_eq!(
-            str_metric(row, "trace_sha256"),
-            reference.trace_sha,
-            "[{variant}] trace must be bit-identical to the old bin"
-        );
+        assert_eq!(str_metric(row, "trace_sha256"), trace, "[{variant}]");
         assert_eq!(
             str_metric(row, "deliveries_sha256"),
-            reference.deliveries_sha,
-            "[{variant}] delivery manifest must match"
-        );
-        assert_eq!(num_metric(row, "makespan_s"), reference.makespan);
-        assert_eq!(
-            num_metric(row, "files_complete"),
-            reference.completes as f64
-        );
-        assert_eq!(num_metric(row, "files_verified"), reference.verified as f64);
-        assert_eq!(num_metric(row, "failovers"), reference.failovers as f64);
-        assert_eq!(num_metric(row, "defers"), reference.defers as f64);
-        assert_eq!(num_metric(row, "prestaged"), reference.prestaged as f64);
-        assert_eq!(num_metric(row, "tuned"), reference.tuned as f64);
-        assert_eq!(
-            num_metric(row, "peak_host_inflight"),
-            reference.peak_host_inflight as f64
+            deliveries,
+            "[{variant}]"
         );
     }
 }
 
-// ---------------------------------------------------------------------------
-// soak_faults: inline copy of the old bin (RNG fault schedule, request
-// schedule and 300 s progress ticker — the ticker's sim events are part
-// of the deterministic event order, so it is equivalence-relevant).
-// ---------------------------------------------------------------------------
-
-struct SoakRef {
-    requests_done: usize,
-    files: usize,
-    complete: usize,
-    bytes: u64,
-    attempts: usize,
-    backoffs: usize,
-    failovers: usize,
-    trace_sha: String,
-}
-
-fn soak_faults_reference(seed: u64, n_requests: usize, mode: &str) -> SoakRef {
-    const DATASET: &str = "pcm_soak.b06";
-    let mut tb = esg_testbed(seed);
-    tb.publish_dataset(DATASET, 24, 4, 2_000_000, &[1, 2, 3, 4, 5]);
-    let collection = tb.sim.world.metadata.collection_of(DATASET).unwrap();
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE_5EED_0BAD_F00D);
-    let mut faults = Vec::new();
-    for _ in 0..24 {
-        let at = SimTime::from_secs(rng.gen_range(120u64..1200));
-        let duration = SimDuration::from_secs(rng.gen_range(5u64..90));
-        let kind = if rng.gen_bool(0.3) {
-            FaultKind::NameServiceDown
-        } else {
-            FaultKind::NodeDown(tb.sites[rng.gen_range(1usize..6)].node)
-        };
-        let keep = match mode {
-            "none" => false,
-            "node" => matches!(kind, FaultKind::NodeDown(_)),
-            "ns" => matches!(kind, FaultKind::NameServiceDown),
-            _ => true,
-        };
-        if keep {
-            faults.push(Fault::new(at, duration, kind));
-        }
-    }
-    inject_all(&mut tb.sim, &faults);
-
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(DATASET)
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
-
-    let client = tb.client;
-    for _ in 0..n_requests {
-        let at = SimTime::from_secs(rng.gen_range(100u64..1300));
-        let k = rng.gen_range(1usize..=3);
-        let files: Vec<_> = (0..k)
-            .map(|_| names[rng.gen_range(0usize..names.len())].clone())
-            .collect();
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
-
-    fn tick(sim: &mut esg::core::EsgSim, total: usize) {
-        if sim.world.outcomes.len() < total {
-            sim.schedule(SimDuration::from_secs(300), move |s| tick(s, total));
-        }
-    }
-    let total = n_requests;
-    tb.sim
-        .schedule_at(SimTime::from_secs(300), move |s| tick(s, total));
-    tb.sim.run_until(SimTime::from_secs(3600));
-
-    let outcomes = &tb.sim.world.outcomes;
-    let log = &tb.sim.world.rm.log;
-    let count = |name: &str| log.named(name).count();
-    SoakRef {
-        requests_done: outcomes.len(),
-        files: outcomes.iter().map(|o| o.files.len()).sum(),
-        complete: outcomes
-            .iter()
-            .flat_map(|o| o.files.iter())
-            .filter(|f| f.done && f.bytes_done == f.size)
-            .count(),
-        bytes: outcomes
-            .iter()
-            .flat_map(|o| o.files.iter())
-            .map(|f| f.bytes_done)
-            .sum(),
-        attempts: count("rm.replica.selected"),
-        backoffs: count("rm.retry.backoff"),
-        failovers: count("rm.reliability.failover"),
-        trace_sha: sha_hex(&log.to_ulm()),
-    }
-}
+/// soak_faults at seed 11, 12 requests, every fault class on.
+const SOAK_FAULTS_TRACE: &str = "8ebbd066385e4da7419502bae59f4c0c7b3e587f3b18bedad4a2f0ad49dac3b1";
 
 #[test]
-fn soak_faults_executor_matches_pre_migration_bin() {
-    let seed = 11;
-    let n = 12;
-    let spec = ScenarioSpec {
-        name: "equiv_soak_faults".into(),
-        kind: "soak_faults".into(),
-        description: String::new(),
-        seeds: vec![seed],
-        reps: 1,
-        params: Params(vec![
-            ("requests".into(), Json::Int(n as i128)),
-            ("mode".into(), Json::str("all")),
-        ]),
-        variants: Vec::new(),
-        faults: Vec::new(),
-        metrics: Vec::new(),
-        gates: Vec::new(),
-        artifact: None,
-        baseline: None,
-    };
-    let rows = run_lab(&spec, "soak_faults");
-    let row = &rows[0];
-    let reference = soak_faults_reference(seed, n, "all");
-
-    assert_eq!(str_metric(row, "trace_sha256"), reference.trace_sha);
-    assert_eq!(
-        num_metric(row, "requests_done"),
-        reference.requests_done as f64
+fn soak_faults_executor_holds_its_pin() {
+    let rows = run_lab(
+        "soak_faults",
+        11,
+        vec![("requests", Json::Int(12)), ("mode", Json::str("all"))],
+        Vec::new(),
     );
-    assert_eq!(num_metric(row, "files"), reference.files as f64);
-    assert_eq!(num_metric(row, "files_complete"), reference.complete as f64);
-    assert_eq!(num_metric(row, "bytes_delivered"), reference.bytes as f64);
-    assert_eq!(
-        num_metric(row, "transfer_attempts"),
-        reference.attempts as f64
-    );
-    assert_eq!(num_metric(row, "retry_backoffs"), reference.backoffs as f64);
-    assert_eq!(num_metric(row, "failovers"), reference.failovers as f64);
+    assert_eq!(str_metric(&rows[0], "trace_sha256"), SOAK_FAULTS_TRACE);
 }
 
-// ---------------------------------------------------------------------------
-// soak_corruption: inline copy of the old bin (at-rest flips, wire
-// windows, tape errors), compared on counters and the exported trace.
-// ---------------------------------------------------------------------------
-
-struct CorruptRef {
-    flips: usize,
-    complete: usize,
-    files: usize,
-    verified: usize,
-    mismatches: usize,
-    repairs: usize,
-    quarantines: usize,
-    trace: String,
-}
-
-fn soak_corruption_reference(seed: u64, n_requests: usize) -> CorruptRef {
-    use std::collections::{HashMap, HashSet};
-    const DATASET: &str = "pcm_intg.b06";
-    const FILE_SIZE: u64 = 8_000_000;
-
-    let mut tb = esg_testbed(seed);
-    tb.sim
-        .world
-        .rm
-        .hrms
-        .get_mut("hpss.lbl.gov")
-        .unwrap()
-        .enable_tape_errors(3, seed);
-    tb.sim.world.rm.integrity.quarantine_threshold = 1;
-    tb.publish_dataset(DATASET, 24, 4, 2_000_000, &[0, 1, 2, 3, 4, 5]);
-    let collection = tb.sim.world.metadata.collection_of(DATASET).unwrap();
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(DATASET)
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
-
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0BAD_B10C_C0DE_C0DE);
-
-    let mut corrupted: HashMap<String, HashSet<usize>> = HashMap::new();
-    let mut flips = 0usize;
-    for _ in 0..30 {
-        let si = rng.gen_range(1usize..6);
-        let (_, name) = names[rng.gen_range(0usize..names.len())].clone();
-        let hit_sites = corrupted.entry(name.clone()).or_default();
-        if !hit_sites.contains(&si) && hit_sites.len() >= 3 {
-            continue;
-        }
-        hit_sites.insert(si);
-        let host = tb.sites[si].host.clone();
-        let block = rng.gen_range(0u64..FILE_SIZE.div_ceil(1 << 20));
-        let nonce = rng.gen::<u64>() | 1;
-        let at = SimTime::from_secs(rng.gen_range(50u64..1200));
-        flips += 1;
-        tb.sim.schedule_at(at, move |sim| {
-            sim.world.rm.corrupt_at_rest(&host, &name, block, nonce, at);
-        });
-    }
-
-    let mut faults = Vec::new();
-    for _ in 0..8 {
-        let at = SimTime::from_secs(rng.gen_range(120u64..1200));
-        let duration = SimDuration::from_secs(rng.gen_range(10u64..60));
-        let site = rng.gen_range(1usize..6);
-        faults.push(Fault::new(
-            at,
-            duration,
-            FaultKind::WireCorrupt(tb.sites[site].node),
-        ));
-    }
-    inject_all(&mut tb.sim, &faults);
-
-    let client = tb.client;
-    for _ in 0..n_requests {
-        let at = SimTime::from_secs(rng.gen_range(100u64..1300));
-        let k = rng.gen_range(1usize..=2);
-        let files: Vec<_> = (0..k)
-            .map(|_| names[rng.gen_range(0usize..names.len())].clone())
-            .collect();
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
-    tb.sim.run_until(SimTime::from_secs(3600));
-
-    let outcomes = &tb.sim.world.outcomes;
-    let log = &tb.sim.world.rm.log;
-    let count = |name: &str| log.named(name).count();
-    CorruptRef {
-        flips,
-        files: outcomes.iter().map(|o| o.files.len()).sum(),
-        complete: outcomes
-            .iter()
-            .flat_map(|o| o.files.iter())
-            .filter(|f| f.done && f.bytes_done == f.size)
-            .count(),
-        verified: count("integrity.file.verified"),
-        mismatches: count("integrity.block.mismatch"),
-        repairs: count("integrity.repair.eret"),
-        quarantines: count("integrity.replica.quarantine"),
-        trace: log.to_ulm(),
-    }
-}
+/// soak_corruption at seed 13, 8 requests.
+const SOAK_CORRUPTION_TRACE: &str =
+    "bc204566679fe001a3a21b9aab98300eed584a12e43e47162e920bbf73b45585";
 
 #[test]
-fn soak_corruption_executor_matches_pre_migration_bin() {
-    let seed = 13;
-    let n = 8;
-    let trace_path = tmp_dir("corruption_trace")
-        .join("equiv.ulm")
-        .to_string_lossy()
-        .into_owned();
-    let spec = ScenarioSpec {
-        name: "equiv_soak_corruption".into(),
-        kind: "soak_corruption".into(),
-        description: String::new(),
-        seeds: vec![seed],
-        reps: 1,
-        params: Params(vec![
-            ("requests".into(), Json::Int(n as i128)),
-            ("trace_path".into(), Json::str(&trace_path)),
-        ]),
-        variants: Vec::new(),
-        faults: Vec::new(),
-        metrics: Vec::new(),
-        gates: Vec::new(),
-        artifact: None,
-        baseline: None,
-    };
-    let rows = run_lab(&spec, "soak_corruption");
-    let row = &rows[0];
-    let reference = soak_corruption_reference(seed, n);
-
-    assert_eq!(str_metric(row, "trace_sha256"), sha_hex(&reference.trace));
-    assert_eq!(
-        std::fs::read_to_string(&trace_path).unwrap(),
-        reference.trace,
-        "exported ULM trace must be byte-identical to the old bin's"
+fn soak_corruption_executor_holds_its_pin() {
+    let trace_path = tmp_dir("corruption_trace").join("equiv.ulm");
+    let rows = run_lab(
+        "soak_corruption",
+        13,
+        vec![
+            ("requests", Json::Int(8)),
+            ("trace_path", Json::str(trace_path.to_string_lossy())),
+        ],
+        Vec::new(),
     );
-    assert_eq!(num_metric(row, "at_rest_flips"), reference.flips as f64);
-    assert_eq!(num_metric(row, "files"), reference.files as f64);
-    assert_eq!(num_metric(row, "files_complete"), reference.complete as f64);
-    assert_eq!(num_metric(row, "files_verified"), reference.verified as f64);
+    assert_eq!(str_metric(&rows[0], "trace_sha256"), SOAK_CORRUPTION_TRACE);
+    // The exported ULM file is the trace the metric hashed.
     assert_eq!(
-        num_metric(row, "block_mismatches"),
-        reference.mismatches as f64
+        sha_hex(&std::fs::read_to_string(&trace_path).unwrap()),
+        SOAK_CORRUPTION_TRACE
     );
-    assert_eq!(num_metric(row, "eret_repairs"), reference.repairs as f64);
-    assert_eq!(num_metric(row, "quarantines"), reference.quarantines as f64);
 }
