@@ -4,7 +4,7 @@
 //! servers: add/modify/delete entries, lookup by DN, and scoped searches
 //! (base / one-level / subtree) with RFC 2254-style filters.
 
-use crate::dn::Dn;
+use crate::dn::{Dn, Rdn};
 use crate::entry::Entry;
 use crate::filter::Filter;
 use std::collections::BTreeMap;
@@ -55,17 +55,29 @@ pub struct Directory {
 
 fn key(dn: &Dn) -> String {
     // Reverse the RDN order so ancestors are string prefixes of descendants.
-    let mut parts: Vec<String> = dn
-        .rdns
-        .iter()
-        .rev()
-        .map(|r| format!("{}={}", r.attr, r.value.to_ascii_lowercase()))
-        .collect();
-    parts.insert(0, String::new()); // leading separator
-    let mut k = parts.join("\u{1}");
+    let mut k = String::from("\u{1}"); // leading separator
+    for r in dn.rdns.iter().rev() {
+        push_rdn_key(&mut k, r);
+    }
+    k
+}
+
+fn push_rdn_key(k: &mut String, r: &Rdn) {
+    k.push_str(&r.attr);
+    k.push('=');
+    k.extend(r.value.chars().map(|c| c.to_ascii_lowercase()));
     // Trailing separator so `lc=co2 1998` is never a prefix of its sibling
     // `lc=co2 1998 extra`, only of true descendants.
     k.push('\u{1}');
+}
+
+/// The component one RDN contributes to the tree's sort key. Siblings
+/// iterate (and one-level searches answer) in the order of these strings,
+/// so an index kept beside a [`Directory`] sorts on them to reproduce its
+/// result order without walking the tree.
+pub fn sibling_key(rdn: &Rdn) -> String {
+    let mut k = String::new();
+    push_rdn_key(&mut k, rdn);
     k
 }
 
@@ -344,6 +356,25 @@ mod tests {
         let n = d.delete_subtree(&Dn::parse("rc=ESG, o=Grid").unwrap());
         assert_eq!(n, 4);
         assert_eq!(d.len(), 1); // o=Grid remains
+    }
+
+    #[test]
+    fn siblings_iterate_in_sibling_key_order() {
+        let mut d = grid();
+        let base = Dn::parse("lc=CO2 1998, rc=ESG, o=Grid").unwrap();
+        for leaf in ["loc=Sprite", "lf=jan.nc", "loc=anl b", "loc=ANL", "site=x"] {
+            let (attr, value) = leaf.split_once('=').unwrap();
+            d.add(Entry::new(base.child(attr, value))).unwrap();
+        }
+        let keys: Vec<String> = d
+            .children(&base)
+            .map(|e| sibling_key(e.dn.leaf().unwrap()))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 6);
+        assert_eq!(keys[1], "loc=anl\u{1}");
     }
 
     #[test]

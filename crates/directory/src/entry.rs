@@ -35,6 +35,20 @@ impl Entry {
         }
     }
 
+    /// Append a value the caller has already proven absent from the
+    /// attribute. [`Entry::add`] scans the whole value list per call, which
+    /// is quadratic for a bulk load of N known-distinct values; this is the
+    /// O(1) append for that case.
+    pub fn push_new(&mut self, attr: impl Into<String>, value: impl Into<String>) {
+        let values = self
+            .attrs
+            .entry(attr.into().to_ascii_lowercase())
+            .or_default();
+        let value = value.into();
+        debug_assert!(!values.contains(&value), "push_new of a present value");
+        values.push(value);
+    }
+
     /// Replace all values of an attribute.
     pub fn set(&mut self, attr: impl Into<String>, values: Vec<String>) {
         self.attrs.insert(attr.into().to_ascii_lowercase(), values);
@@ -120,6 +134,16 @@ mod tests {
         e.add("a", "v");
         e.add("a", "v");
         assert_eq!(e.values("a").len(), 1);
+    }
+
+    #[test]
+    fn push_new_appends_in_order_case_insensitive_attr() {
+        let mut e = Entry::new(Dn::root());
+        e.add("fileName", "a.nc");
+        e.push_new("FILENAME", "b.nc");
+        e.push_new("other", "x");
+        assert_eq!(e.values("filename"), &["a.nc", "b.nc"]);
+        assert_eq!(e.values("other"), &["x"]);
     }
 
     #[test]

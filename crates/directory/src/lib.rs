@@ -22,7 +22,7 @@ pub mod entry;
 pub mod filter;
 pub mod ldif;
 
-pub use dit::{DirError, Directory, Scope};
+pub use dit::{sibling_key, DirError, Directory, Scope};
 pub use dn::{Dn, DnParseError, Rdn};
 pub use entry::Entry;
 pub use filter::{Filter, FilterParseError};

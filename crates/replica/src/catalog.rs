@@ -19,8 +19,12 @@
 //! entries are optional in the real catalog (scalability); here they store
 //! per-file sizes.
 
-use esg_directory::{Directory, Dn, Entry, Filter, Scope};
+use esg_directory::{sibling_key, DirError, Directory, Dn, Entry, Filter, Rdn, Scope};
 use esg_gridftp::GridUrl;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::OnceLock;
+
+const LOCATION_CLASS: &str = "GlobusReplicaLocation";
 
 /// Errors from catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,21 +63,174 @@ pub struct Replica {
 }
 
 /// The replica catalog, owning its directory subtree.
-#[derive(Debug, Default)]
+///
+/// The directory is the single source of truth (`to_ldif`, `directory()`,
+/// MDS co-hosting all read it). `index` is derived from it — what slapd's
+/// `index filename eq` is to its database — so that the per-file
+/// [`ReplicaCatalog::lookup_replicas`] costs O(locations of the collection)
+/// instead of a scan over every `lf=` sibling and every location's
+/// `filename` list. Every mutator below that writes a location entry
+/// updates it; [`ReplicaCatalog::from_ldif`] rebuilds it.
+#[derive(Debug)]
 pub struct ReplicaCatalog {
     dir: Directory,
+    /// Keyed by lower-cased collection name, as the directory keys DNs.
+    index: HashMap<String, CollectionIndex>,
 }
 
-fn rc_base() -> Dn {
-    Dn::parse("rc=ESG Replica Catalog, o=Grid").expect("static DN")
+#[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+struct CollectionIndex {
+    /// The collection's location entries by [`sibling_key`] of their leaf
+    /// RDN, i.e. in the order a one-level search returns them.
+    locations: BTreeMap<String, IndexedLocation>,
+    /// Every value of the collection's `filename` list has an `lf=` entry
+    /// behind it, so a successful `lf=` add proves a name new to the list.
+    /// Always true for catalogs built through this API; an LDIF from a
+    /// catalog that kept logical-file entries optional can clear it.
+    files_backed: bool,
+}
+
+/// What `lookup_replicas` needs from one location entry, resolved once.
+#[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+struct IndexedLocation {
+    /// Collection and location names as the entry's DN spells them. The
+    /// directory finds an entry by lower-cased key but its one-level search
+    /// compares parent RDNs exactly, so a lookup sees this location only
+    /// when it spells the collection the way the registration did.
+    collection: String,
+    name: String,
+    protocol: String,
+    hostname: String,
+    port: u16,
+    path: String,
+    suspect: bool,
+    files: HashSet<String>,
+}
+
+impl CollectionIndex {
+    fn empty(files_backed: bool) -> Self {
+        CollectionIndex {
+            locations: BTreeMap::new(),
+            files_backed,
+        }
+    }
+}
+
+impl IndexedLocation {
+    fn new(collection: &str, name: &str, e: &Entry) -> Self {
+        IndexedLocation {
+            collection: collection.to_string(),
+            name: name.to_string(),
+            protocol: e.first("protocol").unwrap_or("gsiftp").to_string(),
+            hostname: e.first("hostname").unwrap_or("").to_string(),
+            port: e
+                .first("port")
+                .and_then(|p| p.parse().ok())
+                .unwrap_or(esg_gridftp::url::DEFAULT_PORT),
+            path: e.first("path").unwrap_or("").to_string(),
+            suspect: e.first("suspect") == Some("true"),
+            files: e.values("filename").iter().cloned().collect(),
+        }
+    }
+
+    fn replica(&self, file: &str) -> Replica {
+        let full_path = if self.path.is_empty() {
+            file.to_string()
+        } else {
+            format!("{}/{}", self.path.trim_end_matches('/'), file)
+        };
+        let mut url = GridUrl::new(self.hostname.clone(), full_path);
+        url.scheme = self.protocol.clone();
+        url.port = self.port;
+        Replica {
+            collection: self.collection.clone(),
+            location: self.name.clone(),
+            host: self.hostname.clone(),
+            url,
+            suspect: self.suspect,
+        }
+    }
+}
+
+fn rc_base() -> &'static Dn {
+    static BASE: OnceLock<Dn> = OnceLock::new();
+    BASE.get_or_init(|| Dn::parse("rc=ESG Replica Catalog, o=Grid").expect("static DN"))
+}
+
+/// A collection's slot in the index: its name as the directory keys it.
+fn collection_key(name: &str) -> String {
+    name.to_ascii_lowercase()
+}
+
+/// The slot of `loc=<name>` among a collection's locations.
+fn location_key(name: &str) -> String {
+    sibling_key(&Rdn::new("loc", name))
+}
+
+/// Whether `Directory::get` treats two RDN paths as the same entry.
+fn same_entry(a: &[Rdn], b: &[Rdn]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.attr == y.attr && x.value.eq_ignore_ascii_case(&y.value))
+}
+
+/// Derive the lookup index from a directory: every `lc=` child of the
+/// catalog base is a collection, every location-class child of one is
+/// indexed if a one-level search from its collection could return it.
+fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
+    let base = &rc_base().rdns;
+    let mut index: HashMap<String, CollectionIndex> = HashMap::new();
+    // Tree order: a collection entry precedes its children.
+    for e in dir.iter() {
+        match e.dn.rdns.as_slice() {
+            [lc, rest @ ..] if lc.attr == "lc" && same_entry(rest, base) => {
+                let files_backed = e
+                    .values("filename")
+                    .iter()
+                    .all(|f| dir.get(&ReplicaCatalog::file_dn(&lc.value, f)).is_some());
+                index.insert(
+                    collection_key(&lc.value),
+                    CollectionIndex::empty(files_backed),
+                );
+            }
+            [leaf, lc, rest @ ..]
+                if lc.attr == "lc"
+                    && rest == base.as_slice()
+                    && e.values("objectclass").iter().any(|c| c == LOCATION_CLASS) =>
+            {
+                if let Some(col) = index.get_mut(&collection_key(&lc.value)) {
+                    col.locations.insert(
+                        sibling_key(leaf),
+                        IndexedLocation::new(&lc.value, &leaf.value, e),
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+    index
+}
+
+impl Default for ReplicaCatalog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ReplicaCatalog {
     pub fn new() -> Self {
         let mut dir = Directory::new();
-        dir.add_with_ancestors(Entry::new(rc_base()).with("objectclass", "GlobusReplicaCatalog"))
-            .expect("fresh directory");
-        ReplicaCatalog { dir }
+        dir.add_with_ancestors(
+            Entry::new(rc_base().clone()).with("objectclass", "GlobusReplicaCatalog"),
+        )
+        .expect("fresh directory");
+        ReplicaCatalog {
+            dir,
+            index: HashMap::new(),
+        }
     }
 
     /// Access to the underlying directory (for MDS co-hosting, dumps).
@@ -92,12 +249,13 @@ impl ReplicaCatalog {
         let mut dir = Directory::new();
         esg_directory::ldif_load(&mut dir, text)
             .map_err(|e| CatalogError::Directory(e.to_string()))?;
-        if dir.get(&rc_base()).is_none() {
+        if dir.get(rc_base()).is_none() {
             return Err(CatalogError::Directory(
                 "LDIF does not contain the replica catalog base".into(),
             ));
         }
-        Ok(ReplicaCatalog { dir })
+        let index = build_index(&dir);
+        Ok(ReplicaCatalog { dir, index })
     }
 
     fn collection_dn(name: &str) -> Dn {
@@ -112,6 +270,19 @@ impl ReplicaCatalog {
         Self::collection_dn(collection).child("lf", file)
     }
 
+    /// The index slot of the entry at `location_dn(collection, location)`,
+    /// if that entry is an indexed location.
+    fn indexed_location_mut(
+        &mut self,
+        collection: &str,
+        location: &str,
+    ) -> Option<&mut IndexedLocation> {
+        self.index
+            .get_mut(&collection_key(collection))?
+            .locations
+            .get_mut(&location_key(location))
+    }
+
     /// Create a logical collection.
     pub fn create_collection(&mut self, name: &str) -> Result<(), CatalogError> {
         self.dir
@@ -119,14 +290,20 @@ impl ReplicaCatalog {
                 Entry::new(Self::collection_dn(name))
                     .with("objectclass", "GlobusReplicaLogicalCollection"),
             )
-            .map_err(|_| CatalogError::AlreadyExists(name.to_string()))
+            .map_err(|e| match e {
+                DirError::AlreadyExists(_) => CatalogError::AlreadyExists(name.to_string()),
+                other => CatalogError::Directory(other.to_string()),
+            })?;
+        self.index
+            .insert(collection_key(name), CollectionIndex::empty(true));
+        Ok(())
     }
 
     /// All logical collection names.
     pub fn collections(&self) -> Vec<String> {
         let f = Filter::eq("objectclass", "GlobusReplicaLogicalCollection");
         self.dir
-            .search(&rc_base(), Scope::OneLevel, &f)
+            .search(rc_base(), Scope::OneLevel, &f)
             .into_iter()
             .map(|e| e.dn.leaf().unwrap().value.clone())
             .collect()
@@ -142,18 +319,27 @@ impl ReplicaCatalog {
         size: u64,
     ) -> Result<(), CatalogError> {
         let cdn = Self::collection_dn(collection);
-        if self.dir.get(&cdn).is_none() {
+        let Some(col) = self.index.get(&collection_key(collection)) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
-        }
+        };
+        let files_backed = col.files_backed;
         self.dir
             .add(
-                Entry::new(Self::file_dn(collection, file))
+                Entry::new(cdn.child("lf", file))
                     .with("objectclass", "GlobusReplicaLogicalFile")
                     .with("size", size.to_string()),
             )
             .map_err(|_| CatalogError::AlreadyExists(file.to_string()))?;
+        // The `lf=` add just proved the name new (see `files_backed`), so
+        // publishing N files is N appends, not N scans of a growing list.
         self.dir
-            .modify(&cdn, |e| e.add("filename", file))
+            .modify(&cdn, |e| {
+                if files_backed {
+                    e.push_new("filename", file)
+                } else {
+                    e.add("filename", file)
+                }
+            })
             .map_err(|e| CatalogError::Directory(e.to_string()))
     }
 
@@ -211,11 +397,11 @@ impl ReplicaCatalog {
         suspect: bool,
     ) -> Result<usize, CatalogError> {
         let cdn = Self::collection_dn(collection);
-        if self.dir.get(&cdn).is_none() {
+        let Some(col) = self.index.get_mut(&collection_key(collection)) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
-        }
+        };
         let f = Filter::And(vec![
-            Filter::eq("objectclass", "GlobusReplicaLocation"),
+            Filter::eq("objectclass", LOCATION_CLASS),
             Filter::eq("hostname", host),
         ]);
         let dns: Vec<Dn> = self
@@ -234,6 +420,10 @@ impl ReplicaCatalog {
                     }
                 })
                 .map_err(|e| CatalogError::Directory(e.to_string()))?;
+            let leaf = dn.leaf().expect("a search hit below the collection");
+            if let Some(loc) = col.locations.get_mut(&sibling_key(leaf)) {
+                loc.suspect = suspect;
+            }
         }
         Ok(dns.len())
     }
@@ -247,22 +437,33 @@ impl ReplicaCatalog {
         base_url: &GridUrl,
         files: &[&str],
     ) -> Result<(), CatalogError> {
-        let cdn = Self::collection_dn(collection);
-        if self.dir.get(&cdn).is_none() {
+        let Some(col) = self.index.get_mut(&collection_key(collection)) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
-        }
+        };
         let mut entry = Entry::new(Self::location_dn(collection, location))
-            .with("objectclass", "GlobusReplicaLocation")
+            .with("objectclass", LOCATION_CLASS)
             .with("protocol", base_url.scheme.clone())
             .with("hostname", base_url.host.clone())
             .with("port", base_url.port.to_string())
             .with("path", base_url.path.clone());
-        for f in files {
-            entry.add("filename", *f);
+        // The entry is fresh, so only `files` itself can repeat a name:
+        // de-duplicate it once (first occurrence wins, as `Entry::add`
+        // would) instead of scanning the growing list per name.
+        let mut seen = HashSet::with_capacity(files.len());
+        let names: Vec<String> = files
+            .iter()
+            .filter(|f| seen.insert(**f))
+            .map(|f| f.to_string())
+            .collect();
+        if !names.is_empty() {
+            entry.set("filename", names);
         }
+        let indexed = IndexedLocation::new(collection, location, &entry);
         self.dir
             .add(entry)
-            .map_err(|_| CatalogError::AlreadyExists(location.to_string()))
+            .map_err(|_| CatalogError::AlreadyExists(location.to_string()))?;
+        col.locations.insert(location_key(location), indexed);
+        Ok(())
     }
 
     /// Add a file to an existing location (e.g. after replication).
@@ -272,9 +473,16 @@ impl ReplicaCatalog {
         location: &str,
         file: &str,
     ) -> Result<(), CatalogError> {
+        // An indexed location knows in O(1) whether it already lists the
+        // file; anything else at that DN takes the scanning `Entry::add`.
+        let is_new = self
+            .indexed_location_mut(collection, location)
+            .map(|loc| loc.files.insert(file.to_string()));
         self.dir
-            .modify(&Self::location_dn(collection, location), |e| {
-                e.add("filename", file)
+            .modify(&Self::location_dn(collection, location), |e| match is_new {
+                Some(true) => e.push_new("filename", file),
+                Some(false) => {}
+                None => e.add("filename", file),
             })
             .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))
     }
@@ -292,6 +500,9 @@ impl ReplicaCatalog {
                 removed = e.remove_value("filename", file);
             })
             .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
+        if let Some(loc) = self.indexed_location_mut(collection, location) {
+            loc.files.remove(file);
+        }
         Ok(removed)
     }
 
@@ -303,8 +514,11 @@ impl ReplicaCatalog {
     ) -> Result<(), CatalogError> {
         self.dir
             .delete(&Self::location_dn(collection, location))
-            .map(|_| ())
-            .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))
+            .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
+        if let Some(col) = self.index.get_mut(&collection_key(collection)) {
+            col.locations.remove(&location_key(location));
+        }
+        Ok(())
     }
 
     /// Locations (names) registered for a collection.
@@ -313,7 +527,7 @@ impl ReplicaCatalog {
         if self.dir.get(&cdn).is_none() {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         }
-        let f = Filter::eq("objectclass", "GlobusReplicaLocation");
+        let f = Filter::eq("objectclass", LOCATION_CLASS);
         Ok(self
             .dir
             .search(&cdn, Scope::OneLevel, &f)
@@ -326,49 +540,30 @@ impl ReplicaCatalog {
     ///
     /// This is step (1) of the request manager's per-file worker: "it finds
     /// all replicas for the file from the Replica Catalog using an LDAP
-    /// protocol" (§4).
+    /// protocol" (§4). Answered from the index, in the order and with the
+    /// case rules of the one-level
+    /// `(&(objectclass=GlobusReplicaLocation)(filename=<file>))` search it
+    /// replaces (the test oracle in `differential.rs`).
     pub fn lookup_replicas(
         &self,
         collection: &str,
         file: &str,
     ) -> Result<Vec<Replica>, CatalogError> {
-        let cdn = Self::collection_dn(collection);
-        if self.dir.get(&cdn).is_none() {
-            return Err(CatalogError::NoSuchCollection(collection.to_string()));
-        }
-        let f = Filter::And(vec![
-            Filter::eq("objectclass", "GlobusReplicaLocation"),
-            Filter::eq("filename", file),
-        ]);
-        let hits = self.dir.search(&cdn, Scope::OneLevel, &f);
-        Ok(hits
-            .into_iter()
-            .map(|e| {
-                let host = e.first("hostname").unwrap_or("").to_string();
-                let port: u16 = e
-                    .first("port")
-                    .and_then(|p| p.parse().ok())
-                    .unwrap_or(esg_gridftp::url::DEFAULT_PORT);
-                let prefix = e.first("path").unwrap_or("");
-                let full_path = if prefix.is_empty() {
-                    file.to_string()
-                } else {
-                    format!("{}/{}", prefix.trim_end_matches('/'), file)
-                };
-                let mut url = GridUrl::new(host.clone(), full_path);
-                url.scheme = e.first("protocol").unwrap_or("gsiftp").to_string();
-                url.port = port;
-                Replica {
-                    collection: collection.to_string(),
-                    location: e.dn.leaf().unwrap().value.clone(),
-                    host,
-                    url,
-                    suspect: e.first("suspect") == Some("true"),
-                }
-            })
+        let col = self
+            .index
+            .get(&collection_key(collection))
+            .ok_or_else(|| CatalogError::NoSuchCollection(collection.to_string()))?;
+        Ok(col
+            .locations
+            .values()
+            .filter(|loc| loc.collection == collection && loc.files.contains(file))
+            .map(|loc| loc.replica(file))
             .collect())
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -407,6 +602,43 @@ mod tests {
         let mut cols = rc.collections();
         cols.sort();
         assert_eq!(cols, vec!["CO2 measurements 1998", "CO2 measurements 1999"]);
+    }
+
+    /// `Default` used to derive an empty directory without the catalog
+    /// base, so the first `create_collection` failed with `NoSuchParent`
+    /// and reported it as "already exists".
+    #[test]
+    fn default_is_a_usable_catalog() {
+        let mut rc = ReplicaCatalog::default();
+        rc.create_collection("x").unwrap();
+        assert_eq!(
+            rc.create_collection("x"),
+            Err(CatalogError::AlreadyExists("x".into()))
+        );
+        assert_eq!(rc.collections(), ["x"]);
+    }
+
+    /// Entries are found by lower-cased key, so any spelling names the
+    /// collection and its locations; but the one-level search under a
+    /// collection compares the parent RDN exactly, so replicas are listed
+    /// only to a lookup that spells the collection as the registration
+    /// did. File names are case-sensitive throughout.
+    #[test]
+    fn lookup_case_rules_are_the_directorys() {
+        let mut rc = figure6();
+        let lower = "co2 measurements 1998";
+        assert_eq!(rc.lookup_replicas(lower, "jan_1998.nc"), Ok(vec![]));
+        assert!(rc
+            .lookup_replicas("CO2 measurements 1998", "JAN_1998.nc")
+            .unwrap()
+            .is_empty());
+        rc.add_file_to_location(lower, "JUPITER", "mar_1998.nc")
+            .unwrap();
+        let reps = rc
+            .lookup_replicas("CO2 measurements 1998", "mar_1998.nc")
+            .unwrap();
+        let names: Vec<&str> = reps.iter().map(|r| r.location.as_str()).collect();
+        assert_eq!(names, ["jupiter", "sprite"]);
     }
 
     #[test]

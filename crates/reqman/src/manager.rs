@@ -893,6 +893,11 @@ fn pump_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCe
 /// prefetched — staging a tape copy selection will never prefer wastes
 /// tape drive time.
 fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
+    // No tape-backed host, no cold file: skip the per-file catalog lookups
+    // that would each conclude the same.
+    if sim.world.reqman().hrms.is_empty() {
+        return;
+    }
     let now = sim.now();
     let files: Vec<(String, String, u64)> = state
         .borrow()
@@ -2332,6 +2337,45 @@ mod tests {
         // ~1 s of data at 50 MB/s... link is 50e6 bytes/s? cap 50e6 B/s.
         let dt = o.finished.since(o.started).as_secs_f64();
         assert!(dt < 5.0, "{dt}");
+    }
+
+    /// `prestage_cold_files` returns before its per-file loop on a manager
+    /// with no HRM. The golden was recorded at the parent commit, where
+    /// the loop ran a catalog lookup per file to plan nothing.
+    #[test]
+    fn no_hrm_request_trace_is_pinned() {
+        let (mut sim, client) = setup(Policy::BestBandwidth);
+        assert!(sim.world.rm.hrms.is_empty() && sim.world.rm.scheduler.prestage);
+        {
+            let rm = &mut sim.world.rm;
+            for (i, f) in ["feb.esg", "mar.esg", "apr.esg"].iter().enumerate() {
+                rm.catalog
+                    .add_logical_file("co2", f, 20_000_000 + i as u64)
+                    .unwrap();
+                rm.catalog.add_file_to_location("co2", "llnl", f).unwrap();
+            }
+            rm.catalog
+                .add_file_to_location("co2", "isi", "mar.esg")
+                .unwrap();
+            // Listed, sized, but held nowhere.
+            rm.catalog
+                .add_logical_file("co2", "may.esg", 1_000)
+                .unwrap();
+        }
+        let files = ["jan.esg", "feb.esg", "mar.esg", "apr.esg", "may.esg"]
+            .iter()
+            .map(|f| ("co2".to_string(), f.to_string()))
+            .collect();
+        let id = submit_request(&mut sim, client, files, |s, o| s.world.outcomes.push(o));
+        sim.run_until(SimTime::from_secs(60));
+        let status = sim.world.rm.status(id).unwrap();
+        let done: Vec<bool> = status.iter().map(|f| f.done).collect();
+        assert_eq!(done, [true, true, true, true, false]);
+        let sha = esg_gsi::hex(&esg_gsi::sha256(sim.world.rm.log.to_ulm().as_bytes()));
+        assert_eq!(
+            sha,
+            "cee977b31a91516be86a1a89e5a51ffd65e9ecc186acc261fe629b5e0b92006f"
+        );
     }
 
     #[test]
