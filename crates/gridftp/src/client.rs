@@ -226,12 +226,77 @@ impl GridFtpClient {
         Ok(r.text().trim().to_string())
     }
 
-    fn pasv(&mut self) -> Result<SocketAddrV4> {
+    /// Set the stream count and open a passive data port for the transfer
+    /// command that follows.
+    fn open_data(&mut self, parallelism: u32) -> Result<SocketAddrV4> {
+        self.expect(&Command::OptsRetrParallelism(parallelism), 200, "200")?;
         let r = self.expect(&Command::Pasv, 227, "227")?;
         parse_pasv(&r.text()).ok_or(ClientError::Protocol {
             expected: "PASV address",
             got: r,
         })
+    }
+
+    /// Run one retrieval: send `cmd` (RETR/ERET), open `streams` data
+    /// connections, read each on its own thread and hand every block to
+    /// `sink(offset, payload)` on this one, then take the final reply.
+    /// A broken data stream is reported even when the blocks that did
+    /// arrive have been sunk.
+    fn retrieve(
+        &mut self,
+        cmd: &Command,
+        data_addr: SocketAddrV4,
+        streams: u32,
+        mut sink: impl FnMut(u64, &[u8]),
+    ) -> Result<()> {
+        self.expect(cmd, 150, "150")?;
+        let conns = connect_data(data_addr, streams)?;
+        let (tx, rx) = crossbeam::channel::unbounded::<(u64, Vec<u8>)>();
+        let stream_err = std::thread::scope(|scope| {
+            let readers: Vec<_> = conns
+                .into_iter()
+                .map(|mut conn| {
+                    let tx = tx.clone();
+                    scope.spawn(move || -> std::io::Result<()> {
+                        loop {
+                            let (header, payload) = eblock::read_block(&mut conn, BLOCK_SIZE * 4)?;
+                            // A failed send means the receiving side bailed.
+                            if !payload.is_empty() && tx.send((header.offset, payload)).is_err() {
+                                return Ok(());
+                            }
+                            if header.is_eod() {
+                                return Ok(());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            for (offset, payload) in rx {
+                sink(offset, &payload);
+            }
+            let mut stream_err = None;
+            for reader in readers {
+                match reader.join() {
+                    Ok(Ok(())) => {}
+                    Ok(Err(e)) => stream_err = Some(ClientError::Io(e)),
+                    Err(_) => stream_err = Some(ClientError::Auth("reader panicked".into())),
+                }
+            }
+            stream_err
+        });
+        // Final reply: 226 on success, 426 when the server aborted.
+        let fin = self.read_reply()?;
+        if let Some(e) = stream_err {
+            return Err(e);
+        }
+        if fin.code != 226 {
+            return Err(ClientError::Protocol {
+                expected: "226",
+                got: fin,
+            });
+        }
+        Ok(())
     }
 
     /// Download a file (or the holes left in `received`) into `buffer`.
@@ -249,72 +314,20 @@ impl GridFtpClient {
         if let Some(b) = opts.buffer {
             self.expect(&Command::Sbuf(b), 200, "200")?;
         }
-        self.expect(&Command::OptsRetrParallelism(opts.parallelism), 200, "200")?;
-        let data_addr = self.pasv()?;
+        let data_addr = self.open_data(opts.parallelism)?;
         if !received.is_empty() {
             self.expect(&Command::Rest(received.clone()), 350, "350")?;
         }
-        let r150 = self.command(&Command::Retr(path.into()))?;
-        if r150.code != 150 {
-            return Err(ClientError::Protocol {
-                expected: "150",
-                got: r150,
-            });
-        }
-
-        // Open the parallel data connections and read blocks concurrently.
-        let streams = opts.parallelism as usize;
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, Vec<u8>)>();
-        let mut readers = Vec::new();
-        for _ in 0..streams {
-            let conn = TcpStream::connect(data_addr)?;
-            let tx = tx.clone();
-            readers.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut conn = conn;
-                loop {
-                    let (header, payload) = eblock::read_block(&mut conn, BLOCK_SIZE * 4)?;
-                    if !payload.is_empty() {
-                        // Errors sending mean the main thread bailed.
-                        if tx.send((header.offset, payload)).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    if header.is_eod() {
-                        return Ok(());
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
         let mut got = 0u64;
-        for (offset, payload) in rx {
+        let retr = Command::Retr(path.into());
+        self.retrieve(&retr, data_addr, opts.parallelism, |offset, payload| {
             let end = offset as usize + payload.len();
             if end <= buffer.len() {
-                buffer[offset as usize..end].copy_from_slice(&payload);
+                buffer[offset as usize..end].copy_from_slice(payload);
                 received.insert(offset, end as u64);
                 got += payload.len() as u64;
             }
-        }
-        let mut stream_err = None;
-        for h in readers {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => stream_err = Some(ClientError::Io(e)),
-                Err(_) => stream_err = Some(ClientError::Auth("reader panicked".into())),
-            }
-        }
-        // Final reply: 226 on success, 426 when the server aborted.
-        let fin = self.read_reply()?;
-        if let Some(e) = stream_err {
-            return Err(e);
-        }
-        if fin.code != 226 {
-            return Err(ClientError::Protocol {
-                expected: "226",
-                got: fin,
-            });
-        }
+        })?;
         Ok(got)
     }
 
@@ -333,7 +346,31 @@ impl GridFtpClient {
         Ok(buffer)
     }
 
-    /// Partial retrieval via ERET.
+    /// A retrieval whose size the server decides (ERET): blocks land at
+    /// `offset - base` in a buffer that grows to fit them.
+    fn retrieve_growing(
+        &mut self,
+        cmd: &Command,
+        base: u64,
+        opts: TransferOptions,
+    ) -> Result<Vec<u8>> {
+        let data_addr = self.open_data(opts.parallelism)?;
+        let mut out: Vec<u8> = Vec::new();
+        self.retrieve(cmd, data_addr, opts.parallelism, |offset, payload| {
+            let Some(at) = offset.checked_sub(base) else {
+                return; // before the range asked for
+            };
+            let end = at as usize + payload.len();
+            if out.len() < end {
+                out.resize(end, 0);
+            }
+            out[at as usize..end].copy_from_slice(payload);
+        })?;
+        Ok(out)
+    }
+
+    /// Partial retrieval via ERET: up to `length` bytes from `offset`,
+    /// fewer when the file ends first.
     pub fn get_partial(
         &mut self,
         path: &str,
@@ -341,61 +378,12 @@ impl GridFtpClient {
         length: u64,
         opts: TransferOptions,
     ) -> Result<Vec<u8>> {
-        self.expect(&Command::OptsRetrParallelism(opts.parallelism), 200, "200")?;
-        let data_addr = self.pasv()?;
-        let r150 = self.command(&Command::EretPartial {
+        let eret = Command::EretPartial {
             offset,
             length,
             path: path.into(),
-        })?;
-        if r150.code != 150 {
-            return Err(ClientError::Protocol {
-                expected: "150",
-                got: r150,
-            });
-        }
-        let streams = opts.parallelism as usize;
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, Vec<u8>)>();
-        let mut readers = Vec::new();
-        for _ in 0..streams {
-            let conn = TcpStream::connect(data_addr)?;
-            let tx = tx.clone();
-            readers.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut conn = conn;
-                loop {
-                    let (header, payload) = eblock::read_block(&mut conn, BLOCK_SIZE * 4)?;
-                    if !payload.is_empty() && tx.send((header.offset, payload)).is_err() {
-                        return Ok(());
-                    }
-                    if header.is_eod() {
-                        return Ok(());
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        let mut out = vec![0u8; length as usize];
-        let mut received = RangeSet::new();
-        for (block_offset, payload) in rx {
-            let rel = block_offset - offset;
-            let end = rel as usize + payload.len();
-            if end <= out.len() {
-                out[rel as usize..end].copy_from_slice(&payload);
-                received.insert(rel, end as u64);
-            }
-        }
-        for h in readers {
-            let _ = h.join();
-        }
-        let fin = self.read_reply()?;
-        if fin.code != 226 {
-            return Err(ClientError::Protocol {
-                expected: "226",
-                got: fin,
-            });
-        }
-        out.truncate(received.total() as usize);
-        Ok(out)
+        };
+        self.retrieve_growing(&eret, offset, opts)
     }
 
     /// Server-side subsetting via `ERET X`: the server extracts time steps
@@ -409,60 +397,13 @@ impl GridFtpClient {
         t1: usize,
         opts: TransferOptions,
     ) -> Result<Vec<u8>> {
-        self.expect(&Command::OptsRetrParallelism(opts.parallelism), 200, "200")?;
-        let data_addr = self.pasv()?;
-        let r150 = self.command(&Command::EretSubset {
+        let eret = Command::EretSubset {
             variable: variable.into(),
             t0,
             t1,
             path: path.into(),
-        })?;
-        if r150.code != 150 {
-            return Err(ClientError::Protocol {
-                expected: "150",
-                got: r150,
-            });
-        }
-        let streams = opts.parallelism as usize;
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, Vec<u8>)>();
-        let mut readers = Vec::new();
-        for _ in 0..streams {
-            let conn = TcpStream::connect(data_addr)?;
-            let tx = tx.clone();
-            readers.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut conn = conn;
-                loop {
-                    let (header, payload) = eblock::read_block(&mut conn, BLOCK_SIZE * 4)?;
-                    if !payload.is_empty() && tx.send((header.offset, payload)).is_err() {
-                        return Ok(());
-                    }
-                    if header.is_eod() {
-                        return Ok(());
-                    }
-                }
-            }));
-        }
-        drop(tx);
-        // Subset size is dynamic: grow the buffer as blocks land.
-        let mut out: Vec<u8> = Vec::new();
-        for (offset, payload) in rx {
-            let end = offset as usize + payload.len();
-            if out.len() < end {
-                out.resize(end, 0);
-            }
-            out[offset as usize..end].copy_from_slice(&payload);
-        }
-        for h in readers {
-            let _ = h.join();
-        }
-        let fin = self.read_reply()?;
-        if fin.code != 226 {
-            return Err(ClientError::Protocol {
-                expected: "226",
-                got: fin,
-            });
-        }
-        Ok(out)
+        };
+        self.retrieve_growing(&eret, 0, opts)
     }
 
     /// Upload a byte buffer with parallel streams (STOR / ESTO).
@@ -473,8 +414,7 @@ impl GridFtpClient {
         opts: TransferOptions,
         base_offset: u64,
     ) -> Result<()> {
-        self.expect(&Command::OptsRetrParallelism(opts.parallelism), 200, "200")?;
-        let data_addr = self.pasv()?;
+        let data_addr = self.open_data(opts.parallelism)?;
         let cmd = if base_offset == 0 {
             Command::Stor(path.into())
         } else {
@@ -483,35 +423,29 @@ impl GridFtpClient {
                 path: path.into(),
             }
         };
-        let r150 = self.command(&cmd)?;
-        if r150.code != 150 {
-            return Err(ClientError::Protocol {
-                expected: "150",
-                got: r150,
-            });
-        }
-        let streams = opts.parallelism as usize;
-        let assignments = eblock::round_robin_blocks(0, data.len() as u64, BLOCK_SIZE, streams);
-        let mut writers = Vec::new();
-        for blocks in assignments {
-            let conn = TcpStream::connect(data_addr)?;
-            let chunk: Vec<(u64, Vec<u8>)> = blocks
+        self.expect(&cmd, 150, "150")?;
+        let conns = connect_data(data_addr, opts.parallelism)?;
+        let assignments = eblock::round_robin_blocks(0, data.len() as u64, BLOCK_SIZE, conns.len());
+        // Writers borrow `data`; the scope joins them before it returns.
+        let ok = std::thread::scope(|scope| {
+            let writers: Vec<_> = conns
                 .into_iter()
-                .map(|(off, len)| (off, data[off as usize..(off + len) as usize].to_vec()))
+                .zip(assignments)
+                .map(|(mut conn, blocks)| {
+                    scope.spawn(move || -> std::io::Result<()> {
+                        for (off, len) in blocks {
+                            let payload = &data[off as usize..(off + len) as usize];
+                            eblock::write_block(&mut conn, off, payload)?;
+                        }
+                        eblock::write_trailer(&mut conn, eblock::BlockHeader::eod())?;
+                        conn.flush()
+                    })
+                })
                 .collect();
-            writers.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut conn = conn;
-                for (off, payload) in chunk {
-                    eblock::write_block(&mut conn, off, &payload)?;
-                }
-                eblock::write_trailer(&mut conn, eblock::BlockHeader::eod())?;
-                conn.flush()
-            }));
-        }
-        let mut ok = true;
-        for w in writers {
-            ok &= w.join().map(|r| r.is_ok()).unwrap_or(false);
-        }
+            writers
+                .into_iter()
+                .all(|w| w.join().is_ok_and(|r| r.is_ok()))
+        });
         let fin = self.read_reply()?;
         if !ok || fin.code != 226 {
             return Err(ClientError::Protocol {
@@ -555,26 +489,12 @@ pub fn third_party_transfer(
     // Matching stream counts on both sides: the source dials exactly as
     // many data connections as the destination will accept.
     src.expect(&Command::OptsRetrParallelism(parallelism), 200, "200")?;
-    dst.expect(&Command::OptsRetrParallelism(parallelism), 200, "200")?;
-
-    let data_addr = dst.pasv()?;
+    let data_addr = dst.open_data(parallelism)?;
     // Destination starts listening (150), then blocks accepting data.
-    let r = dst.command(&Command::Stor(dst_path.into()))?;
-    if r.code != 150 {
-        return Err(ClientError::Protocol {
-            expected: "150",
-            got: r,
-        });
-    }
+    dst.expect(&Command::Stor(dst_path.into()), 150, "150")?;
     // Source dials the destination's data port and streams the file.
     src.expect(&Command::Port(data_addr), 200, "200")?;
-    let r = src.command(&Command::Retr(src_path.into()))?;
-    if r.code != 150 {
-        return Err(ClientError::Protocol {
-            expected: "150",
-            got: r,
-        });
-    }
+    src.expect(&Command::Retr(src_path.into()), 150, "150")?;
     // Both sides report completion on their control channels.
     let src_fin = src.read_pending_reply()?;
     let dst_fin = dst.read_pending_reply()?;
@@ -587,6 +507,17 @@ pub fn third_party_transfer(
         }
     }
     Ok(())
+}
+
+/// Open `streams` data connections to the server's passive port.
+fn connect_data(addr: SocketAddrV4, streams: u32) -> std::io::Result<Vec<TcpStream>> {
+    (0..streams)
+        .map(|_| {
+            let conn = TcpStream::connect(addr)?;
+            conn.set_nodelay(true)?;
+            Ok(conn)
+        })
+        .collect()
 }
 
 fn parse_pasv(text: &str) -> Option<SocketAddrV4> {

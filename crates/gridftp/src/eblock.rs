@@ -10,7 +10,7 @@
 //! Header layout (17 bytes, big-endian):
 //! `descriptor u8 | count u64 | offset u64`
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Descriptor bits (FTP block mode descriptors, GridFTP usage).
 pub mod desc {
@@ -85,11 +85,22 @@ impl BlockHeader {
     }
 }
 
-/// Write one block (header + payload) to a stream.
+/// Write one block (header + payload) to a stream as one vectored write:
+/// on a `TCP_NODELAY` socket a separate 17-byte header write would leave
+/// as a segment of its own.
 pub fn write_block(w: &mut impl Write, offset: u64, payload: &[u8]) -> io::Result<()> {
-    let h = BlockHeader::data(offset, payload.len() as u64);
-    w.write_all(&h.encode())?;
-    w.write_all(payload)
+    let header = BlockHeader::data(offset, payload.len() as u64).encode();
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Write a trailer block (EOD/EOF).
@@ -194,6 +205,30 @@ mod tests {
         let (h3, p3) = read_block(&mut r, 1 << 20).unwrap();
         assert!(h3.is_eod());
         assert!(p3.is_empty());
+    }
+
+    #[test]
+    fn short_writes_still_deliver_the_whole_block() {
+        /// Accepts at most `self.1` bytes per call, from the first
+        /// non-empty slice only (what a full socket buffer does).
+        struct Trickle(Vec<u8>, usize);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.1);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload: Vec<u8> = (0..200u8).collect();
+        for step in [1, 7, 17, 18, 1000] {
+            let mut w = Trickle(Vec::new(), step);
+            write_block(&mut w, 99, &payload).unwrap();
+            let (h, p) = read_block(&mut w.0.as_slice(), 1 << 20).unwrap();
+            assert_eq!((h.offset, p), (99, payload.clone()), "step {step}");
+        }
     }
 
     #[test]

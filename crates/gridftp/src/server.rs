@@ -30,6 +30,9 @@ use std::time::{Duration, Instant};
 /// Data-connection block payload size.
 pub const BLOCK_SIZE: u64 = 64 * 1024;
 
+/// How long a transfer waits for the client's data connections.
+const DATA_ACCEPT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Server configuration.
 pub struct ServerConfig {
     /// Directory served; all paths resolve beneath it.
@@ -65,7 +68,6 @@ impl GridFtpServer {
     /// Bind 127.0.0.1 on an ephemeral port and start serving.
     pub fn start(config: ServerConfig) -> std::io::Result<GridFtpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(SharedState {
@@ -79,20 +81,20 @@ impl GridFtpServer {
         }
         let sd = shutdown.clone();
         let handle = std::thread::spawn(move || {
-            let mut sessions = Vec::new();
-            while !sd.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let shared = shared.clone();
-                        sessions.push(std::thread::spawn(move || {
-                            let _ = Session::new(shared, stream).run();
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
+            // Blocks in `accept`; `shutdown_now` sets the flag and then
+            // connects to this listener, so the flag is seen promptly.
+            while let Ok((stream, _)) = listener.accept() {
+                if sd.load(Ordering::SeqCst) {
+                    break;
                 }
+                // Forget sessions that have ended, so a long-lived server
+                // holds handles for its live sessions only.
+                sessions.retain(|s| !s.is_finished());
+                let shared = shared.clone();
+                sessions.push(std::thread::spawn(move || {
+                    let _ = Session::new(shared, stream).run();
+                }));
             }
             for s in sessions {
                 let _ = s.join();
@@ -117,6 +119,9 @@ impl GridFtpServer {
     fn shutdown_now(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            // Wake the accept loop. A failed connect means the listener is
+            // already gone, and with it the loop.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
@@ -204,6 +209,12 @@ impl Session {
     }
 
     fn run(mut self) -> std::io::Result<()> {
+        // Known cost: a transfer's 150 and 226 are two writes with no client
+        // write between them, so with Nagle on (the default, as here) the
+        // 226 waits for the client's delayed ACK of the 150 and a transfer
+        // shorter than that timer (40 ms on Linux) still takes 40 ms.
+        // `set_nodelay(true)` on this socket removes it; ROADMAP item 1
+        // says why that is not done yet.
         self.send(Reply::new(220, "ESG GridFTP server ready"))?;
         let reader = self.ctrl.try_clone()?;
         let mut reader = BufReader::new(reader);
@@ -435,16 +446,32 @@ impl Session {
         Ok(self.shared.config.root.join(rel))
     }
 
+    /// SHA-256 of `[offset, offset + length)` clamped to the file
+    /// (`length` 0 = to EOF), streamed through the hash a block at a time.
     fn checksum(&self, path: &str, offset: u64, length: u64) -> Result<String, Reply> {
-        let p = self.resolve(path)?;
-        let data = std::fs::read(&p).map_err(|_| Reply::new(550, "No such file"))?;
-        let start = (offset as usize).min(data.len());
-        let end = if length == 0 {
-            data.len()
-        } else {
-            (start + length as usize).min(data.len())
+        use std::os::unix::fs::FileExt;
+        let no_such_file = |_| Reply::new(550, "No such file");
+        let file = std::fs::File::open(self.resolve(path)?).map_err(no_such_file)?;
+        let size = file.metadata().map_err(no_such_file)?.len();
+        let mut at = offset.min(size);
+        let end = match length {
+            0 => size,
+            n => at.saturating_add(n).min(size),
         };
-        Ok(esg_gsi::hex(&esg_gsi::sha256(&data[start..end])))
+        let mut hash = esg_gsi::Sha256::new();
+        let mut buf = vec![0u8; BLOCK_SIZE as usize];
+        while at < end {
+            let want = BLOCK_SIZE.min(end - at) as usize;
+            let n = match file.read_at(&mut buf[..want], at) {
+                Ok(0) => break, // file shrank under us
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(no_such_file(e)),
+            };
+            hash.update(&buf[..n]);
+            at += n as u64;
+        }
+        Ok(esg_gsi::hex(&hash.finalize()))
     }
 
     /// Establish `n` data connections: accept from the PASV listener, or
@@ -456,7 +483,9 @@ impl Session {
             let addrs = std::mem::take(&mut self.active_addrs);
             let mut conns = Vec::with_capacity(n);
             for i in 0..n {
-                conns.push(TcpStream::connect(addrs[i % addrs.len()])?);
+                let conn = TcpStream::connect(addrs[i % addrs.len()])?;
+                conn.set_nodelay(true)?;
+                conns.push(conn);
             }
             return Ok(conns);
         }
@@ -464,28 +493,7 @@ impl Session {
             .data_listener
             .take()
             .ok_or_else(|| std::io::Error::other("no PASV listener"))?;
-        listener.set_nonblocking(true)?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut conns = Vec::with_capacity(n);
-        while conns.len() < n {
-            match listener.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    conns.push(s);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "data connections not established",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(conns)
+        accept_within(&listener, n, DATA_ACCEPT_TIMEOUT)
     }
 
     fn do_retr(&mut self, path: &str, partial: Option<(u64, u64)>) -> std::io::Result<()> {
@@ -510,7 +518,7 @@ impl Session {
                 if offset >= size {
                     vec![]
                 } else {
-                    vec![(offset, (offset + length).min(size))]
+                    vec![(offset, offset.saturating_add(length).min(size))]
                 }
             }
             None => match self.restart.take() {
@@ -713,6 +721,56 @@ fn cmd_kind(cmd: &Command) -> char {
         Command::Spas => 's',
         _ => 'p',
     }
+}
+
+/// Accept `n` connections on `listener`, all within `timeout`.
+///
+/// `std` has no accept with a timeout, so a helper thread blocks in
+/// `accept` and hands connections over a channel whose receive can time
+/// out; on a timeout the helper is woken the way the main accept loop is,
+/// by a connection to its own listener.
+fn accept_within(
+    listener: &TcpListener,
+    n: usize,
+    timeout: Duration,
+) -> std::io::Result<Vec<TcpStream>> {
+    let deadline = Instant::now() + timeout;
+    let wake_addr = listener.local_addr()?;
+    let gave_up = AtomicBool::new(false);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..n {
+                let accepted = listener.accept().map(|(conn, _)| conn);
+                if gave_up.load(Ordering::SeqCst) || tx.send(accepted).is_err() {
+                    return;
+                }
+            }
+        });
+        let collect = || -> std::io::Result<Vec<TcpStream>> {
+            let mut conns = Vec::with_capacity(n);
+            while conns.len() < n {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let conn = rx.recv_timeout(left).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "data connections not established",
+                    )
+                })??;
+                conn.set_nodelay(true)?;
+                conns.push(conn);
+            }
+            Ok(conns)
+        };
+        let conns = collect();
+        if conns.is_err() {
+            // The helper may still be inside `accept`, and the scope ends
+            // only when it does.
+            gave_up.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(wake_addr);
+        }
+        conns
+    })
 }
 
 fn send_blocks(

@@ -19,6 +19,8 @@
 //! * [`channel`] — sequenced, MACed, optionally encrypted records
 //!   (control-channel protection and data-channel DCAU/PROT).
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod cert;
 pub mod chacha20;
 pub mod channel;
