@@ -213,7 +213,7 @@ impl Session {
         // write between them, so with Nagle on (the default, as here) the
         // 226 waits for the client's delayed ACK of the 150 and a transfer
         // shorter than that timer (40 ms on Linux) still takes 40 ms.
-        // `set_nodelay(true)` on this socket removes it; ROADMAP item 1
+        // `set_nodelay(true)` on this socket removes it; ROADMAP item 2
         // says why that is not done yet.
         self.send(Reply::new(220, "ESG GridFTP server ready"))?;
         let reader = self.ctrl.try_clone()?;
@@ -608,15 +608,25 @@ impl Session {
                 receive_blocks(conn, &file, base_offset)
             }));
         }
-        let mut ok = true;
-        for h in handles {
-            ok &= h.join().map(|r| r.is_ok()).unwrap_or(false);
-        }
-        if ok {
-            self.send(Reply::new(226, "Transfer complete"))
-        } else {
-            self.send(Reply::new(426, "Connection closed; transfer aborted"))
-        }
+        let results: Vec<std::io::Result<()>> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(std::io::Error::other("receiver panicked")))
+            })
+            .collect();
+        // A block the protocol forbids is the client's error and final
+        // (5xx); a stream that broke is transient (4xx).
+        let invalid = results
+            .iter()
+            .filter_map(|r| r.as_ref().err())
+            .find(|e| e.kind() == std::io::ErrorKind::InvalidData);
+        let reply = match invalid {
+            Some(e) => Reply::new(501, format!("Invalid data block: {e}")),
+            None if results.iter().all(|r| r.is_ok()) => Reply::new(226, "Transfer complete"),
+            None => Reply::new(426, "Connection closed; transfer aborted"),
+        };
+        self.send(reply)
     }
 }
 
@@ -805,7 +815,18 @@ fn receive_blocks(
     loop {
         let (header, payload) = eblock::read_block(&mut conn, BLOCK_SIZE * 4)?;
         if !payload.is_empty() {
-            file.write_all_at(&payload, base_offset + header.offset)?;
+            // Both offsets are the client's: their sum must not wrap onto
+            // bytes it never addressed.
+            let at = base_offset.checked_add(header.offset).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "offset {} on top of base {base_offset} is past the end of the address space",
+                        header.offset
+                    ),
+                )
+            })?;
+            file.write_all_at(&payload, at)?;
         }
         if header.is_eod() {
             return Ok(());

@@ -557,7 +557,57 @@ fn hostile_lengths_are_clamped_not_fatal() {
 }
 
 #[test]
-#[ignore = "the control channel still runs with Nagle on: every short get waits 40 ms for its 226 (ROADMAP item 1)"]
+fn eblock_offset_overflow_fails_the_store_not_the_server() {
+    // `base_offset + header.offset` used to be unchecked: a block offset
+    // of u64::MAX - 1 on top of an ESTO offset panicked the receiver of a
+    // debug server and, in release, wrapped to offset 14 and overwrote
+    // bytes the client never addressed.
+    use esg_gridftp::eblock::{self, BlockHeader};
+    use esg_gridftp::Command;
+    use std::io::Write;
+
+    let root = temp_root("hostile-offset");
+    let before = write_test_file(&root, "f.bin", 4096);
+    let server = start(&root);
+    let mut c = GridFtpClient::connect(server.addr()).unwrap();
+    c.login_anonymous().unwrap();
+
+    let pasv = c.raw_command(&Command::Pasv).unwrap();
+    assert_eq!(pasv.code, 227);
+    let text = pasv.text();
+    let nums: Vec<u16> = text[text.find('(').unwrap() + 1..text.find(')').unwrap()]
+        .split(',')
+        .map(|n| n.trim().parse().unwrap())
+        .collect();
+    let port = nums[4] << 8 | nums[5];
+    let esto = Command::EstoAdjusted {
+        offset: 16,
+        path: "f.bin".into(),
+    };
+    assert_eq!(c.raw_command(&esto).unwrap().code, 150);
+    let mut data = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    eblock::write_block(&mut data, u64::MAX - 1, b"overwrite").unwrap();
+    // The server may already have hung up on the block above.
+    let _ = eblock::write_trailer(&mut data, BlockHeader::eod());
+    let _ = data.flush();
+
+    let fin = c.read_pending_reply().unwrap();
+    assert_eq!(fin.code, 501, "{}", fin.text());
+    assert_eq!(std::fs::read(root.join("f.bin")).unwrap(), before);
+
+    // The session is still usable, for a well-formed store too.
+    assert_eq!(c.raw_command(&Command::Noop).unwrap().code, 200);
+    let opts = TransferOptions {
+        parallelism: 2,
+        buffer: None,
+    };
+    c.put("g.bin", &before, opts, 0).unwrap();
+    assert_eq!(c.get("g.bin", opts).unwrap(), before);
+    c.quit();
+}
+
+#[test]
+#[ignore = "the control channel still runs with Nagle on: every short get waits 40 ms for its 226 (ROADMAP item 2)"]
 fn fresh_session_transfers_carry_no_stall() {
     // 20 × (connect + GSI login + 64 KiB get + quit). With Nagle on the
     // control channel every get waits 40 ms for the 226 (20 × 40 ms =

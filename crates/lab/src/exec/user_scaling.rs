@@ -50,6 +50,10 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             num(point.stats.parallel_batches as f64),
         ),
         (
+            "rate_changes".to_string(),
+            num(point.stats.rate_changes as f64),
+        ),
+        (
             "peak_concurrent_flows".to_string(),
             num(point.peak_concurrent as f64),
         ),
@@ -92,6 +96,7 @@ fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> St
             "\"peak_rss_kb\": {}, \"solver\": \"{}\", \"oracle_probes\": {}, ",
             "\"recompute_passes\": {}, \"components_solved\": {}, ",
             "\"flow_solves\": {}, \"parallel_batches\": {}, ",
+            "\"rate_changes\": {}, ",
             "\"peak_concurrent_flows\": {}, \"equivalent\": true, ",
             "\"trace_sha256\": \"{}\"}}"
         ),
@@ -105,6 +110,7 @@ fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> St
         p.stats.components_solved,
         p.stats.flow_solves,
         p.stats.parallel_batches,
+        p.stats.rate_changes,
         p.peak_concurrent,
         trace_sha256,
     )

@@ -205,6 +205,8 @@ impl MetricsRegistry {
             "simnet.alloc.parallel_batches".into(),
             stats.parallel_batches,
         );
+        self.counters
+            .insert("simnet.alloc.rate_changes".into(), stats.rate_changes);
     }
 
     /// Overwrite a counter with an absolute value (for importing externally
@@ -379,10 +381,12 @@ mod tests {
             route_cache_hits: 40,
             route_cache_misses: 5,
             parallel_batches: 2,
+            rate_changes: 25,
         };
         r.import_alloc(&stats);
         r.import_alloc(&stats);
         assert_eq!(r.counter("simnet.alloc.recompute_passes"), 10);
         assert_eq!(r.counter("simnet.alloc.route_cache_misses"), 5);
+        assert_eq!(r.counter("simnet.alloc.rate_changes"), 25);
     }
 }

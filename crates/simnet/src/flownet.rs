@@ -40,8 +40,9 @@
 //! integrated *lazily*: a flow's `bytes_done` is materialized only when its
 //! rate actually changes (bitwise), so a clean advance costs nothing per
 //! flow. Completions and slow-start boundaries live in a time-ordered event
-//! index updated on rate changes, making [`FlowNet::next_event_time`] a
-//! lookup instead of a scan. Membership lives in a region-sharded index
+//! index (an indexed heap, `crate::eventindex`) re-keyed in place on rate
+//! changes, making [`FlowNet::next_event_time`] a lookup instead of a scan.
+//! Membership lives in a region-sharded index
 //! ([`crate::membership`]) and per-flow hot state is keyed by dense interned
 //! flow ids (a slab), not a tree.
 //!
@@ -55,6 +56,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::allocation::{max_min_fair, AllocFlow};
+use crate::eventindex::{EventIndex, EV_COMPLETE, EV_RAMP};
 use crate::membership::MembershipIndex;
 use crate::network::{Dir, LinkId, NodeId, NodeKind, Topology};
 use crate::tcp::{TcpParams, INITIAL_WINDOW, MSS};
@@ -137,17 +139,6 @@ impl FlowSpec {
     }
 }
 
-impl FlowSpec {
-    fn window_f(&self) -> f64 {
-        self.window
-    }
-}
-
-/// Event-index kinds: completions pop before ramp boundaries at the same
-/// instant (a flow that finishes exactly at a boundary never ramps).
-const EV_COMPLETE: u8 = 0;
-const EV_RAMP: u8 = 1;
-
 #[derive(Debug)]
 struct FlowRt {
     spec: FlowSpec,
@@ -167,12 +158,6 @@ struct FlowRt {
     /// Congestion-window ramp stage; cap = INITIAL_WINDOW * 2^stage / rtt
     /// until it reaches the steady cap. `None` once ramp is finished.
     ramp_stage: Option<u32>,
-    /// Scheduled completion entry in the event index (`SimTime::MAX` =
-    /// none): `anchor + remaining/rate`, refreshed on rate changes.
-    comp_at: SimTime,
-    /// Scheduled ramp-boundary entry in the event index (`SimTime::MAX` =
-    /// none).
-    ramp_at: SimTime,
     /// Interned resource ids this flow crosses, in canonical order (route
     /// links first, then endpoint NIC/CPU/disk), deduplicated. Empty while
     /// the flow is stalled or done.
@@ -182,7 +167,7 @@ struct FlowRt {
 impl FlowRt {
     fn steady_cap(&self) -> f64 {
         TcpParams {
-            window: self.spec.window_f(),
+            window: self.spec.window,
             rtt: self.rtt,
             loss: self.loss,
             mss: self.spec.mss,
@@ -280,6 +265,9 @@ pub struct AllocStats {
     pub route_cache_misses: u64,
     /// Recompute passes whose components were solved on the worker pool.
     pub parallel_batches: u64,
+    /// Bitwise rate changes committed — each one materializes a flow's
+    /// progress and re-keys its completion in the event index.
+    pub rate_changes: u64,
 }
 
 /// How recompute passes solve their dirty components: scratch-arena
@@ -502,34 +490,6 @@ fn partition_components<'a>(
     comps
 }
 
-/// Insert/replace/remove a flow's completion entry in the event index.
-fn set_comp_entry(events: &mut BTreeSet<(SimTime, u8, u64)>, f: &mut FlowRt, id: u64, at: SimTime) {
-    if at == f.comp_at {
-        return;
-    }
-    if f.comp_at != SimTime::MAX {
-        events.remove(&(f.comp_at, EV_COMPLETE, id));
-    }
-    if at != SimTime::MAX {
-        events.insert((at, EV_COMPLETE, id));
-    }
-    f.comp_at = at;
-}
-
-/// Insert/replace/remove a flow's ramp-boundary entry in the event index.
-fn set_ramp_entry(events: &mut BTreeSet<(SimTime, u8, u64)>, f: &mut FlowRt, id: u64, at: SimTime) {
-    if at == f.ramp_at {
-        return;
-    }
-    if f.ramp_at != SimTime::MAX {
-        events.remove(&(f.ramp_at, EV_RAMP, id));
-    }
-    if at != SimTime::MAX {
-        events.insert((at, EV_RAMP, id));
-    }
-    f.ramp_at = at;
-}
-
 /// The live network: topology plus active flows.
 #[derive(Debug)]
 pub struct FlowNet {
@@ -563,10 +523,11 @@ pub struct FlowNet {
     dirty_res: BTreeSet<u32>,
     /// Topology-wide invalidation (reroute events): re-solve everything.
     dirty_all: bool,
-    /// Time-ordered index of pending network discontinuities: flow
-    /// completions and slow-start boundaries, keyed `(time, kind, id)`.
-    /// Maintained eagerly on rate changes so `next_event_time` is a lookup.
-    events: BTreeSet<(SimTime, u8, u64)>,
+    /// Time-ordered index of pending network discontinuities: each flow's
+    /// completion (`anchor + remaining/rate`, re-keyed on rate changes) and
+    /// next slow-start boundary, popped in `(time, kind, id)` order.
+    /// Maintained eagerly so `next_event_time` is a lookup.
+    events: EventIndex,
     /// Route cache keyed by endpoint pair; cleared whenever link/node
     /// up-state changes (the only mutations that can change BFS routes).
     /// Negative results are cached too.
@@ -598,7 +559,7 @@ impl FlowNet {
             dirty_flows: BTreeSet::new(),
             dirty_res: BTreeSet::new(),
             dirty_all: false,
-            events: BTreeSet::new(),
+            events: EventIndex::default(),
             route_cache: HashMap::new(),
             solver: SolverConfig::default(),
             scratch: SolveScratch::default(),
@@ -705,7 +666,7 @@ impl FlowNet {
         for &r in &res {
             self.members.insert(r, id.0);
         }
-        let mut f = FlowRt {
+        let f = FlowRt {
             spec,
             route,
             rtt,
@@ -716,12 +677,10 @@ impl FlowNet {
             state: FlowState::Running,
             started: now,
             ramp_stage,
-            comp_at: SimTime::MAX,
-            ramp_at: SimTime::MAX,
             res,
         };
         if let Some(b) = f.next_ramp_boundary() {
-            set_ramp_entry(&mut self.events, &mut f, id.0, b);
+            self.events.set(EV_RAMP, id.0, b);
         }
         debug_assert_eq!(self.flows.len(), id.0 as usize);
         self.flows.push(Some(f));
@@ -738,12 +697,8 @@ impl FlowNet {
         let Some(f) = slot.take() else {
             return;
         };
-        if f.comp_at != SimTime::MAX {
-            self.events.remove(&(f.comp_at, EV_COMPLETE, id.0));
-        }
-        if f.ramp_at != SimTime::MAX {
-            self.events.remove(&(f.ramp_at, EV_RAMP, id.0));
-        }
+        self.events.set(EV_COMPLETE, id.0, SimTime::MAX);
+        self.events.set(EV_RAMP, id.0, SimTime::MAX);
         // Only a running flow occupies capacity: its departure dirties
         // the resources it sat on so surviving sharers get re-solved.
         // Removing a stalled or completed flow changes nothing.
@@ -900,7 +855,7 @@ impl FlowNet {
                         .next_ramp_boundary()
                         .map(|b| b.max(last + SimDuration::from_nanos(1)))
                         .unwrap_or(SimTime::MAX);
-                    set_ramp_entry(events, f, id, b);
+                    events.set(EV_RAMP, id, b);
                 }
                 None => {
                     let last = self.last_advance;
@@ -910,8 +865,8 @@ impl FlowNet {
                     f.route.clear();
                     f.rate = 0.0;
                     f.state = FlowState::Stalled;
-                    set_comp_entry(events, f, id, SimTime::MAX);
-                    set_ramp_entry(events, f, id, SimTime::MAX);
+                    events.set(EV_COMPLETE, id, SimTime::MAX);
+                    events.set(EV_RAMP, id, SimTime::MAX);
                 }
             }
         }
@@ -930,7 +885,7 @@ impl FlowNet {
         if t <= self.last_advance {
             return;
         }
-        while let Some(&(at, kind, id)) = self.events.first() {
+        while let Some((at, kind, id)) = self.events.first() {
             if at > t {
                 break;
             }
@@ -951,13 +906,9 @@ impl FlowNet {
         let f = self.flows[id as usize].as_mut().expect("live flow");
         f.bytes_done = f.spec.size;
         f.anchor = t;
-        f.comp_at = SimTime::MAX;
         f.rate = 0.0;
         f.state = FlowState::Done;
-        if f.ramp_at != SimTime::MAX {
-            events.remove(&(f.ramp_at, EV_RAMP, id));
-            f.ramp_at = SimTime::MAX;
-        }
+        events.set(EV_RAMP, id, SimTime::MAX);
         let res = std::mem::take(&mut f.res);
         for r in res {
             self.members.remove(r, id);
@@ -971,9 +922,8 @@ impl FlowNet {
         let last = self.last_advance;
         let events = &mut self.events;
         let f = self.flows[id as usize].as_mut().expect("live flow");
-        f.ramp_at = SimTime::MAX; // entry already popped
-                                  // Cross every boundary at or before now (a clamped stale entry —
-                                  // reroute with a shrunken RTT — can cover several at once).
+        // Cross every boundary at or before now (a clamped stale entry —
+        // reroute with a shrunken RTT — can cover several at once).
         while let Some(stage) = f.ramp_stage {
             let boundary = f.started + f.rtt * (stage as u64 + 1);
             if boundary > last {
@@ -992,7 +942,7 @@ impl FlowNet {
             .next_ramp_boundary()
             .map(|b| b.max(last + SimDuration::from_nanos(1)))
             .unwrap_or(SimTime::MAX);
-        set_ramp_entry(events, f, id, b);
+        events.set(EV_RAMP, id, b);
         self.dirty_flows.insert(id);
     }
 
@@ -1007,7 +957,7 @@ impl FlowNet {
     /// rate changes, so after the freshness check this is a lookup.
     pub fn next_event_time(&mut self) -> SimTime {
         self.ensure_fresh();
-        self.events.first().map_or(SimTime::MAX, |&(t, _, _)| t)
+        self.events.first().map_or(SimTime::MAX, |(t, _, _)| t)
     }
 
     /// Seed flows for a recompute: the dirty flows still running, plus every
@@ -1093,14 +1043,14 @@ impl FlowNet {
     }
 
     /// Commit one solved component: flows whose rate changed *bitwise*
-    /// materialize their progress at the present and refresh their
+    /// materialize their progress at the present and re-key their
     /// completion entry; unchanged flows are untouched (same anchor, same
     /// pending events), which is what keeps byte progress bit-identical
     /// however many clean components a pass happens to re-solve.
     fn apply_rates(&mut self, comp: &[u64], rates: &[f64]) {
         let t = self.last_advance;
+        let mut changes = 0;
         for (&fid, &rate) in comp.iter().zip(rates) {
-            let events = &mut self.events;
             let f = self.flows[fid as usize].as_mut().expect("live flow");
             if rate.to_bits() == f.rate.to_bits() {
                 continue;
@@ -1113,8 +1063,10 @@ impl FlowNet {
             } else {
                 SimTime::MAX
             };
-            set_comp_entry(events, f, fid, at);
+            self.events.set(EV_COMPLETE, fid, at);
+            changes += 1;
         }
+        self.stats.rate_changes += changes;
         self.stats.components_solved += 1;
         self.stats.flow_solves += comp.len() as u64;
     }
@@ -1795,6 +1747,60 @@ mod tests {
         net.advance_to(t);
         assert_eq!(net.flow_state(short), Some(FlowState::Done));
         assert!((net.flow_rate(long) - 100e6).abs() < 1.0);
+    }
+
+    // ---- event-index specific tests ----
+
+    #[test]
+    fn stall_resume_and_removal_leave_no_stale_index_entry() {
+        let (mut net, a, b) = dumbbell(100e6, 10);
+        let spec = FlowSpec::new(a, b, 500e6).window(1e12).memory_to_memory();
+        let f1 = net.start_flow(SimTime::ZERO, spec).unwrap();
+        let f2 = net.start_flow(SimTime::ZERO, spec).unwrap();
+        net.advance_to(SimTime::from_secs_f64(0.05));
+        for f in [f1, f2] {
+            assert!(net.events.time_of(EV_COMPLETE, f.0).is_some());
+            assert!(net.events.time_of(EV_RAMP, f.0).is_some());
+        }
+
+        // Stalled flows schedule nothing.
+        net.set_link_up(LinkId(0), false);
+        assert_eq!(net.events.first(), None);
+        assert_eq!(net.next_event_time(), SimTime::MAX);
+
+        // Resuming re-enters slow start: a ramp boundary strictly in the
+        // future at once, a completion as soon as rates are solved.
+        net.set_link_up(LinkId(0), true);
+        assert!(net.events.time_of(EV_RAMP, f1.0).unwrap() > net.now());
+        assert_eq!(net.events.time_of(EV_COMPLETE, f1.0), None);
+        net.snapshot_rates();
+        assert!(net.events.time_of(EV_COMPLETE, f1.0).is_some());
+
+        net.remove_flow(f1);
+        assert_eq!(net.events.time_of(EV_COMPLETE, f1.0), None);
+        assert_eq!(net.events.time_of(EV_RAMP, f1.0), None);
+        assert!(net.events.time_of(EV_COMPLETE, f2.0).is_some());
+
+        // A completion clears the flow's pending ramp entry.
+        let spec = FlowSpec::new(a, b, 1e3).window(1e12).memory_to_memory();
+        let f3 = net.start_flow(net.now(), spec).unwrap();
+        let done = net.next_event_time();
+        net.advance_to(done);
+        assert_eq!(net.flow_state(f3), Some(FlowState::Done));
+        assert_eq!(net.events.time_of(EV_RAMP, f3.0), None);
+        net.remove_flow(f2);
+        assert_eq!(net.events.first(), None);
+    }
+
+    #[test]
+    fn completion_past_the_end_of_time_holds_no_entry() {
+        let (mut net, a, b) = dumbbell(1.0, 0);
+        let id = net
+            .start_flow(SimTime::ZERO, big_window_spec(a, b, 1e30))
+            .unwrap();
+        assert_eq!(net.flow_rate(id), 1.0);
+        assert_eq!(net.events.time_of(EV_COMPLETE, id.0), None);
+        assert_eq!(net.next_event_time(), SimTime::MAX);
     }
 
     // ---- parallel-solver specific tests ----

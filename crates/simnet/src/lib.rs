@@ -47,6 +47,7 @@
 pub mod allocation;
 pub mod background;
 pub mod builders;
+pub(crate) mod eventindex;
 pub mod failure;
 pub mod flownet;
 pub mod kernel;

@@ -263,3 +263,53 @@ proptest! {
         prop_assert_eq!(run(1), run(3), "worker pool diverged from inline solve");
     }
 }
+
+/// The work counters are part of the contract: a change that makes a pass
+/// cheaper must not change how many passes, components or flow-solves a
+/// history costs. One fixed history (a 6-host ring with chords, 600
+/// scripted mutations from a fixed LCG); the expected values were recorded
+/// at the commit before the event index became a heap (`rate_changes` did
+/// not exist there; every rate change was one `BTreeSet` remove + insert).
+#[test]
+fn alloc_stats_on_a_fixed_history_are_pinned() {
+    // A ring with three chords: connected through any single outage.
+    let links: Vec<(usize, usize, f64, u64)> = (0..9)
+        .map(|i| {
+            let (a, b) = if i < 6 { (i, i + 1) } else { (i - 6, i - 3) };
+            (a, b, 20e6 + 35e6 * i as f64, (i as u64 * 7) % 30)
+        })
+        .collect();
+    let (mut net, hosts, lids) = build_net(6, &links);
+    let mut script = Script::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for _ in 0..600 {
+        // Mostly arrivals and time advances; an outage toggle now and then.
+        let kind = [0u8, 0, 0, 0, 1, 2, 4, 5, 5, 5, 5, 3][next() as usize % 12];
+        let op = (
+            kind,
+            next() as usize % (1 << 16),
+            next() as usize % (1 << 16),
+            (next() % 1000) as f64 / 1000.0,
+        );
+        script.apply(&mut net, &hosts, &lids, &op);
+    }
+    assert_matches_oracle(&mut net);
+    assert_eq!(
+        net.alloc_stats(),
+        AllocStats {
+            recompute_passes: 754,
+            components_solved: 878,
+            flow_solves: 14306,
+            route_cache_hits: 691,
+            route_cache_misses: 934,
+            parallel_batches: 0,
+            rate_changes: 1268,
+        }
+    );
+}
