@@ -1093,62 +1093,6 @@ pub fn nws_forecast_accuracy() -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// A10: concurrent-user scaling (the abstract's motivation: datasets used
-/// "by potentially thousands of users"). `user_counts` concurrent clients
-/// each request one file; returns (users, mean request seconds, aggregate
-/// served Mb/s).
-pub fn user_scaling(user_counts: &[usize]) -> Vec<(usize, f64, f64)> {
-    use crate::scenario::esg_testbed;
-    use esg_reqman::submit_request;
-
-    user_counts
-        .iter()
-        .map(|&n| {
-            let mut tb = esg_testbed(61);
-            // Disk-resident replicas at three sites (no tape in this
-            // experiment; A7 covers staging).
-            tb.publish_dataset("popular", 8, 8, 12_500_000, &[1, 3, 4]);
-            tb.start_nws(SimDuration::from_secs(20));
-            tb.sim.run_until(SimTime::from_secs(100));
-            let collection = tb.sim.world.metadata.collection_of("popular").unwrap();
-            let file = tb.sim.world.metadata.all_files("popular").unwrap()[0]
-                .name
-                .clone();
-            let client = tb.client;
-            let started = tb.sim.now();
-            for _ in 0..n {
-                submit_request(
-                    &mut tb.sim,
-                    client,
-                    vec![(collection.clone(), file.clone())],
-                    |s, o| s.world.outcomes.push(o),
-                );
-            }
-            tb.sim.run_until(SimTime::from_secs(36_000));
-            assert_eq!(tb.sim.world.outcomes.len(), n, "all requests served");
-            let mean_secs: f64 = tb
-                .sim
-                .world
-                .outcomes
-                .iter()
-                .map(|o| o.finished.since(o.started).as_secs_f64())
-                .sum::<f64>()
-                / n as f64;
-            let last_done = tb
-                .sim
-                .world
-                .outcomes
-                .iter()
-                .map(|o| o.finished)
-                .max()
-                .unwrap();
-            let total_bytes: u64 = tb.sim.world.outcomes.iter().map(|o| o.total_bytes).sum();
-            let wall = last_done.since(started).as_secs_f64();
-            (n, mean_secs, total_bytes as f64 * 8.0 / wall / 1e6)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1262,19 +1206,6 @@ mod tests {
         let rows = ablation_cpu_model();
         assert!(rows[1].1 > rows[0].1, "{rows:?}");
         assert!(rows[2].1 > rows[1].1, "{rows:?}");
-    }
-
-    #[test]
-    fn user_scaling_degrades_gracefully() {
-        let rows = user_scaling(&[1, 8, 32]);
-        let (_, t1, _) = rows[0];
-        let (_, t8, agg8) = rows[1];
-        let (_, t32, agg32) = rows[2];
-        // Latency grows with contention but sub-linearly (replicas at
-        // three sites absorb load), and aggregate throughput grows.
-        assert!(t8 > t1, "contention must cost something: {t1} vs {t8}");
-        assert!(t32 < t1 * 32.0, "far better than serial: {t1} vs {t32}");
-        assert!(agg32 > agg8 * 0.8, "aggregate holds up: {agg8} vs {agg32}");
     }
 
     #[test]

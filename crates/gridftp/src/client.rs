@@ -240,18 +240,20 @@ impl GridFtpClient {
     /// Run one retrieval: send `cmd` (RETR/ERET), open `streams` data
     /// connections, read each on its own thread and hand every block to
     /// `sink(offset, payload)` on this one, then take the final reply.
-    /// A broken data stream is reported even when the blocks that did
-    /// arrive have been sunk.
+    /// `sink` returns whether the block had a place ([`place_block`]); one
+    /// refusal fails the retrieval. A broken data stream is reported even
+    /// when the blocks that did arrive have been sunk.
     fn retrieve(
         &mut self,
         cmd: &Command,
         data_addr: SocketAddrV4,
         streams: u32,
-        mut sink: impl FnMut(u64, &[u8]),
+        mut sink: impl FnMut(u64, &[u8]) -> bool,
     ) -> Result<()> {
         self.expect(cmd, 150, "150")?;
         let conns = connect_data(data_addr, streams)?;
         let (tx, rx) = crossbeam::channel::unbounded::<(u64, Vec<u8>)>();
+        let mut misplaced = false;
         let stream_err = std::thread::scope(|scope| {
             let readers: Vec<_> = conns
                 .into_iter()
@@ -273,7 +275,7 @@ impl GridFtpClient {
                 .collect();
             drop(tx);
             for (offset, payload) in rx {
-                sink(offset, &payload);
+                misplaced |= !sink(offset, &payload);
             }
             let mut stream_err = None;
             for reader in readers {
@@ -296,6 +298,12 @@ impl GridFtpClient {
                 got: fin,
             });
         }
+        if misplaced {
+            return Err(ClientError::Protocol {
+                expected: "every data block inside the requested range",
+                got: fin,
+            });
+        }
         Ok(())
     }
 
@@ -303,7 +311,8 @@ impl GridFtpClient {
     ///
     /// `buffer` must be pre-sized to the full file length; `received`
     /// tracks which ranges are already present and is updated as blocks
-    /// land. Returns the total bytes received in this attempt.
+    /// land. Returns the total bytes received in this attempt. A block the
+    /// server places outside `buffer` is a [`ClientError::Protocol`].
     pub fn get_into(
         &mut self,
         path: &str,
@@ -321,12 +330,13 @@ impl GridFtpClient {
         let mut got = 0u64;
         let retr = Command::Retr(path.into());
         self.retrieve(&retr, data_addr, opts.parallelism, |offset, payload| {
-            let end = offset as usize + payload.len();
-            if end <= buffer.len() {
-                buffer[offset as usize..end].copy_from_slice(payload);
-                received.insert(offset, end as u64);
-                got += payload.len() as u64;
-            }
+            let Some(at) = place_block(offset, payload.len(), 0, buffer.len() as u64) else {
+                return false;
+            };
+            received.insert(offset, at.end as u64);
+            got += payload.len() as u64;
+            buffer[at].copy_from_slice(payload);
+            true
         })?;
         Ok(got)
     }
@@ -347,30 +357,34 @@ impl GridFtpClient {
     }
 
     /// A retrieval whose size the server decides (ERET): blocks land at
-    /// `offset - base` in a buffer that grows to fit them.
+    /// `offset - base` in a buffer that grows to fit them, never past
+    /// `limit` bytes — the server's offsets do not size the allocation.
     fn retrieve_growing(
         &mut self,
         cmd: &Command,
         base: u64,
+        limit: u64,
         opts: TransferOptions,
     ) -> Result<Vec<u8>> {
         let data_addr = self.open_data(opts.parallelism)?;
         let mut out: Vec<u8> = Vec::new();
         self.retrieve(cmd, data_addr, opts.parallelism, |offset, payload| {
-            let Some(at) = offset.checked_sub(base) else {
-                return; // before the range asked for
+            let Some(at) = place_block(offset, payload.len(), base, limit) else {
+                return false;
             };
-            let end = at as usize + payload.len();
-            if out.len() < end {
-                out.resize(end, 0);
+            if out.len() < at.end {
+                out.resize(at.end, 0);
             }
-            out[at as usize..end].copy_from_slice(payload);
+            out[at].copy_from_slice(payload);
+            true
         })?;
         Ok(out)
     }
 
-    /// Partial retrieval via ERET: up to `length` bytes from `offset`,
-    /// fewer when the file ends first.
+    /// Partial retrieval via ERET: up to `length` bytes from `offset`
+    /// (and never more than [`MAX_ERET_BYTES`]), fewer when the file ends
+    /// first. A block outside the range asked for is a
+    /// [`ClientError::Protocol`].
     pub fn get_partial(
         &mut self,
         path: &str,
@@ -383,12 +397,13 @@ impl GridFtpClient {
             length,
             path: path.into(),
         };
-        self.retrieve_growing(&eret, offset, opts)
+        self.retrieve_growing(&eret, offset, length.min(MAX_ERET_BYTES), opts)
     }
 
     /// Server-side subsetting via `ERET X`: the server extracts time steps
     /// `[t0, t1)` of one variable from an ESG1 dataset and transmits only
-    /// the subset — the ESG-II server-side-processing extension.
+    /// the subset — the ESG-II server-side-processing extension. The server
+    /// decides the size; past [`MAX_ERET_BYTES`] it is refused.
     pub fn get_subset(
         &mut self,
         path: &str,
@@ -403,7 +418,7 @@ impl GridFtpClient {
             t1,
             path: path.into(),
         };
-        self.retrieve_growing(&eret, 0, opts)
+        self.retrieve_growing(&eret, 0, MAX_ERET_BYTES, opts)
     }
 
     /// Upload a byte buffer with parallel streams (STOR / ESTO).
@@ -507,6 +522,24 @@ pub fn third_party_transfer(
         }
     }
     Ok(())
+}
+
+/// The most one ERET retrieval (`get_partial`, `get_subset`) buffers in
+/// memory, whatever offsets the server sends: 1 GiB.
+pub const MAX_ERET_BYTES: u64 = 1 << 30;
+
+/// Where a data block lands in the client's buffer. `offset` and `len` are
+/// the server's; `base` (file offset of the buffer's first byte) and
+/// `limit` (most bytes the buffer may hold) are the client's. `None` when
+/// the block starts before `base`, ends past `base + limit`, or its end
+/// overflows — so nothing outside `0..limit` is indexed or allocated.
+fn place_block(offset: u64, len: usize, base: u64, limit: u64) -> Option<std::ops::Range<usize>> {
+    let at = offset.checked_sub(base)?;
+    let end = at.checked_add(len as u64)?;
+    if end > limit {
+        return None;
+    }
+    Some(usize::try_from(at).ok()?..usize::try_from(end).ok()?)
 }
 
 /// Open `streams` data connections to the server's passive port.
@@ -620,5 +653,30 @@ mod tests {
         assert_eq!(a.ip().octets(), [127, 0, 0, 1]);
         assert!(parse_pasv("no parens").is_none());
         assert!(parse_pasv("(1,2,3)").is_none());
+    }
+
+    #[test]
+    fn place_block_accepts_only_blocks_inside_the_window() {
+        // In range: relative to `base`, up to and including the last byte.
+        assert_eq!(place_block(1000, 24, 1000, 70_000), Some(0..24));
+        assert_eq!(place_block(70_976, 24, 1000, 70_000), Some(69_976..70_000));
+        assert_eq!(place_block(0, 0, 0, 0), Some(0..0));
+        // One byte past what was asked for is refused, not grown into.
+        assert_eq!(place_block(70_977, 24, 1000, 70_000), None);
+        // A server-chosen offset a terabyte out never sizes an allocation.
+        assert_eq!(place_block(1000 + (1 << 40), 24, 1000, 70_000), None);
+        assert_eq!(place_block(1 << 40, 24, 0, MAX_ERET_BYTES), None);
+        // Before the range asked for.
+        assert_eq!(place_block(999, 24, 1000, 70_000), None);
+    }
+
+    #[test]
+    fn place_block_refuses_an_end_that_wraps() {
+        // A wrapped `offset + len` must not come back as a small index
+        // that passes the `end <= limit` test.
+        assert_eq!(place_block(u64::MAX - 10, 24, 0, 1 << 20), None);
+        assert_eq!(place_block(u64::MAX - 10, 24, 5, u64::MAX), None);
+        // The widest window a caller can ask for still has an end.
+        assert_eq!(place_block(1, 24, 1, u64::MAX), Some(0..24));
     }
 }

@@ -1,7 +1,6 @@
 //! `user_scaling` executor: one trial = one point of the A10/A14 flow
-//! scaling curve — the seeded workload on the allocator's default
-//! configuration, checked against the from-scratch oracle by in-run
-//! probes (`scaling::run_curve_point`).
+//! scaling curve — the seeded workload checked against the from-scratch
+//! oracle by in-run probes (`scaling::run_curve_point`).
 
 use super::TrialCtx;
 use crate::journal::{MetricValue, TrialRecord};
@@ -46,10 +45,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             num(point.stats.flow_solves as f64),
         ),
         (
-            "parallel_batches".to_string(),
-            num(point.stats.parallel_batches as f64),
-        ),
-        (
             "rate_changes".to_string(),
             num(point.stats.rate_changes as f64),
         ),
@@ -61,7 +56,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             "trace_sha256".to_string(),
             MetricValue::Str(trace_sha256.clone()),
         ),
-        ("solver".to_string(), MetricValue::Str(point.solver.clone())),
     ];
 
     let timing = vec![
@@ -93,10 +87,9 @@ fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> St
         s,
         concat!(
             "{{\"n\": {}, \"regions\": {}, \"wall_ms\": {:.3}, ",
-            "\"peak_rss_kb\": {}, \"solver\": \"{}\", \"oracle_probes\": {}, ",
+            "\"peak_rss_kb\": {}, \"oracle_probes\": {}, ",
             "\"recompute_passes\": {}, \"components_solved\": {}, ",
-            "\"flow_solves\": {}, \"parallel_batches\": {}, ",
-            "\"rate_changes\": {}, ",
+            "\"flow_solves\": {}, \"rate_changes\": {}, ",
             "\"peak_concurrent_flows\": {}, \"equivalent\": true, ",
             "\"trace_sha256\": \"{}\"}}"
         ),
@@ -104,12 +97,10 @@ fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> St
         regions,
         p.wall.as_secs_f64() * 1e3,
         p.peak_rss_kb.unwrap_or(0),
-        p.solver,
         p.oracle_probes_run,
         p.stats.recompute_passes,
         p.stats.components_solved,
         p.stats.flow_solves,
-        p.stats.parallel_batches,
         p.stats.rate_changes,
         p.peak_concurrent,
         trace_sha256,

@@ -2,7 +2,8 @@
 //!
 //! Builds a WAN of independent regions — each a storage server feeding
 //! several clients through a shared regional uplink — and pushes N
-//! concurrent flows through it on the allocator's default configuration.
+//! concurrent flows through it. The allocator has no configuration: one
+//! single-threaded solve loop (DESIGN.md "Why there is no pool").
 //!
 //! Regions are disjoint on purpose: real deployments are many mostly-
 //! independent site↔client paths, and that independence is exactly the
@@ -32,10 +33,6 @@ pub const CLIENTS_PER_REGION: usize = 4;
 
 /// Result of one run.
 pub struct RunResult {
-    /// Pool shape the allocator ran with ("pool(w=8,thr=4096)") — the
-    /// wall clock depends on the host's parallelism, so it is reported
-    /// beside it.
-    pub solver: String,
     pub wall: std::time::Duration,
     pub stats: AllocStats,
     /// (flow sequence number, completion time) in completion order.
@@ -105,7 +102,6 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
             oracle_probes: 0,
         })),
     );
-    let SolverConfig { workers, threshold } = sim.net.solver();
 
     // Deterministic workload: arrivals staggered over 20 s, sizes chosen
     // so every flow outlives the arrival window — the whole population is
@@ -189,7 +185,6 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
         "not every flow completed before the horizon"
     );
     RunResult {
-        solver: format!("pool(w={workers},thr={threshold})"),
         wall,
         stats: sim.net.alloc_stats(),
         completions: world.completions.clone(),
@@ -231,7 +226,6 @@ mod tests {
     #[test]
     fn curve_point_runs_its_probes() {
         let p = run_curve_point(32, 4, 11, 4, 2);
-        assert!(p.solver.starts_with("pool(w="));
         // All probes executed (they panic internally on divergence).
         assert_eq!(p.oracle_probes_run, 4);
         assert_eq!(p.completions.len(), 32);

@@ -201,10 +201,6 @@ impl MetricsRegistry {
             "simnet.alloc.route_cache_misses".into(),
             stats.route_cache_misses,
         );
-        self.counters.insert(
-            "simnet.alloc.parallel_batches".into(),
-            stats.parallel_batches,
-        );
         self.counters
             .insert("simnet.alloc.rate_changes".into(), stats.rate_changes);
     }
@@ -380,7 +376,7 @@ mod tests {
             flow_solves: 30,
             route_cache_hits: 40,
             route_cache_misses: 5,
-            parallel_batches: 2,
+            parallel_batches: 0,
             rate_changes: 25,
         };
         r.import_alloc(&stats);

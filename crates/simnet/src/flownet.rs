@@ -22,18 +22,6 @@
 //! the whole problem from routes and topology as the from-scratch reference
 //! for differential tests.
 //!
-//! ## Parallel component solve
-//!
-//! Components are independent subproblems, so a recompute pass may fan them
-//! out across a worker pool ([`SolverConfig`]). Each worker solves
-//! pure subproblems against a shared immutable snapshot of the network and
-//! an arena of its own ([`SolveScratch`]); the results are then *applied in
-//! ascending component order on the main thread*. Components are disjoint
-//! (no shared flows or capacity) and assembly is canonical, so the merged
-//! rates are bitwise identical to an inline solve no matter how the OS
-//! schedules the workers. `tests/alloc_differential.rs` holds a property
-//! test pinning inline ≡ pooled ≡ oracle.
-//!
 //! ## Scale: O(events), not O(flows · events)
 //!
 //! Nothing in the steady-state event path scans all flows. Byte progress is
@@ -263,33 +251,14 @@ pub struct AllocStats {
     pub route_cache_hits: u64,
     /// Route-cache misses (BFS actually ran).
     pub route_cache_misses: u64,
-    /// Recompute passes whose components were solved on the worker pool.
+    /// Always 0: nothing increments it since the worker pool was deleted
+    /// (EXPERIMENTS A21). Kept only because the frozen
+    /// `benchmark/src/workloads/mod.rs` reads it; dropped with the next
+    /// `benchmark` PR (ROADMAP item 2d).
     pub parallel_batches: u64,
     /// Bitwise rate changes committed — each one materializes a flow's
     /// progress and re-keys its completion in the event index.
     pub rate_changes: u64,
-}
-
-/// How recompute passes solve their dirty components: scratch-arena
-/// assembly, fanned out across `workers` OS threads when a pass carries at
-/// least `threshold` flows (passes below the threshold run inline on the
-/// caller's thread — spawn overhead would swamp small solves). The result
-/// is bitwise identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverConfig {
-    pub workers: usize,
-    /// Minimum total flows in a pass before threads are spawned.
-    pub threshold: usize,
-}
-
-impl Default for SolverConfig {
-    /// One worker per available core; single-worker pools run inline.
-    fn default() -> Self {
-        SolverConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            threshold: 4096,
-        }
-    }
 }
 
 /// Reusable arena for assembling one component's subproblem without
@@ -532,11 +501,8 @@ pub struct FlowNet {
     /// up-state changes (the only mutations that can change BFS routes).
     /// Negative results are cached too.
     route_cache: HashMap<(NodeId, NodeId), CachedRoute>,
-    solver: SolverConfig,
-    /// Arena for inline (non-parallel) solves.
+    /// Arena for component assembly, reused across solves.
     scratch: SolveScratch,
-    /// Per-worker arenas, reused across parallel passes.
-    worker_scratch: Vec<SolveScratch>,
     /// Visited-set arena for component partitioning, reused across passes.
     part_scratch: PartitionScratch,
     stats: AllocStats,
@@ -561,22 +527,10 @@ impl FlowNet {
             dirty_all: false,
             events: EventIndex::default(),
             route_cache: HashMap::new(),
-            solver: SolverConfig::default(),
             scratch: SolveScratch::default(),
-            worker_scratch: Vec::new(),
             part_scratch: PartitionScratch::default(),
             stats: AllocStats::default(),
         }
-    }
-
-    /// Select how recompute passes solve their components. Every setting
-    /// is bitwise identical; this only trades wall-clock.
-    pub fn set_solver(&mut self, cfg: SolverConfig) {
-        self.solver = cfg;
-    }
-
-    pub fn solver(&self) -> SolverConfig {
-        self.solver
     }
 
     /// Cumulative allocation-work counters.
@@ -1019,7 +973,7 @@ impl FlowNet {
     /// subproblem, against an immutable view of the network. Assembly order
     /// is canonical — flows ascending by id, resources interned by first
     /// encounter — so the same component always produces the same bits no
-    /// matter what else is recomputed around it, on whatever thread.
+    /// matter what else is recomputed around it.
     fn solve_component_rates(&self, comp: &[u64], scratch: &mut SolveScratch) -> Vec<f64> {
         scratch.begin(self.res_keys.len());
         let mut aflows: Vec<AllocFlow> = Vec::with_capacity(comp.len());
@@ -1071,81 +1025,15 @@ impl FlowNet {
         self.stats.flow_solves += comp.len() as u64;
     }
 
-    /// Solve a batch of components — on the worker pool when the pass is
-    /// past the configured threshold, inline otherwise — and commit the
-    /// results in ascending component order.
+    /// Solve a batch of components and commit each in ascending component
+    /// order — the one solve loop, behind full and scoped refreshes alike.
     fn solve_components(&mut self, comps: &[Vec<u64>]) {
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        let workers = self.solver.workers.min(comps.len());
-        if workers > 1 && total >= self.solver.threshold {
-            self.solve_components_parallel(comps, workers);
-        } else {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            for comp in comps {
-                let rates = self.solve_component_rates(comp, &mut scratch);
-                self.apply_rates(comp, &rates);
-            }
-            self.scratch = scratch;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for comp in comps {
+            let rates = self.solve_component_rates(comp, &mut scratch);
+            self.apply_rates(comp, &rates);
         }
-    }
-
-    /// Fan a batch of components out across `workers` OS threads.
-    ///
-    /// The merge is deterministic by construction: workers own disjoint
-    /// contiguous chunks of the (canonically ordered) component list, each
-    /// component is solved as a pure function of the shared immutable
-    /// network snapshot, and the main thread joins the chunks back in
-    /// component order before applying them. Thread scheduling can change
-    /// only *when* a result is produced, never which result or the order in
-    /// which it is applied.
-    fn solve_components_parallel(&mut self, comps: &[Vec<u64>], workers: usize) {
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        // Contiguous chunks balanced by flow count (components vary wildly
-        // in size; round-robin would still balance but would scatter cache
-        // locality of neighbouring components).
-        let per_worker = total.div_ceil(workers);
-        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        let mut acc = 0usize;
-        for (i, comp) in comps.iter().enumerate() {
-            acc += comp.len();
-            if acc >= per_worker && chunks.len() + 1 < workers {
-                chunks.push((start, i + 1));
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < comps.len() {
-            chunks.push((start, comps.len()));
-        }
-        let mut pool = std::mem::take(&mut self.worker_scratch);
-        pool.resize_with(chunks.len(), SolveScratch::default);
-        let net: &FlowNet = self;
-        let mut parts: Vec<Vec<Vec<f64>>> = Vec::with_capacity(chunks.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for (&(lo, hi), scratch) in chunks.iter().zip(pool.iter_mut()) {
-                handles.push(scope.spawn(move || {
-                    comps[lo..hi]
-                        .iter()
-                        .map(|comp| net.solve_component_rates(comp, scratch))
-                        .collect::<Vec<Vec<f64>>>()
-                }));
-            }
-            for h in handles {
-                parts.push(h.join().expect("solver worker panicked"));
-            }
-        });
-        self.worker_scratch = pool;
-        // Reassemble in canonical (ascending component) order and apply.
-        let mut it = comps.iter();
-        for part in parts {
-            for rates in part {
-                let comp = it.next().expect("chunk/component count mismatch");
-                self.apply_rates(comp, &rates);
-            }
-        }
-        self.stats.parallel_batches += 1;
+        self.scratch = scratch;
     }
 
     /// Recompute the allocation for every dirty component. A burst of
@@ -1189,12 +1077,7 @@ impl FlowNet {
             .into_iter()
             .filter(|c| c.iter().any(|&f| wanted(f, self.flow(f))))
             .collect();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for comp in &chosen {
-            let rates = self.solve_component_rates(comp, &mut scratch);
-            self.apply_rates(comp, &rates);
-        }
-        self.scratch = scratch;
+        self.solve_components(&chosen);
     }
 
     /// Fraction of a host's CPU byte-processing budget currently consumed
@@ -1681,6 +1564,17 @@ mod tests {
             .is_ok());
     }
 
+    /// One `snapshot_rates()`, bitwise equal to the from-scratch oracle.
+    fn assert_matches_oracle(net: &mut FlowNet) {
+        let inc = net.snapshot_rates();
+        let ora = net.oracle_rates();
+        assert_eq!(inc.len(), ora.len());
+        for ((fi, ri), (fo, ro)) in inc.iter().zip(&ora) {
+            assert_eq!(fi, fo);
+            assert_eq!(ri.to_bits(), ro.to_bits(), "flow {fi:?}: {ri} vs {ro}");
+        }
+    }
+
     #[test]
     fn incremental_matches_oracle_through_mutations() {
         let (mut net, a, b, c, d) = twin_dumbbells();
@@ -1691,26 +1585,17 @@ mod tests {
             .unwrap();
         net.start_flow(SimTime::ZERO, big_window_spec(a, b, f64::INFINITY))
             .unwrap();
-        let check = |net: &mut FlowNet| {
-            let inc = net.snapshot_rates();
-            let ora = net.oracle_rates();
-            assert_eq!(inc.len(), ora.len());
-            for ((fi, ri), (fo, ro)) in inc.iter().zip(&ora) {
-                assert_eq!(fi, fo);
-                assert_eq!(ri.to_bits(), ro.to_bits(), "flow {fi:?}: {ri} vs {ro}");
-            }
-        };
-        check(&mut net);
+        assert_matches_oracle(&mut net);
         net.advance_to(SimTime::from_secs(2));
-        check(&mut net);
+        assert_matches_oracle(&mut net);
         net.set_link_capacity(LinkId(1), 40e6);
-        check(&mut net);
+        assert_matches_oracle(&mut net);
         net.remove_flow(f1);
-        check(&mut net);
+        assert_matches_oracle(&mut net);
         net.set_link_up(LinkId(0), false);
-        check(&mut net);
+        assert_matches_oracle(&mut net);
         net.set_link_up(LinkId(0), true);
-        check(&mut net);
+        assert_matches_oracle(&mut net);
     }
 
     #[test]
@@ -1803,75 +1688,32 @@ mod tests {
         assert_eq!(net.next_event_time(), SimTime::MAX);
     }
 
-    // ---- parallel-solver specific tests ----
-
-    /// Drive a multi-region workload under a given solver and collect the
-    /// full observable state trajectory.
-    fn solver_trajectory(workers: usize) -> Vec<(u64, u64, u64)> {
+    #[test]
+    fn one_large_burst_is_one_pass_over_every_region() {
+        // The largest pass shape in use (the benchmark's `flow_burst`):
+        // 4096 flows dirty at one instant across 256 disjoint regions.
+        const REGIONS: usize = 256;
         let mut t = Topology::new();
-        let mut pairs = Vec::new();
-        for i in 0..8 {
-            let a = t.add_node(Node::host(format!("a{i}")));
-            let b = t.add_node(Node::host(format!("b{i}")));
-            t.add_link(a, b, 100e6, SimDuration::from_millis(5));
-            pairs.push((a, b));
-        }
+        let pairs: Vec<(NodeId, NodeId)> = (0..REGIONS)
+            .map(|i| {
+                let a = t.add_node(Node::host(format!("a{i}")));
+                let b = t.add_node(Node::host(format!("b{i}")));
+                t.add_link(a, b, 40e6 + i as f64 * 1e6, SimDuration::from_millis(5));
+                (a, b)
+            })
+            .collect();
         let mut net = FlowNet::new(t);
-        // threshold 0: every pass with >1 worker goes through the pool.
-        net.set_solver(SolverConfig {
-            workers,
-            threshold: 0,
-        });
-        let mut ids = Vec::new();
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            for j in 0..4 {
-                let size = 20e6 + (i * 4 + j) as f64 * 3e6;
-                ids.push(
-                    net.start_flow(SimTime::ZERO, big_window_spec(a, b, size))
-                        .unwrap(),
-                );
+        for j in 0..16 {
+            for &(a, b) in &pairs {
+                let spec = FlowSpec::new(a, b, f64::INFINITY).window(2e5 * (j + 1) as f64);
+                net.start_flow(SimTime::ZERO, spec).unwrap();
             }
         }
-        let mut out = Vec::new();
-        for step in 1..=40u64 {
-            net.advance_to(SimTime::from_secs_f64(step as f64 * 0.2));
-            for &id in &ids {
-                out.push((
-                    id.0,
-                    net.flow_bytes(id).to_bits(),
-                    net.flow_rate(id).to_bits(),
-                ));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn pooled_solver_is_bitwise_identical_to_inline() {
-        assert_eq!(solver_trajectory(1), solver_trajectory(4));
-    }
-
-    #[test]
-    fn parallel_batches_counter_moves() {
-        let mut t = Topology::new();
-        let a = t.add_node(Node::host("a"));
-        let b = t.add_node(Node::host("b"));
-        let c = t.add_node(Node::host("c"));
-        let d = t.add_node(Node::host("d"));
-        t.add_link(a, b, 100e6, SimDuration::ZERO);
-        t.add_link(c, d, 100e6, SimDuration::ZERO);
-        let mut net = FlowNet::new(t);
-        net.set_solver(SolverConfig {
-            workers: 2,
-            threshold: 0,
-        });
-        net.start_flow(SimTime::ZERO, big_window_spec(a, b, f64::INFINITY))
-            .unwrap();
-        net.start_flow(SimTime::ZERO, big_window_spec(c, d, f64::INFINITY))
-            .unwrap();
-        net.snapshot_rates();
-        assert_eq!(net.alloc_stats().parallel_batches, 1);
-        assert_eq!(net.alloc_stats().components_solved, 2);
+        assert_matches_oracle(&mut net);
+        let stats = net.alloc_stats();
+        assert_eq!(stats.recompute_passes, 1);
+        assert_eq!(stats.components_solved, REGIONS as u64);
+        assert_eq!(stats.flow_solves, 16 * REGIONS as u64);
     }
 
     #[test]

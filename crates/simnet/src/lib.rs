@@ -58,7 +58,7 @@ pub mod tcp;
 pub mod time;
 pub mod timerwheel;
 
-pub use flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig};
+pub use flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState};
 pub use kernel::Sim;
 pub use network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};
 pub use profile::ProfileReport;
@@ -69,9 +69,7 @@ pub mod prelude {
     pub use crate::background::{start_background, BackgroundTraffic};
     pub use crate::builders::{dumbbell, star_sites, Dumbbell, DumbbellParams};
     pub use crate::failure::{inject, inject_all, Fault, FaultKind};
-    pub use crate::flownet::{
-        AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState, SolverConfig,
-    };
+    pub use crate::flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState};
     pub use crate::kernel::Sim;
     pub use crate::network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};
     pub use crate::profile::ProfileReport;

@@ -231,37 +231,6 @@ proptest! {
             after.recompute_passes - before.recompute_passes
         );
     }
-
-    /// Property 4 — pool equivalence. The same script run on the inline
-    /// scratch-arena solver and on the threaded worker pool (threshold 0
-    /// so every pass crosses the pool) produces bitwise-identical rate AND
-    /// byte trajectories at every step, and the final state matches the
-    /// from-scratch oracle. This is the determinism contract of the
-    /// parallel component solve: thread scheduling may change when a
-    /// component's result is produced, never which result or the order it
-    /// is applied in.
-    #[test]
-    fn pooled_solve_matches_inline_and_oracle(
-        topo in topo_strategy(),
-        ops in ops_strategy(30),
-    ) {
-        let (n_hosts, links) = topo;
-        let run = |workers: usize| {
-            let (mut net, hosts, lids) = build_net(n_hosts, &links);
-            net.set_solver(SolverConfig { workers, threshold: 0 });
-            let mut script = Script::new();
-            let mut trajectory: Vec<(u64, u64)> = Vec::new();
-            for op in &ops {
-                script.apply(&mut net, &hosts, &lids, op);
-                for &(id, rate) in &net.snapshot_rates() {
-                    trajectory.push((rate.to_bits(), net.flow_bytes(id).to_bits()));
-                }
-            }
-            assert_matches_oracle(&mut net);
-            trajectory
-        };
-        prop_assert_eq!(run(1), run(3), "worker pool diverged from inline solve");
-    }
 }
 
 /// The work counters are part of the contract: a change that makes a pass
