@@ -1663,6 +1663,12 @@ fn start_file_worker<W: RmWorld>(
                     // global, so no host is blamed.
                     let now = s2.now();
                     ledger_release(s2, &st3, idx);
+                    {
+                        // The handle is dead: the monitor must not poll it.
+                        let mut st = st3.borrow_mut();
+                        st.files[idx].current = None;
+                        st.sync_file(idx);
+                    }
                     if matches!(e, TransferError::NoRoute { .. }) {
                         {
                             let mut st = st3.borrow_mut();
@@ -2594,6 +2600,53 @@ mod tests {
             .named("rm.reliability.failover")
             .next()
             .is_some());
+    }
+
+    /// Every lifeline in the trace is closed and its phases tile its root.
+    fn assert_lifelines_tile(rm: &RequestManager) {
+        let set = esg_netlogger::LifelineSet::from_log(&rm.log);
+        assert!(set.orphans.is_empty(), "orphans: {:?}", set.orphans);
+        assert!(!set.lifelines.is_empty());
+        for l in &set.lifelines {
+            assert!(l.is_complete(), "phases do not tile {}", l.file);
+        }
+    }
+
+    /// Regression: a route that vanishes inside the transfer's set-up
+    /// window fails the launch through the completion callback. The pull
+    /// must be gone by then — a handle left behind is polled by the next
+    /// monitor tick as "stalled" (a phantom failover that bypasses the
+    /// back-off), and the back-off timer then starts a second concurrent
+    /// pull of the same file.
+    #[test]
+    fn failed_launch_leaves_no_live_pull_behind() {
+        let (mut sim, client) = setup(Policy::BestBandwidth);
+        sim.world.rm.min_rate = 1e6;
+        sim.world.rm.grace = SimDuration::from_secs(1);
+        sim.world.rm.retry.base = SimDuration::from_secs(4);
+        submit_request(
+            &mut sim,
+            client,
+            vec![("co2".into(), "jan.esg".into())],
+            |s, o| s.world.outcomes.push(o),
+        );
+        let fast = sim.world.rm.hosts["fast.llnl.gov"];
+        sim.schedule(SimDuration::from_millis(400), move |s| {
+            s.net.set_node_up(fast, false);
+        });
+        sim.run_until(SimTime::from_secs(300));
+        assert_eq!(sim.world.outcomes.len(), 1);
+        let f = &sim.world.outcomes[0].files[0];
+        assert!(f.done && !f.failed);
+        assert_eq!(
+            (
+                sim.world.rm.metrics.counter("rm.failovers"),
+                sim.world.gridftp.transfers_started,
+                f.attempts
+            ),
+            (0, 2, 2)
+        );
+        assert_lifelines_tile(&sim.world.rm);
     }
 
     #[test]
