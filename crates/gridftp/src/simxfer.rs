@@ -386,7 +386,8 @@ pub fn start_transfer<W: HasGridFtp + 'static>(
             }) {
                 Ok(fid) => launch_state.borrow_mut().flows.push(fid),
                 Err(_) => {
-                    // Route vanished during setup: fail the transfer once.
+                    // Route vanished during setup: fail the transfer once,
+                    // and retire it like a completed one.
                     {
                         let mut stb = launch_state.borrow_mut();
                         stb.cancelled = true;
@@ -395,6 +396,7 @@ pub fn start_transfer<W: HasGridFtp + 'static>(
                             s.net.remove_flow(f);
                         }
                     }
+                    s.world.gridftp().transfers.remove(&transfer_id);
                     if let Some(cb) = launch_done.borrow_mut().take() {
                         let src = launch_state.borrow().spec.sources[0];
                         cb(s, Err(TransferError::NoRoute { source: src }));
@@ -738,6 +740,24 @@ mod tests {
         let safe = run(esg_gsi::Protection::Safe);
         assert!(safe > clear, "protection must cost time");
         assert!(safe < clear * 1.01, "but well under 1%");
+    }
+
+    #[test]
+    fn route_lost_during_setup_fails_once_and_retires_the_transfer() {
+        let (mut sim, a, b) = two_hosts(100e6, 10);
+        let spec = TransferSpec::new(a, b, 10_000_000).memory_to_memory();
+        let h = start_transfer(&mut sim, spec, record()).unwrap();
+        // Set-up takes several round trips; the source dies inside it.
+        sim.schedule(SimDuration::from_millis(5), move |s| {
+            s.net.set_node_up(a, false);
+        });
+        sim.run();
+        let no_route = Err(TransferError::NoRoute { source: a });
+        assert_eq!(sim.world.results, [no_route]);
+        assert!(sim.world.gridftp.transfers.is_empty());
+        assert_eq!(transfer_bytes(&mut sim, h), 0);
+        assert_eq!(transfer_rate(&mut sim, h), 0.0);
+        assert!(!transfer_stalled(&mut sim, h));
     }
 
     #[test]

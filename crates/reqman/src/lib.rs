@@ -8,9 +8,10 @@
 //! reliability plugin (failover to an alternate replica, resuming from the
 //! bytes already delivered).
 //!
-//! * [`manager`] — the RM itself and the per-file worker state machines.
+//! * [`manager`] — the RM itself and the per-file lifecycle: one live-pull
+//!   record, one launcher, one failure epilogue, one terminal transition.
 //! * [`scheduler`] — pipelined transfer scheduling: admission control,
-//!   BDP auto-tuning, stage-ahead prefetch and the cross-request ledger.
+//!   BDP tuning, the cross-request ledger, and the four settings it has.
 //! * [`monitor`] — the Figure 4 dynamic transfer monitor rendering.
 //! * [`reliability`] — retry/backoff policy and per-host circuit breakers.
 //! * [`integrity`] — post-delivery block digest verification, ERET block

@@ -24,17 +24,26 @@
 //! breaker-blocked the file is not failed: it re-enters the queue with
 //! backoff and waits for the network to heal. Only an exhausted
 //! `max_attempts` cap marks a file failed.
+//!
+//! Each transition of that lifecycle exists once (the table is DESIGN.md
+//! "Per-file lifecycle"): `commit_pull` takes the breaker admission and
+//! the ledger entry; `launch_pull` is the only caller of `start_transfer`,
+//! an attempt at a file's tail and an ERET repair of its corrupt blocks
+//! being the same ranged get; `pull_failed` is the failure epilogue,
+//! `defer` the capacity wait, and `settle_file` the only place a file's
+//! holdings are given back, whether it ends done, failed or cancelled.
 
 use crate::integrity::{verify_blocks, IntegrityManager, SegRecord, SegmentView};
 use crate::reliability::{BreakerState, BreakerTransition, CircuitBreaker, RetryPolicy};
 use crate::scheduler::{
     bdp_tuning, order_queue, HostLedger, SchedStats, SchedulerConfig, TenantTable, DEFAULT_TENANT,
+    DEFER_RETRY,
 };
-use esg_gridftp::repair_ranges;
 use esg_gridftp::simxfer::{
     cancel_transfer, start_transfer, transfer_bytes, transfer_rate, transfer_stalled, HasGridFtp,
     TransferError, TransferHandle, TransferSpec,
 };
+use esg_gridftp::{repair_ranges, RangeSet};
 use esg_netlogger::{LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx, TracedLog, Value};
 use esg_nws::HasNws;
 use esg_replica::{PathEstimate, Policy, Replica, ReplicaCatalog, ReplicaSelector};
@@ -46,6 +55,9 @@ use rand::SeedableRng;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
+
+/// CORBA call latency between the client and the RM.
+const RPC_LATENCY: SimDuration = SimDuration::from_millis(2);
 
 /// World bound shared by all request-manager operations.
 pub trait RmWorld: HasGridFtp + HasNws + HasReqMan + 'static {}
@@ -74,6 +86,17 @@ impl Default for TransferTuning {
             window: (1u64 << 20) as f64,
             channel_cache: false,
         }
+    }
+}
+
+impl TransferTuning {
+    /// The GridFTP get of `bytes` from `src` to `dst` under this tuning.
+    pub fn spec(&self, src: NodeId, dst: NodeId, bytes: u64) -> TransferSpec {
+        let mut spec = TransferSpec::new(src, dst, bytes)
+            .streams(self.streams)
+            .window(self.window);
+        spec.channel_cache = self.channel_cache;
+        spec
     }
 }
 
@@ -113,13 +136,37 @@ pub struct RequestOutcome {
     pub total_bytes: u64,
 }
 
+/// What a pull fetches. In GridFTP a restart and a partial (ERET) retrieval
+/// are the same ranged get; the kinds differ in what the RM does around it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PullKind {
+    /// A counted attempt at the file's undelivered tail `[base, size)`.
+    Attempt,
+    /// An ERET re-fetch of corrupt blocks of a fully delivered file: not an
+    /// attempt, exempt from the per-host cap, and banks no restart marker.
+    Repair,
+}
+
+/// The one live GridFTP transfer of a file.
+#[derive(Clone, Copy)]
+struct LivePull {
+    handle: TransferHandle,
+    kind: PullKind,
+    started: SimTime,
+    /// `status.bytes_done` when the pull started; the monitor adds the live
+    /// transfer's progress on top. A repair starts from a fully delivered
+    /// file, so its progress never counts as new delivery.
+    base: u64,
+    /// Transfer sequence number — the wire-corruption sampling key.
+    seq: u64,
+    src: NodeId,
+}
+
 struct FileWork {
     status: FileStatus,
-    current: Option<TransferHandle>,
-    transfer_started: SimTime,
-    /// `status.bytes_done` at the start of the current attempt; the live
-    /// transfer's progress is added on top of this base.
-    attempt_base: u64,
+    /// Present from a successful `start_transfer` until the pull ends
+    /// (delivered, failed, cancelled by the monitor, or the file settles).
+    pull: Option<LivePull>,
     /// Hosts already tried and failed in the current selection round.
     /// Cleared whenever the round runs dry — long-term memory of host
     /// health lives in the manager's circuit breakers instead.
@@ -133,17 +180,10 @@ struct FileWork {
     repair_rounds: u32,
     /// Total bytes re-fetched by ERET repairs (reporting; never reset).
     repair_bytes: u64,
-    /// Sequence number of the live transfer — the wire-corruption
-    /// sampling key.
-    current_seq: u64,
-    /// Source node of the live transfer.
-    current_src: Option<NodeId>,
-    /// The live transfer is a block repair, not a normal attempt; repairs
-    /// never bank restart markers as delivered ranges.
-    repairing: bool,
-    /// Manager-wide ledger entry owned by the current pull:
-    /// `(host, is_attempt)`. Held from selection commit to attempt end.
-    ledger_host: Option<(String, bool)>,
+    /// Manager-wide ledger entry owned by the current pull, held from
+    /// selection commit (so through tape staging and transfer set-up, before
+    /// `pull` exists) to the end of the pull.
+    ledger_host: Option<(String, PullKind)>,
     /// The file holds one of its request's admission slots.
     admitted: bool,
     /// Root `Phase::File` span of this file's lifeline (NONE until the
@@ -173,8 +213,8 @@ struct RequestState {
     active: usize,
     /// A per-request monitor tick is scheduled.
     monitor_active: bool,
-    /// Indices with a live transfer handle (`current.is_some()` and not
-    /// settled) — the monitor tick's working set. A `BTreeSet` so
+    /// Indices with a live pull (`pull.is_some()` and not settled) — the
+    /// monitor tick's working set. A `BTreeSet` so
     /// iteration is in ascending index order, which the pinned traces
     /// depend on.
     live: BTreeSet<usize>,
@@ -191,10 +231,10 @@ struct RequestState {
 impl RequestState {
     /// Re-derive file `idx`'s membership in the incremental index sets
     /// from its current status. Called after every mutation of
-    /// `current` / `bytes_done` / `done` / `failed`; O(log files).
+    /// `pull` / `bytes_done` / `done` / `failed`; O(log files).
     fn sync_file(&mut self, idx: usize) {
         let fw = &self.files[idx];
-        if fw.current.is_some() && !fw.status.done && !fw.status.failed {
+        if fw.pull.is_some() && !fw.status.done && !fw.status.failed {
             self.live.insert(idx);
         } else {
             self.live.remove(&idx);
@@ -234,8 +274,6 @@ pub struct RequestManager {
     pub breaker_threshold: u32,
     /// How long a tripped breaker blocks its host before a probe.
     pub breaker_cooldown: SimDuration,
-    /// CORBA call latency between client and RM.
-    pub rpc_latency: SimDuration,
     /// Live stall detection threshold. When set (via
     /// [`enable_live_analysis`](Self::enable_live_analysis)), every phase
     /// and prestage span arms a probe that fires `obs.stall` *at detection
@@ -254,8 +292,8 @@ pub struct RequestManager {
     pub log: TracedLog,
     /// Integrity policy, per-site corruption stores and quarantine state.
     pub integrity: IntegrityManager,
-    /// Pipelined transfer scheduler: admission caps, release policy, BDP
-    /// auto-tuning and prestage pipelining.
+    /// Pipelined transfer scheduler: its master switch, admission caps and
+    /// release policy.
     pub scheduler: SchedulerConfig,
     /// Deterministic metrics registry: every manager counter/gauge/
     /// histogram lives here behind one interface (scheduler stats, monitor
@@ -313,7 +351,6 @@ impl RequestManager {
             retry: RetryPolicy::default(),
             breaker_threshold: 3,
             breaker_cooldown: SimDuration::from_secs(60),
-            rpc_latency: SimDuration::from_millis(2),
             stall_threshold: None,
             spread_sites: false,
             log: TracedLog::new(),
@@ -412,11 +449,6 @@ impl RequestManager {
         self.metrics.counter("rm.monitor.ticks")
     }
 
-    /// Live request count for a tenant.
-    pub fn tenant_live(&self, tenant: &str) -> usize {
-        self.tenant_live.get(tenant).copied().unwrap_or(0)
-    }
-
     /// Retire one live request for `tenant`, dropping its bookkeeping
     /// when the last one goes so an idle tenant stops diluting shares.
     fn tenant_retire(&mut self, tenant: &str) {
@@ -441,17 +473,12 @@ impl RequestManager {
             .sum()
     }
 
-    /// The in-flight ceiling for `tenant` right now: its weighted share
-    /// of the budget over the *active* tenant set, clipped by any hard
-    /// quota. `usize::MAX` when fair sharing is disabled.
-    pub fn tenant_limit(&self, tenant: &str) -> usize {
-        self.tenants.limit(tenant, self.active_weight_scan())
-    }
-
-    /// [`tenant_limit`](Self::tenant_limit) on the admission hot path:
-    /// the active-weight sum comes from a cache invalidated by tenant-set
-    /// / table epochs (recomputed only when a tenant activates/retires or
-    /// a weight changes).
+    /// The in-flight ceiling for `tenant` right now: its weighted share of
+    /// the budget over the *active* tenant set, clipped by any hard quota
+    /// (`usize::MAX` when fair sharing is disabled). The active-weight sum
+    /// comes from a cache invalidated by tenant-set / table epochs, so the
+    /// admission hot path rescans only when a tenant activates/retires or
+    /// a weight changes.
     fn tenant_limit_cached(&mut self, tenant: &str) -> usize {
         let key = (
             self.tenant_epoch,
@@ -540,11 +567,6 @@ impl RequestManager {
 
     fn next_backoff(&mut self, attempt: u32) -> SimDuration {
         self.retry.backoff(attempt, &mut self.rng)
-    }
-
-    fn next_xfer_seq(&mut self) -> u64 {
-        self.xfer_seq += 1;
-        self.xfer_seq
     }
 
     /// At-rest corruption visible at `host` for file `name` by time `by`:
@@ -681,7 +703,8 @@ fn enter_phase<W: RmWorld>(
 }
 
 /// Close file `idx`'s open phase span and its root span with a terminal
-/// `status` (`done` / `failed`). Idempotent: the root id is cleared.
+/// `status` (`done` / `failed` / `cancelled`). Idempotent: the root id is
+/// cleared.
 fn close_file_span<W: RmWorld>(
     sim: &mut Sim<W>,
     state: &SharedRequest,
@@ -769,17 +792,12 @@ pub fn submit_request_for_tenant<W: RmWorld>(
                 failed: false,
                 staging_until: None,
             },
-            current: None,
-            transfer_started: SimTime::ZERO,
-            attempt_base: 0,
+            pull: None,
             excluded_hosts: Vec::new(),
             known: size.is_some(),
             segments: Vec::new(),
             repair_rounds: 0,
             repair_bytes: 0,
-            current_seq: 0,
-            current_src: None,
-            repairing: false,
             ledger_host: None,
             admitted: false,
             trace_root: SpanId::NONE,
@@ -820,10 +838,9 @@ pub fn submit_request_for_tenant<W: RmWorld>(
     // workers under the per-request cap. With the scheduler disabled every
     // worker starts at once ("for each file of each request, the
     // multi-threaded RM opens a separate program thread").
-    let rpc = sim.world.reqman().rpc_latency;
     let n_files = state.borrow().files.len();
-    let sched_on = sim.world.reqman().scheduler.enabled;
-    sim.schedule(rpc, move |s| {
+    let sched = sim.world.reqman().scheduler;
+    sim.schedule(RPC_LATENCY, move |s| {
         if n_files == 0 {
             finish_request(s, &state, &cb_cell);
             return;
@@ -835,16 +852,13 @@ pub fn submit_request_for_tenant<W: RmWorld>(
             open_file_span(s, &state, idx);
             enter_phase(s, &state, idx, Phase::Queue, vec![]);
         }
-        if sched_on {
-            if s.world.reqman().scheduler.prestage {
-                prestage_cold_files(s, &state);
-            }
-            let policy = s.world.reqman().scheduler.policy;
+        if sched.enabled {
+            prestage_cold_files(s, &state);
             let sizes: Vec<u64> = {
                 let st = state.borrow();
                 st.files.iter().map(|f| f.status.size).collect()
             };
-            state.borrow_mut().queue = VecDeque::from(order_queue(policy, &sizes));
+            state.borrow_mut().queue = VecDeque::from(order_queue(sched.policy, &sizes));
             pump_request(s, &state, &cb_cell);
         } else {
             for idx in 0..n_files {
@@ -973,41 +987,49 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
     }
 }
 
-/// Commit a manager-wide in-flight ledger entry for `idx`'s new pull.
-fn ledger_acquire<W: RmWorld>(
+/// Commit file `idx` to a pull of `kind` from `host`: consume the breaker's
+/// admission (maybe its half-open probe slot), count an attempt, and take
+/// the manager-wide ledger entry through which every other selection round
+/// sees the pull occupy the host until it ends.
+fn commit_pull<W: RmWorld>(
     sim: &mut Sim<W>,
     state: &SharedRequest,
     idx: usize,
     host: &str,
-    is_attempt: bool,
+    kind: PullKind,
 ) {
     // A stale entry here would double-count; release defensively first.
     ledger_release(sim, state, idx);
     let now = sim.now();
+    sim.world.reqman().breaker_admit(host, now);
     let tenant = {
         let mut st = state.borrow_mut();
-        st.files[idx].ledger_host = Some((host.to_string(), is_attempt));
+        let fw = &mut st.files[idx];
+        fw.status.replica_host = Some(host.to_string());
+        if kind == PullKind::Attempt {
+            fw.status.attempts += 1;
+        }
+        fw.ledger_host = Some((host.to_string(), kind));
         st.tenant.clone()
     };
     let rm = sim.world.reqman();
-    rm.inflight.acquire(host, &tenant, is_attempt);
+    rm.inflight
+        .acquire(host, &tenant, kind == PullKind::Attempt);
     // Admission progress: the reference point for starvation detection.
     rm.tenant_progress.insert(tenant, now);
 }
 
-/// Release `idx`'s ledger entry if it still owns one. Idempotent, so the
-/// several paths on which an attempt can end (completion, cancellation,
-/// failure, settling) may each call it safely.
+/// Release `idx`'s ledger entry if it still owns one, and with it the
+/// half-open probe slot the pull may hold on that host — without judging
+/// the host; the pull ends that blame or clear it say so themselves.
+/// Idempotent, so a pull's end and the file's settling may each call it.
 fn ledger_release<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, idx: usize) {
-    let (entry, tenant) = {
-        let mut st = state.borrow_mut();
-        (st.files[idx].ledger_host.take(), st.tenant.clone())
-    };
-    if let Some((host, is_attempt)) = entry {
-        sim.world
-            .reqman()
-            .inflight
-            .release(&host, &tenant, is_attempt);
+    let mut st = state.borrow_mut();
+    if let Some((host, kind)) = st.files[idx].ledger_host.take() {
+        let rm = sim.world.reqman();
+        rm.inflight
+            .release(&host, &st.tenant, kind == PullKind::Attempt);
+        rm.breaker_release(&host);
     }
 }
 
@@ -1072,9 +1094,8 @@ fn finish_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &Done
     }
 }
 
-/// Cancel a live request: every in-flight transfer is torn down, ledger
-/// entries and breaker probe slots are released, spans are closed with a
-/// `cancelled` status, and the request is removed without firing its
+/// Cancel a live request: every unsettled file is settled as
+/// [`Settled::Cancelled`] and the request is removed without firing its
 /// completion callback. Returns `false` when the id is not live.
 ///
 /// Pending retry/backoff closures that still hold the request are
@@ -1083,48 +1104,12 @@ pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
     let Some(state) = sim.world.reqman().requests.get(&id).cloned() else {
         return false;
     };
+    // A cancelled file neither finishes the request nor pumps its queue,
+    // so the settle never reaches for the callback: an empty cell stands in.
+    let no_cb: DoneCell<W> = Rc::new(RefCell::new(None));
     let n = state.borrow().files.len();
     for idx in 0..n {
-        let (settled, handle, probe_host) = {
-            let mut st = state.borrow_mut();
-            let fw = &mut st.files[idx];
-            if fw.status.done || fw.status.failed {
-                (true, None, None)
-            } else {
-                (
-                    false,
-                    fw.current.take(),
-                    fw.ledger_host.as_ref().map(|(h, _)| h.clone()),
-                )
-            }
-        };
-        if settled {
-            continue;
-        }
-        if let Some(h) = handle {
-            let _ = cancel_transfer(sim, h);
-        }
-        // The cancelled pull may hold its host's half-open probe slot;
-        // free it without judging the host.
-        if let Some(host) = probe_host {
-            sim.world.reqman().breaker_release(&host);
-        }
-        ledger_release(sim, &state, idx);
-        {
-            let mut st = state.borrow_mut();
-            let fw = &mut st.files[idx];
-            // Mark failed without decrementing `remaining`: stragglers
-            // (late monitor ticks, backoff wakes) see a settled file and
-            // return, and finish_request can never fire afterwards.
-            fw.status.failed = true;
-            fw.repairing = false;
-            if fw.admitted {
-                fw.admitted = false;
-                st.active -= 1;
-            }
-            st.sync_file(idx);
-        }
-        close_file_span(sim, &state, idx, "cancelled");
+        settle_file(sim, &state, &no_cb, idx, Settled::Cancelled);
     }
     state.borrow_mut().queue.clear();
     let tenant = state.borrow().tenant.clone();
@@ -1140,80 +1125,88 @@ pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
     true
 }
 
-/// Mark one file delivered and finish the request when it was the last.
-/// Idempotent: completing an already-settled file is a no-op, so a race
-/// between the monitor and the transfer's own completion path is harmless.
-fn complete_file<W: RmWorld>(
+/// How a file leaves its request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// Delivered (and digest-verified when the catalog pins a digest).
+    Done,
+    /// Given up: the retry policy's attempt cap is exhausted.
+    Failed,
+    /// Its request was cancelled: nothing is counted, no callback fires.
+    Cancelled,
+}
+
+/// The one terminal transition of a file: give back everything it holds —
+/// live pull, ledger entry, admission slot, index-set membership, its
+/// share of `remaining`, its spans — then report the outcome and finish
+/// the request or admit the next queued file. Idempotent: settling a
+/// settled file is a no-op, so stragglers (a late monitor tick, a backoff
+/// wake, a completion racing the monitor) are harmless.
+fn settle_file<W: RmWorld>(
     sim: &mut Sim<W>,
     state: &SharedRequest,
     cb: &DoneCell<W>,
     idx: usize,
+    how: Settled,
 ) {
     let _rm_scope = profile::scope(profile::RM);
-    let (finished_all, was_admitted) = {
+    let (pull, was_admitted, finished_all) = {
         let mut st = state.borrow_mut();
         let fw = &mut st.files[idx];
         if fw.status.done || fw.status.failed {
             return;
         }
-        fw.status.bytes_done = fw.status.size;
-        fw.status.done = true;
-        fw.current = None;
-        let was_admitted = fw.admitted;
-        fw.admitted = false;
-        if was_admitted {
-            st.active -= 1;
-        }
-        st.remaining -= 1;
-        st.sync_file(idx);
-        (st.remaining == 0, was_admitted)
-    };
-    ledger_release(sim, state, idx);
-    close_file_span(sim, state, idx, "done");
-    let now = sim.now();
-    let ctx = fw_ctx(state, idx);
-    let rm = sim.world.reqman();
-    rm.metrics.counter_add("rm.files.completed", 1);
-    rm.log.emit(&ctx, LogEvent::new(now, "rm.file.complete"));
-    if finished_all {
-        finish_request(sim, state, cb);
-    } else if was_admitted {
-        pump_request(sim, state, cb);
-    }
-}
-
-/// Give up on a file: the retry policy's attempt cap is exhausted.
-fn fail_file<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>, idx: usize) {
-    let (finished_all, fname, attempts, was_admitted) = {
-        let mut st = state.borrow_mut();
-        let (name, attempts, was_admitted) = {
-            let fw = &mut st.files[idx];
-            if fw.status.done || fw.status.failed {
-                return;
-            }
+        if how == Settled::Done {
+            fw.status.bytes_done = fw.status.size;
+            fw.status.done = true;
+        } else {
             fw.status.failed = true;
-            fw.current = None;
-            let was_admitted = fw.admitted;
-            fw.admitted = false;
-            (fw.status.name.clone(), fw.status.attempts, was_admitted)
-        };
+        }
+        let pull = fw.pull.take();
+        let was_admitted = std::mem::take(&mut fw.admitted);
         if was_admitted {
             st.active -= 1;
         }
-        st.remaining -= 1;
+        // A cancelled file keeps its share of `remaining`, so
+        // `finish_request` can never fire for its request afterwards.
+        if how != Settled::Cancelled {
+            st.remaining -= 1;
+        }
         st.sync_file(idx);
-        (st.remaining == 0, name, attempts, was_admitted)
+        (pull, was_admitted, st.remaining == 0)
     };
+    if let Some(pull) = pull {
+        cancel_transfer(sim, pull.handle);
+    }
     ledger_release(sim, state, idx);
-    close_file_span(sim, state, idx, "failed");
+    let status = match how {
+        Settled::Done => "done",
+        Settled::Failed => "failed",
+        Settled::Cancelled => "cancelled",
+    };
+    close_file_span(sim, state, idx, status);
     let now = sim.now();
-    let ctx = TraceCtx::request(state.borrow().id).with_file(fname);
+    let (counter, ctx, event) = match how {
+        Settled::Done => (
+            "rm.files.completed",
+            fw_ctx(state, idx),
+            LogEvent::new(now, "rm.file.complete"),
+        ),
+        Settled::Failed => {
+            // The file failed, not one of its attempts: no attempt in ctx.
+            let st = state.borrow();
+            let f = &st.files[idx].status;
+            (
+                "rm.files.failed",
+                TraceCtx::request(st.id).with_file(f.name.clone()),
+                LogEvent::new(now, "rm.file.failed").field("attempts", f.attempts as u64),
+            )
+        }
+        Settled::Cancelled => return,
+    };
     let rm = sim.world.reqman();
-    rm.metrics.counter_add("rm.files.failed", 1);
-    rm.log.emit(
-        &ctx,
-        LogEvent::new(now, "rm.file.failed").field("attempts", attempts as u64),
-    );
+    rm.metrics.counter_add(counter, 1);
+    rm.log.emit(&ctx, event);
     if finished_all {
         finish_request(sim, state, cb);
     } else if was_admitted {
@@ -1255,8 +1248,7 @@ fn requeue_with_backoff<W: RmWorld>(
 /// Host loads are read straight from the manager-wide in-flight ledger —
 /// O(1) per candidate — by both the spread planner's load discount and the
 /// cap filter (`host_cap == 0` disables the cap — repairs bypass it). The
-/// per-lookup cost is recorded under `rm.select.ledger_lookups`; the
-/// previous implementation cloned the whole ledger per selection round.
+/// per-lookup cost is recorded under `rm.select.ledger_lookups`.
 fn select_replica<W: RmWorld>(
     sim: &mut Sim<W>,
     client: NodeId,
@@ -1330,11 +1322,12 @@ fn select_replica<W: RmWorld>(
     (choice, candidates, false)
 }
 
-/// Resolve the transfer tuning for one attempt on `src → client` and log
-/// the decision (`rm.tune.path`) so parameter sweeps stay explainable.
-/// With auto-tuning on, streams and window come from the NWS BDP forecast
-/// via [`bdp_tuning`]; otherwise (or on a cold NWS path) the manager's
-/// fixed defaults apply.
+/// Resolve the transfer tuning for one pull on `src → client` and log the
+/// decision (`rm.tune.path`) so parameter sweeps stay explainable. Under
+/// the scheduler, streams and window come from the NWS BDP forecast via
+/// [`bdp_tuning`] (the manager's fixed defaults on a cold NWS path) and
+/// data channels are cached, so repeat pulls from a host bank and reuse
+/// them (`gridftp.cache_hits`); with it off the fixed defaults apply.
 fn resolve_tuning<W: RmWorld>(
     sim: &mut Sim<W>,
     client: NodeId,
@@ -1351,18 +1344,13 @@ fn resolve_tuning<W: RmWorld>(
     };
     let now = sim.now();
     let rm = sim.world.reqman();
-    let base = rm.tuning;
-    let (mut tuning, tuned) = if rm.scheduler.enabled && rm.scheduler.auto_tune {
-        bdp_tuning(&rm.scheduler, base, bw, rtt)
+    let (tuning, tuned) = if rm.scheduler.enabled {
+        let mut base = rm.tuning;
+        base.channel_cache = true;
+        bdp_tuning(base, bw, rtt)
     } else {
-        (base, false)
+        (rm.tuning, false)
     };
-    // Data-channel caching is a scheduler decision, not a BDP one: apply
-    // it whenever the scheduler asks for it so repeat pulls from the same
-    // host actually bank and reuse channels (`gridftp.cache_hits`).
-    if rm.scheduler.enabled && rm.scheduler.channel_cache {
-        tuning.channel_cache = true;
-    }
     if tuned {
         rm.metrics.counter_add(SchedStats::TUNED, 1);
     }
@@ -1378,6 +1366,36 @@ fn resolve_tuning<W: RmWorld>(
             .field("source", if tuned { "bdp" } else { "default" }.to_string()),
     );
     tuning
+}
+
+/// Postpone file `idx`'s selection round by [`DEFER_RETRY`]: its tenant is
+/// at its fair share (`by_tenant`), or every healthy candidate is at its
+/// per-host cap. A capacity wait, not a failure — no attempt consumed, no
+/// backoff growth, admission slot kept. The one point where a tenant's
+/// demand is visibly postponed, so starvation detection lives here.
+fn defer<W: RmWorld>(
+    sim: &mut Sim<W>,
+    state: SharedRequest,
+    cb: DoneCell<W>,
+    idx: usize,
+    by_tenant: bool,
+) {
+    let now = sim.now();
+    let tenant = state.borrow().tenant.clone();
+    note_tenant_starvation(sim, &tenant, now);
+    let ctx = fw_ctx(&state, idx);
+    let mut event = LogEvent::new(now, "rm.sched.defer");
+    let counter = if by_tenant {
+        event = event.field("reason", "tenant").field("tenant", tenant);
+        SchedStats::TENANT_DEFERRED
+    } else {
+        SchedStats::DEFERRED
+    };
+    let rm = sim.world.reqman();
+    rm.metrics.counter_add(counter, 1);
+    rm.log
+        .emit(&ctx, event.field("delay_s", DEFER_RETRY.as_secs_f64()));
+    sim.schedule(DEFER_RETRY, move |s| start_file_worker(s, state, cb, idx));
 }
 
 /// Launch (or relaunch) the worker for one file of a request.
@@ -1416,7 +1434,7 @@ fn start_file_worker<W: RmWorld>(
     }
     let retry = sim.world.reqman().retry;
     if retry.exhausted(attempts) {
-        fail_file(sim, &state, &cb, idx);
+        settle_file(sim, &state, &cb, idx, Settled::Failed);
         return;
     }
     // The worker owns the file now: selection (and any capacity deferral)
@@ -1425,70 +1443,35 @@ fn start_file_worker<W: RmWorld>(
     enter_phase(sim, &state, idx, Phase::Select, vec![]);
 
     // Multi-tenant weighted fair sharing: a tenant at its share of the
-    // global budget waits for capacity exactly like the per-host cap —
-    // no attempt consumed, no backoff growth, slot retained. This is the
-    // one point where a tenant's demand is visibly postponed, so
-    // starvation detection lives here too.
-    let tenant = state.borrow().tenant.clone();
-    let (tenant_blocked, delay) = {
+    // global budget waits for capacity exactly like the per-host cap.
+    // Loads for that cap come from the manager-wide ledger inside
+    // `select_replica`, so the spread planner sees what every request (not
+    // just this one) is doing. Neither applies with the scheduler off.
+    let (tenant_blocked, host_cap) = {
         let rm = sim.world.reqman();
         if rm.scheduler.enabled {
-            let limit = rm.tenant_limit_cached(&tenant);
-            (
-                rm.inflight().tenant_load(&tenant) >= limit,
-                rm.scheduler.defer_retry,
-            )
+            let (limit, load) = {
+                let st = state.borrow();
+                (
+                    rm.tenant_limit_cached(&st.tenant),
+                    rm.inflight.tenant_load(&st.tenant),
+                )
+            };
+            (load >= limit, rm.scheduler.max_inflight_per_host)
         } else {
-            (false, SimDuration::ZERO)
+            (false, 0)
         }
     };
     if tenant_blocked {
-        let now = sim.now();
-        note_tenant_starvation(sim, &tenant, now);
-        let ctx = fw_ctx(&state, idx);
-        let rm = sim.world.reqman();
-        rm.metrics.counter_add(SchedStats::TENANT_DEFERRED, 1);
-        rm.log.emit(
-            &ctx,
-            LogEvent::new(now, "rm.sched.defer")
-                .field("reason", "tenant")
-                .field("tenant", tenant)
-                .field("delay_s", delay.as_secs_f64()),
-        );
-        sim.schedule(delay, move |s| start_file_worker(s, state, cb, idx));
+        defer(sim, state, cb, idx, true);
         return;
     }
-
-    // The per-host in-flight cap; loads come from the manager-wide ledger
-    // inside `select_replica`, so the spread planner sees what every
-    // request (not just this one) is doing.
-    let host_cap = {
-        let rm = sim.world.reqman();
-        if rm.scheduler.enabled {
-            rm.scheduler.max_inflight_per_host
-        } else {
-            0
-        }
-    };
     let (choice, candidates, deferred) =
         select_replica(sim, client, &collection, &file, &excluded, host_cap);
     let Some((replica, src_node)) = choice else {
         if deferred {
-            // Every healthy candidate is at its in-flight cap: wait for
-            // capacity. Not a failure — no attempt is consumed, no backoff
-            // growth, and the file keeps its admission slot.
-            let delay = sim.world.reqman().scheduler.defer_retry;
-            let now = sim.now();
             // A tenant can starve behind host caps as well as its share.
-            note_tenant_starvation(sim, &tenant, now);
-            let ctx = fw_ctx(&state, idx);
-            let rm = sim.world.reqman();
-            rm.metrics.counter_add(SchedStats::DEFERRED, 1);
-            rm.log.emit(
-                &ctx,
-                LogEvent::new(now, "rm.sched.defer").field("delay_s", delay.as_secs_f64()),
-            );
-            sim.schedule(delay, move |s| start_file_worker(s, state, cb, idx));
+            defer(sim, state, cb, idx, false);
             return;
         }
         if candidates == 0 && excluded.is_empty() {
@@ -1507,17 +1490,7 @@ fn start_file_worker<W: RmWorld>(
     };
 
     let now = sim.now();
-    // Commit the admission (may consume a half-open probe slot).
-    sim.world.reqman().breaker_admit(&replica.host, now);
-    {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        fw.status.replica_host = Some(replica.host.clone());
-        fw.status.attempts += 1;
-    }
-    // The pull occupies the source host from this commit until the attempt
-    // ends; every other selection round sees it via the ledger.
-    ledger_acquire(sim, &state, idx, &replica.host, true);
+    commit_pull(sim, &state, idx, &replica.host, PullKind::Attempt);
     // Re-read the ctx: the attempt counter just advanced, and every event
     // of this attempt (selection, staging, tuning, restart marker) carries
     // the new attempt number.
@@ -1574,149 +1547,164 @@ fn start_file_worker<W: RmWorld>(
     }
 
     let tuning = resolve_tuning(sim, client, src_node, &replica.host, &ctx);
-    let host = replica.host.clone();
-    let st2 = state.clone();
-    let cb2 = cb.clone();
     sim.schedule(stage_delay, move |s| {
         // Read the resume point at the moment the transfer actually
         // starts, so the restart marker and the requested byte range are
         // computed from the same snapshot.
-        let settled = {
-            let st = st2.borrow();
-            let fw = &st.files[idx];
-            fw.status.done || fw.status.failed
-        };
-        if settled {
-            ledger_release(s, &st2, idx);
-            return;
-        }
-        let (remaining_bytes, base) = {
-            let mut st = st2.borrow_mut();
+        let (base, size) = {
+            let mut st = state.borrow_mut();
             let fw = &mut st.files[idx];
+            if fw.status.done || fw.status.failed {
+                return;
+            }
             fw.status.staging_until = None;
-            (fw.status.size - fw.status.bytes_done, fw.status.bytes_done)
+            (fw.status.bytes_done, fw.status.size)
         };
         if base > 0 {
             let now = s.now();
-            let ctx = fw_ctx(&st2, idx);
+            let ctx = fw_ctx(&state, idx);
             s.world.reqman().log.emit(
                 &ctx,
                 LogEvent::new(now, "rm.failover.restart_marker").field("offset", base),
             );
         }
-        let mut spec = TransferSpec::new(src_node, client, remaining_bytes)
-            .streams(tuning.streams)
-            .window(tuning.window);
-        if tuning.channel_cache {
-            spec = spec.cached();
-        }
-        let st3 = st2.clone();
-        let cb3 = cb2.clone();
-        let done_host = host.clone();
-        let seq = s.world.reqman().next_xfer_seq();
-        let t0 = s.now();
-        let result = start_transfer(s, spec, move |s2, result| {
-            match result {
-                Ok(_) => {
-                    let now = s2.now();
-                    s2.world.reqman().breaker_success(&done_host, now);
-                    ledger_release(s2, &st3, idx);
-                    let delta = {
-                        let mut st = st3.borrow_mut();
-                        let fw = &mut st.files[idx];
-                        if fw.status.done || fw.status.failed {
-                            return;
-                        }
-                        // Bank the delivered range with its provenance so
-                        // verification can reconstruct what was received.
-                        if fw.status.size > base {
-                            fw.segments.push(SegRecord {
-                                host: done_host.clone(),
-                                node: src_node,
-                                start: base,
-                                end: fw.status.size,
-                                t0,
-                                t1: now,
-                                seq,
-                            });
-                        }
-                        let delta = fw.status.size.saturating_sub(base);
-                        fw.status.bytes_done = fw.status.size;
-                        fw.current = None;
-                        st.sync_file(idx);
-                        delta
-                    };
-                    // Close the Transfer span crediting this attempt's
-                    // delivered bytes; attempt deltas telescope, so a
-                    // file's Transfer spans sum to its size.
-                    enter_phase(s2, &st3, idx, Phase::Verify, vec![("bytes", delta.into())]);
-                    verify_and_finish(s2, &st3, &cb3, idx);
-                }
-                Err(TransferError::Cancelled) => {
-                    // The monitor cancelled this attempt and already
-                    // requeued the worker; nothing to do here.
-                }
-                Err(e) => {
-                    // Transfer failed outright. An unreachable source
-                    // counts against its breaker and is excluded so this
-                    // round's selection moves on; a name-service outage is
-                    // global, so no host is blamed.
-                    let now = s2.now();
-                    ledger_release(s2, &st3, idx);
-                    {
-                        // The handle is dead: the monitor must not poll it.
-                        let mut st = st3.borrow_mut();
-                        st.files[idx].current = None;
-                        st.sync_file(idx);
-                    }
-                    if matches!(e, TransferError::NoRoute { .. }) {
-                        {
-                            let mut st = st3.borrow_mut();
-                            st.files[idx].excluded_hosts.push(done_host.clone());
-                        }
-                        s2.world.reqman().breaker_failure(&done_host, now);
-                    } else {
-                        s2.world.reqman().breaker_release(&done_host);
-                    }
-                    requeue_with_backoff(s2, st3, cb3, idx);
-                }
-            }
-        });
-        match result {
-            Ok(handle) => {
+        let mut tail = RangeSet::new();
+        tail.insert(base, size);
+        launch_pull(s, &state, &cb, idx, src_node, tail, tuning);
+    });
+}
+
+/// Start the GridFTP get of `ranges` from `src` for the pull file `idx`
+/// has committed to (its ledger entry names the host and the kind) and see
+/// it through. On start the [`LivePull`] is recorded and the monitor armed;
+/// an attempt enters `Phase::Transfer` here, a repair opened `Phase::Repair`
+/// before it chose a tuning. On delivery the ranges are banked and the file
+/// goes to verification; any failure, before or after the start, goes to
+/// [`pull_failed`].
+fn launch_pull<W: RmWorld>(
+    sim: &mut Sim<W>,
+    state: &SharedRequest,
+    cb: &DoneCell<W>,
+    idx: usize,
+    src: NodeId,
+    ranges: RangeSet,
+    tuning: TransferTuning,
+) {
+    let (client, host, kind, base) = {
+        let st = state.borrow();
+        let fw = &st.files[idx];
+        // No entry, no pull: the file settled since it committed.
+        let Some((host, kind)) = fw.ledger_host.clone() else {
+            return;
+        };
+        (st.client, host, kind, fw.status.bytes_done)
+    };
+    let bytes = ranges.total();
+    let t0 = sim.now();
+    let rm = sim.world.reqman();
+    rm.xfer_seq += 1;
+    let seq = rm.xfer_seq;
+    let (st2, cb2, host2) = (state.clone(), cb.clone(), host.clone());
+    let started = start_transfer(
+        sim,
+        tuning.spec(src, client, bytes),
+        move |s, result| match result {
+            Ok(_) => {
+                let now = s.now();
+                s.world.reqman().breaker_success(&host2, now);
+                ledger_release(s, &st2, idx);
                 {
                     let mut st = st2.borrow_mut();
                     let fw = &mut st.files[idx];
-                    fw.current = Some(handle);
-                    fw.transfer_started = s.now();
-                    fw.attempt_base = base;
-                    fw.current_seq = seq;
-                    fw.current_src = Some(src_node);
-                    fw.repairing = false;
+                    if fw.status.done || fw.status.failed {
+                        return;
+                    }
+                    // Bank the delivered ranges with their provenance so
+                    // verification can reconstruct what was received; a
+                    // repair's are the newest writes and overwrite the
+                    // corrupt ones on re-verification.
+                    for (start, end) in ranges.iter() {
+                        fw.segments.push(SegRecord {
+                            host: host2.clone(),
+                            node: src,
+                            start,
+                            end,
+                            t0,
+                            t1: now,
+                            seq,
+                        });
+                    }
+                    fw.status.bytes_done = fw.status.size;
+                    fw.pull = None;
                     st.sync_file(idx);
                 }
-                enter_phase(s, &st2, idx, Phase::Transfer, vec![]);
-                // Make sure the request's monitor tick is running.
-                ensure_monitor(s, &st2, &cb2);
+                // Close the Transfer/Repair span crediting this pull's
+                // bytes; attempt deltas telescope, so a file's Transfer
+                // spans sum to its size.
+                enter_phase(s, &st2, idx, Phase::Verify, vec![("bytes", bytes.into())]);
+                verify_and_finish(s, &st2, &cb2, idx);
             }
-            Err(e) => {
-                // Could not start. Unreachable sources feed their breaker;
-                // DNS outages are global and heal, so requeue blamelessly.
-                let now = s.now();
-                ledger_release(s, &st2, idx);
-                if matches!(e, TransferError::NoRoute { .. }) {
-                    {
-                        let mut st = st2.borrow_mut();
-                        st.files[idx].excluded_hosts.push(host.clone());
-                    }
-                    s.world.reqman().breaker_failure(&host, now);
-                } else {
-                    s.world.reqman().breaker_release(&host);
-                }
-                requeue_with_backoff(s, st2, cb2, idx);
+            // The monitor cancelled this pull and already restarted the
+            // worker; nothing to do here.
+            Err(TransferError::Cancelled) => {}
+            Err(e) => pull_failed(s, st2, cb2, idx, kind, &host2, e),
+        },
+    );
+    match started {
+        Ok(handle) => {
+            {
+                let mut st = state.borrow_mut();
+                st.files[idx].pull = Some(LivePull {
+                    handle,
+                    kind,
+                    started: t0,
+                    base,
+                    seq,
+                    src,
+                });
+                st.sync_file(idx);
             }
+            if kind == PullKind::Attempt {
+                enter_phase(sim, state, idx, Phase::Transfer, vec![]);
+            }
+            ensure_monitor(sim, state, cb);
         }
-    });
+        Err(e) => pull_failed(sim, state.clone(), cb.clone(), idx, kind, &host, e),
+    }
+}
+
+/// A pull could not start, or failed after starting: give back its ledger
+/// entry (and probe slot) and its handle, then requeue the worker through
+/// the retry policy. An unreachable source counts against its breaker —
+/// and, for an attempt, is excluded so this round's selection moves on (a
+/// repair re-plans from the verifier's blame list instead). A name-service
+/// outage is global and heals, so no host is blamed.
+fn pull_failed<W: RmWorld>(
+    sim: &mut Sim<W>,
+    state: SharedRequest,
+    cb: DoneCell<W>,
+    idx: usize,
+    kind: PullKind,
+    host: &str,
+    err: TransferError,
+) {
+    let now = sim.now();
+    ledger_release(sim, &state, idx);
+    let unreachable = matches!(err, TransferError::NoRoute { .. });
+    {
+        let mut st = state.borrow_mut();
+        let fw = &mut st.files[idx];
+        // The handle is dead: the monitor must not poll it.
+        fw.pull = None;
+        if unreachable && kind == PullKind::Attempt {
+            fw.excluded_hosts.push(host.to_string());
+        }
+        st.sync_file(idx);
+    }
+    if unreachable {
+        sim.world.reqman().breaker_failure(host, now);
+    }
+    requeue_with_backoff(sim, state, cb, idx);
 }
 
 /// Ensure the request's monitor tick is scheduled. One tick per poll
@@ -1748,46 +1736,29 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, state: SharedRequest, cb: DoneCell
         .reqman()
         .metrics
         .counter_add("rm.monitor.ticks", 1);
-    let live: Vec<(usize, TransferHandle)> = {
-        let st = state.borrow();
-        // The incremental `live` index holds exactly the unsettled files
-        // with a transfer handle, in ascending index order.
-        st.live
-            .iter()
-            .filter_map(|&i| st.files[i].current.map(|h| (i, h)))
-            .collect()
-    };
+    // The incremental `live` index holds exactly the unsettled files with
+    // a live pull, in ascending index order.
+    let live: Vec<usize> = state.borrow().live.iter().copied().collect();
     if live.is_empty() {
         // Nothing in flight: retire. The next transfer start re-arms us.
         state.borrow_mut().monitor_active = false;
         return;
     }
-    for (idx, handle) in live {
-        poll_file(sim, &state, &cb, idx, handle);
+    for idx in live {
+        poll_file(sim, &state, &cb, idx);
     }
     let poll = sim.world.reqman().poll;
-    let st2 = state.clone();
-    let cb2 = cb.clone();
-    sim.schedule(poll, move |s| monitor_tick(s, st2, cb2));
+    sim.schedule(poll, move |s| monitor_tick(s, state, cb));
 }
 
 /// One file's share of the monitor tick: progress update plus the
 /// reliability plugin (stall / minimum-rate / attempt-timeout failover).
-fn poll_file<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    cb: &DoneCell<W>,
-    idx: usize,
-    handle: TransferHandle,
-) {
-    // The attempt may have completed or been replaced earlier this tick.
-    {
-        let st = state.borrow();
-        let fw = &st.files[idx];
-        if fw.status.done || fw.status.failed || fw.current != Some(handle) {
-            return;
-        }
-    }
+fn poll_file<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>, idx: usize) {
+    // The pull may have ended earlier this tick.
+    let Some(pull) = state.borrow().files[idx].pull else {
+        return;
+    };
+    let handle = pull.handle;
     // The per-transfer polling wall: three linear scans of the shared
     // network layer per live file per tick. Attributed to `net_poll` so the
     // rm_profile scenario can size it against everything else.
@@ -1800,15 +1771,12 @@ fn poll_file<W: RmWorld>(
             transfer_rate(sim, handle),
         )
     };
-    let age = {
-        let st = state.borrow();
-        sim.now().since(st.files[idx].transfer_started)
-    };
+    let age = sim.now().since(pull.started);
     // Update the visible progress (the "file size at the local site").
     {
         let mut st = state.borrow_mut();
         let fw = &mut st.files[idx];
-        let live = (fw.attempt_base + bytes).min(fw.status.size);
+        let live = (pull.base + bytes).min(fw.status.size);
         fw.status.bytes_done = fw.status.bytes_done.max(live);
         st.sync_file(idx);
     }
@@ -1826,33 +1794,29 @@ fn poll_file<W: RmWorld>(
         let (host, delta) = {
             let mut st = state.borrow_mut();
             let fw = &mut st.files[idx];
-            let banked = (fw.attempt_base + marker).min(fw.status.size);
-            // Repair attempts bank nothing — the span closes with 0 bytes.
-            let delta = if fw.repairing {
-                0
-            } else {
-                banked.saturating_sub(fw.attempt_base)
+            let host = fw.status.replica_host.clone().unwrap_or_default();
+            let banked = (pull.base + marker).min(fw.status.size);
+            // A repair's marker is synthetic: it banks nothing and its
+            // span closes with 0 bytes.
+            let delta = match pull.kind {
+                PullKind::Attempt => banked.saturating_sub(pull.base),
+                PullKind::Repair => 0,
             };
             // Bank the partial range with its provenance — it still
             // gets digest-verified before the file can complete.
-            // Repair attempts never bank (their marker is synthetic).
-            if !fw.repairing && banked > fw.attempt_base {
-                if let (Some(h), Some(node)) = (fw.status.replica_host.clone(), fw.current_src) {
-                    fw.segments.push(SegRecord {
-                        host: h,
-                        node,
-                        start: fw.attempt_base,
-                        end: banked,
-                        t0: fw.transfer_started,
-                        t1: now,
-                        seq: fw.current_seq,
-                    });
-                }
+            if delta > 0 {
+                fw.segments.push(SegRecord {
+                    host: host.clone(),
+                    node: pull.src,
+                    start: pull.base,
+                    end: banked,
+                    t0: pull.started,
+                    t1: now,
+                    seq: pull.seq,
+                });
             }
             fw.status.bytes_done = fw.status.bytes_done.max(banked);
-            fw.current = None;
-            fw.repairing = false;
-            let host = fw.status.replica_host.clone().unwrap_or_default();
+            fw.pull = None;
             fw.excluded_hosts.push(host.clone());
             st.sync_file(idx);
             (host, delta)
@@ -1918,7 +1882,7 @@ fn verify_and_finish<W: RmWorld>(
     enter_phase(sim, state, idx, Phase::Verify, vec![]);
     let ctx = fw_ctx(state, idx);
     let Some(expected_hex) = sim.world.reqman().catalog.file_digest(&collection, &name) else {
-        complete_file(sim, state, cb, idx);
+        settle_file(sim, state, cb, idx, Settled::Done);
         return;
     };
     let key = format!("{collection}/{name}");
@@ -1961,7 +1925,7 @@ fn verify_and_finish<W: RmWorld>(
                 .field("repair_rounds", repair_rounds as u64)
                 .field("repair_bytes", repair_bytes),
         );
-        complete_file(sim, state, cb, idx);
+        settle_file(sim, state, cb, idx, Settled::Done);
         return;
     }
 
@@ -2012,11 +1976,8 @@ fn verify_and_finish<W: RmWorld>(
             let mut st = state.borrow_mut();
             let fw = &mut st.files[idx];
             fw.status.bytes_done = 0;
-            fw.attempt_base = 0;
             fw.segments.clear();
             fw.repair_rounds = 0;
-            fw.repairing = false;
-            fw.current = None;
             fw.excluded_hosts = blamed.clone();
             st.sync_file(idx);
         }
@@ -2032,38 +1993,8 @@ fn verify_and_finish<W: RmWorld>(
         requeue_with_backoff(sim, state.clone(), cb.clone(), idx);
         return;
     }
-    launch_repair(
-        sim,
-        state,
-        cb,
-        idx,
-        client,
-        &collection,
-        &name,
-        size,
-        &blocks,
-        &blamed,
-    );
-}
-
-/// Start a block-granular repair: re-fetch only the corrupt byte ranges
-/// via ERET, preferring a replica that was not blamed for the corruption.
-#[allow(clippy::too_many_arguments)]
-fn launch_repair<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    cb: &DoneCell<W>,
-    idx: usize,
-    client: NodeId,
-    collection: &str,
-    name: &str,
-    size: u64,
-    blocks: &[u64],
-    blamed: &[String],
-) {
-    let ranges = repair_ranges(blocks, size, BLOCK_SIZE);
-    let bytes = ranges.total();
-    // Repairs see the manager-wide load (for the spread discount) but
+    // Block-granular repair: re-fetch only the corrupt byte ranges via
+    // ERET. Repairs see the manager-wide load (for the spread discount) but
     // bypass the per-host cap (`host_cap == 0`): a small ERET fetch must
     // not starve behind bulk admission, and it still counts in the ledger
     // once committed.
@@ -2071,9 +2002,11 @@ fn launch_repair<W: RmWorld>(
     // Prefer an alternate over any blamed host; fall back to the full
     // candidate set when no alternate exists (a bad copy the verifier can
     // catch again beats no copy).
-    let (mut choice, _, _) = select_replica(sim, client, collection, name, blamed, 0);
+    let ranges = repair_ranges(&blocks, size, BLOCK_SIZE);
+    let bytes = ranges.total();
+    let (mut choice, _, _) = select_replica(sim, client, &collection, &name, &blamed, 0);
     if choice.is_none() {
-        choice = select_replica(sim, client, collection, name, &[], 0).0;
+        choice = select_replica(sim, client, &collection, &name, &[], 0).0;
     }
     let Some((replica, src_node)) = choice else {
         // No source reachable right now: back off; the worker re-verifies
@@ -2081,20 +2014,15 @@ fn launch_repair<W: RmWorld>(
         requeue_with_backoff(sim, state.clone(), cb.clone(), idx);
         return;
     };
-    let now = sim.now();
-    sim.world.reqman().breaker_admit(&replica.host, now);
-    ledger_acquire(sim, state, idx, &replica.host, false);
+    commit_pull(sim, state, idx, &replica.host, PullKind::Repair);
     let round = {
         let mut st = state.borrow_mut();
         let fw = &mut st.files[idx];
         fw.repair_rounds += 1;
         fw.repair_bytes += bytes;
-        fw.repairing = true;
-        fw.status.replica_host = Some(replica.host.clone());
         fw.repair_rounds
     };
     enter_phase(sim, state, idx, Phase::Repair, vec![]);
-    let ctx = fw_ctx(state, idx);
     {
         let rm = sim.world.reqman();
         rm.metrics.counter_add("rm.integrity.repairs", 1);
@@ -2108,106 +2036,7 @@ fn launch_repair<W: RmWorld>(
         );
     }
     let tuning = resolve_tuning(sim, client, src_node, &replica.host, &ctx);
-    let seq = sim.world.reqman().next_xfer_seq();
-    let mut spec = TransferSpec::new(src_node, client, bytes)
-        .streams(tuning.streams)
-        .window(tuning.window);
-    if tuning.channel_cache {
-        spec = spec.cached();
-    }
-    let host = replica.host.clone();
-    let st2 = state.clone();
-    let cb2 = cb.clone();
-    let t0 = now;
-    let result = start_transfer(sim, spec, move |s2, result| match result {
-        Ok(_) => {
-            let done = s2.now();
-            s2.world.reqman().breaker_success(&host, done);
-            ledger_release(s2, &st2, idx);
-            {
-                let mut st = st2.borrow_mut();
-                let fw = &mut st.files[idx];
-                if fw.status.done || fw.status.failed {
-                    return;
-                }
-                // The repaired ranges are the newest writes to the file:
-                // bank them as segments so re-verification sees them
-                // overwrite the corrupt ones.
-                for (rs, re) in ranges.iter() {
-                    fw.segments.push(SegRecord {
-                        host: host.clone(),
-                        node: src_node,
-                        start: rs,
-                        end: re,
-                        t0,
-                        t1: done,
-                        seq,
-                    });
-                }
-                fw.repairing = false;
-                fw.current = None;
-                st.sync_file(idx);
-            }
-            enter_phase(s2, &st2, idx, Phase::Verify, vec![("bytes", bytes.into())]);
-            verify_and_finish(s2, &st2, &cb2, idx);
-        }
-        Err(TransferError::Cancelled) => {
-            // The monitor cancelled the repair and already requeued the
-            // worker (which will re-verify and re-plan).
-        }
-        Err(e) => {
-            let done = s2.now();
-            ledger_release(s2, &st2, idx);
-            {
-                let mut st = st2.borrow_mut();
-                let fw = &mut st.files[idx];
-                fw.repairing = false;
-                fw.current = None;
-                st.sync_file(idx);
-            }
-            if matches!(e, TransferError::NoRoute { .. }) {
-                s2.world.reqman().breaker_failure(&host, done);
-            } else {
-                s2.world.reqman().breaker_release(&host);
-            }
-            requeue_with_backoff(s2, st2.clone(), cb2.clone(), idx);
-        }
-    });
-    match result {
-        Ok(handle) => {
-            {
-                let mut st = state.borrow_mut();
-                let fw = &mut st.files[idx];
-                fw.current = Some(handle);
-                fw.transfer_started = now;
-                // Banking is a no-op for repairs: bytes_done already
-                // equals size, and the monitor must not count repair
-                // progress as new delivery.
-                fw.attempt_base = fw.status.size;
-                fw.current_seq = seq;
-                fw.current_src = Some(src_node);
-                st.sync_file(idx);
-            }
-            ensure_monitor(sim, state, cb);
-        }
-        Err(e) => {
-            ledger_release(sim, state, idx);
-            {
-                let mut st = state.borrow_mut();
-                let fw = &mut st.files[idx];
-                fw.repairing = false;
-                fw.current = None;
-                st.sync_file(idx);
-            }
-            let h = replica.host.clone();
-            if matches!(e, TransferError::NoRoute { .. }) {
-                sim.world.reqman().breaker_failure(&h, now);
-            } else {
-                sim.world.reqman().breaker_release(&h);
-            }
-            requeue_with_backoff(sim, state.clone(), cb.clone(), idx);
-        }
-    }
+    launch_pull(sim, state, cb, idx, src_node, ranges, tuning);
 }
 
 /// Background re-verification of a quarantined replica: the site restores
@@ -2351,7 +2180,7 @@ mod tests {
     #[test]
     fn no_hrm_request_trace_is_pinned() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        assert!(sim.world.rm.hrms.is_empty() && sim.world.rm.scheduler.prestage);
+        assert!(sim.world.rm.hrms.is_empty());
         {
             let rm = &mut sim.world.rm;
             for (i, f) in ["feb.esg", "mar.esg", "apr.esg"].iter().enumerate() {
@@ -2612,24 +2441,18 @@ mod tests {
         }
     }
 
-    /// Regression: a route that vanishes inside the transfer's set-up
-    /// window fails the launch through the completion callback. The pull
-    /// must be gone by then — a handle left behind is polled by the next
-    /// monitor tick as "stalled" (a phantom failover that bypasses the
-    /// back-off), and the back-off timer then starts a second concurrent
-    /// pull of the same file.
+    /// Regression: a route that vanishes inside a transfer's set-up window
+    /// fails the launch through the completion callback. A handle left on
+    /// the file is polled by the next monitor tick as "stalled" (a phantom
+    /// failover that bypasses the back-off), and the back-off timer then
+    /// starts a second concurrent pull of the same file.
     #[test]
     fn failed_launch_leaves_no_live_pull_behind() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
         sim.world.rm.min_rate = 1e6;
         sim.world.rm.grace = SimDuration::from_secs(1);
         sim.world.rm.retry.base = SimDuration::from_secs(4);
-        submit_request(
-            &mut sim,
-            client,
-            vec![("co2".into(), "jan.esg".into())],
-            |s, o| s.world.outcomes.push(o),
-        );
+        submit_files(&mut sim, client, &["jan.esg"]);
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         sim.schedule(SimDuration::from_millis(400), move |s| {
             s.net.set_node_up(fast, false);
@@ -2638,15 +2461,183 @@ mod tests {
         assert_eq!(sim.world.outcomes.len(), 1);
         let f = &sim.world.outcomes[0].files[0];
         assert!(f.done && !f.failed);
-        assert_eq!(
-            (
-                sim.world.rm.metrics.counter("rm.failovers"),
-                sim.world.gridftp.transfers_started,
-                f.attempts
-            ),
-            (0, 2, 2)
-        );
+        let failovers = sim.world.rm.metrics.counter("rm.failovers");
+        let started = sim.world.gridftp.transfers_started;
+        assert_eq!((failovers, started, f.attempts), (0, 2, 2));
         assert_lifelines_tile(&sim.world.rm);
+    }
+
+    fn submit_files(sim: &mut Sim<World>, client: NodeId, names: &[&str]) -> u64 {
+        let files = names
+            .iter()
+            .map(|n| ("co2".into(), n.to_string()))
+            .collect();
+        submit_request(sim, client, files, |s, o| s.world.outcomes.push(o))
+    }
+
+    /// A completion cell like `submit_request`'s, to drive a transition directly.
+    fn outcome_cell() -> DoneCell<World> {
+        Rc::new(RefCell::new(Some(Box::new(
+            |s: &mut Sim<World>, o: RequestOutcome| s.world.outcomes.push(o),
+        ))))
+    }
+
+    /// Advance in 10 ms steps until `cond` holds.
+    fn run_to(sim: &mut Sim<World>, mut cond: impl FnMut(&Sim<World>) -> bool) {
+        while !cond(sim) {
+            assert!(sim.now() < SimTime::from_secs(600), "condition never held");
+            let next = sim.now() + SimDuration::from_millis(10);
+            sim.run_until(next);
+        }
+    }
+
+    /// Both kinds of pull, refused at the start or failed after it, by an
+    /// unreachable source or a name-service outage, end in `pull_failed`.
+    /// The engine never reports a name-service outage after a start, so
+    /// that corner hands the error to `pull_failed` directly.
+    #[test]
+    fn every_pull_failure_gives_the_pull_back_and_requeues() {
+        let kinds = [PullKind::Attempt, PullKind::Repair];
+        let cases = kinds.iter().flat_map(|&k| {
+            [
+                (k, false, true),
+                (k, false, false),
+                (k, true, true),
+                (k, true, false),
+            ]
+        });
+        for (kind, after_start, unreachable) in cases {
+            let case = format!("{kind:?} after_start={after_start} no_route={unreachable}");
+            let (mut sim, client) = setup(Policy::BestBandwidth);
+            sim.world.rm.breaker_threshold = 1;
+            register_digest(&mut sim.world.rm, "co2", "jan.esg", 50_000_000);
+            // The attempt pulls from the fast site; the repair of a block
+            // the fast site corrupted pulls from the slow one.
+            let host = match kind {
+                PullKind::Attempt => "fast.llnl.gov",
+                PullKind::Repair => {
+                    let rm = &mut sim.world.rm;
+                    rm.corrupt_at_rest("fast.llnl.gov", "jan.esg", 3, 99, SimTime::ZERO);
+                    "slow.isi.edu"
+                }
+            };
+            let node = sim.world.rm.hosts[host];
+            let id = submit_files(&mut sim, client, &["jan.esg"]);
+            let state = sim.world.rm.requests[&id].clone();
+            let live = |st: &SharedRequest| st.borrow().files[0].pull;
+            // Run to the moment the fault must be in place: inside the
+            // pull's set-up window, or before the pull launches (a repair
+            // launches the instant its attempt delivers).
+            if after_start {
+                run_to(&mut sim, |_| live(&state).is_some_and(|p| p.kind == kind));
+            } else if kind == PullKind::Repair {
+                run_to(&mut sim, |_| live(&state).is_some());
+            }
+            if unreachable {
+                sim.net.set_node_up(node, false);
+            } else if after_start {
+                let pull = live(&state).unwrap();
+                cancel_transfer(&mut sim, pull.handle);
+                let err = TransferError::NameServiceDown;
+                pull_failed(&mut sim, state.clone(), outcome_cell(), 0, kind, host, err);
+            } else {
+                sim.net_set_name_service(false);
+            }
+            run_to(&mut sim, |s| s.world.rm.metrics.counter("rm.retries") > 0);
+
+            let now = sim.now();
+            let rm = &sim.world.rm;
+            {
+                let st = state.borrow();
+                let fw = &st.files[0];
+                assert!(fw.pull.is_none() && st.live.is_empty(), "{case}");
+                assert!(fw.ledger_host.is_none(), "{case}");
+                let excluded = fw.excluded_hosts.iter().any(|h| h == host);
+                assert_eq!(excluded, kind == PullKind::Attempt && unreachable, "{case}");
+            }
+            assert_eq!(rm.inflight().total(), 0, "{case}");
+            if unreachable {
+                let state = rm.breaker_state(host);
+                assert!(matches!(state, Some(BreakerState::Open { .. })), "{case}");
+            } else {
+                assert_eq!(rm.breaker_state(host), Some(BreakerState::Closed), "{case}");
+                assert!(rm.breaker_would_admit(host, now), "{case}");
+            }
+
+            sim.net.set_node_up(node, true);
+            sim.net_set_name_service(true);
+            sim.run_until(SimTime::from_secs(1800));
+            assert_eq!(sim.world.outcomes.len(), 1, "{case}");
+            let f = &sim.world.outcomes[0].files[0];
+            assert!(f.done && !f.failed, "{case}");
+            assert_eq!(sim.world.rm.inflight().total(), 0, "{case}");
+            assert_lifelines_tile(&sim.world.rm);
+        }
+    }
+
+    /// `settle_file` is the one place a file's holdings are given back.
+    /// File 0 of a two-file, one-slot request is settled each way while it
+    /// holds everything a file can hold: a slot, a ledger entry, a live
+    /// pull, banked progress and open spans.
+    #[test]
+    fn settling_gives_back_everything_the_file_holds() {
+        for how in [Settled::Done, Settled::Failed, Settled::Cancelled] {
+            let (mut sim, client) = setup(Policy::BestBandwidth);
+            {
+                let rm = &mut sim.world.rm;
+                rm.poll = SimDuration::from_millis(100);
+                rm.scheduler.policy = AdmissionPolicy::Fifo;
+                rm.scheduler.max_active_per_request = 1;
+                let cat = &mut rm.catalog;
+                cat.add_logical_file("co2", "feb.esg", 1_000_000).unwrap();
+                cat.add_file_to_location("co2", "llnl", "feb.esg").unwrap();
+            }
+            let id = submit_files(&mut sim, client, &["jan.esg", "feb.esg"]);
+            let state = sim.world.rm.requests[&id].clone();
+            run_to(&mut sim, |_| state.borrow().progress.contains(&0));
+            let handle = {
+                let st = state.borrow();
+                assert!(st.live.contains(&0) && st.files[0].admitted);
+                assert_eq!((st.active, st.remaining), (1, 2));
+                st.files[0].pull.unwrap().handle
+            };
+            assert_eq!(sim.world.rm.inflight().total(), 1);
+
+            let cb = outcome_cell();
+            settle_file(&mut sim, &state, &cb, 0, how);
+            // Idempotent: a second verdict on a settled file is ignored.
+            settle_file(&mut sim, &state, &cb, 0, Settled::Failed);
+
+            let counted = (how != Settled::Cancelled) as usize;
+            {
+                let st = state.borrow();
+                let fw = &st.files[0];
+                assert!(fw.pull.is_none() && !fw.admitted && fw.ledger_host.is_none());
+                assert!(fw.trace_root.is_none() && fw.trace_phase.is_none());
+                assert_eq!(fw.status.done, how == Settled::Done);
+                assert_eq!(fw.status.failed, how != Settled::Done);
+                assert!(!st.live.contains(&0));
+                // Banked bytes of an undelivered file stay journal-worthy.
+                assert_eq!(st.progress.contains(&0), how != Settled::Done);
+                assert_eq!(st.remaining, 2 - counted);
+                // The freed slot went to file 1 — unless nothing is pumped.
+                assert_eq!((st.active, st.files[1].admitted), (counted, counted == 1));
+            }
+            assert_eq!(transfer_bytes(&mut sim, handle), 0, "pull not cancelled");
+            let rm = &sim.world.rm;
+            assert_eq!(rm.inflight().load("fast.llnl.gov"), counted);
+            let done = (how == Settled::Done) as u64;
+            assert_eq!(rm.metrics.counter("rm.files.completed"), done);
+            assert_eq!(rm.metrics.counter("rm.files.failed"), counted as u64 - done);
+            let set = esg_netlogger::LifelineSet::from_log(&rm.log);
+            let l = set.lifeline(id, "jan.esg").unwrap();
+            let status = ["done", "failed", "cancelled"][how as usize];
+            assert!(l.is_complete() && l.status() == Some(status));
+
+            sim.run_until(SimTime::from_secs(300));
+            assert_eq!(sim.world.outcomes.len(), counted);
+            assert_eq!(sim.world.rm.inflight().total(), 0);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! registers the new location in the replica catalog once each file lands.
 
 use crate::manager::RmWorld;
-use esg_gridftp::simxfer::{start_transfer, TransferSpec};
+use esg_gridftp::simxfer::start_transfer;
 use esg_gridftp::GridUrl;
 use esg_netlogger::{LogEvent, TraceCtx};
 use esg_simnet::{NodeId, Sim, SimDuration, SimTime};
@@ -187,12 +187,7 @@ fn copy_one<W: RmWorld>(
     sim.world.reqman().breaker_admit(&source_host, now);
 
     let tuning = sim.world.reqman().tuning;
-    let mut spec = TransferSpec::new(source_node, target_node, size)
-        .streams(tuning.streams)
-        .window(tuning.window);
-    if tuning.channel_cache {
-        spec = spec.cached();
-    }
+    let spec = tuning.spec(source_node, target_node, size);
     let st2 = state.clone();
     let cb2 = cb.clone();
     let file2 = file.clone();

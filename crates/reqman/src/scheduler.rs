@@ -10,12 +10,12 @@
 //! thrashing through failovers. This module is the scheduling layer that
 //! replaces that loop:
 //!
-//! * **Admission control** — a per-request ready queue ordered by a
-//!   pluggable [`AdmissionPolicy`], released under a per-request in-flight
+//! * **Admission control** — a per-request ready queue ordered by an
+//!   [`AdmissionPolicy`], released under a per-request in-flight
 //!   cap, plus a per-source-host cap backed by the manager-wide
 //!   [`HostLedger`], so small files are not starved behind multi-GB
 //!   transfers and no host (or the client NIC) is oversubscribed.
-//! * **BDP auto-tuning** — per-path `TransferTuning` derived from the NWS
+//! * **BDP tuning** — per-path `TransferTuning` derived from the NWS
 //!   bandwidth×RTT product (the paper's "Buffer size = Bandwidth ×
 //!   Latency" rule) instead of fixed defaults; see [`bdp_tuning`].
 //! * **Stage/transfer pipelining** — cold tape-only files are prestaged at
@@ -37,49 +37,27 @@ pub enum AdmissionPolicy {
     /// Smallest file first: minimizes mean file sojourn, and small files
     /// are exactly the ones a multi-GB neighbour would starve.
     ShortestFirst,
-    /// Interleave by size rank so consecutive releases mix large and
-    /// small files; combined with `plan_spread` this widens the set of
-    /// sites serving at any instant.
-    SiteSpread,
 }
 
-/// Scheduler configuration living inside the request manager.
+/// Scheduler configuration living inside the request manager. Everything
+/// else has one value in use: the constants below, and BDP tuning, cached
+/// data channels and tape prestaging are simply what the scheduler does.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Master switch: `false` restores the seed "start all N workers at
-    /// once" behaviour (the bench ablation baseline).
+    /// once" behaviour with fixed tuning (the A12 ablation baseline).
     pub enabled: bool,
     /// In-flight file cap per request (admission slots).
     pub max_active_per_request: usize,
     /// In-flight transfer cap per source host across all requests
     /// (0 = uncapped). Checked against the manager-wide [`HostLedger`];
     /// block-repair fetches bypass the cap but still count in the ledger.
+    /// Nothing but the RM's unit tests sets it: they need a small cap to
+    /// drive capacity deferral.
     pub max_inflight_per_host: usize,
-    /// Ready-queue release order.
+    /// Ready-queue release order. Nothing but the RM's unit tests sets it:
+    /// they need `Fifo` to hold a known file order.
     pub policy: AdmissionPolicy,
-    /// Derive per-path streams/window from the NWS BDP forecast.
-    pub auto_tune: bool,
-    /// Request cached GridFTP data channels for scheduled transfers, so
-    /// repeat pulls from a host skip the connect + GSI handshake and the
-    /// TCP slow-start ramp (the paper's data-channel-caching feature).
-    /// Observable as the `gridftp.cache_hits` counter.
-    pub channel_cache: bool,
-    /// Prestage cold tape-only files at submit time.
-    pub prestage: bool,
-    /// Retry delay when every candidate replica is at its host cap. This
-    /// is a capacity wait, not a failure: it consumes no attempt.
-    pub defer_retry: SimDuration,
-    /// Clamp floor for the auto-tuned per-stream window.
-    pub window_min: f64,
-    /// Clamp ceiling for the auto-tuned per-stream window.
-    pub window_max: f64,
-    /// Ceiling on auto-tuned parallel streams.
-    pub max_streams: u32,
-    /// BDP multiplier. NWS forecasts *achieved* throughput, not capacity;
-    /// sizing the window at exactly forecast×RTT would cap the new
-    /// transfer at the previously observed rate (a self-fulfilling
-    /// underestimate), so the window gets headroom to discover more.
-    pub bdp_headroom: f64,
 }
 
 impl Default for SchedulerConfig {
@@ -89,17 +67,25 @@ impl Default for SchedulerConfig {
             max_active_per_request: 4,
             max_inflight_per_host: 8,
             policy: AdmissionPolicy::ShortestFirst,
-            auto_tune: true,
-            channel_cache: true,
-            prestage: true,
-            defer_retry: SimDuration::from_secs(1),
-            window_min: (256u64 << 10) as f64,
-            window_max: (4u64 << 20) as f64,
-            max_streams: 8,
-            bdp_headroom: 2.0,
         }
     }
 }
+
+/// Wait before re-running a selection round that found its tenant at its
+/// share or every candidate replica at its host cap. A capacity wait, not
+/// a failure: it consumes no attempt.
+pub const DEFER_RETRY: SimDuration = SimDuration::from_secs(1);
+/// Clamp floor for the auto-tuned per-stream window (256 KiB).
+pub const WINDOW_MIN: f64 = (256u64 << 10) as f64;
+/// Clamp ceiling for the auto-tuned per-stream window (4 MiB).
+pub const WINDOW_MAX: f64 = (4u64 << 20) as f64;
+/// Ceiling on auto-tuned parallel streams.
+pub const MAX_STREAMS: u32 = 8;
+/// BDP multiplier. NWS forecasts *achieved* throughput, not capacity;
+/// sizing the window at exactly forecast×RTT would cap the new transfer at
+/// the previously observed rate (a self-fulfilling underestimate), so the
+/// window gets headroom to discover more.
+pub const BDP_HEADROOM: f64 = 2.0;
 
 /// Manager-wide in-flight transfer counts per source host.
 ///
@@ -178,16 +164,6 @@ impl HostLedger {
     /// Highest simultaneous attempt count seen on any host.
     pub fn peak_attempts(&self) -> usize {
         self.peak_attempts
-    }
-
-    /// Snapshot of per-host loads for the spread planner.
-    pub fn snapshot(&self) -> HashMap<String, usize> {
-        self.hosts
-            .iter()
-            .zip(&self.counts)
-            .filter(|&(_, &c)| c > 0)
-            .map(|(h, &c)| (h.clone(), c))
-            .collect()
     }
 
     /// Record a pull starting from `host` on behalf of `tenant`.
@@ -376,29 +352,8 @@ impl SchedStats {
 /// submit order, which keeps the schedule a pure function of the request.
 pub fn order_queue(policy: AdmissionPolicy, sizes: &[u64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..sizes.len()).collect();
-    match policy {
-        AdmissionPolicy::Fifo => {}
-        AdmissionPolicy::ShortestFirst => {
-            idx.sort_by_key(|&i| (sizes[i], i));
-        }
-        AdmissionPolicy::SiteSpread => {
-            // Interleave the size-sorted order from both ends: small,
-            // large, small, large... so each admission wave mixes file
-            // scales (and therefore likely sites/durations).
-            let mut by_size: Vec<usize> = (0..sizes.len()).collect();
-            by_size.sort_by_key(|&i| (sizes[i], i));
-            let mut out = Vec::with_capacity(by_size.len());
-            let (mut lo, mut hi) = (0usize, by_size.len());
-            while lo < hi {
-                out.push(by_size[lo]);
-                lo += 1;
-                if lo < hi {
-                    hi -= 1;
-                    out.push(by_size[hi]);
-                }
-            }
-            idx = out;
-        }
+    if policy == AdmissionPolicy::ShortestFirst {
+        idx.sort_by_key(|&i| (sizes[i], i));
     }
     idx
 }
@@ -410,16 +365,15 @@ pub fn order_queue(policy: AdmissionPolicy, sizes: &[u64]) -> Vec<usize> {
 /// bandwidth forecast (bytes/sec) and an RTT forecast (seconds) for the
 /// chosen path:
 ///
-/// * `bdp = bandwidth × rtt × bdp_headroom`
-/// * `streams = clamp(ceil(bdp / window_max), 1, max_streams)` — only
+/// * `bdp = bandwidth × rtt × BDP_HEADROOM`
+/// * `streams = clamp(ceil(bdp / WINDOW_MAX), 1, MAX_STREAMS)` — only
 ///   paths whose BDP exceeds one clamped window get extra streams;
-/// * `window = clamp(bdp / streams, window_min, window_max)`.
+/// * `window = clamp(bdp / streams, WINDOW_MIN, WINDOW_MAX)`.
 ///
 /// Returns `(tuning, true)` when a forecast-driven decision was made, or
 /// `(base, false)` when either forecast is missing (cold NWS path) and the
 /// fixed defaults apply.
 pub fn bdp_tuning(
-    cfg: &SchedulerConfig,
     base: TransferTuning,
     bandwidth: Option<f64>,
     rtt: Option<f64>,
@@ -432,9 +386,9 @@ pub fn bdp_tuning(
     if !healthy {
         return (base, false);
     }
-    let bdp = bw * rtt * cfg.bdp_headroom;
-    let streams = ((bdp / cfg.window_max).ceil() as u32).clamp(1, cfg.max_streams.max(1));
-    let window = (bdp / streams as f64).clamp(cfg.window_min, cfg.window_max);
+    let bdp = bw * rtt * BDP_HEADROOM;
+    let streams = ((bdp / WINDOW_MAX).ceil() as u32).clamp(1, MAX_STREAMS);
+    let window = (bdp / streams as f64).clamp(WINDOW_MIN, WINDOW_MAX);
     (
         TransferTuning {
             streams,
@@ -459,15 +413,6 @@ mod tests {
         assert_eq!(
             order_queue(AdmissionPolicy::ShortestFirst, &[30, 10, 20, 10]),
             [1, 3, 2, 0]
-        );
-    }
-
-    #[test]
-    fn site_spread_interleaves_extremes() {
-        // sizes sorted: 1(=idx1), 2(=idx3), 3(=idx0), 4(=idx2)
-        assert_eq!(
-            order_queue(AdmissionPolicy::SiteSpread, &[3, 1, 4, 2]),
-            [1, 2, 3, 0]
         );
     }
 
@@ -547,58 +492,51 @@ mod tests {
 
     #[test]
     fn bdp_tuning_falls_back_without_forecasts() {
-        let cfg = SchedulerConfig::default();
         let base = TransferTuning::default();
-        let (t, tuned) = bdp_tuning(&cfg, base, None, Some(0.01));
+        let (t, tuned) = bdp_tuning(base, None, Some(0.01));
         assert!(!tuned);
         assert_eq!(t.streams, base.streams);
-        let (_, tuned) = bdp_tuning(&cfg, base, Some(1e7), None);
+        let (_, tuned) = bdp_tuning(base, Some(1e7), None);
         assert!(!tuned);
-        let (_, tuned) = bdp_tuning(&cfg, base, Some(0.0), Some(0.01));
+        let (_, tuned) = bdp_tuning(base, Some(0.0), Some(0.01));
         assert!(!tuned, "degenerate forecasts fall back");
     }
 
     #[test]
     fn bdp_tuning_small_path_gets_one_stream() {
-        let cfg = SchedulerConfig::default();
         // 10 MB/s × 10 ms × 2 headroom = 200 KB BDP: one stream, floor
         // window.
-        let (t, tuned) = bdp_tuning(&cfg, TransferTuning::default(), Some(10e6), Some(0.010));
+        let (t, tuned) = bdp_tuning(TransferTuning::default(), Some(10e6), Some(0.010));
         assert!(tuned);
         assert_eq!(t.streams, 1);
-        assert_eq!(t.window, cfg.window_min);
+        assert_eq!(t.window, WINDOW_MIN);
     }
 
     #[test]
     fn bdp_tuning_long_fat_path_gets_streams_and_capped_window() {
-        let cfg = SchedulerConfig::default();
         // 150 MB/s × 80 ms × 2 = 24 MB BDP: ceil(24e6/4MiB) = 6 streams,
         // each window bdp/6 = 4.0 MB (just inside the 4 MiB ceiling).
-        let (t, tuned) = bdp_tuning(&cfg, TransferTuning::default(), Some(150e6), Some(0.080));
+        let (t, tuned) = bdp_tuning(TransferTuning::default(), Some(150e6), Some(0.080));
         assert!(tuned);
         assert_eq!(t.streams, 6);
         assert_eq!(t.window, 24e6 / 6.0);
-        assert!(t.window <= cfg.window_max);
+        assert!(t.window <= WINDOW_MAX);
     }
 
     #[test]
     fn bdp_tuning_respects_stream_ceiling() {
-        let cfg = SchedulerConfig {
-            max_streams: 4,
-            ..Default::default()
-        };
-        let (t, _) = bdp_tuning(&cfg, TransferTuning::default(), Some(1e9), Some(0.2));
-        assert_eq!(t.streams, 4);
-        assert_eq!(t.window, cfg.window_max);
+        // 1 GB/s × 200 ms × 2 = 400 MB BDP: 96 full windows' worth.
+        let (t, _) = bdp_tuning(TransferTuning::default(), Some(1e9), Some(0.2));
+        assert_eq!(t.streams, MAX_STREAMS);
+        assert_eq!(t.window, WINDOW_MAX);
     }
 
     #[test]
     fn bdp_tuning_window_times_streams_covers_bdp_when_unclamped() {
-        let cfg = SchedulerConfig::default();
         let bw = 60e6;
         let rtt = 0.05;
-        let (t, _) = bdp_tuning(&cfg, TransferTuning::default(), Some(bw), Some(rtt));
-        let bdp = bw * rtt * cfg.bdp_headroom;
+        let (t, _) = bdp_tuning(TransferTuning::default(), Some(bw), Some(rtt));
+        let bdp = bw * rtt * BDP_HEADROOM;
         assert!(
             t.streams as f64 * t.window >= bdp - 1.0,
             "aggregate window {} must cover the headroomed BDP {bdp}",
@@ -608,12 +546,11 @@ mod tests {
 
     #[test]
     fn bdp_tuning_preserves_channel_cache_flag() {
-        let cfg = SchedulerConfig::default();
         let base = TransferTuning {
             channel_cache: true,
             ..Default::default()
         };
-        let (t, _) = bdp_tuning(&cfg, base, Some(50e6), Some(0.02));
+        let (t, _) = bdp_tuning(base, Some(50e6), Some(0.02));
         assert!(t.channel_cache);
     }
 }

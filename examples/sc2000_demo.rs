@@ -4,7 +4,7 @@
 //! striping a 2 GB file to eight at LBNL with up to four TCP streams per
 //! server (32 total) and 1 MB buffers — runs it for ten simulated minutes,
 //! and prints the Table 1 statistics next to the paper's one-hour numbers.
-//! (`cargo run -p esg-bench --bin table1` runs the full hour.)
+//! (`cargo run --release -p esg-lab --bin lab -- table1` runs the full hour.)
 //!
 //! Run with: `cargo run --release --example sc2000_demo`
 
