@@ -1,15 +1,20 @@
 //! Resume-safe JSONL trial journal.
 //!
 //! Every completed trial is appended to `<journal_dir>/<scenario>.jsonl`
-//! as one self-contained line: the spec hash it ran under, the trial
-//! coordinates (variant, seed, rep), the deterministic metrics, the
-//! timing section, the artifact fragment, and the path+sha256 of any
-//! auxiliary files the trial wrote. A rerun replays the journal first
-//! and skips every trial whose spec hash matches and whose auxiliary
+//! as one self-contained line: the spec hash it ran under, the build
+//! that ran it (sha256 of the executable), the trial coordinates
+//! (variant, seed, rep), the deterministic metrics, the timing section,
+//! the artifact fragment, and the path+sha256 of any auxiliary files the
+//! trial wrote. A rerun replays the journal first and skips every trial
+//! whose spec hash and build match and whose auxiliary
 //! files are still on disk with matching digests — the deterministic
 //! same-seed trace contract means a journaled trial's metrics ARE the
 //! trial, so the resumed analysis table is byte-identical to an
 //! uninterrupted run (regression-tested in `tests/journal_resume.rs`).
+//! A trial journaled by *another* build is not that trial: its counts may
+//! belong to different code and its `wall_ms`/`peak_rss_kb` certainly do,
+//! so it re-runs (EXPERIMENTS A20 regenerated an artifact from the
+//! previous tree's timings before this check existed).
 //!
 //! A truncated final line (the run died mid-append) is silently dropped:
 //! that trial simply reruns.
@@ -17,6 +22,7 @@
 use crate::json::{fmt_num, Json};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Coordinates of one trial in the variant × seed × rep matrix.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -111,7 +117,24 @@ impl TrialRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     pub spec_sha256: String,
+    /// [`build_stamp`] of the process that ran the trial; empty when the
+    /// line predates the stamp.
+    pub build: String,
     pub record: TrialRecord,
+}
+
+/// Identity of the running build: hex sha256 of this executable's bytes,
+/// computed once per process.
+pub fn build_stamp() -> Result<&'static str, String> {
+    static STAMP: OnceLock<Result<String, String>> = OnceLock::new();
+    STAMP
+        .get_or_init(|| {
+            let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+            let bytes = std::fs::read(&exe).map_err(|e| format!("read {exe:?}: {e}"))?;
+            Ok(crate::sha_hex_bytes(&bytes))
+        })
+        .as_deref()
+        .map_err(Clone::clone)
 }
 
 impl JournalEntry {
@@ -120,6 +143,7 @@ impl JournalEntry {
         Json::obj(vec![
             ("v", Json::Int(1)),
             ("spec_sha256", Json::str(&self.spec_sha256)),
+            ("build", Json::str(&self.build)),
             ("variant", Json::str(&r.key.variant)),
             ("seed", Json::Int(r.key.seed as i128)),
             ("rep", Json::Int(r.key.rep as i128)),
@@ -216,6 +240,11 @@ impl JournalEntry {
                 .and_then(Json::as_str)
                 .ok_or("journal entry needs spec_sha256")?
                 .to_string(),
+            build: v
+                .get("build")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
             record: TrialRecord {
                 key: TrialKey {
                     variant: v
@@ -299,11 +328,12 @@ pub fn read(path: &Path) -> Result<Vec<JournalEntry>, String> {
     Ok(out)
 }
 
-/// Is this journaled trial safe to reuse for `spec_sha`? The spec hash
-/// must match and every auxiliary file must still exist with the
-/// journaled digest.
-pub fn reusable(entry: &JournalEntry, spec_sha: &str) -> bool {
+/// Is this journaled trial safe to reuse for `spec_sha` by the build
+/// `build`? Spec hash and build stamp must match and every auxiliary file
+/// must still exist with the journaled digest.
+pub fn reusable(entry: &JournalEntry, spec_sha: &str, build: &str) -> bool {
     entry.spec_sha256 == spec_sha
+        && entry.build == build
         && entry.record.aux.iter().all(|a| {
             std::fs::read_to_string(&a.path)
                 .map(|text| crate::sha_hex(&text) == a.sha256)
@@ -318,6 +348,7 @@ mod tests {
     fn entry(variant: &str, seed: u64) -> JournalEntry {
         JournalEntry {
             spec_sha256: "abc".into(),
+            build: "b1".into(),
             record: TrialRecord {
                 key: TrialKey {
                     variant: variant.into(),
@@ -406,14 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn reuse_requires_matching_spec_and_aux() {
+    fn reuse_requires_matching_spec_build_and_aux() {
         let mut e = entry("a", 17);
-        assert!(reusable(&e, "abc"));
-        assert!(!reusable(&e, "other"));
+        assert!(reusable(&e, "abc", "b1"));
+        assert!(!reusable(&e, "other", "b1"));
+        assert!(!reusable(&e, "abc", "b2"));
+        // A line from before the stamp reads back with an empty one.
+        let unstamped =
+            Json::parse(r#"{"spec_sha256":"abc","variant":"a","seed":17,"metrics":{}}"#)
+                .and_then(|v| JournalEntry::from_json(&v))
+                .unwrap();
+        assert!(!reusable(&unstamped, "abc", "b1"));
         e.record.aux.push(AuxFile {
             path: "/definitely/not/a/file.ulm".into(),
             sha256: "0".into(),
         });
-        assert!(!reusable(&e, "abc"));
+        assert!(!reusable(&e, "abc", "b1"));
     }
 }

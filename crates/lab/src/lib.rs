@@ -27,7 +27,11 @@ pub mod spec;
 /// Hex sha256 of a string — the digest used for spec identity, trace
 /// pins, delivery manifests and journal aux-file verification.
 pub fn sha_hex(s: &str) -> String {
-    esg_gsi::sha256(s.as_bytes())
+    sha_hex_bytes(s.as_bytes())
+}
+
+pub(crate) fn sha_hex_bytes(bytes: &[u8]) -> String {
+    esg_gsi::sha256(bytes)
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()

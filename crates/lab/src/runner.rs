@@ -92,9 +92,16 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
     } else {
         journal::read(&jpath)?
     };
+    let build = journal::build_stamp()?;
+    let other_build = journaled.iter().filter(|e| e.build != build).count();
+    if other_build > 0 {
+        eprintln!(
+            "lab: {other_build} journaled trial(s) were written by another build: not reused"
+        );
+    }
     let reusable: Vec<&JournalEntry> = journaled
         .iter()
-        .filter(|e| journal::reusable(e, &spec_sha))
+        .filter(|e| journal::reusable(e, &spec_sha, build))
         .collect();
 
     let keys = plan(spec);
@@ -142,6 +149,7 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
             &jpath,
             &JournalEntry {
                 spec_sha256: spec_sha.clone(),
+                build: build.to_string(),
                 record: record.clone(),
             },
         )?;

@@ -169,3 +169,30 @@ fn changed_spec_invalidates_the_journal() {
     );
     assert_eq!(second.executed, 4);
 }
+
+#[test]
+fn a_journal_written_by_another_build_is_not_replayed() {
+    // Two trials: one seed of the probe.
+    let mut spec = probe_spec();
+    spec.seeds.truncate(1);
+    let dir = tmp_dir("other_build");
+    let first = run_scenario(&spec, &opts(&dir)).unwrap();
+    assert_eq!((first.reused, first.executed), (0, 2));
+
+    // Rewrite every line's stamp, as if a different `lab` had run them.
+    let jpath = journal::journal_path(&dir, &spec.name);
+    let stamp = journal::build_stamp().unwrap();
+    let text = std::fs::read_to_string(&jpath).unwrap();
+    assert_eq!(text.matches(stamp).count(), 2, "one stamp per line");
+    std::fs::write(&jpath, text.replace(stamp, &"0".repeat(64))).unwrap();
+
+    let second = run_scenario(&spec, &opts(&dir)).unwrap();
+    assert_eq!(second.reused, 0, "another build's trials must re-run");
+    assert_eq!(second.executed, 2);
+    assert_eq!(second.table, first.table);
+
+    // This build's own lines, appended behind the stale ones, are reused.
+    let third = run_scenario(&spec, &opts(&dir)).unwrap();
+    assert_eq!((third.reused, third.executed), (2, 0));
+    assert_eq!(third.table, first.table);
+}

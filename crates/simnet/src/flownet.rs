@@ -34,6 +34,21 @@
 //! ([`crate::membership`]) and per-flow hot state is keyed by dense interned
 //! flow ids (a slab), not a tree.
 //!
+//! ## Anatomy of a recompute pass
+//!
+//! A pass rebuilds three things and keeps none of them, so all three live
+//! in buffers the `FlowNet` owns and reuses; once they have grown to the
+//! shape of the network a pass does not touch the heap
+//! (`tests/alloc_free_pass.rs` counts). Mutations push onto the dirty
+//! lists `dirty_flows`/`dirty_res` (plain `Vec`s, repeats allowed) →
+//! `dirty_seeds` writes the affected running flows into `seeds` and sorts
+//! it once → `partition_components` lays every reachable component flat
+//! into `PartitionScratch::{flows, ends}`, skipping repeated seeds through
+//! its visited marks → `solve_components` walks that arena in place,
+//! assembling each component as CSR into the `WaterFill` inside
+//! `SolveScratch` and solving it there → `apply_rates` reads the rates as a
+//! slice of that scratch.
+//!
 //! Same-instant dirty events coalesce: a burst of N flow arrivals between
 //! two queries accumulates one dirty set and triggers one recompute pass,
 //! not N. Read-only queries ([`FlowNet::flow_rate`],
@@ -43,7 +58,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::allocation::{max_min_fair, AllocFlow};
+use crate::allocation::{max_min_fair, AllocFlow, WaterFill};
 use crate::eventindex::{EventIndex, EV_COMPLETE, EV_RAMP};
 use crate::membership::MembershipIndex;
 use crate::network::{Dir, LinkId, NodeId, NodeKind, Topology};
@@ -261,9 +276,10 @@ pub struct AllocStats {
     pub rate_changes: u64,
 }
 
-/// Reusable arena for assembling one component's subproblem without
-/// per-component allocation, replacing a hash map for global→local
-/// resource-id interning. Two regimes: components with few distinct
+/// Reusable arena for assembling and solving one component's subproblem
+/// without per-component allocation: the `WaterFill` the component is
+/// written into, and the global→local resource-id interning that replaces
+/// a hash map. Interning has two regimes: components with few distinct
 /// resources (the overwhelmingly common case — one route plus endpoint
 /// NIC/CPU/disk) intern by linear scan over a tiny first-encounter list
 /// that stays in L1; a component that outgrows the list promotes to
@@ -280,7 +296,9 @@ struct SolveScratch {
     small: Vec<u32>,
     dense: bool,
     n_res: usize,
-    capacities: Vec<f64>,
+    /// The component under assembly; its resource table is the interned
+    /// capacities (local id = position).
+    fill: WaterFill,
 }
 
 /// Distinct-resource count past which a component's interning promotes
@@ -292,7 +310,7 @@ impl SolveScratch {
         self.n_res = n_res;
         self.small.clear();
         self.dense = false;
-        self.capacities.clear();
+        self.fill.clear();
     }
 
     /// Switch to the dense-array regime, carrying over every id the small
@@ -323,32 +341,36 @@ impl SolveScratch {
             }
             if self.small.len() < SCRATCH_SMALL_MAX {
                 self.small.push(r);
-                self.capacities.push(cap);
-                return self.capacities.len() - 1;
+                return self.fill.push_resource(cap);
             }
             self.promote();
         }
         let ri = r as usize;
         if self.stamp[ri] != self.epoch {
             self.stamp[ri] = self.epoch;
-            self.local[ri] = self.capacities.len() as u32;
-            self.capacities.push(cap);
+            self.local[ri] = self.fill.push_resource(cap) as u32;
         }
         self.local[ri] as usize
     }
 }
 
-/// Reusable epoch-stamped visited sets for component partitioning. A
-/// fresh `vec![false; N]` pair per recompute pass is O(flows + resources)
-/// of memset *per event* — the exact quadratic-at-scale pattern this
-/// allocator exists to avoid — so the seen marks live here and are
-/// invalidated in O(1) by bumping the epoch.
+/// Reusable arena for component partitioning: epoch-stamped visited sets
+/// and the partition itself. A fresh `vec![false; N]` pair per recompute
+/// pass is O(flows + resources) of memset *per event* — the exact
+/// quadratic-at-scale pattern this allocator exists to avoid — so the seen
+/// marks live here and are invalidated in O(1) by bumping the epoch. The
+/// components of the last partition lie flat in `flows`, delimited by
+/// `ends`, instead of in a `Vec` each.
 #[derive(Debug, Default)]
 struct PartitionScratch {
     epoch: u32,
     seen_r: Vec<u32>,
     seen_f: Vec<u32>,
     stack: Vec<u64>,
+    /// Every component of the last partition, back to back.
+    flows: Vec<u64>,
+    /// `ends[k]` is one past component `k`'s last position in `flows`.
+    ends: Vec<usize>,
 }
 
 impl PartitionScratch {
@@ -366,6 +388,19 @@ impl PartitionScratch {
             self.epoch = 1;
         }
         self.stack.clear();
+        self.flows.clear();
+        self.ends.clear();
+    }
+
+    /// Number of components in the last partition.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Component `k` of the last partition: its flow ids, ascending.
+    fn component(&self, k: usize) -> &[u64] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.flows[start..self.ends[k]]
     }
 }
 
@@ -402,38 +437,43 @@ fn resource_keys_for(spec: &FlowSpec, route: &[(LinkId, Dir)], topo: &Topology) 
     out
 }
 
-/// Partition the flows reachable from `seeds` into connected components of
-/// the flow↔resource bipartite graph. Only finite-capacity resources carry
-/// connectivity (infinite resources never constrain anything). Components
-/// are emitted in ascending order of their smallest seed and each component
-/// is sorted by flow id — a canonical order shared by the incremental path
-/// and the oracle. Traversal borrows the per-flow resource slices and
-/// visits resource members through a callback; it allocates nothing per
-/// flow.
+/// Partition the flows reachable from `seeds` (ascending; repeats are
+/// skipped) into connected components of the flow↔resource bipartite
+/// graph, written flat into `scratch` (see [`PartitionScratch::component`]).
+/// Only finite-capacity resources carry connectivity (infinite resources
+/// never constrain anything). Components are emitted in ascending order of
+/// their smallest seed and each component is sorted by flow id — a
+/// canonical order shared by the incremental path and the oracle.
+/// Traversal borrows the per-flow resource slices and visits resource
+/// members through a callback; once the scratch has grown to the largest
+/// partition seen it allocates nothing at all.
 fn partition_components<'a>(
-    seeds: &BTreeSet<u64>,
+    seeds: &[u64],
     n_res: usize,
     n_flows: u64,
     scratch: &mut PartitionScratch,
     res_of: impl Fn(u64) -> &'a [u32],
     flows_on: impl Fn(u32, &mut dyn FnMut(u64)),
     finite: impl Fn(u32) -> bool,
-) -> Vec<Vec<u64>> {
+) {
+    debug_assert!(seeds.is_sorted());
     scratch.begin(n_res, n_flows as usize);
     let epoch = scratch.epoch;
     let PartitionScratch {
         seen_r,
         seen_f,
         stack,
+        flows,
+        ends,
         ..
     } = scratch;
-    let mut comps = Vec::new();
     for &s in seeds {
         if seen_f[s as usize] == epoch {
             continue;
         }
         seen_f[s as usize] = epoch;
-        let mut comp = vec![s];
+        let start = flows.len();
+        flows.push(s);
         stack.push(s);
         while let Some(f) = stack.pop() {
             for &r in res_of(f) {
@@ -447,16 +487,15 @@ fn partition_components<'a>(
                 flows_on(r, &mut |g| {
                     if seen_f[g as usize] != epoch {
                         seen_f[g as usize] = epoch;
-                        comp.push(g);
+                        flows.push(g);
                         stack.push(g);
                     }
                 });
             }
         }
-        comp.sort_unstable();
-        comps.push(comp);
+        flows[start..].sort_unstable();
+        ends.push(flows.len());
     }
-    comps
 }
 
 /// The live network: topology plus active flows.
@@ -487,9 +526,12 @@ pub struct FlowNet {
     /// Membership: resource index → running flows crossing it (sharded).
     members: MembershipIndex,
     /// Flows whose cap/route/existence changed since the last recompute.
-    dirty_flows: BTreeSet<u64>,
-    /// Resources whose capacity changed or whose member set shrank.
-    dirty_res: BTreeSet<u32>,
+    /// A reused list, not a set: repeats are allowed and ids of flows since
+    /// removed or stalled linger — `dirty_seeds` drops both.
+    dirty_flows: Vec<u64>,
+    /// Resources whose capacity changed or whose member set shrank (a
+    /// reused list; repeats allowed).
+    dirty_res: Vec<u32>,
     /// Topology-wide invalidation (reroute events): re-solve everything.
     dirty_all: bool,
     /// Time-ordered index of pending network discontinuities: each flow's
@@ -501,9 +543,11 @@ pub struct FlowNet {
     /// up-state changes (the only mutations that can change BFS routes).
     /// Negative results are cached too.
     route_cache: HashMap<(NodeId, NodeId), CachedRoute>,
-    /// Arena for component assembly, reused across solves.
+    /// Seed list of the pass in progress, reused across passes.
+    seeds: Vec<u64>,
+    /// Arena for component assembly and solve, reused across solves.
     scratch: SolveScratch,
-    /// Visited-set arena for component partitioning, reused across passes.
+    /// Visited sets and the flat component arena, reused across passes.
     part_scratch: PartitionScratch,
     stats: AllocStats,
 }
@@ -522,11 +566,12 @@ impl FlowNet {
             res_ids: HashMap::new(),
             res_keys: Vec::new(),
             members: MembershipIndex::new(),
-            dirty_flows: BTreeSet::new(),
-            dirty_res: BTreeSet::new(),
+            dirty_flows: Vec::new(),
+            dirty_res: Vec::new(),
             dirty_all: false,
             events: EventIndex::default(),
             route_cache: HashMap::new(),
+            seeds: Vec::new(),
             scratch: SolveScratch::default(),
             part_scratch: PartitionScratch::default(),
             stats: AllocStats::default(),
@@ -553,10 +598,6 @@ impl FlowNet {
 
     fn is_dirty(&self) -> bool {
         self.dirty_all || !self.dirty_flows.is_empty() || !self.dirty_res.is_empty()
-    }
-
-    fn mark_flow_dirty(&mut self, id: u64) {
-        self.dirty_flows.insert(id);
     }
 
     fn capacity_of(&self, key: ResKey) -> f64 {
@@ -639,7 +680,7 @@ impl FlowNet {
         debug_assert_eq!(self.flows.len(), id.0 as usize);
         self.flows.push(Some(f));
         self.active.insert(id.0);
-        self.mark_flow_dirty(id.0);
+        self.dirty_flows.push(id.0);
         Ok(id)
     }
 
@@ -659,11 +700,10 @@ impl FlowNet {
         if f.state == FlowState::Running {
             for &r in &f.res {
                 self.members.remove(r, id.0);
-                self.dirty_res.insert(r);
+                self.dirty_res.push(r);
             }
         }
         self.active.remove(&id.0);
-        self.dirty_flows.remove(&id.0);
     }
 
     pub fn flow_state(&self, id: FlowId) -> Option<FlowState> {
@@ -732,7 +772,7 @@ impl FlowNet {
         self.topo.link_mut(link).capacity = capacity;
         for d in [Dir::Fwd, Dir::Rev] {
             if let Some(&r) = self.res_ids.get(&ResKey::LinkDir(link, d)) {
-                self.dirty_res.insert(r);
+                self.dirty_res.push(r);
             }
         }
     }
@@ -757,7 +797,7 @@ impl FlowNet {
                 self.topo.route_loss(&f.route)
             };
             self.flow_mut(id).loss = loss;
-            self.dirty_flows.insert(id);
+            self.dirty_flows.push(id);
         }
     }
 
@@ -866,7 +906,7 @@ impl FlowNet {
         let res = std::mem::take(&mut f.res);
         for r in res {
             self.members.remove(r, id);
-            self.dirty_res.insert(r);
+            self.dirty_res.push(r);
         }
         self.active.remove(&id);
         self.completed.push(FlowId(id));
@@ -897,7 +937,7 @@ impl FlowNet {
             .map(|b| b.max(last + SimDuration::from_nanos(1)))
             .unwrap_or(SimTime::MAX);
         events.set(EV_RAMP, id, b);
-        self.dirty_flows.insert(id);
+        self.dirty_flows.push(id);
     }
 
     /// Drain the set of flows that completed during past advances.
@@ -914,86 +954,80 @@ impl FlowNet {
         self.events.first().map_or(SimTime::MAX, |(t, _, _)| t)
     }
 
-    /// Seed flows for a recompute: the dirty flows still running, plus every
+    /// Seed flows for a recompute, ascending (repeats allowed — the
+    /// partitioner skips them): the dirty flows still running, plus every
     /// current member of a dirty resource (whose share changed when the
     /// resource's capacity moved or a sharer departed).
-    fn dirty_seeds(&self) -> BTreeSet<u64> {
+    fn dirty_seeds(&self, seeds: &mut Vec<u64>) {
+        seeds.clear();
+        let running = |id: u64| {
+            self.flows
+                .get(id as usize)
+                .and_then(|s| s.as_ref())
+                .is_some_and(|f| f.state == FlowState::Running)
+        };
         if self.dirty_all {
-            return self
-                .active
-                .iter()
-                .copied()
-                .filter(|&id| self.flow(id).state == FlowState::Running)
-                .collect();
+            // `active` iterates ascending: nothing to sort.
+            seeds.extend(self.active.iter().copied().filter(|&id| running(id)));
+            return;
         }
-        let mut seeds: BTreeSet<u64> = self
-            .dirty_flows
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.flows
-                    .get(id as usize)
-                    .and_then(|s| s.as_ref())
-                    .is_some_and(|f| f.state == FlowState::Running)
-            })
-            .collect();
+        seeds.extend(self.dirty_flows.iter().copied().filter(|&id| running(id)));
         for &r in &self.dirty_res {
             seeds.extend(self.members.members(r).iter().copied());
         }
-        seeds
+        seeds.sort_unstable();
     }
 
-    fn components_from(
-        &self,
-        seeds: &BTreeSet<u64>,
-        scratch: &mut PartitionScratch,
-    ) -> Vec<Vec<u64>> {
-        partition_components(
-            seeds,
-            self.res_keys.len(),
-            self.next_id,
-            scratch,
-            |f| {
-                self.flows[f as usize]
-                    .as_ref()
-                    .expect("live flow")
-                    .res
-                    .as_slice()
-            },
-            |r, visit| {
-                for &g in self.members.members(r) {
-                    visit(g);
-                }
-            },
-            |r| self.capacity_of(self.res_keys[r as usize]).is_finite(),
-        )
+    /// Partition everything reachable from the dirty sets into the
+    /// partition arena. False when no running flow is affected, i.e. there
+    /// is nothing to solve.
+    fn partition_dirty(&mut self) -> bool {
+        let mut seeds = std::mem::take(&mut self.seeds);
+        self.dirty_seeds(&mut seeds);
+        let any = !seeds.is_empty();
+        if any {
+            let mut parts = std::mem::take(&mut self.part_scratch);
+            partition_components(
+                &seeds,
+                self.res_keys.len(),
+                self.next_id,
+                &mut parts,
+                |f| self.flow(f).res.as_slice(),
+                |r, visit| {
+                    for &g in self.members.members(r) {
+                        visit(g);
+                    }
+                },
+                |r| self.capacity_of(self.res_keys[r as usize]).is_finite(),
+            );
+            self.part_scratch = parts;
+        }
+        self.seeds = seeds;
+        any
     }
 
-    /// Assemble and solve one component as a self-contained max-min fair
-    /// subproblem, against an immutable view of the network. Assembly order
-    /// is canonical — flows ascending by id, resources interned by first
+    /// Assemble one component as a self-contained max-min fair subproblem
+    /// — CSR, straight into the scratch's `WaterFill` — and solve it there,
+    /// against an immutable view of the network. Assembly order is
+    /// canonical — flows ascending by id, resources interned by first
     /// encounter — so the same component always produces the same bits no
     /// matter what else is recomputed around it.
-    fn solve_component_rates(&self, comp: &[u64], scratch: &mut SolveScratch) -> Vec<f64> {
+    fn solve_component_rates<'s>(&self, comp: &[u64], scratch: &'s mut SolveScratch) -> &'s [f64] {
         scratch.begin(self.res_keys.len());
-        let mut aflows: Vec<AllocFlow> = Vec::with_capacity(comp.len());
         for &fid in comp {
             let f = self.flow(fid);
-            let mut rs: Vec<usize> = Vec::with_capacity(f.res.len());
             for &r in &f.res {
                 let cap = self.capacity_of(self.res_keys[r as usize]);
                 if !cap.is_finite() {
                     continue; // unconstrained resources don't participate
                 }
-                rs.push(scratch.intern(r, cap));
+                let local = scratch.intern(r, cap);
+                scratch.fill.push_flow_resource(local);
             }
-            rs.sort_unstable();
-            aflows.push(AllocFlow {
-                resources: rs,
-                cap: f.current_cap(),
-            });
+            scratch.fill.sort_open_flow();
+            scratch.fill.end_flow(f.current_cap());
         }
-        max_min_fair(&scratch.capacities, &aflows)
+        scratch.fill.solve()
     }
 
     /// Commit one solved component: flows whose rate changed *bitwise*
@@ -1011,8 +1045,10 @@ impl FlowNet {
             }
             f.materialize(t);
             f.rate = rate;
-            let at = if rate > 0.0 && f.spec.size.is_finite() {
-                let secs = (f.spec.size - f.bytes_done).max(0.0) / rate;
+            // Not finite for rate 0, for an unbounded flow, and for a rate
+            // so small the quotient overflows: none of them ever completes.
+            let secs = (f.spec.size - f.bytes_done).max(0.0) / rate;
+            let at = if secs.is_finite() {
                 f.anchor + SimDuration::from_secs_f64(secs)
             } else {
                 SimTime::MAX
@@ -1025,15 +1061,23 @@ impl FlowNet {
         self.stats.flow_solves += comp.len() as u64;
     }
 
-    /// Solve a batch of components and commit each in ascending component
-    /// order — the one solve loop, behind full and scoped refreshes alike.
-    fn solve_components(&mut self, comps: &[Vec<u64>]) {
+    /// Solve and commit, in ascending component order, every component of
+    /// the partition arena holding a flow `wanted` accepts — the one solve
+    /// loop, behind full and scoped refreshes alike. Components are read in
+    /// place and rates come back as a slice of the scratch: the loop itself
+    /// allocates nothing.
+    fn solve_components(&mut self, wanted: impl Fn(u64, &FlowRt) -> bool) {
+        let parts = std::mem::take(&mut self.part_scratch);
         let mut scratch = std::mem::take(&mut self.scratch);
-        for comp in comps {
-            let rates = self.solve_component_rates(comp, &mut scratch);
-            self.apply_rates(comp, &rates);
+        for k in 0..parts.len() {
+            let comp = parts.component(k);
+            if comp.iter().any(|&f| wanted(f, self.flow(f))) {
+                let rates = self.solve_component_rates(comp, &mut scratch);
+                self.apply_rates(comp, rates);
+            }
         }
         self.scratch = scratch;
+        self.part_scratch = parts;
     }
 
     /// Recompute the allocation for every dirty component. A burst of
@@ -1042,18 +1086,14 @@ impl FlowNet {
         if !self.is_dirty() {
             return;
         }
-        let seeds = self.dirty_seeds();
+        let any = self.partition_dirty();
         self.dirty_all = false;
         self.dirty_flows.clear();
         self.dirty_res.clear();
-        if seeds.is_empty() {
-            return;
+        if any {
+            self.stats.recompute_passes += 1;
+            self.solve_components(|_, _| true);
         }
-        self.stats.recompute_passes += 1;
-        let mut ps = std::mem::take(&mut self.part_scratch);
-        let comps = self.components_from(&seeds, &mut ps);
-        self.part_scratch = ps;
-        self.solve_components(&comps);
     }
 
     /// Refresh only the dirty components for which `wanted` matches a
@@ -1067,17 +1107,9 @@ impl FlowNet {
         }
         if self.dirty_all {
             self.ensure_fresh();
-            return;
+        } else if self.partition_dirty() {
+            self.solve_components(wanted);
         }
-        let seeds = self.dirty_seeds();
-        let mut ps = std::mem::take(&mut self.part_scratch);
-        let comps = self.components_from(&seeds, &mut ps);
-        self.part_scratch = ps;
-        let chosen: Vec<Vec<u64>> = comps
-            .into_iter()
-            .filter(|c| c.iter().any(|&f| wanted(f, self.flow(f))))
-            .collect();
-        self.solve_components(&chosen);
     }
 
     /// Fraction of a host's CPU byte-processing budget currently consumed
@@ -1126,13 +1158,13 @@ impl FlowNet {
         let mut keys: Vec<ResKey> = Vec::new();
         let mut members: Vec<Vec<u64>> = Vec::new();
         let mut flow_res: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        let mut running: BTreeSet<u64> = BTreeSet::new();
+        let mut running: Vec<u64> = Vec::new(); // ascending, as `active` is
         for &id in &self.active {
             let f = self.flow(id);
             if f.state != FlowState::Running {
                 continue;
             }
-            running.insert(id);
+            running.push(id);
             let rkeys = resource_keys_for(&f.spec, &f.route, &self.topo);
             let mut rs: Vec<u32> = Vec::with_capacity(rkeys.len());
             for key in rkeys {
@@ -1152,7 +1184,7 @@ impl FlowNet {
         // The oracle is deliberately free of persistent state: it pays for
         // a fresh scratch every call, which is fine at test frequency.
         let mut ps = PartitionScratch::default();
-        let comps = partition_components(
+        partition_components(
             &running,
             keys.len(),
             self.next_id,
@@ -1166,7 +1198,8 @@ impl FlowNet {
             |r| self.capacity_of(keys[r as usize]).is_finite(),
         );
         let mut out: Vec<(FlowId, f64)> = Vec::new();
-        for comp in &comps {
+        for k in 0..ps.len() {
+            let comp = ps.component(k);
             let mut local: HashMap<u32, usize> = HashMap::new();
             let mut capacities: Vec<f64> = Vec::new();
             let mut aflows: Vec<AllocFlow> = Vec::with_capacity(comp.len());
@@ -1686,6 +1719,99 @@ mod tests {
         assert_eq!(net.flow_rate(id), 1.0);
         assert_eq!(net.events.time_of(EV_COMPLETE, id.0), None);
         assert_eq!(net.next_event_time(), SimTime::MAX);
+    }
+
+    #[test]
+    fn vanishing_rate_parks_the_completion_instead_of_panicking() {
+        // `LinkDegrade` fractions multiply, so scenario data can drive a
+        // capacity this low; `remaining / rate` then overflows to +inf.
+        let (mut net, a, b) = dumbbell(100e6, 0);
+        let id = net
+            .start_flow(SimTime::ZERO, big_window_spec(a, b, 1e9))
+            .unwrap();
+        net.advance_to(SimTime::from_secs(1));
+        net.set_link_capacity(LinkId(0), 1e-300);
+        assert_eq!(net.flow_rate(id), 1e-300);
+        assert_eq!(net.events.time_of(EV_COMPLETE, id.0), None);
+        assert_eq!(net.next_event_time(), SimTime::MAX);
+        // Progress made so far is kept, and the flow finishes once the
+        // link is back: 900 MB left at 100 MB/s.
+        net.advance_to(SimTime::from_secs(2));
+        net.set_link_capacity(LinkId(0), 100e6);
+        let done = net.next_event_time();
+        assert!((done.as_secs_f64() - 11.0).abs() < 1e-6, "{done}");
+        net.advance_to(done);
+        assert_eq!(net.flow_state(id), Some(FlowState::Done));
+    }
+
+    proptest::proptest! {
+        /// The flat arena holds exactly the partition a textbook BFS over
+        /// `Vec<Vec<_>>` produces: components in order of their smallest
+        /// seed, flows ascending within each, repeated seeds skipped,
+        /// infinite resources carrying no connectivity — and a second
+        /// partition through the same scratch sees nothing of the first.
+        #[test]
+        fn partition_arena_equals_a_naive_bfs(
+            flow_res in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..4), 1..40),
+            infinite in proptest::collection::vec(0u32..10, 0..3),
+            picks in proptest::collection::vec(0usize..40, 0..12),
+        ) {
+            const N_RES: usize = 10;
+            let nf = flow_res.len();
+            let mut members: Vec<Vec<u64>> = vec![Vec::new(); N_RES];
+            for (f, rs) in flow_res.iter().enumerate() {
+                for &r in rs {
+                    if !members[r as usize].contains(&(f as u64)) {
+                        members[r as usize].push(f as u64);
+                    }
+                }
+            }
+            let mut scratch = PartitionScratch::default();
+            for seeds in [picks.clone(), (0..nf).collect()] {
+                let mut seeds: Vec<u64> = seeds.iter().map(|&p| (p % nf) as u64).collect();
+                seeds.sort_unstable();
+
+                let mut naive: Vec<Vec<u64>> = Vec::new();
+                let mut seen = vec![false; nf];
+                for &s in &seeds {
+                    if seen[s as usize] {
+                        continue;
+                    }
+                    seen[s as usize] = true;
+                    let mut comp = vec![s];
+                    let mut queue = std::collections::VecDeque::from([s]);
+                    while let Some(f) = queue.pop_front() {
+                        for &r in &flow_res[f as usize] {
+                            if infinite.contains(&r) {
+                                continue;
+                            }
+                            for &g in &members[r as usize] {
+                                if !seen[g as usize] {
+                                    seen[g as usize] = true;
+                                    comp.push(g);
+                                    queue.push_back(g);
+                                }
+                            }
+                        }
+                    }
+                    comp.sort_unstable();
+                    naive.push(comp);
+                }
+
+                partition_components(
+                    &seeds,
+                    N_RES,
+                    nf as u64,
+                    &mut scratch,
+                    |f| flow_res[f as usize].as_slice(),
+                    |r, visit| members[r as usize].iter().for_each(|&g| visit(g)),
+                    |r| !infinite.contains(&r),
+                );
+                let arena: Vec<Vec<u64>> =
+                    (0..scratch.len()).map(|k| scratch.component(k).to_vec()).collect();
+                proptest::prop_assert_eq!(arena, naive);
+            }
+        }
     }
 
     #[test]
