@@ -9,6 +9,10 @@
 //! interrupted campaign resumes without re-transferring any verified
 //! bytes.
 //!
+//! A live campaign is owned by the manager's `campaigns` map and addressed
+//! by its id: the round callback and the marker / recorder ticks capture
+//! the id, and one that finds its campaign completed or cancelled returns.
+//!
 //! ## Checkpoint journal
 //!
 //! Line-oriented text, one fact per line, percent-escaped fields:
@@ -41,15 +45,15 @@
 //! comparing manifests; `bytes_skipped + bytes_transferred == total`
 //! accounts every byte to exactly one of the two runs.
 
-use crate::manager::{cancel_request, submit_request_for_tenant, RequestOutcome, RmWorld};
+use crate::manager::{
+    cancel_request, submit_request_for_tenant, Completion, RequestOutcome, RmWorld,
+};
 use esg_gridftp::GridUrl;
-use esg_netlogger::{FlightRecorder, LogEvent, Phase, SpanId, TraceCtx};
+use esg_netlogger::{FlightRecorder, LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx};
 use esg_simnet::{profile, NodeId, Sim, SimDuration, SimTime};
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 /// What to replicate, where to, and how.
 #[derive(Debug, Clone)]
@@ -143,14 +147,16 @@ pub(crate) struct Settled {
     pub round: u64,
 }
 
+/// A live campaign. The manager's `campaigns` map is its only owner: a
+/// campaign that completed or was cancelled is gone, and whatever is still
+/// scheduled for it finds nothing and returns.
 pub(crate) struct CampaignState {
-    pub spec: CampaignSpec,
-    pub id: u64,
+    spec: CampaignSpec,
     target_node: NodeId,
     files_total: usize,
     rounds: Vec<Vec<String>>,
     round_idx: usize,
-    pub current_request: Option<u64>,
+    current_request: Option<u64>,
     /// Every settled file (done or failed), by name. `done` entries are
     /// exactly the checkpoint-skippable set.
     settled: BTreeMap<String, Settled>,
@@ -158,8 +164,6 @@ pub(crate) struct CampaignState {
     bytes_skipped: u64,
     files_skipped: usize,
     resumed: bool,
-    cancelled: bool,
-    finished: bool,
     started: SimTime,
     span: SpanId,
     /// Last journaled marker offset per in-flight file.
@@ -173,6 +177,8 @@ pub(crate) struct CampaignState {
     /// Delta state of the metrics flight recorder when a tape is
     /// configured.
     recorder: Option<FlightRecorder>,
+    /// The submitter's callback, fired by `complete_campaign`.
+    on_complete: Completion,
 }
 
 impl CampaignState {
@@ -185,9 +191,6 @@ impl CampaignState {
         }
     }
 }
-
-pub(crate) type SharedCampaign = Rc<RefCell<CampaignState>>;
-type CampaignDone<W> = Rc<RefCell<Option<Box<dyn FnOnce(&mut Sim<W>, CampaignOutcome)>>>>;
 
 // ---------------------------------------------------------------------------
 // Journal encoding
@@ -215,22 +218,27 @@ fn enc(s: &str) -> String {
     out
 }
 
-fn dec(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Undo [`enc`], byte by byte: `%` and two ASCII hex digits are an escape,
+/// any other byte stands for itself. `None` when the bytes are not UTF-8 —
+/// the journal is on-disk input, and a field that does not decode makes its
+/// line unusable like any other malformed line, never the process.
+fn dec(s: &str) -> Option<String> {
+    let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
     let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
+        if let [b'%', hi, lo, ..] = bytes[i..] {
+            if let (Some(hi), Some(lo)) = (nibble(hi), nibble(lo)) {
+                out.push(hi << 4 | lo);
                 i += 3;
                 continue;
             }
         }
-        out.push(bytes[i] as char);
+        out.push(bytes[i]);
         i += 1;
     }
-    out
+    String::from_utf8(out).ok()
 }
 
 /// An open journal whose torn tail (left by a crash mid-write) was
@@ -309,14 +317,14 @@ fn load_checkpoint(path: &Path, spec_sha: &str) -> Option<Checkpoint> {
                 let (Some(name), Some(size)) = (f.get("file"), f.get("size")) else {
                     continue;
                 };
-                let Ok(size) = size.parse::<u64>() else {
+                let (Some(name), Ok(size)) = (dec(name), size.parse::<u64>()) else {
                     continue;
                 };
                 let digest = f.get("digest").filter(|d| d.as_str() != "-").cloned();
                 let done = f.get("status").map(String::as_str) == Some("done");
                 let round = f.get("round").and_then(|r| r.parse().ok()).unwrap_or(0u64);
                 settled.insert(
-                    dec(name),
+                    name,
                     Settled {
                         size,
                         digest,
@@ -561,9 +569,8 @@ pub fn start_campaign<W: RmWorld>(
     }
 
     let span = rm.log.span_start(&ctx, now, Phase::Campaign, None);
-    let camp: SharedCampaign = Rc::new(RefCell::new(CampaignState {
+    let mut camp = CampaignState {
         spec,
-        id,
         target_node,
         files_total,
         rounds,
@@ -574,24 +581,22 @@ pub fn start_campaign<W: RmWorld>(
         bytes_skipped,
         files_skipped,
         resumed,
-        cancelled: false,
-        finished: false,
         started: now,
         span,
         last_marker: HashMap::new(),
         writer,
         recorder,
-    }));
-    rm.campaigns.insert(id, camp.clone());
-    let cb: CampaignDone<W> = Rc::new(RefCell::new(Some(Box::new(on_complete))));
-
-    if camp.borrow().rounds.is_empty() {
-        complete_campaign(sim, &camp, &cb);
+        on_complete: Completion::new(on_complete),
+    };
+    if camp.rounds.is_empty() {
+        rm.campaigns.insert(id, camp);
+        complete_campaign(sim, id);
     } else {
-        record_snapshot(sim, &camp);
-        launch_round(sim, camp.clone(), cb);
-        schedule_markers(sim, &camp);
-        schedule_recorder(sim, &camp);
+        record_snapshot(&mut camp, &mut rm.metrics, now);
+        rm.campaigns.insert(id, camp);
+        launch_round(sim, id);
+        schedule_markers(sim, id);
+        schedule_recorder(sim, id);
     }
     id
 }
@@ -605,13 +610,7 @@ pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
     let Some(camp) = sim.world.reqman().campaigns.remove(&id) else {
         return false;
     };
-    let (req, span, name) = {
-        let mut c = camp.borrow_mut();
-        c.cancelled = true;
-        c.finished = true;
-        (c.current_request.take(), c.span, c.spec.name.clone())
-    };
-    if let Some(req) = req {
+    if let Some(req) = camp.current_request {
         cancel_request(sim, req);
     }
     let now = sim.now();
@@ -621,7 +620,7 @@ pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
     rm.log.span_end(
         &ctx,
         now,
-        span,
+        camp.span,
         Phase::Campaign,
         vec![("campaign", id.into()), ("status", "cancelled".into())],
     );
@@ -629,176 +628,128 @@ pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
         &ctx,
         LogEvent::new(now, "rm.campaign.cancel")
             .field("campaign", id)
-            .field("name", name),
+            .field("name", camp.spec.name),
     );
     true
 }
 
-fn launch_round<W: RmWorld>(sim: &mut Sim<W>, camp: SharedCampaign, cb: CampaignDone<W>) {
+fn launch_round<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let now = sim.now();
-    let (id, round, req_files, tenant, target_node) = {
-        let c = camp.borrow();
-        let files: Vec<(String, String)> = c.rounds[c.round_idx]
-            .iter()
-            .map(|f| (c.spec.collection.clone(), f.clone()))
-            .collect();
-        (
-            c.id,
-            c.round_idx as u64,
-            files,
-            c.spec.name.clone(),
-            c.target_node,
-        )
-    };
     let rm = sim.world.reqman();
+    let Some(c) = rm.campaigns.get(&id) else {
+        return;
+    };
+    let req_files: Vec<(String, String)> = c.rounds[c.round_idx]
+        .iter()
+        .map(|f| (c.spec.collection.clone(), f.clone()))
+        .collect();
+    let (tenant, target_node) = (c.spec.name.clone(), c.target_node);
     rm.metrics.counter_add("rm.campaign.rounds", 1);
     rm.log.emit(
         &TraceCtx::system(),
         LogEvent::new(now, "rm.campaign.round")
             .field("campaign", id)
-            .field("round", round)
+            .field("round", c.round_idx as u64)
             .field("files", req_files.len() as u64),
     );
-    let camp2 = camp.clone();
     let req = submit_request_for_tenant(sim, target_node, req_files, &tenant, move |s, o| {
-        round_done(s, camp2, cb, o)
+        round_done(s, id, o)
     });
-    camp.borrow_mut().current_request = Some(req);
+    if let Some(c) = sim.world.reqman().campaigns.get_mut(&id) {
+        c.current_request = Some(req);
+    }
 }
 
-fn round_done<W: RmWorld>(
-    sim: &mut Sim<W>,
-    camp: SharedCampaign,
-    cb: CampaignDone<W>,
-    outcome: RequestOutcome,
-) {
+fn round_done<W: RmWorld>(sim: &mut Sim<W>, id: u64, outcome: RequestOutcome) {
     let now = sim.now();
-    // Digest lookups need the RM while the campaign is unborrowed.
-    let (collection, location, id, round) = {
-        let c = camp.borrow();
-        (
-            c.spec.collection.clone(),
-            c.spec.location_name.clone(),
-            c.id,
-            c.round_idx as u64,
-        )
+    let rm = sim.world.reqman();
+    let Some(c) = rm.campaigns.get_mut(&id) else {
+        return;
     };
-    let mut delivered = 0u64;
-    let mut failed = 0u64;
+    let round = c.round_idx as u64;
+    let (mut delivered, mut failed, mut bytes) = (0u64, 0u64, 0u64);
     let mut lines = Vec::new();
-    for fs in &outcome.files {
-        let digest = sim
-            .world
-            .reqman()
-            .catalog
-            .file_digest(&collection, &fs.name);
+    for fs in outcome.files {
         let entry = Settled {
             size: fs.size,
-            digest,
+            digest: rm.catalog.file_digest(&c.spec.collection, &fs.name),
             done: fs.done,
             round,
         };
         if fs.done {
             delivered += 1;
-            let _ =
-                sim.world
-                    .reqman()
-                    .catalog
-                    .add_file_to_location(&collection, &location, &fs.name);
+            bytes += fs.size;
+            let _ = rm.catalog.add_file_to_location(
+                &c.spec.collection,
+                &c.spec.location_name,
+                &fs.name,
+            );
         } else {
             failed += 1;
         }
         lines.push(settled_line(&fs.name, &entry));
-        let mut c = camp.borrow_mut();
-        if fs.done {
-            c.bytes_transferred += fs.size;
-        }
-        c.settled.insert(fs.name.clone(), entry);
         c.last_marker.remove(&fs.name);
+        c.settled.insert(fs.name, entry);
     }
-    {
-        let rm = sim.world.reqman();
-        rm.metrics
-            .counter_add("rm.campaign.files_delivered", delivered);
-        rm.metrics.counter_add("rm.campaign.files_failed", failed);
-        rm.metrics.counter_add(
-            "rm.campaign.bytes_transferred",
-            outcome
-                .files
-                .iter()
-                .filter(|f| f.done)
-                .map(|f| f.size)
-                .sum(),
-        );
-    }
-    let checkpointed = camp.borrow_mut().journal(&lines);
-    {
-        let settled_total = camp.borrow().settled.len() as u64;
-        let rm = sim.world.reqman();
-        rm.metrics.counter_add("rm.campaign.checkpoints", 1);
-        rm.log.emit(
-            &TraceCtx::system(),
-            LogEvent::new(now, "rm.campaign.checkpoint")
-                .field("campaign", id)
-                .field("round", round)
-                .field("settled", settled_total)
-                .field("durable", u64::from(checkpointed)),
-        );
-    }
-    let (more, cancelled) = {
-        let mut c = camp.borrow_mut();
-        c.current_request = None;
-        c.round_idx += 1;
-        (c.round_idx < c.rounds.len(), c.cancelled)
-    };
-    if cancelled {
-        return;
-    }
-    if more {
-        launch_round(sim, camp, cb);
+    c.bytes_transferred += bytes;
+    rm.metrics
+        .counter_add("rm.campaign.files_delivered", delivered);
+    rm.metrics.counter_add("rm.campaign.files_failed", failed);
+    rm.metrics
+        .counter_add("rm.campaign.bytes_transferred", bytes);
+    let checkpointed = c.journal(&lines);
+    rm.metrics.counter_add("rm.campaign.checkpoints", 1);
+    rm.log.emit(
+        &TraceCtx::system(),
+        LogEvent::new(now, "rm.campaign.checkpoint")
+            .field("campaign", id)
+            .field("round", round)
+            .field("settled", c.settled.len() as u64)
+            .field("durable", u64::from(checkpointed)),
+    );
+    c.current_request = None;
+    c.round_idx += 1;
+    if c.round_idx < c.rounds.len() {
+        launch_round(sim, id);
     } else {
-        complete_campaign(sim, &camp, &cb);
+        complete_campaign(sim, id);
     }
 }
 
-fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign, cb: &CampaignDone<W>) {
+/// The final round settled (or there was nothing to move): the campaign
+/// leaves the manager and its submitter hears.
+fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let now = sim.now();
-    let outcome = {
-        let mut c = camp.borrow_mut();
-        c.finished = true;
-        let manifest = manifest_sha(&c.settled);
-        CampaignOutcome {
-            id: c.id,
-            name: c.spec.name.clone(),
-            collection: c.spec.collection.clone(),
-            target_host: c.spec.target_host.clone(),
-            files_total: c.files_total,
-            files_delivered: c.settled.values().filter(|e| e.done).count() - c.files_skipped,
-            files_failed: c.files_total - c.settled.values().filter(|e| e.done).count(),
-            files_skipped: c.files_skipped,
-            bytes_transferred: c.bytes_transferred,
-            bytes_skipped: c.bytes_skipped,
-            rounds: c.round_idx,
-            resumed: c.resumed,
-            cancelled: false,
-            manifest_sha256: manifest,
-            started: c.started,
-            finished: now,
-        }
-    };
-    let _ = camp
-        .borrow_mut()
-        .journal(&[format!("complete manifest={}", outcome.manifest_sha256)]);
-    let span = camp.borrow().span;
-    let id = outcome.id;
-    let ctx = TraceCtx::system();
     let rm = sim.world.reqman();
-    rm.campaigns.remove(&id);
+    let Some(mut c) = rm.campaigns.remove(&id) else {
+        return;
+    };
+    let done = c.settled.values().filter(|e| e.done).count();
+    let outcome = CampaignOutcome {
+        id,
+        name: c.spec.name.clone(),
+        collection: c.spec.collection.clone(),
+        target_host: c.spec.target_host.clone(),
+        files_total: c.files_total,
+        files_delivered: done - c.files_skipped,
+        files_failed: c.files_total - done,
+        files_skipped: c.files_skipped,
+        bytes_transferred: c.bytes_transferred,
+        bytes_skipped: c.bytes_skipped,
+        rounds: c.round_idx,
+        resumed: c.resumed,
+        cancelled: false,
+        manifest_sha256: manifest_sha(&c.settled),
+        started: c.started,
+        finished: now,
+    };
+    let _ = c.journal(&[format!("complete manifest={}", outcome.manifest_sha256)]);
+    let ctx = TraceCtx::system();
     rm.metrics.counter_add("rm.campaign.completed", 1);
     rm.log.span_end(
         &ctx,
         now,
-        span,
+        c.span,
         Phase::Campaign,
         vec![
             ("campaign", id.into()),
@@ -817,10 +768,8 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign, cb: &C
             .field("manifest", outcome.manifest_sha256.clone()),
     );
     // The tape's last line holds the completion counters.
-    record_snapshot(sim, camp);
-    if let Some(f) = cb.borrow_mut().take() {
-        f(sim, outcome);
-    }
+    record_snapshot(&mut c, &mut rm.metrics, now);
+    c.on_complete.call(sim, outcome);
 }
 
 // ---------------------------------------------------------------------------
@@ -828,28 +777,17 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign, cb: &C
 
 /// Capture one flight-recorder snapshot of the RM registry and append it
 /// to the campaign's tape. No-op without a configured recorder.
-fn record_snapshot<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign) {
-    let now = sim.now();
-    let Some(path) = camp.borrow().spec.recorder.clone() else {
+fn record_snapshot(c: &mut CampaignState, metrics: &mut MetricsRegistry, now: SimTime) {
+    let (Some(path), Some(rec)) = (&c.spec.recorder, &mut c.recorder) else {
         return;
     };
-    let line = {
-        let rm = sim.world.reqman();
-        let mut c = camp.borrow_mut();
-        let Some(rec) = c.recorder.as_mut() else {
-            return;
-        };
-        rec.snapshot(now, &rm.metrics).to_string()
-    };
+    let line = rec.snapshot(now, metrics).to_string();
     {
         let _j = profile::scope(profile::JOURNAL);
         profile::count("journal.recorder_lines", 1);
-        let _ = append_to_tape(&path, &line);
+        let _ = append_to_tape(path, &line);
     }
-    sim.world
-        .reqman()
-        .metrics
-        .counter_add("rm.campaign.recorder_snapshots", 1);
+    metrics.counter_add("rm.campaign.recorder_snapshots", 1);
 }
 
 /// Plain append for the tape: the recorder owns the whole file for the
@@ -861,90 +799,78 @@ fn append_to_tape(path: &Path, line: &str) -> std::io::Result<()> {
     f.flush()
 }
 
-fn schedule_recorder<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign) {
-    let every = {
-        let c = camp.borrow();
-        if c.recorder.is_none() {
-            return;
-        }
-        c.spec.recorder_every
+fn schedule_recorder<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+    let Some(c) = sim.world.reqman().campaigns.get(&id) else {
+        return;
     };
-    if every.is_zero() {
+    let every = c.spec.recorder_every;
+    if c.recorder.is_none() || every.is_zero() {
         return;
     }
-    let camp2 = camp.clone();
     sim.schedule(every, move |s| {
-        if camp2.borrow().finished {
+        let now = s.now();
+        let rm = s.world.reqman();
+        let Some(c) = rm.campaigns.get_mut(&id) else {
             return;
-        }
-        record_snapshot(s, &camp2);
-        schedule_recorder(s, &camp2);
+        };
+        record_snapshot(c, &mut rm.metrics, now);
+        schedule_recorder(s, id);
     });
 }
 
 // ---------------------------------------------------------------------------
 // Marker ticks
 
-fn schedule_markers<W: RmWorld>(sim: &mut Sim<W>, camp: &SharedCampaign) {
-    let every = {
-        let c = camp.borrow();
-        if c.spec.checkpoint.is_none() {
-            return;
-        }
-        c.spec.checkpoint_every
+fn schedule_markers<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+    let Some(c) = sim.world.reqman().campaigns.get(&id) else {
+        return;
     };
-    if every.is_zero() {
+    let every = c.spec.checkpoint_every;
+    if c.spec.checkpoint.is_none() || every.is_zero() {
         return;
     }
-    let camp2 = camp.clone();
-    sim.schedule(every, move |s| marker_tick(s, camp2));
+    sim.schedule(every, move |s| marker_tick(s, id));
 }
 
 /// Periodic durability snapshot: journal a `marker` line for every
 /// in-flight file whose delivered byte count grew since the last tick.
 /// Markers are forensic — resume is file-grained — but they bound how much
 /// progress a post-crash observer can be blind to.
-fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, camp: SharedCampaign) {
-    if camp.borrow().finished {
+fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    let Some(c) = rm.campaigns.get(&id) else {
         return;
-    }
-    let req = camp.borrow().current_request;
-    if let Some(req) = req {
-        // Only the files with banked unfinished bytes, from the request's
-        // incremental progress set.
-        if let Some(progress) = sim.world.reqman().marker_progress(req) {
-            let (lines, id) = {
-                let mut c = camp.borrow_mut();
-                let round = c.round_idx as u64;
-                let mut lines = Vec::new();
-                for (name, bytes_done) in &progress {
-                    let last = c.last_marker.get(name).copied().unwrap_or(0);
-                    if *bytes_done > last {
-                        c.last_marker.insert(name.clone(), *bytes_done);
-                        lines.push(format!(
-                            "marker file={} offset={bytes_done} round={round}",
-                            enc(name),
-                        ));
-                    }
-                }
-                (lines, c.id)
-            };
-            if !lines.is_empty() {
-                let _ = camp.borrow_mut().journal(&lines);
-                let n = lines.len() as u64;
-                let now = sim.now();
-                let rm = sim.world.reqman();
-                rm.metrics.counter_add("rm.campaign.markers", n);
-                rm.log.emit(
-                    &TraceCtx::system(),
-                    LogEvent::new(now, "rm.campaign.checkpoint")
-                        .field("campaign", id)
-                        .field("markers", n),
-                );
-            }
+    };
+    // Only the files with banked unfinished bytes, from the request's
+    // incremental progress set.
+    let progress = c.current_request.and_then(|req| rm.marker_progress(req));
+    let Some(c) = rm.campaigns.get_mut(&id) else {
+        return;
+    };
+    let round = c.round_idx as u64;
+    let mut lines = Vec::new();
+    for (name, bytes_done) in progress.unwrap_or_default() {
+        if bytes_done > c.last_marker.get(&name).copied().unwrap_or(0) {
+            lines.push(format!(
+                "marker file={} offset={bytes_done} round={round}",
+                enc(&name),
+            ));
+            c.last_marker.insert(name, bytes_done);
         }
     }
-    schedule_markers(sim, &camp);
+    if !lines.is_empty() {
+        let _ = c.journal(&lines);
+        let n = lines.len() as u64;
+        rm.metrics.counter_add("rm.campaign.markers", n);
+        rm.log.emit(
+            &TraceCtx::system(),
+            LogEvent::new(now, "rm.campaign.checkpoint")
+                .field("campaign", id)
+                .field("markers", n),
+        );
+    }
+    schedule_markers(sim, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1543,8 +1469,118 @@ mod tests {
 
     #[test]
     fn field_encoding_round_trips() {
-        for s in ["plain", "with space", "a=b", "50%", "nl\nend", "%20"] {
-            assert_eq!(dec(&enc(s)), s, "{s:?}");
+        for s in [
+            "plain",
+            "with space",
+            "a=b",
+            "50%",
+            "nl\nend",
+            "%20",
+            "données 2001.nc",
+            "%€x",
+            "€%",
+            "%+5",
+        ] {
+            assert_eq!(dec(&enc(s)).as_deref(), Some(s), "{s:?}");
         }
+        // The journal is on-disk input: only `%` and two hex digits is an
+        // escape (a sign is not a digit, a multi-byte character is not two
+        // bytes to slice), and bytes that are not UTF-8 are no field at all.
+        for raw in ["%€x", "%+5", "%", "%2", "%zz€"] {
+            assert_eq!(dec(raw).as_deref(), Some(raw), "{raw:?}");
+        }
+        assert_eq!(dec("donn%C3%A9es").as_deref(), Some("données"));
+        assert_eq!(dec("%C3"), None);
+    }
+
+    /// A journal line whose file name does not decode is dropped like any
+    /// other malformed line; the lines around it still count.
+    #[test]
+    fn undecodable_journal_line_is_skipped_not_fatal() {
+        let ckpt = tmp_checkpoint("hostile");
+        std::fs::write(
+            &ckpt,
+            format!(
+                "campaign v1 spec=x name=mirror collection=pcm target=t files=2\n\
+                 settled file=%€x size=1 digest=- status=done round=0\n\
+                 settled file=%FF size=1 digest=- status=done round=0\n\
+                 settled file=ok size={FILE_BYTES} digest=- status=done round=0\n",
+            ),
+        )
+        .unwrap();
+        let cp = load_checkpoint(&ckpt, "x").expect("journal must load");
+        let names: Vec<&str> = cp.settled.keys().map(String::as_str).collect();
+        assert_eq!(names, ["%€x", "ok"]);
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn non_ascii_names_are_skipped_on_resume() {
+        let ckpt = tmp_checkpoint("resume-utf8");
+        let run = || {
+            let (mut sim, _) = setup();
+            let cat = &mut sim.world.rm.catalog;
+            cat.add_logical_file("pcm", "données 2001.nc", FILE_BYTES)
+                .unwrap();
+            cat.add_file_to_location("pcm", "llnl", "données 2001.nc")
+                .unwrap();
+            start_campaign(&mut sim, spec_with("mirror", Some(ckpt.clone())), |s, o| {
+                s.world.outcomes.push(o)
+            });
+            sim.run();
+            sim.world.outcomes.remove(0)
+        };
+        let first = run();
+        assert_eq!(first.files_delivered, FILES + 1);
+        let resumed = run();
+        assert!(resumed.resumed);
+        assert_eq!(resumed.files_skipped, resumed.files_total);
+        assert_eq!(resumed.bytes_transferred, 0, "a verified file moved again");
+        assert_eq!(resumed.manifest_sha256, first.manifest_sha256);
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn empty_collection_campaign_completes_immediately() {
+        let (mut sim, _) = setup();
+        sim.world.rm.catalog.create_collection("void").unwrap();
+        let spec = CampaignSpec::new("mirror", "void", "archive.ucar.edu");
+        start_campaign(&mut sim, spec, |s, o| s.world.outcomes.push(o));
+        assert_eq!(sim.world.outcomes.len(), 1, "fires without running");
+        let o = &sim.world.outcomes[0];
+        assert_eq!((o.files_total, o.rounds, o.bytes_transferred), (0, 0, 0));
+        assert_eq!(o.finished, o.started);
+        let rm = &sim.world.rm;
+        assert!(rm.campaigns.is_empty() && rm.live_requests().is_empty());
+        let set = esg_netlogger::LifelineSet::from_log(&rm.log);
+        assert_eq!(set.campaigns.len(), 1);
+        assert_eq!(set.campaigns[0].end, Some(o.finished), "span left open");
+    }
+
+    /// The campaign route of the manager's
+    /// `cancel_before_the_rpc_lands_leaves_nothing_behind`: the first round's
+    /// RPC is still in flight when the campaign is cancelled.
+    #[test]
+    fn cancel_before_the_first_rpc_lands_leaves_nothing_behind() {
+        let (mut sim, _) = setup();
+        sim.world
+            .rm
+            .enable_live_analysis(SimDuration::from_secs(30));
+        let id = start_campaign(&mut sim, spec_with("mirror", None), |s, o| {
+            s.world.outcomes.push(o)
+        });
+        assert!(cancel_campaign(&mut sim, id));
+        sim.run_until(SimTime::from_secs(600));
+        let rm = &sim.world.rm;
+        assert!(rm.campaigns.is_empty() && rm.live_requests().is_empty());
+        assert_eq!(rm.inflight().total(), 0);
+        assert_eq!(rm.sched_stats().admitted, 0);
+        assert!(sim.world.outcomes.is_empty(), "no callback after cancel");
+        assert_eq!(rm.live().unwrap().open_count(), 0, "a span nothing closes");
+        assert_eq!(rm.log.named("obs.stall").count(), 0);
+        let spans: Vec<_> = rm.log.named("span.start").collect();
+        assert_eq!(spans.len(), 1, "only the campaign span ever opened");
+        let set = esg_netlogger::LifelineSet::from_log(&rm.log);
+        assert_eq!(set.campaigns[0].status.as_deref(), Some("cancelled"));
     }
 }

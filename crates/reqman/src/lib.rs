@@ -8,17 +8,20 @@
 //! reliability plugin (failover to an alternate replica, resuming from the
 //! bytes already delivered).
 //!
-//! * [`manager`] — the RM itself and the per-file lifecycle: one live-pull
-//!   record, one launcher, one failure epilogue, one terminal transition.
+//! * [`manager`] — the RM itself, sole owner of every live request and
+//!   campaign (scheduled work carries ids; a wake that finds its request
+//!   gone returns), and the per-file lifecycle: one live-pull record, one
+//!   launcher, one failure epilogue, one terminal transition.
 //! * [`scheduler`] — pipelined transfer scheduling: admission control,
 //!   BDP tuning, the cross-request ledger, and the four settings it has.
 //! * [`monitor`] — the Figure 4 dynamic transfer monitor rendering.
 //! * [`reliability`] — retry/backoff policy and per-host circuit breakers.
 //! * [`integrity`] — post-delivery block digest verification, ERET block
 //!   repair planning and replica quarantine.
-//! * [`campaign`] — fault-tolerant replication campaigns: batched rounds
-//!   driven through the scheduler, durable checkpoint/resume, and
-//!   multi-tenant fair sharing with the interactive workload.
+//! * [`campaign`] — fault-tolerant replication campaigns, the one way to
+//!   copy a collection: batched rounds driven through the scheduler,
+//!   durable checkpoint/resume, and multi-tenant fair sharing with the
+//!   interactive workload.
 
 pub mod campaign;
 pub mod integrity;
@@ -26,7 +29,6 @@ pub mod manager;
 pub mod monitor;
 pub mod planner;
 pub mod reliability;
-pub mod replication;
 pub mod scheduler;
 
 pub use campaign::{cancel_campaign, start_campaign, CampaignOutcome, CampaignSpec};
@@ -38,7 +40,6 @@ pub use manager::{
 pub use monitor::render_monitor;
 pub use planner::plan_spread;
 pub use reliability::{BreakerState, BreakerTransition, CircuitBreaker, RetryPolicy};
-pub use replication::{replicate_collection, ReplicationOutcome};
 pub use scheduler::{
     bdp_tuning, order_queue, AdmissionPolicy, HostLedger, SchedStats, SchedulerConfig, TenantTable,
     DEFAULT_TENANT,

@@ -32,6 +32,14 @@
 //! being the same ranged get; `pull_failed` is the failure epilogue,
 //! `defer` the capacity wait, and `settle_file` the only place a file's
 //! holdings are given back, whether it ends done, failed or cancelled.
+//!
+//! The manager owns every live request (and campaign) outright. A file is
+//! addressed by a `Copy` `FileId`; functions take `(sim, FileId)` and look
+//! the request up, scheduled closures capture ids and the data of their own
+//! event, and **a wake that finds its request gone returns** — so a request
+//! that was finished or cancelled is freed on the spot and nothing scheduled
+//! for it can act on it. The submitter's callback is stored with the request
+//! as a type-erased `Completion`.
 
 use crate::integrity::{verify_blocks, IntegrityManager, SegRecord, SegmentView};
 use crate::reliability::{BreakerState, BreakerTransition, CircuitBreaker, RetryPolicy};
@@ -52,9 +60,8 @@ use esg_storage::{blocks_overlapping, Hrm, StageOutcome, BLOCK_SIZE};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::rc::Rc;
 
 /// CORBA call latency between the client and the RM.
 const RPC_LATENCY: SimDuration = SimDuration::from_millis(2);
@@ -162,6 +169,35 @@ struct LivePull {
     src: NodeId,
 }
 
+/// One file of one live request: what a scheduled wake carries in place of
+/// the state itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileId {
+    request: u64,
+    idx: usize,
+}
+
+/// A submitter's completion callback, stored with the request or campaign it
+/// belongs to. The manager is not generic over the world, so the `Sim<W>` in
+/// the callback's type is erased here, once, and recovered at the call. The
+/// downcast cannot fail: `RmWorld: 'static`, and a manager is only ever
+/// reached through the `Sim<W>` its requests were submitted on.
+pub(crate) struct Completion(Box<dyn Any>);
+
+type CompletionFn<W, O> = Box<dyn FnOnce(&mut Sim<W>, O)>;
+
+impl Completion {
+    pub(crate) fn new<W: RmWorld, O: 'static>(f: impl FnOnce(&mut Sim<W>, O) + 'static) -> Self {
+        let f: CompletionFn<W, O> = Box::new(f);
+        Completion(Box::new(f))
+    }
+
+    pub(crate) fn call<W: RmWorld, O: 'static>(self, sim: &mut Sim<W>, outcome: O) {
+        let f = self.0.downcast::<CompletionFn<W, O>>();
+        f.expect("a completion fires on the Sim<W> it was submitted on")(sim, outcome)
+    }
+}
+
 struct FileWork {
     status: FileStatus,
     /// Present from a successful `start_transfer` until the pull ends
@@ -198,6 +234,12 @@ struct FileWork {
     trace_opened: SimTime,
 }
 
+impl FileWork {
+    fn settled(&self) -> bool {
+        self.status.done || self.status.failed
+    }
+}
+
 struct RequestState {
     id: u64,
     client: NodeId,
@@ -226,6 +268,8 @@ struct RequestState {
     /// Sum of catalog sizes, fixed at submit — the outcome's
     /// `total_bytes` without an O(files) re-sum at completion.
     total_size: u64,
+    /// The submitter's callback, fired by `finish_request`.
+    on_complete: Completion,
 }
 
 impl RequestState {
@@ -234,7 +278,7 @@ impl RequestState {
     /// `pull` / `bytes_done` / `done` / `failed`; O(log files).
     fn sync_file(&mut self, idx: usize) {
         let fw = &self.files[idx];
-        if fw.pull.is_some() && !fw.status.done && !fw.status.failed {
+        if fw.pull.is_some() && !fw.settled() {
             self.live.insert(idx);
         } else {
             self.live.remove(&idx);
@@ -246,8 +290,6 @@ impl RequestState {
         }
     }
 }
-
-type SharedRequest = Rc<RefCell<RequestState>>;
 
 /// The request manager: catalogs, site map, HRMs, policy and live state.
 pub struct RequestManager {
@@ -306,7 +348,9 @@ pub struct RequestManager {
     inflight: HostLedger,
     breakers: HashMap<String, CircuitBreaker>,
     rng: StdRng,
-    requests: HashMap<u64, SharedRequest>,
+    /// Every live request, by id (ids are never reused). The manager is the
+    /// only owner: what leaves this map is gone.
+    requests: HashMap<u64, RequestState>,
     /// Live request count per tenant — defines the *active* tenant set
     /// whose weights split the fair-share budget.
     tenant_live: HashMap<String, usize>,
@@ -325,7 +369,7 @@ pub struct RequestManager {
     /// so the admission path skips the per-event tenant scan.
     active_weight_cache: Option<((u64, u64, u32), u64)>,
     /// Live campaign state, keyed by campaign id (see `campaign.rs`).
-    pub(crate) campaigns: HashMap<u64, crate::campaign::SharedCampaign>,
+    pub(crate) campaigns: HashMap<u64, crate::campaign::CampaignState>,
     pub(crate) campaign_seq: u64,
     next_id: u64,
     xfer_seq: u64,
@@ -409,15 +453,8 @@ impl RequestManager {
     /// Live status snapshot of a request's files (for the Figure 4
     /// monitor).
     pub fn status(&self, request: u64) -> Option<Vec<FileStatus>> {
-        let state = self.requests.get(&request)?;
-        Some(
-            state
-                .borrow()
-                .files
-                .iter()
-                .map(|f| f.status.clone())
-                .collect(),
-        )
+        let req = self.requests.get(&request)?;
+        Some(req.files.iter().map(|f| f.status.clone()).collect())
     }
 
     /// All live request ids.
@@ -473,27 +510,26 @@ impl RequestManager {
             .sum()
     }
 
-    /// The in-flight ceiling for `tenant` right now: its weighted share of
-    /// the budget over the *active* tenant set, clipped by any hard quota
-    /// (`usize::MAX` when fair sharing is disabled). The active-weight sum
-    /// comes from a cache invalidated by tenant-set / table epochs, so the
-    /// admission hot path rescans only when a tenant activates/retires or
-    /// a weight changes.
-    fn tenant_limit_cached(&mut self, tenant: &str) -> usize {
+    /// The active-weight sum [`TenantTable::limit`] splits the budget by —
+    /// a tenant's in-flight ceiling right now is its weighted share over the
+    /// *active* tenant set, clipped by any hard quota (`usize::MAX` when
+    /// fair sharing is disabled). Served from a cache invalidated by
+    /// tenant-set / table epochs, so the admission hot path rescans only
+    /// when a tenant activates/retires or a weight changes.
+    fn active_weight_cached(&mut self) -> u64 {
         let key = (
             self.tenant_epoch,
             self.tenants.epoch(),
             self.tenants.default_weight,
         );
-        let active_weight = match self.active_weight_cache {
+        match self.active_weight_cache {
             Some((k, w)) if k == key => w,
             _ => {
                 let w = self.active_weight_scan();
                 self.active_weight_cache = Some((key, w));
                 w
             }
-        };
-        self.tenants.limit(tenant, active_weight)
+        }
     }
 
     /// Banked-progress snapshot for the campaign marker tick, served from
@@ -502,8 +538,7 @@ impl RequestManager {
     /// their names), in ascending file order. `None` when the request
     /// already finished.
     pub fn marker_progress(&self, request: u64) -> Option<Vec<(String, u64)>> {
-        let state = self.requests.get(&request)?;
-        let st = state.borrow();
+        let st = self.requests.get(&request)?;
         Some(
             st.progress
                 .iter()
@@ -637,59 +672,51 @@ fn arm_stall_probe<W: RmWorld>(sim: &mut Sim<W>, ctx: TraceCtx, span: SpanId, ph
     });
 }
 
-/// The causal coordinates of file `idx` of `state`, for event emission.
-fn fw_ctx(state: &SharedRequest, idx: usize) -> TraceCtx {
-    let st = state.borrow();
-    let fw = &st.files[idx];
-    TraceCtx::request(st.id)
-        .with_file(fw.status.name.clone())
-        .with_attempt(fw.status.attempts)
+/// The causal coordinates of file `idx` of `req`, for event emission.
+fn file_ctx(req: &RequestState, idx: usize) -> TraceCtx {
+    let status = &req.files[idx].status;
+    TraceCtx::request(req.id)
+        .with_file(status.name.clone())
+        .with_attempt(status.attempts)
 }
 
-/// Open the root `Phase::File` span for `idx`. Idempotent.
-fn open_file_span<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, idx: usize) {
-    if !state.borrow().files[idx].trace_root.is_none() {
+/// Open the root `Phase::File` span for `f`. Idempotent.
+fn open_file_span<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    if !req.files[f.idx].trace_root.is_none() {
         return;
     }
-    let ctx = fw_ctx(state, idx);
-    let now = sim.now();
-    let id = sim
-        .world
-        .reqman()
-        .log
-        .span_start(&ctx, now, Phase::File, None);
-    let fw = &mut state.borrow_mut().files[idx];
-    fw.trace_root = id;
+    let ctx = file_ctx(req, f.idx);
+    let fw = &mut req.files[f.idx];
+    fw.trace_root = rm.log.span_start(&ctx, now, Phase::File, None);
     fw.trace_opened = now;
 }
 
-/// Transition file `idx` into `phase`: close the currently open phase span
+/// Transition file `f` into `phase`: close the currently open phase span
 /// and open the new one at the same instant, so the root span stays tiled.
 /// `extra` fields attach to the *closing* span (e.g. the bytes a transfer
 /// attempt banked). Re-entering the open phase is a no-op (deferral loops)
 /// and discards `extra`.
 fn enter_phase<W: RmWorld>(
     sim: &mut Sim<W>,
-    state: &SharedRequest,
-    idx: usize,
+    f: FileId,
     phase: Phase,
     extra: Vec<(&'static str, Value)>,
 ) {
-    let (root, open) = {
-        let fw = &state.borrow().files[idx];
-        (fw.trace_root, fw.trace_phase)
-    };
-    if root.is_none() {
-        return;
-    }
-    if let Some((_, p, _)) = open {
-        if p == phase {
-            return;
-        }
-    }
-    let ctx = fw_ctx(state, idx);
     let now = sim.now();
     let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    let (root, open) = (req.files[f.idx].trace_root, req.files[f.idx].trace_phase);
+    if root.is_none() || open.is_some_and(|(_, p, _)| p == phase) {
+        return;
+    }
+    let ctx = file_ctx(req, f.idx);
     if let Some((sid, p, opened)) = open {
         rm.log.span_end(&ctx, now, sid, p, extra);
         rm.metrics.observe(
@@ -698,31 +725,26 @@ fn enter_phase<W: RmWorld>(
         );
     }
     let sid = rm.log.span_start(&ctx, now, phase, Some(root));
-    state.borrow_mut().files[idx].trace_phase = Some((sid, phase, now));
+    req.files[f.idx].trace_phase = Some((sid, phase, now));
     arm_stall_probe(sim, ctx, sid, phase);
 }
 
-/// Close file `idx`'s open phase span and its root span with a terminal
+/// Close file `f`'s open phase span and its root span with a terminal
 /// `status` (`done` / `failed` / `cancelled`). Idempotent: the root id is
 /// cleared.
-fn close_file_span<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    idx: usize,
-    status: &'static str,
-) {
-    let (root, open, opened_at) = {
-        let fw = &mut state.borrow_mut().files[idx];
-        let root = fw.trace_root;
-        fw.trace_root = SpanId::NONE;
-        (root, fw.trace_phase.take(), fw.trace_opened)
+fn close_file_span<W: RmWorld>(sim: &mut Sim<W>, f: FileId, status: &'static str) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
     };
+    let fw = &mut req.files[f.idx];
+    let root = std::mem::replace(&mut fw.trace_root, SpanId::NONE);
+    let (open, opened_at) = (fw.trace_phase.take(), fw.trace_opened);
     if root.is_none() {
         return;
     }
-    let ctx = fw_ctx(state, idx);
-    let now = sim.now();
-    let rm = sim.world.reqman();
+    let ctx = file_ctx(req, f.idx);
     if let Some((sid, p, phase_opened)) = open {
         rm.log.span_end(&ctx, now, sid, p, vec![]);
         rm.metrics.observe(
@@ -805,64 +827,62 @@ pub fn submit_request_for_tenant<W: RmWorld>(
             trace_opened: SimTime::ZERO,
         });
     }
-    let remaining = work.len();
+    let n_files = work.len();
     let total_size = work.iter().map(|f| f.status.size).sum();
-    let state: SharedRequest = Rc::new(RefCell::new(RequestState {
+    rm.requests.insert(
         id,
-        client,
-        tenant: tenant.to_string(),
-        files: work,
-        remaining,
-        started: sim.now(),
-        queue: VecDeque::new(),
-        active: 0,
-        monitor_active: false,
-        live: BTreeSet::new(),
-        progress: BTreeSet::new(),
-        total_size,
-    }));
-    sim.world.reqman().requests.insert(id, state.clone());
-    let now = sim.now();
-    let rm = sim.world.reqman();
+        RequestState {
+            id,
+            client,
+            tenant: tenant.to_string(),
+            files: work,
+            remaining: n_files,
+            started: now,
+            queue: VecDeque::new(),
+            active: 0,
+            monitor_active: false,
+            live: BTreeSet::new(),
+            progress: BTreeSet::new(),
+            total_size,
+            on_complete: Completion::new(on_complete),
+        },
+    );
     rm.metrics.counter_add("rm.requests.submitted", 1);
     rm.log.emit(
         &TraceCtx::request(id),
-        LogEvent::new(now, "rm.request.submit").field("files", remaining),
+        LogEvent::new(now, "rm.request.submit").field("files", n_files),
     );
-
-    // Wrap the typed callback so every file worker can share it.
-    let cb_cell: DoneCell<W> = Rc::new(RefCell::new(Some(Box::new(on_complete))));
 
     // The CORBA hop, then hand the files to the scheduler: prestage cold
     // tape files, order the ready queue by admission policy, and release
     // workers under the per-request cap. With the scheduler disabled every
     // worker starts at once ("for each file of each request, the
     // multi-threaded RM opens a separate program thread").
-    let n_files = state.borrow().files.len();
-    let sched = sim.world.reqman().scheduler;
+    let sched = rm.scheduler;
     sim.schedule(RPC_LATENCY, move |s| {
         if n_files == 0 {
-            finish_request(s, &state, &cb_cell);
+            finish_request(s, id);
             return;
         }
         // Every file's lifeline opens when the RPC lands; files then sit in
         // the Queue phase until their worker picks them up (zero-length for
         // immediately-admitted files, the real wait for queued ones).
         for idx in 0..n_files {
-            open_file_span(s, &state, idx);
-            enter_phase(s, &state, idx, Phase::Queue, vec![]);
+            let f = FileId { request: id, idx };
+            open_file_span(s, f);
+            enter_phase(s, f, Phase::Queue, vec![]);
         }
         if sched.enabled {
-            prestage_cold_files(s, &state);
-            let sizes: Vec<u64> = {
-                let st = state.borrow();
-                st.files.iter().map(|f| f.status.size).collect()
+            prestage_cold_files(s, id);
+            let Some(req) = s.world.reqman().requests.get_mut(&id) else {
+                return;
             };
-            state.borrow_mut().queue = VecDeque::from(order_queue(sched.policy, &sizes));
-            pump_request(s, &state, &cb_cell);
+            let sizes: Vec<u64> = req.files.iter().map(|f| f.status.size).collect();
+            req.queue = VecDeque::from(order_queue(sched.policy, &sizes));
+            pump_request(s, id);
         } else {
             for idx in 0..n_files {
-                start_file_worker(s, state.clone(), cb_cell.clone(), idx);
+                start_file_worker(s, FileId { request: id, idx });
             }
         }
     });
@@ -873,30 +893,27 @@ pub fn submit_request_for_tenant<W: RmWorld>(
 /// slots. A file holds its slot from admission until it settles (done or
 /// failed), across retries, so a request never has more than the cap's
 /// worth of files competing for the client NIC at once.
-fn pump_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>) {
+fn pump_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let _rm_scope = profile::scope(profile::RM);
     profile::count("rm.pumps", 1);
-    let cap = sim.world.reqman().scheduler.max_active_per_request.max(1);
     loop {
-        let idx = {
-            let mut st = state.borrow_mut();
-            if st.active >= cap {
-                return;
-            }
-            let Some(i) = st.queue.pop_front() else {
-                return;
-            };
-            st.active += 1;
-            st.files[i].admitted = true;
-            i
+        let rm = sim.world.reqman();
+        let cap = rm.scheduler.max_active_per_request.max(1);
+        let Some(req) = rm.requests.get_mut(&id) else {
+            return;
         };
-        let active = state.borrow().active;
-        {
-            let metrics = &mut sim.world.reqman().metrics;
-            metrics.counter_add(SchedStats::ADMITTED, 1);
-            metrics.gauge_max(SchedStats::PEAK_ACTIVE, active as f64);
+        if req.active >= cap {
+            return;
         }
-        start_file_worker(sim, state.clone(), cb.clone(), idx);
+        let Some(idx) = req.queue.pop_front() else {
+            return;
+        };
+        req.active += 1;
+        req.files[idx].admitted = true;
+        rm.metrics.counter_add(SchedStats::ADMITTED, 1);
+        rm.metrics
+            .gauge_max(SchedStats::PEAK_ACTIVE, req.active as f64);
+        start_file_worker(sim, FileId { request: id, idx });
     }
 }
 
@@ -906,31 +923,23 @@ fn pump_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCe
 /// serializing behind admission. Only files with no disk replica are
 /// prefetched — staging a tape copy selection will never prefer wastes
 /// tape drive time.
-fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
+fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
     // No tape-backed host, no cold file: skip the per-file catalog lookups
     // that would each conclude the same.
-    if sim.world.reqman().hrms.is_empty() {
+    if rm.hrms.is_empty() {
         return;
     }
-    let now = sim.now();
-    let files: Vec<(String, String, u64)> = state
-        .borrow()
-        .files
-        .iter()
-        .map(|f| {
-            (
-                f.status.collection.clone(),
-                f.status.name.clone(),
-                f.status.size,
-            )
-        })
-        .collect();
+    let Some(req) = rm.requests.get(&id) else {
+        return;
+    };
     let mut plan: HashMap<String, Vec<String>> = HashMap::new();
-    for (collection, name, size) in &files {
-        let rm = sim.world.reqman();
+    for f in &req.files {
+        let (name, size) = (&f.status.name, f.status.size);
         let replicas = rm
             .catalog
-            .lookup_replicas(collection, name)
+            .lookup_replicas(&f.status.collection, name)
             .unwrap_or_default();
         if replicas.is_empty() || replicas.iter().any(|r| !rm.hrms.contains_key(&r.host)) {
             continue;
@@ -940,7 +949,7 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
                 continue;
             };
             if hrm.catalog.size_of(name).is_none() {
-                hrm.catalog.register(name, *size);
+                hrm.catalog.register(name, size);
             }
             if !hrm.resident(name, now) {
                 plan.entry(r.host.clone()).or_default().push(name.clone());
@@ -949,8 +958,7 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
     }
     let mut by_host: Vec<(String, Vec<String>)> = plan.into_iter().collect();
     by_host.sort();
-    let req_id = state.borrow().id;
-    let ctx = TraceCtx::request(req_id);
+    let ctx = TraceCtx::request(id);
     for (host, names) in by_host {
         let rm = sim.world.reqman();
         let Some(hrm) = rm.hrms.get_mut(&host) else {
@@ -987,48 +995,43 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest) {
     }
 }
 
-/// Commit file `idx` to a pull of `kind` from `host`: consume the breaker's
+/// Commit file `f` to a pull of `kind` from `host`: consume the breaker's
 /// admission (maybe its half-open probe slot), count an attempt, and take
 /// the manager-wide ledger entry through which every other selection round
 /// sees the pull occupy the host until it ends.
-fn commit_pull<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    idx: usize,
-    host: &str,
-    kind: PullKind,
-) {
+fn commit_pull<W: RmWorld>(sim: &mut Sim<W>, f: FileId, host: &str, kind: PullKind) {
     // A stale entry here would double-count; release defensively first.
-    ledger_release(sim, state, idx);
+    ledger_release(sim, f);
     let now = sim.now();
-    sim.world.reqman().breaker_admit(host, now);
-    let tenant = {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        fw.status.replica_host = Some(host.to_string());
-        if kind == PullKind::Attempt {
-            fw.status.attempts += 1;
-        }
-        fw.ledger_host = Some((host.to_string(), kind));
-        st.tenant.clone()
-    };
     let rm = sim.world.reqman();
+    rm.breaker_admit(host, now);
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    let fw = &mut req.files[f.idx];
+    fw.status.replica_host = Some(host.to_string());
+    if kind == PullKind::Attempt {
+        fw.status.attempts += 1;
+    }
+    fw.ledger_host = Some((host.to_string(), kind));
     rm.inflight
-        .acquire(host, &tenant, kind == PullKind::Attempt);
+        .acquire(host, &req.tenant, kind == PullKind::Attempt);
     // Admission progress: the reference point for starvation detection.
-    rm.tenant_progress.insert(tenant, now);
+    rm.tenant_progress.insert(req.tenant.clone(), now);
 }
 
-/// Release `idx`'s ledger entry if it still owns one, and with it the
+/// Release `f`'s ledger entry if it still owns one, and with it the
 /// half-open probe slot the pull may hold on that host — without judging
 /// the host; the pull ends that blame or clear it say so themselves.
 /// Idempotent, so a pull's end and the file's settling may each call it.
-fn ledger_release<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, idx: usize) {
-    let mut st = state.borrow_mut();
-    if let Some((host, kind)) = st.files[idx].ledger_host.take() {
-        let rm = sim.world.reqman();
+fn ledger_release<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    if let Some((host, kind)) = req.files[f.idx].ledger_host.take() {
         rm.inflight
-            .release(&host, &st.tenant, kind == PullKind::Attempt);
+            .release(&host, &req.tenant, kind == PullKind::Attempt);
         rm.breaker_release(&host);
     }
 }
@@ -1037,8 +1040,7 @@ fn ledger_release<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, idx: usiz
 /// progress for the configured window, emit `rm.campaign.starved` (at
 /// most once per window per tenant) and bump the matching counter —
 /// the fairness layer's observable distress signal.
-fn note_tenant_starvation<W: RmWorld>(sim: &mut Sim<W>, tenant: &str, now: SimTime) {
-    let rm = sim.world.reqman();
+fn note_tenant_starvation(rm: &mut RequestManager, tenant: &str, now: SimTime) {
     let window = rm.tenants.starvation_after;
     if window.is_zero() {
         return;
@@ -1063,60 +1065,52 @@ fn note_tenant_starvation<W: RmWorld>(sim: &mut Sim<W>, tenant: &str, now: SimTi
     );
 }
 
-type DoneCell<W> = Rc<RefCell<Option<Box<dyn FnOnce(&mut Sim<W>, RequestOutcome)>>>>;
-
-fn finish_request<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>) {
-    let outcome = {
-        let st = state.borrow();
-        // The file snapshot is cloned exactly once, here at completion;
-        // the byte total was fixed at submit.
-        RequestOutcome {
-            id: st.id,
-            started: st.started,
-            finished: sim.now(),
-            files: st.files.iter().map(|f| f.status.clone()).collect(),
-            total_bytes: st.total_size,
-        }
-    };
-    let id = outcome.id;
-    let tenant = state.borrow().tenant.clone();
+/// Every file has settled: the request leaves the manager — and, the
+/// manager being its only owner, is freed here — and its submitter hears.
+fn finish_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let now = sim.now();
     let rm = sim.world.reqman();
-    rm.requests.remove(&id);
-    rm.tenant_retire(&tenant);
+    let Some(req) = rm.requests.remove(&id) else {
+        return;
+    };
+    rm.tenant_retire(&req.tenant);
     rm.metrics.counter_add("rm.requests.completed", 1);
     rm.log.emit(
         &TraceCtx::request(id),
-        LogEvent::new(now, "rm.request.complete").field("bytes", outcome.total_bytes),
+        LogEvent::new(now, "rm.request.complete").field("bytes", req.total_size),
     );
-    if let Some(f) = cb.borrow_mut().take() {
-        f(sim, outcome);
-    }
+    // Moved into a buffer of their own size: `collect` would hand the
+    // submitter the three-times-larger `FileWork` allocation to keep.
+    let mut files = Vec::with_capacity(req.files.len());
+    files.extend(req.files.into_iter().map(|f| f.status));
+    let outcome = RequestOutcome {
+        id,
+        started: req.started,
+        finished: now,
+        files,
+        total_bytes: req.total_size,
+    };
+    req.on_complete.call(sim, outcome);
 }
 
 /// Cancel a live request: every unsettled file is settled as
 /// [`Settled::Cancelled`] and the request is removed without firing its
 /// completion callback. Returns `false` when the id is not live.
 ///
-/// Pending retry/backoff closures that still hold the request are
-/// harmless: each re-checks its file's settled flags on wake and returns.
+/// Whatever is still scheduled for the request — its RPC, a backoff or
+/// deferral wake, a staged start, a monitor tick — finds it gone and returns.
 pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
-    let Some(state) = sim.world.reqman().requests.get(&id).cloned() else {
+    let Some(n_files) = sim.world.reqman().requests.get(&id).map(|r| r.files.len()) else {
         return false;
     };
-    // A cancelled file neither finishes the request nor pumps its queue,
-    // so the settle never reaches for the callback: an empty cell stands in.
-    let no_cb: DoneCell<W> = Rc::new(RefCell::new(None));
-    let n = state.borrow().files.len();
-    for idx in 0..n {
-        settle_file(sim, &state, &no_cb, idx, Settled::Cancelled);
+    for idx in 0..n_files {
+        settle_file(sim, FileId { request: id, idx }, Settled::Cancelled);
     }
-    state.borrow_mut().queue.clear();
-    let tenant = state.borrow().tenant.clone();
     let now = sim.now();
     let rm = sim.world.reqman();
-    rm.requests.remove(&id);
-    rm.tenant_retire(&tenant);
+    if let Some(req) = rm.requests.remove(&id) {
+        rm.tenant_retire(&req.tenant);
+    }
     rm.metrics.counter_add("rm.requests.cancelled", 1);
     rm.log.emit(
         &TraceCtx::request(id),
@@ -1142,107 +1136,94 @@ enum Settled {
 /// the request or admit the next queued file. Idempotent: settling a
 /// settled file is a no-op, so stragglers (a late monitor tick, a backoff
 /// wake, a completion racing the monitor) are harmless.
-fn settle_file<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    cb: &DoneCell<W>,
-    idx: usize,
-    how: Settled,
-) {
+fn settle_file<W: RmWorld>(sim: &mut Sim<W>, f: FileId, how: Settled) {
     let _rm_scope = profile::scope(profile::RM);
-    let (pull, was_admitted, finished_all) = {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        if fw.status.done || fw.status.failed {
-            return;
-        }
-        if how == Settled::Done {
-            fw.status.bytes_done = fw.status.size;
-            fw.status.done = true;
-        } else {
-            fw.status.failed = true;
-        }
-        let pull = fw.pull.take();
-        let was_admitted = std::mem::take(&mut fw.admitted);
-        if was_admitted {
-            st.active -= 1;
-        }
-        // A cancelled file keeps its share of `remaining`, so
-        // `finish_request` can never fire for its request afterwards.
-        if how != Settled::Cancelled {
-            st.remaining -= 1;
-        }
-        st.sync_file(idx);
-        (pull, was_admitted, st.remaining == 0)
+    let Some(req) = sim.world.reqman().requests.get_mut(&f.request) else {
+        return;
     };
+    let fw = &mut req.files[f.idx];
+    if fw.settled() {
+        return;
+    }
+    if how == Settled::Done {
+        fw.status.bytes_done = fw.status.size;
+        fw.status.done = true;
+    } else {
+        fw.status.failed = true;
+    }
+    let pull = fw.pull.take();
+    let was_admitted = std::mem::take(&mut fw.admitted);
+    let attempts = fw.status.attempts;
+    if was_admitted {
+        req.active -= 1;
+    }
+    // A cancelled file keeps its share of `remaining`, so
+    // `finish_request` can never fire for its request afterwards.
+    if how != Settled::Cancelled {
+        req.remaining -= 1;
+    }
+    req.sync_file(f.idx);
+    let finished_all = req.remaining == 0;
+    let mut ctx = file_ctx(req, f.idx);
+    if how == Settled::Failed {
+        // The file failed, not one of its attempts: no attempt in its ctx.
+        ctx.attempt = None;
+    }
     if let Some(pull) = pull {
         cancel_transfer(sim, pull.handle);
     }
-    ledger_release(sim, state, idx);
+    ledger_release(sim, f);
     let status = match how {
         Settled::Done => "done",
         Settled::Failed => "failed",
         Settled::Cancelled => "cancelled",
     };
-    close_file_span(sim, state, idx, status);
+    close_file_span(sim, f, status);
     let now = sim.now();
-    let (counter, ctx, event) = match how {
-        Settled::Done => (
-            "rm.files.completed",
-            fw_ctx(state, idx),
-            LogEvent::new(now, "rm.file.complete"),
+    let (counter, event) = match how {
+        Settled::Done => ("rm.files.completed", LogEvent::new(now, "rm.file.complete")),
+        Settled::Failed => (
+            "rm.files.failed",
+            LogEvent::new(now, "rm.file.failed").field("attempts", attempts as u64),
         ),
-        Settled::Failed => {
-            // The file failed, not one of its attempts: no attempt in ctx.
-            let st = state.borrow();
-            let f = &st.files[idx].status;
-            (
-                "rm.files.failed",
-                TraceCtx::request(st.id).with_file(f.name.clone()),
-                LogEvent::new(now, "rm.file.failed").field("attempts", f.attempts as u64),
-            )
-        }
         Settled::Cancelled => return,
     };
     let rm = sim.world.reqman();
     rm.metrics.counter_add(counter, 1);
     rm.log.emit(&ctx, event);
     if finished_all {
-        finish_request(sim, state, cb);
+        finish_request(sim, f.request);
     } else if was_admitted {
-        pump_request(sim, state, cb);
+        pump_request(sim, f.request);
     }
 }
 
 /// Requeue a file worker after a policy-determined backoff.
-fn requeue_with_backoff<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: SharedRequest,
-    cb: DoneCell<W>,
-    idx: usize,
-) {
-    let attempts = state.borrow().files[idx].status.attempts;
-    let delay = sim.world.reqman().next_backoff(attempts);
+fn requeue_with_backoff<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
     let now = sim.now();
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
+        return;
+    };
+    let (ctx, attempts) = (file_ctx(req, f.idx), req.files[f.idx].status.attempts);
+    let delay = rm.next_backoff(attempts);
     // The wait itself is part of the lifeline: the file sits in Backoff
     // until the worker relaunches.
-    enter_phase(sim, &state, idx, Phase::Backoff, vec![]);
-    let ctx = fw_ctx(&state, idx);
+    enter_phase(sim, f, Phase::Backoff, vec![]);
     let rm = sim.world.reqman();
     rm.metrics.counter_add("rm.retries", 1);
     rm.log.emit(
         &ctx,
         LogEvent::new(now, "rm.retry.backoff").field("delay_s", delay.as_secs_f64()),
     );
-    sim.schedule(delay, move |s| {
-        start_file_worker(s, state, cb, idx);
-    });
+    sim.schedule(delay, move |s| start_file_worker(s, f));
 }
 
-/// Steps 1–3 of the worker: replicas → NWS estimates → selection. Returns
-/// the choice, the number of catalog replicas before exclusion/breaker
-/// filtering (so the caller can tell "nothing registered" / unsatisfiable
-/// from "everything currently unavailable" / requeue and wait), and a
+/// Steps 1–3 of the worker for file `f`: replicas → NWS estimates →
+/// selection, passing over the `excluded` hosts. Returns the choice, the
+/// number of catalog replicas before exclusion/breaker filtering (so the
+/// caller can tell "nothing registered" / unsatisfiable from "everything
+/// currently unavailable" / requeue and wait), and a
 /// `deferred` flag set when healthy candidates exist but every one is at
 /// the per-host in-flight cap — a capacity wait, not a failure.
 /// Host loads are read straight from the manager-wide in-flight ledger —
@@ -1251,9 +1232,7 @@ fn requeue_with_backoff<W: RmWorld>(
 /// per-lookup cost is recorded under `rm.select.ledger_lookups`.
 fn select_replica<W: RmWorld>(
     sim: &mut Sim<W>,
-    client: NodeId,
-    collection: &str,
-    file: &str,
+    f: FileId,
     excluded: &[String],
     host_cap: usize,
 ) -> (Option<(Replica, NodeId)>, usize, bool) {
@@ -1261,9 +1240,13 @@ fn select_replica<W: RmWorld>(
     // then run the stateful selector.
     let now = sim.now();
     let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
+        return (None, 0, false);
+    };
+    let (client, file) = (req.client, &req.files[f.idx].status);
     let registered = rm
         .catalog
-        .lookup_replicas(collection, file)
+        .lookup_replicas(&file.collection, &file.name)
         .unwrap_or_default();
     let candidates = registered.len();
     let mut replicas: Vec<Replica> = registered
@@ -1368,22 +1351,19 @@ fn resolve_tuning<W: RmWorld>(
     tuning
 }
 
-/// Postpone file `idx`'s selection round by [`DEFER_RETRY`]: its tenant is
+/// Postpone file `f`'s selection round by [`DEFER_RETRY`]: its tenant is
 /// at its fair share (`by_tenant`), or every healthy candidate is at its
 /// per-host cap. A capacity wait, not a failure — no attempt consumed, no
 /// backoff growth, admission slot kept. The one point where a tenant's
 /// demand is visibly postponed, so starvation detection lives here.
-fn defer<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: SharedRequest,
-    cb: DoneCell<W>,
-    idx: usize,
-    by_tenant: bool,
-) {
+fn defer<W: RmWorld>(sim: &mut Sim<W>, f: FileId, by_tenant: bool) {
     let now = sim.now();
-    let tenant = state.borrow().tenant.clone();
-    note_tenant_starvation(sim, &tenant, now);
-    let ctx = fw_ctx(&state, idx);
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
+        return;
+    };
+    let (tenant, ctx) = (req.tenant.clone(), file_ctx(req, f.idx));
+    note_tenant_starvation(rm, &tenant, now);
     let mut event = LogEvent::new(now, "rm.sched.defer");
     let counter = if by_tenant {
         event = event.field("reason", "tenant").field("tenant", tenant);
@@ -1391,35 +1371,21 @@ fn defer<W: RmWorld>(
     } else {
         SchedStats::DEFERRED
     };
-    let rm = sim.world.reqman();
     rm.metrics.counter_add(counter, 1);
     rm.log
         .emit(&ctx, event.field("delay_s", DEFER_RETRY.as_secs_f64()));
-    sim.schedule(DEFER_RETRY, move |s| start_file_worker(s, state, cb, idx));
+    sim.schedule(DEFER_RETRY, move |s| start_file_worker(s, f));
 }
 
 /// Launch (or relaunch) the worker for one file of a request.
-fn start_file_worker<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: SharedRequest,
-    cb: DoneCell<W>,
-    idx: usize,
-) {
+fn start_file_worker<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
     let _rm_scope = profile::scope(profile::RM);
-    let (client, collection, file, excluded, attempts, settled, delivered) = {
-        let st = state.borrow();
-        let fw = &st.files[idx];
-        (
-            st.client,
-            fw.status.collection.clone(),
-            fw.status.name.clone(),
-            fw.excluded_hosts.clone(),
-            fw.status.attempts,
-            fw.status.done || fw.status.failed,
-            fw.known && fw.status.bytes_done >= fw.status.size,
-        )
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
+        return;
     };
-    if settled {
+    let fw = &req.files[f.idx];
+    if fw.settled() {
         return;
     }
     // Zero-size files (and files whose bytes all arrived before a restart)
@@ -1428,50 +1394,44 @@ fn start_file_worker<W: RmWorld>(
     // the file only when the received blocks match the catalog's
     // expectation (and plans repairs otherwise). Banked restart-marker
     // ranges therefore never complete a file unverified.
-    if delivered {
-        verify_and_finish(sim, &state, &cb, idx);
+    if fw.known && fw.status.bytes_done >= fw.status.size {
+        verify_and_finish(sim, f);
         return;
     }
-    let retry = sim.world.reqman().retry;
-    if retry.exhausted(attempts) {
-        settle_file(sim, &state, &cb, idx, Settled::Failed);
+    if rm.retry.exhausted(fw.status.attempts) {
+        settle_file(sim, f, Settled::Failed);
         return;
     }
+    let (client, excluded) = (req.client, fw.excluded_hosts.clone());
     // The worker owns the file now: selection (and any capacity deferral)
     // is the current lifeline phase. Re-entry from a deferral loop is a
     // no-op — the Select span keeps accumulating the wait.
-    enter_phase(sim, &state, idx, Phase::Select, vec![]);
+    enter_phase(sim, f, Phase::Select, vec![]);
 
     // Multi-tenant weighted fair sharing: a tenant at its share of the
     // global budget waits for capacity exactly like the per-host cap.
     // Loads for that cap come from the manager-wide ledger inside
     // `select_replica`, so the spread planner sees what every request (not
     // just this one) is doing. Neither applies with the scheduler off.
-    let (tenant_blocked, host_cap) = {
-        let rm = sim.world.reqman();
-        if rm.scheduler.enabled {
-            let (limit, load) = {
-                let st = state.borrow();
-                (
-                    rm.tenant_limit_cached(&st.tenant),
-                    rm.inflight.tenant_load(&st.tenant),
-                )
-            };
-            (load >= limit, rm.scheduler.max_inflight_per_host)
-        } else {
-            (false, 0)
+    let rm = sim.world.reqman();
+    let host_cap = if rm.scheduler.enabled {
+        let active_weight = rm.active_weight_cached();
+        let Some(req) = rm.requests.get(&f.request) else {
+            return;
+        };
+        if rm.inflight.tenant_load(&req.tenant) >= rm.tenants.limit(&req.tenant, active_weight) {
+            defer(sim, f, true);
+            return;
         }
+        rm.scheduler.max_inflight_per_host
+    } else {
+        0
     };
-    if tenant_blocked {
-        defer(sim, state, cb, idx, true);
-        return;
-    }
-    let (choice, candidates, deferred) =
-        select_replica(sim, client, &collection, &file, &excluded, host_cap);
+    let (choice, candidates, deferred) = select_replica(sim, f, &excluded, host_cap);
     let Some((replica, src_node)) = choice else {
         if deferred {
             // A tenant can starve behind host caps as well as its share.
-            defer(sim, state, cb, idx, false);
+            defer(sim, f, false);
             return;
         }
         if candidates == 0 && excluded.is_empty() {
@@ -1484,56 +1444,54 @@ fn start_file_worker<W: RmWorld>(
         // graceful degradation. Clear the round's exclusions and requeue
         // with backoff — breakers keep the long-term memory, and their
         // cooldowns decide when a downed host gets probed again.
-        state.borrow_mut().files[idx].excluded_hosts.clear();
-        requeue_with_backoff(sim, state, cb, idx);
+        if let Some(req) = sim.world.reqman().requests.get_mut(&f.request) {
+            req.files[f.idx].excluded_hosts.clear();
+        }
+        requeue_with_backoff(sim, f);
         return;
     };
 
     let now = sim.now();
-    commit_pull(sim, &state, idx, &replica.host, PullKind::Attempt);
-    // Re-read the ctx: the attempt counter just advanced, and every event
-    // of this attempt (selection, staging, tuning, restart marker) carries
-    // the new attempt number.
-    let ctx = fw_ctx(&state, idx);
-    sim.world.reqman().log.emit(
+    commit_pull(sim, f, &replica.host, PullKind::Attempt);
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    // The attempt counter just advanced: every event of this attempt
+    // (selection, staging, tuning, restart marker) carries the new number.
+    let ctx = file_ctx(req, f.idx);
+    rm.log.emit(
         &ctx,
         LogEvent::new(now, "rm.replica.selected").field("host", replica.host.clone()),
     );
 
     // HRM staging when the site is tape-backed.
-    let (stage_delay, stage_queued) = {
-        let rm = sim.world.reqman();
-        match rm.hrms.get_mut(&replica.host) {
-            Some(hrm) => {
-                // Register unseen files lazily so the HRM can price them.
-                if hrm.catalog.size_of(&file).is_none() {
-                    let size = state.borrow().files[idx].status.size;
-                    hrm.catalog.register(&file, size);
-                }
-                match hrm.request_file(&file, now) {
-                    Ok(StageOutcome::CacheHit) => (SimDuration::ZERO, SimDuration::ZERO),
-                    Ok(StageOutcome::Staged {
-                        ready,
-                        queued_behind,
-                    }) => (ready.since(now), queued_behind),
-                    Ok(StageOutcome::Failed(_)) | Err(_) => (SimDuration::ZERO, SimDuration::ZERO),
-                }
-            }
-            None => (SimDuration::ZERO, SimDuration::ZERO),
+    let status = &mut req.files[f.idx].status;
+    let mut stage = (SimDuration::ZERO, SimDuration::ZERO);
+    if let Some(hrm) = rm.hrms.get_mut(&replica.host) {
+        // Register unseen files lazily so the HRM can price them.
+        if hrm.catalog.size_of(&status.name).is_none() {
+            hrm.catalog.register(&status.name, status.size);
         }
-    };
+        if let Ok(StageOutcome::Staged {
+            ready,
+            queued_behind,
+        }) = hrm.request_file(&status.name, now)
+        {
+            stage = (ready.since(now), queued_behind);
+        }
+    }
+    let (stage_delay, stage_queued) = stage;
     if !stage_delay.is_zero() {
-        state.borrow_mut().files[idx].status.staging_until = Some(now + stage_delay);
-        enter_phase(sim, &state, idx, Phase::Stage, vec![]);
+        status.staging_until = Some(now + stage_delay);
         // Attach the HRM's cost decomposition so lifeline analysis can
         // split drive-queueing from mount/seek/stream latency.
-        let (mount_s, seek_s, stream_s) = sim
-            .world
-            .reqman()
+        let (mount_s, seek_s, stream_s) = rm
             .hrms
             .get(&replica.host)
-            .and_then(|h| h.stage_cost(&file))
+            .and_then(|h| h.stage_cost(&status.name))
             .unwrap_or((0.0, 0.0, 0.0));
+        enter_phase(sim, f, Phase::Stage, vec![]);
         sim.world.reqman().log.emit(
             &ctx,
             LogEvent::new(now, "rm.hrm.staging")
@@ -1551,30 +1509,30 @@ fn start_file_worker<W: RmWorld>(
         // Read the resume point at the moment the transfer actually
         // starts, so the restart marker and the requested byte range are
         // computed from the same snapshot.
-        let (base, size) = {
-            let mut st = state.borrow_mut();
-            let fw = &mut st.files[idx];
-            if fw.status.done || fw.status.failed {
-                return;
-            }
-            fw.status.staging_until = None;
-            (fw.status.bytes_done, fw.status.size)
+        let now = s.now();
+        let rm = s.world.reqman();
+        let Some(req) = rm.requests.get_mut(&f.request) else {
+            return;
         };
+        let fw = &mut req.files[f.idx];
+        if fw.settled() {
+            return;
+        }
+        fw.status.staging_until = None;
+        let (base, size) = (fw.status.bytes_done, fw.status.size);
         if base > 0 {
-            let now = s.now();
-            let ctx = fw_ctx(&state, idx);
-            s.world.reqman().log.emit(
-                &ctx,
+            rm.log.emit(
+                &file_ctx(req, f.idx),
                 LogEvent::new(now, "rm.failover.restart_marker").field("offset", base),
             );
         }
         let mut tail = RangeSet::new();
         tail.insert(base, size);
-        launch_pull(s, &state, &cb, idx, src_node, tail, tuning);
+        launch_pull(s, f, src_node, tail, tuning);
     });
 }
 
-/// Start the GridFTP get of `ranges` from `src` for the pull file `idx`
+/// Start the GridFTP get of `ranges` from `src` for the pull file `f`
 /// has committed to (its ledger entry names the host and the kind) and see
 /// it through. On start the [`LivePull`] is recorded and the monitor armed;
 /// an attempt enters `Phase::Transfer` here, a repair opened `Phase::Repair`
@@ -1583,28 +1541,26 @@ fn start_file_worker<W: RmWorld>(
 /// [`pull_failed`].
 fn launch_pull<W: RmWorld>(
     sim: &mut Sim<W>,
-    state: &SharedRequest,
-    cb: &DoneCell<W>,
-    idx: usize,
+    f: FileId,
     src: NodeId,
     ranges: RangeSet,
     tuning: TransferTuning,
 ) {
-    let (client, host, kind, base) = {
-        let st = state.borrow();
-        let fw = &st.files[idx];
-        // No entry, no pull: the file settled since it committed.
-        let Some((host, kind)) = fw.ledger_host.clone() else {
-            return;
-        };
-        (st.client, host, kind, fw.status.bytes_done)
-    };
-    let bytes = ranges.total();
     let t0 = sim.now();
     let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
+        return;
+    };
+    let fw = &req.files[f.idx];
+    // No entry, no pull: the file settled since it committed.
+    let Some((host, kind)) = fw.ledger_host.clone() else {
+        return;
+    };
+    let (client, base) = (req.client, fw.status.bytes_done);
+    let bytes = ranges.total();
     rm.xfer_seq += 1;
     let seq = rm.xfer_seq;
-    let (st2, cb2, host2) = (state.clone(), cb.clone(), host.clone());
+    let host2 = host.clone();
     let started = start_transfer(
         sim,
         tuning.spec(src, client, bytes),
@@ -1612,64 +1568,64 @@ fn launch_pull<W: RmWorld>(
             Ok(_) => {
                 let now = s.now();
                 s.world.reqman().breaker_success(&host2, now);
-                ledger_release(s, &st2, idx);
-                {
-                    let mut st = st2.borrow_mut();
-                    let fw = &mut st.files[idx];
-                    if fw.status.done || fw.status.failed {
-                        return;
-                    }
-                    // Bank the delivered ranges with their provenance so
-                    // verification can reconstruct what was received; a
-                    // repair's are the newest writes and overwrite the
-                    // corrupt ones on re-verification.
-                    for (start, end) in ranges.iter() {
-                        fw.segments.push(SegRecord {
-                            host: host2.clone(),
-                            node: src,
-                            start,
-                            end,
-                            t0,
-                            t1: now,
-                            seq,
-                        });
-                    }
-                    fw.status.bytes_done = fw.status.size;
-                    fw.pull = None;
-                    st.sync_file(idx);
+                ledger_release(s, f);
+                let Some(req) = s.world.reqman().requests.get_mut(&f.request) else {
+                    return;
+                };
+                let fw = &mut req.files[f.idx];
+                if fw.settled() {
+                    return;
                 }
+                // Bank the delivered ranges with their provenance so
+                // verification can reconstruct what was received; a
+                // repair's are the newest writes and overwrite the
+                // corrupt ones on re-verification.
+                for (start, end) in ranges.iter() {
+                    fw.segments.push(SegRecord {
+                        host: host2.clone(),
+                        node: src,
+                        start,
+                        end,
+                        t0,
+                        t1: now,
+                        seq,
+                    });
+                }
+                fw.status.bytes_done = fw.status.size;
+                fw.pull = None;
+                req.sync_file(f.idx);
                 // Close the Transfer/Repair span crediting this pull's
                 // bytes; attempt deltas telescope, so a file's Transfer
                 // spans sum to its size.
-                enter_phase(s, &st2, idx, Phase::Verify, vec![("bytes", bytes.into())]);
-                verify_and_finish(s, &st2, &cb2, idx);
+                enter_phase(s, f, Phase::Verify, vec![("bytes", bytes.into())]);
+                verify_and_finish(s, f);
             }
             // The monitor cancelled this pull and already restarted the
             // worker; nothing to do here.
             Err(TransferError::Cancelled) => {}
-            Err(e) => pull_failed(s, st2, cb2, idx, kind, &host2, e),
+            Err(e) => pull_failed(s, f, kind, &host2, e),
         },
     );
     match started {
         Ok(handle) => {
-            {
-                let mut st = state.borrow_mut();
-                st.files[idx].pull = Some(LivePull {
-                    handle,
-                    kind,
-                    started: t0,
-                    base,
-                    seq,
-                    src,
-                });
-                st.sync_file(idx);
-            }
+            let Some(req) = sim.world.reqman().requests.get_mut(&f.request) else {
+                return;
+            };
+            req.files[f.idx].pull = Some(LivePull {
+                handle,
+                kind,
+                started: t0,
+                base,
+                seq,
+                src,
+            });
+            req.sync_file(f.idx);
             if kind == PullKind::Attempt {
-                enter_phase(sim, state, idx, Phase::Transfer, vec![]);
+                enter_phase(sim, f, Phase::Transfer, vec![]);
             }
-            ensure_monitor(sim, state, cb);
+            ensure_monitor(sim, f.request);
         }
-        Err(e) => pull_failed(sim, state.clone(), cb.clone(), idx, kind, &host, e),
+        Err(e) => pull_failed(sim, f, kind, &host, e),
     }
 }
 
@@ -1681,30 +1637,29 @@ fn launch_pull<W: RmWorld>(
 /// outage is global and heals, so no host is blamed.
 fn pull_failed<W: RmWorld>(
     sim: &mut Sim<W>,
-    state: SharedRequest,
-    cb: DoneCell<W>,
-    idx: usize,
+    f: FileId,
     kind: PullKind,
     host: &str,
     err: TransferError,
 ) {
     let now = sim.now();
-    ledger_release(sim, &state, idx);
+    ledger_release(sim, f);
     let unreachable = matches!(err, TransferError::NoRoute { .. });
-    {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        // The handle is dead: the monitor must not poll it.
-        fw.pull = None;
-        if unreachable && kind == PullKind::Attempt {
-            fw.excluded_hosts.push(host.to_string());
-        }
-        st.sync_file(idx);
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
+    };
+    let fw = &mut req.files[f.idx];
+    // The handle is dead: the monitor must not poll it.
+    fw.pull = None;
+    if unreachable && kind == PullKind::Attempt {
+        fw.excluded_hosts.push(host.to_string());
     }
+    req.sync_file(f.idx);
     if unreachable {
-        sim.world.reqman().breaker_failure(host, now);
+        rm.breaker_failure(host, now);
     }
-    requeue_with_backoff(sim, state, cb, idx);
+    requeue_with_backoff(sim, f);
 }
 
 /// Ensure the request's monitor tick is scheduled. One tick per poll
@@ -1712,50 +1667,53 @@ fn pull_failed<W: RmWorld>(
 /// once per interval instead of one timer per file — and the tick retires
 /// itself when the request has nothing in flight, so an idle or
 /// forever-pending request costs no events.
-fn ensure_monitor<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>) {
-    {
-        let mut st = state.borrow_mut();
-        if st.monitor_active {
-            return;
-        }
-        st.monitor_active = true;
+fn ensure_monitor<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&id) else {
+        return;
+    };
+    if req.monitor_active {
+        return;
     }
-    let poll = sim.world.reqman().poll;
-    let state = state.clone();
-    let cb = cb.clone();
-    sim.schedule(poll, move |s| monitor_tick(s, state, cb));
+    req.monitor_active = true;
+    let poll = rm.poll;
+    sim.schedule(poll, move |s| monitor_tick(s, id));
 }
 
 /// The per-request monitor: poll every live transfer "every few seconds",
 /// update the visible progress snapshot, and apply the reliability plugin
 /// to each one.
-fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, state: SharedRequest, cb: DoneCell<W>) {
+fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let _rm_scope = profile::scope(profile::RM);
     profile::count("rm.monitor_ticks", 1);
-    sim.world
-        .reqman()
-        .metrics
-        .counter_add("rm.monitor.ticks", 1);
+    let rm = sim.world.reqman();
+    // Counted before the request is looked for: the tick that outlives its
+    // request is in every pinned tick count.
+    rm.metrics.counter_add("rm.monitor.ticks", 1);
+    let Some(req) = rm.requests.get_mut(&id) else {
+        return;
+    };
     // The incremental `live` index holds exactly the unsettled files with
     // a live pull, in ascending index order.
-    let live: Vec<usize> = state.borrow().live.iter().copied().collect();
+    let live: Vec<usize> = req.live.iter().copied().collect();
     if live.is_empty() {
         // Nothing in flight: retire. The next transfer start re-arms us.
-        state.borrow_mut().monitor_active = false;
+        req.monitor_active = false;
         return;
     }
     for idx in live {
-        poll_file(sim, &state, &cb, idx);
+        poll_file(sim, FileId { request: id, idx });
     }
     let poll = sim.world.reqman().poll;
-    sim.schedule(poll, move |s| monitor_tick(s, state, cb));
+    sim.schedule(poll, move |s| monitor_tick(s, id));
 }
 
 /// One file's share of the monitor tick: progress update plus the
 /// reliability plugin (stall / minimum-rate / attempt-timeout failover).
-fn poll_file<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<W>, idx: usize) {
+fn poll_file<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
+    let req = sim.world.reqman().requests.get(&f.request);
     // The pull may have ended earlier this tick.
-    let Some(pull) = state.borrow().files[idx].pull else {
+    let Some(pull) = req.and_then(|r| r.files[f.idx].pull) else {
         return;
     };
     let handle = pull.handle;
@@ -1772,81 +1730,69 @@ fn poll_file<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<
         )
     };
     let age = sim.now().since(pull.started);
-    // Update the visible progress (the "file size at the local site").
-    {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        let live = (pull.base + bytes).min(fw.status.size);
-        fw.status.bytes_done = fw.status.bytes_done.max(live);
-        st.sync_file(idx);
-    }
-    let (min_rate, grace, attempt_timeout) = {
-        let rm = sim.world.reqman();
-        (rm.min_rate, rm.grace, rm.retry.attempt_timeout)
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get_mut(&f.request) else {
+        return;
     };
-    let too_slow = min_rate > 0.0 && age > grace && rate < min_rate;
-    let timed_out = !attempt_timeout.is_zero() && age > attempt_timeout;
-    if stalled || too_slow || timed_out {
-        // Reliability plugin: abandon this replica, bank the restart
-        // marker, try an alternate.
-        let marker = cancel_transfer(sim, handle);
-        let now = sim.now();
-        let (host, delta) = {
-            let mut st = state.borrow_mut();
-            let fw = &mut st.files[idx];
-            let host = fw.status.replica_host.clone().unwrap_or_default();
-            let banked = (pull.base + marker).min(fw.status.size);
-            // A repair's marker is synthetic: it banks nothing and its
-            // span closes with 0 bytes.
-            let delta = match pull.kind {
-                PullKind::Attempt => banked.saturating_sub(pull.base),
-                PullKind::Repair => 0,
-            };
-            // Bank the partial range with its provenance — it still
-            // gets digest-verified before the file can complete.
-            if delta > 0 {
-                fw.segments.push(SegRecord {
-                    host: host.clone(),
-                    node: pull.src,
-                    start: pull.base,
-                    end: banked,
-                    t0: pull.started,
-                    t1: now,
-                    seq: pull.seq,
-                });
-            }
-            fw.status.bytes_done = fw.status.bytes_done.max(banked);
-            fw.pull = None;
-            fw.excluded_hosts.push(host.clone());
-            st.sync_file(idx);
-            (host, delta)
-        };
-        ledger_release(sim, state, idx);
-        let ctx = fw_ctx(state, idx);
-        sim.world.reqman().breaker_failure(&host, now);
-        {
-            let rm = sim.world.reqman();
-            rm.metrics.counter_add("rm.failovers", 1);
-            rm.log.emit(
-                &ctx,
-                LogEvent::new(now, "rm.reliability.failover")
-                    .field("from", host)
-                    .field("stalled", if stalled { 1u64 } else { 0u64 })
-                    .field("timeout", if timed_out { 1u64 } else { 0u64 })
-                    .field("rate", rate),
-            );
-        }
-        // Close the Transfer/Repair span with whatever bytes were banked;
-        // the worker re-enters Select on restart.
-        enter_phase(
-            sim,
-            state,
-            idx,
-            Phase::Select,
-            vec![("bytes", delta.into())],
-        );
-        start_file_worker(sim, state.clone(), cb.clone(), idx);
+    // Update the visible progress (the "file size at the local site").
+    let status = &mut req.files[f.idx].status;
+    status.bytes_done = status.bytes_done.max((pull.base + bytes).min(status.size));
+    req.sync_file(f.idx);
+    let too_slow = rm.min_rate > 0.0 && age > rm.grace && rate < rm.min_rate;
+    let timed_out = !rm.retry.attempt_timeout.is_zero() && age > rm.retry.attempt_timeout;
+    if !(stalled || too_slow || timed_out) {
+        return;
     }
+    // Reliability plugin: abandon this replica, bank the restart marker,
+    // try an alternate.
+    let marker = cancel_transfer(sim, handle);
+    let now = sim.now();
+    let Some(req) = sim.world.reqman().requests.get_mut(&f.request) else {
+        return;
+    };
+    let ctx = file_ctx(req, f.idx);
+    let fw = &mut req.files[f.idx];
+    let host = fw.status.replica_host.clone().unwrap_or_default();
+    let banked = (pull.base + marker).min(fw.status.size);
+    // A repair's marker is synthetic: it banks nothing and its span closes
+    // with 0 bytes.
+    let delta = match pull.kind {
+        PullKind::Attempt => banked.saturating_sub(pull.base),
+        PullKind::Repair => 0,
+    };
+    // Bank the partial range with its provenance — it still gets
+    // digest-verified before the file can complete.
+    if delta > 0 {
+        fw.segments.push(SegRecord {
+            host: host.clone(),
+            node: pull.src,
+            start: pull.base,
+            end: banked,
+            t0: pull.started,
+            t1: now,
+            seq: pull.seq,
+        });
+    }
+    fw.status.bytes_done = fw.status.bytes_done.max(banked);
+    fw.pull = None;
+    fw.excluded_hosts.push(host.clone());
+    req.sync_file(f.idx);
+    ledger_release(sim, f);
+    let rm = sim.world.reqman();
+    rm.breaker_failure(&host, now);
+    rm.metrics.counter_add("rm.failovers", 1);
+    rm.log.emit(
+        &ctx,
+        LogEvent::new(now, "rm.reliability.failover")
+            .field("from", host)
+            .field("stalled", if stalled { 1u64 } else { 0u64 })
+            .field("timeout", if timed_out { 1u64 } else { 0u64 })
+            .field("rate", rate),
+    );
+    // Close the Transfer/Repair span with whatever bytes were banked; the
+    // worker re-enters Select on restart.
+    enter_phase(sim, f, Phase::Select, vec![("bytes", delta.into())]);
+    start_file_worker(sim, f);
 }
 
 /// All bytes of a file have landed: verify the received blocks against the
@@ -1854,47 +1800,41 @@ fn poll_file<W: RmWorld>(sim: &mut Sim<W>, state: &SharedRequest, cb: &DoneCell<
 /// to block-granular ERET repair (bounded rounds), then escalate to a full
 /// re-fetch; repeatedly-blamed replicas are quarantined. Files without a
 /// registered digest complete under legacy (trusting) semantics.
-fn verify_and_finish<W: RmWorld>(
-    sim: &mut Sim<W>,
-    state: &SharedRequest,
-    cb: &DoneCell<W>,
-    idx: usize,
-) {
+fn verify_and_finish<W: RmWorld>(sim: &mut Sim<W>, f: FileId) {
     let _rm_scope = profile::scope(profile::RM);
-    let (collection, name, size, segments, repair_rounds, repair_bytes, client) = {
-        let st = state.borrow();
-        let fw = &st.files[idx];
-        if fw.status.done || fw.status.failed {
-            return;
+    // Whether a wire fault overlapped a segment is the simulator's to
+    // answer, so the windows are copied out before the manager is borrowed
+    // for everything else.
+    let windows: Vec<(NodeId, SimTime, SimTime)> = match sim.world.reqman().requests.get(&f.request)
+    {
+        Some(req) if !req.files[f.idx].settled() => {
+            let segments = &req.files[f.idx].segments;
+            segments.iter().map(|sg| (sg.node, sg.t0, sg.t1)).collect()
         }
-        (
-            fw.status.collection.clone(),
-            fw.status.name.clone(),
-            fw.status.size,
-            fw.segments.clone(),
-            fw.repair_rounds,
-            fw.repair_bytes,
-            st.client,
-        )
+        _ => return,
     };
     // Re-entrant verifies (post-repair, post-requeue) land in the same
     // open Verify span; the transition is a no-op if already there.
-    enter_phase(sim, state, idx, Phase::Verify, vec![]);
-    let ctx = fw_ctx(state, idx);
-    let Some(expected_hex) = sim.world.reqman().catalog.file_digest(&collection, &name) else {
-        settle_file(sim, state, cb, idx, Settled::Done);
+    enter_phase(sim, f, Phase::Verify, vec![]);
+    let wire: Vec<bool> = windows
+        .iter()
+        .map(|&(node, t0, t1)| sim.wire_corrupt_during(node, t0, t1))
+        .collect();
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    let Some(req) = rm.requests.get(&f.request) else {
         return;
     };
-    let key = format!("{collection}/{name}");
-    // Resolve each segment's integrity context: wire-fault overlap from
-    // the simulator, then at-rest flips from the serving site's store.
-    let wire: Vec<bool> = segments
-        .iter()
-        .map(|sg| sim.wire_corrupt_during(sg.node, sg.t0, sg.t1))
-        .collect();
-    let rm = sim.world.reqman();
-    let denom = rm.integrity.wire_rate_denom;
-    let views: Vec<SegmentView> = segments
+    let (ctx, client, fw) = (file_ctx(req, f.idx), req.client, &req.files[f.idx]);
+    let (collection, name, size) = (&fw.status.collection, &fw.status.name, fw.status.size);
+    let Some(expected_hex) = rm.catalog.file_digest(collection, name) else {
+        settle_file(sim, f, Settled::Done);
+        return;
+    };
+    // Resolve each segment's integrity context: the wire-fault overlap
+    // above, then at-rest flips from the serving site's store.
+    let views: Vec<SegmentView> = fw
+        .segments
         .iter()
         .zip(&wire)
         .map(|(sg, &wire_active)| {
@@ -1906,53 +1846,46 @@ fn verify_and_finish<W: RmWorld>(
                 seq: sg.seq,
                 wire_active,
                 at_rest: rm
-                    .at_rest_flips(&sg.host, &name, sg.t1)
+                    .at_rest_flips(&sg.host, name, sg.t1)
                     .into_iter()
                     .filter(|(b, _)| span.contains(b))
                     .collect(),
             }
         })
         .collect();
-    let report = verify_blocks(&key, size, denom, &views);
-    let now = sim.now();
+    let key = format!("{collection}/{name}");
+    let report = verify_blocks(&key, size, rm.integrity.wire_rate_denom, &views);
     if report.is_clean() && report.received_hex == expected_hex {
-        let rm = sim.world.reqman();
         rm.metrics.counter_add("rm.integrity.verified", 1);
         rm.log.emit(
             &ctx,
             LogEvent::new(now, "integrity.file.verified")
                 .field("digest", report.received_hex)
-                .field("repair_rounds", repair_rounds as u64)
-                .field("repair_bytes", repair_bytes),
+                .field("repair_rounds", fw.repair_rounds as u64)
+                .field("repair_bytes", fw.repair_bytes),
         );
-        settle_file(sim, state, cb, idx, Settled::Done);
+        settle_file(sim, f, Settled::Done);
         return;
     }
 
     let blocks = report.corrupt_blocks();
     let blamed = report.blamed_hosts();
-    {
-        let rm = sim.world.reqman();
-        for (b, h) in &report.corrupt {
-            rm.metrics.counter_add("rm.integrity.block_mismatches", 1);
-            rm.log.emit(
-                &ctx,
-                LogEvent::new(now, "integrity.block.mismatch")
-                    .field("block", *b)
-                    .field("host", h.clone()),
-            );
-        }
+    for (b, h) in &report.corrupt {
+        rm.metrics.counter_add("rm.integrity.block_mismatches", 1);
+        rm.log.emit(
+            &ctx,
+            LogEvent::new(now, "integrity.block.mismatch")
+                .field("block", *b)
+                .field("host", h.clone()),
+        );
     }
     // Incident accounting and quarantine — once per blamed host per verify
     // round, in sorted host order for deterministic logs.
-    for host in &blamed {
-        if host.is_empty() {
-            continue;
-        }
-        let rm = sim.world.reqman();
-        let count = rm.integrity.record_incident(&collection, host);
-        if rm.integrity.quarantine_if_due(&collection, host) {
-            let _ = rm.catalog.set_host_suspect(&collection, host, true);
+    let mut quarantined = Vec::new();
+    for host in blamed.iter().filter(|h| !h.is_empty()) {
+        let count = rm.integrity.record_incident(collection, host);
+        if rm.integrity.quarantine_if_due(collection, host) {
+            let _ = rm.catalog.set_host_suspect(collection, host, true);
             rm.metrics.counter_add("rm.integrity.quarantines", 1);
             rm.log.emit(
                 &ctx,
@@ -1961,36 +1894,35 @@ fn verify_and_finish<W: RmWorld>(
                     .field("host", host.clone())
                     .field("incidents", count as u64),
             );
-            let delay = rm.integrity.reverify_after;
-            let (c2, h2) = (collection.clone(), host.clone());
-            sim.schedule(delay, move |s| rehabilitate_replica(s, c2, h2));
+            quarantined.push((collection.clone(), host.clone()));
         }
     }
-    let max_rounds = sim.world.reqman().integrity.max_repair_rounds;
-    if repair_rounds >= max_rounds || blocks.is_empty() {
+    let reverify_after = rm.integrity.reverify_after;
+    let escalate = fw.repair_rounds >= rm.integrity.max_repair_rounds || blocks.is_empty();
+    for (c, h) in quarantined {
+        sim.schedule(reverify_after, move |s| rehabilitate_replica(s, c, h));
+    }
+    if escalate {
         // Repair budget exhausted (or an unattributable whole-file
         // mismatch): escalate to a full re-fetch, preferring hosts that
         // were not blamed. The retry policy's attempt cap still bounds the
         // file — it fails loudly rather than completing corrupt.
-        {
-            let mut st = state.borrow_mut();
-            let fw = &mut st.files[idx];
-            fw.status.bytes_done = 0;
-            fw.segments.clear();
-            fw.repair_rounds = 0;
-            fw.excluded_hosts = blamed.clone();
-            st.sync_file(idx);
-        }
-        {
-            let rm = sim.world.reqman();
-            rm.metrics.counter_add("rm.integrity.escalations", 1);
-            rm.log.emit(
-                &ctx,
-                LogEvent::new(now, "integrity.repair.escalate")
-                    .field("blocks", blocks.len() as u64),
-            );
-        }
-        requeue_with_backoff(sim, state.clone(), cb.clone(), idx);
+        let rm = sim.world.reqman();
+        let Some(req) = rm.requests.get_mut(&f.request) else {
+            return;
+        };
+        let fw = &mut req.files[f.idx];
+        fw.status.bytes_done = 0;
+        fw.segments.clear();
+        fw.repair_rounds = 0;
+        fw.excluded_hosts = blamed;
+        req.sync_file(f.idx);
+        rm.metrics.counter_add("rm.integrity.escalations", 1);
+        rm.log.emit(
+            &ctx,
+            LogEvent::new(now, "integrity.repair.escalate").field("blocks", blocks.len() as u64),
+        );
+        requeue_with_backoff(sim, f);
         return;
     }
     // Block-granular repair: re-fetch only the corrupt byte ranges via
@@ -2004,39 +1936,37 @@ fn verify_and_finish<W: RmWorld>(
     // catch again beats no copy).
     let ranges = repair_ranges(&blocks, size, BLOCK_SIZE);
     let bytes = ranges.total();
-    let (mut choice, _, _) = select_replica(sim, client, &collection, &name, &blamed, 0);
+    let (mut choice, _, _) = select_replica(sim, f, &blamed, 0);
     if choice.is_none() {
-        choice = select_replica(sim, client, &collection, &name, &[], 0).0;
+        choice = select_replica(sim, f, &[], 0).0;
     }
     let Some((replica, src_node)) = choice else {
         // No source reachable right now: back off; the worker re-verifies
         // and re-plans the repair when it wakes.
-        requeue_with_backoff(sim, state.clone(), cb.clone(), idx);
+        requeue_with_backoff(sim, f);
         return;
     };
-    commit_pull(sim, state, idx, &replica.host, PullKind::Repair);
-    let round = {
-        let mut st = state.borrow_mut();
-        let fw = &mut st.files[idx];
-        fw.repair_rounds += 1;
-        fw.repair_bytes += bytes;
-        fw.repair_rounds
+    commit_pull(sim, f, &replica.host, PullKind::Repair);
+    let Some(req) = sim.world.reqman().requests.get_mut(&f.request) else {
+        return;
     };
-    enter_phase(sim, state, idx, Phase::Repair, vec![]);
-    {
-        let rm = sim.world.reqman();
-        rm.metrics.counter_add("rm.integrity.repairs", 1);
-        rm.log.emit(
-            &ctx,
-            LogEvent::new(now, "integrity.repair.eret")
-                .field("host", replica.host.clone())
-                .field("bytes", bytes)
-                .field("spans", ranges.span_count() as u64)
-                .field("round", round as u64),
-        );
-    }
+    let fw = &mut req.files[f.idx];
+    fw.repair_rounds += 1;
+    fw.repair_bytes += bytes;
+    let round = fw.repair_rounds;
+    enter_phase(sim, f, Phase::Repair, vec![]);
+    let rm = sim.world.reqman();
+    rm.metrics.counter_add("rm.integrity.repairs", 1);
+    rm.log.emit(
+        &ctx,
+        LogEvent::new(now, "integrity.repair.eret")
+            .field("host", replica.host.clone())
+            .field("bytes", bytes)
+            .field("spans", ranges.span_count() as u64)
+            .field("round", round as u64),
+    );
     let tuning = resolve_tuning(sim, client, src_node, &replica.host, &ctx);
-    launch_pull(sim, state, cb, idx, src_node, ranges, tuning);
+    launch_pull(sim, f, src_node, ranges, tuning);
 }
 
 /// Background re-verification of a quarantined replica: the site restores
@@ -2357,21 +2287,7 @@ mod tests {
     #[test]
     fn hrm_cache_hit_skips_staging_second_time() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        {
-            let rm = &mut sim.world.rm;
-            rm.catalog
-                .add_logical_file("co2", "deep.esg", 20_000_000)
-                .unwrap();
-            rm.catalog
-                .register_location(
-                    "co2",
-                    "lbl",
-                    &GridUrl::new("hpss.lbl.gov", "/hpss"),
-                    &["deep.esg"],
-                )
-                .unwrap();
-            rm.add_hrm("hpss.lbl.gov", Hrm::new(TapeParams::default(), 1 << 34));
-        }
+        add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
         submit_request(
             &mut sim,
             client,
@@ -2475,13 +2391,6 @@ mod tests {
         submit_request(sim, client, files, |s, o| s.world.outcomes.push(o))
     }
 
-    /// A completion cell like `submit_request`'s, to drive a transition directly.
-    fn outcome_cell() -> DoneCell<World> {
-        Rc::new(RefCell::new(Some(Box::new(
-            |s: &mut Sim<World>, o: RequestOutcome| s.world.outcomes.push(o),
-        ))))
-    }
-
     /// Advance in 10 ms steps until `cond` holds.
     fn run_to(sim: &mut Sim<World>, mut cond: impl FnMut(&Sim<World>) -> bool) {
         while !cond(sim) {
@@ -2523,23 +2432,26 @@ mod tests {
             };
             let node = sim.world.rm.hosts[host];
             let id = submit_files(&mut sim, client, &["jan.esg"]);
-            let state = sim.world.rm.requests[&id].clone();
-            let live = |st: &SharedRequest| st.borrow().files[0].pull;
+            let file = FileId {
+                request: id,
+                idx: 0,
+            };
+            let live = |s: &Sim<World>| s.world.rm.requests[&id].files[0].pull;
             // Run to the moment the fault must be in place: inside the
             // pull's set-up window, or before the pull launches (a repair
             // launches the instant its attempt delivers).
             if after_start {
-                run_to(&mut sim, |_| live(&state).is_some_and(|p| p.kind == kind));
+                run_to(&mut sim, |s| live(s).is_some_and(|p| p.kind == kind));
             } else if kind == PullKind::Repair {
-                run_to(&mut sim, |_| live(&state).is_some());
+                run_to(&mut sim, |s| live(s).is_some());
             }
             if unreachable {
                 sim.net.set_node_up(node, false);
             } else if after_start {
-                let pull = live(&state).unwrap();
+                let pull = live(&sim).unwrap();
                 cancel_transfer(&mut sim, pull.handle);
                 let err = TransferError::NameServiceDown;
-                pull_failed(&mut sim, state.clone(), outcome_cell(), 0, kind, host, err);
+                pull_failed(&mut sim, file, kind, host, err);
             } else {
                 sim.net_set_name_service(false);
             }
@@ -2548,7 +2460,7 @@ mod tests {
             let now = sim.now();
             let rm = &sim.world.rm;
             {
-                let st = state.borrow();
+                let st = &rm.requests[&id];
                 let fw = &st.files[0];
                 assert!(fw.pull.is_none() && st.live.is_empty(), "{case}");
                 assert!(fw.ledger_host.is_none(), "{case}");
@@ -2593,24 +2505,26 @@ mod tests {
                 cat.add_file_to_location("co2", "llnl", "feb.esg").unwrap();
             }
             let id = submit_files(&mut sim, client, &["jan.esg", "feb.esg"]);
-            let state = sim.world.rm.requests[&id].clone();
-            run_to(&mut sim, |_| state.borrow().progress.contains(&0));
+            let file = FileId {
+                request: id,
+                idx: 0,
+            };
+            run_to(&mut sim, |s| s.world.rm.requests[&id].progress.contains(&0));
             let handle = {
-                let st = state.borrow();
+                let st = &sim.world.rm.requests[&id];
                 assert!(st.live.contains(&0) && st.files[0].admitted);
                 assert_eq!((st.active, st.remaining), (1, 2));
                 st.files[0].pull.unwrap().handle
             };
             assert_eq!(sim.world.rm.inflight().total(), 1);
 
-            let cb = outcome_cell();
-            settle_file(&mut sim, &state, &cb, 0, how);
+            settle_file(&mut sim, file, how);
             // Idempotent: a second verdict on a settled file is ignored.
-            settle_file(&mut sim, &state, &cb, 0, Settled::Failed);
+            settle_file(&mut sim, file, Settled::Failed);
 
             let counted = (how != Settled::Cancelled) as usize;
             {
-                let st = state.borrow();
+                let st = &sim.world.rm.requests[&id];
                 let fw = &st.files[0];
                 assert!(fw.pull.is_none() && !fw.admitted && fw.ledger_host.is_none());
                 assert!(fw.trace_root.is_none() && fw.trace_phase.is_none());
@@ -2637,6 +2551,140 @@ mod tests {
             sim.run_until(SimTime::from_secs(300));
             assert_eq!(sim.world.outcomes.len(), counted);
             assert_eq!(sim.world.rm.inflight().total(), 0);
+        }
+    }
+
+    /// Register `name` with its only replica on tape at `hpss.lbl.gov`.
+    fn add_tape_only_file(rm: &mut RequestManager, name: &str, size: u64) {
+        rm.catalog.add_logical_file("co2", name, size).unwrap();
+        let url = GridUrl::new("hpss.lbl.gov", "/hpss");
+        if rm.catalog.add_file_to_location("co2", "lbl", name).is_err() {
+            rm.catalog
+                .register_location("co2", "lbl", &url, &[name])
+                .unwrap();
+        }
+        if !rm.hrms.contains_key("hpss.lbl.gov") {
+            rm.add_hrm("hpss.lbl.gov", Hrm::new(TapeParams::default(), 1 << 34));
+        }
+    }
+
+    /// Regression: the RPC closure never asked whether its request still
+    /// existed, so a request cancelled inside the RPC window was admitted,
+    /// opened spans nothing would close, tripped the stall probe and (second
+    /// case) had tape mounted for it.
+    #[test]
+    fn cancel_before_the_rpc_lands_leaves_nothing_behind() {
+        for name in ["jan.esg", "deep.esg"] {
+            let (mut sim, client) = setup(Policy::BestBandwidth);
+            add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
+            sim.world
+                .rm
+                .enable_live_analysis(SimDuration::from_secs(30));
+            let id = submit_files(&mut sim, client, &[name]);
+            assert!(cancel_request(&mut sim, id));
+            sim.run_until(SimTime::from_secs(600));
+            let rm = &sim.world.rm;
+            assert!(rm.live_requests().is_empty() && sim.world.outcomes.is_empty());
+            assert_eq!(rm.live().unwrap().open_count(), 0, "{name}: open spans");
+            let stats = rm.sched_stats();
+            assert_eq!((stats.admitted, stats.prestaged), (0, 0), "{name}");
+            assert_eq!(rm.log.named("obs.stall").count(), 0, "{name}");
+            assert_eq!(rm.log.named("span.start").count(), 0, "{name}");
+            assert_eq!(sim.world.gridftp.transfers_started, 0, "{name}");
+        }
+    }
+
+    /// The manager is a request's only owner, so it is gone the moment its
+    /// callback has fired — while its monitor tick is still queued. That
+    /// tick still fires and is still counted, as it always was: the tick
+    /// total is the parent commit's for this run.
+    #[test]
+    fn finished_requests_are_dropped_at_finish() {
+        let (mut sim, client) = setup(Policy::BestBandwidth);
+        let id = submit_files(&mut sim, client, &["jan.esg"]);
+        run_to(&mut sim, |s| !s.world.outcomes.is_empty());
+        assert!(sim.world.rm.status(id).is_none());
+        assert!(sim.world.rm.requests.is_empty() && sim.world.rm.tenant_live.is_empty());
+        let at_finish = sim.world.rm.monitor_ticks();
+        assert_eq!(sim.pending_events(), 1, "the retiring tick is still queued");
+        sim.run();
+        assert_eq!(sim.world.rm.monitor_ticks(), at_finish + 1);
+        assert_eq!(sim.world.rm.monitor_ticks(), 1);
+    }
+
+    proptest::proptest! {
+        /// Nothing outlives a request, however it leaves. Random request
+        /// mixes on the three-site world under random outages; a random
+        /// subset is cancelled at the submit instant, at the RPC's instant
+        /// just ahead of it, or any time later.
+        #[test]
+        fn nothing_outlives_a_request(
+            requests in proptest::collection::vec(
+                (0u64..20_000, 1usize..6, 0u8..5, 3u64..60_000),
+                1..5,
+            ),
+            outages in proptest::collection::vec((0usize..3, 0u64..40_000, 1_000u64..30_000), 0..3),
+        ) {
+            use esg_simnet::prelude::{inject, Fault, FaultKind};
+            const FILES: [&str; 5] = ["jan.esg", "feb.esg", "mar.esg", "apr.esg", "deep.esg"];
+            const SITES: [&str; 3] = ["fast.llnl.gov", "slow.isi.edu", "hpss.lbl.gov"];
+            let (mut sim, client) = setup(Policy::BestBandwidth);
+            {
+                let rm = &mut sim.world.rm;
+                for (i, f) in FILES[1..4].iter().enumerate() {
+                    let size = 4_000_000 * (i as u64 + 1);
+                    rm.catalog.add_logical_file("co2", f, size).unwrap();
+                    rm.catalog.add_file_to_location("co2", "llnl", f).unwrap();
+                    if i > 0 {
+                        rm.catalog.add_file_to_location("co2", "isi", f).unwrap();
+                    }
+                }
+                add_tape_only_file(rm, "deep.esg", 20_000_000);
+                rm.enable_live_analysis(SimDuration::from_secs(30));
+            }
+            for &(site, at, len) in &outages {
+                let at = SimTime::ZERO + SimDuration::from_millis(at);
+                let node = FaultKind::NodeDown(sim.world.rm.hosts[SITES[site]]);
+                inject(&mut sim, Fault::new(at, SimDuration::from_millis(len), node));
+            }
+            // Same-instant events fire in the order they were scheduled, so
+            // scheduling the submits in time order makes ids predictable.
+            let mut order: Vec<usize> = (0..requests.len()).collect();
+            order.sort_by_key(|&i| requests[i].0);
+            for (id, &i) in order.iter().enumerate() {
+                let (at, n_files, mode, later) = requests[i];
+                let at = SimTime::ZERO + SimDuration::from_millis(at);
+                let cancel = move |s: &mut Sim<World>| {
+                    cancel_request(s, id as u64);
+                };
+                if mode == 3 {
+                    // Scheduled before the submit: fires ahead of its RPC.
+                    sim.schedule_at(at + RPC_LATENCY, cancel);
+                }
+                let names: Vec<&str> = (0..n_files).map(|k| FILES[(i + k) % 5]).collect();
+                sim.schedule_at(at, move |s| {
+                    assert_eq!(submit_files(s, client, &names), id as u64);
+                });
+                match mode {
+                    2 => sim.schedule_at(at, cancel),
+                    4 => sim.schedule_at(at + SimDuration::from_millis(later), cancel),
+                    _ => {}
+                }
+            }
+            sim.run_until(SimTime::from_secs(3600));
+
+            let rm = &sim.world.rm;
+            let cancelled = rm.metrics.counter("rm.requests.cancelled") as usize;
+            proptest::prop_assert_eq!(sim.world.outcomes.len() + cancelled, requests.len());
+            proptest::prop_assert!(rm.live_requests().is_empty());
+            proptest::prop_assert!(rm.tenant_live.is_empty(), "a tenant never retired");
+            proptest::prop_assert_eq!(rm.inflight().total(), 0);
+            proptest::prop_assert_eq!(rm.live().unwrap().open_count(), 0);
+            let set = esg_netlogger::LifelineSet::from_log(&rm.log);
+            proptest::prop_assert!(set.orphans.is_empty(), "orphans: {:?}", set.orphans);
+            for l in &set.lifelines {
+                proptest::prop_assert!(l.is_complete(), "phases do not tile {}", l.file);
+            }
         }
     }
 

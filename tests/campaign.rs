@@ -83,7 +83,19 @@ fn run_campaign(
         .rm
         .metrics
         .counter("rm.campaign.bytes_transferred");
-    let result = done.borrow_mut().take().map(|outcome| RunResult {
+    let result = done.borrow_mut().take();
+    if result.is_some() {
+        // A completed campaign leaves nothing behind in the manager.
+        let rm = &tb.sim.world.rm;
+        assert!(
+            rm.live_requests().is_empty(),
+            "a round outlived its campaign"
+        );
+        assert_eq!(rm.inflight().total(), 0, "ledger entries leaked");
+        let set = esg::netlogger::LifelineSet::from_log(&rm.log);
+        assert!(set.orphans.is_empty() && set.lifelines.iter().all(|l| l.is_complete()));
+    }
+    let result = result.map(|outcome| RunResult {
         trace_sha: {
             let ulm = tb.sim.world.rm.log.to_ulm();
             format!("{:x?}", esg::gsi::sha256(ulm.as_bytes()))

@@ -20,6 +20,9 @@ const ZERO_FILE: &str = "empty_epoch.nc";
 struct SoakResult {
     outcomes: Vec<RequestOutcome>,
     trace: String,
+    /// What the manager still holds at the horizon: live requests, ledger
+    /// entries, lifelines left open or untiled.
+    leftovers: (usize, usize, usize),
 }
 
 /// Build the testbed, publish a replicated dataset (plus one zero-size
@@ -101,9 +104,17 @@ fn run_soak(seed: u64, n_requests: usize) -> SoakResult {
     // 60 s, breaker cooldown 60 s — 3600 s is a generous ceiling.
     tb.sim.run_until(SimTime::from_secs(3600));
 
+    let rm = &tb.sim.world.rm;
+    let set = esg::netlogger::LifelineSet::from_log(&rm.log);
+    let untiled = set.lifelines.iter().filter(|l| !l.is_complete()).count();
     SoakResult {
+        leftovers: (
+            rm.live_requests().len(),
+            rm.inflight().total(),
+            set.orphans.len() + untiled,
+        ),
+        trace: rm.log.to_ulm(),
         outcomes: std::mem::take(&mut tb.sim.world.outcomes),
-        trace: tb.sim.world.rm.log.to_ulm(),
     }
 }
 
@@ -135,6 +146,7 @@ fn assert_all_complete(r: &SoakResult, expected: usize, ctx: &str) {
 fn soak_200_requests_all_complete_under_faults() {
     let r = run_soak(11, 200);
     assert_all_complete(&r, 200, "soak(11, 200)");
+    assert_eq!(r.leftovers, (0, 0, 0), "the manager is not quiescent");
 
     // The faults actually bit: the reliability layer engaged.
     assert!(
