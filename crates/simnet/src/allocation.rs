@@ -108,12 +108,6 @@ impl WaterFill {
         self.fres.push(r as u32);
     }
 
-    /// Put the resources of the flow under assembly in ascending id order.
-    pub(crate) fn sort_open_flow(&mut self) {
-        let start = *self.offsets.last().expect("clear() leaves offset 0");
-        self.fres[start..].sort_unstable();
-    }
-
     /// Close the flow under assembly with its rate cap.
     pub(crate) fn end_flow(&mut self, cap: f64) {
         self.offsets.push(self.fres.len());
@@ -602,7 +596,6 @@ mod tests {
         fill.push_flow_resource(0);
         fill.end_flow(10.0);
         fill.push_flow_resource(0);
-        fill.sort_open_flow();
         fill.end_flow(f64::INFINITY);
         assert_eq!(fill.solve(), &[10.0, 90.0][..]);
     }

@@ -41,13 +41,14 @@
 //! shape of the network a pass does not touch the heap
 //! (`tests/alloc_free_pass.rs` counts). Mutations push onto the dirty
 //! lists `dirty_flows`/`dirty_res` (plain `Vec`s, repeats allowed) →
-//! `dirty_seeds` writes the affected running flows into `seeds` and sorts
-//! it once → `partition_components` lays every reachable component flat
-//! into `PartitionScratch::{flows, ends}`, skipping repeated seeds through
-//! its visited marks → `solve_components` walks that arena in place,
-//! assembling each component as CSR into the `WaterFill` inside
-//! `SolveScratch` and solving it there → `apply_rates` reads the rates as a
-//! slice of that scratch.
+//! `dirty_seeds` writes the dirty running flows and one member per dirty
+//! finite resource into `seeds` → `partition_components` lays every
+//! reachable component flat into `PartitionScratch::{flows, ends}`, reading
+//! each resource's capacity once, as it first meets it (`cap_r`) →
+//! `solve_components` walks that arena in place, assembling each component
+//! as CSR into `SolveScratch`'s `WaterFill` (capacities from `cap_r`, one
+//! stamp compare per pair, the cap kept on each flow) and solving it there
+//! → `apply_rates` reads the rates as a slice of that scratch.
 //!
 //! Same-instant dirty events coalesce: a burst of N flow arrivals between
 //! two queries accumulates one dirty set and triggers one recompute pass,
@@ -161,6 +162,8 @@ struct FlowRt {
     /// Congestion-window ramp stage; cap = INITIAL_WINDOW * 2^stage / rtt
     /// until it reaches the steady cap. `None` once ramp is finished.
     ramp_stage: Option<u32>,
+    /// `current_cap()`, re-derived only where RTT, loss or ramp stage change.
+    cap: f64,
     /// Interned resource ids this flow crosses, in canonical order (route
     /// links first, then endpoint NIC/CPU/disk), deduplicated. Empty while
     /// the flow is stalled or done.
@@ -279,46 +282,24 @@ pub struct AllocStats {
 /// Reusable arena for assembling and solving one component's subproblem
 /// without per-component allocation: the `WaterFill` the component is
 /// written into, and the global→local resource-id interning that replaces
-/// a hash map. Interning has two regimes: components with few distinct
-/// resources (the overwhelmingly common case — one route plus endpoint
-/// NIC/CPU/disk) intern by linear scan over a tiny first-encounter list
-/// that stays in L1; a component that outgrows the list promotes to
-/// epoch-stamped dense `stamp`/`local` arrays sized to the whole resource
-/// table. Both regimes assign local ids in first-encounter order, so the
-/// interning is bitwise identical to the oracle's hash-map interning.
+/// a hash map — epoch-stamped dense arrays sized to the resource table, so
+/// interning is one stamp compare. Local ids are assigned in first-encounter
+/// order: bitwise the oracle's hash-map interning.
 #[derive(Debug, Default)]
 struct SolveScratch {
     epoch: u32,
     stamp: Vec<u32>,
     local: Vec<u32>,
-    /// Global ids interned so far this solve, in first-encounter order —
-    /// the small-component fast path (local id = position).
-    small: Vec<u32>,
-    dense: bool,
-    n_res: usize,
     /// The component under assembly; its resource table is the interned
     /// capacities (local id = position).
     fill: WaterFill,
 }
 
-/// Distinct-resource count past which a component's interning promotes
-/// from the linear-scan list to the dense stamped arrays.
-const SCRATCH_SMALL_MAX: usize = 64;
-
 impl SolveScratch {
     fn begin(&mut self, n_res: usize) {
-        self.n_res = n_res;
-        self.small.clear();
-        self.dense = false;
-        self.fill.clear();
-    }
-
-    /// Switch to the dense-array regime, carrying over every id the small
-    /// list already interned (positions are preserved).
-    fn promote(&mut self) {
-        if self.stamp.len() < self.n_res {
-            self.stamp.resize(self.n_res, 0);
-            self.local.resize(self.n_res, 0);
+        if self.stamp.len() < n_res {
+            self.stamp.resize(n_res, 0);
+            self.local.resize(n_res, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -326,25 +307,11 @@ impl SolveScratch {
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
-        for (i, &g) in self.small.iter().enumerate() {
-            self.stamp[g as usize] = self.epoch;
-            self.local[g as usize] = i as u32;
-        }
-        self.dense = true;
+        self.fill.clear();
     }
 
     /// Local id for global resource `r`, interning on first encounter.
     fn intern(&mut self, r: u32, cap: f64) -> usize {
-        if !self.dense {
-            if let Some(pos) = self.small.iter().position(|&g| g == r) {
-                return pos;
-            }
-            if self.small.len() < SCRATCH_SMALL_MAX {
-                self.small.push(r);
-                return self.fill.push_resource(cap);
-            }
-            self.promote();
-        }
         let ri = r as usize;
         if self.stamp[ri] != self.epoch {
             self.stamp[ri] = self.epoch;
@@ -365,6 +332,9 @@ impl SolveScratch {
 struct PartitionScratch {
     epoch: u32,
     seen_r: Vec<u32>,
+    /// Capacity of `r` as read when this partition first met it: valid
+    /// where `seen_r[r] == epoch`, so for every resource of an arena flow.
+    cap_r: Vec<f64>,
     seen_f: Vec<u32>,
     stack: Vec<u64>,
     /// Every component of the last partition, back to back.
@@ -377,6 +347,7 @@ impl PartitionScratch {
     fn begin(&mut self, n_res: usize, n_flows: usize) {
         if self.seen_r.len() < n_res {
             self.seen_r.resize(n_res, 0);
+            self.cap_r.resize(n_res, 0.0);
         }
         if self.seen_f.len() < n_flows {
             self.seen_f.resize(n_flows, 0);
@@ -441,9 +412,10 @@ fn resource_keys_for(spec: &FlowSpec, route: &[(LinkId, Dir)], topo: &Topology) 
 /// skipped) into connected components of the flow↔resource bipartite
 /// graph, written flat into `scratch` (see [`PartitionScratch::component`]).
 /// Only finite-capacity resources carry connectivity (infinite resources
-/// never constrain anything). Components are emitted in ascending order of
-/// their smallest seed and each component is sorted by flow id — a
-/// canonical order shared by the incremental path and the oracle.
+/// never constrain anything); `capacity` is asked once per resource met
+/// and the answer kept in `cap_r`. Components are emitted in ascending
+/// order of their smallest seed and each component is sorted by flow id —
+/// a canonical order shared by the incremental path and the oracle.
 /// Traversal borrows the per-flow resource slices and visits resource
 /// members through a callback; once the scratch has grown to the largest
 /// partition seen it allocates nothing at all.
@@ -454,13 +426,14 @@ fn partition_components<'a>(
     scratch: &mut PartitionScratch,
     res_of: impl Fn(u64) -> &'a [u32],
     flows_on: impl Fn(u32, &mut dyn FnMut(u64)),
-    finite: impl Fn(u32) -> bool,
+    capacity: impl Fn(u32) -> f64,
 ) {
     debug_assert!(seeds.is_sorted());
     scratch.begin(n_res, n_flows as usize);
     let epoch = scratch.epoch;
     let PartitionScratch {
         seen_r,
+        cap_r,
         seen_f,
         stack,
         flows,
@@ -481,7 +454,9 @@ fn partition_components<'a>(
                     continue;
                 }
                 seen_r[r as usize] = epoch;
-                if !finite(r) {
+                let cap = capacity(r);
+                cap_r[r as usize] = cap;
+                if !cap.is_finite() {
                     continue;
                 }
                 flows_on(r, &mut |g| {
@@ -521,7 +496,7 @@ pub struct FlowNet {
     /// Interning: resource key → stable index.
     res_ids: HashMap<ResKey, u32>,
     /// Inverse interning: index → key (capacities are read live from the
-    /// topology at solve time so capacity changes need no re-interning).
+    /// topology in every pass, so capacity changes need no re-interning).
     res_keys: Vec<ResKey>,
     /// Membership: resource index → running flows crossing it (sharded).
     members: MembershipIndex,
@@ -661,7 +636,7 @@ impl FlowNet {
         for &r in &res {
             self.members.insert(r, id.0);
         }
-        let f = FlowRt {
+        let mut f = FlowRt {
             spec,
             route,
             rtt,
@@ -672,8 +647,10 @@ impl FlowNet {
             state: FlowState::Running,
             started: now,
             ramp_stage,
+            cap: 0.0,
             res,
         };
+        f.cap = f.current_cap();
         if let Some(b) = f.next_ramp_boundary() {
             self.events.set(EV_RAMP, id.0, b);
         }
@@ -792,11 +769,9 @@ impl FlowNet {
         touched.sort_unstable();
         touched.dedup();
         for id in touched {
-            let loss = {
-                let f = self.flow(id);
-                self.topo.route_loss(&f.route)
-            };
-            self.flow_mut(id).loss = loss;
+            let f = self.flows[id as usize].as_mut().expect("live flow");
+            f.loss = self.topo.route_loss(&f.route);
+            f.cap = f.current_cap();
             self.dirty_flows.push(id);
         }
     }
@@ -841,6 +816,7 @@ impl FlowNet {
                         };
                     }
                     f.state = FlowState::Running;
+                    f.cap = f.current_cap();
                     // The RTT (and thus any pending boundary) may have
                     // moved; clamp to the strict future so a boundary
                     // already behind the clock still fires (and ramp
@@ -932,6 +908,7 @@ impl FlowNet {
                 f.ramp_stage = Some(next);
             }
         }
+        f.cap = f.current_cap();
         let b = f
             .next_ramp_boundary()
             .map(|b| b.max(last + SimDuration::from_nanos(1)))
@@ -945,6 +922,12 @@ impl FlowNet {
         std::mem::take(&mut self.completed)
     }
 
+    /// [`FlowNet::take_completed`] by swapping buffers: nothing reallocates.
+    pub(crate) fn swap_completed(&mut self, out: &mut Vec<FlowId>) {
+        out.clear();
+        std::mem::swap(&mut self.completed, out);
+    }
+
     /// The next time anything discontinuous happens inside the network:
     /// a flow completion or a slow-start stage boundary. `SimTime::MAX`
     /// when nothing is pending. The event index is maintained eagerly on
@@ -955,9 +938,13 @@ impl FlowNet {
     }
 
     /// Seed flows for a recompute, ascending (repeats allowed — the
-    /// partitioner skips them): the dirty flows still running, plus every
-    /// current member of a dirty resource (whose share changed when the
-    /// resource's capacity moved or a sharer departed).
+    /// partitioner skips them): the dirty flows still running, plus the
+    /// first member of each dirty resource (whose share changed when its
+    /// capacity moved or a sharer departed). A finite resource connects its
+    /// members, so the traversal finds the rest; the first is the smallest,
+    /// so each component's smallest seed — the emission order — is what
+    /// seeding them all gives. One that is not finite (any more) connects
+    /// nothing: every member is a seed.
     fn dirty_seeds(&self, seeds: &mut Vec<u64>) {
         seeds.clear();
         let running = |id: u64| {
@@ -973,7 +960,9 @@ impl FlowNet {
         }
         seeds.extend(self.dirty_flows.iter().copied().filter(|&id| running(id)));
         for &r in &self.dirty_res {
-            seeds.extend(self.members.members(r).iter().copied());
+            let finite = self.capacity_of(self.res_keys[r as usize]).is_finite();
+            let n = if finite { 1 } else { usize::MAX };
+            seeds.extend(self.members.members(r).iter().take(n));
         }
         seeds.sort_unstable();
     }
@@ -998,7 +987,7 @@ impl FlowNet {
                         visit(g);
                     }
                 },
-                |r| self.capacity_of(self.res_keys[r as usize]).is_finite(),
+                |r| self.capacity_of(self.res_keys[r as usize]),
             );
             self.part_scratch = parts;
         }
@@ -1011,21 +1000,32 @@ impl FlowNet {
     /// against an immutable view of the network. Assembly order is
     /// canonical — flows ascending by id, resources interned by first
     /// encounter — so the same component always produces the same bits no
-    /// matter what else is recomputed around it.
-    fn solve_component_rates<'s>(&self, comp: &[u64], scratch: &'s mut SolveScratch) -> &'s [f64] {
+    /// matter what else is recomputed around it. Capacities are those the
+    /// partition recorded (`cap_r`), caps those kept on the flows; debug
+    /// builds hold both to the live functions on every pass.
+    fn solve_component_rates<'s>(
+        &self,
+        comp: &[u64],
+        cap_r: &[f64],
+        scratch: &'s mut SolveScratch,
+    ) -> &'s [f64] {
         scratch.begin(self.res_keys.len());
         for &fid in comp {
             let f = self.flow(fid);
             for &r in &f.res {
-                let cap = self.capacity_of(self.res_keys[r as usize]);
+                let cap = cap_r[r as usize];
+                debug_assert_eq!(
+                    cap.to_bits(),
+                    self.capacity_of(self.res_keys[r as usize]).to_bits()
+                );
                 if !cap.is_finite() {
                     continue; // unconstrained resources don't participate
                 }
                 let local = scratch.intern(r, cap);
                 scratch.fill.push_flow_resource(local);
             }
-            scratch.fill.sort_open_flow();
-            scratch.fill.end_flow(f.current_cap());
+            debug_assert_eq!(f.cap.to_bits(), f.current_cap().to_bits());
+            scratch.fill.end_flow(f.cap);
         }
         scratch.fill.solve()
     }
@@ -1072,7 +1072,7 @@ impl FlowNet {
         for k in 0..parts.len() {
             let comp = parts.component(k);
             if comp.iter().any(|&f| wanted(f, self.flow(f))) {
-                let rates = self.solve_component_rates(comp, &mut scratch);
+                let rates = self.solve_component_rates(comp, &parts.cap_r, &mut scratch);
                 self.apply_rates(comp, rates);
             }
         }
@@ -1195,7 +1195,7 @@ impl FlowNet {
                     visit(g);
                 }
             },
-            |r| self.capacity_of(keys[r as usize]).is_finite(),
+            |r| self.capacity_of(keys[r as usize]),
         );
         let mut out: Vec<(FlowId, f64)> = Vec::new();
         for k in 0..ps.len() {
@@ -1667,6 +1667,85 @@ mod tests {
         assert!((net.flow_rate(long) - 100e6).abs() < 1.0);
     }
 
+    // ---- seed-rule tests ----
+
+    #[test]
+    fn seeds_are_one_per_dirty_finite_resource() {
+        // Four sites feed one destination host: 48 flows in one component
+        // through its access link, NIC and disk.
+        // Every resource is finite, as on the paper's testbed hosts.
+        let mut t = Topology::new();
+        let lat = [5u64, 10, 15, 20, 25].map(SimDuration::from_millis);
+        let (_, hosts) =
+            crate::builders::star_sites(&mut t, &["dst", "s0", "s1", "s2", "s3"], 100e6, &lat);
+        for &h in &hosts {
+            let n = t.node_mut(h);
+            n.nic_rate = 125e6;
+            n.cpu = crate::network::CpuModel::year2000_workstation();
+            (n.disk_read_rate, n.disk_write_rate) = (90e6, 60e6);
+        }
+        let dst = hosts[0];
+        let mut net = FlowNet::new(t);
+        for i in 0..48u64 {
+            let spec = FlowSpec::new(hosts[1 + i as usize % 4], dst, 20e6 + i as f64 * 1e6)
+                .window(4e6)
+                .cached_channel();
+            net.start_flow(SimTime::ZERO, spec).unwrap();
+        }
+        net.snapshot_rates();
+        let base = net.alloc_stats();
+        assert_eq!((base.components_solved, base.flow_solves), (1, 48));
+
+        // The first completion dirties the resources the finished flow sat
+        // on and no flow: one seed per resource names the component.
+        let (at, kind, id) = net.events.first().unwrap();
+        assert_eq!(kind, EV_COMPLETE);
+        let dirty_res = net.flow(id).res.len();
+        assert!(dirty_res >= 4, "{dirty_res}");
+        net.advance_to(at);
+        assert_eq!(net.take_completed(), vec![FlowId(id)]);
+        assert!(!net.seeds.is_empty() && net.seeds.len() <= dirty_res);
+        // What seeding every member of every dirty resource solves.
+        let after = net.alloc_stats();
+        assert_eq!(after.recompute_passes, base.recompute_passes + 1);
+        assert_eq!((after.components_solved, after.flow_solves), (2, 95));
+        assert_matches_oracle(&mut net);
+    }
+
+    #[test]
+    fn capacity_turning_infinite_reseeds_every_former_sharer() {
+        // Three flows share one link and nothing else finite.
+        let (mut net, a, b) = dumbbell(90e6, 10);
+        let flows: Vec<FlowId> = [100e6, 200e6, 300e6]
+            .iter()
+            .map(|&w| {
+                let spec = FlowSpec::new(a, b, f64::INFINITY)
+                    .window(w)
+                    .memory_to_memory()
+                    .cached_channel();
+                net.start_flow(SimTime::ZERO, spec).unwrap()
+            })
+            .collect();
+        let shared = vec![30e6; 3];
+        let rates = |net: &mut FlowNet| -> Vec<f64> {
+            net.snapshot_rates().iter().map(|&(_, r)| r).collect()
+        };
+        assert_eq!(rates(&mut net), shared);
+        let base = net.alloc_stats().components_solved;
+        // Infinite, the link connects nothing: each former sharer is its
+        // own component and must be seeded by name to reach its cap.
+        net.set_link_capacity(LinkId(0), f64::INFINITY);
+        assert_matches_oracle(&mut net);
+        let caps: Vec<f64> = flows.iter().map(|&f| net.flow(f.0).current_cap()).collect();
+        assert_eq!(rates(&mut net), caps);
+        assert_eq!(net.alloc_stats().components_solved, base + 3);
+        // Finite again, they share again.
+        net.set_link_capacity(LinkId(0), 90e6);
+        assert_matches_oracle(&mut net);
+        assert_eq!(rates(&mut net), shared);
+        assert_eq!(net.alloc_stats().components_solved, base + 3 + 1);
+    }
+
     // ---- event-index specific tests ----
 
     #[test]
@@ -1750,11 +1829,15 @@ mod tests {
         /// seed, flows ascending within each, repeated seeds skipped,
         /// infinite resources carrying no connectivity — and a second
         /// partition through the same scratch sees nothing of the first.
+        /// The dirty seed list is drawn both ways: every member of each
+        /// dirty resource (what the BFS is given), and `dirty_seeds`' rule
+        /// — the first member of a finite one, all of an infinite one.
         #[test]
         fn partition_arena_equals_a_naive_bfs(
             flow_res in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..4), 1..40),
             infinite in proptest::collection::vec(0u32..10, 0..3),
             picks in proptest::collection::vec(0usize..40, 0..12),
+            dirty_res in proptest::collection::vec(0u32..10, 0..4),
         ) {
             const N_RES: usize = 10;
             let nf = flow_res.len();
@@ -1766,14 +1849,12 @@ mod tests {
                     }
                 }
             }
-            let mut scratch = PartitionScratch::default();
-            for seeds in [picks.clone(), (0..nf).collect()] {
-                let mut seeds: Vec<u64> = seeds.iter().map(|&p| (p % nf) as u64).collect();
-                seeds.sort_unstable();
+            let capacity = |r: u32| if infinite.contains(&r) { f64::INFINITY } else { 1e6 + r as f64 };
 
+            let naive_bfs = |seeds: &[u64]| {
                 let mut naive: Vec<Vec<u64>> = Vec::new();
                 let mut seen = vec![false; nf];
-                for &s in &seeds {
+                for &s in seeds {
                     if seen[s as usize] {
                         continue;
                     }
@@ -1797,19 +1878,50 @@ mod tests {
                     comp.sort_unstable();
                     naive.push(comp);
                 }
+                naive
+            };
 
+            let mut all_members: Vec<u64> = picks.iter().map(|&p| (p % nf) as u64).collect();
+            let mut first_member = all_members.clone();
+            for &r in &dirty_res {
+                let m = &members[r as usize];
+                all_members.extend(m);
+                if infinite.contains(&r) {
+                    first_member.extend(m);
+                } else {
+                    first_member.extend(m.first());
+                }
+            }
+            all_members.sort_unstable();
+            first_member.sort_unstable();
+            let every_flow: Vec<u64> = (0..nf as u64).collect();
+
+            let mut scratch = PartitionScratch::default();
+            for (seeds, bfs_seeds) in [
+                (&all_members, &all_members),
+                (&first_member, &all_members),
+                (&every_flow, &every_flow),
+            ] {
                 partition_components(
-                    &seeds,
+                    seeds,
                     N_RES,
                     nf as u64,
                     &mut scratch,
                     |f| flow_res[f as usize].as_slice(),
                     |r, visit| members[r as usize].iter().for_each(|&g| visit(g)),
-                    |r| !infinite.contains(&r),
+                    capacity,
                 );
                 let arena: Vec<Vec<u64>> =
                     (0..scratch.len()).map(|k| scratch.component(k).to_vec()).collect();
-                proptest::prop_assert_eq!(arena, naive);
+                proptest::prop_assert_eq!(arena, naive_bfs(bfs_seeds));
+                // Assembly finds the capacity of every resource of every
+                // flow in the arena on record.
+                for &f in &scratch.flows {
+                    for &r in &flow_res[f as usize] {
+                        proptest::prop_assert_eq!(scratch.seen_r[r as usize], scratch.epoch);
+                        proptest::prop_assert_eq!(scratch.cap_r[r as usize], capacity(r));
+                    }
+                }
             }
         }
     }

@@ -34,6 +34,9 @@ pub struct Sim<W> {
     seq: u64,
     queue: TimerWheel<EventFn<W>>,
     flow_callbacks: HashMap<FlowId, FlowCb<W>>,
+    /// Spare completion list, swapped with the network's at each drain so
+    /// a completion instant reuses storage instead of allocating it.
+    completed: Vec<FlowId>,
     /// The simulated wide-area network.
     pub net: FlowNet,
     /// User world: protocol state, catalogs, services.
@@ -47,6 +50,7 @@ impl<W> Sim<W> {
             seq: 0,
             queue: TimerWheel::new(),
             flow_callbacks: HashMap::new(),
+            completed: Vec::new(),
             net: FlowNet::new(topo),
             world,
         }
@@ -137,7 +141,10 @@ impl<W> Sim<W> {
             // the `next_event_time` call on the following loop iteration.
             loop {
                 let mut fired = false;
-                for fid in self.net.take_completed() {
+                // Out of `self` while callbacks borrow it; empty in between.
+                let mut completed = std::mem::take(&mut self.completed);
+                self.net.swap_completed(&mut completed);
+                for fid in completed.drain(..) {
                     fired = true;
                     if let Some(cb) = self.flow_callbacks.remove(&fid) {
                         let _e = profile::scope(profile::EVENTS);
@@ -148,6 +155,7 @@ impl<W> Sim<W> {
                     // resources in the allocator.
                     self.net.remove_flow(fid);
                 }
+                self.completed = completed;
                 while let Some((t, _)) = self.queue.peek() {
                     if SimTime(t) > self.now {
                         break;

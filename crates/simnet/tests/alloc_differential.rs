@@ -4,9 +4,14 @@
 //! component recomputes) must be indistinguishable from a from-scratch
 //! solve. Every property here drives a randomized topology through a
 //! randomized mutation script (flow add/remove, capacity and loss changes,
-//! link outages, time advances) and checks the live allocator against
-//! [`FlowNet::oracle_rates`], which rebuilds the whole allocation problem
-//! from routes and topology, ignoring the persistent index entirely.
+//! link outages, time advances, steps exactly onto the next ramp boundary
+//! or completion with a scoped read in the same instant) and checks the
+//! live allocator against [`FlowNet::oracle_rates`], which rebuilds the
+//! whole allocation problem from routes and topology, ignoring the
+//! persistent index — and the capacities and rate caps a pass caches —
+//! entirely. The script reaches every way a cached cap could go stale: a
+//! loss change on a flow that is mid-ramp, an outage that moves a running
+//! flow onto a route with another RTT, a ramp crossing read back at once.
 //! Equality is *bitwise* — both sides use the same canonical component
 //! decomposition, so there is no tolerance to hide bookkeeping bugs behind.
 
@@ -50,7 +55,7 @@ fn topo_strategy() -> impl Strategy<Value = TopoSpec> {
 
 fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u8..6, 0usize..1 << 16, 0usize..1 << 16, 0.0f64..1.0),
+        (0u8..7, 0usize..1 << 16, 0usize..1 << 16, 0.0f64..1.0),
         0..max_len,
     )
 }
@@ -70,7 +75,7 @@ impl Script {
 
     fn apply(&mut self, net: &mut FlowNet, hosts: &[NodeId], links: &[LinkId], op: &Op) {
         let &(kind, x, y, v) = op;
-        match kind % 6 {
+        match kind % 7 {
             // Flow arrival (mix of finite/infinite, windowed, disk/memory).
             0 => {
                 let src = hosts[x % hosts.len()];
@@ -123,9 +128,21 @@ impl Script {
             }
             // Time advance (integrates progress, crosses ramp boundaries,
             // completes flows).
-            _ => {
+            5 => {
                 self.now += SimDuration::from_millis(1 + (x % 400) as u64);
                 net.advance_to(self.now);
+            }
+            // Step exactly onto the network's next discontinuity (a ramp
+            // boundary or a completion, if one is near) and read a flow
+            // through the scoped path in that same instant: the random
+            // advances above almost never land on a boundary.
+            _ => {
+                let horizon = self.now + SimDuration::from_millis(400);
+                self.now = net.next_event_time().min(horizon);
+                net.advance_to(self.now);
+                if !self.flows.is_empty() {
+                    net.flow_rate(self.flows[y % self.flows.len()]);
+                }
             }
         }
     }

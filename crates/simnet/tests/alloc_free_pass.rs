@@ -6,7 +6,10 @@
 //! the pass *is* the simulator's cost per file, and sixty short-lived heap
 //! objects per pass were a third of it (EXPERIMENTS A23). This binary
 //! installs a counting global allocator (which is why it is its own test
-//! target) and holds the property on one `flow_storm` region.
+//! target) and holds the property on one `flow_storm` region — and, in a
+//! second test, holds the kernel's completion drain to the same standard:
+//! the list of finished flows is swapped with a spare, not dropped and
+//! regrown at every completion instant.
 //!
 //! Run it in release too (`cargo test --release -p esg-simnet --test
 //! alloc_free_pass`; CI does): that is the build whose allocation
@@ -49,10 +52,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn a_warm_recompute_pass_performs_no_heap_allocation() {
-    // One region of the benchmark's `flow_storm`: a server feeding four
-    // clients through a shared uplink, 30 ms RTT.
+/// One region of the benchmark's `flow_storm`: a server feeding four
+/// clients through a shared uplink, 30 ms RTT.
+fn storm_region() -> (Topology, NodeId, Vec<NodeId>) {
     let mut topo = Topology::new();
     let server = topo.add_node(Node::host("server"));
     let router = topo.add_node(Node::router("router"));
@@ -64,6 +66,12 @@ fn a_warm_recompute_pass_performs_no_heap_allocation() {
             client
         })
         .collect();
+    (topo, server, clients)
+}
+
+#[test]
+fn a_warm_recompute_pass_performs_no_heap_allocation() {
+    let (topo, server, clients) = storm_region();
     let mut net = FlowNet::new(topo);
 
     // 31 flows, one arriving each millisecond, all large enough that none
@@ -98,5 +106,43 @@ fn a_warm_recompute_pass_performs_no_heap_allocation() {
         (heap_after.0 - heap_before.0, heap_after.1 - heap_before.1),
         (0, 0),
         "(allocations, reallocations) across {passes} warm recompute passes"
+    );
+}
+
+#[test]
+fn a_warm_completion_drain_performs_no_heap_allocation() {
+    // 96 flows of staggered sizes sharing the uplink: one completion per
+    // instant, each drained by the kernel (`Sim::run_until`) and followed
+    // by a recompute pass over the survivors.
+    let (topo, server, clients) = storm_region();
+    let mut sim = Sim::new(topo, ());
+    for i in 0..96u64 {
+        let spec = FlowSpec::new(server, clients[i as usize % 4], 2e6 + i as f64 * 0.5e6)
+            .window(2e6)
+            .memory_to_memory();
+        sim.start_flow_detached(spec)
+            .expect("the region is connected");
+    }
+    // Warm-up: the first dozen completions size the completion lists.
+    let mut horizon = SimTime::ZERO;
+    while sim.net.active_flow_count() > 84 {
+        horizon += SimDuration::from_millis(100);
+        sim.run_until(horizon);
+    }
+
+    let active_before = sim.net.active_flow_count();
+    let heap_before = HEAP_CALLS.with(Cell::get);
+    while sim.net.active_flow_count() > 20 {
+        horizon += SimDuration::from_millis(100);
+        sim.run_until(horizon);
+    }
+    let heap_after = HEAP_CALLS.with(Cell::get);
+
+    let completions = active_before - sim.net.active_flow_count();
+    assert!(completions >= 50, "only {completions} completions drained");
+    assert_eq!(
+        (heap_after.0 - heap_before.0, heap_after.1 - heap_before.1),
+        (0, 0),
+        "(allocations, reallocations) across {completions} warm completion instants"
     );
 }
