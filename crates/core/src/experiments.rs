@@ -1,21 +1,28 @@
 //! Experiment runners: one function per table/figure/ablation.
 //!
 //! Each runner builds its testbed, drives the workload on the virtual
-//! clock, and returns the measured statistics. The bench crate's report
-//! binaries print them next to the paper's numbers; integration tests
-//! assert the *shapes* (who wins, where crossovers fall).
+//! clock, and returns the measured statistics. The scenario lab's `paper`
+//! executor turns them into table metrics and gates each shape claim;
+//! the unit tests below assert the same *shapes* (who wins, where
+//! crossovers fall).
 
 use crate::scenario::{fig8_testbed, sc2000_scinet, Sc2000Config};
 use crate::world::{EsgSim, EsgWorld};
+use esg_cdms::SynthParams;
+use esg_gridftp::server::{GridFtpServer, ServerConfig};
 use esg_gridftp::simxfer::{
     cancel_transfer, start_transfer, transfer_bytes, transfer_stalled, TransferHandle, TransferSpec,
 };
+use esg_gridftp::{GridFtpClient, TransferOptions};
 use esg_netlogger::{to_gbps, to_mbps};
 use esg_simnet::{LinkId, Node, NodeId, Sim, SimDuration, SimTime, Topology};
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::path::Path;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Table 1 — the SC'00 striped transfer experiment
@@ -585,13 +592,22 @@ fn fig8_sampler(sim: &mut EsgSim, state: Rc<RefCell<Fig8State>>, duration: SimDu
 // Sweeps and ablations
 // ---------------------------------------------------------------------------
 
+/// Capacity of the sweep pair's link (Mb/s): the ceiling A1/A2 rates
+/// approach.
+pub const SWEEP_LINK_MBPS: f64 = 622.0;
+
 /// A single lossy wide-area pair for parameter sweeps: 622 Mb/s path,
 /// configurable RTT/loss, unconstrained endpoints.
 fn sweep_pair(rtt_one_way_ms: u64, loss: f64) -> (EsgSim, NodeId, NodeId) {
     let mut topo = Topology::new();
     let a = topo.add_node(Node::host("src"));
     let b = topo.add_node(Node::host("dst"));
-    let l = topo.add_link(a, b, 622e6 / 8.0, SimDuration::from_millis(rtt_one_way_ms));
+    let l = topo.add_link(
+        a,
+        b,
+        SWEEP_LINK_MBPS * 1e6 / 8.0,
+        SimDuration::from_millis(rtt_one_way_ms),
+    );
     topo.set_link_loss(l, loss);
     (Sim::new(topo, EsgWorld::default()), a, b)
 }
@@ -1093,6 +1109,81 @@ pub fn nws_forecast_accuracy() -> Vec<(&'static str, f64)> {
         .collect()
 }
 
+// ---------------------------------------------------------------------------
+// E1 — server-side subsetting on the real loopback GridFTP server
+// ---------------------------------------------------------------------------
+
+/// What one E1 request moved, against the whole-file baseline.
+#[derive(Debug, Clone, Copy)]
+pub struct SubsettingResult {
+    /// Size of the served ESG1 file.
+    pub file_bytes: u64,
+    /// Bytes a whole-file `RETR` delivered (client-side analysis).
+    pub whole_bytes: u64,
+    /// Loopback wall time of that whole-file get.
+    pub whole_wall: Duration,
+    /// Bytes the `ERET X` server-side extraction delivered.
+    pub subset_bytes: u64,
+}
+
+/// E1 (ESG-II extension): write `params` as ESG1 files of
+/// `steps_per_file` steps, serve the first from a real loopback GridFTP
+/// server, fetch it whole, then fetch only `variable` over time steps
+/// `t0..t1`. The scratch directory is removed on every path.
+pub fn subsetting_comparison(
+    params: SynthParams,
+    steps_per_file: usize,
+    variable: &str,
+    t0: usize,
+    t1: usize,
+) -> Result<SubsettingResult, String> {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let root = std::env::temp_dir().join(format!(
+        "esg-e1-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = subsetting_in(&root, params, steps_per_file, variable, t0, t1);
+    let _ = std::fs::remove_dir_all(&root);
+    result
+}
+
+fn subsetting_in(
+    root: &Path,
+    params: SynthParams,
+    steps_per_file: usize,
+    variable: &str,
+    t0: usize,
+    t1: usize,
+) -> Result<SubsettingResult, String> {
+    let chunks = esg_cdms::write_chunks(root, "pcm_big", params, steps_per_file)
+        .map_err(|e| format!("write ESG1 files: {e}"))?;
+    let (_, path, file_bytes) = chunks.first().ok_or("no ESG1 file written")?;
+    let file = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or("ESG1 file name is not UTF-8")?;
+    let server =
+        GridFtpServer::start(ServerConfig::new(root)).map_err(|e| format!("start server: {e}"))?;
+    let mut c = GridFtpClient::connect(server.addr()).map_err(|e| format!("connect: {e}"))?;
+    c.login_anonymous().map_err(|e| format!("login: {e}"))?;
+    let t = Instant::now();
+    let whole = c
+        .get(file, TransferOptions::default())
+        .map_err(|e| format!("get {file}: {e}"))?;
+    let whole_wall = t.elapsed();
+    let subset = c
+        .get_subset(file, variable, t0, t1, TransferOptions::default())
+        .map_err(|e| format!("subset {variable}[{t0}..{t1}]: {e}"))?;
+    c.quit();
+    Ok(SubsettingResult {
+        file_bytes: *file_bytes,
+        whole_bytes: whole.len() as u64,
+        whole_wall,
+        subset_bytes: subset.len() as u64,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1261,6 +1352,33 @@ mod tests {
             "spreading 8 files over 3 sites should be much faster: \
              {no_spread:.1}s vs {spread:.1}s"
         );
+    }
+
+    #[test]
+    fn subsetting_moves_a_fraction_and_leaves_no_scratch_dir() {
+        let params = SynthParams {
+            lat_points: 8,
+            lon_points: 16,
+            time_steps: 24,
+            hours_per_step: 6.0,
+            seed: 8,
+        };
+        let r = subsetting_comparison(params, 24, "tas", 0, 6).unwrap();
+        assert_eq!(r.whole_bytes, r.file_bytes);
+        assert!(
+            r.subset_bytes > 0 && r.subset_bytes * 3 < r.file_bytes,
+            "{r:?}"
+        );
+        // A request the server refuses fails the run and still cleans up.
+        assert!(subsetting_comparison(params, 24, "no_such_var", 0, 6).is_err());
+        let prefix = format!("esg-e1-{}-", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            .map(|e| e.path())
+            .collect();
+        assert!(left.is_empty(), "scratch dirs left behind: {left:?}");
     }
 
     #[test]

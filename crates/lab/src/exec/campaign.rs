@@ -77,15 +77,15 @@ struct BuiltRun {
 /// sims — the interrupted run is the full run stopped early.
 fn build(ctx: &TrialCtx, campaigns: usize, ckpts: &[PathBuf]) -> Result<BuiltRun, String> {
     let p = &ctx.params;
-    let steps = p.usize("campaign_steps", 96);
-    let spf = p.usize("steps_per_file", 4);
-    let bps = p.u64("bytes_per_step", 8_000_000);
-    let batch = p.usize("batch_files", 6);
-    let n_inter = p.usize("interactive_requests", 16);
-    let budget = p.usize("budget", 12);
-    let inter_weight = p.u64("interactive_weight", 6) as u32;
-    let quota = p.usize("campaign_quota", 4);
-    let ckpt_every = p.u64("checkpoint_every_s", 20);
+    let steps = p.usize("campaign_steps", 96)?;
+    let spf = p.usize("steps_per_file", 4)?;
+    let bps = p.u64("bytes_per_step", 8_000_000)?;
+    let batch = p.usize("batch_files", 6)?;
+    let n_inter = p.usize("interactive_requests", 16)?;
+    let budget = p.usize("budget", 12)?;
+    let inter_weight = p.u64("interactive_weight", 6)? as u32;
+    let quota = p.usize("campaign_quota", 4)?;
+    let ckpt_every = p.u64("checkpoint_every_s", 20)?;
 
     let mut tb = esg_core::esg_testbed(ctx.seed);
     for ds in CAMP_DS {
@@ -203,10 +203,10 @@ fn harvest(run: &BuiltRun) -> RunStats {
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n_campaigns = p.usize("campaigns", 2);
-    let horizon = SimTime::from_secs(p.u64("horizon_s", 2400));
-    let interrupt = SimTime::from_secs(p.u64("interrupt_s", 240));
-    let n_inter = p.usize("interactive_requests", 16);
+    let n_campaigns = p.usize("campaigns", 2)?;
+    let horizon = SimTime::from_secs(p.u64("horizon_s", 2400)?);
+    let interrupt = SimTime::from_secs(p.u64("interrupt_s", 240)?);
+    let n_inter = p.usize("interactive_requests", 16)?;
 
     let ckpt_path = |tag: &str, i: usize| {
         std::env::temp_dir().join(format!(

@@ -49,17 +49,17 @@ impl CampaignRound {
         default_n: usize,
     ) -> Result<CampaignRound, String> {
         let p = &ctx.params;
-        let n = p.usize("n", default_n);
+        let n = p.usize("n", default_n)?;
         // 0 = the whole collection in a single round — the "n files per
         // round" regime these scenarios exist to measure.
-        let batch = match p.usize("batch_files", 0) {
+        let batch = match p.usize("batch_files", 0)? {
             0 => n,
             b => b,
         };
 
         let mut tb = esg_core::esg_testbed(ctx.seed);
-        tb.publish_dataset(dataset, n, 1, p.u64("bytes_per_file", 1_000_000), &[1, 3]);
-        tb.sim.world.rm.scheduler.max_active_per_request = p.usize("max_active", 24);
+        tb.publish_dataset(dataset, n, 1, p.u64("bytes_per_file", 1_000_000)?, &[1, 3]);
+        tb.sim.world.rm.scheduler.max_active_per_request = p.usize("max_active", 24)?;
 
         let coll = tb
             .sim
@@ -72,12 +72,12 @@ impl CampaignRound {
         let mut spec = CampaignSpec::new(campaign, coll, tb.sites[TARGET_SITE].host.clone());
         spec.batch_files = batch;
         spec.checkpoint = Some(ckpt);
-        spec.checkpoint_every = SimDuration::from_secs(p.u64("checkpoint_every_s", 1));
+        spec.checkpoint_every = SimDuration::from_secs(p.u64("checkpoint_every_s", 1)?);
         Ok(CampaignRound {
             tb,
             spec,
             n,
-            horizon: SimTime::from_secs(p.u64("horizon_s", 6000)),
+            horizon: SimTime::from_secs(p.u64("horizon_s", 6000)?),
             outcome: Rc::new(RefCell::new(None)),
         })
     }

@@ -18,9 +18,9 @@ pub const TAPE_DS: &str = "pcm_life.tape";
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n_requests = p.usize("requests", 6);
-    let min_rate = p.f64("min_rate", mixed::DEFAULT_MIN_RATE);
-    let stall_s = p.f64("stall_threshold_s", 120.0);
+    let n_requests = p.usize("requests", 6)?;
+    let min_rate = p.f64("min_rate", mixed::DEFAULT_MIN_RATE)?;
+    let stall_s = p.f64("stall_threshold_s", 120.0)?;
     let artifact = ctx
         .spec
         .artifact

@@ -1,13 +1,15 @@
-//! Scenario executors: one module per scenario *kind*.
+//! Scenario executors: one module per scenario *kind*, except `paper`,
+//! which holds every kind that is one call into `esg_core::experiments`
+//! (Table 1, Figure 8, A1–A9, B1, E1).
 //!
 //! An executor is the imperative half of a spec — it builds the
 //! simulated world from the merged trial parameters, runs it, and
-//! returns a `TrialRecord`. The migrated executors reproduce their
-//! pre-migration bench bins operation-for-operation (same construction
-//! order, same RNG streams, same event schedule), so the golden trace
-//! pins and committed `BENCH_*.json` baselines carry over bit-for-bit —
-//! `tests/lab_equivalence.rs` at the workspace root pins the sha256 each
-//! bin produced before it was deleted.
+//! returns a `TrialRecord`. The executors reproduce the bench bins they
+//! replaced operation-for-operation (same construction order, same RNG
+//! streams, same event schedule), so the golden trace pins and committed
+//! `BENCH_*.json` baselines carried over bit-for-bit —
+//! `tests/determinism.rs` at the workspace root pins, through
+//! `run_trial`, the sha256 each bin produced before it was deleted.
 
 use crate::gate::Baseline;
 use crate::journal::TrialRecord;
@@ -21,11 +23,11 @@ pub mod campaign;
 mod campaign_round;
 pub mod lifeline;
 pub mod mixed;
+pub mod paper;
 pub mod pipeline;
 pub mod rm_profile;
 pub mod rm_scaling;
 pub mod soak;
-pub mod table1;
 pub mod user_scaling;
 
 /// One trial's resolved inputs: the spec, the merged (base + variant
@@ -49,8 +51,7 @@ pub fn run_trial(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         "campaign_soak" => campaign::run(ctx),
         "rm_scaling" => rm_scaling::run(ctx),
         "rm_profile" => rm_profile::run(ctx),
-        "table1" => table1::run(ctx),
-        other => Err(format!("unknown scenario kind '{other}'")),
+        other => paper::run(ctx).unwrap_or_else(|| Err(format!("unknown scenario kind '{other}'"))),
     }?;
     record.sort_metrics();
     Ok(record)
@@ -113,7 +114,7 @@ fn curve_baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, Stri
         .ok_or("baseline has no points array")?;
     let mut out = Baseline::new();
     for v in spec.effective_variants() {
-        let n = spec.params.merged(&v.overrides).u64("n", 0);
+        let n = spec.params.merged(&v.overrides).u64("n", 0)?;
         let Some(point) = points
             .iter()
             .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
@@ -161,4 +162,26 @@ pub fn spec_faults(faults: &[FaultSpec], sites: &[Site]) -> Result<Vec<Fault>, S
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_mistyped_param_fails_the_trial_instead_of_running_the_default() {
+        let spec = ScenarioSpec::load("table1").unwrap();
+        let params = spec
+            .params
+            .merged(&Params(vec![("minutes".into(), Json::Float(30.0))]));
+        let err = run_trial(&TrialCtx {
+            spec: &spec,
+            params,
+            variant: "base".into(),
+            seed: 1,
+            rep: 0,
+        })
+        .unwrap_err();
+        assert_eq!(err, "param 'minutes' is 30.0, expected an unsigned integer");
+    }
 }

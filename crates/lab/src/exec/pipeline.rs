@@ -17,9 +17,9 @@ pub const TAPE_DS: &str = "pcm_pipe.tape";
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n_requests = p.usize("requests", 6);
-    let min_rate = p.f64("min_rate", mixed::DEFAULT_MIN_RATE);
-    let mode = p.str("mode", "scheduler").to_string();
+    let n_requests = p.usize("requests", 6)?;
+    let min_rate = p.f64("min_rate", mixed::DEFAULT_MIN_RATE)?;
+    let mode = p.str("mode", "scheduler")?.to_string();
     let scheduler_on = match mode.as_str() {
         "scheduler" => true,
         "legacy" => false,
@@ -177,8 +177,8 @@ pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
             "  \"trace_sha256\": \"{}\"\n}}\n"
         ),
         spec.seeds.first().copied().unwrap_or(23),
-        spec.params.u64("requests", 6),
-        spec.params.f64("min_rate", mixed::DEFAULT_MIN_RATE) / 1e6,
+        spec.params.u64("requests", 6).ok()?,
+        spec.params.f64("min_rate", mixed::DEFAULT_MIN_RATE).ok()? / 1e6,
         sched.fragment.as_deref()?,
         legacy.fragment.as_deref()?,
         speedup,

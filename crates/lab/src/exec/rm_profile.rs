@@ -86,7 +86,7 @@ fn live_matches_offline(
 
 fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let p = &ctx.params;
-    let stall_s = p.f64("stall_threshold_s", 120.0);
+    let stall_s = p.f64("stall_threshold_s", 120.0)?;
 
     let mut round = CampaignRound::prepare(ctx, DS, "rm-profile", tag, 1000)?;
     round
@@ -98,7 +98,7 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let tape = tmp_path(ctx, tag, "jsonl");
     let _ = std::fs::remove_file(&tape);
     round.spec.recorder = Some(tape.clone());
-    round.spec.recorder_every = SimDuration::from_secs(p.u64("recorder_every_s", 30));
+    round.spec.recorder_every = SimDuration::from_secs(p.u64("recorder_every_s", 30)?);
     round.launch(ctx)?;
 
     profile::start();
@@ -142,7 +142,7 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
 }
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
-    let n = ctx.params.usize("n", 1000);
+    let n = ctx.params.usize("n", 1000)?;
 
     let a = run_once(ctx, "a")?;
     let b = run_once(ctx, "b")?;

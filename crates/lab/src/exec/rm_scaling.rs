@@ -44,7 +44,7 @@ fn run_once(ctx: &TrialCtx) -> Result<RunStats, String> {
 }
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
-    let repeats = ctx.params.usize("repeats", 1);
+    let repeats = ctx.params.usize("repeats", 1)?;
 
     // Best-of-N wall: the sims are deterministic, so every repeat
     // harvests identical stats and only the timing tightens.

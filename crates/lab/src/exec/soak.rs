@@ -49,8 +49,8 @@ fn tick(sim: &mut esg_core::EsgSim, total: usize) {
 
 pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n_requests = p.usize("requests", 200);
-    let mode = p.str("mode", "all").to_string();
+    let n_requests = p.usize("requests", 200)?;
+    let mode = p.str("mode", "all")?.to_string();
     let seed = ctx.seed;
 
     let mut tb = esg_core::esg_testbed(seed);
@@ -184,8 +184,8 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
 pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n_requests = p.usize("requests", 120);
-    let trace_path = p.str("trace_path", "SOAK_corruption.ulm").to_string();
+    let n_requests = p.usize("requests", 120)?;
+    let trace_path = p.str("trace_path", "SOAK_corruption.ulm")?.to_string();
     let seed = ctx.seed;
 
     let mut tb = esg_core::esg_testbed(seed);

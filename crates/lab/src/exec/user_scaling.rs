@@ -10,10 +10,10 @@ use std::fmt::Write as _;
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
-    let n = p.usize("n", 1200);
-    let regions = p.usize("regions", 32);
-    let oracle_probes = p.usize("oracle_probes", 8);
-    let repeats = p.usize("repeats", 3);
+    let n = p.usize("n", 1200)?;
+    let regions = p.usize("regions", 32)?;
+    let oracle_probes = p.usize("oracle_probes", 8)?;
+    let repeats = p.usize("repeats", 3)?;
     if !ctx.spec.faults.is_empty() {
         return Err("user_scaling does not take a spec fault schedule".into());
     }

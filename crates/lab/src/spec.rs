@@ -24,24 +24,41 @@ impl Params {
         self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key).and_then(Json::as_u64).unwrap_or(default)
+    /// `default` when `key` is absent; an error naming the key, its value
+    /// and the expected type when it is present with another type — a
+    /// copied spec with `"minutes": 30.0` must not silently run 60.
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        default: T,
+        expected: &str,
+        convert: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => convert(v)
+                .ok_or_else(|| format!("param '{key}' is {}, expected {expected}", v.emit())),
+        }
     }
 
-    pub fn usize(&self, key: &str, default: usize) -> usize {
-        self.get(key).and_then(Json::as_usize).unwrap_or(default)
+    pub fn u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.typed(key, default, "an unsigned integer", Json::as_u64)
     }
 
-    pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key).and_then(Json::as_f64).unwrap_or(default)
+    pub fn usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.typed(key, default, "an unsigned integer", Json::as_usize)
     }
 
-    pub fn bool(&self, key: &str, default: bool) -> bool {
-        self.get(key).and_then(Json::as_bool).unwrap_or(default)
+    pub fn f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.typed(key, default, "a number", Json::as_f64)
     }
 
-    pub fn str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.get(key).and_then(Json::as_str).unwrap_or(default)
+    pub fn bool(&self, key: &str, default: bool) -> Result<bool, String> {
+        self.typed(key, default, "a boolean", Json::as_bool)
+    }
+
+    pub fn str<'a>(&'a self, key: &str, default: &'a str) -> Result<&'a str, String> {
+        self.typed(key, default, "a string", Json::as_str)
     }
 
     /// `self` with `overrides` appended (appended entries shadow on
@@ -344,7 +361,8 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Which executor runs a trial (`user_scaling`, `request_pipeline`,
     /// `lifeline`, `soak_faults`, `soak_corruption`, `campaign_soak`,
-    /// `table1`).
+    /// `rm_scaling`, `rm_profile`, or one of the paper's kinds in
+    /// `exec::paper`).
     pub kind: String,
     pub description: String,
     pub seeds: Vec<u64>,
@@ -571,50 +589,41 @@ impl ScenarioSpec {
 }
 
 /// Specs shipped with the crate, compiled in so bins and CI work from any
-/// working directory. The files under `crates/lab/scenarios/` are the
-/// editable source of truth.
-const BUILTINS: &[(&str, &str)] = &[
-    (
-        "user_scaling",
-        include_str!("../scenarios/user_scaling.json"),
-    ),
-    (
-        "user_scaling_smoke",
-        include_str!("../scenarios/user_scaling_smoke.json"),
-    ),
-    (
-        "request_pipeline",
-        include_str!("../scenarios/request_pipeline.json"),
-    ),
-    ("lifeline", include_str!("../scenarios/lifeline.json")),
-    ("soak_faults", include_str!("../scenarios/soak_faults.json")),
-    (
-        "soak_corruption",
-        include_str!("../scenarios/soak_corruption.json"),
-    ),
-    (
-        "soak_corruption_smoke",
-        include_str!("../scenarios/soak_corruption_smoke.json"),
-    ),
-    (
-        "campaign_soak",
-        include_str!("../scenarios/campaign_soak.json"),
-    ),
-    (
-        "campaign_soak_smoke",
-        include_str!("../scenarios/campaign_soak_smoke.json"),
-    ),
-    ("rm_scaling", include_str!("../scenarios/rm_scaling.json")),
-    (
-        "rm_scaling_smoke",
-        include_str!("../scenarios/rm_scaling_smoke.json"),
-    ),
-    ("rm_profile", include_str!("../scenarios/rm_profile.json")),
-    (
-        "rm_profile_smoke",
-        include_str!("../scenarios/rm_profile_smoke.json"),
-    ),
-    ("table1", include_str!("../scenarios/table1.json")),
+/// working directory: each name is the stem of its file under
+/// `crates/lab/scenarios/`, the editable source of truth.
+macro_rules! builtins {
+    ($($name:literal),* $(,)?) => {
+        &[$(($name, include_str!(concat!("../scenarios/", $name, ".json")))),*]
+    };
+}
+
+const BUILTINS: &[(&str, &str)] = builtins![
+    "user_scaling",
+    "user_scaling_smoke",
+    "request_pipeline",
+    "lifeline",
+    "soak_faults",
+    "soak_corruption",
+    "soak_corruption_smoke",
+    "campaign_soak",
+    "campaign_soak_smoke",
+    "rm_scaling",
+    "rm_scaling_smoke",
+    "rm_profile",
+    "rm_profile_smoke",
+    "table1",
+    "fig8",
+    "sweep_parallel",
+    "sweep_buffer",
+    "sweep_stripes",
+    "ablation_caching",
+    "ablation_cpu",
+    "replica_policies",
+    "hrm_staging",
+    "planner_spread",
+    "nws_accuracy",
+    "baselines",
+    "extension_subsetting",
 ];
 
 pub fn builtin(name: &str) -> Option<&'static str> {
@@ -693,10 +702,26 @@ mod tests {
     fn variant_overrides_shadow_on_lookup() {
         let spec = sample();
         let merged = spec.params.merged(&spec.variants[0].overrides);
-        assert_eq!(merged.u64("n", 0), 10);
-        assert_eq!(merged.f64("min_rate", 0.0), 2.6e6);
+        assert_eq!(merged.u64("n", 0), Ok(10));
+        assert_eq!(merged.f64("min_rate", 0.0), Ok(2.6e6));
         let merged_b = spec.params.merged(&spec.variants[1].overrides);
-        assert_eq!(merged_b.u64("n", 0), 1000);
+        assert_eq!(merged_b.u64("n", 0), Ok(1000));
+    }
+
+    #[test]
+    fn a_missing_param_defaults_and_a_mistyped_one_is_an_error() {
+        let p = Params(vec![
+            ("n".into(), Json::Int(-5)),
+            ("s".into(), Json::str("30")),
+        ]);
+        assert_eq!(p.u64("absent", 60), Ok(60));
+        assert_eq!(p.f64("n", 0.0), Ok(-5.0)); // an integer is a number
+        assert_eq!(
+            p.usize("n", 1),
+            Err("param 'n' is -5, expected an unsigned integer".into())
+        );
+        assert!(p.u64("s", 60).is_err() && p.bool("s", false).is_err());
+        assert!(p.str("n", "all").is_err());
     }
 
     #[test]
@@ -721,6 +746,23 @@ mod tests {
             let j = spec.to_json_string();
             assert_eq!(ScenarioSpec::from_json_str(&j).unwrap().to_json_string(), j);
         }
+    }
+
+    #[test]
+    fn every_scenario_file_is_a_builtin_and_every_builtin_a_file() {
+        // A listed name that has no file does not compile; this catches a
+        // file nobody listed.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+        let mut stems: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort();
+        let mut names = builtin_names();
+        names.sort_unstable();
+        assert_eq!(stems, names, "crates/lab/scenarios/*.json vs BUILTINS");
     }
 
     #[test]

@@ -1,9 +1,19 @@
 //! Reproducibility: every experiment is a pure function of its seed and
 //! configuration — the property that makes the benchmark harness's numbers
 //! meaningful.
+//!
+//! The `*_executor_holds_its_pin` tests run scenario-lab executors through
+//! `run_trial` at reduced scale. Each constant is the sha256 the
+//! pre-migration bench bin and its executor both produced, recorded at
+//! the last commit (`6d6bfc7`) that held inline copies of the bins; if an
+//! executor drifts from its bin ancestry, this is the tripwire.
 
 use esg::core::{run_fig8, run_table1, Fig8Config, Table1Config};
 use esg::simnet::SimDuration;
+use esg_lab::exec::{run_trial, TrialCtx};
+use esg_lab::journal::{MetricValue, TrialRecord};
+use esg_lab::json::Json;
+use esg_lab::spec::{Params, ScenarioSpec};
 
 #[test]
 fn table1_runs_are_bit_identical() {
@@ -119,6 +129,121 @@ fn user_scaling_trace_is_pinned() {
         hex, USER_SCALING_GOLDEN,
         "pinned user_scaling trace drifted"
     );
+}
+
+/// One trial of `kind` through the lab executor, on a spec holding
+/// `params` and nothing else.
+fn lab_trial(kind: &str, seed: u64, params: &[(&str, Json)]) -> TrialRecord {
+    let spec = format!(r#"{{"name": "pin", "kind": "{kind}", "seeds": [{seed}]}}"#);
+    run_trial(&TrialCtx {
+        spec: &ScenarioSpec::from_json_str(&spec).unwrap(),
+        params: Params(
+            params
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        ),
+        variant: "base".into(),
+        seed,
+        rep: 0,
+    })
+    .unwrap()
+}
+
+fn str_metric<'a>(r: &'a TrialRecord, name: &str) -> &'a str {
+    match r.metric(name) {
+        Some(MetricValue::Str(s)) => s,
+        other => panic!("metric {name} must be a string, got {other:?}"),
+    }
+}
+
+/// The executor runs the identical (N=64, regions=8, seed=17) workload as
+/// `user_scaling_trace_is_pinned`, so it must hit the same constant.
+#[test]
+fn user_scaling_executor_holds_its_pin() {
+    let row = lab_trial(
+        "user_scaling",
+        17,
+        &[
+            ("n", Json::Int(64)),
+            ("regions", Json::Int(8)),
+            ("oracle_probes", Json::Int(2)),
+            ("repeats", Json::Int(1)),
+        ],
+    );
+    assert_eq!(str_metric(&row, "trace_sha256"), USER_SCALING_GOLDEN);
+    assert_eq!(row.value("equivalent"), Some(1.0));
+}
+
+/// request_pipeline at seed 23, 2 requests: `(mode, trace, deliveries)`.
+const PIPELINE_PINS: [(&str, &str, &str); 2] = [
+    (
+        "scheduler",
+        "9b0369c296591af18e906a58add59e1b1729f6b3e4f4bfbe516b621cfd7df12d",
+        "3a3c5b982d60e6852233cda853ed189a0c0fd7fb4f5fbdf946b3bf8f5b442d95",
+    ),
+    (
+        "legacy",
+        "a6fdb810cacdc2a44556cd909628e8ccaee0965601944f3d16ab4f8c6588bc51",
+        "3a3c5b982d60e6852233cda853ed189a0c0fd7fb4f5fbdf946b3bf8f5b442d95",
+    ),
+];
+
+#[test]
+fn request_pipeline_executor_holds_its_pins() {
+    for (mode, trace, deliveries) in PIPELINE_PINS {
+        let row = lab_trial(
+            "request_pipeline",
+            23,
+            &[
+                ("requests", Json::Int(2)),
+                ("min_rate", Json::Float(2.6e6)),
+                ("mode", Json::str(mode)),
+            ],
+        );
+        assert_eq!(str_metric(&row, "trace_sha256"), trace, "[{mode}]");
+        assert_eq!(
+            str_metric(&row, "deliveries_sha256"),
+            deliveries,
+            "[{mode}]"
+        );
+    }
+}
+
+/// soak_faults at seed 11, 12 requests, every fault class on.
+const SOAK_FAULTS_TRACE: &str = "8ebbd066385e4da7419502bae59f4c0c7b3e587f3b18bedad4a2f0ad49dac3b1";
+
+#[test]
+fn soak_faults_executor_holds_its_pin() {
+    let row = lab_trial(
+        "soak_faults",
+        11,
+        &[("requests", Json::Int(12)), ("mode", Json::str("all"))],
+    );
+    assert_eq!(str_metric(&row, "trace_sha256"), SOAK_FAULTS_TRACE);
+}
+
+/// soak_corruption at seed 13, 8 requests.
+const SOAK_CORRUPTION_TRACE: &str =
+    "bc204566679fe001a3a21b9aab98300eed584a12e43e47162e920bbf73b45585";
+
+#[test]
+fn soak_corruption_executor_holds_its_pin() {
+    let trace_path =
+        std::env::temp_dir().join(format!("esg_pin_corruption_{}.ulm", std::process::id()));
+    let row = lab_trial(
+        "soak_corruption",
+        13,
+        &[
+            ("requests", Json::Int(8)),
+            ("trace_path", Json::str(trace_path.to_string_lossy())),
+        ],
+    );
+    assert_eq!(str_metric(&row, "trace_sha256"), SOAK_CORRUPTION_TRACE);
+    // The exported ULM file is the trace the metric hashed.
+    let ulm = std::fs::read_to_string(&trace_path).unwrap();
+    let _ = std::fs::remove_file(&trace_path);
+    assert_eq!(sha_hex(&ulm), SOAK_CORRUPTION_TRACE);
 }
 
 /// Golden trace hash for `scheduler_pipeline_trace_is_pinned` (seed 29).
@@ -280,10 +405,6 @@ const RM_SCALING_N100_MANIFEST: &str =
 
 #[test]
 fn rm_scaling_n100_trace_and_manifest_are_pinned() {
-    use esg_lab::exec::{run_trial, TrialCtx};
-    use esg_lab::journal::MetricValue;
-    use esg_lab::spec::ScenarioSpec;
-
     // The CI scenario's own n100 point, through the lab executor.
     let spec = ScenarioSpec::load("rm_scaling_smoke").unwrap();
     let variant = spec
@@ -299,11 +420,10 @@ fn rm_scaling_n100_trace_and_manifest_are_pinned() {
         rep: 0,
     })
     .unwrap();
-    let sha = |name: &str| match record.metric(name) {
-        Some(MetricValue::Str(s)) => s.clone(),
-        other => panic!("metric {name} must be a string, got {other:?}"),
-    };
-    assert_eq!(sha("trace_sha256"), RM_SCALING_N100_TRACE);
-    assert_eq!(sha("manifest_sha256"), RM_SCALING_N100_MANIFEST);
+    assert_eq!(str_metric(&record, "trace_sha256"), RM_SCALING_N100_TRACE);
+    assert_eq!(
+        str_metric(&record, "manifest_sha256"),
+        RM_SCALING_N100_MANIFEST
+    );
     assert_eq!(record.value("files_delivered"), Some(100.0));
 }
