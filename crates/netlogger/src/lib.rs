@@ -16,7 +16,7 @@ pub mod recorder;
 pub mod trace;
 
 pub use bandwidth::{to_gbps, to_mbps, BandwidthMeter};
-pub use event::{sanitize_key, LogEvent, NetLog, OrderPolicy, UlmError, Value};
+pub use event::{sanitize_key, EventRef, LogEvent, NetLog, OrderPolicy, Text, UlmError, Value};
 pub use lifeline::{CriticalPath, Lifeline, LifelineSet, Span, Stall};
 pub use live::{LiveLifelines, OpenSpan};
 pub use metrics::{Histogram, MetricsRegistry};

@@ -14,7 +14,7 @@
 //! to its makespan; [`Lifeline::is_complete`] checks that invariant span by
 //! span and [`Lifeline::tiling_gap`] reports the float residue.
 
-use crate::event::{LogEvent, NetLog, Value};
+use crate::event::{EventRef, LogEvent, NetLog, Text, Value};
 use crate::trace::Phase;
 use esg_simnet::SimTime;
 use std::collections::BTreeMap;
@@ -26,7 +26,8 @@ pub struct Span {
     pub parent: u64,
     pub phase: Phase,
     pub request: Option<u64>,
-    pub file: Option<String>,
+    /// The trace's own copy of the file name, shared by refcount.
+    pub file: Option<Text>,
     pub attempt: Option<u32>,
     pub start: SimTime,
     /// `None` if the trace ended before the span closed.
@@ -34,7 +35,7 @@ pub struct Span {
     /// Bytes attributed at close (banked transfer delta / repaired bytes).
     pub bytes: u64,
     /// Terminal status attached at close (root spans: `done` / `failed`).
-    pub status: Option<String>,
+    pub status: Option<Text>,
 }
 
 impl Span {
@@ -47,7 +48,7 @@ impl Span {
 #[derive(Debug, Clone)]
 pub struct Lifeline {
     pub request: u64,
-    pub file: String,
+    pub file: Text,
     /// The root [`Phase::File`] span (submit → settle).
     pub root: Span,
     /// Child phase spans, sorted by (start, id).
@@ -134,7 +135,7 @@ impl Lifeline {
 #[derive(Debug, Clone)]
 pub struct Stall {
     pub request: Option<u64>,
-    pub file: Option<String>,
+    pub file: Option<Text>,
     pub phase: Phase,
     pub span: u64,
     pub start: SimTime,
@@ -149,7 +150,7 @@ pub struct Stall {
 #[derive(Debug, Clone)]
 pub struct CriticalPath {
     pub request: u64,
-    pub file: String,
+    pub file: Text,
     pub makespan_s: f64,
     pub settle: SimTime,
     pub breakdown: BTreeMap<&'static str, f64>,
@@ -190,10 +191,18 @@ pub(crate) struct SpanCollector {
     trace_end: SimTime,
 }
 
+/// A field's value as text: a string as is, a number as it prints.
+fn into_text(v: Value) -> Text {
+    match v {
+        Value::Str(s) => s,
+        other => other.to_string().into(),
+    }
+}
+
 impl SpanCollector {
     /// Incorporate one event: advance `trace_end`, open a span on
     /// `span.start`, close it on `span.end`.
-    pub(crate) fn observe(&mut self, e: &LogEvent) {
+    pub(crate) fn observe(&mut self, e: EventRef<'_>) {
         if e.time > self.trace_end {
             self.trace_end = e.time;
         }
@@ -205,7 +214,7 @@ impl SpanCollector {
             let phase = e
                 .get("phase")
                 .and_then(|v| match v {
-                    Value::Str(s) => Phase::from_str(s),
+                    Value::Str(s) => Phase::from_str(&s),
                     _ => None,
                 })
                 .unwrap_or(Phase::File);
@@ -216,7 +225,7 @@ impl SpanCollector {
                     parent: e.get_num("parent").unwrap_or(0.0) as u64,
                     phase,
                     request: e.get_num("request").map(|x| x as u64),
-                    file: e.get("file").map(|v| v.to_string()),
+                    file: e.get("file").map(into_text),
                     attempt: e.get_num("attempt").map(|x| x as u32),
                     start: e.time,
                     end: None,
@@ -229,7 +238,7 @@ impl SpanCollector {
                 Some(s) => {
                     s.end = Some(e.time);
                     s.bytes = e.get_num("bytes").unwrap_or(0.0) as u64;
-                    s.status = e.get("status").map(|v| v.to_string());
+                    s.status = e.get("status").map(into_text);
                 }
                 None => self.orphan_ends.push(id),
             }

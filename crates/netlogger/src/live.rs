@@ -30,7 +30,7 @@
 //! [`file_phase_totals`]: LiveLifelines::file_phase_totals
 //! [`note_stall_fired`]: LiveLifelines::note_stall_fired
 
-use crate::event::LogEvent;
+use crate::event::{EventRef, Text};
 use crate::lifeline::{LifelineSet, SpanCollector};
 use crate::trace::Phase;
 use esg_simnet::SimTime;
@@ -42,7 +42,7 @@ pub struct OpenSpan {
     pub span: u64,
     pub phase: Phase,
     pub request: Option<u64>,
-    pub file: Option<String>,
+    pub file: Option<Text>,
     pub start: SimTime,
 }
 
@@ -61,12 +61,12 @@ pub struct LiveLifelines {
     /// are allocated sequentially by `TracedLog`).
     open: BTreeMap<u64, OpenSpan>,
     /// Root File span id → (request, file), for attributing child closes.
-    roots: BTreeMap<u64, (u64, String)>,
+    roots: BTreeMap<u64, (u64, Text)>,
     /// (request, file) → closed phase totals in seconds, accumulated at
     /// span close — the streaming mirror of [`Lifeline::phase_totals`].
     ///
     /// [`Lifeline::phase_totals`]: crate::lifeline::Lifeline::phase_totals
-    totals: BTreeMap<(u64, String), BTreeMap<&'static str, f64>>,
+    totals: BTreeMap<(u64, Text), BTreeMap<&'static str, f64>>,
     events_seen: u64,
     spans_closed: u64,
     stalls_fired: u64,
@@ -79,7 +79,7 @@ impl LiveLifelines {
 
     /// Feed one event. Non-span events still advance the trace horizon
     /// (`trace_end`), exactly as the offline pass scans them.
-    pub fn observe(&mut self, e: &LogEvent) {
+    pub fn observe(&mut self, e: EventRef<'_>) {
         self.events_seen += 1;
         let is_span = e.name == "span.start" || e.name == "span.end";
         let id = e.get_num("span").map(|x| x as u64);
@@ -196,11 +196,11 @@ impl LiveLifelines {
         request: u64,
         file: &str,
     ) -> Option<&BTreeMap<&'static str, f64>> {
-        self.totals.get(&(request, file.to_string()))
+        self.totals.get(&(request, Text::shared(file)))
     }
 
     /// All incremental per-lifeline totals, keyed (request, file).
-    pub fn all_phase_totals(&self) -> &BTreeMap<(u64, String), BTreeMap<&'static str, f64>> {
+    pub fn all_phase_totals(&self) -> &BTreeMap<(u64, Text), BTreeMap<&'static str, f64>> {
         &self.totals
     }
 

@@ -126,6 +126,20 @@ impl Histogram {
     }
 }
 
+/// Apply `f` to the entry for `name`, inserting `init` first if it is
+/// missing. Looks up by `&str`, so only a metric's first update allocates
+/// its key.
+fn update<T>(map: &mut BTreeMap<String, T>, name: &str, init: T, f: impl FnOnce(&mut T)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = init;
+            f(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 /// One deterministic registry of named counters, gauges, and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -141,7 +155,7 @@ impl MetricsRegistry {
 
     /// Add `n` to a monotone counter.
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        update(&mut self.counters, name, 0, |c| *c += n);
     }
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -150,16 +164,17 @@ impl MetricsRegistry {
 
     /// Set a gauge to a value.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        update(&mut self.gauges, name, v, |g| *g = v);
     }
 
     /// Raise a gauge to `v` if `v` exceeds its current value (high-water
     /// mark semantics; missing gauge starts at `v`).
     pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(v);
-        if v > *g {
-            *g = v;
-        }
+        update(&mut self.gauges, name, v, |g| {
+            if v > *g {
+                *g = v;
+            }
+        });
     }
 
     pub fn gauge(&self, name: &str) -> f64 {
@@ -168,10 +183,9 @@ impl MetricsRegistry {
 
     /// Record one observation into a histogram.
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
+        update(&mut self.histograms, name, Histogram::default(), |h| {
+            h.observe(v)
+        });
     }
 
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {

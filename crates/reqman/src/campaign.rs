@@ -622,7 +622,7 @@ pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
         now,
         camp.span,
         Phase::Campaign,
-        vec![("campaign", id.into()), ("status", "cancelled".into())],
+        [("campaign", id.into()), ("status", "cancelled".into())],
     );
     rm.log.emit(
         &ctx,
@@ -751,7 +751,7 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
         now,
         c.span,
         Phase::Campaign,
-        vec![
+        [
             ("campaign", id.into()),
             ("status", "complete".into()),
             ("bytes", outcome.bytes_transferred.into()),
