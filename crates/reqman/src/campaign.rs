@@ -45,12 +45,10 @@
 //! comparing manifests; `bytes_skipped + bytes_transferred == total`
 //! accounts every byte to exactly one of the two runs.
 
-use crate::manager::{
-    cancel_request, submit_request_for_tenant, Completion, RequestOutcome, RmWorld,
-};
+use crate::manager::{cancel_request, submit_request_for_tenant, RequestOutcome, RmWorld};
 use esg_gridftp::GridUrl;
 use esg_netlogger::{FlightRecorder, LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx};
-use esg_simnet::{profile, NodeId, Sim, SimDuration, SimTime};
+use esg_simnet::{profile, Completion, NodeId, Sim, SimDuration, SimTime};
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};

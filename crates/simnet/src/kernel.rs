@@ -11,6 +11,7 @@
 //! last byte, with rate changes from contention, slow start and failures all
 //! accounted for.
 
+use std::any::Any;
 use std::collections::HashMap;
 
 use crate::flownet::{FlowError, FlowId, FlowNet, FlowSpec};
@@ -183,6 +184,28 @@ impl<W> Sim<W> {
     /// Number of pending queued events (not counting network completions).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+}
+
+/// A caller's callback `FnOnce(&mut Sim<W>, O)`, stored by a service that
+/// is not generic over the world (the GridFTP engine with its transfers,
+/// the request manager with its requests and campaigns). The `Sim<W>` in
+/// its type is erased here, once, and recovered at the call. The downcast
+/// cannot fail: a service's state is only ever reached through the
+/// `Sim<W>` its callbacks were stored from.
+pub struct Completion(Box<dyn Any>);
+
+type CompletionFn<W, O> = Box<dyn FnOnce(&mut Sim<W>, O)>;
+
+impl Completion {
+    pub fn new<W: 'static, O: 'static>(f: impl FnOnce(&mut Sim<W>, O) + 'static) -> Self {
+        let f: CompletionFn<W, O> = Box::new(f);
+        Completion(Box::new(f))
+    }
+
+    pub fn call<W: 'static, O: 'static>(self, sim: &mut Sim<W>, outcome: O) {
+        let f = self.0.downcast::<CompletionFn<W, O>>();
+        f.expect("a completion fires on the Sim<W> it was stored from")(sim, outcome)
     }
 }
 

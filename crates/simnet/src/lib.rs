@@ -20,7 +20,8 @@
 //! * [`tcp`] — flow-level TCP throughput model (window, Mathis, slow start).
 //! * [`flownet`] — the live network: flows, progress integration, stalls.
 //! * [`kernel`] — the event loop: [`Sim`] with closure events and
-//!   kernel-native flow-completion callbacks.
+//!   kernel-native flow-completion callbacks, and [`Completion`], the one
+//!   type-erased callback a service stores for its caller.
 //! * [`failure`] — fault injection (link/node outages, degradation, DNS).
 //! * [`background`] — seeded on/off cross-traffic generation.
 //! * [`builders`] — dumbbell/star topology construction helpers.
@@ -59,7 +60,7 @@ pub mod time;
 pub mod timerwheel;
 
 pub use flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState};
-pub use kernel::Sim;
+pub use kernel::{Completion, Sim};
 pub use network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};
 pub use profile::ProfileReport;
 pub use time::{SimDuration, SimTime};
