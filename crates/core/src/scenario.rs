@@ -184,9 +184,10 @@ impl EsgTestbed {
     }
 }
 
-/// The SC2000 SciNet testbed for Table 1.
+/// The SC2000 SciNet testbed for Table 1: the topology and the node ids a
+/// runner needs; the runner builds the simulator over it.
 pub struct Sc2000Testbed {
-    pub sim: EsgSim,
+    pub topo: Topology,
     /// The eight Dallas servers.
     pub servers: Vec<NodeId>,
     /// The eight LBNL receivers.
@@ -255,7 +256,7 @@ pub fn sc2000_scinet(cfg: Sc2000Config) -> Sc2000Testbed {
     }
 
     Sc2000Testbed {
-        sim: Sim::new(topo, EsgWorld::default()),
+        topo,
         servers,
         receivers,
         wan,
@@ -265,7 +266,7 @@ pub fn sc2000_scinet(cfg: Sc2000Config) -> Sc2000Testbed {
 /// The Figure 8 path: one workstation at the Dallas convention center
 /// pushing to a workstation at Argonne over commodity Internet.
 pub struct Fig8Testbed {
-    pub sim: EsgSim,
+    pub topo: Topology,
     pub src: NodeId,
     pub dst: NodeId,
     /// The commodity-Internet span (fault target).
@@ -304,7 +305,7 @@ pub fn fig8_testbed() -> Fig8Testbed {
     topo.add_link(internet, dst, 100e6 / 8.0, SimDuration::from_millis(12));
 
     Fig8Testbed {
-        sim: Sim::new(topo, EsgWorld::default()),
+        topo,
         src,
         dst,
         wan,
@@ -315,7 +316,8 @@ pub fn fig8_testbed() -> Fig8Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esg_gridftp::simxfer::{start_transfer, TransferSpec};
+    use crate::experiments::measure_transfer;
+    use esg_gridftp::simxfer::TransferSpec;
     use esg_simnet::SimTime;
 
     #[test]
@@ -373,21 +375,10 @@ mod tests {
 
     #[test]
     fn sc2000_single_stream_rate_is_mathis_bound() {
-        let cfg = Sc2000Config::default();
-        let mut tb = sc2000_scinet(cfg);
-        let (src, dst) = (tb.servers[0], tb.receivers[0]);
-        start_transfer(
-            &mut tb.sim,
-            TransferSpec::new(src, dst, 256_000_000),
-            |s, r| {
-                let rate = r.unwrap().mean_rate();
-                s.world.meter.add(SimTime::ZERO, rate);
-            },
-        )
-        .unwrap();
-        tb.sim.run();
+        let tb = sc2000_scinet(Sc2000Config::default());
+        let spec = TransferSpec::new(tb.servers[0], tb.receivers[0], 256_000_000);
+        let rate = measure_transfer(tb.topo, spec);
         // Mathis with RTT ~14.4 ms, p=0.0035: ~2.1 MB/s (≈17 Mb/s).
-        let rate = tb.sim.world.meter.bytes_at(SimTime::MAX);
         assert!(
             rate > 1.2e6 && rate < 3.5e6,
             "single-stream rate {rate} outside calibration band"
@@ -396,20 +387,9 @@ mod tests {
 
     #[test]
     fn fig8_rate_is_disk_limited_near_80mbps() {
-        let mut tb = fig8_testbed();
-        let (src, dst) = (tb.src, tb.dst);
-        start_transfer(
-            &mut tb.sim,
-            TransferSpec::new(src, dst, 2_000_000_000).streams(8),
-            |s, r| {
-                let rate = r.unwrap().mean_rate();
-                s.world.meter.add(SimTime::ZERO, rate);
-            },
-        )
-        .unwrap();
-        tb.sim.run();
-        let rate = tb.sim.world.meter.bytes_at(SimTime::MAX);
-        let mbps = rate * 8.0 / 1e6;
+        let tb = fig8_testbed();
+        let spec = TransferSpec::new(tb.src, tb.dst, 2_000_000_000).streams(8);
+        let mbps = measure_transfer(tb.topo, spec) * 8.0 / 1e6;
         assert!(
             mbps > 65.0 && mbps < 90.0,
             "Figure 8 plateau should be ~80 Mb/s, got {mbps}"

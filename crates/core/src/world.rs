@@ -2,16 +2,15 @@
 //!
 //! Every service the Figure 1 architecture shows lives here: the GridFTP
 //! engine, the NWS registry, the request manager (with replica catalog and
-//! HRMs inside), the CDMS metadata catalog, an MDS directory, and
-//! instrumentation. Protocol crates access their slice through the `Has*`
-//! traits, so they stay decoupled; this crate is the only place that knows
-//! the whole shape.
+//! HRMs inside), the CDMS metadata catalog, an MDS directory, and the
+//! outcomes the request manager hands back. Protocol crates access their
+//! slice through the `Has*` traits, so they stay decoupled; this crate is
+//! the only place that knows the whole shape.
 
 use esg_gridftp::simxfer::{GridFtpSim, HasGridFtp};
 use esg_metadata::MetadataCatalog;
-use esg_netlogger::{BandwidthMeter, NetLog};
 use esg_nws::{HasNws, NwsRegistry};
-use esg_reqman::{HasReqMan, RequestManager, RequestOutcome};
+use esg_reqman::{CampaignOutcome, HasReqMan, RequestManager, RequestOutcome};
 use esg_simnet::Sim;
 
 /// The ESG world: all service state.
@@ -22,12 +21,10 @@ pub struct EsgWorld {
     pub metadata: MetadataCatalog,
     /// MDS information directory (NWS publication target).
     pub mds: esg_directory::Directory,
-    /// Client-side aggregate received-bytes curve (Table 1 / Figure 8).
-    pub meter: BandwidthMeter,
-    /// Global event log.
-    pub log: NetLog,
     /// Completed request outcomes, in completion order.
     pub outcomes: Vec<RequestOutcome>,
+    /// Completed campaign outcomes, in completion order.
+    pub campaigns: Vec<CampaignOutcome>,
 }
 
 impl Default for EsgWorld {
@@ -38,9 +35,8 @@ impl Default for EsgWorld {
             rm: RequestManager::default(),
             metadata: MetadataCatalog::new(),
             mds: esg_directory::Directory::new(),
-            meter: BandwidthMeter::new(),
-            log: NetLog::new(),
             outcomes: Vec::new(),
+            campaigns: Vec::new(),
         }
     }
 }

@@ -28,10 +28,8 @@ use esg_simnet::prelude::inject_all;
 use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::rc::Rc;
 
 /// Campaign source datasets (both replicated at sites 1–3, so the two
 /// campaigns compete for the same source hosts) and the interactive
@@ -66,16 +64,15 @@ struct RunStats {
     trace_sha256: String,
 }
 
-struct BuiltRun {
-    tb: esg_core::EsgTestbed,
-    camp_outcomes: Rc<RefCell<Vec<CampaignOutcome>>>,
-}
-
 /// Construct one sim: testbed, datasets, tenant table, fault schedule,
 /// interactive workload, and `campaigns` replication campaigns whose
 /// checkpoints journal to `ckpts`. Identical inputs build identical
 /// sims — the interrupted run is the full run stopped early.
-fn build(ctx: &TrialCtx, campaigns: usize, ckpts: &[PathBuf]) -> Result<BuiltRun, String> {
+fn build(
+    ctx: &TrialCtx,
+    campaigns: usize,
+    ckpts: &[PathBuf],
+) -> Result<esg_core::EsgTestbed, String> {
     let p = &ctx.params;
     let steps = p.usize("campaign_steps", 96)?;
     let spf = p.usize("steps_per_file", 4)?;
@@ -139,7 +136,6 @@ fn build(ctx: &TrialCtx, campaigns: usize, ckpts: &[PathBuf]) -> Result<BuiltRun
         });
     }
 
-    let camp_outcomes: Rc<RefCell<Vec<CampaignOutcome>>> = Rc::new(RefCell::new(Vec::new()));
     for i in 0..campaigns {
         let coll = tb
             .sim
@@ -152,14 +148,13 @@ fn build(ctx: &TrialCtx, campaigns: usize, ckpts: &[PathBuf]) -> Result<BuiltRun
         spec.batch_files = batch;
         spec.checkpoint = Some(ckpts[i].clone());
         spec.checkpoint_every = SimDuration::from_secs(ckpt_every);
-        let sink = Rc::clone(&camp_outcomes);
         tb.sim
             .schedule_at(SimTime::from_secs(105 + 5 * i as u64), move |sim| {
-                start_campaign(sim, spec, move |_, o| sink.borrow_mut().push(o));
+                start_campaign(sim, spec, |s, o| s.world.campaigns.push(o));
             });
     }
 
-    Ok(BuiltRun { tb, camp_outcomes })
+    Ok(tb)
 }
 
 fn campaign_name(i: usize) -> String {
@@ -176,17 +171,16 @@ fn p95(makespans: &mut [f64]) -> f64 {
     makespans[idx.saturating_sub(1).min(makespans.len() - 1)]
 }
 
-fn harvest(run: &BuiltRun) -> RunStats {
-    let world = &run.tb.sim.world;
+fn harvest(tb: &esg_core::EsgTestbed) -> RunStats {
+    let world = &tb.sim.world;
     let mut makespans: Vec<f64> = world
         .outcomes
         .iter()
         .filter(|o| o.files.iter().all(|f| f.done && f.bytes_done == f.size))
         .map(|o| (o.finished - o.started).as_secs_f64())
         .collect();
-    let campaigns: BTreeMap<String, CampaignOutcome> = run
-        .camp_outcomes
-        .borrow()
+    let campaigns: BTreeMap<String, CampaignOutcome> = world
+        .campaigns
         .iter()
         .map(|o| (o.name.clone(), o.clone()))
         .collect();
@@ -233,7 +227,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     // Run 1 (or the only run, for `solo`): uninterrupted to the horizon.
     let full_ckpts = fresh("full");
     let mut full = build(ctx, n_campaigns, &full_ckpts)?;
-    full.tb.sim.run_until(horizon);
+    full.sim.run_until(horizon);
     let full_stats = harvest(&full);
     let wall_full = wall.elapsed().as_secs_f64() * 1e3;
     drop(full);
@@ -268,9 +262,8 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         // checkpoints are the only state the resume run may consult.
         let res_ckpts = fresh("res");
         let mut interrupted = build(ctx, n_campaigns, &res_ckpts)?;
-        interrupted.tb.sim.run_until(interrupt);
+        interrupted.sim.run_until(interrupt);
         let bytes_interrupted = interrupted
-            .tb
             .sim
             .world
             .rm
@@ -280,7 +273,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
         // Run 3: fresh sim, same seed, resumes from the torn checkpoints.
         let mut resumed = build(ctx, n_campaigns, &res_ckpts)?;
-        resumed.tb.sim.run_until(horizon);
+        resumed.sim.run_until(horizon);
         let res_stats = harvest(&resumed);
         drop(resumed);
 

@@ -12,9 +12,7 @@ use esg_core::scenario::EsgTestbed;
 use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec};
 use esg_simnet::prelude::inject_all;
 use esg_simnet::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::rc::Rc;
 
 /// Campaign destination (OC-3 access link).
 const TARGET_SITE: usize = 4;
@@ -34,7 +32,6 @@ pub struct CampaignRound {
     pub spec: CampaignSpec,
     pub n: usize,
     pub horizon: SimTime,
-    outcome: Rc<RefCell<Option<CampaignOutcome>>>,
 }
 
 impl CampaignRound {
@@ -78,7 +75,6 @@ impl CampaignRound {
             spec,
             n,
             horizon: SimTime::from_secs(p.u64("horizon_s", 6000)?),
-            outcome: Rc::new(RefCell::new(None)),
         })
     }
 
@@ -91,11 +87,10 @@ impl CampaignRound {
         let faults = super::spec_faults(&ctx.spec.faults, &self.tb.sites)?;
         inject_all(&mut self.tb.sim, &faults);
         let spec = self.spec.clone();
-        let sink = Rc::clone(&self.outcome);
         self.tb
             .sim
             .schedule_at(SimTime::from_secs(105), move |sim| {
-                start_campaign(sim, spec, move |_, o| *sink.borrow_mut() = Some(o));
+                start_campaign(sim, spec, |s, o| s.world.campaigns.push(o));
             });
         Ok(())
     }
@@ -105,9 +100,11 @@ impl CampaignRound {
         if let Some(ckpt) = &self.spec.checkpoint {
             let _ = std::fs::remove_file(ckpt);
         }
-        self.outcome
-            .borrow_mut()
-            .take()
+        self.tb
+            .sim
+            .world
+            .campaigns
+            .pop()
             .ok_or_else(|| format!("campaign did not finish by horizon (n={})", self.n))
     }
 }

@@ -26,8 +26,6 @@ use esg_netlogger::{LogEvent, NetLog};
 use esg_simnet::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 pub const CLIENTS_PER_REGION: usize = 4;
 
@@ -93,15 +91,13 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
         clients.push(cls);
     }
 
-    let mut sim: Sim<Rc<RefCell<World>>> = Sim::new(
-        topo,
-        Rc::new(RefCell::new(World {
-            log: NetLog::new(),
-            completions: Vec::new(),
-            peak: 0,
-            oracle_probes: 0,
-        })),
-    );
+    let world = World {
+        log: NetLog::new(),
+        completions: Vec::new(),
+        peak: 0,
+        oracle_probes: 0,
+    };
+    let mut sim = Sim::new(topo, world);
 
     // Deterministic workload: arrivals staggered over 20 s, sizes chosen
     // so every flow outlives the arrival window — the whole population is
@@ -114,23 +110,18 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
         let at = SimTime::ZERO + SimDuration::from_millis(rng.gen_range(0u64..20_000));
         let size = 150e6 + rng.gen_range(0u64..400_000_000) as f64;
         sim.schedule_at(at, move |s| {
-            {
-                let mut w = s.world.borrow_mut();
-                let now = s.net.now();
-                w.log.push(
-                    LogEvent::new(now, "flow.start")
-                        .field("flow", i)
-                        .field("bytes", size),
-                );
-            }
-            let world = s.world.clone();
+            let now = s.net.now();
+            s.world.log.push(
+                LogEvent::new(now, "flow.start")
+                    .field("flow", i)
+                    .field("bytes", size),
+            );
             s.start_flow(
                 FlowSpec::new(src, dst, size).window(2e6).memory_to_memory(),
                 move |s2| {
                     let now = s2.now();
-                    let mut w = world.borrow_mut();
-                    w.completions.push((i, now));
-                    w.log.push(
+                    s2.world.completions.push((i, now));
+                    s2.world.log.push(
                         LogEvent::new(now, "flow.complete")
                             .field("flow", i)
                             .field("bytes", size),
@@ -139,10 +130,7 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
             )
             .expect("regions are always routable");
             let active = s.net.active_flow_count();
-            let mut w = s.world.borrow_mut();
-            if active > w.peak {
-                w.peak = active;
-            }
+            s.world.peak = s.world.peak.max(active);
         });
     }
 
@@ -170,7 +158,7 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
                     "oracle probe at {at}: flow {fl:?} incremental {rl} vs oracle {ro}"
                 );
             }
-            s.world.borrow_mut().oracle_probes += 1;
+            s.world.oracle_probes += 1;
         });
     }
 
@@ -178,7 +166,7 @@ pub fn run_flows(n: usize, regions: usize, seed: u64, oracle_probes: usize) -> R
     sim.run_until(SimTime::from_secs(100_000));
     let wall = wall.elapsed();
 
-    let world = sim.world.borrow();
+    let world = &sim.world;
     assert_eq!(
         world.completions.len(),
         n,

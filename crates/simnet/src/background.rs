@@ -12,8 +12,6 @@ use crate::network::NodeId;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Configuration for one background traffic source.
 #[derive(Debug, Clone, Copy)]
@@ -41,19 +39,20 @@ fn exp_sample(rng: &mut StdRng, mean: SimDuration) -> SimDuration {
 
 /// Start an on/off background source. Each ON period runs one unbounded
 /// flow (capped by a window sized to `burst_rate` over the path RTT),
-/// cancelled at the period's end.
+/// cancelled at the period's end. The source's RNG moves down the chain of
+/// periods by value: each scheduled period owns it until it schedules the
+/// next.
 pub fn start_background<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic) {
-    let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(cfg.seed)));
-    schedule_off(sim, cfg, rng);
+    schedule_off(sim, cfg, StdRng::seed_from_u64(cfg.seed));
 }
 
-fn schedule_off<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic, rng: Rc<RefCell<StdRng>>) {
-    let off = exp_sample(&mut rng.borrow_mut(), cfg.mean_off);
+fn schedule_off<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic, mut rng: StdRng) {
+    let off = exp_sample(&mut rng, cfg.mean_off);
     sim.schedule(off, move |s| {
         if s.now() >= cfg.until {
             return;
         }
-        let on = exp_sample(&mut rng.borrow_mut(), cfg.mean_on);
+        let on = exp_sample(&mut rng, cfg.mean_on);
         // Window that yields ~burst_rate on this path.
         let window = match s.net.path_rtt(cfg.src, cfg.dst) {
             Some(rtt) if !rtt.is_zero() => cfg.burst_rate * rtt.as_secs_f64(),
@@ -64,10 +63,9 @@ fn schedule_off<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic, rng: Rc<Re
             .memory_to_memory();
         match s.start_flow_detached(spec) {
             Ok(flow) => {
-                let rng2 = rng.clone();
                 s.schedule(on, move |s2| {
                     s2.net.remove_flow(flow);
-                    schedule_off(s2, cfg, rng2);
+                    schedule_off(s2, cfg, rng);
                 });
             }
             Err(_) => {
