@@ -30,9 +30,9 @@
 //! flow. Completions and slow-start boundaries live in a time-ordered event
 //! index (an indexed heap, `crate::eventindex`) re-keyed in place on rate
 //! changes, making [`FlowNet::next_event_time`] a lookup instead of a scan.
-//! Membership lives in a region-sharded index
-//! ([`crate::membership`]) and per-flow hot state is keyed by dense interned
-//! flow ids (a slab), not a tree.
+//! Each resource's running members are one flat ascending list of flow ids,
+//! and per-flow hot state is keyed by dense interned flow ids (a slab), not
+//! a tree.
 //!
 //! ## Anatomy of a recompute pass
 //!
@@ -50,6 +50,11 @@
 //! stamp compare per pair, the cap kept on each flow) and solving it there
 //! → `apply_rates` reads the rates as a slice of that scratch.
 //!
+//! A slow-start crossing dirties its flow only when the cap rise can move a
+//! bit: a flow already held below its old cap by a bottleneck share keeps
+//! every rate of its component (proof at `FlowNet::cross_ramp`), so its
+//! crossing schedules no pass.
+//!
 //! Same-instant dirty events coalesce: a burst of N flow arrivals between
 //! two queries accumulates one dirty set and triggers one recompute pass,
 //! not N. Read-only queries ([`FlowNet::flow_rate`],
@@ -61,7 +66,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::allocation::{max_min_fair, AllocFlow, WaterFill};
 use crate::eventindex::{EventIndex, EV_COMPLETE, EV_RAMP};
-use crate::membership::MembershipIndex;
 use crate::network::{Dir, LinkId, NodeId, NodeKind, Topology};
 use crate::tcp::{TcpParams, INITIAL_WINDOW, MSS};
 use crate::time::{SimDuration, SimTime};
@@ -259,7 +263,8 @@ enum ResKey {
 /// the recompute-count regression tests and the `user_scaling` curve.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Recompute passes that solved at least one component.
+    /// Recompute passes that solved at least one component. A slow-start
+    /// crossing that provably moves no rate makes none.
     pub recompute_passes: u64,
     /// Components solved (including scoped query solves).
     pub components_solved: u64,
@@ -473,6 +478,13 @@ fn partition_components<'a>(
     }
 }
 
+/// Drop `id` from an ascending member list; an absent id leaves it as is.
+fn remove_member(list: &mut Vec<u64>, id: u64) {
+    if let Ok(i) = list.binary_search(&id) {
+        list.remove(i);
+    }
+}
+
 /// The live network: topology plus active flows.
 #[derive(Debug)]
 pub struct FlowNet {
@@ -498,8 +510,10 @@ pub struct FlowNet {
     /// Inverse interning: index → key (capacities are read live from the
     /// topology in every pass, so capacity changes need no re-interning).
     res_keys: Vec<ResKey>,
-    /// Membership: resource index → running flows crossing it (sharded).
-    members: MembershipIndex,
+    /// Membership: resource index → the running flows crossing it, by id
+    /// ascending (`dirty_seeds` takes the first as the smallest). Ids only
+    /// grow, so a start appends; `reroute_all` rebuilds every list.
+    members: Vec<Vec<u64>>,
     /// Flows whose cap/route/existence changed since the last recompute.
     /// A reused list, not a set: repeats are allowed and ids of flows since
     /// removed or stalled linger — `dirty_seeds` drops both.
@@ -540,7 +554,7 @@ impl FlowNet {
             completed: Vec::new(),
             res_ids: HashMap::new(),
             res_keys: Vec::new(),
-            members: MembershipIndex::new(),
+            members: Vec::new(),
             dirty_flows: Vec::new(),
             dirty_res: Vec::new(),
             dirty_all: false,
@@ -567,10 +581,6 @@ impl FlowNet {
         self.flows[id as usize].as_ref().expect("live flow")
     }
 
-    fn flow_mut(&mut self, id: u64) -> &mut FlowRt {
-        self.flows[id as usize].as_mut().expect("live flow")
-    }
-
     fn is_dirty(&self) -> bool {
         self.dirty_all || !self.dirty_flows.is_empty() || !self.dirty_res.is_empty()
     }
@@ -590,8 +600,8 @@ impl FlowNet {
             .map(|&k| match self.res_ids.get(&k) {
                 Some(&i) => i,
                 None => {
-                    let i = self.members.push_resource();
-                    debug_assert_eq!(i as usize, self.res_keys.len());
+                    let i = self.res_keys.len() as u32;
+                    self.members.push(Vec::new());
                     self.res_ids.insert(k, i);
                     self.res_keys.push(k);
                     i
@@ -634,7 +644,8 @@ impl FlowNet {
         let keys = resource_keys_for(&spec, &route, &self.topo);
         let res = self.intern_all(&keys);
         for &r in &res {
-            self.members.insert(r, id.0);
+            // The newest id is the largest: appending keeps the list sorted.
+            self.members[r as usize].push(id.0);
         }
         let mut f = FlowRt {
             spec,
@@ -676,7 +687,7 @@ impl FlowNet {
         // Removing a stalled or completed flow changes nothing.
         if f.state == FlowState::Running {
             for &r in &f.res {
-                self.members.remove(r, id.0);
+                remove_member(&mut self.members[r as usize], id.0);
                 self.dirty_res.push(r);
             }
         }
@@ -756,14 +767,14 @@ impl FlowNet {
 
     /// Change a link's loss rate (congestion scenarios). Refreshes the
     /// cached path loss of the flows actually crossing the link — found
-    /// through the membership index, not a scan — so their Mathis caps
+    /// through the link's member lists, not a scan — so their Mathis caps
     /// track the new conditions; other flows are untouched.
     pub fn set_link_loss(&mut self, link: LinkId, loss: f64) {
         self.topo.set_link_loss(link, loss);
         let mut touched: Vec<u64> = Vec::new();
         for d in [Dir::Fwd, Dir::Rev] {
             if let Some(&r) = self.res_ids.get(&ResKey::LinkDir(link, d)) {
-                touched.extend(self.members.members(r).iter().copied());
+                touched.extend_from_slice(&self.members[r as usize]);
             }
         }
         touched.sort_unstable();
@@ -779,13 +790,11 @@ impl FlowNet {
     fn reroute_all(&mut self) {
         // Up-state changed somewhere: every cached path may be invalid.
         self.route_cache.clear();
+        // Every active flow is re-attached below, in ascending id order, so
+        // each member list is rebuilt sorted by appending alone.
+        self.members.iter_mut().for_each(Vec::clear);
         let ids: Vec<u64> = self.active.iter().copied().collect();
         for id in ids {
-            // Detach the old membership before rerouting.
-            let old = std::mem::take(&mut self.flow_mut(id).res);
-            for r in old {
-                self.members.remove(r, id);
-            }
             let spec = self.flow(id).spec;
             match self.cached_route(spec.src, spec.dst) {
                 Some((route, rtt)) => {
@@ -793,7 +802,7 @@ impl FlowNet {
                     let keys = resource_keys_for(&spec, &route, &self.topo);
                     let res = self.intern_all(&keys);
                     for &r in &res {
-                        self.members.insert(r, id);
+                        self.members[r as usize].push(id);
                     }
                     let last = self.last_advance;
                     let events = &mut self.events;
@@ -833,6 +842,7 @@ impl FlowNet {
                     let f = self.flows[id as usize].as_mut().expect("live flow");
                     f.materialize(last);
                     f.route.clear();
+                    f.res.clear();
                     f.rate = 0.0;
                     f.state = FlowState::Stalled;
                     events.set(EV_COMPLETE, id, SimTime::MAX);
@@ -881,17 +891,32 @@ impl FlowNet {
         events.set(EV_RAMP, id, SimTime::MAX);
         let res = std::mem::take(&mut f.res);
         for r in res {
-            self.members.remove(r, id);
+            remove_member(&mut self.members[r as usize], id);
             self.dirty_res.push(r);
         }
         self.active.remove(&id);
         self.completed.push(FlowId(id));
     }
 
+    /// Cross the slow-start boundaries of `id` that are due, and dirty the
+    /// flow unless the cap rise provably moves no rate: `f.cap >= old_cap`
+    /// and `f.rate < old_cap`. Why that moves no bit:
+    /// - `advance_to` ran `ensure_fresh` just before this call, so `f.rate`
+    ///   is the solved rate.
+    /// - `rate < cap` (strictly) means `WaterFill::solve` froze the flow at
+    ///   a bottleneck share, not at its cap. So `caps[i] <= bottleneck_share`
+    ///   was false in every round while the flow was unfixed, and neither
+    ///   `rate = cap` branch reached it.
+    /// - A larger cap leaves every comparison unchanged, so every bit of
+    ///   every rate in the component is unchanged.
+    ///
+    /// Debug builds re-solve the component of a pruned crossing and hold
+    /// every member to its rate.
     fn cross_ramp(&mut self, id: u64) {
         let last = self.last_advance;
         let events = &mut self.events;
         let f = self.flows[id as usize].as_mut().expect("live flow");
+        let old_cap = f.cap;
         // Cross every boundary at or before now (a clamped stale entry —
         // reroute with a shrunken RTT — can cover several at once).
         while let Some(stage) = f.ramp_stage {
@@ -914,7 +939,35 @@ impl FlowNet {
             .map(|b| b.max(last + SimDuration::from_nanos(1)))
             .unwrap_or(SimTime::MAX);
         events.set(EV_RAMP, id, b);
-        self.dirty_flows.push(id);
+        if f.cap >= old_cap && f.rate < old_cap {
+            #[cfg(debug_assertions)]
+            self.assert_component_rates_hold(id);
+        } else {
+            self.dirty_flows.push(id);
+        }
+    }
+
+    /// Re-solve the component of `id` and assert that every member's rate
+    /// is bitwise the one it holds; commits nothing. Partitions from `[id]`
+    /// into the pass arena and solves in the solve scratch, both idle
+    /// between passes, so a debug build keeps a warm pass free of heap
+    /// calls too.
+    #[cfg(debug_assertions)]
+    fn assert_component_rates_hold(&mut self, id: u64) {
+        let mut parts = std::mem::take(&mut self.part_scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.partition_from(&[id], &mut parts);
+        let comp = parts.component(0);
+        let rates = self.solve_component_rates(comp, &parts.cap_r, &mut scratch);
+        for (&fid, &rate) in comp.iter().zip(rates) {
+            assert_eq!(
+                rate.to_bits(),
+                self.flow(fid).rate.to_bits(),
+                "pruned crossing of flow {id} moves flow {fid}"
+            );
+        }
+        self.scratch = scratch;
+        self.part_scratch = parts;
     }
 
     /// Drain the set of flows that completed during past advances.
@@ -962,7 +1015,7 @@ impl FlowNet {
         for &r in &self.dirty_res {
             let finite = self.capacity_of(self.res_keys[r as usize]).is_finite();
             let n = if finite { 1 } else { usize::MAX };
-            seeds.extend(self.members.members(r).iter().take(n));
+            seeds.extend(self.members[r as usize].iter().take(n));
         }
         seeds.sort_unstable();
     }
@@ -976,23 +1029,25 @@ impl FlowNet {
         let any = !seeds.is_empty();
         if any {
             let mut parts = std::mem::take(&mut self.part_scratch);
-            partition_components(
-                &seeds,
-                self.res_keys.len(),
-                self.next_id,
-                &mut parts,
-                |f| self.flow(f).res.as_slice(),
-                |r, visit| {
-                    for &g in self.members.members(r) {
-                        visit(g);
-                    }
-                },
-                |r| self.capacity_of(self.res_keys[r as usize]),
-            );
+            self.partition_from(&seeds, &mut parts);
             self.part_scratch = parts;
         }
         self.seeds = seeds;
         any
+    }
+
+    /// Partition the live flow↔resource graph reachable from `seeds`
+    /// (ascending) into `parts`.
+    fn partition_from(&self, seeds: &[u64], parts: &mut PartitionScratch) {
+        partition_components(
+            seeds,
+            self.res_keys.len(),
+            self.next_id,
+            parts,
+            |f| self.flow(f).res.as_slice(),
+            |r, visit| self.members[r as usize].iter().for_each(|&g| visit(g)),
+            |r| self.capacity_of(self.res_keys[r as usize]),
+        );
     }
 
     /// Assemble one component as a self-contained max-min fair subproblem
@@ -1117,8 +1172,8 @@ impl FlowNet {
     /// CPU percentage" signal NWS's CPU sensor reports, and what §7 means
     /// by "the CPU was running at near 100% capacity". Read-only and
     /// scoped: only components touching this host are refreshed, and the
-    /// sum runs over the host's CPU-resource members (via the membership
-    /// index), not over every flow in the network.
+    /// sum runs over the member list of the host's CPU resource, not over
+    /// every flow in the network.
     pub fn host_cpu_utilization(&mut self, node: NodeId) -> f64 {
         let budget = self.topo.node(node).cpu.max_byte_rate();
         if !budget.is_finite() {
@@ -1126,9 +1181,7 @@ impl FlowNet {
         }
         self.refresh_scoped(|_, f| f.spec.src == node || f.spec.dst == node);
         let used: f64 = match self.res_ids.get(&ResKey::Cpu(node)) {
-            Some(&r) => self
-                .members
-                .members(r)
+            Some(&r) => self.members[r as usize]
                 .iter()
                 .map(|&id| self.flow(id).rate)
                 .sum(),
@@ -1746,6 +1799,141 @@ mod tests {
         assert_eq!(net.alloc_stats().components_solved, base + 3 + 1);
     }
 
+    // ---- pruned-crossing tests ----
+
+    #[test]
+    fn pruned_crossing_of_a_bottlenecked_flow_makes_no_pass() {
+        // A cached channel and a ramping flow share a 100 kB/s link, 20 ms
+        // RTT. From its first cap on (2 MSS / RTT, 146 kB/s) the ramping
+        // flow is held to its 50 kB/s share, so no boundary it crosses can
+        // move a bit: every one of them is stepped without a pass.
+        let (mut net, a, b) = dumbbell(100e3, 10);
+        let spec = FlowSpec::new(a, b, f64::INFINITY)
+            .window(1e6)
+            .memory_to_memory();
+        net.start_flow(SimTime::ZERO, spec.cached_channel())
+            .unwrap();
+        let ramping = net.start_flow(SimTime::ZERO, spec).unwrap().0;
+        assert_matches_oracle(&mut net);
+        let base = net.alloc_stats();
+        let mut crossings = 0;
+        while net.flow(ramping).ramp_stage.is_some() {
+            let f = net.flow(ramping);
+            assert!(f.rate < f.cap, "{} vs {}", f.rate, f.cap);
+            let at = net.next_event_time();
+            assert_eq!(net.events.first(), Some((at, EV_RAMP, ramping)));
+            net.advance_to(at);
+            crossings += 1;
+            assert_eq!(net.alloc_stats(), base, "crossing {crossings}");
+            assert_matches_oracle(&mut net);
+        }
+        // 2 MSS doubles nine times before the 1 MB window caps it.
+        assert_eq!(crossings, 9);
+        assert_eq!(net.alloc_stats(), base);
+    }
+
+    #[test]
+    fn pruned_crossing_never_skips_a_cap_limited_flow() {
+        // The same ramping flow alone on a fast link runs at its cap, so
+        // every boundary raises its rate: exactly one pass each.
+        let (mut net, a, b) = dumbbell(1e9, 10);
+        let spec = FlowSpec::new(a, b, f64::INFINITY)
+            .window(1e6)
+            .memory_to_memory();
+        let id = net.start_flow(SimTime::ZERO, spec).unwrap().0;
+        assert_matches_oracle(&mut net);
+        let mut crossings = 0;
+        while net.flow(id).ramp_stage.is_some() {
+            let f = net.flow(id);
+            assert_eq!(f.rate, f.cap);
+            let before = net.alloc_stats();
+            let at = net.next_event_time();
+            net.advance_to(at);
+            crossings += 1;
+            let after = net.alloc_stats();
+            assert_eq!(after.recompute_passes, before.recompute_passes + 1);
+            assert_eq!(after.rate_changes, before.rate_changes + 1);
+            assert_matches_oracle(&mut net);
+        }
+        assert_eq!(crossings, 9);
+    }
+
+    // ---- member-list tests ----
+
+    /// Every member list ascending and holding exactly the running flows
+    /// whose resource list names it.
+    fn assert_members_exact(net: &FlowNet) {
+        let mut want: Vec<Vec<u64>> = vec![Vec::new(); net.res_keys.len()];
+        for &id in &net.active {
+            for &r in &net.flow(id).res {
+                want[r as usize].push(id);
+            }
+        }
+        assert_eq!(net.members, want);
+    }
+
+    #[test]
+    fn members_stay_ascending_through_an_outage_reroute() {
+        // Triangle a–b, a–c, c–b. Flow 0 goes a→b direct; when that link
+        // fails it joins flow 2 (c→b) on c→b, ahead of it in id order
+        // though it arrives there last.
+        let mut t = Topology::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| t.add_node(Node::host(n)));
+        let direct = t.add_link(a, b, 100e6, SimDuration::from_millis(5));
+        t.add_link(a, c, 100e6, SimDuration::from_millis(5));
+        let cb_link = t.add_link(c, b, 100e6, SimDuration::from_millis(5));
+        let mut net = FlowNet::new(t);
+        for (s, d) in [(a, b), (a, c), (c, b)] {
+            net.start_flow(SimTime::ZERO, big_window_spec(s, d, f64::INFINITY))
+                .unwrap();
+        }
+        let cb = net.res_ids[&ResKey::LinkDir(cb_link, Dir::Fwd)] as usize;
+        assert_eq!(net.members[cb], [2]);
+        assert_members_exact(&net);
+        net.set_link_up(direct, false);
+        assert_eq!(net.members[cb], [0, 2]);
+        assert_members_exact(&net);
+        assert_matches_oracle(&mut net);
+        net.set_link_up(direct, true);
+        assert_eq!(net.members[cb], [2]);
+        assert_members_exact(&net);
+        assert_matches_oracle(&mut net);
+    }
+
+    #[test]
+    fn members_removal_of_an_absent_id_changes_nothing() {
+        let mut list = vec![1, 4, 9, 16];
+        remove_member(&mut list, 5);
+        remove_member(&mut list, 20);
+        assert_eq!(list, [1, 4, 9, 16]);
+        remove_member(&mut list, 4);
+        assert_eq!(list, [1, 9, 16]);
+
+        // Through the network: a stalled flow sits on no list, so removing
+        // it, or removing any flow twice, leaves every list as it was.
+        let (mut net, a, b, c, d) = twin_dumbbells();
+        let stalled = net
+            .start_flow(SimTime::ZERO, big_window_spec(a, b, f64::INFINITY))
+            .unwrap();
+        let kept: Vec<FlowId> = (0..3)
+            .map(|_| {
+                net.start_flow(SimTime::ZERO, big_window_spec(c, d, f64::INFINITY))
+                    .unwrap()
+            })
+            .collect();
+        net.set_link_up(LinkId(0), false);
+        assert_eq!(net.flow_state(stalled), Some(FlowState::Stalled));
+        net.remove_flow(stalled);
+        net.remove_flow(stalled);
+        assert_members_exact(&net);
+        for f in [kept[1], kept[1], kept[0], kept[2]] {
+            net.remove_flow(f);
+            assert_members_exact(&net);
+            assert_matches_oracle(&mut net);
+        }
+        assert!(net.members.iter().all(Vec::is_empty));
+    }
+
     // ---- event-index specific tests ----
 
     #[test]
@@ -1952,6 +2140,7 @@ mod tests {
         assert_eq!(stats.recompute_passes, 1);
         assert_eq!(stats.components_solved, REGIONS as u64);
         assert_eq!(stats.flow_solves, 16 * REGIONS as u64);
+        assert_members_exact(&net);
     }
 
     #[test]

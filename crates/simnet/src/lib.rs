@@ -52,7 +52,6 @@ pub(crate) mod eventindex;
 pub mod failure;
 pub mod flownet;
 pub mod kernel;
-pub(crate) mod membership;
 pub mod network;
 pub mod profile;
 pub mod tcp;

@@ -91,12 +91,27 @@ fn a_warm_recompute_pass_performs_no_heap_allocation() {
 
     let passes_before = net.alloc_stats().recompute_passes;
     let heap_before = HEAP_CALLS.with(Cell::get);
-    net.advance_to(SimTime::ZERO + SimDuration::from_millis(400));
+    // Step instant by instant, counting the slow-start boundaries crossed
+    // (instants with several boundaries count once).
+    let end = SimTime::ZERO + SimDuration::from_millis(400);
+    let mut boundaries = 0u64;
+    while net.next_event_time() <= end {
+        let at = net.next_event_time();
+        net.advance_to(at);
+        boundaries += 1;
+    }
+    net.advance_to(end);
     let heap_after = HEAP_CALLS.with(Cell::get);
     let stats = net.alloc_stats();
 
     let passes = stats.recompute_passes - passes_before;
     assert!(passes >= 50, "only {passes} passes in the measured window");
+    // A crossing by a flow held below its cap by the shared uplink makes
+    // no pass.
+    assert!(
+        boundaries > passes,
+        "{boundaries} boundary instants made {passes} passes"
+    );
     assert_eq!(
         net.active_flow_count(),
         31,
