@@ -111,6 +111,9 @@ struct Table1State {
     receivers: Vec<NodeId>,
     partition: u64,
     completed_bytes: f64,
+    /// Live transfers only: a transfer's entry goes when its completion
+    /// closure fires (the `226`, or a failure), or earlier if its watcher
+    /// sees every byte delivered. The sampler reads each entry.
     active: HashMap<u64, TransferHandle>,
     next_key: u64,
     live_per_server: Vec<usize>,
@@ -221,9 +224,13 @@ fn spawn_table1_transfer(sim: &mut WanSim<Table1State>, server: usize) {
     let spec = TransferSpec::new(st.servers[server], st.receivers[server], st.partition)
         .window(st.cfg.window)
         .streams(1);
+    // A refused start drops this closure uncalled and leaves `next_key`
+    // alone, so the key is never seen twice.
+    let key = st.next_key;
     let result = start_transfer(sim, spec, move |s, result| {
         let st = &mut s.world.run;
         st.live_per_server[server] = st.live_per_server[server].saturating_sub(1);
+        st.active.remove(&key);
         if let Ok(r) = &result {
             st.completed_bytes += r.bytes as f64;
         }
@@ -234,15 +241,18 @@ fn spawn_table1_transfer(sim: &mut WanSim<Table1State>, server: usize) {
     });
     if let Ok(handle) = result {
         let st = &mut sim.world.run;
-        let key = st.next_key;
         st.next_key += 1;
         st.active.insert(key, handle);
-        // Watch for the 25% point to start the next copy, then for
-        // completion to retire the handle from the active set.
         watch_table1_transfer(sim, server, handle, key, false);
     }
 }
 
+/// Every 500 ms, read the transfer's progress and start the server's next
+/// copy once this one passes `start_next_frac`. The watcher stops only
+/// when a tick sees every byte delivered, and drops the handle then. A
+/// tick rarely lands in the half-RTT before the `226`, so most watchers
+/// find the transfer retired (0 bytes) and go on ticking until the run
+/// ends; the completion closure is what drops the handle.
 fn watch_table1_transfer(
     sim: &mut WanSim<Table1State>,
     server: usize,
@@ -266,14 +276,32 @@ fn watch_table1_transfer(
     });
 }
 
+/// Every `cfg.sample`, record the bytes received so far: the completed
+/// transfers' total plus each live transfer's progress.
+///
+/// Reading live transfers only records the same bits as reading every
+/// handle ever started. A retired handle reads exactly 0 from
+/// `transfer_bytes`. Every term of `total` is an integer below 2^53 (an
+/// hour moves ≈ 236 GB), so every partial sum is exact and the f64 sum is
+/// the same in any order, `HashMap` order included; dropping zero terms
+/// changes no bit. A transfer leaves `active` in the same closure that
+/// adds it to `completed_bytes`, so no sample counts it twice or misses
+/// it.
 fn schedule_sampler(sim: &mut WanSim<Table1State>) {
     sim.schedule(sim.world.run.cfg.sample, move |s| {
         let now = s.now();
         if now > s.world.run.end {
             return;
         }
-        let mut total = s.world.run.completed_bytes;
-        let handles: Vec<TransferHandle> = s.world.run.active.values().copied().collect();
+        let st = &s.world.run;
+        debug_assert!(
+            st.active.len() <= st.live_per_server.iter().sum(),
+            "at {now} the sampler reads {} handles, only {} transfers are live",
+            st.active.len(),
+            st.live_per_server.iter().sum::<usize>()
+        );
+        let mut total = st.completed_bytes;
+        let handles: Vec<TransferHandle> = st.active.values().copied().collect();
         for h in handles {
             total += transfer_bytes(s, h) as f64;
         }

@@ -398,6 +398,8 @@ fn complete<W: HasGridFtp + 'static>(sim: &mut Sim<W>, id: u64) {
 }
 
 /// Bytes delivered so far (across all streams), including completed flows.
+/// A retired handle (its `226` arrived, it failed, or it was cancelled)
+/// reads 0.
 pub fn transfer_bytes<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) -> u64 {
     let Some(st) = sim.world.gridftp().transfers.get(&handle.0) else {
         return 0;
@@ -410,7 +412,8 @@ pub fn transfer_bytes<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) -
     (bytes as u64).min(st.spec.size)
 }
 
-/// Current aggregate rate of the transfer's live flows, bytes/sec.
+/// Current aggregate rate of the transfer's live flows, bytes/sec. A
+/// retired handle reads 0.0.
 pub fn transfer_rate<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) -> f64 {
     let Some(st) = sim.world.gridftp().transfers.get(&handle.0) else {
         return 0.0;
@@ -420,7 +423,7 @@ pub fn transfer_rate<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) ->
 
 /// Whether every live flow of the transfer is stalled (faulted path). A
 /// transfer whose flows have all landed is finishing, not stalled: its
-/// `226` is in flight.
+/// `226` is in flight. A retired handle reads false.
 pub fn transfer_stalled<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) -> bool {
     let Some(st) = sim.world.gridftp().transfers.get(&handle.0) else {
         return false;
@@ -750,6 +753,10 @@ mod tests {
         sim.run();
         let r = sim.world.results[0].as_ref().unwrap();
         assert!(r.finished > landed);
+        // Completed is retired: the handle reads as idle.
+        assert_eq!(transfer_bytes(&mut sim, h), 0);
+        assert_eq!(transfer_rate(&mut sim, h), 0.0);
+        assert!(!transfer_stalled(&mut sim, h));
     }
 
     /// A striped `[a, c]` transfer ended early every way it can be: a route
