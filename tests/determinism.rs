@@ -71,6 +71,41 @@ fn table1_results_are_pinned() {
     assert_eq!(got, TABLE1_PIN, "pinned Table 1 results drifted");
 }
 
+/// The default one-hour run's results as bits, in `TABLE1_PIN`'s order:
+/// the hour the benchmark's `striped_wan` workload measures. Regenerate
+/// with `cargo test --release --test determinism table1_hour -- --nocapture`
+/// only after an intended change to the Table 1 model.
+const TABLE1_HOUR_PIN: [u64; 5] = [
+    0x3ff8_cccd_7899_43de, // 1.55000064
+    0x3ff0_e36f_2acf_1955, // 1.0555259392
+    0x4080_664c_6e96_2c2c, // 524.7873203022223
+    0x406d_84ef_fa41_82b5, // 236.154294136
+    928,
+];
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "an hour of simulated time; run in release")]
+fn table1_hour_is_pinned() {
+    let r = run_table1(Table1Config::default());
+    let got = [
+        r.peak_0_1s_gbps.to_bits(),
+        r.peak_5s_gbps.to_bits(),
+        r.sustained_mbps.to_bits(),
+        r.total_gbytes.to_bits(),
+        r.transfers_completed,
+    ];
+    println!(
+        "table1 hour: {} / {} / {} / {} / {}; bits {:x?}",
+        r.peak_0_1s_gbps,
+        r.peak_5s_gbps,
+        r.sustained_mbps,
+        r.total_gbytes,
+        r.transfers_completed,
+        &got[..4]
+    );
+    assert_eq!(got, TABLE1_HOUR_PIN, "pinned Table 1 hour drifted");
+}
+
 #[test]
 fn fig8_series_is_bit_identical() {
     let cfg = Fig8Config {
