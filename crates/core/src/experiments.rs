@@ -20,6 +20,7 @@ use esg_simnet::failure::{inject, Fault, FaultKind};
 use esg_simnet::{LinkId, Node, NodeId, Sim, SimDuration, SimTime, Topology};
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -41,6 +42,13 @@ impl<S> HasGridFtp for WanWorld<S> {
 }
 
 type WanSim<S> = Sim<WanWorld<S>>;
+
+/// [`Sim::every`] labels of the wide-area runners' ticks.
+const TABLE1_WATCHER: &str = "table1.watcher";
+const TABLE1_SAMPLER: &str = "table1.sampler";
+const FIG8_MONITOR: &str = "fig8.monitor";
+const FIG8_SAMPLER: &str = "fig8.sampler";
+const B1_WATCHDOG: &str = "b1.watchdog";
 
 fn wan_sim<S>(topo: Topology, run: S) -> WanSim<S> {
     let world = WanWorld {
@@ -178,19 +186,19 @@ pub fn run_table1(cfg: Table1Config) -> Table1Results {
         spawn_table1_transfer(&mut sim, i);
     }
 
-    // Meter sampler.
-    schedule_sampler(&mut sim);
+    sim.every(cfg.sample, TABLE1_SAMPLER, table1_sample_tick);
 
     sim.run_until(end);
 
     // What is still queued costs dispatch for nothing: one watcher per live
     // transfer and the sampler's next tick, no more.
     debug_assert!(
-        sim.pending_events() <= sim.world.run.active.len() + 1,
-        "{} events queued at the end for {} live transfers",
-        sim.pending_events(),
+        sim.live_ticks(TABLE1_WATCHER) <= sim.world.run.active.len(),
+        "{} watchers queued at the end for {} live transfers",
+        sim.live_ticks(TABLE1_WATCHER),
         sim.world.run.active.len()
     );
+    debug_assert!(sim.live_ticks(TABLE1_SAMPLER) <= 1);
     let meter = &sim.world.meter;
     debug_assert_eq!(meter.dropped_samples(), 0, "the meter dropped a sample");
     Table1Results {
@@ -253,53 +261,45 @@ fn spawn_table1_transfer(sim: &mut WanSim<Table1State>, server: usize) {
         let st = &mut sim.world.run;
         st.next_key += 1;
         st.active.insert(key, handle);
-        watch_table1_transfer(sim, server, handle, key, false);
+        // The watcher: every 500 ms, read the transfer's progress and
+        // start the server's next copy once this one passes
+        // `start_next_frac`. It stops at the first tick that finds its key
+        // gone from `active` (the completion closure removed it), or that
+        // sees every byte delivered (it drops the key itself then), so it
+        // ends within 500 ms of its transfer's `226`.
+        //
+        // Stopping there moves no bit of the run. A retired handle reads 0
+        // bytes, so a tick on it could neither spawn a successor nor remove
+        // a key: it only re-armed itself. Dropping such events leaves every
+        // other event in the same relative `(time, seq)` order. An instant
+        // that only a dead tick visited ran `advance_to` and `ensure_fresh`
+        // with no dirt pending; flow bytes are integrated lazily
+        // (`FlowRt::materialize` runs on a rate change, not on a visit), so
+        // a byte trajectory is a function of the rate trajectory alone and
+        // not visiting the instant changes nothing.
+        let mut spawned_next = false;
+        sim.every(SimDuration::from_millis(500), TABLE1_WATCHER, move |s| {
+            if !s.world.run.active.contains_key(&key) {
+                return ControlFlow::Break(());
+            }
+            let bytes = transfer_bytes(s, handle);
+            let st = &mut s.world.run;
+            if bytes >= st.partition {
+                st.active.remove(&key);
+                return ControlFlow::Break(());
+            }
+            if !spawned_next && bytes as f64 >= st.cfg.start_next_frac * st.partition as f64 {
+                spawned_next = true;
+                spawn_table1_transfer(s, server);
+            }
+            ControlFlow::Continue(())
+        });
     }
 }
 
-/// Every 500 ms, read the transfer's progress and start the server's next
-/// copy once this one passes `start_next_frac`. The watcher stops at the
-/// first tick that finds its key gone from `active` (the completion
-/// closure removed it), or that sees every byte delivered (it drops the
-/// key itself then), so it ends within 500 ms of its transfer's `226`.
-///
-/// Stopping there moves no bit of the run. A retired handle reads 0
-/// bytes, so a tick on it could neither spawn a successor nor remove a
-/// key: it only rescheduled itself. Dropping such events leaves every
-/// other event in the same relative `(time, seq)` order. An instant that
-/// only a dead tick visited ran `advance_to` and `ensure_fresh` with no
-/// dirt pending; flow bytes are integrated lazily (`FlowRt::materialize`
-/// runs on a rate change, not on a visit), so a byte trajectory is a
-/// function of the rate trajectory alone and not visiting the instant
-/// changes nothing.
-fn watch_table1_transfer(
-    sim: &mut WanSim<Table1State>,
-    server: usize,
-    handle: TransferHandle,
-    key: u64,
-    spawned_next: bool,
-) {
-    sim.schedule(SimDuration::from_millis(500), move |s| {
-        if !s.world.run.active.contains_key(&key) {
-            return;
-        }
-        let bytes = transfer_bytes(s, handle);
-        let st = &mut s.world.run;
-        if bytes >= st.partition {
-            st.active.remove(&key);
-            return;
-        }
-        let mut spawned = spawned_next;
-        if !spawned && bytes as f64 >= st.cfg.start_next_frac * st.partition as f64 {
-            spawned = true;
-            spawn_table1_transfer(s, server);
-        }
-        watch_table1_transfer(s, server, handle, key, spawned);
-    });
-}
-
-/// Every `cfg.sample`, record the bytes received so far: the completed
-/// transfers' total plus each live transfer's progress.
+/// The Table 1 sampler's tick, every `cfg.sample`: record the bytes
+/// received so far, the completed transfers' total plus each live
+/// transfer's progress.
 ///
 /// Reading live transfers only records the same bits as reading every
 /// handle ever started. A retired handle reads exactly 0 from
@@ -309,27 +309,25 @@ fn watch_table1_transfer(
 /// changes no bit. A transfer leaves `active` in the same closure that
 /// adds it to `completed_bytes`, so no sample counts it twice or misses
 /// it.
-fn schedule_sampler(sim: &mut WanSim<Table1State>) {
-    sim.schedule(sim.world.run.cfg.sample, move |s| {
-        let now = s.now();
-        if now > s.world.run.end {
-            return;
-        }
-        let st = &s.world.run;
-        debug_assert!(
-            st.active.len() <= st.live_per_server.iter().sum(),
-            "at {now} the sampler reads {} handles, only {} transfers are live",
-            st.active.len(),
-            st.live_per_server.iter().sum::<usize>()
-        );
-        let mut total = st.completed_bytes;
-        let handles: Vec<TransferHandle> = st.active.values().copied().collect();
-        for h in handles {
-            total += transfer_bytes(s, h) as f64;
-        }
-        s.world.meter.record(now, total);
-        schedule_sampler(s);
-    });
+fn table1_sample_tick(s: &mut WanSim<Table1State>) -> ControlFlow<()> {
+    let now = s.now();
+    if now > s.world.run.end {
+        return ControlFlow::Break(());
+    }
+    let st = &s.world.run;
+    debug_assert!(
+        st.active.len() <= st.live_per_server.iter().sum(),
+        "at {now} the sampler reads {} handles, only {} transfers are live",
+        st.active.len(),
+        st.live_per_server.iter().sum::<usize>()
+    );
+    let mut total = st.completed_bytes;
+    let handles: Vec<TransferHandle> = st.active.values().copied().collect();
+    for h in handles {
+        total += transfer_bytes(s, h) as f64;
+    }
+    s.world.meter.record(now, total);
+    ControlFlow::Continue(())
 }
 
 // ---------------------------------------------------------------------------
@@ -457,10 +455,11 @@ pub fn run_fig8(cfg: Fig8Config) -> Fig8Results {
     );
 
     fig8_start_next(&mut sim);
-    fig8_monitor(&mut sim);
-    fig8_sampler(&mut sim);
+    sim.every(SimDuration::from_secs(5), FIG8_MONITOR, fig8_monitor_tick);
+    sim.every(SimDuration::from_secs(1), FIG8_SAMPLER, fig8_sample_tick);
 
     sim.run_until(end);
+    debug_assert!(sim.live_ticks(FIG8_MONITOR) <= 1 && sim.live_ticks(FIG8_SAMPLER) <= 1);
 
     let meter = &sim.world.meter;
     let series: Vec<(f64, f64)> = meter
@@ -522,51 +521,49 @@ fn fig8_start_next(sim: &mut WanSim<Fig8State>) {
     }
 }
 
-/// Stall watchdog: on a long stall, cancel and restart from the marker.
-fn fig8_monitor(sim: &mut WanSim<Fig8State>) {
-    sim.schedule(SimDuration::from_secs(5), |s| {
-        if s.now() >= s.world.run.end {
-            return;
-        }
-        if let Some(h) = s.world.run.current {
-            if transfer_stalled(s, h) {
-                let now = s.now();
-                match s.world.run.stall_since {
-                    None => s.world.run.stall_since = Some(now),
-                    Some(t0) if now.since(t0) > SimDuration::from_secs(20) => {
-                        // Restart from the marker.
-                        let banked = cancel_transfer(s, h);
-                        let st = &mut s.world.run;
-                        st.file_done = (st.file_done + banked).min(st.file_bytes);
-                        st.completed_bytes += banked as f64;
-                        st.current = None;
-                        st.restarts += 1;
-                        st.stall_since = None;
-                        fig8_start_next(s);
-                    }
-                    Some(_) => {}
+/// The stall watchdog's tick, every 5 s: on a long stall, cancel and
+/// restart from the marker.
+fn fig8_monitor_tick(s: &mut WanSim<Fig8State>) -> ControlFlow<()> {
+    if s.now() >= s.world.run.end {
+        return ControlFlow::Break(());
+    }
+    if let Some(h) = s.world.run.current {
+        if transfer_stalled(s, h) {
+            let now = s.now();
+            match s.world.run.stall_since {
+                None => s.world.run.stall_since = Some(now),
+                Some(t0) if now.since(t0) > SimDuration::from_secs(20) => {
+                    // Restart from the marker.
+                    let banked = cancel_transfer(s, h);
+                    let st = &mut s.world.run;
+                    st.file_done = (st.file_done + banked).min(st.file_bytes);
+                    st.completed_bytes += banked as f64;
+                    st.current = None;
+                    st.restarts += 1;
+                    st.stall_since = None;
+                    fig8_start_next(s);
                 }
-            } else {
-                s.world.run.stall_since = None;
+                Some(_) => {}
             }
+        } else {
+            s.world.run.stall_since = None;
         }
-        fig8_monitor(s);
-    });
+    }
+    ControlFlow::Continue(())
 }
 
-fn fig8_sampler(sim: &mut WanSim<Fig8State>) {
-    sim.schedule(SimDuration::from_secs(1), |s| {
-        let now = s.now();
-        if now > s.world.run.end {
-            return;
-        }
-        let mut total = s.world.run.completed_bytes;
-        if let Some(h) = s.world.run.current {
-            total += transfer_bytes(s, h) as f64;
-        }
-        s.world.meter.record(now, total);
-        fig8_sampler(s);
-    });
+/// The meter sampler's tick, every second.
+fn fig8_sample_tick(s: &mut WanSim<Fig8State>) -> ControlFlow<()> {
+    let now = s.now();
+    if now > s.world.run.end {
+        return ControlFlow::Break(());
+    }
+    let mut total = s.world.run.completed_bytes;
+    if let Some(h) = s.world.run.current {
+        total += transfer_bytes(s, h) as f64;
+    }
+    s.world.meter.record(now, total);
+    ControlFlow::Continue(())
 }
 
 // ---------------------------------------------------------------------------
@@ -778,34 +775,32 @@ pub fn baseline_comparison() -> Vec<(&'static str, f64)> {
         match started {
             Ok(handle) => {
                 sim.world.run.current = Some(handle);
-                watchdog(sim, a, b, client, handle);
+                // Every 10 s, restart a stalled attempt. A watchdog whose
+                // attempt is no longer the live one (it landed, failed or
+                // was cancelled) stops: its handle is retired and reads
+                // "not stalled", so ticking on could change nothing.
+                sim.every(SimDuration::from_secs(10), B1_WATCHDOG, move |s| {
+                    if s.world.run.current != Some(handle) {
+                        return ControlFlow::Break(());
+                    }
+                    if !transfer_stalled(s, handle) {
+                        return ControlFlow::Continue(());
+                    }
+                    let banked = cancel_transfer(s, handle);
+                    let run = &mut s.world.run;
+                    run.current = None;
+                    if client.2 {
+                        run.banked = (run.banked + banked).min(FILE);
+                    }
+                    // The new attempt arms its own watchdog.
+                    attempt(s, a, b, client);
+                    ControlFlow::Break(())
+                });
             }
             Err(_) => {
                 sim.schedule(SimDuration::from_secs(5), move |s| attempt(s, a, b, client));
             }
         }
-    }
-    /// Every 10 s, restart a stalled attempt. A watchdog whose attempt is
-    /// no longer the live one (it landed, failed or was cancelled) returns:
-    /// its handle is retired and reads "not stalled", so ticking on could
-    /// change nothing.
-    fn watchdog(sim: &mut Baseline, a: NodeId, b: NodeId, client: Client, handle: TransferHandle) {
-        sim.schedule(SimDuration::from_secs(10), move |s| {
-            if s.world.run.current != Some(handle) {
-                return;
-            }
-            if transfer_stalled(s, handle) {
-                let banked = cancel_transfer(s, handle);
-                let run = &mut s.world.run;
-                run.current = None;
-                if client.2 {
-                    run.banked = (run.banked + banked).min(FILE);
-                }
-                attempt(s, a, b, client);
-            } else {
-                watchdog(s, a, b, client, handle);
-            }
-        });
     }
     // Outage 120 s long, starting 200 s in.
     let run = |client: Client| -> f64 {
@@ -828,6 +823,7 @@ pub fn baseline_comparison() -> Vec<(&'static str, f64)> {
         );
         attempt(&mut sim, a, b, client);
         sim.run_until(SimTime::ZERO + SimDuration::from_hours(12));
+        debug_assert_eq!(sim.live_ticks(B1_WATCHDOG), 0);
         let finished = sim.world.run.landed.expect("baseline transfer finished");
         finished.as_secs_f64()
     };

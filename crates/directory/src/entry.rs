@@ -91,11 +91,6 @@ impl Entry {
         self.first(attr)?.parse().ok()
     }
 
-    /// Attribute names present on this entry.
-    pub fn attr_names(&self) -> impl Iterator<Item = &str> {
-        self.attrs.keys().map(|s| s.as_str())
-    }
-
     /// LDIF-style rendering, for debugging and the examples' output.
     pub fn to_ldif(&self) -> String {
         use std::fmt::Write;

@@ -114,11 +114,6 @@ impl TransferSpec {
         self.protection = p;
         self
     }
-
-    /// Total streams across all sources.
-    pub fn total_streams(&self) -> u32 {
-        self.streams_per_source * self.sources.len() as u32
-    }
 }
 
 /// Why a transfer could not start or finish.

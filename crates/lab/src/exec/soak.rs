@@ -16,6 +16,7 @@ use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 const FAULTS_DS: &str = "pcm_soak.b06";
 const INTG_DS: &str = "pcm_intg.b06";
@@ -33,8 +34,9 @@ fn key(ctx: &TrialCtx) -> TrialKey {
     }
 }
 
-/// Progress ticker so long runs show where sim time has got to.
-fn tick(sim: &mut esg_core::EsgSim, total: usize) {
+/// Progress line so long runs show where sim time has got to; the ticker
+/// stops once every request has an outcome.
+fn progress(sim: &mut esg_core::EsgSim, total: usize) -> ControlFlow<()> {
     let done = sim.world.outcomes.len();
     eprintln!(
         "  t={:>6.0}s  outcomes {done}/{total}  active flows {}  log events {}",
@@ -42,9 +44,10 @@ fn tick(sim: &mut esg_core::EsgSim, total: usize) {
         sim.net.active_flow_count(),
         sim.world.rm.log.len(),
     );
-    if done < total {
-        sim.schedule(SimDuration::from_secs(300), move |s| tick(s, total));
+    if done >= total {
+        return ControlFlow::Break(());
     }
+    ControlFlow::Continue(())
 }
 
 pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
@@ -112,9 +115,15 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         });
     }
 
+    // The ticker's first line is at t = 300 s, then every 300 s.
     let total = n_requests;
-    tb.sim
-        .schedule_at(SimTime::from_secs(300), move |s| tick(s, total));
+    tb.sim.schedule_at(SimTime::from_secs(300), move |s| {
+        if progress(s, total).is_continue() {
+            s.every(SimDuration::from_secs(300), "lab.soak.progress", move |s| {
+                progress(s, total)
+            });
+        }
+    });
 
     let wall = std::time::Instant::now();
     tb.sim.run_until(SimTime::from_secs(3600));

@@ -199,11 +199,6 @@ impl LiveLifelines {
         self.totals.get(&(request, Text::shared(file)))
     }
 
-    /// All incremental per-lifeline totals, keyed (request, file).
-    pub fn all_phase_totals(&self) -> &BTreeMap<(u64, Text), BTreeMap<&'static str, f64>> {
-        &self.totals
-    }
-
     /// Open spans older than `threshold_s` as of the live trace horizon —
     /// the cheap mid-run stall query (same strict `>` the offline detector
     /// applies, restricted to what can be known without the trace's end).

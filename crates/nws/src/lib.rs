@@ -21,4 +21,4 @@ pub use forecast::{
     AdaptiveForecaster, ExpSmoothing, Forecaster, LastValue, RunningMean, SlidingMean,
     SlidingMedian,
 };
-pub use registry::{start_cpu_sensor, start_sensor, HasNws, NwsRegistry, DEFAULT_PROBE_BYTES};
+pub use registry::{start_sensor, HasNws, NwsRegistry, DEFAULT_PROBE_BYTES};

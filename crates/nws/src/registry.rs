@@ -23,9 +23,6 @@ pub struct PathStats {
 #[derive(Default)]
 pub struct NwsRegistry {
     paths: HashMap<(NodeId, NodeId), PathStats>,
-    /// Per-host available-CPU forecasts (NWS "forecasts ... available CPU
-    /// percentage for each machine that it monitors", §5).
-    cpu: HashMap<NodeId, AdaptiveForecaster>,
 }
 
 impl NwsRegistry {
@@ -70,24 +67,6 @@ impl NwsRegistry {
     pub fn path_count(&self) -> usize {
         self.paths.len()
     }
-
-    /// The forecasting method currently winning for a path's bandwidth.
-    pub fn best_bandwidth_method(&self, src: NodeId, dst: NodeId) -> Option<&str> {
-        Some(self.paths.get(&(src, dst))?.bandwidth.best_method())
-    }
-
-    /// Record an available-CPU measurement (1.0 = fully idle).
-    pub fn observe_cpu(&mut self, host: NodeId, available: f64) {
-        self.cpu
-            .entry(host)
-            .or_insert_with(AdaptiveForecaster::standard)
-            .observe(available.clamp(0.0, 1.0));
-    }
-
-    /// Forecast available CPU fraction for a host.
-    pub fn forecast_cpu(&self, host: NodeId) -> Option<f64> {
-        self.cpu.get(&host)?.predict()
-    }
 }
 
 /// World-access trait so sensors can run inside any simulation world.
@@ -97,17 +76,6 @@ pub trait HasNws {
 
 /// Default probe size: NWS's network sensor moves a small fixed payload.
 pub const DEFAULT_PROBE_BYTES: f64 = 512.0 * 1024.0;
-
-/// Schedule a periodic CPU sensor on `host`: each period it reads the
-/// host's network-processing CPU utilization from the simulator and
-/// records the available fraction.
-pub fn start_cpu_sensor<W: HasNws + 'static>(sim: &mut Sim<W>, host: NodeId, period: SimDuration) {
-    sim.schedule(period, move |s| {
-        let used = s.net.host_cpu_utilization(host);
-        s.world.nws().observe_cpu(host, 1.0 - used);
-        start_cpu_sensor(s, host, period);
-    });
-}
 
 /// Schedule a periodic bandwidth+latency sensor for src→dst.
 ///
@@ -125,6 +93,11 @@ pub fn start_sensor<W: HasNws + 'static>(
     schedule_probe(sim, src, dst, period, probe_bytes, SimDuration::ZERO);
 }
 
+/// One probe, `delay` from now. The next probe is armed from the probe
+/// flow's completion (or at once if the flow cannot start), not at a fixed
+/// period after this one, so the loop stays hand-rolled instead of a
+/// [`Sim::every`] tick: its spacing is `period` plus the probe's transfer
+/// time.
 fn schedule_probe<W: HasNws + 'static>(
     sim: &mut Sim<W>,
     src: NodeId,
@@ -214,41 +187,6 @@ mod tests {
         let (a, b) = (NodeId(0), NodeId(1));
         r.observe_bandwidth(a, b, SimTime::ZERO, 10e6);
         assert!(r.forecast_bandwidth(b, a).is_none());
-    }
-
-    #[test]
-    fn cpu_sensor_sees_load() {
-        let mut topo = Topology::new();
-        let cpu = esg_simnet::CpuModel {
-            cycles_per_sec: 800e6,
-            cycles_per_byte: 8.0,
-            coalescing_factor: 1.0,
-            jumbo_frames: false,
-        };
-        let a = topo.add_node(Node::host("a").with_cpu(cpu));
-        let b = topo.add_node(Node::host("b"));
-        topo.add_link(a, b, 50e6, SimDuration::ZERO);
-        let mut sim = Sim::new(
-            topo,
-            World {
-                nws: NwsRegistry::new(),
-            },
-        );
-        start_cpu_sensor(&mut sim, a, SimDuration::from_secs(10));
-        sim.run_until(SimTime::from_secs(60));
-        // Idle: fully available.
-        let avail = sim.world.nws.forecast_cpu(a).unwrap();
-        assert!((avail - 1.0).abs() < 1e-9, "{avail}");
-        // Load the host and keep sensing.
-        sim.start_flow_detached(
-            FlowSpec::new(a, b, f64::INFINITY)
-                .window(1e12)
-                .memory_to_memory(),
-        )
-        .unwrap();
-        sim.run_until(SimTime::from_secs(600));
-        let avail = sim.world.nws.forecast_cpu(a).unwrap();
-        assert!(avail < 0.7, "host under load: {avail}");
     }
 
     #[test]

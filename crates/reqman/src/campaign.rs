@@ -51,6 +51,7 @@ use esg_netlogger::{FlightRecorder, LogEvent, MetricsRegistry, Phase, SpanId, Tr
 use esg_simnet::{profile, Completion, NodeId, Sim, SimDuration, SimTime};
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// What to replicate, where to, and how.
@@ -593,8 +594,7 @@ pub fn start_campaign<W: RmWorld>(
         record_snapshot(&mut camp, &mut rm.metrics, now);
         rm.campaigns.insert(id, camp);
         launch_round(sim, id);
-        schedule_markers(sim, id);
-        schedule_recorder(sim, id);
+        arm_ticks(sim, id);
     }
     id
 }
@@ -771,7 +771,7 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Flight-recorder ticks
+// Flight recorder
 
 /// Capture one flight-recorder snapshot of the RM registry and append it
 /// to the campaign's tape. No-op without a configured recorder.
@@ -797,54 +797,54 @@ fn append_to_tape(path: &Path, line: &str) -> std::io::Result<()> {
     f.flush()
 }
 
-fn schedule_recorder<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
-    let Some(c) = sim.world.reqman().campaigns.get(&id) else {
-        return;
-    };
-    let every = c.spec.recorder_every;
-    if c.recorder.is_none() || every.is_zero() {
-        return;
-    }
-    sim.schedule(every, move |s| {
-        let now = s.now();
-        let rm = s.world.reqman();
-        let Some(c) = rm.campaigns.get_mut(&id) else {
-            return;
-        };
-        record_snapshot(c, &mut rm.metrics, now);
-        schedule_recorder(s, id);
-    });
-}
-
 // ---------------------------------------------------------------------------
-// Marker ticks
+// Marker and flight-recorder ticks
 
-fn schedule_markers<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+/// [`Sim::every`] labels of a campaign's marker and flight-recorder ticks.
+const MARKER_TICK: &str = "rm.campaign.markers";
+const RECORDER_TICK: &str = "rm.campaign.recorder";
+
+/// Arm the campaign's configured ticks, if it is still live (its first
+/// round can settle, and the campaign complete, inside `launch_round`).
+/// Each tick stops at its first run after the campaign leaves the manager.
+fn arm_ticks<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let Some(c) = sim.world.reqman().campaigns.get(&id) else {
         return;
     };
-    let every = c.spec.checkpoint_every;
-    if c.spec.checkpoint.is_none() || every.is_zero() {
-        return;
+    let period = |on: bool, every: SimDuration| (on && !every.is_zero()).then_some(every);
+    let markers = period(c.spec.checkpoint.is_some(), c.spec.checkpoint_every);
+    let recorder = period(c.recorder.is_some(), c.spec.recorder_every);
+    if let Some(every) = markers {
+        sim.every(every, MARKER_TICK, move |s| marker_tick(s, id));
     }
-    sim.schedule(every, move |s| marker_tick(s, id));
+    if let Some(every) = recorder {
+        sim.every(every, RECORDER_TICK, move |s| {
+            let now = s.now();
+            let rm = s.world.reqman();
+            let Some(c) = rm.campaigns.get_mut(&id) else {
+                return ControlFlow::Break(());
+            };
+            record_snapshot(c, &mut rm.metrics, now);
+            ControlFlow::Continue(())
+        });
+    }
 }
 
 /// Periodic durability snapshot: journal a `marker` line for every
 /// in-flight file whose delivered byte count grew since the last tick.
 /// Markers are forensic — resume is file-grained — but they bound how much
 /// progress a post-crash observer can be blind to.
-fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
     let now = sim.now();
     let rm = sim.world.reqman();
     let Some(c) = rm.campaigns.get(&id) else {
-        return;
+        return ControlFlow::Break(());
     };
     // Only the files with banked unfinished bytes, from the request's
     // incremental progress set.
     let progress = c.current_request.and_then(|req| rm.marker_progress(req));
     let Some(c) = rm.campaigns.get_mut(&id) else {
-        return;
+        return ControlFlow::Break(());
     };
     let round = c.round_idx as u64;
     let mut lines = Vec::new();
@@ -868,7 +868,7 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
                 .field("markers", n),
         );
     }
-    schedule_markers(sim, id);
+    ControlFlow::Continue(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1463,6 +1463,31 @@ mod tests {
         // Same seed, same spec → byte-identical tape.
         let (raw2, _) = run("tape-b");
         assert_eq!(raw, raw2, "flight tape must be byte-stable");
+    }
+
+    /// The marker and recorder ticks run while their campaign is live and
+    /// stop after it completes or is cancelled.
+    #[test]
+    fn campaign_ticks_end_with_their_campaign() {
+        for cancel in [false, true] {
+            let ckpt = tmp_checkpoint(&format!("ticks-{cancel}"));
+            let tape = tmp_checkpoint(&format!("ticks-tape-{cancel}"));
+            let (mut sim, _) = setup();
+            let mut spec = spec_with("mirror", Some(ckpt.clone()));
+            spec.recorder = Some(tape.clone());
+            let id = start_campaign(&mut sim, spec, |s, o| s.world.outcomes.push(o));
+            sim.run_until(SimTime::from_secs(5));
+            let live = |s: &Sim<World>| (s.live_ticks(MARKER_TICK), s.live_ticks(RECORDER_TICK));
+            assert_eq!(live(&sim), (1, 1));
+            if cancel {
+                assert!(cancel_campaign(&mut sim, id));
+            }
+            sim.run();
+            assert_eq!(sim.world.outcomes.len(), usize::from(!cancel));
+            assert_eq!(live(&sim), (0, 0), "cancelled: {cancel}");
+            let _ = std::fs::remove_file(&ckpt);
+            let _ = std::fs::remove_file(&tape);
+        }
     }
 
     #[test]

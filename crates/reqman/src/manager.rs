@@ -61,6 +61,7 @@ use esg_storage::{blocks_overlapping, Hrm, StageOutcome, BLOCK_SIZE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 /// CORBA call latency between the client and the RM.
 const RPC_LATENCY: SimDuration = SimDuration::from_millis(2);
@@ -1603,7 +1604,9 @@ fn launch_pull<W: RmWorld>(
     );
     match started {
         Ok(handle) => {
-            let Some(req) = sim.world.reqman().requests.get_mut(&f.request) else {
+            let rm = sim.world.reqman();
+            let poll = rm.poll;
+            let Some(req) = rm.requests.get_mut(&f.request) else {
                 return;
             };
             req.files[f.idx].pull = Some(LivePull {
@@ -1615,10 +1618,14 @@ fn launch_pull<W: RmWorld>(
                 src,
             });
             req.sync_file(f.idx);
+            let arm_monitor = !std::mem::replace(&mut req.monitor_active, true);
             if kind == PullKind::Attempt {
                 enter_phase(sim, f, Phase::Transfer, None);
             }
-            ensure_monitor(sim, f.request);
+            if arm_monitor {
+                let id = f.request;
+                sim.every(poll, MONITOR_TICK, move |s| monitor_tick(s, id));
+            }
         }
         Err(e) => pull_failed(sim, f, kind, &host, e),
     }
@@ -1657,28 +1664,17 @@ fn pull_failed<W: RmWorld>(
     requeue_with_backoff(sim, f);
 }
 
-/// Ensure the request's monitor tick is scheduled. One tick per poll
-/// interval snapshots every live transfer of the request — O(files) work
-/// once per interval instead of one timer per file — and the tick retires
-/// itself when the request has nothing in flight, so an idle or
-/// forever-pending request costs no events.
-fn ensure_monitor<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
-    let rm = sim.world.reqman();
-    let Some(req) = rm.requests.get_mut(&id) else {
-        return;
-    };
-    if req.monitor_active {
-        return;
-    }
-    req.monitor_active = true;
-    let poll = rm.poll;
-    sim.schedule(poll, move |s| monitor_tick(s, id));
-}
+/// The [`Sim::every`] label of the per-request monitor ticks.
+const MONITOR_TICK: &str = "rm.monitor";
 
-/// The per-request monitor: poll every live transfer "every few seconds",
-/// update the visible progress snapshot, and apply the reliability plugin
-/// to each one.
-fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
+/// The per-request monitor, armed by the request's first transfer start:
+/// poll every live transfer "every few seconds", update the visible
+/// progress snapshot, and apply the reliability plugin to each one. One
+/// tick per poll interval snapshots every live transfer of the request —
+/// O(files) work once per interval instead of one timer per file — and the
+/// tick retires when the request has nothing in flight, so an idle or
+/// forever-pending request costs no events.
+fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
     let _rm_scope = profile::scope(profile::RM);
     profile::count("rm.monitor_ticks", 1);
     let rm = sim.world.reqman();
@@ -1686,7 +1682,7 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     // request is in every pinned tick count.
     rm.metrics.counter_add("rm.monitor.ticks", 1);
     let Some(req) = rm.requests.get_mut(&id) else {
-        return;
+        return ControlFlow::Break(());
     };
     // The incremental `live` index holds exactly the unsettled files with
     // a live pull, in ascending index order.
@@ -1694,13 +1690,12 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     if live.is_empty() {
         // Nothing in flight: retire. The next transfer start re-arms us.
         req.monitor_active = false;
-        return;
+        return ControlFlow::Break(());
     }
     for idx in live {
         poll_file(sim, FileId { request: id, idx });
     }
-    let poll = sim.world.reqman().poll;
-    sim.schedule(poll, move |s| monitor_tick(s, id));
+    ControlFlow::Continue(())
 }
 
 /// One file's share of the monitor tick: progress update plus the
@@ -2636,9 +2631,41 @@ mod tests {
         assert!(sim.world.rm.requests.is_empty() && sim.world.rm.tenant_live.is_empty());
         let at_finish = sim.world.rm.monitor_ticks();
         assert_eq!(sim.pending_events(), 1, "the retiring tick is still queued");
+        assert_eq!(sim.live_ticks(MONITOR_TICK), 1);
         sim.run();
         assert_eq!(sim.world.rm.monitor_ticks(), at_finish + 1);
         assert_eq!(sim.world.rm.monitor_ticks(), 1);
+        assert_eq!(sim.live_ticks(MONITOR_TICK), 0);
+    }
+
+    /// A live request with nothing in flight costs no monitor events: its
+    /// monitor retires at the next tick after the disk file lands while the
+    /// tape file is still staging.
+    #[test]
+    fn monitor_retires_while_nothing_is_in_flight() {
+        let (mut sim, client) = setup(Policy::BestBandwidth);
+        add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
+        let id = submit_files(&mut sim, client, &["jan.esg", "deep.esg"]);
+        let mut retired_while_live = false;
+        while sim.world.outcomes.is_empty() {
+            assert!(
+                sim.now() < SimTime::from_secs(600),
+                "request never finished"
+            );
+            let next = sim.now() + SimDuration::from_secs(1);
+            sim.run_until(next);
+            let idle = sim
+                .world
+                .rm
+                .requests
+                .get(&id)
+                .is_some_and(|r| r.live.is_empty());
+            retired_while_live |= idle && sim.live_ticks(MONITOR_TICK) == 0;
+        }
+        assert!(
+            retired_while_live,
+            "the monitor ticked through an idle spell"
+        );
     }
 
     proptest::proptest! {
@@ -2709,6 +2736,7 @@ mod tests {
             proptest::prop_assert!(rm.tenant_live.is_empty(), "a tenant never retired");
             proptest::prop_assert_eq!(rm.inflight().total(), 0);
             proptest::prop_assert_eq!(rm.live().unwrap().open_count(), 0);
+            proptest::prop_assert_eq!(sim.live_ticks(MONITOR_TICK), 0, "a monitor outlived its request");
             let set = esg_netlogger::LifelineSet::from_log(&rm.log);
             proptest::prop_assert!(set.orphans.is_empty(), "orphans: {:?}", set.orphans);
             for l in &set.lifelines {

@@ -46,6 +46,9 @@ pub fn start_background<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic) {
     schedule_off(sim, cfg, StdRng::seed_from_u64(cfg.seed));
 }
 
+/// One OFF period, then one ON period, then the next OFF period. Both
+/// lengths are random draws, so the chain re-schedules itself rather than
+/// being a fixed-period [`Sim::every`] tick.
 fn schedule_off<W: 'static>(sim: &mut Sim<W>, cfg: BackgroundTraffic, mut rng: StdRng) {
     let off = exp_sample(&mut rng, cfg.mean_off);
     sim.schedule(off, move |s| {

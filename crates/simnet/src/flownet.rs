@@ -720,13 +720,6 @@ impl FlowNet {
             .map_or(0.0, |f| f.rate)
     }
 
-    pub fn flow_rtt(&self, id: FlowId) -> Option<SimDuration> {
-        self.flows
-            .get(id.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|f| f.rtt)
-    }
-
     /// RTT between two nodes along the current route, if any. Used by NWS
     /// latency sensors and by protocol engines to price control exchanges.
     pub fn path_rtt(&self, src: NodeId, dst: NodeId) -> Option<SimDuration> {

@@ -10,9 +10,14 @@
 //! `on_complete` callback which fires exactly when the network delivers the
 //! last byte, with rate changes from contention, slow start and failures all
 //! accounted for.
+//!
+//! Periodic work (a monitor polling its transfers, a meter sampler) is a
+//! [`Sim::every`] tick: its body's return value is its only stop rule, and
+//! [`Sim::live_ticks`] counts the ticks of a label still queued.
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use crate::flownet::{FlowError, FlowId, FlowNet, FlowSpec};
 use crate::network::Topology;
@@ -38,6 +43,8 @@ pub struct Sim<W> {
     /// Spare completion list, swapped with the network's at each drain so
     /// a completion instant reuses storage instead of allocating it.
     completed: Vec<FlowId>,
+    /// Live [`Sim::every`] ticks per label.
+    ticks: HashMap<&'static str, usize>,
     /// The simulated wide-area network.
     pub net: FlowNet,
     /// User world: protocol state, catalogs, services.
@@ -52,6 +59,7 @@ impl<W> Sim<W> {
             queue: TimerWheel::new(),
             flow_callbacks: HashMap::new(),
             completed: Vec::new(),
+            ticks: HashMap::new(),
             net: FlowNet::new(topo),
             world,
         }
@@ -73,6 +81,40 @@ impl<W> Sim<W> {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time.as_nanos(), seq, Box::new(f));
+    }
+
+    /// Run `body` every `period`, first at `now + period`, for as long as
+    /// it returns `Continue`; `Break` retires the tick. The next tick is
+    /// queued after the body returns, so it follows everything the body
+    /// scheduled at the same instant — the order of a closure that
+    /// re-schedules itself as its last statement.
+    pub fn every(
+        &mut self,
+        period: SimDuration,
+        label: &'static str,
+        body: impl FnMut(&mut Sim<W>) -> ControlFlow<()> + 'static,
+    ) where
+        W: 'static,
+    {
+        *self.ticks.entry(label).or_insert(0) += 1;
+        self.arm_tick(period, label, body);
+    }
+
+    fn arm_tick<F>(&mut self, period: SimDuration, label: &'static str, mut body: F)
+    where
+        F: FnMut(&mut Sim<W>) -> ControlFlow<()> + 'static,
+        W: 'static,
+    {
+        self.schedule(period, move |s| match body(s) {
+            ControlFlow::Continue(()) => s.arm_tick(period, label, body),
+            ControlFlow::Break(()) => *s.ticks.get_mut(label).expect("counted by every") -= 1,
+        });
+    }
+
+    /// Number of [`Sim::every`] ticks under `label` that have not returned
+    /// `Break`.
+    pub fn live_ticks(&self, label: &str) -> usize {
+        self.ticks.get(label).copied().unwrap_or(0)
     }
 
     /// Start a network flow; `on_complete` fires when the last byte lands.
@@ -461,6 +503,120 @@ mod tests {
         // The first flow had completed and been removed, so the newcomer
         // saw the full link.
         assert!((late.borrow().unwrap() - 100e6).abs() < 1.0);
+    }
+
+    /// Every dispatched event as (time, next seq, what ran).
+    type Log = Vec<(u64, u64, &'static str)>;
+
+    fn note(s: &mut Sim<Log>, what: &'static str) {
+        let entry = (s.now().as_nanos(), s.seq, what);
+        s.world.push(entry);
+    }
+
+    /// Tick `a`'s `n`th run (from 1): it schedules work at its own instant
+    /// and at its next tick's instant, arms tick `b` at its second run and
+    /// stops after its fifth.
+    fn body_a(s: &mut Sim<Log>, n: u32, arm_b: fn(&mut Sim<Log>)) -> ControlFlow<()> {
+        note(s, "a");
+        s.schedule(SimDuration::ZERO, |s| note(s, "a.same-instant"));
+        s.schedule(SimDuration::from_secs(1), |s| note(s, "a.next-instant"));
+        if n == 2 {
+            arm_b(s);
+        }
+        if n == 5 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn body_b(s: &mut Sim<Log>, n: u32) -> ControlFlow<()> {
+        note(s, "b");
+        if n == 3 {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Events at every tick instant of `a`, some queued before it is armed
+    /// and some after; each schedules a same-instant event of its own.
+    fn other(sim: &mut Sim<Log>, secs: std::ops::RangeInclusive<u64>) {
+        for t in secs {
+            sim.schedule_at(SimTime::from_secs(t), |s| {
+                note(s, "other");
+                s.schedule(SimDuration::ZERO, |s| note(s, "other.same-instant"));
+            });
+        }
+    }
+
+    fn tick_log(arm_a: fn(&mut Sim<Log>)) -> Log {
+        let mut sim: Sim<Log> = Sim::new(empty_topo(), Vec::new());
+        other(&mut sim, 1..=6);
+        arm_a(&mut sim);
+        other(&mut sim, 2..=3);
+        sim.run();
+        sim.world
+    }
+
+    #[test]
+    fn every_dispatches_as_a_hand_rolled_loop_does() {
+        fn hand_a(sim: &mut Sim<Log>, n: u32) {
+            sim.schedule(SimDuration::from_secs(1), move |s| {
+                if body_a(s, n, |s| hand_b(s, 1)).is_continue() {
+                    hand_a(s, n + 1);
+                }
+            });
+        }
+        fn hand_b(sim: &mut Sim<Log>, n: u32) {
+            sim.schedule(SimDuration::from_millis(500), move |s| {
+                if body_b(s, n).is_continue() {
+                    hand_b(s, n + 1);
+                }
+            });
+        }
+        fn every_a(sim: &mut Sim<Log>) {
+            let mut n = 0;
+            sim.every(SimDuration::from_secs(1), "a", move |s| {
+                n += 1;
+                body_a(s, n, every_b)
+            });
+        }
+        fn every_b(sim: &mut Sim<Log>) {
+            let mut n = 0;
+            sim.every(SimDuration::from_millis(500), "b", move |s| {
+                n += 1;
+                body_b(s, n)
+            });
+        }
+        let hand = tick_log(|s| hand_a(s, 1));
+        let every = tick_log(every_a);
+        assert_eq!(hand.iter().filter(|e| e.2 == "a").count(), 5);
+        assert_eq!(hand.iter().filter(|e| e.2 == "b").count(), 3);
+        assert_eq!(every, hand);
+    }
+
+    #[test]
+    fn break_retires_the_tick() {
+        let mut sim: Sim<u32> = Sim::new(empty_topo(), 0);
+        for label in ["x", "x", "y"] {
+            sim.every(SimDuration::from_secs(1), label, |s| {
+                s.world += 1;
+                if s.now() < SimTime::from_secs(3) {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            });
+        }
+        assert_eq!((sim.live_ticks("x"), sim.live_ticks("y")), (2, 1));
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!((sim.live_ticks("x"), sim.live_ticks("y")), (2, 1));
+        sim.run();
+        assert_eq!((sim.live_ticks("x"), sim.live_ticks("y")), (0, 0));
+        assert_eq!(sim.live_ticks("never armed"), 0);
+        assert_eq!(sim.world, 9);
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]

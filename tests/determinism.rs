@@ -106,6 +106,20 @@ fn table1_hour_is_pinned() {
     assert_eq!(got, TABLE1_HOUR_PIN, "pinned Table 1 hour drifted");
 }
 
+/// The 45-minute Figure 8 run: the sha256 of its series (each bin's start
+/// and rate as little-endian f64 bits), then mean, plateau and total as
+/// bits, restarts and transfers completed. Regenerate with
+/// `cargo test --test determinism fig8 -- --nocapture` only after an
+/// intended change to the Figure 8 model.
+const FIG8_SERIES_SHA: &str = "cc514f304f796effe26d8206781a2c711efbce2b8d81407f2a000e6d7ab75bf4";
+const FIG8_PIN: [u64; 5] = [
+    0x4034_bfab_6562_78a2, // 20.748709045925928
+    0x404c_7fcb_923a_29c7, // 56.9984
+    0x401c_02c0_fc11_bc74, // 7.002689303
+    1,
+    3,
+];
+
 #[test]
 fn fig8_series_is_bit_identical() {
     let cfg = Fig8Config {
@@ -121,6 +135,56 @@ fn fig8_series_is_bit_identical() {
     }
     assert_eq!(a.restarts, b.restarts);
     assert_eq!(a.transfers_completed, b.transfers_completed);
+
+    let bytes: Vec<u8> = a
+        .series
+        .iter()
+        .flat_map(|&(t, r)| [t.to_le_bytes(), r.to_le_bytes()])
+        .flatten()
+        .collect();
+    let series_sha: String = esg::gsi::sha256(&bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    let got = [
+        a.mean_mbps.to_bits(),
+        a.plateau_mbps.to_bits(),
+        a.total_gbytes.to_bits(),
+        a.restarts,
+        a.transfers_completed,
+    ];
+    println!(
+        "fig8: {} bins, series sha256 {series_sha}; {} / {} / {} / {} / {}; bits {:x?}",
+        a.series.len(),
+        a.mean_mbps,
+        a.plateau_mbps,
+        a.total_gbytes,
+        a.restarts,
+        a.transfers_completed,
+        &got[..3]
+    );
+    assert_eq!(
+        series_sha, FIG8_SERIES_SHA,
+        "pinned Figure 8 series drifted"
+    );
+    assert_eq!(got, FIG8_PIN, "pinned Figure 8 results drifted");
+}
+
+/// B1's three completion times (ftp-2001, dods-http, gridftp; seconds) as
+/// bits. Regenerate with `cargo test --test determinism baselines --
+/// --nocapture` only after an intended change to the B1 model.
+const BASELINES_PIN: [u64; 3] = [
+    0x4094_fc0c_ee14_78bc, // 1343.012626953
+    0x4098_1778_b47a_d79e, // 1541.867875976
+    0x4077_5674_68fb_e45f, // 373.403420433
+];
+
+#[test]
+fn baselines_are_pinned() {
+    let rows = esg::core::baseline_comparison();
+    let got: Vec<u64> = rows.iter().map(|&(_, t)| t.to_bits()).collect();
+    println!("baselines: {rows:?}; bits {got:x?}");
+    assert_eq!(got, BASELINES_PIN, "pinned B1 completion times drifted");
 }
 
 #[test]
