@@ -24,9 +24,17 @@
 //! segment was read, or by an active wire-corruption fault sampled per
 //! `(key, transfer, block)` — with later segments overwriting earlier ones
 //! (last-writer-wins), exactly as overlapping writes to a local file would.
+//!
+//! [`verify`] is the request manager's side of it: it replays a file's
+//! segments against the catalog, charges mismatches to the serving hosts
+//! and quarantines the repeat offenders; the file's lifecycle decides
+//! between completion, repair and re-fetch.
 
+use crate::lifecycle::{FileLife, Verdict};
+use crate::manager::RmWorld;
 use esg_gridftp::RangeSet;
-use esg_simnet::{NodeId, SimDuration, SimTime};
+use esg_netlogger::{LogEvent, TraceCtx};
+use esg_simnet::{NodeId, Sim, SimDuration, SimTime};
 use esg_storage::{
     block_count, blocks_overlapping, corrupt_block_digest, pristine_block_digest, stable_hash,
     ObjectStore, BLOCK_SIZE,
@@ -245,6 +253,111 @@ impl IntegrityManager {
             self.quarantined.len() as f64,
         );
     }
+}
+
+/// The request manager's verification of one file (its driver's answer to
+/// `Effect::Verify`): the received blocks against the catalog's digest.
+/// Each segment is replayed with the wire faults that overlapped it in
+/// flight (the simulator's to answer) and the at-rest flips of the site that
+/// served it. Mismatches are logged and charged to the blamed hosts here, in
+/// sorted host order — a host that keeps failing is quarantined and
+/// re-verified later; what to do about the file is the lifecycle's call.
+pub(crate) fn verify<W: RmWorld>(sim: &mut Sim<W>, file: &FileLife, ctx: &TraceCtx) -> Verdict {
+    let wire: Vec<bool> = file
+        .segments
+        .iter()
+        .map(|sg| sim.wire_corrupt_during(sg.node, sg.t0, sg.t1))
+        .collect();
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    let (collection, name, size) = (&file.status.collection, &file.status.name, file.status.size);
+    let Some(expected_hex) = rm.catalog.file_digest(collection, name) else {
+        return Verdict::Trusted;
+    };
+    let views: Vec<SegmentView> = file
+        .segments
+        .iter()
+        .zip(&wire)
+        .map(|(sg, &wire_active)| {
+            let span = blocks_overlapping(sg.start, sg.end.min(size));
+            SegmentView {
+                host: sg.host.clone(),
+                start: sg.start,
+                end: sg.end,
+                seq: sg.seq,
+                wire_active,
+                at_rest: rm
+                    .at_rest_flips(&sg.host, name, sg.t1)
+                    .into_iter()
+                    .filter(|(b, _)| span.contains(b))
+                    .collect(),
+            }
+        })
+        .collect();
+    let key = format!("{collection}/{name}");
+    let report = verify_blocks(&key, size, rm.integrity.wire_rate_denom, &views);
+    if report.is_clean() && report.received_hex == expected_hex {
+        return Verdict::Clean(report.received_hex);
+    }
+    for (b, h) in &report.corrupt {
+        rm.metrics.counter_add("rm.integrity.block_mismatches", 1);
+        rm.log.emit(
+            ctx,
+            LogEvent::new(now, "integrity.block.mismatch")
+                .field("block", *b)
+                .field("host", rm.names.get(h)),
+        );
+    }
+    let blamed = report.blamed_hosts();
+    let mut quarantined = Vec::new();
+    for host in blamed.iter().filter(|h| !h.is_empty()) {
+        let count = rm.integrity.record_incident(collection, host);
+        if rm.integrity.quarantine_if_due(collection, host) {
+            let _ = rm.catalog.set_host_suspect(collection, host, true);
+            rm.metrics.counter_add("rm.integrity.quarantines", 1);
+            rm.log.emit(
+                ctx,
+                LogEvent::new(now, "integrity.replica.quarantine")
+                    .field("collection", collection.clone())
+                    .field("host", rm.names.get(host))
+                    .field("incidents", count as u64),
+            );
+            quarantined.push((collection.clone(), host.clone()));
+        }
+    }
+    let reverify_after = rm.integrity.reverify_after;
+    for (c, h) in quarantined {
+        sim.schedule(reverify_after, move |s| rehabilitate_replica(s, c, h));
+    }
+    Verdict::Corrupt {
+        blocks: report.corrupt_blocks(),
+        blamed,
+    }
+}
+
+/// Background re-verification of a quarantined replica: the site restores
+/// its copies from an authoritative source, the catalog mark is cleared,
+/// and selection readmits the host.
+fn rehabilitate_replica<W: RmWorld>(sim: &mut Sim<W>, collection: String, host: String) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    if !rm.integrity.rehabilitate(&collection, &host) {
+        return;
+    }
+    if let Some(hrm) = rm.hrms.get_mut(&host) {
+        hrm.store.scrub();
+    }
+    if let Some(store) = rm.integrity.stores.get_mut(&host) {
+        store.scrub();
+    }
+    let _ = rm.catalog.set_host_suspect(&collection, &host, false);
+    rm.metrics.counter_add("rm.integrity.rehabilitations", 1);
+    rm.log.emit(
+        &TraceCtx::system(),
+        LogEvent::new(now, "integrity.replica.rehabilitated")
+            .field("collection", collection)
+            .field("host", rm.names.get(&host)),
+    );
 }
 
 #[cfg(test)]

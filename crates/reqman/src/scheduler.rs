@@ -25,9 +25,41 @@
 //!   across *all* requests, so `plan_spread`'s load discount sees what
 //!   concurrent users are doing and spreads them over replicas.
 
-use crate::manager::TransferTuning;
-use esg_simnet::SimDuration;
+use esg_gridftp::simxfer::TransferSpec;
+use esg_simnet::{NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
+
+/// Per-file transfer tuning the RM applies.
+#[derive(Debug, Clone, Copy)]
+pub struct TransferTuning {
+    /// Parallel streams per transfer.
+    pub streams: u32,
+    /// TCP buffer per stream.
+    pub window: f64,
+    /// Use data-channel caching.
+    pub channel_cache: bool,
+}
+
+impl Default for TransferTuning {
+    fn default() -> Self {
+        TransferTuning {
+            streams: 4,
+            window: (1u64 << 20) as f64,
+            channel_cache: false,
+        }
+    }
+}
+
+impl TransferTuning {
+    /// The GridFTP get of `bytes` from `src` to `dst` under this tuning.
+    pub fn spec(&self, src: NodeId, dst: NodeId, bytes: u64) -> TransferSpec {
+        let mut spec = TransferSpec::new(src, dst, bytes)
+            .streams(self.streams)
+            .window(self.window);
+        spec.channel_cache = self.channel_cache;
+        spec
+    }
+}
 
 /// Order in which a request's ready queue is released by admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,6 +333,96 @@ impl TenantTable {
             (s, 0) => s,
             (s, q) => s.min(q),
         }
+    }
+}
+
+/// The live side of fair sharing: which tenants have live requests (the
+/// *active* set whose weights split the budget), when each last made
+/// admission progress, and when each was last reported starved.
+#[derive(Debug, Default)]
+pub(crate) struct Tenancy {
+    /// Live request count per tenant.
+    pub live: HashMap<String, usize>,
+    /// Last instant each tenant made admission progress (ledger acquire),
+    /// the reference point for starvation detection.
+    progress: HashMap<String, SimTime>,
+    /// Last `rm.campaign.starved` emission per tenant (rate limiting).
+    starved_at: HashMap<String, SimTime>,
+    /// Bumped whenever the active set changes — one half of the
+    /// active-weight cache key.
+    epoch: u64,
+    /// Cached active-weight sum:
+    /// `((epoch, table epoch, default weight), weight)`. Valid while
+    /// neither the active set nor the table changed, so the admission path
+    /// skips the per-event tenant scan.
+    weight_cache: Option<((u64, u64, u32), u64)>,
+}
+
+impl Tenancy {
+    /// One more live request for `tenant`. A fresh activation starts its
+    /// starvation clock.
+    pub fn activate(&mut self, tenant: &str, now: SimTime) {
+        let live = self.live.entry(tenant.to_string()).or_insert(0);
+        *live += 1;
+        if *live == 1 {
+            self.progress.insert(tenant.to_string(), now);
+            self.epoch += 1;
+        }
+    }
+
+    /// Retire one live request for `tenant`, dropping its bookkeeping
+    /// when the last one goes so an idle tenant stops diluting shares.
+    pub fn retire(&mut self, tenant: &str) {
+        if let Some(n) = self.live.get_mut(tenant) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                self.live.remove(tenant);
+                self.progress.remove(tenant);
+                self.starved_at.remove(tenant);
+                self.epoch += 1;
+            }
+        }
+    }
+
+    /// `tenant` took a ledger entry at `now`.
+    pub fn progressed(&mut self, tenant: &str, now: SimTime) {
+        self.progress.insert(tenant.to_string(), now);
+    }
+
+    /// The active-weight sum [`TenantTable::limit`] splits the budget by,
+    /// recomputed only when a tenant activates/retires or `table` changes.
+    pub fn active_weight(&mut self, table: &TenantTable) -> u64 {
+        let key = (self.epoch, table.epoch(), table.default_weight);
+        match self.weight_cache {
+            Some((k, w)) if k == key => w,
+            _ => {
+                let live = self.live.iter().filter(|(_, n)| **n > 0);
+                let w = live.map(|(t, _)| table.weight(t) as u64).sum();
+                self.weight_cache = Some((key, w));
+                w
+            }
+        }
+    }
+
+    /// A deferred `tenant` that has made no admission progress for
+    /// `window` is starved: how long it waited, at most once per window
+    /// (`window == 0` disables detection).
+    pub fn starved(
+        &mut self,
+        tenant: &str,
+        now: SimTime,
+        window: SimDuration,
+    ) -> Option<SimDuration> {
+        if window.is_zero() {
+            return None;
+        }
+        let waited = now.since(self.progress.get(tenant).copied().unwrap_or(now));
+        let reported = self.starved_at.get(tenant);
+        if waited < window || reported.is_some_and(|&at| now.since(at) < window) {
+            return None;
+        }
+        self.starved_at.insert(tenant.to_string(), now);
+        Some(waited)
     }
 }
 
