@@ -20,7 +20,7 @@
 //! interactive p95 makespan.
 
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use crate::json::Json;
 use crate::spec::ScenarioSpec;
 use esg_reqman::{start_campaign, submit_request, CampaignOutcome, CampaignSpec, DEFAULT_TENANT};
@@ -39,18 +39,6 @@ const CAMP_DS: [&str; 2] = ["pcm_campa.b06", "pcm_campb.b06"];
 /// campaign occupies a meaningful window).
 const CAMP_TARGET_SITE: [usize; 2] = [4, 5];
 const INTER_DS: &str = "pcm_inter.b06";
-
-fn num(v: f64) -> MetricValue {
-    MetricValue::Num(v)
-}
-
-fn key(ctx: &TrialCtx) -> TrialKey {
-    TrialKey {
-        variant: ctx.variant.clone(),
-        seed: ctx.seed,
-        rep: ctx.rep,
-    }
-}
 
 /// Per-run summary pulled out of a finished (or abandoned) sim.
 struct RunStats {
@@ -233,15 +221,15 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     drop(full);
 
     let mut metrics = vec![
-        ("campaigns".into(), num(n_campaigns as f64)),
-        ("interactive_requests".into(), num(n_inter as f64)),
+        ("campaigns".into(), Num(n_campaigns as f64)),
+        ("interactive_requests".into(), Num(n_inter as f64)),
         (
             "interactive_done".into(),
-            num(full_stats.interactive_done as f64),
+            Num(full_stats.interactive_done as f64),
         ),
         (
             "interactive_p95_s".into(),
-            num((full_stats.interactive_p95_s * 1e6).round() / 1e6),
+            Num((full_stats.interactive_p95_s * 1e6).round() / 1e6),
         ),
         (
             "trace_sha256".into(),
@@ -300,37 +288,37 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             - full_stats.campaign_bytes as f64;
 
         metrics.extend([
-            ("campaign_files_total".into(), num(files_total as f64)),
-            ("full_files_delivered".into(), num(full_delivered as f64)),
+            ("campaign_files_total".into(), Num(files_total as f64)),
+            ("full_files_delivered".into(), Num(full_delivered as f64)),
             (
                 "full_campaign_bytes".into(),
-                num(full_stats.campaign_bytes as f64),
+                Num(full_stats.campaign_bytes as f64),
             ),
             (
                 "full_checkpoints".into(),
-                num(full_stats.checkpoints as f64),
+                Num(full_stats.checkpoints as f64),
             ),
-            ("starved_events".into(), num(full_stats.starved as f64)),
+            ("starved_events".into(), Num(full_stats.starved as f64)),
             (
                 "resume_manifest_match".into(),
-                num(if manifests_match && all_resumed {
+                Num(if manifests_match && all_resumed {
                     1.0
                 } else {
                     0.0
                 }),
             ),
-            ("resume_files_skipped".into(), num(res_skipped as f64)),
-            ("resume_files_delivered".into(), num(res_delivered as f64)),
-            ("resume_files_accounted".into(), num(res_accounted as f64)),
+            ("resume_files_skipped".into(), Num(res_skipped as f64)),
+            ("resume_files_delivered".into(), Num(res_delivered as f64)),
+            ("resume_files_accounted".into(), Num(res_accounted as f64)),
             (
                 "resume_bytes_interrupted".into(),
-                num(bytes_interrupted as f64),
+                Num(bytes_interrupted as f64),
             ),
             (
                 "resume_bytes_transferred".into(),
-                num(res_stats.campaign_bytes as f64),
+                Num(res_stats.campaign_bytes as f64),
             ),
-            ("resume_retransferred_bytes".into(), num(retransferred)),
+            ("resume_retransferred_bytes".into(), Num(retransferred)),
         ]);
         timing.push((
             "wall_ms_resume".into(),
@@ -343,7 +331,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     }
 
     Ok(TrialRecord {
-        key: key(ctx),
+        key: ctx.key(),
         metrics,
         timing,
         fragment: None,
@@ -360,18 +348,7 @@ pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
             ("seed".into(), Json::Int(r.key.seed as i128)),
             ("rep".into(), Json::Int(r.key.rep as i128)),
         ];
-        for (k, v) in &r.metrics {
-            m.push((
-                k.clone(),
-                match v {
-                    MetricValue::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
-                        Json::Int(*n as i128)
-                    }
-                    MetricValue::Num(n) => Json::Float(*n),
-                    MetricValue::Str(s) => Json::str(s),
-                },
-            ));
-        }
+        m.extend(r.metrics.iter().map(|(k, v)| (k.clone(), v.to_json())));
         Json::Obj(m)
     };
     // Fairness: contended p95 over solo p95, per (seed, rep).

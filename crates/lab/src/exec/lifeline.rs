@@ -8,7 +8,7 @@
 //! auxiliary file by path + sha256.
 
 use super::{mixed, TrialCtx};
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use esg_netlogger::{LifelineSet, NetLog};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -150,33 +150,32 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     json.push_str(&reg.to_json());
     json.push_str("\n}\n");
 
-    let num = |v: f64| MetricValue::Num(v);
     let mut metrics = vec![
-        ("requests".into(), num(n_requests as f64)),
-        ("requests_done".into(), num(outcomes.len() as f64)),
-        ("files".into(), num(n_files as f64)),
-        ("files_delivered".into(), num(files_delivered as f64)),
+        ("requests".into(), Num(n_requests as f64)),
+        ("requests_done".into(), Num(outcomes.len() as f64)),
+        ("files".into(), Num(n_files as f64)),
+        ("files_delivered".into(), Num(files_delivered as f64)),
         (
             "files_with_lifeline".into(),
-            num(files_with_lifeline as f64),
+            Num(files_with_lifeline as f64),
         ),
-        ("files_bytes_exact".into(), num(files_bytes_exact as f64)),
-        ("files_status_done".into(), num(files_status_done as f64)),
-        ("lifelines".into(), num(set.lifelines.len() as f64)),
-        ("lifelines_complete".into(), num(complete as f64)),
-        ("orphans".into(), num(set.orphans.len() as f64)),
-        ("max_tiling_gap_s".into(), num(max_gap)),
-        ("delivered_bytes".into(), num(delivered_bytes as f64)),
-        ("transfer_span_bytes".into(), num(span_bytes as f64)),
+        ("files_bytes_exact".into(), Num(files_bytes_exact as f64)),
+        ("files_status_done".into(), Num(files_status_done as f64)),
+        ("lifelines".into(), Num(set.lifelines.len() as f64)),
+        ("lifelines_complete".into(), Num(complete as f64)),
+        ("orphans".into(), Num(set.orphans.len() as f64)),
+        ("max_tiling_gap_s".into(), Num(max_gap)),
+        ("delivered_bytes".into(), Num(delivered_bytes as f64)),
+        ("transfer_span_bytes".into(), Num(span_bytes as f64)),
         (
             "roundtrip_identical".into(),
-            num(roundtrip_identical as u64 as f64),
+            Num(roundtrip_identical as u64 as f64),
         ),
-        ("critical_paths".into(), num(cps.len() as f64)),
-        ("stalls".into(), num(stalls.len() as f64)),
+        ("critical_paths".into(), Num(cps.len() as f64)),
+        ("stalls".into(), Num(stalls.len() as f64)),
         (
             "stalls_open".into(),
-            num(stalls.iter().filter(|s| s.open).count() as f64),
+            Num(stalls.iter().filter(|s| s.open).count() as f64),
         ),
         ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
     ];
@@ -184,16 +183,12 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     // gates can target the unified snapshot directly.
     for name in &ctx.spec.metrics {
         if let Some(v) = reg.value(name) {
-            metrics.push((format!("reg.{name}"), num(v)));
+            metrics.push((format!("reg.{name}"), Num(v)));
         }
     }
 
     Ok(TrialRecord {
-        key: TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics,
         timing: vec![("wall_ms".into(), run.wall.as_secs_f64() * 1e3)],
         fragment: Some(json),

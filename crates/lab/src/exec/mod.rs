@@ -12,7 +12,7 @@
 //! `run_trial`, the sha256 each bin produced before it was deleted.
 
 use crate::gate::Baseline;
-use crate::journal::TrialRecord;
+use crate::journal::{TrialKey, TrialRecord};
 use crate::json::Json;
 use crate::spec::{FaultSpec, Params, ScenarioSpec};
 use esg_core::scenario::Site;
@@ -38,6 +38,17 @@ pub struct TrialCtx<'a> {
     pub variant: String,
     pub seed: u64,
     pub rep: u32,
+}
+
+impl TrialCtx<'_> {
+    /// The trial's coordinates in the variant × seed × rep matrix.
+    pub fn key(&self) -> TrialKey {
+        TrialKey {
+            variant: self.variant.clone(),
+            seed: self.seed,
+            rep: self.rep,
+        }
+    }
 }
 
 /// Dispatch a trial to its kind's executor.

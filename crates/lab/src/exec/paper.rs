@@ -8,7 +8,7 @@
 //! where it seeds the synthetic climate data.
 
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use esg_core::experiments::{
     ablation_channel_caching, ablation_cpu_model, baseline_comparison, hrm_staging_comparison,
     nws_forecast_accuracy, planner_spread_comparison, replica_policy_comparison, run_fig8,
@@ -39,11 +39,7 @@ pub fn run(ctx: &TrialCtx) -> Option<Result<TrialRecord, String>> {
         _ => return None,
     };
     let mut rec = TrialRecord {
-        key: TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics: Vec::new(),
         timing: Vec::new(),
         fragment: None,
@@ -57,7 +53,7 @@ pub fn run(ctx: &TrialCtx) -> Option<Result<TrialRecord, String>> {
 }
 
 fn put(rec: &mut TrialRecord, name: &str, v: f64) {
-    rec.metrics.push((name.into(), MetricValue::Num(v)));
+    rec.metrics.push((name.into(), Num(v)));
 }
 
 /// One metric per named row, e.g. `"tape cold (HRM stage)"` with unit

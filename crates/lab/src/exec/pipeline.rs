@@ -7,7 +7,7 @@
 
 use super::{mixed, TrialCtx};
 use crate::gate::Baseline;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use crate::json::Json;
 use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
@@ -117,30 +117,25 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     )
     .unwrap();
 
-    let num = |v: f64| MetricValue::Num(v);
     Ok(TrialRecord {
-        key: TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics: vec![
             ("mode".into(), MetricValue::Str(mode)),
-            ("requests".into(), num(n_requests as f64)),
-            ("requests_done".into(), num(outcomes.len() as f64)),
-            ("files_delivered".into(), num(deliveries.len() as f64)),
-            ("all_delivered".into(), num(all_delivered as u64 as f64)),
-            ("makespan_s".into(), num(makespan)),
-            ("aggregate_mb_s".into(), num(agg_mbps)),
-            ("mean_sojourn_s".into(), num(mean_sojourn)),
-            ("bytes_delivered".into(), num(bytes as f64)),
-            ("files_complete".into(), num(completes as f64)),
-            ("files_verified".into(), num(verified as f64)),
-            ("failovers".into(), num(failovers as f64)),
-            ("defers".into(), num(defers as f64)),
-            ("prestaged".into(), num(prestaged as f64)),
-            ("tuned".into(), num(tuned as f64)),
-            ("peak_host_inflight".into(), num(peak_host_inflight as f64)),
+            ("requests".into(), Num(n_requests as f64)),
+            ("requests_done".into(), Num(outcomes.len() as f64)),
+            ("files_delivered".into(), Num(deliveries.len() as f64)),
+            ("all_delivered".into(), Num(all_delivered as u64 as f64)),
+            ("makespan_s".into(), Num(makespan)),
+            ("aggregate_mb_s".into(), Num(agg_mbps)),
+            ("mean_sojourn_s".into(), Num(mean_sojourn)),
+            ("bytes_delivered".into(), Num(bytes as f64)),
+            ("files_complete".into(), Num(completes as f64)),
+            ("files_verified".into(), Num(verified as f64)),
+            ("failovers".into(), Num(failovers as f64)),
+            ("defers".into(), Num(defers as f64)),
+            ("prestaged".into(), Num(prestaged as f64)),
+            ("tuned".into(), Num(tuned as f64)),
+            ("peak_host_inflight".into(), Num(peak_host_inflight as f64)),
             (
                 "deliveries_sha256".into(),
                 MetricValue::Str(crate::sha_hex(&manifest)),

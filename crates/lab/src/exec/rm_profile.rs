@@ -20,7 +20,7 @@
 
 use super::campaign_round::{tmp_path, CampaignRound};
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use crate::spec::ScenarioSpec;
 use esg_netlogger::LifelineSet;
 use esg_reqman::CampaignOutcome;
@@ -30,10 +30,6 @@ use std::fmt::Write as _;
 
 /// The campaign's source dataset.
 const DS: &str = "pcm_rmprof.b06";
-
-fn num(v: f64) -> MetricValue {
-    MetricValue::Num(v)
-}
 
 /// One instrumented run's harvest.
 struct ProfRun {
@@ -161,40 +157,40 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let r = &a.report;
     let total_ms = r.total_s * 1e3;
     let attributed_ms = r.attributed_s() * 1e3;
-    let as01 = |v: bool| num(if v { 1.0 } else { 0.0 });
+    let as01 = |v: bool| Num(if v { 1.0 } else { 0.0 });
 
     let mut metrics = vec![
-        ("n".into(), num(n as f64)),
-        ("files_total".into(), num(a.outcome.files_total as f64)),
+        ("n".into(), Num(n as f64)),
+        ("files_total".into(), Num(a.outcome.files_total as f64)),
         (
             "files_delivered".into(),
-            num(a.outcome.files_delivered as f64),
+            Num(a.outcome.files_delivered as f64),
         ),
-        ("rounds".into(), num(a.outcome.rounds as f64)),
+        ("rounds".into(), Num(a.outcome.rounds as f64)),
         ("live_match".into(), as01(a.live_match && b.live_match)),
         ("snapshot_match".into(), as01(snapshot_match)),
-        ("obs_stalls".into(), num(a.obs_stalls as f64)),
-        ("obs_stall_events".into(), num(a.stall_events as f64)),
-        ("recorder_lines".into(), num(a.tape.lines().count() as f64)),
+        ("obs_stalls".into(), Num(a.obs_stalls as f64)),
+        ("obs_stall_events".into(), Num(a.stall_events as f64)),
+        ("recorder_lines".into(), Num(a.tape.lines().count() as f64)),
         (
             "net_poll_calls".into(),
-            num(r.count_of("net_poll.calls") as f64),
+            Num(r.count_of("net_poll.calls") as f64),
         ),
         (
             "kernel_events".into(),
-            num(r.count_of("kernel.events") as f64),
+            Num(r.count_of("kernel.events") as f64),
         ),
         (
             "flow_callbacks".into(),
-            num(r.count_of("kernel.flow_callbacks") as f64),
+            Num(r.count_of("kernel.flow_callbacks") as f64),
         ),
         (
             "journal_lines".into(),
-            num(r.count_of("journal.lines") as f64),
+            Num(r.count_of("journal.lines") as f64),
         ),
         (
             "monitor_ticks".into(),
-            num(r.count_of("rm.monitor_ticks") as f64),
+            Num(r.count_of("rm.monitor_ticks") as f64),
         ),
         (
             "trace_sha256".into(),
@@ -203,7 +199,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         ("tape_sha256".into(), MetricValue::Str(tape_sha)),
     ];
     for (name, v) in &a.reg {
-        metrics.push((format!("reg.{name}"), num(*v)));
+        metrics.push((format!("reg.{name}"), Num(*v)));
     }
 
     let mut timing = vec![
@@ -273,11 +269,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     .unwrap();
 
     Ok(TrialRecord {
-        key: TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics,
         timing,
         fragment: Some(frag),

@@ -10,17 +10,13 @@
 
 use super::campaign_round::CampaignRound;
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use crate::spec::ScenarioSpec;
 use esg_reqman::CampaignOutcome;
 use std::fmt::Write as _;
 
 /// The campaign's source dataset.
 const DS: &str = "pcm_rmscale.b06";
-
-fn num(v: f64) -> MetricValue {
-    MetricValue::Num(v)
-}
 
 struct RunStats {
     wall_ms: f64,
@@ -60,10 +56,10 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let n = o.files_total;
 
     let metrics = vec![
-        ("n".into(), num(n as f64)),
-        ("files_total".into(), num(o.files_total as f64)),
-        ("files_delivered".into(), num(o.files_delivered as f64)),
-        ("rounds".into(), num(o.rounds as f64)),
+        ("n".into(), Num(n as f64)),
+        ("files_total".into(), Num(o.files_total as f64)),
+        ("files_delivered".into(), Num(o.files_delivered as f64)),
+        ("rounds".into(), Num(o.rounds as f64)),
         (
             "trace_sha256".into(),
             MetricValue::Str(best.trace_sha256.clone()),
@@ -88,11 +84,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     .unwrap();
 
     Ok(TrialRecord {
-        key: TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics,
         timing,
         fragment: Some(frag),

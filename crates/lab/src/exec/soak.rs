@@ -9,7 +9,7 @@
 //! subsequent event's (time, seq) ordering and shift the golden traces.
 
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
+use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use esg_reqman::submit_request;
 use esg_simnet::prelude::{inject_all, Fault, FaultKind};
 use esg_simnet::{SimDuration, SimTime};
@@ -21,18 +21,6 @@ use std::ops::ControlFlow;
 const FAULTS_DS: &str = "pcm_soak.b06";
 const INTG_DS: &str = "pcm_intg.b06";
 const INTG_FILE_SIZE: u64 = 8_000_000;
-
-fn num(v: f64) -> MetricValue {
-    MetricValue::Num(v)
-}
-
-fn key(ctx: &TrialCtx) -> TrialKey {
-    TrialKey {
-        variant: ctx.variant.clone(),
-        seed: ctx.seed,
-        rep: ctx.rep,
-    }
-}
 
 /// Progress line so long runs show where sim time has got to; the ticker
 /// stops once every request has an outcome.
@@ -145,41 +133,41 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         .sum();
 
     Ok(TrialRecord {
-        key: key(ctx),
+        key: ctx.key(),
         metrics: vec![
             ("mode".into(), MetricValue::Str(mode)),
-            ("requests".into(), num(n_requests as f64)),
-            ("requests_done".into(), num(outcomes.len() as f64)),
-            ("faults_injected".into(), num(n_faults as f64)),
-            ("files".into(), num(files as f64)),
-            ("files_complete".into(), num(complete as f64)),
-            ("bytes_delivered".into(), num(bytes as f64)),
+            ("requests".into(), Num(n_requests as f64)),
+            ("requests_done".into(), Num(outcomes.len() as f64)),
+            ("faults_injected".into(), Num(n_faults as f64)),
+            ("files".into(), Num(files as f64)),
+            ("files_complete".into(), Num(complete as f64)),
+            ("bytes_delivered".into(), Num(bytes as f64)),
             (
                 "transfer_attempts".into(),
-                num(count("rm.replica.selected") as f64),
+                Num(count("rm.replica.selected") as f64),
             ),
             (
                 "retry_backoffs".into(),
-                num(count("rm.retry.backoff") as f64),
+                Num(count("rm.retry.backoff") as f64),
             ),
             (
                 "failovers".into(),
-                num(count("rm.reliability.failover") as f64),
+                Num(count("rm.reliability.failover") as f64),
             ),
             (
                 "restart_markers".into(),
-                num(count("rm.failover.restart_marker") as f64),
+                Num(count("rm.failover.restart_marker") as f64),
             ),
-            ("breaker_opens".into(), num(count("rm.breaker.open") as f64)),
+            ("breaker_opens".into(), Num(count("rm.breaker.open") as f64)),
             (
                 "breaker_half_opens".into(),
-                num(count("rm.breaker.half_open") as f64),
+                Num(count("rm.breaker.half_open") as f64),
             ),
             (
                 "breaker_closes".into(),
-                num(count("rm.breaker.close") as f64),
+                Num(count("rm.breaker.close") as f64),
             ),
-            ("files_failed".into(), num(count("rm.file.failed") as f64)),
+            ("files_failed".into(), Num(count("rm.file.failed") as f64)),
             (
                 "trace_sha256".into(),
                 MetricValue::Str(crate::sha_hex(&log.to_ulm())),
@@ -306,43 +294,43 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     std::fs::write(&trace_path, &trace).map_err(|e| format!("write {trace_path}: {e}"))?;
 
     Ok(TrialRecord {
-        key: key(ctx),
+        key: ctx.key(),
         metrics: vec![
-            ("requests".into(), num(n_requests as f64)),
-            ("requests_done".into(), num(outcomes.len() as f64)),
-            ("at_rest_flips".into(), num(flips as f64)),
-            ("wire_windows".into(), num(wire_windows as f64)),
-            ("files".into(), num(files as f64)),
-            ("files_complete".into(), num(complete as f64)),
-            ("bytes_delivered".into(), num(bytes as f64)),
+            ("requests".into(), Num(n_requests as f64)),
+            ("requests_done".into(), Num(outcomes.len() as f64)),
+            ("at_rest_flips".into(), Num(flips as f64)),
+            ("wire_windows".into(), Num(wire_windows as f64)),
+            ("files".into(), Num(files as f64)),
+            ("files_complete".into(), Num(complete as f64)),
+            ("bytes_delivered".into(), Num(bytes as f64)),
             (
                 "files_verified".into(),
-                num(count("integrity.file.verified") as f64),
+                Num(count("integrity.file.verified") as f64),
             ),
-            ("rm_completes".into(), num(count("rm.file.complete") as f64)),
+            ("rm_completes".into(), Num(count("rm.file.complete") as f64)),
             (
                 "block_mismatches".into(),
-                num(count("integrity.block.mismatch") as f64),
+                Num(count("integrity.block.mismatch") as f64),
             ),
             (
                 "eret_repairs".into(),
-                num(count("integrity.repair.eret") as f64),
+                Num(count("integrity.repair.eret") as f64),
             ),
-            ("repair_bytes".into(), num(repair_bytes)),
+            ("repair_bytes".into(), Num(repair_bytes)),
             (
                 "escalations".into(),
-                num(count("integrity.repair.escalate") as f64),
+                Num(count("integrity.repair.escalate") as f64),
             ),
             (
                 "quarantines".into(),
-                num(count("integrity.replica.quarantine") as f64),
+                Num(count("integrity.replica.quarantine") as f64),
             ),
             (
                 "rehabilitations".into(),
-                num(count("integrity.replica.rehabilitated") as f64),
+                Num(count("integrity.replica.rehabilitated") as f64),
             ),
-            ("files_failed".into(), num(count("rm.file.failed") as f64)),
-            ("trace_events".into(), num(log.len() as f64)),
+            ("files_failed".into(), Num(count("rm.file.failed") as f64)),
+            ("trace_events".into(), Num(log.len() as f64)),
             ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
         ],
         timing: vec![("wall_ms".into(), wall.as_secs_f64() * 1e3)],

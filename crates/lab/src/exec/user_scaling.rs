@@ -3,7 +3,7 @@
 //! oracle by in-run probes (`scaling::run_curve_point`).
 
 use super::TrialCtx;
-use crate::journal::{MetricValue, TrialRecord};
+use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
 use crate::scaling::{run_curve_point, RunResult};
 use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
@@ -21,36 +21,35 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     // run_curve_point panics on any divergence; reaching the return means
     // every oracle probe matched bitwise and every repeat was identical.
     let point = run_curve_point(n, regions, ctx.seed, oracle_probes, repeats);
-    let num = |v: f64| MetricValue::Num(v);
     let trace_sha256 = crate::sha_hex(&point.trace_ulm);
 
     let metrics = vec![
-        ("n".to_string(), num(n as f64)),
-        ("regions".to_string(), num(regions as f64)),
-        ("equivalent".to_string(), num(1.0)),
+        ("n".to_string(), Num(n as f64)),
+        ("regions".to_string(), Num(regions as f64)),
+        ("equivalent".to_string(), Num(1.0)),
         (
             "oracle_probes".to_string(),
-            num(point.oracle_probes_run as f64),
+            Num(point.oracle_probes_run as f64),
         ),
         (
             "recompute_passes".to_string(),
-            num(point.stats.recompute_passes as f64),
+            Num(point.stats.recompute_passes as f64),
         ),
         (
             "components_solved".to_string(),
-            num(point.stats.components_solved as f64),
+            Num(point.stats.components_solved as f64),
         ),
         (
             "flow_solves".to_string(),
-            num(point.stats.flow_solves as f64),
+            Num(point.stats.flow_solves as f64),
         ),
         (
             "rate_changes".to_string(),
-            num(point.stats.rate_changes as f64),
+            Num(point.stats.rate_changes as f64),
         ),
         (
             "peak_concurrent_flows".to_string(),
-            num(point.peak_concurrent as f64),
+            Num(point.peak_concurrent as f64),
         ),
         (
             "trace_sha256".to_string(),
@@ -67,11 +66,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     ];
 
     Ok(TrialRecord {
-        key: crate::journal::TrialKey {
-            variant: ctx.variant.clone(),
-            seed: ctx.seed,
-            rep: ctx.rep,
-        },
+        key: ctx.key(),
         metrics,
         timing,
         fragment: Some(json_point(n, regions, &point, &trace_sha256)),

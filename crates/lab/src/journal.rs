@@ -16,11 +16,14 @@
 //! so it re-runs (EXPERIMENTS A20 regenerated an artifact from the
 //! previous tree's timings before this check existed).
 //!
-//! A truncated final line (the run died mid-append) is silently dropped:
-//! that trial simply reruns.
+//! The journal is an [`esg_netlogger::journal`] file: only a complete line
+//! is a trial. A torn final line (the run died mid-append) is none, so that
+//! trial reruns, and opening the journal to append heals it. A complete
+//! line that does not parse is an error — that journal did not come from
+//! this code.
 
 use crate::json::{fmt_num, Json};
-use std::io::Write as _;
+use esg_netlogger::journal::{read_lines, Journal};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -54,7 +57,7 @@ impl MetricValue {
         }
     }
 
-    fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         match self {
             MetricValue::Num(v) => num_to_json(*v),
             MetricValue::Str(s) => Json::str(s),
@@ -271,61 +274,47 @@ pub fn journal_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("{scenario}.jsonl"))
 }
 
-/// Append one entry; the line is flushed before returning so a crash
-/// after `append` never loses the trial. A torn final line left by a
-/// previous crash is truncated away first — otherwise the new entry
-/// would weld onto it and turn a recoverable tail into mid-journal
-/// corruption on the next read.
-pub fn append(path: &Path, entry: &JournalEntry) -> Result<(), String> {
+/// Open the journal at `path` for appending — creating its directory and
+/// healing its torn tail — and return its complete lines.
+pub fn open(path: &Path) -> Result<(Journal, Vec<String>), String> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
     }
-    if let Ok(bytes) = std::fs::read(path) {
-        if !bytes.is_empty() && bytes.last() != Some(&b'\n') {
-            let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| format!("open {path:?}: {e}"))?;
-            f.set_len(keep as u64)
-                .map_err(|e| format!("truncate torn tail of {path:?}: {e}"))?;
-        }
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {path:?}: {e}"))?;
-    let mut line = entry.to_json().emit();
-    line.push('\n');
-    f.write_all(line.as_bytes())
-        .map_err(|e| format!("append {path:?}: {e}"))?;
-    f.flush().map_err(|e| format!("flush {path:?}: {e}"))?;
-    Ok(())
+    Journal::open(path).map_err(|e| format!("open {path:?}: {e}"))
 }
 
-/// Read a journal back. A final line that does not parse (truncated
-/// mid-append) is dropped; a malformed line anywhere earlier is an
-/// error — that journal did not come from this code.
+/// Append one entry to the open journal at `path` as one line, written
+/// before this returns so a crash after it never loses the trial.
+pub fn write(journal: &mut Journal, path: &Path, entry: &JournalEntry) -> Result<(), String> {
+    journal
+        .append(&[entry.to_json().emit()])
+        .map_err(|e| format!("append {path:?}: {e}"))
+}
+
+/// Append one entry to the journal at `path`.
+pub fn append(path: &Path, entry: &JournalEntry) -> Result<(), String> {
+    write(&mut open(path)?.0, path, entry)
+}
+
+/// The entries of a journal's complete lines; blank lines are skipped.
+pub fn parse(path: &Path, lines: &[String]) -> Result<Vec<JournalEntry>, String> {
+    lines
+        .iter()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            Json::parse(line)
+                .and_then(|v| JournalEntry::from_json(&v))
+                .map_err(|err| format!("{path:?} line {}: {err}", i + 1))
+        })
+        .collect()
+}
+
+/// Read a journal back without opening it for writing. A missing journal
+/// reads as empty.
 pub fn read(path: &Path) -> Result<Vec<JournalEntry>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("read {path:?}: {e}")),
-    };
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match Json::parse(line).and_then(|v| JournalEntry::from_json(&v)) {
-            Ok(e) => out.push(e),
-            Err(err) if i + 1 == lines.len() => {
-                // Torn tail from an interrupted append — rerun that trial.
-                eprintln!("lab: dropping torn journal tail in {path:?}: {err}");
-            }
-            Err(err) => return Err(format!("{path:?} line {}: {err}", i + 1)),
-        }
-    }
-    Ok(out)
+    let lines = read_lines(path).map_err(|e| format!("read {path:?}: {e}"))?;
+    parse(path, &lines)
 }
 
 /// Is this journaled trial safe to reuse for `spec_sha` by the build
@@ -421,6 +410,33 @@ mod tests {
         let back = read(&path).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].record.key.variant, "b");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The reader and the writer agree on what a trial is: an entry whose
+    /// line has no `\n` yet is not one, so the trial that reuses it cannot
+    /// vanish when the next append heals the tail.
+    #[test]
+    fn an_unterminated_entry_is_no_trial_to_reader_or_writer() {
+        let dir = std::env::temp_dir().join(format!("lab_agree_{}", std::process::id()));
+        let path = journal_path(&dir, "demo");
+        let _ = std::fs::remove_file(&path);
+        append(&path, &entry("a", 1)).unwrap();
+        use std::io::Write;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(entry("a", 2).to_json().emit().as_bytes())
+            .unwrap();
+        drop(f);
+        let seeds = || -> Vec<u64> {
+            let back = read(&path).unwrap();
+            back.iter().map(|e| e.record.key.seed).collect()
+        };
+        assert_eq!(seeds(), [1]);
+        append(&path, &entry("a", 3)).unwrap();
+        assert_eq!(seeds(), [1, 3]);
         let _ = std::fs::remove_file(&path);
     }
 

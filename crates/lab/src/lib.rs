@@ -31,8 +31,5 @@ pub fn sha_hex(s: &str) -> String {
 }
 
 pub(crate) fn sha_hex_bytes(bytes: &[u8]) -> String {
-    esg_gsi::sha256(bytes)
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+    esg_gsi::hex(&esg_gsi::sha256(bytes))
 }

@@ -87,10 +87,13 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
     // the pre-run bytes.
     let (baseline, baseline_err) = load_baseline(spec);
 
+    // One open for the whole run: it heals a torn tail before the first
+    // append, and every trial after that is one write.
+    let (mut jfile, lines) = journal::open(&jpath)?;
     let journaled = if opts.fresh {
         Vec::new()
     } else {
-        journal::read(&jpath)?
+        journal::parse(&jpath, &lines)?
     };
     let build = journal::build_stamp()?;
     let other_build = journaled.iter().filter(|e| e.build != build).count();
@@ -145,7 +148,8 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
         }
         let record = exec::run_trial(&ctx)
             .map_err(|e| format!("{}/seed={}/rep={}: {e}", key.variant, key.seed, key.rep))?;
-        journal::append(
+        journal::write(
+            &mut jfile,
             &jpath,
             &JournalEntry {
                 spec_sha256: spec_sha.clone(),
@@ -159,9 +163,6 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
 
     let table = analysis_table(spec, &spec_sha, &rows, complete);
     let table_path = opts.journal_dir.join(format!("{}.table.txt", spec.name));
-    if let Some(parent) = table_path.parent() {
-        std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
-    }
     std::fs::write(&table_path, &table).map_err(|e| format!("write {table_path:?}: {e}"))?;
 
     let mut gates = GateReport::default();

@@ -9,50 +9,24 @@
 //! interrupted campaign resumes without re-transferring any verified
 //! bytes.
 //!
+//! This module is the driver: it makes the simulator, catalog, trace,
+//! metrics and journal calls. What they compute from — the checkpoint
+//! codec, the resume plan, a round's settle, the marker lines and the
+//! outcome — is plain data in `checkpoint.rs`, which also documents the
+//! journal format.
+//!
 //! A live campaign is owned by the manager's `campaigns` map and addressed
 //! by its id: the round callback and the marker / recorder ticks capture
 //! the id, and one that finds its campaign completed or cancelled returns.
-//!
-//! ## Checkpoint journal
-//!
-//! Line-oriented text, one fact per line, percent-escaped fields:
-//!
-//! ```text
-//! campaign v1 spec=<sha256> name=<enc> collection=<enc> target=<enc> files=<n>
-//! settled file=<enc> size=<u64> digest=<hex|-> status=done|failed round=<k>
-//! marker file=<enc> offset=<u64> round=<k>
-//! resume skipped=<k> bytes=<n>
-//! complete manifest=<sha256>
-//! ```
-//!
-//! The same torn-tail discipline as the lab journal applies: a crash can
-//! only tear the final line, so the reader drops an unterminated tail and
-//! the writer truncates it before appending. A header whose `spec` hash
-//! does not match the live spec (the collection changed, a file was
-//! resized) invalidates the whole checkpoint — the campaign restarts
-//! fresh rather than trusting stale facts. Only `status=done` entries are
-//! skipped on resume; `failed` entries are retried. Resume granularity is
-//! the settled file: `marker` lines record mid-transfer progress for
-//! forensics, but a file interrupted mid-flight restarts from its banked
-//! bytes inside the RM's own restart-marker machinery, not from the
-//! journal.
-//!
-//! ## Equivalence
-//!
-//! The campaign's `manifest_sha256` is a pure function of the delivered
-//! file set (sorted name/size/digest lines), so an interrupted-and-resumed
-//! campaign is checked bit-for-bit against an uninterrupted one by
-//! comparing manifests; `bytes_skipped + bytes_transferred == total`
-//! accounts every byte to exactly one of the two runs.
 
+use crate::checkpoint::{self, complete_line, header_line, resume_line, spec_sha, Progress};
 use crate::manager::{cancel_request, submit_request_for_tenant, RequestOutcome, RmWorld};
 use esg_gridftp::GridUrl;
-use esg_netlogger::{FlightRecorder, LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx};
+use esg_netlogger::{FlightRecorder, Journal, LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx};
 use esg_simnet::{profile, Completion, NodeId, Sim, SimDuration, SimTime};
 
-use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// What to replicate, where to, and how.
 #[derive(Debug, Clone)]
@@ -137,266 +111,40 @@ pub struct CampaignOutcome {
     pub finished: SimTime,
 }
 
-/// One settled fact about a file, in memory and in the journal.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Settled {
-    pub size: u64,
-    pub digest: Option<String>,
-    pub done: bool,
-    pub round: u64,
-}
-
 /// A live campaign. The manager's `campaigns` map is its only owner: a
 /// campaign that completed or was cancelled is gone, and whatever is still
 /// scheduled for it finds nothing and returns.
 pub(crate) struct CampaignState {
     spec: CampaignSpec,
     target_node: NodeId,
-    files_total: usize,
-    rounds: Vec<Vec<String>>,
-    round_idx: usize,
+    progress: Progress,
     current_request: Option<u64>,
-    /// Every settled file (done or failed), by name. `done` entries are
-    /// exactly the checkpoint-skippable set.
-    settled: BTreeMap<String, Settled>,
-    bytes_transferred: u64,
-    bytes_skipped: u64,
-    files_skipped: usize,
-    resumed: bool,
     started: SimTime,
     span: SpanId,
-    /// Last journaled marker offset per in-flight file.
-    last_marker: HashMap<String, u64>,
-    /// Persistent journal handle: torn-tail healing runs once at open
-    /// instead of on every append. `None` when no checkpoint is
-    /// configured or the journal could not be opened at campaign start —
-    /// decided once, so a path that turns writable mid-run never starts
-    /// a header-less journal.
-    writer: Option<JournalWriter>,
+    /// The checkpoint journal, opened once at campaign start. `None` when
+    /// no checkpoint is configured or it could not be opened — decided
+    /// once, so a path that turns writable mid-run never starts a
+    /// header-less journal.
+    checkpoint: Option<Journal>,
+    /// The flight-recorder tape, emptied at campaign start; `None` when
+    /// none is configured or it could not be opened.
+    tape: Option<Journal>,
     /// Delta state of the metrics flight recorder when a tape is
-    /// configured.
+    /// configured, whether or not its writes land.
     recorder: Option<FlightRecorder>,
     /// The submitter's callback, fired by `complete_campaign`.
     on_complete: Completion,
 }
 
-impl CampaignState {
-    /// Append journal lines. Returns durability: `false` with no open
-    /// journal.
-    fn journal(&mut self, lines: &[String]) -> bool {
-        match &mut self.writer {
-            Some(w) => w.append(lines).is_ok(),
-            None => false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Journal encoding
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Percent-escape the characters that would break line/field framing.
-fn enc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '=' => out.push_str("%3D"),
-            '\n' => out.push_str("%0A"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Undo [`enc`], byte by byte: `%` and two ASCII hex digits are an escape,
-/// any other byte stands for itself. `None` when the bytes are not UTF-8 —
-/// the journal is on-disk input, and a field that does not decode makes its
-/// line unusable like any other malformed line, never the process.
-fn dec(s: &str) -> Option<String> {
-    let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if let [b'%', hi, lo, ..] = bytes[i..] {
-            if let (Some(hi), Some(lo)) = (nibble(hi), nibble(lo)) {
-                out.push(hi << 4 | lo);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i]);
-        i += 1;
-    }
-    String::from_utf8(out).ok()
-}
-
-/// An open journal whose torn tail (left by a crash mid-write) was
-/// truncated once, at open — the lab journal's healing discipline;
-/// appends are then O(lines written).
-struct JournalWriter {
-    file: std::fs::File,
-}
-
-impl JournalWriter {
-    fn open(path: &Path) -> std::io::Result<JournalWriter> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let keep = match buf.iter().rposition(|&b| b == b'\n') {
-            Some(i) => i + 1,
-            None => 0,
-        };
-        if keep != buf.len() {
-            file.set_len(keep as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(JournalWriter { file })
-    }
-
-    fn append(&mut self, lines: &[String]) -> std::io::Result<()> {
-        use std::io::Write;
-        let _j = profile::scope(profile::JOURNAL);
-        profile::count("journal.lines", lines.len() as u64);
-        for l in lines {
-            writeln!(self.file, "{l}")?;
-        }
-        self.file.flush()
-    }
-}
-
-/// Parsed checkpoint: the settled map, whether the journal already holds a
-/// `complete` line.
-struct Checkpoint {
-    settled: BTreeMap<String, Settled>,
-}
-
-/// Load a checkpoint if it exists and its header vouches for `spec_sha`.
-/// A torn final line is dropped; a missing, unreadable, or mismatched
-/// journal yields `None` (fresh start).
-fn load_checkpoint(path: &Path, spec_sha: &str) -> Option<Checkpoint> {
-    let raw = std::fs::read_to_string(path).ok()?;
-    if raw.is_empty() {
-        return None;
-    }
-    // Only complete lines are facts: drop an unterminated tail.
-    let upto = raw.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let mut lines = raw[..upto].lines();
-    let header = lines.next()?;
-    if !header.starts_with("campaign v1 ") {
-        return None;
-    }
-    let fields = parse_fields(header, "campaign")?;
-    if fields.get("spec").map(String::as_str) != Some(spec_sha) {
-        return None;
-    }
-    let mut settled = BTreeMap::new();
-    for line in lines {
-        let mut toks = line.split_whitespace();
-        match toks.next() {
-            Some("settled") => {
-                let Some(f) = parse_fields(line, "settled") else {
-                    continue;
-                };
-                let (Some(name), Some(size)) = (f.get("file"), f.get("size")) else {
-                    continue;
-                };
-                let (Some(name), Ok(size)) = (dec(name), size.parse::<u64>()) else {
-                    continue;
-                };
-                let digest = f.get("digest").filter(|d| d.as_str() != "-").cloned();
-                let done = f.get("status").map(String::as_str) == Some("done");
-                let round = f.get("round").and_then(|r| r.parse().ok()).unwrap_or(0u64);
-                settled.insert(
-                    name,
-                    Settled {
-                        size,
-                        digest,
-                        done,
-                        round,
-                    },
-                );
-            }
-            // Markers, resume notes and the complete line are forensic
-            // records, not resume inputs.
-            Some("marker") | Some("resume") | Some("complete") => {}
-            _ => {}
-        }
-    }
-    Some(Checkpoint { settled })
-}
-
-/// Split a `kind k=v k=v ...` journal line into its fields.
-fn parse_fields(line: &str, kind: &str) -> Option<HashMap<String, String>> {
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some(kind) {
-        return None;
-    }
-    let mut out = HashMap::new();
-    for t in toks {
-        if let Some((k, v)) = t.split_once('=') {
-            out.insert(k.to_string(), v.to_string());
-        }
-    }
-    Some(out)
-}
-
-fn settled_line(name: &str, s: &Settled) -> String {
-    format!(
-        "settled file={} size={} digest={} status={} round={}",
-        enc(name),
-        s.size,
-        s.digest.as_deref().unwrap_or("-"),
-        if s.done { "done" } else { "failed" },
-        s.round,
-    )
-}
-
-/// sha256 over the canonical spec identity: name, collection, target,
-/// location, and the sorted file list with sizes. Tuning knobs (batch
-/// size, tenant weights, marker period) are deliberately excluded so a
-/// resume may retune without forfeiting the checkpoint.
-fn spec_sha(spec: &CampaignSpec, files: &[(String, u64)]) -> String {
-    let mut s = format!(
-        "campaign-spec v1\nname={}\ncollection={}\ntarget={}\nlocation={}\n",
-        enc(&spec.name),
-        enc(&spec.collection),
-        enc(&spec.target_host),
-        enc(&spec.location_name),
-    );
-    for (name, size) in files {
-        s.push_str(&format!("file={} size={size}\n", enc(name)));
-    }
-    hex(&esg_gsi::sha256(s.as_bytes()))
-}
-
-/// The resume-equivalence witness: sha256 over the sorted delivered set.
-fn manifest_sha(settled: &BTreeMap<String, Settled>) -> String {
-    let mut s = String::new();
-    for (name, e) in settled.iter().filter(|(_, e)| e.done) {
-        s.push_str(&format!(
-            "file={} size={} digest={}\n",
-            enc(name),
-            e.size,
-            e.digest.as_deref().unwrap_or("-"),
-        ));
-    }
-    hex(&esg_gsi::sha256(s.as_bytes()))
+/// Append checkpoint lines. Returns durability: `false` with no open
+/// journal or a failed write.
+fn journal(checkpoint: &mut Option<Journal>, lines: &[String]) -> bool {
+    let Some(j) = checkpoint else {
+        return false;
+    };
+    let _j = profile::scope(profile::JOURNAL);
+    profile::count("journal.lines", lines.len() as u64);
+    j.append(lines).is_ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +175,6 @@ pub fn start_campaign<W: RmWorld>(
         })
         .collect();
     files.sort();
-    let files_total = files.len();
 
     rm.metrics.counter_add("rm.campaign.started", 1);
     rm.log.emit(
@@ -437,7 +184,7 @@ pub fn start_campaign<W: RmWorld>(
             .field("name", spec.name.clone())
             .field("collection", spec.collection.clone())
             .field("target", spec.target_host.clone())
-            .field("files", files_total as u64),
+            .field("files", files.len() as u64),
     );
 
     // An unknown target is a configuration error, not a retryable fault:
@@ -451,77 +198,36 @@ pub fn start_campaign<W: RmWorld>(
                 .field("status", "failed")
                 .field("reason", "unknown_target"),
         );
-        let outcome = CampaignOutcome {
-            id,
-            name: spec.name.clone(),
-            collection: spec.collection.clone(),
-            target_host: spec.target_host.clone(),
-            files_total,
-            files_delivered: 0,
-            files_failed: files_total,
-            files_skipped: 0,
-            bytes_transferred: 0,
-            bytes_skipped: 0,
-            rounds: 0,
-            resumed: false,
-            cancelled: false,
-            manifest_sha256: manifest_sha(&BTreeMap::new()),
-            started: now,
-            finished: now,
-        };
+        let outcome = Progress::plan(&files, None, 1).outcome(id, &spec, now, now);
         sim.schedule(SimDuration::from_secs(0), move |s| on_complete(s, outcome));
         return id;
     };
 
+    // One open per journal. A checkpoint whose lines vouch for the spec is
+    // resumed from; any other is reset to a fresh header.
     let sha = spec_sha(&spec, &files);
-
-    // Load the checkpoint (if any) and classify it: valid → resume,
-    // invalid/mismatched → fresh start with a rewritten header.
-    let mut settled = BTreeMap::new();
-    let mut resumed = false;
-    if let Some(path) = &spec.checkpoint {
-        match load_checkpoint(path, &sha) {
-            Some(cp) => {
-                settled = cp.settled;
-                resumed = true;
+    let mut loaded = None;
+    let mut checkpoint = spec.checkpoint.as_ref().and_then(|path| {
+        let existed = path.exists();
+        let (mut j, lines) = Journal::open(path).ok()?;
+        loaded = checkpoint::load(&lines, &sha);
+        if loaded.is_none() {
+            if existed {
+                rm.metrics.counter_add("rm.campaign.fresh_start", 1);
             }
-            None => {
-                if path.exists() {
-                    rm.metrics.counter_add("rm.campaign.fresh_start", 1);
-                }
-                let header = format!(
-                    "campaign v1 spec={sha} name={} collection={} target={} files={files_total}",
-                    enc(&spec.name),
-                    enc(&spec.collection),
-                    enc(&spec.target_host),
-                );
-                let _ = std::fs::write(path, format!("{header}\n"));
-            }
+            let _ = j.reset(&[header_line(&sha, &spec, files.len())]);
         }
-    }
-    // A configured tape starts fresh each run: the recorder's first
-    // snapshot is the full flattened state, so nothing is lost by
-    // truncating a stale tape.
-    let recorder = spec.recorder.as_ref().map(|path| {
-        let _ = std::fs::write(path, "");
-        FlightRecorder::new()
+        Some(j)
     });
-
-    // The journal stays open for the campaign's lifetime: one heal at
-    // open, O(lines) per append.
-    let mut writer = spec
-        .checkpoint
-        .as_ref()
-        .and_then(|path| JournalWriter::open(path).ok());
-
-    // Checkpoint facts only count when they still describe a current file
-    // (name and size both match); anything else is retried. Indexed by
-    // name so a 10k-file resume is O(N log N), not O(N²).
-    let by_name: HashMap<&str, u64> = files.iter().map(|(f, s)| (f.as_str(), *s)).collect();
-    settled.retain(|name, e| e.done && by_name.get(name.as_str()) == Some(&e.size));
-    drop(by_name);
-    let files_skipped = settled.len();
-    let bytes_skipped: u64 = settled.values().map(|e| e.size).sum();
+    // A configured tape starts empty each run: the recorder's first
+    // snapshot is the full flattened state, so nothing is lost.
+    let tape = spec.recorder.as_ref().and_then(|path| {
+        let (mut j, _) = Journal::open(path).ok()?;
+        j.reset(&[] as &[String]).ok()?;
+        Some(j)
+    });
+    let recorder = spec.recorder.is_some().then(FlightRecorder::new);
+    let progress = Progress::plan(&files, loaded, spec.batch_files.max(1));
 
     // The target location exists from the first round; settled files are
     // re-registered so a resumed catalog converges with an uninterrupted
@@ -533,61 +239,40 @@ pub fn start_campaign<W: RmWorld>(
     let _ = rm
         .catalog
         .register_location(&spec.collection, &spec.location_name, &base, &[]);
-    for name in settled.keys() {
+    for name in progress.settled.keys() {
         let _ = rm
             .catalog
             .add_file_to_location(&spec.collection, &spec.location_name, name);
     }
 
-    if resumed {
+    if progress.resumed {
+        let (skipped, bytes) = (progress.files_skipped, progress.bytes_skipped);
         rm.metrics.counter_add("rm.campaign.resumed", 1);
-        rm.metrics
-            .counter_add("rm.campaign.bytes_skipped", bytes_skipped);
+        rm.metrics.counter_add("rm.campaign.bytes_skipped", bytes);
         rm.log.emit(
             &ctx,
             LogEvent::new(now, "rm.campaign.resume")
                 .field("campaign", id)
-                .field("skipped", files_skipped as u64)
-                .field("bytes_skipped", bytes_skipped),
+                .field("skipped", skipped as u64)
+                .field("bytes_skipped", bytes),
         );
-        if let Some(w) = &mut writer {
-            let _ = w.append(&[format!(
-                "resume skipped={files_skipped} bytes={bytes_skipped}"
-            )]);
-        }
-    }
-
-    // Round plan: the unsettled files, in sorted order, chunked.
-    let batch = spec.batch_files.max(1);
-    let mut rounds: Vec<Vec<String>> = Vec::new();
-    for (name, _) in files.iter().filter(|(f, _)| !settled.contains_key(f)) {
-        if rounds.last().map(|r| r.len() >= batch).unwrap_or(true) {
-            rounds.push(Vec::new());
-        }
-        rounds.last_mut().unwrap().push(name.clone());
+        journal(&mut checkpoint, &[resume_line(skipped, bytes)]);
     }
 
     let span = rm.log.span_start(&ctx, now, Phase::Campaign, None);
     let mut camp = CampaignState {
         spec,
         target_node,
-        files_total,
-        rounds,
-        round_idx: 0,
+        progress,
         current_request: None,
-        settled,
-        bytes_transferred: 0,
-        bytes_skipped,
-        files_skipped,
-        resumed,
         started: now,
         span,
-        last_marker: HashMap::new(),
-        writer,
+        checkpoint,
+        tape,
         recorder,
         on_complete: Completion::new(on_complete),
     };
-    if camp.rounds.is_empty() {
+    if camp.progress.rounds.is_empty() {
         rm.campaigns.insert(id, camp);
         complete_campaign(sim, id);
     } else {
@@ -598,7 +283,6 @@ pub fn start_campaign<W: RmWorld>(
     }
     id
 }
-
 /// Cancel a live campaign: tears down the in-flight round (transfers,
 /// ledger entries, breaker probe slots), closes the campaign span and
 /// removes the campaign without firing its callback. The checkpoint keeps
@@ -637,7 +321,7 @@ fn launch_round<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let Some(c) = rm.campaigns.get(&id) else {
         return;
     };
-    let req_files: Vec<(String, String)> = c.rounds[c.round_idx]
+    let req_files: Vec<(String, String)> = c.progress.rounds[c.progress.round_idx]
         .iter()
         .map(|f| (c.spec.collection.clone(), f.clone()))
         .collect();
@@ -647,7 +331,7 @@ fn launch_round<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
         &TraceCtx::system(),
         LogEvent::new(now, "rm.campaign.round")
             .field("campaign", id)
-            .field("round", c.round_idx as u64)
+            .field("round", c.progress.round_idx as u64)
             .field("files", req_files.len() as u64),
     );
     let req = submit_request_for_tenant(sim, target_node, req_files, &tenant, move |s, o| {
@@ -664,50 +348,32 @@ fn round_done<W: RmWorld>(sim: &mut Sim<W>, id: u64, outcome: RequestOutcome) {
     let Some(c) = rm.campaigns.get_mut(&id) else {
         return;
     };
-    let round = c.round_idx as u64;
-    let (mut delivered, mut failed, mut bytes) = (0u64, 0u64, 0u64);
-    let mut lines = Vec::new();
-    for fs in outcome.files {
-        let entry = Settled {
-            size: fs.size,
-            digest: rm.catalog.file_digest(&c.spec.collection, &fs.name),
-            done: fs.done,
-            round,
-        };
-        if fs.done {
-            delivered += 1;
-            bytes += fs.size;
-            let _ = rm.catalog.add_file_to_location(
-                &c.spec.collection,
-                &c.spec.location_name,
-                &fs.name,
-            );
-        } else {
-            failed += 1;
-        }
-        lines.push(settled_line(&fs.name, &entry));
-        c.last_marker.remove(&fs.name);
-        c.settled.insert(fs.name, entry);
+    for fs in outcome.files.iter().filter(|fs| fs.done) {
+        let _ =
+            rm.catalog
+                .add_file_to_location(&c.spec.collection, &c.spec.location_name, &fs.name);
     }
-    c.bytes_transferred += bytes;
+    let settle = c.progress.settle(outcome.files, |name| {
+        rm.catalog.file_digest(&c.spec.collection, name)
+    });
     rm.metrics
-        .counter_add("rm.campaign.files_delivered", delivered);
-    rm.metrics.counter_add("rm.campaign.files_failed", failed);
+        .counter_add("rm.campaign.files_delivered", settle.delivered);
     rm.metrics
-        .counter_add("rm.campaign.bytes_transferred", bytes);
-    let checkpointed = c.journal(&lines);
+        .counter_add("rm.campaign.files_failed", settle.failed);
+    rm.metrics
+        .counter_add("rm.campaign.bytes_transferred", settle.bytes);
+    let checkpointed = journal(&mut c.checkpoint, &settle.lines);
     rm.metrics.counter_add("rm.campaign.checkpoints", 1);
     rm.log.emit(
         &TraceCtx::system(),
         LogEvent::new(now, "rm.campaign.checkpoint")
             .field("campaign", id)
-            .field("round", round)
-            .field("settled", c.settled.len() as u64)
+            .field("round", settle.round)
+            .field("settled", c.progress.settled.len() as u64)
             .field("durable", u64::from(checkpointed)),
     );
     c.current_request = None;
-    c.round_idx += 1;
-    if c.round_idx < c.rounds.len() {
+    if c.progress.round_idx < c.progress.rounds.len() {
         launch_round(sim, id);
     } else {
         complete_campaign(sim, id);
@@ -722,26 +388,11 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let Some(mut c) = rm.campaigns.remove(&id) else {
         return;
     };
-    let done = c.settled.values().filter(|e| e.done).count();
-    let outcome = CampaignOutcome {
-        id,
-        name: c.spec.name.clone(),
-        collection: c.spec.collection.clone(),
-        target_host: c.spec.target_host.clone(),
-        files_total: c.files_total,
-        files_delivered: done - c.files_skipped,
-        files_failed: c.files_total - done,
-        files_skipped: c.files_skipped,
-        bytes_transferred: c.bytes_transferred,
-        bytes_skipped: c.bytes_skipped,
-        rounds: c.round_idx,
-        resumed: c.resumed,
-        cancelled: false,
-        manifest_sha256: manifest_sha(&c.settled),
-        started: c.started,
-        finished: now,
-    };
-    let _ = c.journal(&[format!("complete manifest={}", outcome.manifest_sha256)]);
+    let outcome = c.progress.outcome(id, &c.spec, c.started, now);
+    journal(
+        &mut c.checkpoint,
+        &[complete_line(&outcome.manifest_sha256)],
+    );
     let ctx = TraceCtx::system();
     rm.metrics.counter_add("rm.campaign.completed", 1);
     rm.log.span_end(
@@ -776,25 +427,18 @@ fn complete_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
 /// Capture one flight-recorder snapshot of the RM registry and append it
 /// to the campaign's tape. No-op without a configured recorder.
 fn record_snapshot(c: &mut CampaignState, metrics: &mut MetricsRegistry, now: SimTime) {
-    let (Some(path), Some(rec)) = (&c.spec.recorder, &mut c.recorder) else {
+    let Some(rec) = &mut c.recorder else {
         return;
     };
     let line = rec.snapshot(now, metrics).to_string();
     {
         let _j = profile::scope(profile::JOURNAL);
         profile::count("journal.recorder_lines", 1);
-        let _ = append_to_tape(path, &line);
+        if let Some(tape) = &mut c.tape {
+            let _ = tape.append(&[line]);
+        }
     }
     metrics.counter_add("rm.campaign.recorder_snapshots", 1);
-}
-
-/// Plain append for the tape: the recorder owns the whole file for the
-/// campaign's lifetime (truncated at start), so no healing pass is needed.
-fn append_to_tape(path: &Path, line: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-    writeln!(f, "{line}")?;
-    f.flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -842,23 +486,13 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
     };
     // Only the files with banked unfinished bytes, from the request's
     // incremental progress set.
-    let progress = c.current_request.and_then(|req| rm.marker_progress(req));
+    let banked = c.current_request.and_then(|req| rm.marker_progress(req));
     let Some(c) = rm.campaigns.get_mut(&id) else {
         return ControlFlow::Break(());
     };
-    let round = c.round_idx as u64;
-    let mut lines = Vec::new();
-    for (name, bytes_done) in progress.unwrap_or_default() {
-        if bytes_done > c.last_marker.get(&name).copied().unwrap_or(0) {
-            lines.push(format!(
-                "marker file={} offset={bytes_done} round={round}",
-                enc(&name),
-            ));
-            c.last_marker.insert(name, bytes_done);
-        }
-    }
+    let lines = c.progress.markers(banked.unwrap_or_default());
     if !lines.is_empty() {
-        let _ = c.journal(&lines);
+        journal(&mut c.checkpoint, &lines);
         let n = lines.len() as u64;
         rm.metrics.counter_add("rm.campaign.markers", n);
         rm.log.emit(
@@ -876,12 +510,15 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{dec, enc, settled_fact, settled_line, Settled};
     use crate::manager::{submit_request, HasReqMan, RequestManager};
     use crate::reliability::BreakerState;
     use esg_gridftp::simxfer::{GridFtpSim, HasGridFtp};
     use esg_nws::{HasNws, NwsRegistry};
     use esg_replica::Policy;
     use esg_simnet::{Node, Topology};
+    use std::collections::BTreeMap;
+    use std::path::Path;
 
     struct World {
         rm: RequestManager,
@@ -979,6 +616,11 @@ mod tests {
         let path = dir.join(format!("{tag}-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    /// The settled facts a checkpoint file vouches for under `spec_sha`.
+    fn load_checkpoint(path: &Path, spec_sha: &str) -> Option<BTreeMap<String, Settled>> {
+        checkpoint::load(&esg_netlogger::journal::read_lines(path).ok()?, spec_sha)
     }
 
     fn spec_with(tag: &str, checkpoint: Option<PathBuf>) -> CampaignSpec {
@@ -1284,12 +926,13 @@ mod tests {
         .unwrap();
         // The torn tail is not a fact.
         let cp = load_checkpoint(&ckpt, &sha).expect("journal must load");
-        assert_eq!(cp.settled.len(), 1);
-        assert!(cp.settled["pcm.run1.f000"].done);
+        assert_eq!(cp.len(), 1);
+        assert!(cp["pcm.run1.f000"].done);
         // Opening the journal heals the tear before anything is appended.
-        JournalWriter::open(&ckpt)
+        Journal::open(&ckpt)
             .unwrap()
-            .append(&["resume skipped=1 bytes=0".into()])
+            .0
+            .append(&["resume skipped=1 bytes=0"])
             .unwrap();
         let raw = std::fs::read_to_string(&ckpt).unwrap();
         assert!(!raw.contains("f001 si"), "torn fragment must be truncated");
@@ -1313,7 +956,7 @@ mod tests {
             format!(
                 "campaign v1 spec={} name=mirror collection=pcm target=archive.ucar.edu files=6\n\
                  settled file=pcm.run1.f000 size={FILE_BYTES} digest=- status=done round=0\n",
-                hex(&esg_gsi::sha256(b"some other spec")),
+                esg_gsi::hex(&esg_gsi::sha256(b"some other spec")),
             ),
         )
         .unwrap();
@@ -1492,6 +1135,12 @@ mod tests {
 
     #[test]
     fn field_encoding_round_trips() {
+        let fact = Settled {
+            size: 7,
+            digest: None,
+            done: true,
+            round: 0,
+        };
         for s in [
             "plain",
             "with space",
@@ -1503,9 +1152,21 @@ mod tests {
             "%€x",
             "€%",
             "%+5",
+            "x\ty.nc",
+            "cr\rlf",
+            "nbsp\u{a0}em\u{2003}ls\u{2028}",
         ] {
             assert_eq!(dec(&enc(s)).as_deref(), Some(s), "{s:?}");
+            let line = settled_line(s, &fact);
+            assert_eq!(
+                settled_fact(&line),
+                Some((s.to_string(), fact.clone())),
+                "{line:?}"
+            );
         }
+        // Space and newline keep their escapes, so older journals, spec
+        // hashes and manifests read the same bytes.
+        assert_eq!(enc("a b\nc\td"), "a%20b%0Ac%09d");
         // The journal is on-disk input: only `%` and two hex digits is an
         // escape (a sign is not a digit, a multi-byte character is not two
         // bytes to slice), and bytes that are not UTF-8 are no field at all.
@@ -1532,7 +1193,7 @@ mod tests {
         )
         .unwrap();
         let cp = load_checkpoint(&ckpt, "x").expect("journal must load");
-        let names: Vec<&str> = cp.settled.keys().map(String::as_str).collect();
+        let names: Vec<&str> = cp.keys().map(String::as_str).collect();
         assert_eq!(names, ["%€x", "ok"]);
         let _ = std::fs::remove_file(&ckpt);
     }
@@ -1560,6 +1221,100 @@ mod tests {
         assert_eq!(resumed.files_skipped, resumed.files_total);
         assert_eq!(resumed.bytes_transferred, 0, "a verified file moved again");
         assert_eq!(resumed.manifest_sha256, first.manifest_sha256);
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    /// A tab, carriage return or other Unicode space in a name is escaped
+    /// like a space: the resumed campaign reads back the same name and
+    /// moves nothing again.
+    #[test]
+    fn whitespace_in_a_name_is_skipped_on_resume() {
+        let ckpt = tmp_checkpoint("resume-whitespace");
+        let run = || {
+            let (mut sim, _) = setup();
+            let cat = &mut sim.world.rm.catalog;
+            for name in ["x\ty.nc", "r\rn.nc", "em\u{2003}sp.nc"] {
+                cat.add_logical_file("pcm", name, FILE_BYTES).unwrap();
+                cat.add_file_to_location("pcm", "llnl", name).unwrap();
+            }
+            start_campaign(&mut sim, spec_with("mirror", Some(ckpt.clone())), |s, o| {
+                s.world.outcomes.push(o)
+            });
+            sim.run();
+            sim.world.outcomes.remove(0)
+        };
+        let first = run();
+        assert_eq!(first.files_delivered, FILES + 3);
+        let resumed = run();
+        assert!(resumed.resumed);
+        assert_eq!(resumed.files_skipped, resumed.files_total);
+        assert_eq!(resumed.bytes_transferred, 0, "a verified file moved again");
+        assert_eq!(resumed.manifest_sha256, first.manifest_sha256);
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    /// Crash points at every write boundary of the checkpoint: a finished
+    /// campaign's journal, cut at every line boundary, halfway through every
+    /// line and just before every line's `\n`, resumes to the uninterrupted
+    /// manifest, accounts every byte to exactly one run, and skips exactly
+    /// the `done` facts the cut kept.
+    #[test]
+    fn every_checkpoint_cut_resumes_to_the_uninterrupted_manifest() {
+        let ckpt = tmp_checkpoint("cuts");
+        let run = || {
+            let (mut sim, _) = setup();
+            start_campaign(&mut sim, spec_with("mirror", Some(ckpt.clone())), |s, o| {
+                s.world.outcomes.push(o)
+            });
+            sim.run();
+            sim.world.outcomes.remove(0)
+        };
+        // The names of the `done` files among `lines`' settled facts.
+        let done = |lines: &str| -> Vec<String> {
+            let mut names: Vec<String> = lines
+                .lines()
+                .filter(|l| l.starts_with("settled ") && l.contains(" status=done "))
+                .filter_map(|l| l.split(' ').find_map(|t| t.strip_prefix("file=")))
+                .map(str::to_string)
+                .collect();
+            names.sort();
+            names
+        };
+        let full = run();
+        let bytes = std::fs::read_to_string(&ckpt).unwrap();
+        let ends: Vec<usize> = bytes.match_indices('\n').map(|(i, _)| i + 1).collect();
+        assert!(ends.len() > 8, "too few lines to cut:\n{bytes}");
+        let mut cuts = vec![0];
+        for (k, &end) in ends.iter().enumerate() {
+            let start = if k == 0 { 0 } else { ends[k - 1] };
+            cuts.extend([start + (end - start) / 2, end - 1, end]);
+        }
+        let all: Vec<String> = (0..FILES).map(|i| format!("pcm.run1.f{i:03}")).collect();
+        for cut in cuts {
+            std::fs::write(&ckpt, &bytes[..cut]).unwrap();
+            // What the cut keeps: its complete lines, if the header is one.
+            let kept_len = bytes[..cut].rfind('\n').map_or(0, |i| i + 1);
+            let vouched = kept_len >= ends[0];
+            let kept = if vouched {
+                done(&bytes[..kept_len])
+            } else {
+                Vec::new()
+            };
+            let o = run();
+            assert_eq!(o.manifest_sha256, full.manifest_sha256, "cut at {cut}");
+            assert_eq!(
+                o.bytes_skipped + o.bytes_transferred,
+                FILES as u64 * FILE_BYTES,
+                "cut at {cut}"
+            );
+            assert_eq!(o.resumed, vouched, "cut at {cut}");
+            // The files this run moved are the settled lines it appended.
+            let after = std::fs::read_to_string(&ckpt).unwrap();
+            let moved = done(&after[if vouched { kept_len } else { 0 }..]);
+            let skipped: Vec<String> = all.iter().filter(|n| !moved.contains(n)).cloned().collect();
+            assert_eq!(skipped, kept, "cut at {cut}");
+            assert_eq!(o.files_skipped, kept.len(), "cut at {cut}");
+        }
         let _ = std::fs::remove_file(&ckpt);
     }
 

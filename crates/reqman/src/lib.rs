@@ -22,9 +22,11 @@
 //! * [`campaign`] — fault-tolerant replication campaigns, the one way to
 //!   copy a collection: batched rounds driven through the scheduler,
 //!   durable checkpoint/resume, and multi-tenant fair sharing with the
-//!   interactive workload.
+//!   interactive workload. Its driver; the checkpoint codec and the
+//!   campaign's arithmetic are plain data in `checkpoint.rs`.
 
 pub mod campaign;
+mod checkpoint;
 pub mod integrity;
 mod lifecycle;
 pub mod manager;
