@@ -14,18 +14,20 @@
 //!
 //! Every trial runs **twice** and holds the two runs to byte-identical
 //! flight tapes and traces (`snapshot_match`), and holds the online
-//! analyzer to the offline `LifelineSet::from_log` pass over the finished
-//! trace (`live_match`): same phase totals, same stall set, same critical
-//! paths, same tiling verdicts.
+//! analyzer's incremental state to the offline `LifelineSet::from_log`
+//! pass over the finished trace (`live_match`): same per-file phase
+//! totals, same open spans, same trace horizon, and live probes fired for
+//! exactly the offline stall set.
 
 use super::campaign_round::{tmp_path, CampaignRound};
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use crate::spec::ScenarioSpec;
-use esg_netlogger::LifelineSet;
+use esg_netlogger::{LifelineSet, LiveLifelines, NetLog, OpenSpan};
 use esg_reqman::CampaignOutcome;
 use esg_simnet::profile;
 use esg_simnet::SimDuration;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The campaign's source dataset.
@@ -44,40 +46,49 @@ struct ProfRun {
     reg: Vec<(String, f64)>,
 }
 
-/// Does the online analyzer's view of the finished trace match the
-/// offline pass bit-for-bit? Compared through `Debug` renderings so every
-/// field (ids, times, bytes, open flags) participates in the equality.
-fn live_matches_offline(
-    live: &esg_netlogger::LiveLifelines,
-    offline: &LifelineSet,
-    stall_s: f64,
-) -> bool {
-    let snap = live.snapshot();
-    let view = |s: &LifelineSet| {
-        (
-            format!("{:?}", s.lifelines),
-            format!("{:?}", s.orphans),
-            format!("{:?}", s.detect_stalls(stall_s)),
-            format!("{:?}", s.critical_paths()),
-            s.trace_end,
-        )
-    };
-    if view(&snap) != view(offline) {
-        return false;
-    }
-    // The incremental per-lifeline totals must agree with each offline
-    // lifeline's closed-phase attribution (empty maps both ways count).
-    offline.lifelines.iter().all(|l| {
+/// Does the online analyzer's incremental state agree with the offline
+/// `LifelineSet::from_log` pass over the finished trace? Every lifeline's
+/// closed-phase totals, the spans the trace leaves open (with their
+/// parents), the trace horizon, and the set of spans the live probes fired
+/// for against `detect_stalls`.
+fn live_matches_offline(live: &LiveLifelines, log: &NetLog, stall_s: f64) -> bool {
+    let offline = LifelineSet::from_log(log);
+    let totals = offline.lifelines.iter().all(|l| {
         live.file_phase_totals(l.request, &l.file)
             .cloned()
             .unwrap_or_default()
             == l.phase_totals()
-    }) && snap.lifelines.iter().all(|l| {
-        l.is_complete()
-            == offline
-                .lifeline(l.request, &l.file)
-                .is_some_and(|o| o.is_complete())
-    })
+    });
+    let mut still_open: Vec<_> = offline
+        .lifelines
+        .iter()
+        .flat_map(|l| std::iter::once(&l.root).chain(&l.phases))
+        .chain(offline.prestage.iter().chain(&offline.campaigns))
+        .filter(|s| s.end.is_none())
+        .map(|s| OpenSpan {
+            span: s.id,
+            parent: s.parent,
+            phase: s.phase,
+            request: s.request,
+            file: s.file.clone(),
+            start: s.start,
+        })
+        .collect();
+    still_open.sort_by_key(|s| s.span);
+    let fired: BTreeSet<u64> = log
+        .named("obs.stall")
+        .filter_map(|e| e.get_num("span"))
+        .map(|x| x as u64)
+        .collect();
+    let detected: BTreeSet<u64> = offline
+        .detect_stalls(stall_s)
+        .iter()
+        .map(|s| s.span)
+        .collect();
+    totals
+        && live.open_spans().eq(&still_open)
+        && live.trace_end() == offline.trace_end
+        && fired == detected
 }
 
 fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
@@ -107,9 +118,8 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let _ = std::fs::remove_file(&tape);
 
     let world = &mut round.tb.sim.world;
-    let offline = LifelineSet::from_log(&world.rm.log);
     let live = world.rm.log.live().ok_or("live analyzer not attached")?;
-    let live_match = live_matches_offline(live, &offline, stall_s)
+    let live_match = live_matches_offline(live, &world.rm.log, stall_s)
         && live.events_seen() == world.rm.log.len() as u64;
     let obs_stalls = world.rm.metrics.counter("obs.stalls");
     let stall_events = world.rm.log.named("obs.stall").count() as u64;

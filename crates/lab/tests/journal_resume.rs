@@ -4,9 +4,9 @@
 //! analysis table (including every trace sha256 pin) byte-identical to
 //! an uninterrupted run of the same spec.
 
-use esg_lab::journal;
+use esg_lab::journal::{self, MetricValue, TrialKey};
 use esg_lab::json::Json;
-use esg_lab::runner::{plan, run_scenario, RunOptions};
+use esg_lab::runner::{plan, run_scenario, RunOptions, RunOutcome};
 use esg_lab::spec::{GateSpec, Params, ScenarioSpec, Variant};
 use std::path::{Path, PathBuf};
 
@@ -56,6 +56,18 @@ fn opts(dir: &Path) -> RunOptions {
     }
 }
 
+/// Every trial's `trace_sha256` pin, in plan order.
+fn pins(outcome: &RunOutcome) -> Vec<String> {
+    outcome
+        .rows
+        .iter()
+        .map(|r| match r.metric("trace_sha256").unwrap() {
+            MetricValue::Str(s) => s.clone(),
+            other => panic!("trace_sha256 must be a string, got {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn interrupted_run_resumes_to_identical_table() {
     let spec = probe_spec();
@@ -67,14 +79,7 @@ fn interrupted_run_resumes_to_identical_table() {
     assert!(full.complete);
     assert_eq!(full.executed, 4);
     assert!(full.gates.all_pass());
-    let pins: Vec<String> = full
-        .rows
-        .iter()
-        .map(|r| match r.metric("trace_sha256").unwrap() {
-            esg_lab::journal::MetricValue::Str(s) => s.clone(),
-            other => panic!("trace_sha256 must be a string, got {other:?}"),
-        })
-        .collect();
+    let full_pins = pins(&full);
 
     // Interrupted: two trials, stop, then resume to completion.
     let dir_b = tmp_dir("maxtrials");
@@ -100,15 +105,11 @@ fn interrupted_run_resumes_to_identical_table() {
         resumed.table, full.table,
         "resumed analysis table must be byte-identical to the uninterrupted run"
     );
-    let resumed_pins: Vec<String> = resumed
-        .rows
-        .iter()
-        .map(|r| match r.metric("trace_sha256").unwrap() {
-            esg_lab::journal::MetricValue::Str(s) => s.clone(),
-            other => panic!("trace_sha256 must be a string, got {other:?}"),
-        })
-        .collect();
-    assert_eq!(resumed_pins, pins, "trace pins must survive the resume");
+    assert_eq!(
+        pins(&resumed),
+        full_pins,
+        "trace pins must survive the resume"
+    );
 
     // A third run reuses everything and still lands on the same bytes.
     let replay = run_scenario(&spec, &opts(&dir_b)).unwrap();
@@ -150,6 +151,53 @@ fn truncated_journal_with_torn_tail_resumes_cleanly() {
     );
     // The journal healed: all four trials re-journaled, next run is free.
     assert_eq!(journal::read(&jpath).unwrap().len(), 4);
+}
+
+/// The trial journal's crash points: a crash can leave the file cut at
+/// any byte of an append. Cut the finished journal at every line boundary,
+/// halfway through every line and just before every `\n`; each cut must
+/// resume to the uninterrupted table and pins, reusing exactly the trials
+/// on the complete lines it kept.
+#[test]
+fn every_trial_journal_cut_resumes_to_the_uninterrupted_table() {
+    let spec = probe_spec();
+    let dir = tmp_dir("cuts");
+    let full = run_scenario(&spec, &opts(&dir)).unwrap();
+    assert!(full.complete && full.executed == 4);
+    let jpath = journal::journal_path(&dir, &spec.name);
+    let bytes = std::fs::read(&jpath).unwrap();
+    let keys = |entries: Vec<journal::JournalEntry>| -> Vec<TrialKey> {
+        entries.into_iter().map(|e| e.record.key).collect()
+    };
+    let all_keys = keys(journal::read(&jpath).unwrap());
+    assert_eq!(all_keys.len(), 4, "one journal line per trial");
+
+    let mut cuts = vec![0];
+    let mut start = 0;
+    for (i, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        cuts.extend([start + (i - start) / 2, i, i + 1]);
+        start = i + 1;
+    }
+    assert_eq!(start, bytes.len(), "the finished journal ends with a line");
+    assert_eq!(cuts.len(), 13);
+
+    for cut in cuts {
+        std::fs::write(&jpath, &bytes[..cut]).unwrap();
+        let kept = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
+        let resumed = run_scenario(&spec, &opts(&dir)).unwrap();
+        assert!(resumed.complete, "cut at byte {cut}");
+        assert_eq!(
+            (resumed.reused, resumed.executed),
+            (kept, 4 - kept),
+            "cut at byte {cut} keeps {kept} complete line(s)"
+        );
+        assert_eq!(resumed.table, full.table, "cut at byte {cut}");
+        assert_eq!(pins(&resumed), pins(&full), "cut at byte {cut}");
+        // The kept lines' trials lead the healed journal, in their order.
+        let healed = keys(journal::read(&jpath).unwrap());
+        assert_eq!(healed.len(), 4, "cut at byte {cut}");
+        assert_eq!(healed[..kept], all_keys[..kept], "cut at byte {cut}");
+    }
 }
 
 #[test]

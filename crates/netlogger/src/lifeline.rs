@@ -174,23 +174,6 @@ pub struct LifelineSet {
     pub trace_end: SimTime,
 }
 
-/// The shared parse/group core behind both the offline
-/// [`LifelineSet::from_log`] pass and the streaming
-/// [`LiveLifelines`](crate::live::LiveLifelines) analyzer: events go in one
-/// at a time through [`observe`](SpanCollector::observe) (the exact loop
-/// body the offline pass runs over the whole trace) and
-/// [`assemble`](SpanCollector::assemble) performs the exact grouping pass.
-/// Feeding a full trace event-by-event is therefore *structurally*
-/// identical to the batch pass — the differential tests pin that nothing
-/// diverges downstream.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SpanCollector {
-    spans: BTreeMap<u64, Span>,
-    /// End-without-start span ids, in arrival order (deduped at assemble).
-    orphan_ends: Vec<u64>,
-    trace_end: SimTime,
-}
-
 /// A field's value as text: a string as is, a number as it prints.
 fn into_text(v: Value) -> Text {
     match v {
@@ -199,70 +182,64 @@ fn into_text(v: Value) -> Text {
     }
 }
 
-impl SpanCollector {
-    /// Incorporate one event: advance `trace_end`, open a span on
-    /// `span.start`, close it on `span.end`.
-    pub(crate) fn observe(&mut self, e: EventRef<'_>) {
-        if e.time > self.trace_end {
-            self.trace_end = e.time;
-        }
-        let id = match e.get_num("span") {
-            Some(x) if e.name == "span.start" || e.name == "span.end" => x as u64,
-            _ => return,
+impl Span {
+    /// The span a `span.start` event opens: an unknown phase reads as
+    /// [`Phase::File`], a missing parent as 0, and request, file and attempt
+    /// come from the event's own fields or its context. The one parse rule
+    /// of the offline pass and the live tap.
+    pub(crate) fn opened(id: u64, e: EventRef<'_>) -> Span {
+        let phase = match e.get("phase") {
+            Some(Value::Str(s)) => Phase::from_str(&s),
+            _ => None,
         };
-        if e.name == "span.start" {
-            let phase = e
-                .get("phase")
-                .and_then(|v| match v {
-                    Value::Str(s) => Phase::from_str(&s),
-                    _ => None,
-                })
-                .unwrap_or(Phase::File);
-            self.spans.insert(
-                id,
-                Span {
-                    id,
-                    parent: e.get_num("parent").unwrap_or(0.0) as u64,
-                    phase,
-                    request: e.get_num("request").map(|x| x as u64),
-                    file: e.get("file").map(into_text),
-                    attempt: e.get_num("attempt").map(|x| x as u32),
-                    start: e.time,
-                    end: None,
-                    bytes: 0,
-                    status: None,
-                },
-            );
-        } else {
-            match self.spans.get_mut(&id) {
-                Some(s) => {
-                    s.end = Some(e.time);
-                    s.bytes = e.get_num("bytes").unwrap_or(0.0) as u64;
-                    s.status = e.get("status").map(into_text);
-                }
-                None => self.orphan_ends.push(id),
+        Span {
+            id,
+            parent: e.get_num("parent").unwrap_or(0.0) as u64,
+            phase: phase.unwrap_or(Phase::File),
+            request: e.get_num("request").map(|x| x as u64),
+            file: e.get("file").map(into_text),
+            attempt: e.get_num("attempt").map(|x| x as u32),
+            start: e.time,
+            end: None,
+            bytes: 0,
+            status: None,
+        }
+    }
+}
+
+impl LifelineSet {
+    /// Join `span.start`/`span.end` events into span trees. A later start of
+    /// the same id replaces the span; an end without a start is an orphan.
+    pub fn from_log(log: &NetLog) -> LifelineSet {
+        let mut spans: BTreeMap<u64, Span> = BTreeMap::new();
+        let mut orphans = Vec::new();
+        let mut trace_end = SimTime::ZERO;
+        for e in log.iter() {
+            trace_end = trace_end.max(e.time);
+            let starts = match e.name {
+                "span.start" => true,
+                "span.end" => false,
+                _ => continue,
+            };
+            let Some(id) = e.get_num("span").map(|x| x as u64) else {
+                continue;
+            };
+            if starts {
+                spans.insert(id, Span::opened(id, e));
+            } else if let Some(s) = spans.get_mut(&id) {
+                s.end = Some(e.time);
+                s.bytes = e.get_num("bytes").unwrap_or(0.0) as u64;
+                s.status = e.get("status").map(into_text);
+            } else {
+                orphans.push(id);
             }
         }
-    }
-
-    pub(crate) fn trace_end(&self) -> SimTime {
-        self.trace_end
-    }
-
-    pub(crate) fn span(&self, id: u64) -> Option<&Span> {
-        self.spans.get(&id)
-    }
-
-    /// Group the collected spans into a [`LifelineSet`]. Non-destructive so
-    /// the live analyzer can snapshot mid-run and keep streaming.
-    pub(crate) fn assemble(&self) -> LifelineSet {
-        let mut orphans = self.orphan_ends.clone();
         // Group children under their root File spans.
         let mut children: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
         let mut roots: Vec<Span> = Vec::new();
         let mut prestage = Vec::new();
         let mut campaigns = Vec::new();
-        for s in self.spans.values().cloned() {
+        for s in spans.into_values() {
             match s.phase {
                 Phase::File => roots.push(s),
                 Phase::Prestage => prestage.push(s),
@@ -298,19 +275,8 @@ impl SpanCollector {
             prestage,
             campaigns,
             orphans,
-            trace_end: self.trace_end,
+            trace_end,
         }
-    }
-}
-
-impl LifelineSet {
-    /// Join `span.start`/`span.end` events into span trees.
-    pub fn from_log(log: &NetLog) -> LifelineSet {
-        let mut collector = SpanCollector::default();
-        for e in log.iter() {
-            collector.observe(e);
-        }
-        collector.assemble()
     }
 
     pub fn lifeline(&self, request: u64, file: &str) -> Option<&Lifeline> {

@@ -1,37 +1,37 @@
 //! Online lifeline analysis: the streaming half of the observability plane.
 //!
 //! [`LifelineSet::from_log`] is a post-hoc pass — it needs the whole trace
-//! before it can say where a file's time went. [`LiveLifelines`] is the same
-//! analysis run *while the trace is being written*: the request manager's
-//! [`TracedLog`](crate::trace::TracedLog) taps every event it records into
-//! [`LiveLifelines::observe`], which feeds the exact same
-//! `SpanCollector` the offline pass uses (same parse, same grouping on
-//! [`snapshot`](LiveLifelines::snapshot)) *plus* cheap incremental state the
-//! offline pass cannot offer mid-run:
+//! before it can say where a file's time went, and a whole-trace analysis
+//! of a running log is that same pass over the events stored so far.
+//! [`LiveLifelines`] keeps only what a running request asks: the request
+//! manager's [`TracedLog`](crate::trace::TracedLog) taps every event it
+//! stores into [`LiveLifelines::observe`], which maintains
 //!
 //! * the set of currently-open spans with ages ([`open_spans`],
 //!   [`oldest_open`], [`open_phase_of`]) — what a monitor needs to say
 //!   "file X has sat in `stage` for 212 s";
-//! * per-(request, file) closed-phase totals accumulated at span close
+//! * the root `File` span of every file and per-(request, file)
+//!   closed-phase totals accumulated at span close
 //!   ([`file_phase_totals`]), matching [`Lifeline::phase_totals`] for every
 //!   attached lifeline;
-//! * a count of live-fired stall probes ([`note_stall_fired`]).
+//! * the trace horizon and three tallies: events seen, spans closed and
+//!   live-fired stall probes ([`note_stall_fired`]).
 //!
-//! Byte-identity with the offline pass is structural: `snapshot()` calls the
-//! same `assemble()` over the same collector state, so phase totals,
-//! critical paths, stall sets and tiling verdicts are bit-for-bit those of
-//! `LifelineSet::from_log` over the full trace — `tests/observability.rs`
-//! and the `tests/live_lifeline.rs` proptest pin it against real faulted
-//! runs.
+//! A non-span event costs two string compares; a span start or end one
+//! ordered-map operation on the open set, the start parsed by the same
+//! [`Span`] rule the offline pass uses. A closed span is forgotten, so the
+//! tap's memory is O(open spans + files), not O(spans).
 //!
 //! [`open_spans`]: LiveLifelines::open_spans
 //! [`oldest_open`]: LiveLifelines::oldest_open
 //! [`open_phase_of`]: LiveLifelines::open_phase_of
 //! [`file_phase_totals`]: LiveLifelines::file_phase_totals
 //! [`note_stall_fired`]: LiveLifelines::note_stall_fired
+//! [`Lifeline::phase_totals`]: crate::lifeline::Lifeline::phase_totals
+//! [`LifelineSet::from_log`]: crate::lifeline::LifelineSet::from_log
 
 use crate::event::{EventRef, Text};
-use crate::lifeline::{LifelineSet, SpanCollector};
+use crate::lifeline::Span;
 use crate::trace::Phase;
 use esg_simnet::SimTime;
 use std::collections::BTreeMap;
@@ -40,6 +40,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpenSpan {
     pub span: u64,
+    /// The enclosing span's id (0 for a root).
+    pub parent: u64,
     pub phase: Phase,
     pub request: Option<u64>,
     pub file: Option<Text>,
@@ -53,20 +55,22 @@ impl OpenSpan {
     }
 }
 
-/// Incremental span-tree builder fed event-by-event as a run executes.
+/// Incremental open-span index and per-file totals, fed event by event as
+/// a run executes.
 #[derive(Debug, Clone, Default)]
 pub struct LiveLifelines {
-    collector: SpanCollector,
     /// Open span id → details, kept sorted by id (= open order: span ids
-    /// are allocated sequentially by `TracedLog`).
+    /// are allocated sequentially by `TracedLog`). A later start of an open
+    /// id replaces it.
     open: BTreeMap<u64, OpenSpan>,
     /// Root File span id → (request, file), for attributing child closes.
     roots: BTreeMap<u64, (u64, Text)>,
-    /// (request, file) → closed phase totals in seconds, accumulated at
-    /// span close — the streaming mirror of [`Lifeline::phase_totals`].
+    /// (request, file) → closed phase totals in seconds, summed in close
+    /// order — the streaming mirror of [`Lifeline::phase_totals`].
     ///
     /// [`Lifeline::phase_totals`]: crate::lifeline::Lifeline::phase_totals
     totals: BTreeMap<(u64, Text), BTreeMap<&'static str, f64>>,
+    trace_end: SimTime,
     events_seen: u64,
     spans_closed: u64,
     stalls_fired: u64,
@@ -77,43 +81,34 @@ impl LiveLifelines {
         LiveLifelines::default()
     }
 
-    /// Feed one event. Non-span events still advance the trace horizon
-    /// (`trace_end`), exactly as the offline pass scans them.
+    /// Feed one event. Every event advances the trace horizon
+    /// (`trace_end`); only `span.start` and `span.end` read a field.
     pub fn observe(&mut self, e: EventRef<'_>) {
         self.events_seen += 1;
-        let is_span = e.name == "span.start" || e.name == "span.end";
-        let id = e.get_num("span").map(|x| x as u64);
-        self.collector.observe(e);
-        let (true, Some(id)) = (is_span, id) else {
-            return;
-        };
+        self.trace_end = self.trace_end.max(e.time);
         if e.name == "span.start" {
-            // The collector just parsed the span; mirror it into the
-            // incremental indexes from its canonical parsed form.
-            if let Some(s) = self.collector.span(id) {
-                if s.end.is_none() {
-                    self.open.insert(
-                        id,
-                        OpenSpan {
-                            span: id,
-                            phase: s.phase,
-                            request: s.request,
-                            file: s.file.clone(),
-                            start: s.start,
-                        },
-                    );
-                    if s.phase == Phase::File {
-                        if let (Some(r), Some(f)) = (s.request, s.file.clone()) {
-                            self.roots.insert(id, (r, f));
-                        }
-                    }
-                }
+            let Some(id) = e.get_num("span") else { return };
+            let s = Span::opened(id as u64, e);
+            if let (Phase::File, Some(r), Some(f)) = (s.phase, s.request, &s.file) {
+                self.roots.insert(s.id, (r, f.clone()));
             }
-        } else if let Some(done) = self.open.remove(&id) {
-            self.spans_closed += 1;
-            self.credit_close(&done, e.time);
+            let open = OpenSpan {
+                span: s.id,
+                parent: s.parent,
+                phase: s.phase,
+                request: s.request,
+                file: s.file,
+                start: s.start,
+            };
+            self.open.insert(open.span, open);
+        } else if e.name == "span.end" {
+            let Some(id) = e.get_num("span") else { return };
+            // An end without an open start changes nothing here.
+            if let Some(done) = self.open.remove(&(id as u64)) {
+                self.spans_closed += 1;
+                self.credit_close(&done, e.time);
+            }
         }
-        // end-without-start: the collector already recorded the orphan.
     }
 
     /// Accumulate a closed child phase span into its lifeline's totals,
@@ -123,32 +118,20 @@ impl LiveLifelines {
         if matches!(done.phase, Phase::File | Phase::Prestage | Phase::Campaign) {
             return;
         }
-        let Some(parent) = self.collector.span(done.span).map(|s| s.parent) else {
-            return;
-        };
-        let Some(key) = self.roots.get(&parent).cloned() else {
+        let Some(key) = self.roots.get(&done.parent) else {
             return;
         };
         *self
             .totals
-            .entry(key)
+            .entry(key.clone())
             .or_default()
             .entry(done.phase.as_str())
             .or_insert(0.0) += end.since(done.start).as_secs_f64();
     }
 
-    /// The full offline-equivalent analysis of everything observed so far:
-    /// the same `assemble()` grouping pass `LifelineSet::from_log` runs, so
-    /// every downstream product (phase totals, critical paths,
-    /// `detect_stalls`, `is_complete` tiling) is byte-identical to the
-    /// offline pass over the same events.
-    pub fn snapshot(&self) -> LifelineSet {
-        self.collector.assemble()
-    }
-
     /// Time of the latest event observed (the live "now" of the trace).
     pub fn trace_end(&self) -> SimTime {
-        self.collector.trace_end()
+        self.trace_end
     }
 
     /// Is this span currently open?
@@ -234,8 +217,9 @@ impl LiveLifelines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceCtx, TracedLog};
-    use esg_simnet::SimTime;
+    use crate::event::LogEvent;
+    use crate::lifeline::LifelineSet;
+    use crate::trace::{SpanId, TraceCtx, TracedLog};
 
     /// Two files in one request, interleaved with non-decreasing event
     /// times (as a real run emits them); f2 is left open mid-transfer.
@@ -276,20 +260,82 @@ mod tests {
         live
     }
 
+    /// What the tap holds equals what the offline pass over the same log
+    /// says: the horizon, the spans the trace leaves open (with their
+    /// parents) and every lifeline's closed-phase totals.
     #[test]
-    fn snapshot_matches_offline_pass() {
+    fn tap_state_matches_offline_pass() {
         let log = sample();
         let live = feed(&log);
         let offline = LifelineSet::from_log(&log);
-        let snap = live.snapshot();
-        assert_eq!(snap.lifelines.len(), offline.lifelines.len());
-        assert_eq!(snap.orphans, offline.orphans);
-        assert_eq!(snap.trace_end, offline.trace_end);
-        for (a, b) in snap.lifelines.iter().zip(&offline.lifelines) {
-            assert_eq!((a.request, &a.file), (b.request, &b.file));
-            assert_eq!(a.phase_totals(), b.phase_totals());
-            assert_eq!(a.is_complete(), b.is_complete());
+        assert_eq!(live.trace_end(), offline.trace_end);
+        assert_eq!(live.trace_end(), SimTime::from_secs(10));
+        let still_open: Vec<OpenSpan> = offline
+            .lifelines
+            .iter()
+            .flat_map(|l| std::iter::once(&l.root).chain(&l.phases))
+            .filter(|s| s.end.is_none())
+            .map(|s| OpenSpan {
+                span: s.id,
+                parent: s.parent,
+                phase: s.phase,
+                request: s.request,
+                file: s.file.clone(),
+                start: s.start,
+            })
+            .collect();
+        assert!(live.open_spans().eq(&still_open));
+        assert_eq!(live.spans_closed(), 4);
+        assert_eq!(live.events_seen(), log.len() as u64);
+        for l in &offline.lifelines {
+            assert_eq!(
+                live.file_phase_totals(l.request, &l.file),
+                Some(&l.phase_totals())
+            );
         }
+    }
+
+    /// The tap's rules at the edges: a later start of an open id replaces
+    /// it, a closed id may open again, an end without an open start and a
+    /// non-span event touch nothing but the tallies, and a child credits
+    /// its parent's lifeline, not its own id.
+    #[test]
+    fn reused_ids_orphan_ends_and_foreign_events() {
+        let mut log = TracedLog::new();
+        let ctx = TraceCtx::request(2).with_file("g");
+        let root = log.span_start(&ctx, SimTime::ZERO, Phase::File, None);
+        let q = log.span_start(&ctx, SimTime::ZERO, Phase::Queue, Some(root));
+        log.span_end(&ctx, SimTime::from_secs(1), q, Phase::Queue, vec![]);
+        log.span_end(
+            &ctx,
+            SimTime::from_secs(2),
+            SpanId(99),
+            Phase::Queue,
+            vec![],
+        );
+        log.emit(&ctx, LogEvent::new(SimTime::from_secs(3), "rm.tick"));
+        // Re-open the closed queue span's id as a transfer, then again as a
+        // verify while it is still open.
+        for (t, phase) in [(3, Phase::Transfer), (4, Phase::Verify)] {
+            let e = LogEvent::new(SimTime::from_secs(t), "span.start")
+                .field("span", q.0)
+                .field("parent", root.0)
+                .field("phase", phase.as_str());
+            log.emit(&ctx, e);
+        }
+        let live = feed(&log);
+        assert_eq!(live.open_count(), 2);
+        let reopened = live.open_spans().nth(1).unwrap();
+        assert_eq!((reopened.span, reopened.parent), (q.0, root.0));
+        assert_eq!(
+            (reopened.phase, reopened.start),
+            (Phase::Verify, SimTime::from_secs(4))
+        );
+        assert_eq!(live.spans_closed(), 1);
+        assert_eq!(live.events_seen(), 7);
+        assert_eq!(live.trace_end(), SimTime::from_secs(4));
+        let totals = live.file_phase_totals(2, "g").unwrap();
+        assert_eq!(totals.iter().collect::<Vec<_>>(), [(&"queue", &1.0)]);
     }
 
     #[test]

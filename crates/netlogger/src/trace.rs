@@ -381,13 +381,14 @@ mod tests {
         // The tap sees events as stored: an out-of-order end is clamped by
         // the log before observation, so live == offline on the same log.
         log.span_end(&ctx, SimTime::from_secs(2), root, Phase::File, vec![]);
-        let live_snap = log.live().unwrap().snapshot();
+        let live = log.live().unwrap();
         let offline = crate::lifeline::LifelineSet::from_log(&log);
         assert_eq!(
-            live_snap.lifelines[0].phase_totals(),
-            offline.lifelines[0].phase_totals()
+            live.file_phase_totals(1, "f"),
+            Some(&offline.lifelines[0].phase_totals())
         );
-        assert_eq!(live_snap.trace_end, offline.trace_end);
+        assert_eq!(live.trace_end(), offline.trace_end);
+        assert_eq!(live.open_count(), 0);
     }
 
     #[test]

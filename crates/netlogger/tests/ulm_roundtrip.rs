@@ -12,12 +12,17 @@
 //!    attached mid-stream, and to a context-free `NetLog` that drops late
 //!    events. Both must export the same bytes as the oracle, re-parse to
 //!    the same bytes and answer every query the same, and the live
-//!    analyzer must end equal to the offline pass.
+//!    analyzer must hold what [`recount`] says it must.
 
-use esg_netlogger::{LifelineSet, LogEvent, NetLog, OrderPolicy, TraceCtx, TracedLog, Value};
+use esg_netlogger::{
+    LifelineSet, LiveLifelines, LogEvent, NetLog, OrderPolicy, TraceCtx, TracedLog, Value,
+};
 use esg_simnet::SimTime;
 use proptest::prelude::*;
 use proptest::TestCaseError;
+
+#[path = "support/recount.rs"]
+mod recount;
 
 /// The event store before typed records, verbatim but for type names.
 mod oracle {
@@ -459,12 +464,85 @@ proptest! {
         let parsed = assert_same_store(&log, &old)?;
         assert_same_store(&dropping, &old_dropping)?;
 
-        // The live tap, attached mid-stream, ends where the offline pass over
-        // the stored log (and over its re-parse) does.
+        // The live tap, attached mid-stream, holds what a recount of the
+        // stored log says it must (clamped times, reused span ids, ends
+        // without a start); so does a tap fed the log that drops late
+        // events. The offline pass reads the re-parse as it reads the log.
         let live = log.live().unwrap();
         prop_assert_eq!(live.events_seen() as usize, log.len());
+        prop_assert_eq!(recount::tap_matches_recount(live, &log), Ok(()));
+        let mut fed = LiveLifelines::new();
+        for e in dropping.iter() {
+            fed.observe(e);
+        }
+        prop_assert_eq!(recount::tap_matches_recount(&fed, &dropping), Ok(()));
         let offline = format!("{:?}", LifelineSet::from_log(&log));
-        prop_assert_eq!(format!("{:?}", live.snapshot()), offline.clone());
         prop_assert_eq!(format!("{:?}", LifelineSet::from_log(&parsed)), offline);
+    }
+
+    /// The live tap against the recount on span-dense streams: few span ids
+    /// and parents, so ids are reused, ends arrive without a start, children
+    /// close under live, stale and missing roots; times step backwards (the
+    /// traced log clamps, a second log drops) and the tap attaches
+    /// mid-stream.
+    #[test]
+    fn live_tap_holds_what_the_log_recounts(
+        stream in prop::collection::vec(
+            (
+                (0u64..30, 0u64..1_000_000),          // time step (s), µs
+                0u8..5,                                // start, start, end, end, other
+                (1u64..7, 0u64..7, 0u8..8),            // span, parent, phase
+                (0u8..3, 0u8..3, 0u8..4),              // request / file / own fields
+            ),
+            0..60usize,
+        ),
+        attach_at in 0usize..65,
+    ) {
+        const SPAN_PHASES: [&str; 8] =
+            ["file", "file", "queue", "transfer", "verify", "prestage", "campaign", "bogus"];
+        let mut log = TracedLog::new();
+        let mut dropping = NetLog::with_order_policy(OrderPolicy::Drop);
+        let mut secs = 20u64;
+        for (i, ((step, micros), kind, (span, parent, phase), (req, file, own))) in
+            stream.iter().enumerate()
+        {
+            if i == attach_at {
+                log.attach_live();
+            }
+            secs = (secs + step).saturating_sub(8);
+            let time = SimTime(secs * 1_000_000_000 + micros * 1_000);
+            let name = ["span.start", "span.end", "rm.tick"][(*kind as usize / 2).min(2)];
+            let mut e = LogEvent::new(time, name);
+            if name != "rm.tick" {
+                e = e.field("span", *span).field("phase", SPAN_PHASES[*phase as usize]);
+                if *parent > 0 {
+                    e = e.field("parent", *parent);
+                }
+            }
+            match own {
+                1 => e = e.field("file", "own"),
+                2 => e = e.field("file", 7u64),
+                3 => e = e.field("request", 5u64).field("file", "own"),
+                _ => {}
+            }
+            let mut ctx = match req {
+                0 => TraceCtx::system(),
+                r => TraceCtx::request(*r as u64),
+            };
+            if *file > 0 {
+                ctx = ctx.with_file(["", "f1", "f2"][*file as usize]);
+            }
+            dropping.push(e.clone());
+            log.emit(&ctx, e);
+        }
+        if log.live().is_none() {
+            log.attach_live();
+        }
+        prop_assert_eq!(recount::tap_matches_recount(log.live().unwrap(), &log), Ok(()));
+        let mut fed = LiveLifelines::new();
+        for e in dropping.iter() {
+            fed.observe(e);
+        }
+        prop_assert_eq!(recount::tap_matches_recount(&fed, &dropping), Ok(()));
     }
 }
