@@ -21,6 +21,7 @@
 
 use esg_directory::{sibling_key, DirError, Directory, Dn, Entry, Filter, Rdn, Scope};
 use esg_gridftp::GridUrl;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -160,8 +161,14 @@ fn rc_base() -> &'static Dn {
 }
 
 /// A collection's slot in the index: its name as the directory keys it.
-fn collection_key(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// Borrowed when the name is lower-case already, so a lookup by such a
+/// name allocates nothing.
+fn collection_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// The slot of `loc=<name>` among a collection's locations.
@@ -192,7 +199,7 @@ fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
                     .iter()
                     .all(|f| dir.get(&ReplicaCatalog::file_dn(&lc.value, f)).is_some());
                 index.insert(
-                    collection_key(&lc.value),
+                    collection_key(&lc.value).into_owned(),
                     CollectionIndex::empty(files_backed),
                 );
             }
@@ -201,7 +208,7 @@ fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
                     && rest == base.as_slice()
                     && e.values("objectclass").iter().any(|c| c == LOCATION_CLASS) =>
             {
-                if let Some(col) = index.get_mut(&collection_key(&lc.value)) {
+                if let Some(col) = index.get_mut(collection_key(&lc.value).as_ref()) {
                     col.locations.insert(
                         sibling_key(leaf),
                         IndexedLocation::new(&lc.value, &leaf.value, e),
@@ -278,7 +285,7 @@ impl ReplicaCatalog {
         location: &str,
     ) -> Option<&mut IndexedLocation> {
         self.index
-            .get_mut(&collection_key(collection))?
+            .get_mut(collection_key(collection).as_ref())?
             .locations
             .get_mut(&location_key(location))
     }
@@ -294,8 +301,10 @@ impl ReplicaCatalog {
                 DirError::AlreadyExists(_) => CatalogError::AlreadyExists(name.to_string()),
                 other => CatalogError::Directory(other.to_string()),
             })?;
-        self.index
-            .insert(collection_key(name), CollectionIndex::empty(true));
+        self.index.insert(
+            collection_key(name).into_owned(),
+            CollectionIndex::empty(true),
+        );
         Ok(())
     }
 
@@ -319,7 +328,7 @@ impl ReplicaCatalog {
         size: u64,
     ) -> Result<(), CatalogError> {
         let cdn = Self::collection_dn(collection);
-        let Some(col) = self.index.get(&collection_key(collection)) else {
+        let Some(col) = self.index.get(collection_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let files_backed = col.files_backed;
@@ -397,7 +406,7 @@ impl ReplicaCatalog {
         suspect: bool,
     ) -> Result<usize, CatalogError> {
         let cdn = Self::collection_dn(collection);
-        let Some(col) = self.index.get_mut(&collection_key(collection)) else {
+        let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let f = Filter::And(vec![
@@ -437,7 +446,7 @@ impl ReplicaCatalog {
         base_url: &GridUrl,
         files: &[&str],
     ) -> Result<(), CatalogError> {
-        let Some(col) = self.index.get_mut(&collection_key(collection)) else {
+        let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let mut entry = Entry::new(Self::location_dn(collection, location))
@@ -515,7 +524,7 @@ impl ReplicaCatalog {
         self.dir
             .delete(&Self::location_dn(collection, location))
             .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
-        if let Some(col) = self.index.get_mut(&collection_key(collection)) {
+        if let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) {
             col.locations.remove(&location_key(location));
         }
         Ok(())
@@ -549,16 +558,41 @@ impl ReplicaCatalog {
         collection: &str,
         file: &str,
     ) -> Result<Vec<Replica>, CatalogError> {
-        let col = self
-            .index
-            .get(&collection_key(collection))
+        let holders = self
+            .holders(collection, file)
             .ok_or_else(|| CatalogError::NoSuchCollection(collection.to_string()))?;
-        Ok(col
-            .locations
-            .values()
-            .filter(|loc| loc.collection == collection && loc.files.contains(file))
-            .map(|loc| loc.replica(file))
-            .collect())
+        Ok(holders.map(|loc| loc.replica(file)).collect())
+    }
+
+    /// [`lookup_replicas`](Self::lookup_replicas) as a borrowed
+    /// `(host, suspect)` view: the same replicas in the same order, with
+    /// nothing built. An unknown collection is an empty view. This is what
+    /// the request manager's selection rounds read, many times per file.
+    pub fn replica_hosts<'a>(
+        &'a self,
+        collection: &'a str,
+        file: &'a str,
+    ) -> impl Iterator<Item = (&'a str, bool)> + Clone + 'a {
+        self.holders(collection, file)
+            .into_iter()
+            .flatten()
+            .map(|loc| (loc.hostname.as_str(), loc.suspect))
+    }
+
+    /// The one location filter both lookups project: the locations listing
+    /// `file` that a one-level search under `collection`, spelled as given,
+    /// returns, in its order. `None` when no such collection exists.
+    fn holders<'a>(
+        &'a self,
+        collection: &'a str,
+        file: &'a str,
+    ) -> Option<impl Iterator<Item = &'a IndexedLocation> + Clone + 'a> {
+        let col = self.index.get(collection_key(collection).as_ref())?;
+        Some(
+            col.locations
+                .values()
+                .filter(move |loc| loc.collection == collection && loc.files.contains(file)),
+        )
     }
 }
 

@@ -8,7 +8,10 @@
 //! lookup must return exactly what the search returns — same replicas, same
 //! order, same errors — for every (collection, file) pair including
 //! unknown and differently-cased ones, and the mutator-maintained index
-//! must equal one rebuilt from the directory.
+//! must equal one rebuilt from the directory. The borrowed
+//! `replica_hosts` view must be that search projected to
+//! `(host, suspect)`, in the same order, and empty where the search finds
+//! no collection.
 //!
 //! Case count is `PROPTEST_CASES`-bounded (default 96, CI runs 128).
 
@@ -75,6 +78,17 @@ fn check_against_oracle(rc: &ReplicaCatalog) -> Result<(), String> {
             if got != want {
                 return Err(format!(
                     "lookup({c:?}, {f:?})\n indexed: {got:?}\n  search: {want:?}"
+                ));
+            }
+            // The borrowed view is the search projected to (host, suspect),
+            // in order; a collection the search cannot find is empty.
+            let view: Vec<(&str, bool)> = rc.replica_hosts(c, f).collect();
+            let want = want.unwrap_or_default();
+            let projected: Vec<(&str, bool)> =
+                want.iter().map(|r| (r.host.as_str(), r.suspect)).collect();
+            if view != projected {
+                return Err(format!(
+                    "replica_hosts({c:?}, {f:?})\n    view: {view:?}\n  search: {projected:?}"
                 ));
             }
         }
@@ -206,6 +220,11 @@ filename: a.nc
         .map(|r| r.host)
         .collect();
     assert_eq!(hosts, ["anl.gov"]);
+    assert_eq!(
+        rc.replica_hosts("Co2", "a.nc").collect::<Vec<_>>(),
+        [("anl.gov", false)]
+    );
+    assert_eq!(rc.replica_hosts("ghost", "a.nc").count(), 0);
 
     // Mutators addressed at the unindexed `loc=` entries still reach the
     // directory, and the index keeps agreeing with the search.

@@ -63,23 +63,34 @@ impl ReplicaSelector {
 
     /// Pick an index into `candidates`. `estimates` must be parallel to
     /// `candidates`. Returns `None` when there are no candidates.
+    pub fn select(&mut self, candidates: &[Replica], estimates: &[PathEstimate]) -> Option<usize> {
+        self.select_by(candidates.len(), |i| candidates[i].suspect, estimates)
+    }
+
+    /// The selection core over `n` candidates known only by their
+    /// quarantine flags (`suspect(i)`) and their `estimates`, parallel to
+    /// them; what [`select`](Self::select) sees of a [`Replica`].
     ///
     /// Integrity demotion: quarantined ([`Replica::suspect`]) candidates are
     /// excluded whatever the policy — unlike a circuit breaker this is not
     /// about reachability but about data quality. Only when *every* replica
     /// is suspect does selection fall back to the full set (a possibly
     /// corrupt copy the verify layer will repair beats no copy at all).
-    pub fn select(&mut self, candidates: &[Replica], estimates: &[PathEstimate]) -> Option<usize> {
-        if candidates.is_empty() {
+    pub fn select_by(
+        &mut self,
+        n: usize,
+        suspect: impl Fn(usize) -> bool,
+        estimates: &[PathEstimate],
+    ) -> Option<usize> {
+        if n == 0 {
             return None;
         }
-        assert_eq!(candidates.len(), estimates.len());
-        let trusted: Vec<usize> = (0..candidates.len())
-            .filter(|&i| !candidates[i].suspect)
-            .collect();
-        if trusted.is_empty() || trusted.len() == candidates.len() {
-            return Some(self.select_unfiltered(candidates.len(), estimates));
+        assert_eq!(n, estimates.len());
+        let trusted = (0..n).filter(|&i| !suspect(i)).count();
+        if trusted == 0 || trusted == n {
+            return Some(self.select_unfiltered(n, estimates));
         }
+        let trusted: Vec<usize> = (0..n).filter(|&i| !suspect(i)).collect();
         let sub_est: Vec<PathEstimate> = trusted.iter().map(|&i| estimates[i]).collect();
         let picked = self.select_unfiltered(trusted.len(), &sub_est);
         Some(trusted[picked])

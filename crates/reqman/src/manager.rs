@@ -49,13 +49,13 @@ use esg_gridftp::simxfer::{
 };
 use esg_netlogger::{LogEvent, MetricsRegistry, Phase, SpanId, Text, TraceCtx, TracedLog, Value};
 use esg_nws::HasNws;
-use esg_replica::{PathEstimate, Policy, Replica, ReplicaCatalog, ReplicaSelector};
+use esg_replica::{PathEstimate, Policy, ReplicaCatalog, ReplicaSelector};
 use esg_simnet::{profile, Completion, NodeId, Sim, SimDuration, SimTime};
 use esg_storage::{Hrm, StageOutcome};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::ops::ControlFlow;
 
 /// CORBA call latency between the client and the RM.
@@ -192,11 +192,14 @@ pub struct RequestManager {
     pub breaker_cooldown: SimDuration,
     /// Live stall detection threshold. When set (via
     /// [`enable_live_analysis`](Self::enable_live_analysis)), every phase
-    /// and prestage span arms a probe that fires `obs.stall` *at detection
-    /// time* — the streaming counterpart of the offline
+    /// and prestage span is watched until `open + threshold + 1 ns`, and one
+    /// that is still open then fires `obs.stall` *at detection time* — the
+    /// streaming counterpart of the offline
     /// [`LifelineSet::detect_stalls`](esg_netlogger::LifelineSet::detect_stalls)
-    /// pass. `None` (the default) emits nothing, keeping golden traces
-    /// byte-identical.
+    /// pass. One kernel wake at the earliest deadline serves every watched
+    /// span. `None` (the default) emits nothing, keeping golden traces
+    /// byte-identical. Fixed once set: the watch list relies on deadlines
+    /// arriving in order.
     pub stall_threshold: Option<SimDuration>,
     /// Plan multi-file requests to spread pulls across sites (§4:
     /// "maximize the number of different sites from which files are
@@ -236,6 +239,10 @@ pub struct RequestManager {
     xfer_seq: u64,
     /// The effect buffer every step reuses.
     fx: Vec<Effect>,
+    /// Spans watched for a live stall, in arm order, which is deadline
+    /// order (see `arm_stall_probe`). One stall wake is queued, at the
+    /// front deadline, exactly while this is not empty.
+    stall_watch: VecDeque<StallWatch>,
 }
 
 impl Default for RequestManager {
@@ -278,6 +285,7 @@ impl RequestManager {
             next_id: 0,
             xfer_seq: 0,
             fx: Vec::new(),
+            stall_watch: VecDeque::new(),
         }
     }
 
@@ -289,12 +297,14 @@ impl RequestManager {
     /// Turn on the streaming observability plane: attach the online
     /// lifeline analyzer to the trace log (replaying anything already
     /// emitted, so mid-run activation is complete) and arm live stall
-    /// detection at `threshold`. From here on every phase/prestage span
-    /// schedules a probe that fires `obs.stall` the instant the span has
-    /// been open longer than the threshold — the same strict-`>` rule the
-    /// offline detector applies post-hoc — and each firing bumps the
-    /// `obs.stalls` counter plus the per-phase `obs.stall.<phase>_s`
-    /// histogram in the metrics registry.
+    /// detection at `threshold`. From here on every phase/prestage span is
+    /// watched, and `obs.stall` fires the instant a span has been open
+    /// longer than the threshold — the same strict-`>` rule the offline
+    /// detector applies post-hoc. At most one kernel wake is queued for
+    /// all of them, at the earliest open deadline, so a span that closes in
+    /// time costs no event of its own. Each firing bumps the `obs.stalls`
+    /// counter plus the per-phase `obs.stall.<phase>_s` histogram in the
+    /// metrics registry. Call it once: the threshold is fixed from here on.
     pub fn enable_live_analysis(&mut self, threshold: SimDuration) {
         self.log.attach_live();
         self.stall_threshold = Some(threshold);
@@ -425,41 +435,81 @@ impl RequestManager {
     }
 }
 
-/// Arm a live stall probe for a freshly-opened phase/prestage span: one
-/// scheduled check at `open + threshold + 1 ns`. If the span is still open
-/// when the probe fires, the stall is real under the offline detector's
-/// strict-`>` rule (a span that closed with duration exactly equal to the
-/// threshold is *not* a stall, and the +1 ns makes the probe see it
-/// closed), so the probe emits `obs.stall` at detection time and feeds the
-/// metrics registry. No-op unless `stall_threshold` is set.
+/// One span the stall wake watches: its deadline `open + threshold + 1 ns`
+/// and what its `obs.stall` would say.
+struct StallWatch {
+    deadline: SimTime,
+    span: SpanId,
+    ctx: TraceCtx,
+    phase: Phase,
+    opened: SimTime,
+}
+
+/// Watch a freshly-opened phase/prestage span for a stall at
+/// `open + threshold + 1 ns`. If the span is still open then, the stall is
+/// real under the offline detector's strict-`>` rule (a span that closed
+/// with duration exactly equal to the threshold is *not* a stall, and the
+/// +1 ns makes the check see it closed). The span joins the manager's
+/// watch list; a kernel wake is queued only when the list was empty, so at
+/// most one is ever queued, at the earliest deadline. No-op unless
+/// `stall_threshold` is set.
 fn arm_stall_probe<W: RmWorld>(sim: &mut Sim<W>, ctx: &TraceCtx, span: SpanId, phase: Phase) {
-    let Some(threshold) = sim.world.reqman().stall_threshold else {
+    let opened = sim.now();
+    let rm = sim.world.reqman();
+    let Some(threshold) = rm.stall_threshold else {
         return;
     };
-    let (opened, ctx) = (sim.now(), ctx.clone());
-    let probe_at = SimTime((opened + threshold).as_nanos() + 1);
-    sim.schedule_at(probe_at, move |s| {
-        let now = s.now();
-        let rm = s.world.reqman();
-        let open = rm.log.live().is_some_and(|l| l.is_open(span.0));
-        if !open {
-            return;
+    let deadline = SimTime((opened + threshold).as_nanos() + 1);
+    // Opens never go back in time and the threshold is fixed, so arm order
+    // is deadline order and the front is always the earliest.
+    debug_assert!(rm.stall_watch.back().is_none_or(|w| w.deadline <= deadline));
+    rm.stall_watch.push_back(StallWatch {
+        deadline,
+        span,
+        ctx: ctx.clone(),
+        phase,
+        opened,
+    });
+    if rm.stall_watch.len() == 1 {
+        sim.schedule_at(deadline, stall_wake);
+    }
+}
+
+/// The one queued stall wake, at the front deadline. Every due span still
+/// open in the live tap fires `obs.stall` now, at detection time, in arm
+/// order, and feeds the metrics registry; due spans that closed in time and
+/// closed spans at the front go without a trace. The wake then re-arms at
+/// the first deadline left, if any.
+fn stall_wake<W: RmWorld>(sim: &mut Sim<W>) {
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    while let Some(w) = rm.stall_watch.front() {
+        let open = rm.log.live().is_some_and(|l| l.is_open(w.span.0));
+        if open && w.deadline > now {
+            break;
         }
-        let age = now.since(opened).as_secs_f64();
+        let w = rm.stall_watch.pop_front().expect("the front was just read");
+        if !open {
+            continue;
+        }
+        let age = now.since(w.opened).as_secs_f64();
         rm.metrics.counter_add("obs.stalls", 1);
-        rm.metrics.observe(phase.stall_metric(), age);
+        rm.metrics.observe(w.phase.stall_metric(), age);
         rm.log.emit(
-            &ctx,
+            &w.ctx,
             LogEvent::new(now, "obs.stall")
-                .field("span", span.0)
-                .field("phase", phase.as_str())
+                .field("span", w.span.0)
+                .field("phase", w.phase.as_str())
                 .field("stalled_s", age)
                 .field("open", 1u64),
         );
         if let Some(live) = rm.log.live_mut() {
             live.note_stall_fired();
         }
-    });
+    }
+    if let Some(at) = rm.stall_watch.front().map(|w| w.deadline) {
+        sim.schedule_at(at, stall_wake);
+    }
 }
 
 /// Submit a request: the CDAT client hands the RM a list of logical files
@@ -619,34 +669,34 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let Some(req) = rm.requests.get(&id) else {
         return;
     };
-    let mut plan: HashMap<String, Vec<String>> = HashMap::new();
+    // Cold files by tape host, hosts in name order.
+    let mut plan: BTreeMap<Text, Vec<String>> = BTreeMap::new();
     for f in &req.files {
         let (name, size) = (&f.life.status.name, f.life.status.size);
-        let replicas = rm
-            .catalog
-            .lookup_replicas(&f.life.status.collection, name)
-            .unwrap_or_default();
-        if replicas.is_empty() || replicas.iter().any(|r| !rm.hrms.contains_key(&r.host)) {
+        let holders = rm.catalog.replica_hosts(&f.life.status.collection, name);
+        if holders.clone().next().is_none()
+            || holders.clone().any(|(host, _)| !rm.hrms.contains_key(host))
+        {
             continue;
         }
-        for r in &replicas {
-            let Some(hrm) = rm.hrms.get_mut(&r.host) else {
+        for (host, _) in holders {
+            let Some(hrm) = rm.hrms.get_mut(host) else {
                 continue;
             };
             if hrm.catalog.size_of(name).is_none() {
                 hrm.catalog.register(name, size);
             }
             if !hrm.resident(name, now) {
-                plan.entry(r.host.clone()).or_default().push(name.clone());
+                plan.entry(rm.names.get(host))
+                    .or_default()
+                    .push(name.clone());
             }
         }
     }
-    let mut by_host: Vec<(String, Vec<String>)> = plan.into_iter().collect();
-    by_host.sort();
     let ctx = TraceCtx::request(id);
-    for (host, names) in by_host {
+    for (host, names) in plan {
         let rm = sim.world.reqman();
-        let Some(hrm) = rm.hrms.get_mut(&host) else {
+        let Some(hrm) = rm.hrms.get_mut(host.as_str()) else {
             continue;
         };
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
@@ -657,7 +707,6 @@ fn prestage_cold_files<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
         // opens now and closes when the HRM says the last file is staged,
         // so lifelines show how much tape latency the prefetch hid.
         let span = rm.log.span_start(&ctx, now, Phase::Prestage, None);
-        let host = rm.names.get(&host);
         rm.log.emit(
             &ctx,
             LogEvent::new(now, "rm.prestage")
@@ -936,28 +985,27 @@ fn select_replica<W: RmWorld>(
     idx: usize,
     excluded: &[String],
     host_cap: usize,
-) -> Result<(Replica, NodeId), Option<usize>> {
-    // Gather candidates and estimates first (immutable catalog reads),
-    // then run the stateful selector.
+) -> Result<(Text, NodeId), Option<usize>> {
+    // Filter the catalog's borrowed `(host, suspect)` view first, then
+    // name the survivors and run the stateful selector. Nothing is built
+    // for a round that ends in a capacity wait.
     let now = sim.now();
     let rm = sim.world.reqman();
     let file = &req.files[idx].life.status;
-    let registered = rm
-        .catalog
-        .lookup_replicas(&file.collection, &file.name)
-        .unwrap_or_default();
-    let candidates = registered.len();
-    let mut replicas: Vec<Replica> = registered
-        .into_iter()
-        .filter(|r| !excluded.contains(&r.host) && rm.breaker_would_admit(&r.host, now))
+    let registered = rm.catalog.replica_hosts(&file.collection, &file.name);
+    let candidates = registered.clone().count();
+    let mut healthy: Vec<(&str, bool)> = registered
+        .filter(|&(host, _)| {
+            !excluded.iter().any(|h| h == host) && rm.breaker_would_admit(host, now)
+        })
         .collect();
     // Quarantine demotion: while any trusted candidate remains, suspect
     // replicas drop out of the round entirely. (The selector demotes too,
     // but the spread planner bypasses it, so filter here as well.)
-    if replicas.iter().any(|r| !r.suspect) {
-        replicas.retain(|r| !r.suspect);
+    if healthy.iter().any(|&(_, suspect)| !suspect) {
+        healthy.retain(|&(_, suspect)| !suspect);
     }
-    if replicas.is_empty() {
+    if healthy.is_empty() {
         return Err(Some(candidates));
     }
     // Admission: drop hosts already serving `host_cap` pulls. If that
@@ -965,25 +1013,26 @@ fn select_replica<W: RmWorld>(
     // capacity rather than burn an attempt.
     if host_cap > 0 {
         rm.metrics
-            .counter_add("rm.select.ledger_lookups", replicas.len() as u64);
+            .counter_add("rm.select.ledger_lookups", healthy.len() as u64);
         let inflight = &rm.inflight;
-        replicas.retain(|r| inflight.load(&r.host) < host_cap);
-        if replicas.is_empty() {
+        healthy.retain(|&(host, _)| inflight.load(host) < host_cap);
+        if healthy.is_empty() {
             return Err(None);
         }
     }
-    let nodes: Vec<Option<NodeId>> = replicas
+    let (names, hosts) = (&mut rm.names, &rm.hosts);
+    let picks: Vec<(Text, Option<NodeId>, bool)> = healthy
         .iter()
-        .map(|r| rm.hosts.get(&r.host).copied())
+        .map(|&(host, suspect)| (names.get(host), hosts.get(host).copied(), suspect))
         .collect();
-    let mut estimates = Vec::with_capacity(replicas.len());
-    for node in &nodes {
+    let mut estimates = Vec::with_capacity(picks.len());
+    for &(_, node, _) in &picks {
         let est = match node {
             Some(n) => {
                 let nws = sim.world.nws();
                 PathEstimate {
-                    bandwidth: nws.forecast_bandwidth(*n, req.client),
-                    latency: nws.forecast_latency(*n, req.client),
+                    bandwidth: nws.forecast_bandwidth(n, req.client),
+                    latency: nws.forecast_latency(n, req.client),
                 }
             }
             None => PathEstimate::unknown(),
@@ -993,13 +1042,15 @@ fn select_replica<W: RmWorld>(
     let rm = sim.world.reqman();
     let idx = if rm.spread_sites {
         rm.metrics
-            .counter_add("rm.select.ledger_lookups", replicas.len() as u64);
+            .counter_add("rm.select.ledger_lookups", picks.len() as u64);
         let inflight = &rm.inflight;
-        crate::planner::plan_spread(&replicas, &estimates, |h| inflight.load(h))
+        let hosts: Vec<&str> = picks.iter().map(|(host, _, _)| host.as_str()).collect();
+        crate::planner::plan_spread(&hosts, &estimates, |h| inflight.load(h))
     } else {
-        rm.selector.select(&replicas, &estimates)
+        rm.selector
+            .select_by(picks.len(), |i| picks[i].2, &estimates)
     };
-    let choice = idx.and_then(|i| nodes[i].map(|n| (replicas[i].clone(), n)));
+    let choice = idx.and_then(|i| picks[i].1.map(|n| (picks[i].0.clone(), n)));
     choice.ok_or(Some(candidates))
 }
 
@@ -1019,13 +1070,13 @@ fn select<W: RmWorld>(
 ) -> Selection {
     let now = sim.now();
     let file = &req.files[idx].life;
-    let (replica, src, stage) = if let Some(blamed) = blamed {
+    let (host, src, stage) = if let Some(blamed) = blamed {
         let choice = select_replica(sim, req, idx, &blamed, 0)
             .or_else(|_| select_replica(sim, req, idx, &[], 0));
-        let Ok((replica, src)) = choice else {
+        let Ok((host, src)) = choice else {
             return Selection::Empty(0);
         };
-        (replica, src, None)
+        (host, src, None)
     } else {
         // Multi-tenant weighted fair sharing: a tenant at its share of the
         // global budget waits for capacity exactly like the per-host cap.
@@ -1041,7 +1092,7 @@ fn select<W: RmWorld>(
         } else {
             0
         };
-        let (replica, src) = match select_replica(sim, req, idx, &file.excluded, host_cap) {
+        let (host, src) = match select_replica(sim, req, idx, &file.excluded, host_cap) {
             Ok(choice) => choice,
             Err(None) => return Selection::Deferred(false),
             Err(Some(registered)) => return Selection::Empty(registered),
@@ -1049,7 +1100,7 @@ fn select<W: RmWorld>(
         // HRM staging when the site is tape-backed.
         let rm = sim.world.reqman();
         let (name, mut stage) = (&file.status.name, None);
-        if let Some(hrm) = rm.hrms.get_mut(&replica.host) {
+        if let Some(hrm) = rm.hrms.get_mut(host.as_str()) {
             // Register unseen files lazily so the HRM can price them.
             if hrm.catalog.size_of(name).is_none() {
                 hrm.catalog.register(name, file.status.size);
@@ -1065,7 +1116,7 @@ fn select<W: RmWorld>(
                     // split drive-queueing from mount/seek/stream latency.
                     let cost = hrm.stage_cost(name).unwrap_or((0.0, 0.0, 0.0));
                     let staging = LogEvent::new(now, "rm.hrm.staging")
-                        .field("host", rm.names.get(&replica.host))
+                        .field("host", host.clone())
                         .field("ready_in_s", delay.as_secs_f64())
                         .field("queued_s", queued_behind.as_secs_f64())
                         .field("mount_s", cost.0)
@@ -1075,7 +1126,7 @@ fn select<W: RmWorld>(
                 }
             }
         }
-        (replica, src, stage)
+        (host, src, stage)
     };
     // The path tuning, logged (`rm.tune.path`) so parameter sweeps stay
     // explainable. Under the scheduler, streams and window come from the
@@ -1096,7 +1147,6 @@ fn select<W: RmWorld>(
     if tuned {
         rm.metrics.counter_add(SchedStats::TUNED, 1);
     }
-    let host = rm.names.get(&replica.host);
     let tune = LogEvent::new(now, "rm.tune.path")
         .field("host", host.clone())
         .field("streams", tuning.streams as u64)
@@ -1808,6 +1858,151 @@ mod tests {
             assert_eq!(rm.log.named("span.start").count(), 0, "{name}");
             assert_eq!(sim.world.gridftp.transfers_started, 0, "{name}");
         }
+    }
+
+    /// Live stall detection keeps at most one kernel event queued, and
+    /// none once every watched span has closed. Measured against the
+    /// kernel: a twin run without the plane schedules every other event
+    /// alike (stall firings only write the trace and the registry), so the
+    /// two runs' queue lengths differ by exactly the one wake, if queued.
+    #[test]
+    fn one_stall_wake_is_queued_at_a_time() {
+        let twin = || {
+            let (mut sim, client) = setup(Policy::BestBandwidth);
+            add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
+            add_tape_only_file(&mut sim.world.rm, "deeper.esg", 30_000_000);
+            sim.world.rm.poll = SimDuration::from_millis(500);
+            (sim, client)
+        };
+        let (mut plain, client) = twin();
+        let (mut watched, _) = twin();
+        watched
+            .world
+            .rm
+            .enable_live_analysis(SimDuration::from_secs(2));
+        for sim in [&mut plain, &mut watched] {
+            submit_files(sim, client, &["jan.esg", "deep.esg", "deeper.esg"]);
+        }
+        let (mut most_watched, mut steps) = (0, 0);
+        while watched.world.outcomes.is_empty() || !watched.world.rm.stall_watch.is_empty() {
+            assert!(watched.now() < SimTime::from_secs(600), "never settled");
+            let next = watched.now() + SimDuration::from_millis(50);
+            plain.run_until(next);
+            watched.run_until(next);
+            let rm = &watched.world.rm;
+            let extra = watched.pending_events() - plain.pending_events();
+            assert_eq!(extra, !rm.stall_watch.is_empty() as usize, "at {next:?}");
+            most_watched = most_watched.max(rm.stall_watch.len());
+            steps += 1;
+        }
+        let rm = &watched.world.rm;
+        assert_eq!(rm.live().unwrap().open_count(), 0);
+        assert!(rm.stall_watch.is_empty());
+        assert_eq!(watched.pending_events(), plain.pending_events());
+        assert!(
+            most_watched > 2 && steps > 100,
+            "{most_watched} spans, {steps} steps"
+        );
+        assert!(rm.metrics.counter("obs.stalls") > 0, "nothing stalled");
+        let watched_log = rm.log.iter().filter(|e| e.name != "obs.stall");
+        let plain_log = plain.world.rm.log.iter();
+        assert!(watched_log
+            .map(|e| e.to_ulm())
+            .eq(plain_log.map(|e| e.to_ulm())));
+    }
+
+    /// Open a span now and watch it, as a phase or prestage span is.
+    fn open_watched(sim: &mut Sim<World>, phase: Phase) -> SpanId {
+        let (ctx, now) = (TraceCtx::request(0), sim.now());
+        let span = sim.world.rm.log.span_start(&ctx, now, phase, None);
+        arm_stall_probe(sim, &ctx, span, phase);
+        span
+    }
+
+    fn close_at(sim: &mut Sim<World>, span: SpanId, phase: Phase, at: SimTime) {
+        sim.schedule_at(at, move |s| {
+            let ctx = TraceCtx::request(0);
+            s.world.rm.log.span_end(&ctx, at, span, phase, None);
+        });
+    }
+
+    fn fired_spans(rm: &RequestManager) -> Vec<u64> {
+        let fired = rm.log.named("obs.stall");
+        fired.map(|e| e.get_num("span").unwrap() as u64).collect()
+    }
+
+    /// The strict-`>` rule at the nanosecond: a span that closes exactly
+    /// at `open + threshold` never fires; one still open at `+1 ns` fires
+    /// then, whether it closes a nanosecond later or never.
+    #[test]
+    fn a_stall_fires_one_nanosecond_past_the_threshold() {
+        let (mut sim, _) = setup(Policy::BestBandwidth);
+        let threshold = SimDuration::from_secs(10);
+        sim.world.rm.enable_live_analysis(threshold);
+        sim.run_until(SimTime::from_secs(1));
+        let opened = sim.now();
+        let on_time = open_watched(&mut sim, Phase::Transfer);
+        let late = open_watched(&mut sim, Phase::Stage);
+        let stuck = open_watched(&mut sim, Phase::Transfer);
+        let at = |ns: u64| SimTime((opened + threshold).as_nanos() + ns);
+        close_at(&mut sim, on_time, Phase::Transfer, at(0));
+        close_at(&mut sim, late, Phase::Stage, at(2));
+        // Two span ends and the one wake.
+        assert_eq!(sim.pending_events(), 3);
+
+        sim.run_until(at(0));
+        assert!(fired_spans(&sim.world.rm).is_empty());
+        sim.run_until(at(1));
+        let rm = &sim.world.rm;
+        assert_eq!(fired_spans(rm), [late.0, stuck.0]);
+        assert!(rm.log.named("obs.stall").all(|e| e.time == at(1)));
+        assert!(rm.stall_watch.is_empty());
+        sim.run_until(SimTime::from_secs(60));
+        let rm = &sim.world.rm;
+        assert_eq!(fired_spans(rm), [late.0, stuck.0]);
+        let ages = rm.log.named("obs.stall").map(|e| e.get_num("stalled_s"));
+        assert!(ages.eq([Some(10.000_000_001); 2]));
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    /// Spans opened in the same instant share a deadline and fire in the
+    /// order they were opened and watched, by one wake; spans opened later
+    /// wait for the wake it re-arms.
+    #[test]
+    fn spans_opened_in_one_instant_fire_in_open_order() {
+        let (mut sim, _) = setup(Policy::BestBandwidth);
+        sim.world.rm.enable_live_analysis(SimDuration::from_secs(5));
+        let ctx = TraceCtx::request(0);
+        let phases = [Phase::Stage, Phase::Transfer, Phase::Prestage];
+        let spans: Vec<SpanId> = phases
+            .iter()
+            .map(|&p| sim.world.rm.log.span_start(&ctx, SimTime::ZERO, p, None))
+            .collect();
+        // Watched in the reverse of the order their ids were drawn.
+        for (&span, &phase) in spans.iter().zip(&phases).rev() {
+            arm_stall_probe(&mut sim, &ctx, span, phase);
+        }
+        sim.run_until(SimTime::from_secs(2));
+        let later = open_watched(&mut sim, Phase::Verify);
+        assert_eq!(sim.pending_events(), 1);
+        sim.run_until(SimTime::from_secs(6));
+        let order: Vec<u64> = spans.iter().rev().map(|s| s.0).collect();
+        assert_eq!(fired_spans(&sim.world.rm), order);
+        assert_eq!(sim.pending_events(), 1);
+        sim.run_until(SimTime::from_secs(7));
+        assert_eq!(fired_spans(&sim.world.rm).len(), 3);
+        sim.run_until(SimTime::from_secs(7) + SimDuration::from_nanos(1));
+        let rm = &sim.world.rm;
+        assert_eq!(fired_spans(rm)[3], later.0);
+        let fired: Vec<Option<Value>> = rm.log.named("obs.stall").map(|e| e.get("phase")).collect();
+        let want = [
+            Phase::Prestage,
+            Phase::Transfer,
+            Phase::Stage,
+            Phase::Verify,
+        ];
+        assert_eq!(fired, want.map(|p| Some(Value::from(p.as_str()))));
+        assert_eq!(sim.pending_events(), 0);
     }
 
     /// The manager is a request's only owner, so it is gone the moment its

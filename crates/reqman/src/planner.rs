@@ -15,9 +15,10 @@
 //! spread over replicas too — a per-request count would let every
 //! concurrent request stack onto the same best forecast.
 
-use esg_replica::{PathEstimate, Replica};
+use esg_replica::PathEstimate;
 
-/// Score candidates and pick the best index, or `None` if empty.
+/// Score candidate replicas, given by their host names, and pick the best
+/// index, or `None` if empty.
 ///
 /// `host_load(h)` = number of in-flight transfers (across every request —
 /// the manager's ledger) already assigned to host `h`. Taking a lookup
@@ -27,18 +28,18 @@ use esg_replica::{PathEstimate, Replica};
 /// hot path. Unknown forecasts rank below all known ones (they still win
 /// if nothing has a forecast — first such candidate).
 pub fn plan_spread(
-    candidates: &[Replica],
+    hosts: &[&str],
     estimates: &[PathEstimate],
     host_load: impl Fn(&str) -> usize,
 ) -> Option<usize> {
-    if candidates.is_empty() {
+    if hosts.is_empty() {
         return None;
     }
-    assert_eq!(candidates.len(), estimates.len());
+    assert_eq!(hosts.len(), estimates.len());
     let mut best: Option<(usize, f64, usize)> = None; // (idx, score, load)
     let mut best_unknown: Option<(usize, usize)> = None;
-    for (i, (cand, est)) in candidates.iter().zip(estimates).enumerate() {
-        let load = host_load(&cand.host);
+    for (i, (host, est)) in hosts.iter().zip(estimates).enumerate() {
+        let load = host_load(host);
         match est.bandwidth {
             Some(bw) => {
                 let score = bw / (load as f64 + 1.0);
@@ -59,21 +60,7 @@ pub fn plan_spread(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esg_gridftp::GridUrl;
     use std::collections::HashMap;
-
-    fn replicas(hosts: &[&str]) -> Vec<Replica> {
-        hosts
-            .iter()
-            .map(|h| Replica {
-                collection: "c".into(),
-                location: h.to_string(),
-                host: h.to_string(),
-                url: GridUrl::new(h.to_string(), "f"),
-                suspect: false,
-            })
-            .collect()
-    }
 
     fn est(bw: &[Option<f64>]) -> Vec<PathEstimate> {
         bw.iter()
@@ -86,38 +73,38 @@ mod tests {
 
     #[test]
     fn unloaded_picks_fastest() {
-        let reps = replicas(&["a", "b", "c"]);
+        let hosts = &["a", "b", "c"];
         let estimates = est(&[Some(10.0), Some(30.0), Some(20.0)]);
         let load: HashMap<String, usize> = HashMap::new();
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(1)
         );
     }
 
     #[test]
     fn load_discounts_the_fast_site() {
-        let reps = replicas(&["fast", "slow"]);
+        let hosts = &["fast", "slow"];
         let estimates = est(&[Some(100.0), Some(60.0)]);
         let mut load = HashMap::new();
         // One pull already on `fast`: 100/2 = 50 < 60 → pick `slow`.
         load.insert("fast".to_string(), 1);
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(1)
         );
     }
 
     #[test]
     fn equal_sites_spread_round_robin() {
-        let reps = replicas(&["a", "b", "c"]);
+        let hosts = &["a", "b", "c"];
         let estimates = est(&[Some(50.0), Some(50.0), Some(50.0)]);
         let mut load: HashMap<String, usize> = HashMap::new();
         let mut picks = Vec::new();
         for _ in 0..6 {
-            let i = plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)).unwrap();
+            let i = plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)).unwrap();
             picks.push(i);
-            *load.entry(reps[i].host.clone()).or_default() += 1;
+            *load.entry(hosts[i].to_string()).or_default() += 1;
         }
         // Each site gets exactly two of the six assignments.
         for host in ["a", "b", "c"] {
@@ -127,28 +114,28 @@ mod tests {
 
     #[test]
     fn unknown_only_wins_when_nothing_known() {
-        let reps = replicas(&["known", "unknown"]);
+        let hosts = &["known", "unknown"];
         let estimates = est(&[Some(1.0), None]);
         let load: HashMap<String, usize> = HashMap::new();
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(0)
         );
         let estimates = est(&[None, None]);
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(0)
         );
     }
 
     #[test]
     fn unknowns_spread_by_load() {
-        let reps = replicas(&["a", "b"]);
+        let hosts = &["a", "b"];
         let estimates = est(&[None, None]);
         let mut load = HashMap::new();
         load.insert("a".to_string(), 2);
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(1)
         );
     }
@@ -174,16 +161,16 @@ mod tests {
     fn single_host_candidates_pick_best_forecast() {
         // All replicas on one host: the shared load discounts every
         // candidate equally, so the raw forecast order decides.
-        let reps = replicas(&["only", "only", "only"]);
+        let hosts = &["only", "only", "only"];
         let estimates = est(&[Some(10.0), Some(30.0), Some(20.0)]);
         let mut load = HashMap::new();
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(1)
         );
         load.insert("only".to_string(), 5);
         assert_eq!(
-            plan_spread(&reps, &estimates, |h| load.get(h).copied().unwrap_or(0)),
+            plan_spread(hosts, &estimates, |h| load.get(h).copied().unwrap_or(0)),
             Some(1)
         );
     }
@@ -193,10 +180,10 @@ mod tests {
         // Strictly-greater comparison keeps the earliest candidate on ties,
         // so equal forecasts with equal load always yield index 0 — the
         // determinism the trace guards rely on.
-        let reps = replicas(&["a", "b", "c"]);
+        let hosts = &["a", "b", "c"];
         let estimates = est(&[Some(42.0), Some(42.0), Some(42.0)]);
         for _ in 0..4 {
-            assert_eq!(plan_spread(&reps, &estimates, |_| 0), Some(0));
+            assert_eq!(plan_spread(hosts, &estimates, |_| 0), Some(0));
         }
     }
 }
