@@ -71,6 +71,11 @@ impl BandwidthMeter {
         self.samples.len()
     }
 
+    /// Every accepted `(time, cumulative bytes)` sample, in time order.
+    pub fn samples(&self) -> &[(SimTime, f64)] {
+        &self.samples
+    }
+
     /// First and last sample times.
     pub fn span(&self) -> Option<(SimTime, SimTime)> {
         match (self.samples.first(), self.samples.last()) {
