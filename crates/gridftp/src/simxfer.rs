@@ -20,7 +20,7 @@
 //!   can notice and restart from the byte ranges already delivered.
 
 use esg_simnet::{Completion, FlowId, FlowSpec, NodeId, Sim, SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-block protection overhead fraction (sequence + MAC per 64 KiB
 /// block; see `esg_gsi::channel`).
@@ -189,7 +189,11 @@ type Outcome = Result<TransferResult, TransferError>;
 /// The simulated GridFTP service state living inside the world.
 #[derive(Default)]
 pub struct GridFtpSim {
-    transfers: HashMap<u64, TransferState>,
+    /// Live transfers by id. Ordered because every progress poll
+    /// (`transfer_bytes`, `_rate`, `_stalled`, `cancel_transfer`) is one
+    /// lookup here, and a few-level search on a `u64` is cheaper than
+    /// hashing it; nothing iterates the table, so no order is observed.
+    transfers: BTreeMap<u64, TransferState>,
     next_id: u64,
     /// Cached data channels per (src, dst): how many streams are kept warm.
     cache: HashMap<(NodeId, NodeId), u32>,
