@@ -20,9 +20,7 @@
 //! interactive p95 makespan.
 
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use crate::json::Json;
-use crate::spec::ScenarioSpec;
+use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
 use esg_reqman::{start_campaign, submit_request, CampaignOutcome, CampaignSpec, DEFAULT_TENANT};
 use esg_simnet::prelude::inject_all;
 use esg_simnet::{SimDuration, SimTime};
@@ -334,53 +332,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         key: ctx.key(),
         metrics,
         timing,
-        fragment: None,
-        aux: Vec::<AuxFile>::new(),
+        aux: vec![],
     })
-}
-
-/// `BENCH_campaign.json`: per-trial campaign/resume/fairness numbers plus
-/// the cross-variant fairness ratio per (seed, rep) group.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let lift = |r: &TrialRecord| -> Json {
-        let mut m: Vec<(String, Json)> = vec![
-            ("variant".into(), Json::str(&r.key.variant)),
-            ("seed".into(), Json::Int(r.key.seed as i128)),
-            ("rep".into(), Json::Int(r.key.rep as i128)),
-        ];
-        m.extend(r.metrics.iter().map(|(k, v)| (k.clone(), v.to_json())));
-        Json::Obj(m)
-    };
-    // Fairness: contended p95 over solo p95, per (seed, rep).
-    let mut fairness: Vec<Json> = Vec::new();
-    let mut groups: BTreeMap<(u64, u32), (Option<f64>, Option<f64>)> = BTreeMap::new();
-    for r in rows {
-        let slot = groups.entry((r.key.seed, r.key.rep)).or_default();
-        match r.key.variant.as_str() {
-            "solo" => slot.0 = r.value("interactive_p95_s"),
-            "contended" => slot.1 = r.value("interactive_p95_s"),
-            _ => {}
-        }
-    }
-    for ((seed, rep), (solo, contended)) in groups {
-        if let (Some(s), Some(c)) = (solo, contended) {
-            fairness.push(Json::obj(vec![
-                ("seed", Json::Int(seed as i128)),
-                ("rep", Json::Int(rep as i128)),
-                ("solo_p95_s", Json::Float(s)),
-                ("contended_p95_s", Json::Float(c)),
-                (
-                    "slowdown",
-                    Json::Float(if s > 0.0 { c / s } else { f64::NAN }),
-                ),
-            ]));
-        }
-    }
-    let doc = Json::obj(vec![
-        ("scenario", Json::str(&spec.name)),
-        ("spec_sha256", Json::str(spec.sha256_hex())),
-        ("trials", Json::Arr(rows.iter().map(lift).collect())),
-        ("fairness", Json::Arr(fairness)),
-    ]);
-    Some(format!("{}\n", doc.emit()))
 }

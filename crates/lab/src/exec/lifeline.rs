@@ -3,15 +3,15 @@
 //! bin's fail-fast asserts became counted metrics the spec gates on
 //! (lifelines complete == lifelines, tiling gap <= 1e-6, transfer spans
 //! cover every byte, one critical path per request, ULM round-trip
-//! identical); the full `BENCH_lifeline.json` body is produced here as
-//! the trial fragment, and the raw ULM trace is journaled as an
+//! identical). The analysis the old bin printed — per-phase totals, each
+//! request's critical path and the whole metrics-registry snapshot — is
+//! metrics of the record, and the raw ULM trace is journaled as an
 //! auxiliary file by path + sha256.
 
 use super::{mixed, TrialCtx};
 use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use esg_netlogger::{LifelineSet, NetLog};
+use esg_netlogger::{LifelineSet, MetricsRegistry, NetLog};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 pub const DISK_DS: &str = "pcm_life.disk";
 pub const TAPE_DS: &str = "pcm_life.tape";
@@ -100,56 +100,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let trace_sha = crate::sha_hex(&ulm);
     std::fs::write(&trace_path, &ulm).map_err(|e| format!("write {trace_path}: {e}"))?;
 
-    // The whole committed artifact body is this trial's fragment,
-    // byte-format-identical to the old bin.
-    let mut json = String::new();
-    write!(
-        json,
-        concat!(
-            "{{\n  \"bench\": \"lifeline\",\n  \"seed\": {},\n  \"requests\": {},\n",
-            "  \"files\": {},\n  \"lifelines\": {},\n  \"complete\": {},\n",
-            "  \"orphans\": {},\n  \"max_tiling_gap_s\": {:.3e},\n",
-            "  \"delivered_bytes\": {},\n  \"transfer_span_bytes\": {},\n",
-            "  \"roundtrip_identical\": true,\n  \"stall_threshold_s\": {:.0},\n",
-            "  \"stalls\": {},\n  \"trace_sha256\": \"{}\",\n"
-        ),
-        ctx.seed,
-        n_requests,
-        files_delivered,
-        set.lifelines.len(),
-        complete,
-        set.orphans.len(),
-        max_gap,
-        delivered_bytes,
-        span_bytes,
-        stall_s,
-        stalls.len(),
-        trace_sha,
-    )
-    .unwrap();
-    json.push_str("  \"phase_totals_s\": {");
-    for (i, (ph, d)) in phase_totals.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        write!(json, "\"{ph}\": {d:.3}").unwrap();
-    }
-    json.push_str("},\n  \"critical_paths\": [\n");
-    for (i, cp) in cps.iter().enumerate() {
-        writeln!(
-            json,
-            "    {{\"request\": {}, \"file\": \"{}\", \"makespan_s\": {:.3}}}{}",
-            cp.request,
-            cp.file,
-            cp.makespan_s,
-            if i + 1 < cps.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    json.push_str("  ],\n  \"metrics\": ");
-    json.push_str(&reg.to_json());
-    json.push_str("\n}\n");
-
     let mut metrics = vec![
         ("requests".into(), Num(n_requests as f64)),
         ("requests_done".into(), Num(outcomes.len() as f64)),
@@ -179,19 +129,22 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         ),
         ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
     ];
-    // Spec-declared registry metrics ride along under a `reg.` prefix, so
-    // gates can target the unified snapshot directly.
-    for name in &ctx.spec.metrics {
-        if let Some(v) = reg.value(name) {
-            metrics.push((format!("reg.{name}"), Num(v)));
-        }
+    for (ph, d) in phase_totals {
+        metrics.push((format!("phase_total_s.{ph}"), Num(d)));
     }
+    for cp in &cps {
+        let at = format!("critical_path.{}", cp.request);
+        metrics.push((format!("{at}.file"), MetricValue::Str(cp.file.to_string())));
+        metrics.push((format!("{at}.makespan_s"), Num(cp.makespan_s)));
+    }
+    // The whole registry snapshot rides along under a `reg.` prefix, so
+    // gates can target the unified snapshot directly.
+    metrics.extend(registry_metrics(&reg));
 
     Ok(TrialRecord {
         key: ctx.key(),
         metrics,
         timing: vec![("wall_ms".into(), run.wall.as_secs_f64() * 1e3)],
-        fragment: Some(json),
         aux: vec![AuxFile {
             path: trace_path,
             sha256: trace_sha,
@@ -199,7 +152,22 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     })
 }
 
-/// The lifeline artifact is the (single) trial's fragment verbatim.
-pub fn assemble(rows: &[TrialRecord]) -> Option<String> {
-    rows.first().and_then(|r| r.fragment.clone())
+/// Every counter and gauge of `reg` by name, and every histogram's count,
+/// sum, min, max, p50 and p99 as `<name>.<field>`, each under `reg.`.
+fn registry_metrics(reg: &MetricsRegistry) -> Vec<(String, MetricValue)> {
+    let mut out: Vec<(String, f64)> = reg.counters().map(|(k, v)| (k.into(), v as f64)).collect();
+    out.extend(reg.gauges().map(|(k, v)| (k.into(), v)));
+    for (k, h) in reg.histograms() {
+        out.extend([
+            (format!("{k}.count"), h.count() as f64),
+            (format!("{k}.sum"), h.sum()),
+            (format!("{k}.min"), h.min().unwrap_or(0.0)),
+            (format!("{k}.max"), h.max().unwrap_or(0.0)),
+            (format!("{k}.p50"), h.quantile(0.5).unwrap_or(0.0)),
+            (format!("{k}.p99"), h.quantile(0.99).unwrap_or(0.0)),
+        ]);
+    }
+    out.into_iter()
+        .map(|(k, v)| (format!("reg.{k}"), Num(v)))
+        .collect()
 }

@@ -4,16 +4,15 @@
 //!
 //! An executor is the imperative half of a spec — it builds the
 //! simulated world from the merged trial parameters, runs it, and
-//! returns a `TrialRecord`. The executors reproduce the bench bins they
-//! replaced operation-for-operation (same construction order, same RNG
-//! streams, same event schedule), so the golden trace pins and committed
-//! `BENCH_*.json` baselines carried over bit-for-bit —
-//! `tests/determinism.rs` at the workspace root pins, through
-//! `run_trial`, the sha256 each bin produced before it was deleted.
+//! returns a `TrialRecord` and nothing else: the runner writes every
+//! artifact from those records, so no executor formats JSON. The
+//! executors reproduce the bench bins they replaced operation-for-operation
+//! (same construction order, same RNG streams, same event schedule), so
+//! the golden trace pins carried over bit-for-bit — `tests/determinism.rs`
+//! at the workspace root pins, through `run_trial`, the sha256 each bin
+//! produced before it was deleted.
 
-use crate::gate::Baseline;
 use crate::journal::{TrialKey, TrialRecord};
-use crate::json::Json;
 use crate::spec::{FaultSpec, Params, ScenarioSpec};
 use esg_core::scenario::Site;
 use esg_simnet::prelude::{Fault, FaultKind};
@@ -68,79 +67,6 @@ pub fn run_trial(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     Ok(record)
 }
 
-/// Assemble the committed `BENCH_*.json` artifact from the finished rows.
-/// Kinds without an artifact return `None`.
-pub fn assemble_artifact(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    match spec.kind.as_str() {
-        "user_scaling" => user_scaling::assemble(spec, rows),
-        "request_pipeline" => pipeline::assemble(spec, rows),
-        "lifeline" => lifeline::assemble(rows),
-        "campaign_soak" => campaign::assemble(spec, rows),
-        "rm_scaling" => rm_scaling::assemble(spec, rows),
-        "rm_profile" => rm_profile::assemble(spec, rows),
-        _ => None,
-    }
-}
-
-/// Extract per-variant baseline metrics from a committed artifact, for
-/// `wall_regression` gates.
-pub fn baseline_metrics(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
-    match spec.kind.as_str() {
-        "user_scaling" | "rm_scaling" => curve_baseline(spec, artifact),
-        "request_pipeline" => pipeline::baseline(artifact),
-        other => Err(format!("kind '{other}' has no baseline extractor")),
-    }
-}
-
-/// A curve artifact: header, then one per-point fragment per line in row
-/// order (keeps the committed file greppable). `extra_header` is spliced
-/// in verbatim after the seed line.
-fn assemble_points(
-    bench: &str,
-    extra_header: &str,
-    spec: &ScenarioSpec,
-    rows: &[TrialRecord],
-) -> String {
-    let mut json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"seed\": {},\n{extra_header}  \"points\": [\n",
-        spec.seeds.first().copied().unwrap_or(17),
-    );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// Baseline for `wall_regression` on a curve artifact: match each spec
-/// variant to the committed point with the same `n` and expose its
-/// `wall_ms`.
-fn curve_baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
-    let points = artifact
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no points array")?;
-    let mut out = Baseline::new();
-    for v in spec.effective_variants() {
-        let n = spec.params.merged(&v.overrides).u64("n", 0)?;
-        let Some(point) = points
-            .iter()
-            .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
-        else {
-            continue; // gate reports the missing variant as an explicit error
-        };
-        let mut m = std::collections::BTreeMap::new();
-        if let Some(val) = point.get("wall_ms").and_then(Json::as_f64) {
-            m.insert("wall_ms".to_string(), val);
-        }
-        out.insert(v.name.clone(), m);
-    }
-    Ok(out)
-}
-
 /// Translate a spec-level declarative fault schedule into simnet faults
 /// against a testbed's site list. Applied *in addition to* whatever
 /// seeded faults the scenario kind generates itself.
@@ -181,13 +107,13 @@ mod tests {
 
     #[test]
     fn a_mistyped_param_fails_the_trial_instead_of_running_the_default() {
-        let spec = ScenarioSpec::load("table1").unwrap();
-        let params = spec
-            .params
-            .merged(&Params(vec![("minutes".into(), Json::Float(30.0))]));
+        let text = ScenarioSpec::load("table1").unwrap().to_json_string();
+        let mistyped = text.replace(r#""minutes":60"#, r#""minutes":30.0"#);
+        assert_ne!(mistyped, text);
+        let spec = ScenarioSpec::from_json_str(&mistyped).unwrap();
         let err = run_trial(&TrialCtx {
             spec: &spec,
-            params,
+            params: spec.params.clone(),
             variant: "base".into(),
             seed: 1,
             rep: 0,

@@ -42,7 +42,6 @@ pub fn run(ctx: &TrialCtx) -> Option<Result<TrialRecord, String>> {
         key: ctx.key(),
         metrics: Vec::new(),
         timing: Vec::new(),
-        fragment: None,
         aux: Vec::new(),
     };
     let wall = std::time::Instant::now();

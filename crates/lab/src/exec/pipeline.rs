@@ -6,10 +6,7 @@
 //! makespan speedup floor).
 
 use super::{mixed, TrialCtx};
-use crate::gate::Baseline;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use crate::json::Json;
-use crate::spec::ScenarioSpec;
+use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
 use std::fmt::Write as _;
 
 pub const DISK_DS: &str = "pcm_pipe.disk";
@@ -93,30 +90,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let agg_mbps = bytes as f64 / makespan.max(1e-9) / 1e6;
     let trace_sha = crate::sha_hex(&rm.log.to_ulm());
 
-    // The old bin's per-variant JSON object, byte-for-byte.
-    let mut fragment = String::new();
-    write!(
-        fragment,
-        concat!(
-            "{{\"mode\": \"{}\", \"makespan_s\": {:.3}, \"aggregate_mb_s\": {:.3}, ",
-            "\"mean_sojourn_s\": {:.3}, \"files_complete\": {}, \"files_verified\": {}, ",
-            "\"failovers\": {}, \"defers\": {}, \"prestaged\": {}, \"tuned\": {}, ",
-            "\"peak_host_inflight\": {}}}"
-        ),
-        mode,
-        makespan,
-        agg_mbps,
-        mean_sojourn,
-        completes,
-        verified,
-        failovers,
-        defers,
-        prestaged,
-        tuned,
-        peak_host_inflight,
-    )
-    .unwrap();
-
     Ok(TrialRecord {
         key: ctx.key(),
         metrics: vec![
@@ -143,64 +116,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             ("trace_sha256".into(), MetricValue::Str(trace_sha)),
         ],
         timing: vec![("wall_ms".into(), run.wall.as_secs_f64() * 1e3)],
-        fragment: Some(fragment),
-        aux: Vec::<AuxFile>::new(),
+        aux: vec![],
     })
-}
-
-fn find<'a>(rows: &'a [TrialRecord], variant: &str) -> Option<&'a TrialRecord> {
-    rows.iter().find(|r| r.key.variant == variant)
-}
-
-/// `BENCH_request_pipeline.json`, byte-format-identical to the old bin:
-/// scheduler variant first, then legacy, then the makespan speedup and
-/// the scheduler arm's trace digest.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let sched = find(rows, "scheduler")?;
-    let legacy = find(rows, "legacy")?;
-    let speedup = legacy.value("makespan_s")? / sched.value("makespan_s")?.max(1e-9);
-    let trace_sha = match sched.metric("trace_sha256")? {
-        MetricValue::Str(s) => s.clone(),
-        _ => return None,
-    };
-    Some(format!(
-        concat!(
-            "{{\n  \"bench\": \"request_pipeline\",\n  \"seed\": {},\n",
-            "  \"requests\": {},\n  \"files_per_request\": 18,\n",
-            "  \"min_rate_mb_s\": {:.1},\n  \"variants\": [\n    {},\n    {}\n  ],\n",
-            "  \"speedup_makespan\": {:.2},\n  \"equivalent\": true,\n",
-            "  \"trace_sha256\": \"{}\"\n}}\n"
-        ),
-        spec.seeds.first().copied().unwrap_or(23),
-        spec.params.u64("requests", 6).ok()?,
-        spec.params.f64("min_rate", mixed::DEFAULT_MIN_RATE).ok()? / 1e6,
-        sched.fragment.as_deref()?,
-        legacy.fragment.as_deref()?,
-        speedup,
-        trace_sha,
-    ))
-}
-
-/// Baseline from the committed artifact: per-variant deterministic
-/// makespan/throughput (keyed by the variant's `mode`).
-pub fn baseline(artifact: &Json) -> Result<Baseline, String> {
-    let variants = artifact
-        .get("variants")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no variants array")?;
-    let mut out = Baseline::new();
-    for v in variants {
-        let mode = v
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("baseline variant has no mode")?;
-        let mut m = std::collections::BTreeMap::new();
-        for key in ["makespan_s", "aggregate_mb_s", "mean_sojourn_s"] {
-            if let Some(val) = v.get(key).and_then(Json::as_f64) {
-                m.insert(key.to_string(), val);
-            }
-        }
-        out.insert(mode.to_string(), m);
-    }
-    Ok(out)
 }

@@ -22,13 +22,11 @@
 use super::campaign_round::{tmp_path, CampaignRound};
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use crate::spec::ScenarioSpec;
 use esg_netlogger::{LifelineSet, LiveLifelines, NetLog, OpenSpan};
 use esg_reqman::CampaignOutcome;
 use esg_simnet::profile;
 use esg_simnet::SimDuration;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// The campaign's source dataset.
 const DS: &str = "pcm_rmprof.b06";
@@ -206,15 +204,18 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             "trace_sha256".into(),
             MetricValue::Str(a.trace_sha256.clone()),
         ),
-        ("tape_sha256".into(), MetricValue::Str(tape_sha)),
+        ("tape_sha256".into(), MetricValue::Str(tape_sha.clone())),
     ];
     for (name, v) in &a.reg {
         metrics.push((format!("reg.{name}"), Num(*v)));
     }
 
+    // Shares of the wall come from the wall: timing, out of the table.
+    let frac = |ms: f64| if total_ms > 0.0 { ms / total_ms } else { 0.0 };
     let mut timing = vec![
         ("wall_ms_total".into(), total_ms),
         ("wall_ms_attributed".into(), attributed_ms),
+        ("attributed_frac".into(), frac(attributed_ms)),
     ];
     for name in [
         profile::KERNEL,
@@ -224,73 +225,18 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         profile::JOURNAL,
         profile::EVENTS,
     ] {
-        timing.push((format!("wall_ms_{name}"), r.self_s_of(name) * 1e3));
+        let ms = r.self_s_of(name) * 1e3;
+        timing.push((format!("wall_ms_{name}"), ms));
+        timing.push((format!("share_{name}"), frac(ms)));
     }
-
-    let share = |name: &str| {
-        if total_ms <= 0.0 {
-            0.0
-        } else {
-            r.self_s_of(name) * 1e3 / total_ms
-        }
-    };
-    let mut frag = String::new();
-    write!(
-        frag,
-        concat!(
-            "{{\"n\": {}, \"files_delivered\": {}, \"rounds\": {}, ",
-            "\"wall_ms_total\": {:.3}, \"wall_ms_attributed\": {:.3}, ",
-            "\"attributed_frac\": {:.4}, ",
-            "\"share_kernel\": {:.4}, \"share_allocator\": {:.4}, ",
-            "\"share_rm\": {:.4}, \"share_net_poll\": {:.4}, ",
-            "\"share_journal\": {:.4}, \"share_events\": {:.4}, ",
-            "\"net_poll_calls\": {}, \"kernel_events\": {}, ",
-            "\"journal_lines\": {}, \"monitor_ticks\": {}, ",
-            "\"obs_stalls\": {}, \"recorder_lines\": {}, ",
-            "\"live_match\": {}, \"snapshot_match\": {}, ",
-            "\"trace_sha256\": \"{}\"}}"
-        ),
-        n,
-        a.outcome.files_delivered,
-        a.outcome.rounds,
-        total_ms,
-        attributed_ms,
-        if total_ms > 0.0 {
-            attributed_ms / total_ms
-        } else {
-            0.0
-        },
-        share(profile::KERNEL),
-        share(profile::ALLOCATOR),
-        share(profile::RM),
-        share(profile::NET_POLL),
-        share(profile::JOURNAL),
-        share(profile::EVENTS),
-        r.count_of("net_poll.calls"),
-        r.count_of("kernel.events"),
-        r.count_of("journal.lines"),
-        r.count_of("rm.monitor_ticks"),
-        a.obs_stalls,
-        a.tape.lines().count(),
-        a.live_match && b.live_match,
-        snapshot_match,
-        a.trace_sha256,
-    )
-    .unwrap();
 
     Ok(TrialRecord {
         key: ctx.key(),
         metrics,
         timing,
-        fragment: Some(frag),
         aux: vec![AuxFile {
             path: tape_path,
-            sha256: crate::sha_hex(&a.tape),
+            sha256: tape_sha,
         }],
     })
-}
-
-/// The committed `BENCH_profile.json`: one fragment per curve point.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    Some(super::assemble_points("rm_profile", "", spec, rows))
 }

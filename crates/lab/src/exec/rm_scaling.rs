@@ -10,10 +10,8 @@
 
 use super::campaign_round::CampaignRound;
 use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use crate::spec::ScenarioSpec;
+use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
 use esg_reqman::CampaignOutcome;
-use std::fmt::Write as _;
 
 /// The campaign's source dataset.
 const DS: &str = "pcm_rmscale.b06";
@@ -53,47 +51,21 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         best.wall_ms = best.wall_ms.min(r.wall_ms);
     }
     let o = &best.outcome;
-    let n = o.files_total;
-
     let metrics = vec![
-        ("n".into(), Num(n as f64)),
+        ("n".into(), Num(o.files_total as f64)),
         ("files_total".into(), Num(o.files_total as f64)),
         ("files_delivered".into(), Num(o.files_delivered as f64)),
         ("rounds".into(), Num(o.rounds as f64)),
-        (
-            "trace_sha256".into(),
-            MetricValue::Str(best.trace_sha256.clone()),
-        ),
+        ("trace_sha256".into(), MetricValue::Str(best.trace_sha256)),
         (
             "manifest_sha256".into(),
             MetricValue::Str(o.manifest_sha256.clone()),
         ),
     ];
-    let timing = vec![("wall_ms".into(), best.wall_ms)];
-
-    let mut frag = String::new();
-    write!(
-        frag,
-        concat!(
-            "{{\"n\": {}, \"files_delivered\": {}, \"rounds\": {}, ",
-            "\"wall_ms\": {:.3}, ",
-            "\"trace_sha256\": \"{}\", \"manifest_sha256\": \"{}\"}}"
-        ),
-        n, o.files_delivered, o.rounds, best.wall_ms, best.trace_sha256, o.manifest_sha256,
-    )
-    .unwrap();
-
     Ok(TrialRecord {
         key: ctx.key(),
         metrics,
-        timing,
-        fragment: Some(frag),
-        aux: Vec::<AuxFile>::new(),
+        timing: vec![("wall_ms".into(), best.wall_ms)],
+        aux: vec![],
     })
-}
-
-/// The committed `BENCH_rm_scaling.json`: per-point fragments in row
-/// order, one line per curve point.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    Some(super::assemble_points("rm_scaling_curve", "", spec, rows))
 }

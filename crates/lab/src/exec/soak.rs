@@ -174,7 +174,6 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             ),
         ],
         timing: vec![("wall_ms".into(), wall.as_secs_f64() * 1e3)],
-        fragment: None,
         aux: Vec::<AuxFile>::new(),
     })
 }
@@ -334,7 +333,6 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
         ],
         timing: vec![("wall_ms".into(), wall.as_secs_f64() * 1e3)],
-        fragment: None,
         aux: vec![AuxFile {
             path: trace_path,
             sha256: trace_sha,

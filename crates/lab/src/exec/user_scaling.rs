@@ -4,9 +4,7 @@
 
 use super::TrialCtx;
 use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
-use crate::scaling::{run_curve_point, RunResult};
-use crate::spec::ScenarioSpec;
-use std::fmt::Write as _;
+use crate::scaling::run_curve_point;
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
@@ -51,10 +49,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             "peak_concurrent_flows".to_string(),
             Num(point.peak_concurrent as f64),
         ),
-        (
-            "trace_sha256".to_string(),
-            MetricValue::Str(trace_sha256.clone()),
-        ),
+        ("trace_sha256".to_string(), MetricValue::Str(trace_sha256)),
     ];
 
     let timing = vec![
@@ -69,51 +64,6 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         key: ctx.key(),
         metrics,
         timing,
-        fragment: Some(json_point(n, regions, &point, &trace_sha256)),
         aux: vec![],
     })
-}
-
-/// One curve point as a single JSON line (keeps the committed file
-/// greppable and lets the regression check stay dependency-free).
-fn json_point(n: usize, regions: usize, p: &RunResult, trace_sha256: &str) -> String {
-    let mut s = String::new();
-    write!(
-        s,
-        concat!(
-            "{{\"n\": {}, \"regions\": {}, \"wall_ms\": {:.3}, ",
-            "\"peak_rss_kb\": {}, \"oracle_probes\": {}, ",
-            "\"recompute_passes\": {}, \"components_solved\": {}, ",
-            "\"flow_solves\": {}, \"rate_changes\": {}, ",
-            "\"peak_concurrent_flows\": {}, \"equivalent\": true, ",
-            "\"trace_sha256\": \"{}\"}}"
-        ),
-        n,
-        regions,
-        p.wall.as_secs_f64() * 1e3,
-        p.peak_rss_kb.unwrap_or(0),
-        p.oracle_probes_run,
-        p.stats.recompute_passes,
-        p.stats.components_solved,
-        p.stats.flow_solves,
-        p.stats.rate_changes,
-        p.peak_concurrent,
-        trace_sha256,
-    )
-    .unwrap();
-    s
-}
-
-/// The committed `BENCH_user_scaling.json`.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let clients = format!(
-        "  \"clients_per_region\": {},\n",
-        crate::scaling::CLIENTS_PER_REGION
-    );
-    Some(super::assemble_points(
-        "user_scaling_curve",
-        &clients,
-        spec,
-        rows,
-    ))
 }

@@ -7,7 +7,7 @@
 //! * `Pass` — the condition held everywhere it applied;
 //! * `Fail` — a trial violated it (equivalence trip, threshold breach);
 //! * `Error` — the gate could not be evaluated (missing metric, missing
-//!   baseline). An error is never a pass: a gate that silently cannot
+//!   baseline row). An error is never a pass: a gate that silently cannot
 //!   see its data must fail the run, otherwise a renamed metric would
 //!   turn the tripwire off.
 
@@ -51,9 +51,6 @@ impl GateReport {
     }
 }
 
-/// Baseline metrics for `wall_regression` gates: variant → metric → value.
-pub type Baseline = BTreeMap<String, BTreeMap<String, f64>>;
-
 fn applies(variants: &Option<Vec<String>>, variant: &str) -> bool {
     variants
         .as_ref()
@@ -71,10 +68,12 @@ fn groups(rows: &[TrialRecord]) -> Vec<Vec<&TrialRecord>> {
     by.into_values().collect()
 }
 
+/// Judge `gates` over the finished `rows`. `baseline` holds the committed
+/// artifact's rows, which `wall_regression` looks up by trial key.
 pub fn evaluate(
     gates: &[GateSpec],
     rows: &[TrialRecord],
-    baseline: Option<&Baseline>,
+    baseline: Option<&[TrialRecord]>,
 ) -> GateReport {
     let mut report = GateReport::default();
     for gate in gates {
@@ -91,7 +90,7 @@ pub fn evaluate(
 fn eval_one(
     gate: &GateSpec,
     rows: &[TrialRecord],
-    baseline: Option<&Baseline>,
+    baseline: Option<&[TrialRecord]>,
 ) -> (GateStatus, String) {
     match gate {
         GateSpec::Equivalence { metric } => {
@@ -194,8 +193,7 @@ fn eval_one(
             let Some(base) = baseline else {
                 return (
                     GateStatus::Error,
-                    "no baseline available (declare `baseline` in the spec or pass --baseline)"
-                        .into(),
+                    "no baseline available (declare `baseline` in the spec)".into(),
                 );
             };
             let mut detail = String::new();
@@ -206,10 +204,14 @@ fn eval_one(
                         format!("{} missing timing metric '{metric}'", key_of(r)),
                     );
                 };
-                let Some(b) = base.get(&r.key.variant).and_then(|m| m.get(metric)) else {
+                let Some(b) = base
+                    .iter()
+                    .find(|b| b.key == r.key)
+                    .and_then(|b| b.value(metric))
+                else {
                     return (
                         GateStatus::Error,
-                        format!("baseline has no '{metric}' for variant '{}'", r.key.variant),
+                        format!("baseline has no '{metric}' for {}", key_of(r)),
                     );
                 };
                 let limit = b * (1.0 + max_pct / 100.0);
@@ -242,6 +244,7 @@ fn eval_min_ratio(
     match (&numer.variant, &denom.variant) {
         // Within-trial ratio of two metrics.
         (None, None) => {
+            let mut worst = f64::INFINITY;
             for r in rows.iter().filter(|r| applies(variants, &r.key.variant)) {
                 let (Some(n), Some(d)) = (r.value(&numer.metric), r.value(&denom.metric)) else {
                     return (
@@ -261,11 +264,13 @@ fn eval_min_ratio(
                         format!("{}: ratio {ratio:.3} below {min}", key_of(r)),
                     );
                 }
+                worst = worst.min(ratio);
             }
-            (GateStatus::Pass, format!("ratio >= {min} in every trial"))
+            (GateStatus::Pass, format!("ratio {worst:.2} >= {min}"))
         }
         // Cross-variant ratio within each (seed, rep) group.
         (Some(nv), Some(dv)) => {
+            let mut worst = f64::INFINITY;
             for group in groups(rows) {
                 let find = |variant: &str, metric: &str| {
                     group
@@ -289,8 +294,12 @@ fn eval_min_ratio(
                         format!("{nv}/{dv} ratio {ratio:.3} below {min}"),
                     );
                 }
+                worst = worst.min(ratio);
             }
-            (GateStatus::Pass, format!("{nv}/{dv} ratio >= {min}"))
+            (
+                GateStatus::Pass,
+                format!("{nv}/{dv} ratio {worst:.2} >= {min}"),
+            )
         }
         _ => (
             GateStatus::Error,
@@ -320,7 +329,6 @@ mod tests {
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
             timing: vec![("wall_ms".into(), wall)],
-            fragment: None,
             aux: vec![],
         }
     }
@@ -375,10 +383,7 @@ mod tests {
             metric: "wall_ms".into(),
             max_pct: 20.0,
         };
-        let mut base: Baseline = Baseline::new();
-        base.entry("a".into())
-            .or_default()
-            .insert("wall_ms".into(), 100.0);
+        let base = [row("a", 17, &[], 100.0)];
 
         // 115 ms vs 100 ms baseline: inside +20%.
         let within = [row("a", 17, &[], 115.0)];
@@ -408,9 +413,21 @@ mod tests {
         assert!(!evaluate(std::slice::from_ref(&gate), &rows, None).all_pass());
 
         // Baseline present but lacking the variant: also an error.
-        let other: Baseline = Baseline::new();
-        let r = &evaluate(&[gate], &rows, Some(&other)).results[0];
+        let r = &evaluate(std::slice::from_ref(&gate), &rows, Some(&[])).results[0];
         assert_eq!(r.status, GateStatus::Error);
+        assert!(!r.detail.contains("--baseline"), "{}", r.detail);
+    }
+
+    #[test]
+    fn a_baseline_row_serves_only_its_own_trial_key() {
+        let gate = GateSpec::WallRegression {
+            metric: "wall_ms".into(),
+            max_pct: 20.0,
+        };
+        let base = [row("a", 17, &[], 100.0)];
+        let r = &evaluate(&[gate], &[row("a", 18, &[], 10.0)], Some(&base)).results[0];
+        assert_eq!(r.status, GateStatus::Error);
+        assert!(r.detail.contains("a/seed=18/rep=0"), "{}", r.detail);
     }
 
     #[test]
@@ -518,10 +535,9 @@ mod tests {
             min: 1.3,
             variants: None,
         };
-        assert_eq!(
-            evaluate(std::slice::from_ref(&cross), &rows, None).results[0].status,
-            GateStatus::Pass
-        );
+        let r = &evaluate(std::slice::from_ref(&cross), &rows, None).results[0];
+        assert_eq!(r.status, GateStatus::Pass);
+        assert_eq!(r.detail, "legacy/scheduler ratio 1.51 >= 1.3");
         let slow = [
             row(
                 "scheduler",
@@ -565,10 +581,10 @@ mod tests {
             ("wall_ms_parallel".into(), 100.0),
             ("wall_ms_sequential".into(), 50.0),
         ];
-        assert_eq!(
-            evaluate(&[within], &[r, r_small], None).results[0].status,
-            GateStatus::Pass
-        );
+        let r = &evaluate(&[within], &[r, r_small], None).results[0];
+        assert_eq!(r.status, GateStatus::Pass);
+        // The worst ratio among the trials the gate applies to.
+        assert_eq!(r.detail, "ratio 1.50 >= 1");
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! Every completed trial is appended to `<journal_dir>/<scenario>.jsonl`
 //! as one self-contained line: the spec hash it ran under, the build
-//! that ran it (sha256 of the executable), the trial coordinates
-//! (variant, seed, rep), the deterministic metrics, the timing section,
-//! the artifact fragment, and the path+sha256 of any auxiliary files the
-//! trial wrote. A rerun replays the journal first and skips every trial
-//! whose spec hash and build match and whose auxiliary
-//! files are still on disk with matching digests — the deterministic
+//! that ran it (sha256 of the executable), the trial's row (variant,
+//! seed, rep, the deterministic metrics and the timing section — the same
+//! [`TrialRecord::to_row`] codec every `BENCH_*.json` artifact uses), and
+//! the path+sha256 of any auxiliary files the trial wrote. A rerun
+//! replays the journal first and skips every trial whose spec hash and
+//! build match and whose auxiliary files are still on disk with matching
+//! digests — the deterministic
 //! same-seed trace contract means a journaled trial's metrics ARE the
 //! trial, so the resumed analysis table is byte-identical to an
 //! uninterrupted run (regression-tested in `tests/journal_resume.rs`).
@@ -93,8 +94,6 @@ pub struct TrialRecord {
     /// Wall-clock / RSS measurements. Kept out of the deterministic
     /// table section: they differ run to run by nature.
     pub timing: Vec<(String, f64)>,
-    /// Kind-specific fragment the artifact assembler consumes.
-    pub fragment: Option<String>,
     pub aux: Vec<AuxFile>,
 }
 
@@ -114,6 +113,82 @@ impl TrialRecord {
     pub fn sort_metrics(&mut self) {
         self.metrics.sort_by(|a, b| a.0.cmp(&b.0));
         self.timing.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+
+    /// The record as one row: `variant`, `seed`, `rep`, `metrics`,
+    /// `timing`. A journal line is this row plus its stamps and `aux`; an
+    /// artifact's `trials` array is these rows.
+    pub fn to_row(&self) -> Vec<(String, Json)> {
+        vec![
+            ("variant".into(), Json::str(&self.key.variant)),
+            ("seed".into(), Json::Int(self.key.seed as i128)),
+            ("rep".into(), Json::Int(self.key.rep as i128)),
+            (
+                "metrics".into(),
+                Json::Obj(
+                    self.metrics
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.to_json()))
+                        .collect(),
+                ),
+            ),
+            (
+                "timing".into(),
+                Json::Obj(
+                    self.timing
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Float(*v)))
+                        .collect(),
+                ),
+            ),
+        ]
+    }
+
+    /// Parse a row written by [`to_row`](Self::to_row); `aux` is empty.
+    pub fn from_row(v: &Json) -> Result<TrialRecord, String> {
+        let metrics = v
+            .get("metrics")
+            .and_then(Json::as_obj)
+            .ok_or("row needs metrics")?
+            .iter()
+            .map(|(k, v)| {
+                let mv = match v {
+                    Json::Str(s) => MetricValue::Str(s.clone()),
+                    other => {
+                        MetricValue::Num(other.as_f64().ok_or("metric must be number or string")?)
+                    }
+                };
+                Ok((k.clone(), mv))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let timing = v
+            .get("timing")
+            .and_then(Json::as_obj)
+            .unwrap_or(&[])
+            .iter()
+            .map(|(k, v)| {
+                v.as_f64()
+                    .map(|f| (k.clone(), f))
+                    .ok_or("timing values must be numeric".to_string())
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(TrialRecord {
+            key: TrialKey {
+                variant: v
+                    .get("variant")
+                    .and_then(Json::as_str)
+                    .ok_or("row needs variant")?
+                    .to_string(),
+                seed: v
+                    .get("seed")
+                    .and_then(Json::as_u64)
+                    .ok_or("row needs seed")?,
+                rep: v.get("rep").and_then(Json::as_u64).unwrap_or(0) as u32,
+            },
+            metrics,
+            timing,
+            aux: Vec::new(),
+        })
     }
 }
 
@@ -142,81 +217,25 @@ pub fn build_stamp() -> Result<&'static str, String> {
 
 impl JournalEntry {
     fn to_json(&self) -> Json {
-        let r = &self.record;
-        Json::obj(vec![
-            ("v", Json::Int(1)),
-            ("spec_sha256", Json::str(&self.spec_sha256)),
-            ("build", Json::str(&self.build)),
-            ("variant", Json::str(&r.key.variant)),
-            ("seed", Json::Int(r.key.seed as i128)),
-            ("rep", Json::Int(r.key.rep as i128)),
-            (
-                "metrics",
-                Json::Obj(
-                    r.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "timing",
-                Json::Obj(
-                    r.timing
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "fragment",
-                r.fragment.as_ref().map_or(Json::Null, Json::str),
-            ),
-            (
-                "aux",
-                Json::Arr(
-                    r.aux
-                        .iter()
-                        .map(|a| {
-                            Json::obj(vec![
-                                ("path", Json::str(&a.path)),
-                                ("sha256", Json::str(&a.sha256)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let mut line = vec![
+            ("v".to_string(), Json::Int(1)),
+            ("spec_sha256".into(), Json::str(&self.spec_sha256)),
+            ("build".into(), Json::str(&self.build)),
+        ];
+        line.extend(self.record.to_row());
+        let aux = self.record.aux.iter().map(|a| {
+            Json::obj(vec![
+                ("path", Json::str(&a.path)),
+                ("sha256", Json::str(&a.sha256)),
+            ])
+        });
+        line.push(("aux".into(), Json::Arr(aux.collect())));
+        Json::Obj(line)
     }
 
     fn from_json(v: &Json) -> Result<JournalEntry, String> {
-        let metrics = v
-            .get("metrics")
-            .and_then(Json::as_obj)
-            .ok_or("journal entry needs metrics")?
-            .iter()
-            .map(|(k, v)| {
-                let mv = match v {
-                    Json::Str(s) => MetricValue::Str(s.clone()),
-                    other => {
-                        MetricValue::Num(other.as_f64().ok_or("metric must be number or string")?)
-                    }
-                };
-                Ok((k.clone(), mv))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let timing = v
-            .get("timing")
-            .and_then(Json::as_obj)
-            .unwrap_or(&[])
-            .iter()
-            .map(|(k, v)| {
-                v.as_f64()
-                    .map(|f| (k.clone(), f))
-                    .ok_or("timing values must be numeric".to_string())
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let aux = match v.get("aux") {
+        let mut record = TrialRecord::from_row(v)?;
+        record.aux = match v.get("aux") {
             None | Some(Json::Null) => Vec::new(),
             Some(Json::Arr(a)) => a
                 .iter()
@@ -248,24 +267,7 @@ impl JournalEntry {
                 .and_then(Json::as_str)
                 .unwrap_or_default()
                 .to_string(),
-            record: TrialRecord {
-                key: TrialKey {
-                    variant: v
-                        .get("variant")
-                        .and_then(Json::as_str)
-                        .ok_or("journal entry needs variant")?
-                        .to_string(),
-                    seed: v
-                        .get("seed")
-                        .and_then(Json::as_u64)
-                        .ok_or("journal entry needs seed")?,
-                    rep: v.get("rep").and_then(Json::as_u64).unwrap_or(0) as u32,
-                },
-                metrics,
-                timing,
-                fragment: v.get("fragment").and_then(Json::as_str).map(str::to_string),
-                aux,
-            },
+            record,
         })
     }
 }
@@ -349,7 +351,6 @@ mod tests {
                     ("sha".into(), MetricValue::Str("deadbeef".into())),
                 ],
                 timing: vec![("wall_ms".into(), 12.25)],
-                fragment: Some("{\"n\": 1}".into()),
                 aux: vec![],
             },
         }
@@ -360,12 +361,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lab_j_{}", std::process::id()));
         let path = journal_path(&dir, "demo");
         let _ = std::fs::remove_file(&path);
-        append(&path, &entry("a", 17)).unwrap();
-        append(&path, &entry("b", 23)).unwrap();
-        let back = read(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0], entry("a", 17));
-        assert_eq!(back[1], entry("b", 23));
+        // An artifact row: a string metric, an integral count and a
+        // fractional timing, as a `BENCH_*.json` holds them.
+        let row = r#"{"variant":"n1k","seed":17,"rep":0,"metrics":{"n":1000,"trace_sha256":"91b0"},"timing":{"wall_ms":13.81}}"#;
+        let from_artifact = JournalEntry {
+            spec_sha256: "abc".into(),
+            build: "b1".into(),
+            record: TrialRecord::from_row(&Json::parse(row).unwrap()).unwrap(),
+        };
+        assert_eq!(Json::Obj(from_artifact.record.to_row()).emit(), row);
+        let inputs = [entry("a", 17), entry("b", 23), from_artifact];
+        for e in &inputs {
+            append(&path, e).unwrap();
+        }
+        assert_eq!(read(&path).unwrap(), inputs);
         let _ = std::fs::remove_file(&path);
     }
 

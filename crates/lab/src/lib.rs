@@ -5,16 +5,19 @@
 //! one runner plans the variant × seed × rep matrix, executes trials
 //! against the simnet/reqman stack, journals every completed trial to a
 //! resume-safe JSONL journal, aggregates deterministic analysis tables,
-//! writes the committed `BENCH_*.json` artifacts, and judges declared
-//! regression gates (equivalence trips, threshold breaches) in place of
-//! per-bin asserts.
+//! judges declared regression gates (equivalence trips, threshold
+//! breaches) in place of per-bin asserts, and writes the committed
+//! `BENCH_*.json` artifacts.
 //!
 //! Layering: `json` (canonical parser/emitter, no serde in this tree) →
 //! `spec` (the declarative surface + builtin scenario files) → `exec`
 //! (kind-specific executors, operation-for-operation ports of the old
-//! bench bins) → `journal` (resume) → `gate` (pass/fail/error) →
-//! `runner` (the matrix loop tying it together). `scaling` hosts the
-//! flow-scaling harness behind the `user_scaling` executor.
+//! bench bins; each returns a `TrialRecord` and formats no JSON) →
+//! `journal` (resume, and the one row codec `TrialRecord::to_row` /
+//! `from_row`) → `gate` (pass/fail/error) → `runner` (the matrix loop
+//! tying it together, and the one writer and reader of every artifact:
+//! `{"scenario", "spec_sha256", "trials": [row, …]}`). `scaling` hosts
+//! the flow-scaling harness behind the `user_scaling` executor.
 
 pub mod exec;
 pub mod gate;

@@ -1,5 +1,5 @@
 //! The scenario runner: plan the variant × seed × rep matrix, replay the
-//! journal, execute what is missing, evaluate gates, assemble artifacts.
+//! journal, execute what is missing, evaluate gates, write the artifact.
 //!
 //! One invariant carries the whole resume story: a trial's deterministic
 //! metrics are a pure function of (spec, variant, seed, rep), so a
@@ -7,9 +7,14 @@
 //! a resumed run is byte-identical to an uninterrupted one. Timing
 //! (wall clock, RSS) is kept in a separate section that never feeds the
 //! table or the equivalence gates.
+//!
+//! Every `BENCH_*.json` artifact has one shape, written here and nowhere
+//! else: `{"scenario", "spec_sha256", "trials": [row, …]}`, one
+//! [`TrialRecord::to_row`] per line. A `wall_regression` baseline is such
+//! a file, read back with the same codec and looked up by trial key.
 
 use crate::exec::{self, TrialCtx};
-use crate::gate::{self, Baseline, GateReport};
+use crate::gate::{self, GateReport};
 use crate::journal::{self, JournalEntry, TrialKey, TrialRecord};
 use crate::json::Json;
 use crate::spec::ScenarioSpec;
@@ -85,7 +90,7 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
     // Load the regression baseline *before* any artifact overwrite, so a
     // run that rewrites its own committed baseline still gates against
     // the pre-run bytes.
-    let (baseline, baseline_err) = load_baseline(spec);
+    let baseline = spec.baseline.as_deref().map(read_artifact);
 
     // One open for the whole run: it heals a torn tail before the first
     // append, and every trial after that is one write.
@@ -168,17 +173,22 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<RunOutcome
     let mut gates = GateReport::default();
     let mut artifact_path = None;
     if complete {
-        if baseline.is_none() && needs_baseline(spec) {
-            // Surface *why* there is no baseline next to the gate error.
-            if let Some(err) = &baseline_err {
-                eprintln!("lab: baseline unavailable: {err}");
+        let baseline = match &baseline {
+            Some(Ok(rows)) => Some(rows.as_slice()),
+            Some(Err(err)) => {
+                if needs_baseline(spec) {
+                    // Surface *why* there is no baseline next to the gate error.
+                    eprintln!("lab: baseline unavailable: {err}");
+                }
+                None
             }
-        }
-        gates = gate::evaluate(&spec.gates, &rows, baseline.as_ref());
+            None => None,
+        };
+        gates = gate::evaluate(&spec.gates, &rows, baseline);
         if gates.all_pass() {
-            if let (Some(path), Some(body)) = (&spec.artifact, exec::assemble_artifact(spec, &rows))
-            {
-                std::fs::write(path, &body).map_err(|e| format!("write {path}: {e}"))?;
+            if let Some(path) = &spec.artifact {
+                let body = artifact(spec, &spec_sha, &rows);
+                std::fs::write(path, body).map_err(|e| format!("write {path}: {e}"))?;
                 artifact_path = Some(path.clone());
             }
         }
@@ -257,22 +267,30 @@ fn needs_baseline(spec: &ScenarioSpec) -> bool {
         .any(|g| matches!(g, crate::spec::GateSpec::WallRegression { .. }))
 }
 
-fn load_baseline(spec: &ScenarioSpec) -> (Option<Baseline>, Option<String>) {
-    let Some(path) = &spec.baseline else {
-        return (None, None);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return (None, Some(format!("read {path}: {e}"))),
-    };
-    let parsed = match Json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => return (None, Some(format!("parse {path}: {e}"))),
-    };
-    match exec::baseline_metrics(spec, &parsed) {
-        Ok(b) => (Some(b), None),
-        Err(e) => (None, Some(format!("extract baseline from {path}: {e}"))),
-    }
+/// The artifact: scenario identity, then one trial row per line so the
+/// committed file stays greppable and diffs by trial.
+fn artifact(spec: &ScenarioSpec, spec_sha: &str, rows: &[TrialRecord]) -> String {
+    let rows: Vec<String> = rows.iter().map(|r| Json::Obj(r.to_row()).emit()).collect();
+    format!(
+        "{{\"scenario\":{},\"spec_sha256\":{},\"trials\":[\n{}\n]}}\n",
+        Json::str(&spec.name).emit(),
+        Json::str(spec_sha).emit(),
+        rows.join(",\n")
+    )
+}
+
+/// The trial rows of an artifact at `path`.
+fn read_artifact(path: &str) -> Result<Vec<TrialRecord>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    Json::parse(&text)
+        .map_err(|e| format!("parse {path}: {e}"))?
+        .get("trials")
+        .and_then(Json::as_arr)
+        .ok_or(format!("{path} has no trials array"))?
+        .iter()
+        .map(TrialRecord::from_row)
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// The deterministic analysis table: scenario identity, then one block
@@ -324,4 +342,35 @@ fn timing_section(rows: &[TrialRecord]) -> String {
         }
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::MetricValue;
+
+    #[test]
+    fn an_artifact_is_one_row_per_line_and_reads_back_as_its_rows() {
+        let spec = ScenarioSpec::load("user_scaling").unwrap();
+        let rows: Vec<TrialRecord> = plan(&spec)
+            .into_iter()
+            .map(|key| TrialRecord {
+                metrics: vec![
+                    ("n".into(), MetricValue::Num(1000.0)),
+                    ("trace_sha256".into(), MetricValue::Str(key.variant.clone())),
+                ],
+                timing: vec![("wall_ms".into(), 13.81)],
+                key,
+                aux: vec![],
+            })
+            .collect();
+        let body = artifact(&spec, &spec.sha256_hex(), &rows);
+        let lines: Vec<&str> = body.lines().collect();
+        assert_eq!(lines.len(), rows.len() + 2, "{body}");
+        assert!(lines[1].starts_with(r#"{"variant":"n1k","seed":17,"rep":0,"metrics":"#));
+        let path = std::env::temp_dir().join(format!("lab_artifact_{}.json", std::process::id()));
+        std::fs::write(&path, &body).unwrap();
+        assert_eq!(read_artifact(path.to_str().unwrap()).unwrap(), rows);
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -765,6 +765,23 @@ mod tests {
         assert_eq!(stems, names, "crates/lab/scenarios/*.json vs BUILTINS");
     }
 
+    /// A run whose gates pass rewrites its artifact, so two scenarios
+    /// naming one file overwrite each other's evidence.
+    #[test]
+    fn no_two_builtins_name_the_same_artifact() {
+        let mut writers = std::collections::BTreeMap::<String, Vec<&str>>::new();
+        for name in builtin_names() {
+            if let Some(path) = ScenarioSpec::load(name).unwrap().artifact {
+                writers.entry(path).or_default().push(name);
+            }
+        }
+        let shared: Vec<_> = writers.values().filter(|names| names.len() > 1).collect();
+        assert!(
+            shared.is_empty(),
+            "one artifact, several writers: {shared:?}"
+        );
+    }
+
     #[test]
     fn implicit_base_variant() {
         let mut s = sample();
