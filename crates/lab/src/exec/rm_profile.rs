@@ -13,7 +13,8 @@
 //! what was measured.
 //!
 //! Every trial runs **twice** and holds the two runs to byte-identical
-//! flight tapes and traces (`snapshot_match`), and holds the online
+//! flight tapes and traces of one stored size (`snapshot_match`; the size,
+//! `NetLog::stored_bytes`, is reported as `trace_bytes`), and holds the online
 //! analyzer's incremental state to the offline `LifelineSet::from_log`
 //! pass over the finished trace (`live_match`): same per-file phase
 //! totals, same open spans, same trace horizon, and live probes fired for
@@ -35,6 +36,8 @@ const DS: &str = "pcm_rmprof.b06";
 struct ProfRun {
     outcome: CampaignOutcome,
     trace_sha256: String,
+    /// The stored trace's size, counted from its lengths.
+    trace_bytes: u64,
     tape: String,
     live_match: bool,
     obs_stalls: u64,
@@ -122,6 +125,7 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let obs_stalls = world.rm.metrics.counter("obs.stalls");
     let stall_events = world.rm.log.named("obs.stall").count() as u64;
     let trace_sha256 = crate::sha_hex(&world.rm.log.to_ulm());
+    let trace_bytes = world.rm.log.stored_bytes();
 
     // Deterministic profiler counts flow into the registry (`profile.*`);
     // spec-declared metrics are harvested from the unified snapshot.
@@ -136,6 +140,7 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     Ok(ProfRun {
         outcome,
         trace_sha256,
+        trace_bytes,
         tape: tape_body,
         live_match,
         obs_stalls,
@@ -150,7 +155,8 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
     let a = run_once(ctx, "a")?;
     let b = run_once(ctx, "b")?;
-    let snapshot_match = a.tape == b.tape && a.trace_sha256 == b.trace_sha256;
+    let snapshot_match =
+        a.tape == b.tape && a.trace_sha256 == b.trace_sha256 && a.trace_bytes == b.trace_bytes;
 
     // The committed flight tape rides along as an aux artifact.
     let tape_path = ctx
@@ -205,6 +211,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             MetricValue::Str(a.trace_sha256.clone()),
         ),
         ("tape_sha256".into(), MetricValue::Str(tape_sha.clone())),
+        ("trace_bytes".into(), Num(a.trace_bytes as f64)),
     ];
     for (name, v) in &a.reg {
         metrics.push((format!("reg.{name}"), Num(*v)));

@@ -9,15 +9,19 @@
 //! export→parse→export round-trip is byte-identical, which is what makes
 //! offline lifeline reconstruction trustworthy.
 //!
-//! The log stores typed records, not text: a record is the event's time,
-//! its name, a range of one log-wide field arena and the [`TraceCtx`] it
-//! was emitted under. Names, keys and string values are [`Text`] — a
-//! `'static` literal or a refcounted shared string — so storing an event
-//! copies no bytes and, once the arena has grown, allocates nothing. ULM
-//! text exists only when something asks for it ([`NetLog::to_ulm`],
-//! [`EventRef::to_ulm`]); the context's `request` / `file` / `attempt` are
-//! stamped at that point, after the event's own fields.
+//! The log stores typed records, not text. Emitters build events from
+//! [`Text`] — a `'static` literal or a refcounted shared string — and the
+//! log interns every name, key, string value and context file name once
+//! by content into its symbol table, so a stored record (32 bytes: time,
+//! the [`TraceCtx`] coordinates, the name's id, where its fields start)
+//! and a stored field (16 bytes: key id, type, 8 payload bytes) hold ids.
+//! Storing an event copies no bytes and, once the stores have grown and
+//! its strings have been seen, allocates nothing. ULM text exists only
+//! when something asks for it ([`NetLog::to_ulm`], [`EventRef::to_ulm`]);
+//! the context's `request` / `file` / `attempt` are stamped at that point,
+//! after the event's own fields.
 
+use crate::symbols::{Sym, Symbols, MAX_SYMBOLS};
 use crate::trace::TraceCtx;
 use esg_simnet::SimTime;
 use std::cell::Cell;
@@ -523,14 +527,60 @@ pub enum OrderPolicy {
     Drop,
 }
 
-/// One stored event: fixed-size, with its own fields as a range of the
-/// log's arena and its context kept as coordinates until render time.
-#[derive(Debug, Clone)]
+/// The record's name id sits in the low bits of [`Record::name`]; the
+/// context's presence flags above it.
+const NAME_MASK: u32 = (MAX_SYMBOLS - 1) as u32;
+const HAS_REQUEST: u32 = 1 << 29;
+const HAS_FILE: u32 = 1 << 30;
+const HAS_ATTEMPT: u32 = 1 << 31;
+
+/// One stored event, 32 bytes: its time, its context's coordinates (the
+/// file as a symbol id) and the name's symbol id with the flags saying
+/// which coordinates are present. Its own fields are the log's slots from
+/// `first` up to the next record's `first`.
+#[derive(Debug, Clone, Copy)]
 struct Record {
     time: SimTime,
-    name: Text,
-    fields: (u32, u32),
-    ctx: TraceCtx,
+    request: u64,
+    name: u32,
+    file: Sym,
+    attempt: u32,
+    first: u32,
+}
+
+impl Record {
+    fn name(&self) -> Sym {
+        self.name & NAME_MASK
+    }
+
+    fn request(&self) -> Option<u64> {
+        (self.name & HAS_REQUEST != 0).then_some(self.request)
+    }
+
+    fn file(&self) -> Option<Sym> {
+        (self.name & HAS_FILE != 0).then_some(self.file)
+    }
+
+    fn attempt(&self) -> Option<u32> {
+        (self.name & HAS_ATTEMPT != 0).then_some(self.attempt)
+    }
+}
+
+/// Which of [`Value`]'s types a slot's payload holds.
+#[derive(Debug, Clone, Copy)]
+enum Tag {
+    Str,
+    Num,
+    Int,
+}
+
+/// One stored field, 16 bytes: the key's symbol id, the value's type and
+/// 8 payload bytes — a string's symbol id, an `f64`'s bits or an `i64`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: Sym,
+    tag: Tag,
+    bits: u64,
 }
 
 /// A stored event, borrowed from its [`NetLog`]: what `iter`, `named`,
@@ -541,8 +591,9 @@ struct Record {
 pub struct EventRef<'a> {
     pub time: SimTime,
     pub name: &'a str,
-    own: &'a [(Text, Value)],
-    ctx: &'a TraceCtx,
+    own: &'a [Slot],
+    rec: &'a Record,
+    syms: &'a Symbols,
 }
 
 impl fmt::Debug for EventRef<'_> {
@@ -552,27 +603,40 @@ impl fmt::Debug for EventRef<'_> {
 }
 
 impl<'a> EventRef<'a> {
-    fn own(&self, key: &str) -> Option<&'a Value> {
-        self.own.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    fn key(&self, slot: &Slot) -> &'a str {
+        self.syms.str(slot.key)
+    }
+
+    fn value(&self, slot: &Slot) -> Value {
+        match slot.tag {
+            Tag::Str => Value::Str(self.syms.text(slot.bits as Sym).clone()),
+            Tag::Num => Value::Num(f64::from_bits(slot.bits)),
+            Tag::Int => Value::Int(slot.bits as i64),
+        }
+    }
+
+    fn own(&self, key: &str) -> Option<&'a Slot> {
+        self.own.iter().find(|s| self.key(s) == key)
     }
 
     /// The context coordinates this event is stamped with, in stamp order.
     fn stamps(&self) -> impl Iterator<Item = (&'static str, Value)> + 'a {
-        let (own, ctx) = (self.own, self.ctx);
-        let unset = move |key: &str| !own.iter().any(|(k, _)| k == key);
-        let request = ctx.request.filter(|_| unset("request"));
-        let file = ctx.file.as_ref().filter(|_| unset("file"));
-        let attempt = ctx.attempt.filter(|_| unset("attempt"));
+        let this = *self;
+        let unset = move |key: &str| this.own(key).is_none();
+        let request = self.rec.request().filter(|_| unset("request"));
+        let file = self.rec.file().filter(|_| unset("file"));
+        let attempt = self.rec.attempt().filter(|_| unset("attempt"));
         (request
             .map(|r| ("request", Value::Int(r as i64)))
             .into_iter())
-        .chain(file.map(|f| ("file", Value::Str(f.clone()))))
+        .chain(file.map(move |f| ("file", Value::Str(this.syms.text(f).clone()))))
         .chain(attempt.map(|a| ("attempt", Value::Int(a as i64))))
     }
 
     /// Every field in export order: the event's own, then the stamps.
     pub fn fields(&self) -> impl Iterator<Item = (&'a str, Value)> + 'a {
-        let own = self.own.iter().map(|(k, v)| (&**k, v.clone()));
+        let this = *self;
+        let own = self.own.iter().map(move |s| (this.key(s), this.value(s)));
         own.chain(self.stamps().map(|(k, v)| (k as &'a str, v)))
     }
 
@@ -581,28 +645,28 @@ impl<'a> EventRef<'a> {
     }
 
     pub fn get(&self, key: &str) -> Option<Value> {
-        if let Some(v) = self.own(key) {
-            return Some(v.clone());
+        if let Some(s) = self.own(key) {
+            return Some(self.value(s));
         }
         match key {
-            "request" => self.ctx.request.map(|r| Value::Int(r as i64)),
-            "file" => self.ctx.file.clone().map(Value::Str),
-            "attempt" => self.ctx.attempt.map(|a| Value::Int(a as i64)),
+            "request" => self.rec.request().map(|r| Value::Int(r as i64)),
+            "file" => self
+                .rec
+                .file()
+                .map(|f| Value::Str(self.syms.text(f).clone())),
+            "attempt" => self.rec.attempt().map(|a| Value::Int(a as i64)),
             _ => None,
         }
     }
 
     pub fn get_num(&self, key: &str) -> Option<f64> {
-        match self.own(key) {
-            Some(v) => v.as_num(),
-            None => self.get(key)?.as_num(),
-        }
+        self.get(key)?.as_num()
     }
 
     fn write_ulm(&self, out: &mut String) {
         write_head(out, self.time, self.name);
-        for (k, v) in self.own {
-            write_field(out, k, v);
+        for s in self.own {
+            write_field(out, self.key(s), &self.value(s));
         }
         for (k, v) in self.stamps() {
             write_field(out, k, &v);
@@ -618,11 +682,16 @@ impl<'a> EventRef<'a> {
 }
 
 /// An append-only event log with simple queries.
+///
+/// The log owns its records, one arena of field slots and the symbol table
+/// both refer to; an emitter's [`LogEvent`] and [`TraceCtx`] are read and
+/// let go.
 #[derive(Debug, Default, Clone)]
 pub struct NetLog {
     records: Vec<Record>,
     /// Every record's own fields, back to back in emission order.
-    fields: Vec<(Text, Value)>,
+    slots: Vec<Slot>,
+    syms: Symbols,
     order_policy: OrderPolicy,
     out_of_order: u64,
 }
@@ -660,14 +729,37 @@ impl NetLog {
                 }
             }
         }
-        let start = self.fields.len() as u32;
-        self.fields.append(&mut event.fields);
-        self.records.push(Record {
+        let first = self.slots.len() as u32;
+        for (key, value) in event.fields.drain(..) {
+            let key = self.syms.intern(&key);
+            let (tag, bits) = match value {
+                Value::Str(s) => (Tag::Str, self.syms.intern(&s) as u64),
+                Value::Num(x) => (Tag::Num, x.to_bits()),
+                Value::Int(i) => (Tag::Int, i as u64),
+            };
+            self.slots.push(Slot { key, tag, bits });
+        }
+        let mut rec = Record {
             time,
-            name: std::mem::replace(&mut event.name, Text::Static("")),
-            fields: (start, self.fields.len() as u32),
-            ctx: ctx.clone(),
-        });
+            request: 0,
+            name: self.syms.intern(&event.name),
+            file: 0,
+            attempt: 0,
+            first,
+        };
+        if let Some(request) = ctx.request {
+            rec.request = request;
+            rec.name |= HAS_REQUEST;
+        }
+        if let Some(file) = &ctx.file {
+            rec.file = self.syms.intern(file);
+            rec.name |= HAS_FILE;
+        }
+        if let Some(attempt) = ctx.attempt {
+            rec.attempt = attempt;
+            rec.name |= HAS_ATTEMPT;
+        }
+        self.records.push(rec);
         true
     }
 
@@ -675,7 +767,7 @@ impl NetLog {
     /// fields in all are appended without reallocating.
     pub(crate) fn reserve(&mut self, events: usize, fields: usize) {
         self.records.reserve(events);
-        self.fields.reserve(fields);
+        self.slots.reserve(fields);
     }
 
     /// How many pushed events violated time order so far.
@@ -685,6 +777,15 @@ impl NetLog {
 
     pub fn order_policy(&self) -> OrderPolicy {
         self.order_policy
+    }
+
+    /// Bytes the stored trace occupies, counted from lengths so the same
+    /// run always reads the same number: the records, the field slots and
+    /// the symbol table (handles, string bytes, indexes).
+    pub fn stored_bytes(&self) -> u64 {
+        (self.records.len() * std::mem::size_of::<Record>()
+            + self.slots.len() * std::mem::size_of::<Slot>()
+            + self.syms.stored_bytes()) as u64
     }
 
     pub fn log(&mut self, time: SimTime, name: impl Into<Text>) -> &mut Self {
@@ -700,22 +801,28 @@ impl NetLog {
         self.records.is_empty()
     }
 
-    fn view<'a>(&'a self, r: &'a Record) -> EventRef<'a> {
+    fn view(&self, i: usize) -> EventRef<'_> {
+        let r = &self.records[i];
+        let end = self
+            .records
+            .get(i + 1)
+            .map_or(self.slots.len(), |next| next.first as usize);
         EventRef {
             time: r.time,
-            name: &r.name,
-            own: &self.fields[r.fields.0 as usize..r.fields.1 as usize],
-            ctx: &r.ctx,
+            name: self.syms.str(r.name()),
+            own: &self.slots[r.first as usize..end],
+            rec: r,
+            syms: &self.syms,
         }
     }
 
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = EventRef<'_>> + ExactSizeIterator {
-        self.records.iter().map(|r| self.view(r))
+        (0..self.records.len()).map(|i| self.view(i))
     }
 
     /// The most recent event.
     pub fn last(&self) -> Option<EventRef<'_>> {
-        self.records.last().map(|r| self.view(r))
+        self.records.len().checked_sub(1).map(|i| self.view(i))
     }
 
     /// The last `n` events (fewer if the log is shorter), taken in O(1) —
@@ -726,23 +833,22 @@ impl NetLog {
         n: usize,
     ) -> impl DoubleEndedIterator<Item = EventRef<'_>> + ExactSizeIterator {
         let from = self.records.len().saturating_sub(n);
-        self.records[from..].iter().map(|r| self.view(r))
+        (from..self.records.len()).map(|i| self.view(i))
     }
 
-    /// Events with the given name.
+    /// Events with the given name (none for a name the log never stored).
     pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = EventRef<'a>> + 'a {
-        self.records
-            .iter()
-            .filter(move |r| &*r.name == name)
-            .map(|r| self.view(r))
+        let id = self.syms.find(name);
+        (0..self.records.len())
+            .filter(move |&i| Some(self.records[i].name()) == id)
+            .map(|i| self.view(i))
     }
 
     /// Events in the half-open interval `[from, to)`.
     pub fn between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = EventRef<'_>> {
-        self.records
-            .iter()
-            .filter(move |r| r.time >= from && r.time < to)
-            .map(|r| self.view(r))
+        (0..self.records.len())
+            .filter(move |&i| (from..to).contains(&self.records[i].time))
+            .map(|i| self.view(i))
     }
 
     /// Export everything in NetLogger's ULM text format.
@@ -770,8 +876,32 @@ impl NetLog {
 }
 
 #[cfg(test)]
+mod equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn records_and_field_slots_keep_their_sizes() {
+        // 88 and 48 bytes when they held `Text`s and a `TraceCtx`; the
+        // layout's targets were a record of at most 40 and a slot of 16.
+        assert_eq!(std::mem::size_of::<Record>(), 32);
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    #[test]
+    fn an_unseen_name_or_key_is_an_empty_answer() {
+        let mut log = NetLog::new();
+        log.push(LogEvent::new(SimTime::ZERO, "a").field("k", 1u64));
+        let bytes = log.stored_bytes();
+        assert_eq!(log.named("x").count(), 0);
+        assert_eq!(log.last().unwrap().get("x"), None);
+        assert_eq!(log.stored_bytes(), bytes);
+        // One record, one slot, and "a" and "k" in the table.
+        log.push(LogEvent::new(SimTime::ZERO, "k").field("a", "k"));
+        assert_eq!(log.stored_bytes() - bytes, 32 + 16);
+    }
 
     #[test]
     fn builder_and_getters() {

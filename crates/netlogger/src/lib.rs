@@ -15,6 +15,7 @@ pub mod lifeline;
 pub mod live;
 pub mod metrics;
 pub mod recorder;
+mod symbols;
 pub mod trace;
 
 pub use bandwidth::{to_gbps, to_mbps, BandwidthMeter};

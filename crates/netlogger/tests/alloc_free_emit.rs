@@ -1,14 +1,15 @@
 //! Emitting a trace event does not go to the heap.
 //!
-//! A stored event is a fixed-size record: `'static` name and keys, the
-//! context's file name shared by refcount, and its own fields moved into
-//! one log-wide arena from a builder whose buffer an earlier event left
-//! behind. Once that arena has room, emitting — span pairs under a
-//! request + file + attempt context, or an `rm.tune.path`-shaped event
-//! with a shared host name and numeric fields — must allocate nothing: at
-//! ESGF scale the trace is written once per phase of every file, and the
-//! ten-odd heap calls per event the `Vec<LogEvent>` log made were a sixth
-//! of a campaign round
+//! A stored event is a fixed-size record and a run of fixed-size field
+//! slots that hold symbol ids: the log interns each name, key, string
+//! value and context file name once, and its builder's buffer is one an
+//! earlier event left behind. Once the stores have room and the strings
+//! have been seen, emitting — span pairs under a request + file + attempt
+//! context, an `rm.tune.path`-shaped event with a shared host name and
+//! numeric fields, or an event whose host name is a fresh `Rc` of a name
+//! the log already holds — must allocate nothing: at ESGF scale the trace
+//! is written once per phase of every file, and the ten-odd heap calls per
+//! event the `Vec<LogEvent>` log made were a sixth of a campaign round
 //! (EXPERIMENTS A27). The same holds for a warm `MetricsRegistry` update.
 //! This binary installs a counting global allocator, which is why it is
 //! its own test target.
@@ -138,6 +139,47 @@ fn warm_tune_path_events_allocate_nothing() {
         "(allocations, reallocations) over {PAIRS} warm events"
     );
     assert_eq!(log.named("rm.tune.path").count() as u64, PAIRS + 1);
+}
+
+#[test]
+fn a_string_seen_before_under_another_rc_allocates_nothing() {
+    let mut log = TracedLog::new();
+    let ctx = TraceCtx::request(5)
+        .with_file(String::from("pcm.run1.f005"))
+        .with_attempt(1);
+    let emit = |log: &mut TracedLog, i: u64, host: Text| {
+        log.emit(
+            &ctx,
+            LogEvent::new(SimTime::from_secs(i), "integrity.block.mismatch")
+                .field("block", i)
+                .field("host", host),
+        );
+    };
+    emit(&mut log, 0, Text::from(String::from("dallas0.lbl.gov")));
+    // Each warm event carries its own `Rc` of a host name the log holds:
+    // the log finds it by content and keeps no second copy.
+    let hosts: Vec<Text> = (0..PAIRS)
+        .map(|_| Text::from(String::from("dallas0.lbl.gov")))
+        .collect();
+    log.reserve(PAIRS as usize, 2 * PAIRS as usize);
+    let bytes = log.stored_bytes();
+    let calls = heap_calls(|| {
+        for (i, host) in (1..).zip(hosts) {
+            emit(&mut log, i, host);
+        }
+    });
+    assert_eq!(
+        calls,
+        (0, 0),
+        "(allocations, reallocations) over {PAIRS} warm events"
+    );
+    // Each event added one record and two field slots, and no string.
+    assert_eq!(log.stored_bytes() - bytes, PAIRS * (32 + 2 * 16));
+    let last = log.last().unwrap().to_ulm();
+    assert!(
+        last.ends_with("host=dallas0.lbl.gov request=5 file=pcm.run1.f005 attempt=1"),
+        "{last}"
+    );
 }
 
 #[test]

@@ -90,6 +90,9 @@ struct CollectionIndex {
     /// Always true for catalogs built through this API; an LDIF from a
     /// catalog that kept logical-file entries optional can clear it.
     files_backed: bool,
+    /// The first `digest` value of every `lf=` entry that has one, keyed
+    /// by the file name lower-cased, as the directory keys the entry.
+    digests: HashMap<String, String>,
 }
 
 /// What `lookup_replicas` needs from one location entry, resolved once.
@@ -115,6 +118,7 @@ impl CollectionIndex {
         CollectionIndex {
             locations: BTreeMap::new(),
             files_backed,
+            digests: HashMap::new(),
         }
     }
 }
@@ -160,10 +164,10 @@ fn rc_base() -> &'static Dn {
     BASE.get_or_init(|| Dn::parse("rc=ESG Replica Catalog, o=Grid").expect("static DN"))
 }
 
-/// A collection's slot in the index: its name as the directory keys it.
-/// Borrowed when the name is lower-case already, so a lookup by such a
-/// name allocates nothing.
-fn collection_key(name: &str) -> Cow<'_, str> {
+/// A collection's (or a file's) slot in the index: its name as the
+/// directory keys it. Borrowed when the name is lower-case already, so a
+/// lookup by such a name allocates nothing.
+fn dir_key(name: &str) -> Cow<'_, str> {
     if name.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Owned(name.to_ascii_lowercase())
     } else {
@@ -186,20 +190,22 @@ fn same_entry(a: &[Rdn], b: &[Rdn]) -> bool {
 
 /// Derive the lookup index from a directory: every `lc=` child of the
 /// catalog base is a collection, every location-class child of one is
-/// indexed if a one-level search from its collection could return it.
+/// indexed if a one-level search from its collection could return it, and
+/// every `lf=` child's digest is indexed as `Directory::get` finds it.
 fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
     let base = &rc_base().rdns;
     let mut index: HashMap<String, CollectionIndex> = HashMap::new();
     // Tree order: a collection entry precedes its children.
     for e in dir.iter() {
-        match e.dn.rdns.as_slice() {
+        let rdns = e.dn.rdns.as_slice();
+        match rdns {
             [lc, rest @ ..] if lc.attr == "lc" && same_entry(rest, base) => {
                 let files_backed = e
                     .values("filename")
                     .iter()
                     .all(|f| dir.get(&ReplicaCatalog::file_dn(&lc.value, f)).is_some());
                 index.insert(
-                    collection_key(&lc.value).into_owned(),
+                    dir_key(&lc.value).into_owned(),
                     CollectionIndex::empty(files_backed),
                 );
             }
@@ -208,7 +214,7 @@ fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
                     && rest == base.as_slice()
                     && e.values("objectclass").iter().any(|c| c == LOCATION_CLASS) =>
             {
-                if let Some(col) = index.get_mut(collection_key(&lc.value).as_ref()) {
+                if let Some(col) = index.get_mut(dir_key(&lc.value).as_ref()) {
                     col.locations.insert(
                         sibling_key(leaf),
                         IndexedLocation::new(&lc.value, &leaf.value, e),
@@ -216,6 +222,17 @@ fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
                 }
             }
             _ => {}
+        }
+        if let [lf, lc, rest @ ..] = rdns {
+            if lf.attr == "lf" && lc.attr == "lc" && same_entry(rest, base) {
+                if let (Some(col), Some(digest)) = (
+                    index.get_mut(dir_key(&lc.value).as_ref()),
+                    e.first("digest"),
+                ) {
+                    col.digests
+                        .insert(dir_key(&lf.value).into_owned(), digest.to_string());
+                }
+            }
         }
     }
     index
@@ -285,7 +302,7 @@ impl ReplicaCatalog {
         location: &str,
     ) -> Option<&mut IndexedLocation> {
         self.index
-            .get_mut(collection_key(collection).as_ref())?
+            .get_mut(dir_key(collection).as_ref())?
             .locations
             .get_mut(&location_key(location))
     }
@@ -301,10 +318,8 @@ impl ReplicaCatalog {
                 DirError::AlreadyExists(_) => CatalogError::AlreadyExists(name.to_string()),
                 other => CatalogError::Directory(other.to_string()),
             })?;
-        self.index.insert(
-            collection_key(name).into_owned(),
-            CollectionIndex::empty(true),
-        );
+        self.index
+            .insert(dir_key(name).into_owned(), CollectionIndex::empty(true));
         Ok(())
     }
 
@@ -328,7 +343,7 @@ impl ReplicaCatalog {
         size: u64,
     ) -> Result<(), CatalogError> {
         let cdn = Self::collection_dn(collection);
-        let Some(col) = self.index.get(collection_key(collection).as_ref()) else {
+        let Some(col) = self.index.get(dir_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let files_backed = col.files_backed;
@@ -386,15 +401,24 @@ impl ReplicaCatalog {
             .modify(&Self::file_dn(collection, file), |e| {
                 e.set("digest", vec![digest_hex.to_string()])
             })
-            .map_err(|_| CatalogError::NoSuchFile(file.to_string()))
+            .map_err(|_| CatalogError::NoSuchFile(file.to_string()))?;
+        // An `lf=` entry's parent is a collection entry, which is indexed.
+        if let Some(col) = self.index.get_mut(dir_key(collection).as_ref()) {
+            col.digests
+                .insert(dir_key(file).into_owned(), digest_hex.to_string());
+        }
+        Ok(())
     }
 
-    /// Expected content digest of a logical file, if registered.
-    pub fn file_digest(&self, collection: &str, file: &str) -> Option<String> {
-        self.dir
-            .get(&Self::file_dn(collection, file))
-            .and_then(|e| e.first("digest"))
-            .map(str::to_string)
+    /// Expected content digest of a logical file, if registered. Answered
+    /// from the index, with the directory's case rules: collection and file
+    /// names match case-insensitively.
+    pub fn file_digest(&self, collection: &str, file: &str) -> Option<&str> {
+        self.index
+            .get(dir_key(collection).as_ref())?
+            .digests
+            .get(dir_key(file).as_ref())
+            .map(String::as_str)
     }
 
     /// Mark (or clear) every location of `collection` hosted on `host` as
@@ -406,7 +430,7 @@ impl ReplicaCatalog {
         suspect: bool,
     ) -> Result<usize, CatalogError> {
         let cdn = Self::collection_dn(collection);
-        let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) else {
+        let Some(col) = self.index.get_mut(dir_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let f = Filter::And(vec![
@@ -446,7 +470,7 @@ impl ReplicaCatalog {
         base_url: &GridUrl,
         files: &[&str],
     ) -> Result<(), CatalogError> {
-        let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) else {
+        let Some(col) = self.index.get_mut(dir_key(collection).as_ref()) else {
             return Err(CatalogError::NoSuchCollection(collection.to_string()));
         };
         let mut entry = Entry::new(Self::location_dn(collection, location))
@@ -524,7 +548,7 @@ impl ReplicaCatalog {
         self.dir
             .delete(&Self::location_dn(collection, location))
             .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
-        if let Some(col) = self.index.get_mut(collection_key(collection).as_ref()) {
+        if let Some(col) = self.index.get_mut(dir_key(collection).as_ref()) {
             col.locations.remove(&location_key(location));
         }
         Ok(())
@@ -587,7 +611,7 @@ impl ReplicaCatalog {
         collection: &'a str,
         file: &'a str,
     ) -> Option<impl Iterator<Item = &'a IndexedLocation> + Clone + 'a> {
-        let col = self.index.get(collection_key(collection).as_ref())?;
+        let col = self.index.get(dir_key(collection).as_ref())?;
         Some(
             col.locations
                 .values()
@@ -792,16 +816,14 @@ mod tests {
         rc.set_file_digest("CO2 measurements 1998", "jan_1998.nc", "abc123")
             .unwrap();
         assert_eq!(
-            rc.file_digest("CO2 measurements 1998", "jan_1998.nc")
-                .as_deref(),
+            rc.file_digest("CO2 measurements 1998", "jan_1998.nc"),
             Some("abc123")
         );
         // Re-registering overwrites rather than accumulating values.
         rc.set_file_digest("CO2 measurements 1998", "jan_1998.nc", "def456")
             .unwrap();
         assert_eq!(
-            rc.file_digest("CO2 measurements 1998", "jan_1998.nc")
-                .as_deref(),
+            rc.file_digest("CO2 measurements 1998", "jan_1998.nc"),
             Some("def456")
         );
         assert!(rc
@@ -810,8 +832,7 @@ mod tests {
         // The digest survives an LDIF dump/reload cycle.
         let rc2 = ReplicaCatalog::from_ldif(&rc.to_ldif()).unwrap();
         assert_eq!(
-            rc2.file_digest("CO2 measurements 1998", "jan_1998.nc")
-                .as_deref(),
+            rc2.file_digest("CO2 measurements 1998", "jan_1998.nc"),
             Some("def456")
         );
     }

@@ -11,7 +11,9 @@
 //! must equal one rebuilt from the directory. The borrowed
 //! `replica_hosts` view must be that search projected to
 //! `(host, suspect)`, in the same order, and empty where the search finds
-//! no collection.
+//! no collection. `file_digest`, answered from the index too, must be what
+//! `Directory::get` finds on the file's `lf=` entry, whatever the spelling
+//! of the collection and file names.
 //!
 //! Case count is `PROPTEST_CASES`-bounded (default 96, CI runs 128).
 
@@ -25,6 +27,16 @@ const LOCATIONS: [&str; 5] = ["LLNL", "llnl", "isi", "ISI", "anl"];
 const FILES: [&str; 5] = ["a.nc", "A.nc", "b.nc", "c.nc", "d.nc"];
 const HOSTS: [&str; 3] = ["sprite.llnl.gov", "jupiter.isi.edu", "Jupiter.isi.edu"];
 const PATHS: [&str; 4] = ["", "/", "/data/co2", "/data/co2//"];
+/// Digests, two of which differ only in case.
+const DIGESTS: [&str; 3] = ["00ff", "00FF", "beef"];
+
+/// The parent commit's `file_digest`: the first `digest` of the `lf=`
+/// entry the directory finds.
+fn digest_by_get<'a>(rc: &'a ReplicaCatalog, collection: &str, file: &str) -> Option<&'a str> {
+    rc.dir
+        .get(&ReplicaCatalog::file_dn(collection, file))
+        .and_then(|e| e.first("digest"))
+}
 
 /// The parent commit's `lookup_replicas`.
 fn lookup_by_search(
@@ -91,6 +103,12 @@ fn check_against_oracle(rc: &ReplicaCatalog) -> Result<(), String> {
                     "replica_hosts({c:?}, {f:?})\n    view: {view:?}\n  search: {projected:?}"
                 ));
             }
+            let (got, want) = (rc.file_digest(c, f), digest_by_get(rc, c, f));
+            if got != want {
+                return Err(format!(
+                    "file_digest({c:?}, {f:?})\n indexed: {got:?}\n     get: {want:?}"
+                ));
+            }
         }
     }
     if rc.index != build_index(&rc.dir) {
@@ -107,7 +125,7 @@ proptest! {
     #[test]
     fn indexed_lookup_equals_one_level_search(
         ops in prop::collection::vec(
-            (0u8..9, 0usize..5, 0usize..5, 0usize..5, any::<u64>()),
+            (0u8..10, 0usize..5, 0usize..5, 0usize..5, any::<u64>()),
             1..48,
         ),
     ) {
@@ -167,6 +185,11 @@ proptest! {
                 6 | 7 => {
                     let _ = rc.set_host_suspect(coll, host, kind == 6);
                 }
+                8 => {
+                    let digest = DIGESTS[(bits % 3) as usize];
+                    let set = rc.set_file_digest(coll, file, digest);
+                    prop_assert_eq!(set.is_ok(), digest_by_get(&rc, coll, file) == Some(digest));
+                }
                 _ => rc = ReplicaCatalog::from_ldif(&rc.to_ldif()).unwrap(),
             }
             if let Err(why) = check_against_oracle(&rc) {
@@ -178,7 +201,8 @@ proptest! {
 
 /// LDIF the API cannot produce: a location-class entry that is not a
 /// `loc=` RDN, a `loc=` entry that is not location-class, a base spelled in
-/// another case, and a `filename` list with no `lf=` entries behind it.
+/// another case, a `filename` list with no `lf=` entries behind it, and an
+/// `lf=` entry spelled in other cases with two digests.
 #[test]
 fn foreign_ldif_is_indexed_as_the_search_sees_it() {
     let ldif = "\
@@ -195,6 +219,11 @@ filename: b.nc
 dn: lf=a.nc, lc=Co2, rc=ESG Replica Catalog, o=Grid
 objectclass: GlobusReplicaLogicalFile
 size: 1
+
+dn: lf=D.nc, lc=co2, rc=esg replica catalog, o=Grid
+objectclass: GlobusReplicaLogicalFile
+digest: beef
+digest: f00d
 
 dn: site=anl, lc=Co2, rc=ESG Replica Catalog, o=Grid
 objectclass: GlobusReplicaLocation
@@ -225,6 +254,9 @@ filename: a.nc
         [("anl.gov", false)]
     );
     assert_eq!(rc.replica_hosts("ghost", "a.nc").count(), 0);
+    // The digest of an `lf=` entry spelled in other cases, first value.
+    assert_eq!(rc.file_digest("CO2", "d.NC"), Some("beef"));
+    assert_eq!(rc.file_digest("Co2", "a.nc"), None);
 
     // Mutators addressed at the unindexed `loc=` entries still reach the
     // directory, and the index keeps agreeing with the search.

@@ -354,7 +354,9 @@ fn round_done<W: RmWorld>(sim: &mut Sim<W>, id: u64, outcome: RequestOutcome) {
                 .add_file_to_location(&c.spec.collection, &c.spec.location_name, &fs.name);
     }
     let settle = c.progress.settle(outcome.files, |name| {
-        rm.catalog.file_digest(&c.spec.collection, name)
+        rm.catalog
+            .file_digest(&c.spec.collection, name)
+            .map(str::to_owned)
     });
     rm.metrics
         .counter_add("rm.campaign.files_delivered", settle.delivered);
