@@ -69,7 +69,8 @@ fn groups(rows: &[TrialRecord]) -> Vec<Vec<&TrialRecord>> {
 }
 
 /// Judge `gates` over the finished `rows`. `baseline` holds the committed
-/// artifact's rows, which `wall_regression` looks up by trial key.
+/// artifact's rows, which `wall_regression` and `baseline_eq` look up by
+/// trial key.
 pub fn evaluate(
     gates: &[GateSpec],
     rows: &[TrialRecord],
@@ -204,11 +205,7 @@ fn eval_one(
                         format!("{} missing timing metric '{metric}'", key_of(r)),
                     );
                 };
-                let Some(b) = base
-                    .iter()
-                    .find(|b| b.key == r.key)
-                    .and_then(|b| b.value(metric))
-                else {
+                let Some(b) = baseline_row(base, r).and_then(|b| b.value(metric)) else {
                     return (
                         GateStatus::Error,
                         format!("baseline has no '{metric}' for {}", key_of(r)),
@@ -231,7 +228,45 @@ fn eval_one(
             }
             (GateStatus::Pass, detail)
         }
+        GateSpec::BaselineEq { metric } => {
+            let Some(base) = baseline else {
+                return (
+                    GateStatus::Error,
+                    "no baseline available (declare `baseline` in the spec)".into(),
+                );
+            };
+            for r in rows {
+                let Some(cur) = r.metric(metric) else {
+                    return (
+                        GateStatus::Error,
+                        format!("{} missing metric '{metric}'", key_of(r)),
+                    );
+                };
+                let Some(b) = baseline_row(base, r).and_then(|b| b.metric(metric)) else {
+                    return (
+                        GateStatus::Error,
+                        format!("baseline has no '{metric}' for {}", key_of(r)),
+                    );
+                };
+                let (cur, b) = (cur.canon(), b.canon());
+                if cur != b {
+                    return (
+                        GateStatus::Fail,
+                        format!("{}: {metric}={cur} vs baseline {b}", key_of(r)),
+                    );
+                }
+            }
+            (
+                GateStatus::Pass,
+                format!("{metric} equal to the baseline in every trial"),
+            )
+        }
     }
+}
+
+/// The baseline row with `r`'s (variant, seed, rep).
+fn baseline_row<'b>(base: &'b [TrialRecord], r: &TrialRecord) -> Option<&'b TrialRecord> {
+    base.iter().find(|b| b.key == r.key)
 }
 
 fn eval_min_ratio(
@@ -428,6 +463,53 @@ mod tests {
         let r = &evaluate(&[gate], &[row("a", 18, &[], 10.0)], Some(&base)).results[0];
         assert_eq!(r.status, GateStatus::Error);
         assert!(r.detail.contains("a/seed=18/rep=0"), "{}", r.detail);
+    }
+
+    #[test]
+    fn baseline_eq_holds_each_trial_to_its_own_baseline_row() {
+        let gate = GateSpec::BaselineEq {
+            metric: "recompute_passes".into(),
+        };
+        let passes = |v: f64| [("recompute_passes", MetricValue::Num(v))];
+        let base = [
+            row("a", 17, &passes(9127.0), 10.0),
+            row("b", 17, &passes(89268.0), 99.0),
+        ];
+        let eval = |rows: &[TrialRecord], base: Option<&[TrialRecord]>| {
+            evaluate(std::slice::from_ref(&gate), rows, base).results[0].clone()
+        };
+
+        // Equal counts pass whatever the wall clock did.
+        let same = [
+            row("a", 17, &passes(9127.0), 500.0),
+            row("b", 17, &passes(89268.0), 1.0),
+        ];
+        assert_eq!(eval(&same, Some(&base)).status, GateStatus::Pass);
+
+        // One count fewer is a failure too: the gate is equality.
+        let r = eval(&[row("b", 17, &passes(89267.0), 1.0)], Some(&base));
+        assert_eq!(r.status, GateStatus::Fail);
+        assert!(r.detail.contains("b/seed=17/rep=0"), "{}", r.detail);
+        assert!(r.detail.contains("baseline 89268"), "{}", r.detail);
+
+        // Digests compare as strings.
+        let digest = GateSpec::BaselineEq {
+            metric: "trace_sha256".into(),
+        };
+        let base_sha = [row("a", 17, &[("trace_sha256", sha("x"))], 1.0)];
+        let moved = [row("a", 17, &[("trace_sha256", sha("y"))], 1.0)];
+        let r = &evaluate(std::slice::from_ref(&digest), &moved, Some(&base_sha)).results[0];
+        assert_eq!(r.status, GateStatus::Fail);
+
+        // No baseline, no row for the key, or no metric: an error.
+        assert_eq!(eval(&same, None).status, GateStatus::Error);
+        let r = eval(&[row("a", 18, &passes(9127.0), 1.0)], Some(&base));
+        assert_eq!(r.status, GateStatus::Error);
+        assert!(r.detail.contains("a/seed=18/rep=0"), "{}", r.detail);
+        assert_eq!(
+            eval(&[row("a", 17, &[], 1.0)], Some(&base)).status,
+            GateStatus::Error
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! Every `BENCH_*.json` artifact has one shape, written here and nowhere
 //! else: `{"scenario", "spec_sha256", "trials": [row, …]}`, one
-//! [`TrialRecord::to_row`] per line. A `wall_regression` baseline is such
-//! a file, read back with the same codec and looked up by trial key.
+//! [`TrialRecord::to_row`] per line. A `wall_regression` or `baseline_eq`
+//! baseline is such a file, read back with the same codec and looked up by
+//! trial key.
 
 use crate::exec::{self, TrialCtx};
 use crate::gate::{self, GateReport};
@@ -262,9 +263,12 @@ pub fn run_and_report(spec: &ScenarioSpec, opts: &RunOptions) -> Result<bool, St
 }
 
 fn needs_baseline(spec: &ScenarioSpec) -> bool {
-    spec.gates
-        .iter()
-        .any(|g| matches!(g, crate::spec::GateSpec::WallRegression { .. }))
+    spec.gates.iter().any(|g| {
+        matches!(
+            g,
+            crate::spec::GateSpec::WallRegression { .. } | crate::spec::GateSpec::BaselineEq { .. }
+        )
+    })
 }
 
 /// The artifact: scenario identity, then one trial row per line so the

@@ -217,6 +217,10 @@ pub enum GateSpec {
     /// the same variant by more than `max_pct` percent. A missing
     /// baseline is an explicit error, never a silent pass.
     WallRegression { metric: String, max_pct: f64 },
+    /// Per trial: `metric` must equal the baseline row with the same
+    /// (variant, seed, rep), in canonical rendering. For work counts and
+    /// digests, which no host can move; a missing row is an error.
+    BaselineEq { metric: String },
 }
 
 fn variants_to_json(m: &mut Vec<(String, Json)>, v: &Option<Vec<String>>) {
@@ -290,6 +294,10 @@ impl GateSpec {
                 m.push(("metric".into(), Json::str(metric)));
                 m.push(("max_pct".into(), Json::Float(*max_pct)));
             }
+            GateSpec::BaselineEq { metric } => {
+                m.push(("gate".into(), Json::str("baseline_eq")));
+                m.push(("metric".into(), Json::str(metric)));
+            }
         }
         Json::Obj(m)
     }
@@ -334,6 +342,9 @@ impl GateSpec {
                 metric: field("metric")?,
                 max_pct: num("max_pct")?,
             }),
+            Some("baseline_eq") => Ok(GateSpec::BaselineEq {
+                metric: field("metric")?,
+            }),
             other => Err(format!("unknown gate {other:?}")),
         }
     }
@@ -351,6 +362,7 @@ impl GateSpec {
             GateSpec::WallRegression { metric, max_pct } => {
                 format!("wall_regression({metric} <= baseline +{max_pct}%)")
             }
+            GateSpec::BaselineEq { metric } => format!("baseline_eq({metric})"),
         }
     }
 }
@@ -376,7 +388,8 @@ pub struct ScenarioSpec {
     pub gates: Vec<GateSpec>,
     /// Where the committed `BENCH_*.json` artifact is written.
     pub artifact: Option<String>,
-    /// Committed baseline consulted by `wall_regression` gates.
+    /// Committed baseline consulted by `wall_regression` and
+    /// `baseline_eq` gates.
     pub baseline: Option<String>,
 }
 

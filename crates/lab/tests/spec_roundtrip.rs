@@ -37,7 +37,7 @@ fn text(rng: &mut StdRng, max: usize) -> String {
 }
 
 fn value(rng: &mut StdRng) -> Json {
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..7) {
         0 => Json::Int(rng.gen::<i64>() as i128),
         1 => Json::Int(rng.gen_range(-1000i64..1000) as i128),
         // Finite floats only (JSON has no NaN/inf); include integral
@@ -101,7 +101,7 @@ fn opt_variants(rng: &mut StdRng) -> Option<Vec<String>> {
 }
 
 fn gate(rng: &mut StdRng) -> GateSpec {
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..7) {
         0 => GateSpec::Equivalence {
             metric: ident(rng, 1, 14),
         },
@@ -125,9 +125,12 @@ fn gate(rng: &mut StdRng) -> GateSpec {
             min: rng.gen_range(0.0..10.0),
             variants: opt_variants(rng),
         },
-        _ => GateSpec::WallRegression {
+        5 => GateSpec::WallRegression {
             metric: ident(rng, 1, 14),
             max_pct: rng.gen_range(1.0..100.0),
+        },
+        _ => GateSpec::BaselineEq {
+            metric: ident(rng, 1, 14),
         },
     }
 }

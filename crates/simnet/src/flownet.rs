@@ -57,7 +57,9 @@
 //!
 //! Same-instant dirty events coalesce: a burst of N flow arrivals between
 //! two queries accumulates one dirty set and triggers one recompute pass,
-//! not N. Read-only queries ([`FlowNet::flow_rate`],
+//! not N. So do the network's own discontinuities: [`FlowNet::advance_to`]
+//! applies every completion and slow-start crossing due at one instant and
+//! then makes that instant's one pass. Read-only queries ([`FlowNet::flow_rate`],
 //! [`FlowNet::host_cpu_utilization`]) refresh only components that are
 //! dirty-adjacent to the queried flow or host and never force work for
 //! unrelated parts of the network.
@@ -280,7 +282,9 @@ pub struct AllocStats {
     /// `benchmark` PR (ROADMAP item 2d).
     pub parallel_batches: u64,
     /// Bitwise rate changes committed — each one materializes a flow's
-    /// progress and re-keys its completion in the event index.
+    /// progress and re-keys its completion in the event index. Counted per
+    /// pass, and an instant's discontinuities share one pass: a rate that
+    /// one of them would move and a later one move back is no change.
     pub rate_changes: u64,
 }
 
@@ -538,6 +542,10 @@ pub struct FlowNet {
     scratch: SolveScratch,
     /// Visited sets and the flat component arena, reused across passes.
     part_scratch: PartitionScratch,
+    /// Flows whose slow-start crossing made no pass, awaiting the debug
+    /// check that runs after their instant's pass. Empty between instants.
+    #[cfg(debug_assertions)]
+    pruned: Vec<u64>,
     stats: AllocStats,
 }
 
@@ -563,6 +571,8 @@ impl FlowNet {
             seeds: Vec::new(),
             scratch: SolveScratch::default(),
             part_scratch: PartitionScratch::default(),
+            #[cfg(debug_assertions)]
+            pruned: Vec::new(),
             stats: AllocStats::default(),
         }
     }
@@ -669,6 +679,10 @@ impl FlowNet {
         self.flows.push(Some(f));
         self.active.insert(id.0);
         self.dirty_flows.push(id.0);
+        // Room for every active flow to cross at one instant, grown here
+        // so that no pass has to.
+        #[cfg(debug_assertions)]
+        self.pruned.reserve(self.active.len());
         Ok(id)
     }
 
@@ -850,10 +864,43 @@ impl FlowNet {
     /// that finish are marked `Done` and queued for
     /// [`FlowNet::take_completed`]. Cost is O(log n) per *discontinuity*
     /// (completion or ramp boundary) in `(last_advance, t]`, not O(flows):
-    /// clean flows simply keep their anchor and rate. Each discontinuity
-    /// triggers a re-solve at its own instant, so rates are exact
-    /// piecewise-linear even when `t` jumps past several events.
+    /// clean flows simply keep their anchor and rate. Every discontinuity
+    /// due at one instant is applied first and the instant then makes one
+    /// re-solve, so the allocation committed there is the max-min solution
+    /// of the network after all of them, and rates are exact
+    /// piecewise-linear even when `t` jumps past several instants. An
+    /// allocation that would hold for zero seconds between two of an
+    /// instant's discontinuities is never committed.
     pub fn advance_to(&mut self, t: SimTime) {
+        self.ensure_fresh();
+        if t <= self.last_advance {
+            return;
+        }
+        while let Some((at, _, _)) = self.events.first() {
+            if at > t {
+                break;
+            }
+            self.last_advance = at;
+            // Neither step schedules anything at `at`: a completion clears
+            // its flow's ramp entry and a crossing keys the next boundary
+            // strictly later. Only the pass can (a completion rounding to
+            // now), and the outer loop takes that as a second batch.
+            while let Some((_, kind, id)) = self.events.first().filter(|e| e.0 == at) {
+                self.events.pop_first();
+                self.apply_discontinuity(kind, id);
+            }
+            self.ensure_fresh();
+            #[cfg(debug_assertions)]
+            self.check_pruned_crossings();
+        }
+        self.last_advance = t;
+    }
+
+    /// The loop `advance_to` replaced, kept as the reference its
+    /// differential runs against: one re-solve after every discontinuity,
+    /// so an instant with k of them commits k allocations.
+    #[cfg(test)]
+    fn advance_to_per_event(&mut self, t: SimTime) {
         self.ensure_fresh();
         if t <= self.last_advance {
             return;
@@ -864,13 +911,19 @@ impl FlowNet {
             }
             self.events.pop_first();
             self.last_advance = at;
-            match kind {
-                EV_COMPLETE => self.complete_flow(id),
-                _ => self.cross_ramp(id),
-            }
+            self.apply_discontinuity(kind, id);
             self.ensure_fresh();
+            #[cfg(debug_assertions)]
+            self.check_pruned_crossings();
         }
         self.last_advance = t;
+    }
+
+    fn apply_discontinuity(&mut self, kind: u8, id: u64) {
+        match kind {
+            EV_COMPLETE => self.complete_flow(id),
+            _ => self.cross_ramp(id),
+        }
     }
 
     fn complete_flow(&mut self, id: u64) {
@@ -894,17 +947,21 @@ impl FlowNet {
     /// Cross the slow-start boundaries of `id` that are due, and dirty the
     /// flow unless the cap rise provably moves no rate: `f.cap >= old_cap`
     /// and `f.rate < old_cap`. Why that moves no bit:
-    /// - `advance_to` ran `ensure_fresh` just before this call, so `f.rate`
-    ///   is the solved rate.
+    /// - `f.rate` is the rate the last pass solved. If an earlier
+    ///   discontinuity of this instant has since dirtied the component,
+    ///   the instant's pass re-solves it with the new cap anyway; if none
+    ///   has, the component is the one that pass solved, give or take
+    ///   other pruned crossings.
     /// - `rate < cap` (strictly) means `WaterFill::solve` froze the flow at
     ///   a bottleneck share, not at its cap. So `caps[i] <= bottleneck_share`
     ///   was false in every round while the flow was unfixed, and neither
     ///   `rate = cap` branch reached it.
-    /// - A larger cap leaves every comparison unchanged, so every bit of
-    ///   every rate in the component is unchanged.
+    /// - A larger cap leaves every comparison unchanged, however many of
+    ///   the component's flows cross at once, so every bit of every rate
+    ///   in the component is unchanged.
     ///
-    /// Debug builds re-solve the component of a pruned crossing and hold
-    /// every member to its rate.
+    /// Debug builds note the pruned flow and, after the instant's pass,
+    /// re-solve its component and hold every member to its rate.
     fn cross_ramp(&mut self, id: u64) {
         let last = self.last_advance;
         let events = &mut self.events;
@@ -934,10 +991,25 @@ impl FlowNet {
         events.set(EV_RAMP, id, b);
         if f.cap >= old_cap && f.rate < old_cap {
             #[cfg(debug_assertions)]
-            self.assert_component_rates_hold(id);
+            self.pruned.push(id);
         } else {
             self.dirty_flows.push(id);
         }
+    }
+
+    /// Hold the component of every crossing pruned since the last check
+    /// to a fresh solve, once the instant's pass has run. A flow may have
+    /// left the running set since; the list is reused, not dropped.
+    #[cfg(debug_assertions)]
+    fn check_pruned_crossings(&mut self) {
+        let mut pruned = std::mem::take(&mut self.pruned);
+        for &id in &pruned {
+            if self.flow_state(FlowId(id)) == Some(FlowState::Running) {
+                self.assert_component_rates_hold(id);
+            }
+        }
+        pruned.clear();
+        self.pruned = pruned;
     }
 
     /// Re-solve the component of `id` and assert that every member's rate
@@ -2134,6 +2206,293 @@ mod tests {
         assert_eq!(stats.components_solved, REGIONS as u64);
         assert_eq!(stats.flow_solves, 16 * REGIONS as u64);
         assert_members_exact(&net);
+    }
+
+    // ---- same-instant batch tests ----
+
+    #[test]
+    fn same_instant_completions_make_one_pass() {
+        // Eight equal flows and one unbounded survivor share a link: the
+        // eight finish at one instant, and the survivor's rate is solved
+        // once there, not once per completion.
+        let (mut net, a, b) = dumbbell(90e6, 0);
+        let cohort: Vec<FlowId> = (0..8)
+            .map(|_| {
+                net.start_flow(SimTime::ZERO, big_window_spec(a, b, 20e6))
+                    .unwrap()
+            })
+            .collect();
+        let survivor = net
+            .start_flow(SimTime::ZERO, big_window_spec(a, b, f64::INFINITY))
+            .unwrap();
+        assert_matches_oracle(&mut net);
+        let base = net.alloc_stats();
+        let at = net.next_event_time();
+        net.advance_to(at);
+        assert_eq!(net.take_completed(), cohort);
+        let after = net.alloc_stats();
+        assert_eq!(after.recompute_passes, base.recompute_passes + 1);
+        assert_eq!(after.components_solved, base.components_solved + 1);
+        assert_eq!(after.flow_solves, base.flow_solves + 1);
+        assert_eq!(after.rate_changes, base.rate_changes + 1);
+        assert_eq!(net.flow_rate(survivor), 90e6);
+        assert_matches_oracle(&mut net);
+    }
+
+    #[test]
+    fn same_instant_ramp_crossings_make_one_pass() {
+        // Four flows started together on one fast path are each held at
+        // their cap, so every boundary raises all four rates: one pass per
+        // boundary solves the four together.
+        const K: u64 = 4;
+        let (mut net, a, b) = dumbbell(1e9, 10);
+        let spec = FlowSpec::new(a, b, f64::INFINITY)
+            .window(1e6)
+            .memory_to_memory();
+        let ids: Vec<u64> = (0..K)
+            .map(|_| net.start_flow(SimTime::ZERO, spec).unwrap().0)
+            .collect();
+        assert_matches_oracle(&mut net);
+        let mut crossings = 0;
+        while net.flow(ids[0]).ramp_stage.is_some() {
+            let before = net.alloc_stats();
+            let at = net.next_event_time();
+            for &id in &ids {
+                assert_eq!(net.events.time_of(EV_RAMP, id), Some(at));
+            }
+            net.advance_to(at);
+            crossings += 1;
+            let after = net.alloc_stats();
+            assert_eq!(after.recompute_passes, before.recompute_passes + 1);
+            assert_eq!(after.components_solved, before.components_solved + 1);
+            assert_eq!(after.flow_solves, before.flow_solves + K);
+            assert_eq!(after.rate_changes, before.rate_changes + K);
+            assert_matches_oracle(&mut net);
+        }
+        assert_eq!(crossings, 9);
+    }
+
+    /// A random topology for the batch differential: hosts, then links as
+    /// (host, host, capacity, latency-ms); self-loops are dropped.
+    type DiffTopo = (usize, Vec<(usize, usize, f64, u64)>);
+
+    /// One scripted step: kind, two selectors and a fraction.
+    type DiffOp = (u8, usize, usize, f64);
+
+    fn diff_net((n_hosts, links): &DiffTopo) -> (FlowNet, Vec<NodeId>, Vec<LinkId>) {
+        let mut t = Topology::new();
+        let hosts: Vec<NodeId> = (0..*n_hosts)
+            .map(|i| t.add_node(Node::host(format!("h{i}"))))
+            .collect();
+        let mut lids = Vec::new();
+        for &(a, b, cap, lat) in links {
+            let (a, b) = (hosts[a % n_hosts], hosts[b % n_hosts]);
+            if a != b {
+                lids.push(t.add_link(a, b, cap, SimDuration::from_millis(lat)));
+            }
+        }
+        (FlowNet::new(t), hosts, lids)
+    }
+
+    /// What a history's two runs disagreed on, where the contract lets
+    /// them.
+    #[derive(Debug, Default, PartialEq)]
+    struct BatchDiff {
+        /// Some flow's bytes were not bitwise equal after some step.
+        bytes: bool,
+        /// Widest byte gap seen, in ulps.
+        max_ulps: u64,
+        /// Some step completed the same flows in another order.
+        order: bool,
+        /// Recompute passes made by the batched loop and the reference.
+        passes: (u64, u64),
+    }
+
+    /// Drive one history through the batched `advance_to` and through
+    /// the per-event reference side by side: the `alloc_differential`
+    /// script (arrivals, departures, capacity / loss changes, outages,
+    /// advances, steps onto the next discontinuity with a scoped read)
+    /// plus cohorts, k equal flows started together on one path, which
+    /// cross their ramp boundaries and complete at one instant. After
+    /// every step the two hold bitwise equal rates, have completed the
+    /// same flows at the same instants, and hold bytes within 4 ulp.
+    fn run_batch_differential(topo: &DiffTopo, ops: &[DiffOp]) -> BatchDiff {
+        let (mut batched, hosts, links) = diff_net(topo);
+        let (mut reference, _, _) = diff_net(topo);
+        let mut flows: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut diff = BatchDiff::default();
+        for &(kind, x, y, v) in ops {
+            let mut advance = None;
+            let mut read = None;
+            match kind % 8 {
+                0 | 7 => {
+                    let (src, dst) = (hosts[x % hosts.len()], hosts[y % hosts.len()]);
+                    if src == dst {
+                        continue;
+                    }
+                    let cohort = kind % 8 == 7;
+                    let size = if !cohort && x % 3 == 0 {
+                        f64::INFINITY
+                    } else {
+                        1e6 + v * 1e8
+                    };
+                    let mut spec = FlowSpec::new(src, dst, size).window(1e5 + v * 1e7);
+                    if y % 2 == 0 {
+                        spec = spec.memory_to_memory();
+                    }
+                    if x % 4 == 0 {
+                        spec = spec.cached_channel();
+                    }
+                    for _ in 0..if cohort { 2 + x % 5 } else { 1 } {
+                        let started = batched.start_flow(now, spec);
+                        assert_eq!(started, reference.start_flow(now, spec));
+                        flows.extend(started);
+                    }
+                }
+                1 if !flows.is_empty() => {
+                    let id = flows.remove(x % flows.len());
+                    batched.remove_flow(id);
+                    reference.remove_flow(id);
+                }
+                2 if !links.is_empty() => {
+                    let l = links[x % links.len()];
+                    batched.set_link_capacity(l, 1e6 + v * 2e8);
+                    reference.set_link_capacity(l, 1e6 + v * 2e8);
+                }
+                3 if !links.is_empty() => {
+                    let l = links[x % links.len()];
+                    let up = batched.topo.link(l).up;
+                    batched.set_link_up(l, !up);
+                    reference.set_link_up(l, !up);
+                }
+                4 if !links.is_empty() => {
+                    let l = links[x % links.len()];
+                    batched.set_link_loss(l, v * 0.02);
+                    reference.set_link_loss(l, v * 0.02);
+                }
+                5 => advance = Some(now + SimDuration::from_millis(1 + (x % 400) as u64)),
+                6 => {
+                    let horizon = now + SimDuration::from_millis(400);
+                    advance = Some(batched.next_event_time().min(horizon));
+                    read = flows.get(y % flows.len().max(1)).copied();
+                }
+                _ => {}
+            }
+            if let Some(t) = advance {
+                now = t;
+                batched.advance_to(now);
+                reference.advance_to_per_event(now);
+                let done = |net: &mut FlowNet| -> Vec<(FlowId, SimTime)> {
+                    let ids = net.take_completed();
+                    ids.iter().map(|&f| (f, net.flow(f.0).anchor)).collect()
+                };
+                let (got, want) = (done(&mut batched), done(&mut reference));
+                let sorted = |mut v: Vec<(FlowId, SimTime)>| {
+                    v.sort();
+                    v
+                };
+                diff.order |= got != want;
+                assert_eq!(sorted(got), sorted(want), "completions at {now}");
+            }
+            if let Some(f) = read {
+                assert_eq!(
+                    batched.flow_rate(f).to_bits(),
+                    reference.flow_rate(f).to_bits()
+                );
+            }
+            let (got, want) = (batched.snapshot_rates(), reference.snapshot_rates());
+            assert_eq!(got.len(), want.len());
+            for ((fg, rg), (fw, rw)) in got.iter().zip(&want) {
+                assert_eq!(fg, fw);
+                assert_eq!(rg.to_bits(), rw.to_bits(), "{fg:?} at {now}: {rg} vs {rw}");
+            }
+            for &f in &flows {
+                let (bg, bw) = (batched.flow_bytes(f), reference.flow_bytes(f));
+                let ulps = bg.to_bits().abs_diff(bw.to_bits());
+                assert!(ulps <= 4, "{f:?} at {now}: {bg} vs {bw} bytes");
+                diff.bytes |= ulps > 0;
+                diff.max_ulps = diff.max_ulps.max(ulps);
+            }
+        }
+        diff.passes = (
+            batched.alloc_stats().recompute_passes,
+            reference.alloc_stats().recompute_passes,
+        );
+        diff
+    }
+
+    proptest::proptest! {
+        /// Coalescing an instant's discontinuities into one pass is a
+        /// refinement of the per-event loop: the same rates bit for bit,
+        /// the same completions at the same instants, the same bytes to
+        /// 4 ulp. It only drops allocations that would have held for zero
+        /// seconds, whose materialization could round a byte count.
+        #[test]
+        fn same_instant_batches_match_the_per_event_loop(
+            topo in (
+                2usize..7,
+                proptest::collection::vec(
+                    (0usize..7, 0usize..7, 5e6f64..500e6, 0u64..40),
+                    1..10,
+                ),
+            ),
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..1 << 16, 0usize..1 << 16, 0.0f64..1.0),
+                0..60,
+            ),
+        ) {
+            run_batch_differential(&topo, &ops);
+        }
+    }
+
+    /// The differential's census: 3 000 histories drawn from a fixed LCG,
+    /// counted by what the two loops disagree on inside the contract.
+    /// `cargo test --release -p esg-simnet --lib same_instant_census --
+    /// --ignored --nocapture`
+    #[test]
+    #[ignore]
+    fn same_instant_census() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let (mut bytes, mut order, mut max_ulps) = (0, 0, 0);
+        let (mut batched, mut reference) = (0, 0);
+        const HISTORIES: usize = 3000;
+        for _ in 0..HISTORIES {
+            let links = (0..1 + next() % 9)
+                .map(|_| {
+                    let cap = 5e6 + (next() % 1000) as f64 * 0.495e6;
+                    (next() % 7, next() % 7, cap, (next() % 40) as u64)
+                })
+                .collect();
+            let topo = (2 + next() % 5, links);
+            let ops: Vec<DiffOp> = (0..next() % 60)
+                .map(|_| {
+                    (
+                        next() as u8 % 8,
+                        next() % (1 << 16),
+                        next() % (1 << 16),
+                        (next() % 1000) as f64 / 1000.0,
+                    )
+                })
+                .collect();
+            let d = run_batch_differential(&topo, &ops);
+            bytes += d.bytes as usize;
+            order += d.order as usize;
+            max_ulps = max_ulps.max(d.max_ulps);
+            batched += d.passes.0;
+            reference += d.passes.1;
+        }
+        println!(
+            "{HISTORIES} histories: {bytes} differ in bytes (max {max_ulps} ulp), \
+             {order} complete a same-instant set in another order; \
+             {batched} passes batched, {reference} per event"
+        );
     }
 
     #[test]

@@ -174,11 +174,14 @@ impl<W> Sim<W> {
                 self.net.advance_to(next);
             }
 
-            // Drain everything due at this instant as ONE batch: flow
-            // completions first (they logically happen "inside" the network
-            // before user events), then every queued event at this time,
-            // repeating until the instant is quiescent — an event callback
-            // may schedule more same-instant work or cancel flows. All the
+            // `advance_to` has applied every network discontinuity due at
+            // this instant (completions and slow-start crossings alike)
+            // and re-solved once after all of them. Now drain everything
+            // else due here as ONE batch: the completion callbacks first
+            // (they logically happen "inside" the network before user
+            // events), then every queued event at this time, repeating
+            // until the instant is quiescent — an event callback may
+            // schedule more same-instant work or cancel flows. All the
             // dirty marks accumulated by the batch (N arrivals, departures,
             // fault flips) coalesce into a single allocation recompute at
             // the `next_event_time` call on the following loop iteration.

@@ -250,14 +250,19 @@ proptest! {
     }
 }
 
-/// The work counters are part of the contract. `rate_changes` and the two
-/// route-cache counters are fixed: a change that makes a pass cheaper must
-/// not change which rates a history commits or how it routes. The pass,
-/// component and flow-solve counts may only fall, and only by slow-start
-/// crossings pruned because they provably move no rate (`cross_ramp`):
-/// 754 / 878 / 14 306 before pruning, 7 crossings fewer here. One fixed
-/// history (a 6-host ring with chords, 600 scripted mutations from a fixed
-/// LCG).
+/// The work counters are part of the contract. The two route-cache
+/// counters are fixed: a change that makes a pass cheaper must not change
+/// how a history routes. Which rates a history commits is held by
+/// `same_instant_batches_match_the_per_event_loop` in `flownet.rs`, the
+/// differential of the batched `advance_to` against the per-event loop it
+/// replaced. The counts here moved twice, each time by work shown to move
+/// no rate: 754 / 878 / 14 306 passes / components / flow solves before
+/// slow-start crossings that provably move no rate were pruned
+/// (`cross_ramp`), 747 / 871 / 14 268 after; 548 / 714 / 9 590 once an
+/// instant's discontinuities share one pass, which also drops the 16
+/// rate changes (1 268 → 1 252) that only held for zero seconds inside
+/// an instant. One fixed history (a 6-host ring with chords, 600 scripted
+/// mutations from a fixed LCG).
 #[test]
 fn alloc_stats_on_a_fixed_history_are_pinned() {
     // A ring with three chords: connected through any single outage.
@@ -291,13 +296,13 @@ fn alloc_stats_on_a_fixed_history_are_pinned() {
     assert_eq!(
         net.alloc_stats(),
         AllocStats {
-            recompute_passes: 747,
-            components_solved: 871,
-            flow_solves: 14268,
+            recompute_passes: 548,
+            components_solved: 714,
+            flow_solves: 9590,
             route_cache_hits: 691,
             route_cache_misses: 934,
             parallel_batches: 0,
-            rate_changes: 1268,
+            rate_changes: 1252,
         }
     );
 }
