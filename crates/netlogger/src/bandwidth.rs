@@ -199,16 +199,6 @@ impl BandwidthMeter {
         }
         out
     }
-
-    /// Export the binned series as CSV: `time_s,rate_mbps`.
-    pub fn series_csv(&self, bin: SimDuration) -> String {
-        let mut s = String::from("time_s,rate_mbps\n");
-        for (t, rate) in self.series(bin) {
-            use std::fmt::Write;
-            writeln!(s, "{:.3},{:.3}", t.as_secs_f64(), rate * 8.0 / 1e6).unwrap();
-        }
-        s
-    }
 }
 
 /// Convert bytes/sec to the paper's Mb/s (megabits, decimal).
@@ -290,15 +280,6 @@ mod tests {
         for (_, rate) in series {
             assert!((rate - 100.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn series_csv_format() {
-        let m = meter_linear(1e6, 2);
-        let csv = m.series_csv(SimDuration::from_secs(1));
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_s,rate_mbps"));
-        assert_eq!(lines.next(), Some("0.000,8.000"));
     }
 
     #[test]

@@ -513,20 +513,6 @@ impl LogEvent {
     }
 }
 
-/// What [`NetLog::push`] does with an event whose timestamp precedes the tail
-/// of the log. The seed only `debug_assert`ed, so release builds silently
-/// produced logs that broke `between()`'s half-open scan; now the policy is
-/// explicit and counted in both profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderPolicy {
-    /// Clamp the event's time up to the tail time and keep it (default:
-    /// causality is preserved, nothing is lost, `between()` stays correct).
-    #[default]
-    Clamp,
-    /// Drop the event entirely.
-    Drop,
-}
-
 /// The record's name id sits in the low bits of [`Record::name`]; the
 /// context's presence flags above it.
 const NAME_MASK: u32 = (MAX_SYMBOLS - 1) as u32;
@@ -692,7 +678,6 @@ pub struct NetLog {
     /// Every record's own fields, back to back in emission order.
     slots: Vec<Slot>,
     syms: Symbols,
-    order_policy: OrderPolicy,
     out_of_order: u64,
 }
 
@@ -701,32 +686,24 @@ impl NetLog {
         NetLog::default()
     }
 
-    pub fn with_order_policy(policy: OrderPolicy) -> Self {
-        NetLog {
-            order_policy: policy,
-            ..NetLog::default()
-        }
-    }
-
-    /// Append an event, enforcing time order under the configured
-    /// [`OrderPolicy`] in every build profile. Out-of-order submissions are
-    /// counted (see [`out_of_order_count`]) whether clamped or dropped.
+    /// Append an event, enforcing time order in every build profile: an
+    /// event whose time precedes the log's tail is clamped up to the tail
+    /// time and kept, so nothing is lost and `between()`'s half-open scan
+    /// stays correct. Out-of-order submissions are counted (see
+    /// [`out_of_order_count`]).
     ///
     /// [`out_of_order_count`]: NetLog::out_of_order_count
     pub fn push(&mut self, event: LogEvent) {
         self.append(&TraceCtx::default(), event);
     }
 
-    /// Store `event` under `ctx`; false if the order policy dropped it.
-    pub(crate) fn append(&mut self, ctx: &TraceCtx, mut event: LogEvent) -> bool {
+    /// Store `event` under `ctx`, its time clamped to the tail's.
+    pub(crate) fn append(&mut self, ctx: &TraceCtx, mut event: LogEvent) {
         let mut time = event.time;
         if let Some(last) = self.records.last() {
             if time < last.time {
                 self.out_of_order += 1;
-                match self.order_policy {
-                    OrderPolicy::Clamp => time = last.time,
-                    OrderPolicy::Drop => return false,
-                }
+                time = last.time;
             }
         }
         let first = self.slots.len() as u32;
@@ -760,7 +737,6 @@ impl NetLog {
             rec.name |= HAS_ATTEMPT;
         }
         self.records.push(rec);
-        true
     }
 
     /// Grow the stores so the next `events` events with `fields` own
@@ -773,10 +749,6 @@ impl NetLog {
     /// How many pushed events violated time order so far.
     pub fn out_of_order_count(&self) -> u64 {
         self.out_of_order
-    }
-
-    pub fn order_policy(&self) -> OrderPolicy {
-        self.order_policy
     }
 
     /// Bytes the stored trace occupies, counted from lengths so the same
@@ -1063,7 +1035,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_clamp_policy() {
+    fn out_of_order_events_are_clamped() {
         let mut log = NetLog::new();
         log.log(SimTime::from_secs(10), "a");
         log.push(LogEvent::new(SimTime::from_secs(3), "late"));
@@ -1072,16 +1044,6 @@ mod tests {
         // Clamped to the tail time so between() stays a correct scan.
         let late = log.named("late").next().unwrap();
         assert_eq!(late.time, SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn out_of_order_drop_policy() {
-        let mut log = NetLog::with_order_policy(OrderPolicy::Drop);
-        log.log(SimTime::from_secs(10), "a");
-        log.push(LogEvent::new(SimTime::from_secs(3), "late"));
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.out_of_order_count(), 1);
-        assert_eq!(log.named("late").count(), 0);
     }
 
     #[test]

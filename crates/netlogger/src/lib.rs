@@ -19,7 +19,7 @@ mod symbols;
 pub mod trace;
 
 pub use bandwidth::{to_gbps, to_mbps, BandwidthMeter};
-pub use event::{sanitize_key, EventRef, LogEvent, NetLog, OrderPolicy, Text, UlmError, Value};
+pub use event::{sanitize_key, EventRef, LogEvent, NetLog, Text, UlmError, Value};
 pub use journal::Journal;
 pub use lifeline::{CriticalPath, Lifeline, LifelineSet, Span, Stall};
 pub use live::{LiveLifelines, OpenSpan};

@@ -182,19 +182,6 @@ impl LiveLifelines {
         self.totals.get(&(request, Text::shared(file)))
     }
 
-    /// Open spans older than `threshold_s` as of the live trace horizon —
-    /// the cheap mid-run stall query (same strict `>` the offline detector
-    /// applies, restricted to what can be known without the trace's end).
-    pub fn open_stalls(&self, threshold_s: f64) -> Vec<&OpenSpan> {
-        let now = self.trace_end();
-        self.open
-            .values()
-            .filter(|s| {
-                !matches!(s.phase, Phase::File | Phase::Campaign) && s.age_s(now) > threshold_s
-            })
-            .collect()
-    }
-
     /// Record that a live stall probe fired `obs.stall` (called by the
     /// request manager's detector so displays can show a running count).
     pub fn note_stall_fired(&mut self) {
@@ -364,16 +351,5 @@ mod tests {
         // exactly like the offline closed-only sum.
         let l2 = offline.lifeline(7, "f2").unwrap();
         assert_eq!(live.file_phase_totals(7, "f2").unwrap(), &l2.phase_totals());
-    }
-
-    #[test]
-    fn open_stalls_respect_threshold() {
-        let log = sample();
-        let live = feed(&log);
-        // trace_end = 10; f2's transfer opened at 3 → age 7.
-        let stalls = live.open_stalls(5.0);
-        assert_eq!(stalls.len(), 1);
-        assert_eq!(stalls[0].phase, Phase::Transfer);
-        assert!(live.open_stalls(8.0).is_empty());
     }
 }

@@ -100,16 +100,6 @@ impl FlightRecorder {
         self.lines.is_empty()
     }
 
-    /// The full tape as newline-terminated JSONL.
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for l in &self.lines {
-            s.push_str(l);
-            s.push('\n');
-        }
-        s
-    }
-
     /// Current merged view (every key's latest rendered value) — what a
     /// reader replaying the whole tape would hold.
     pub fn current(&self) -> &BTreeMap<String, String> {
@@ -178,9 +168,8 @@ mod tests {
             rec.snapshot(SimTime::from_secs(1), &reg);
             reg.counter_add("c", 1);
             rec.snapshot(SimTime::from_secs(2), &reg);
-            rec.to_jsonl()
+            rec.lines().to_vec()
         };
         assert_eq!(build(false), build(true));
-        assert!(build(false).ends_with('\n'));
     }
 }

@@ -203,9 +203,9 @@ impl TraceCtx {
 pub struct TracedLog {
     log: NetLog,
     next_span: u64,
-    /// Optional streaming analyzer tap: when attached, every event that the
-    /// log actually stores (post order-policy) is also fed to the online
-    /// lifeline analyzer, making phase/stall state queryable mid-run.
+    /// Optional streaming analyzer tap: when attached, every event is also
+    /// fed to the online lifeline analyzer as the log stored it, making
+    /// phase/stall state queryable mid-run.
     live: Option<Box<LiveLifelines>>,
 }
 
@@ -223,15 +223,14 @@ impl TracedLog {
     /// Emit one event stamped with `ctx`.
     ///
     /// If a live analyzer is attached, the event is also streamed to it —
-    /// *as stored*: the tap observes the post-`push` record (so an
-    /// out-of-order time the log clamped is seen clamped, and an event the
-    /// log dropped is never observed), which is what keeps the streaming
-    /// analysis byte-identical to a later offline pass over the same log.
+    /// *as stored*: the tap observes the stored record (so an out-of-order
+    /// time the log clamped is seen clamped), which is what keeps the
+    /// streaming analysis byte-identical to a later offline pass over the
+    /// same log.
     pub fn emit(&mut self, ctx: &TraceCtx, event: LogEvent) {
-        if self.log.append(ctx, event) {
-            if let (Some(live), Some(e)) = (&mut self.live, self.log.last()) {
-                live.observe(e);
-            }
+        self.log.append(ctx, event);
+        if let (Some(live), Some(e)) = (&mut self.live, self.log.last()) {
+            live.observe(e);
         }
     }
 
@@ -295,11 +294,6 @@ impl TracedLog {
         }
         self.emit(ctx, event);
     }
-
-    /// Number of spans opened so far.
-    pub fn spans_opened(&self) -> u64 {
-        self.next_span
-    }
 }
 
 impl Deref for TracedLog {
@@ -354,7 +348,6 @@ mod tests {
         let start = log.named("span.start").nth(1).unwrap();
         assert_eq!(start.get_num("parent"), Some(1.0));
         assert_eq!(start.get("phase"), Some(Value::from("queue")));
-        assert_eq!(log.spans_opened(), 2);
     }
 
     #[test]

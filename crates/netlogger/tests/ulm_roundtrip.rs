@@ -9,14 +9,11 @@
 //!    emission. Random event streams (hostile keys and values, events that
 //!    carry their own `file` / `request` / `attempt`, out-of-order times)
 //!    go to a clamping `TracedLog` under random contexts with a live tap
-//!    attached mid-stream, and to a context-free `NetLog` that drops late
-//!    events. Both must export the same bytes as the oracle, re-parse to
-//!    the same bytes and answer every query the same, and the live
-//!    analyzer must hold what [`recount`] says it must.
+//!    attached mid-stream. It must export the same bytes as the oracle,
+//!    re-parse to the same bytes and answer every query the same, and the
+//!    live analyzer must hold what [`recount`] says it must.
 
-use esg_netlogger::{
-    LifelineSet, LiveLifelines, LogEvent, NetLog, OrderPolicy, TraceCtx, TracedLog, Value,
-};
+use esg_netlogger::{LifelineSet, LogEvent, NetLog, TraceCtx, TracedLog, Value};
 use esg_simnet::SimTime;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -188,7 +185,6 @@ mod oracle {
     #[derive(Debug, Default)]
     pub struct OldLog {
         pub events: Vec<OldEvent>,
-        pub drop_late: bool,
         pub out_of_order: u64,
     }
 
@@ -197,9 +193,6 @@ mod oracle {
             if let Some(last) = self.events.last() {
                 if event.time < last.time {
                     self.out_of_order += 1;
-                    if self.drop_late {
-                        return;
-                    }
                     event.time = last.time;
                 }
             }
@@ -381,9 +374,9 @@ fn assert_same_store(log: &NetLog, old: &OldLog) -> Result<NetLog, TestCaseError
 }
 
 proptest! {
-    /// Each stream feeds two stores: a `TracedLog` (the request manager's
-    /// store: clamps late events, stamps the context, a live tap attached
-    /// mid-stream) and a context-free `NetLog` that drops late events.
+    /// Each stream feeds a `TracedLog`, the request manager's store: it
+    /// clamps late events, stamps the context and has a live tap attached
+    /// mid-stream.
     #[test]
     fn record_store_matches_the_old_event_vector(
         stream in prop::collection::vec(
@@ -404,8 +397,6 @@ proptest! {
     ) {
         let mut log = TracedLog::new();
         let mut old = OldLog::default();
-        let mut dropping = NetLog::with_order_policy(OrderPolicy::Drop);
-        let mut old_dropping = OldLog { drop_late: true, ..OldLog::default() };
         let mut secs = 20u64;
         for (i, ((step, micros), name_ix, rand_name, fields, ctx_ix, span_ix)) in stream.iter().enumerate() {
             if i == attach_at {
@@ -452,8 +443,6 @@ proptest! {
                 ctx = ctx.with_attempt(attempt as u32);
                 old_ctx.attempt = Some(attempt as u32);
             }
-            dropping.push(e.clone());
-            old_dropping.push(o.clone());
             log.emit(&ctx, e);
             old.push(old_ctx.stamp(o));
         }
@@ -462,20 +451,14 @@ proptest! {
         }
 
         let parsed = assert_same_store(&log, &old)?;
-        assert_same_store(&dropping, &old_dropping)?;
 
         // The live tap, attached mid-stream, holds what a recount of the
         // stored log says it must (clamped times, reused span ids, ends
-        // without a start); so does a tap fed the log that drops late
-        // events. The offline pass reads the re-parse as it reads the log.
+        // without a start). The offline pass reads the re-parse as it
+        // reads the log.
         let live = log.live().unwrap();
         prop_assert_eq!(live.events_seen() as usize, log.len());
         prop_assert_eq!(recount::tap_matches_recount(live, &log), Ok(()));
-        let mut fed = LiveLifelines::new();
-        for e in dropping.iter() {
-            fed.observe(e);
-        }
-        prop_assert_eq!(recount::tap_matches_recount(&fed, &dropping), Ok(()));
         let offline = format!("{:?}", LifelineSet::from_log(&log));
         prop_assert_eq!(format!("{:?}", LifelineSet::from_log(&parsed)), offline);
     }
@@ -483,8 +466,7 @@ proptest! {
     /// The live tap against the recount on span-dense streams: few span ids
     /// and parents, so ids are reused, ends arrive without a start, children
     /// close under live, stale and missing roots; times step backwards (the
-    /// traced log clamps, a second log drops) and the tap attaches
-    /// mid-stream.
+    /// traced log clamps them) and the tap attaches mid-stream.
     #[test]
     fn live_tap_holds_what_the_log_recounts(
         stream in prop::collection::vec(
@@ -501,7 +483,6 @@ proptest! {
         const SPAN_PHASES: [&str; 8] =
             ["file", "file", "queue", "transfer", "verify", "prestage", "campaign", "bogus"];
         let mut log = TracedLog::new();
-        let mut dropping = NetLog::with_order_policy(OrderPolicy::Drop);
         let mut secs = 20u64;
         for (i, ((step, micros), kind, (span, parent, phase), (req, file, own))) in
             stream.iter().enumerate()
@@ -532,17 +513,11 @@ proptest! {
             if *file > 0 {
                 ctx = ctx.with_file(["", "f1", "f2"][*file as usize]);
             }
-            dropping.push(e.clone());
             log.emit(&ctx, e);
         }
         if log.live().is_none() {
             log.attach_live();
         }
         prop_assert_eq!(recount::tap_matches_recount(log.live().unwrap(), &log), Ok(()));
-        let mut fed = LiveLifelines::new();
-        for e in dropping.iter() {
-            fed.observe(e);
-        }
-        prop_assert_eq!(recount::tap_matches_recount(&fed, &dropping), Ok(()));
     }
 }
