@@ -15,7 +15,8 @@ use crate::journal::TrialRecord;
 use crate::spec::{GateSpec, MetricRef};
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered by severity: `Error` outranks `Fail`, which outranks `Pass`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum GateStatus {
     Pass,
     Fail,
@@ -126,64 +127,39 @@ fn eval_one(
                 format!("{metric} identical across variants"),
             )
         }
-        GateSpec::MetricEq { a, b, variants } => {
-            for r in rows.iter().filter(|r| applies(variants, &r.key.variant)) {
+        GateSpec::MetricEq { a, b, variants } => per_trial(
+            rows.iter().filter(|r| applies(variants, &r.key.variant)),
+            format!("{a} == {b} in every trial"),
+            |r| {
                 let (Some(va), Some(vb)) = (r.value(a), r.value(b)) else {
-                    return (
-                        GateStatus::Error,
-                        format!("{} missing '{a}' or '{b}'", key_of(r)),
-                    );
+                    let msg = format!("{} missing '{a}' or '{b}'", key_of(r));
+                    return Err((GateStatus::Error, msg));
                 };
-                if va != vb {
-                    return (
-                        GateStatus::Fail,
-                        format!("{}: {a}={va} != {b}={vb}", key_of(r)),
-                    );
-                }
-            }
-            (GateStatus::Pass, format!("{a} == {b} in every trial"))
-        }
-        GateSpec::NonZero { metric, variants } => {
-            for r in rows.iter().filter(|r| applies(variants, &r.key.variant)) {
-                let Some(v) = r.value(metric) else {
-                    return (
-                        GateStatus::Error,
-                        format!("{} missing metric '{metric}'", key_of(r)),
-                    );
-                };
-                if v == 0.0 {
-                    return (GateStatus::Fail, format!("{}: {metric} is zero", key_of(r)));
-                }
-            }
-            (
-                GateStatus::Pass,
-                format!("{metric} non-zero in every trial"),
-            )
-        }
+                check(va == vb, || format!("{}: {a}={va} != {b}={vb}", key_of(r)))
+            },
+        ),
+        GateSpec::NonZero { metric, variants } => per_trial(
+            rows.iter().filter(|r| applies(variants, &r.key.variant)),
+            format!("{metric} non-zero in every trial"),
+            |r| {
+                let v = r.value(metric).ok_or_else(|| missing(r, metric))?;
+                check(v != 0.0, || format!("{}: {metric} is zero", key_of(r)))
+            },
+        ),
         GateSpec::MaxValue {
             metric,
             max,
             variants,
-        } => {
-            for r in rows.iter().filter(|r| applies(variants, &r.key.variant)) {
-                let Some(v) = r.value(metric) else {
-                    return (
-                        GateStatus::Error,
-                        format!("{} missing metric '{metric}'", key_of(r)),
-                    );
-                };
-                if v > *max {
-                    return (
-                        GateStatus::Fail,
-                        format!("{}: {metric}={v} exceeds {max}", key_of(r)),
-                    );
-                }
-            }
-            (
-                GateStatus::Pass,
-                format!("{metric} <= {max} in every trial"),
-            )
-        }
+        } => per_trial(
+            rows.iter().filter(|r| applies(variants, &r.key.variant)),
+            format!("{metric} <= {max} in every trial"),
+            |r| {
+                let v = r.value(metric).ok_or_else(|| missing(r, metric))?;
+                check(v <= *max, || {
+                    format!("{}: {metric}={v} exceeds {max}", key_of(r))
+                })
+            },
+        ),
         GateSpec::MinRatio {
             numer,
             denom,
@@ -192,76 +168,112 @@ fn eval_one(
         } => eval_min_ratio(numer, denom, *min, variants, rows),
         GateSpec::WallRegression { metric, max_pct } => {
             let Some(base) = baseline else {
-                return (
-                    GateStatus::Error,
-                    "no baseline available (declare `baseline` in the spec)".into(),
-                );
+                return no_baseline();
             };
-            let mut detail = String::new();
-            for r in rows {
-                let Some(cur) = r.value(metric) else {
-                    return (
+            per_trial(rows.iter(), String::new(), |r| {
+                let cur = r.value(metric).ok_or_else(|| {
+                    (
                         GateStatus::Error,
                         format!("{} missing timing metric '{metric}'", key_of(r)),
-                    );
-                };
-                let Some(b) = baseline_row(base, r).and_then(|b| b.value(metric)) else {
-                    return (
-                        GateStatus::Error,
-                        format!("baseline has no '{metric}' for {}", key_of(r)),
-                    );
-                };
-                let limit = b * (1.0 + max_pct / 100.0);
-                if cur > limit {
-                    return (
+                    )
+                })?;
+                let b = baseline_row(base, r)
+                    .and_then(|b| b.value(metric))
+                    .ok_or_else(|| baseline_missing(r, metric))?;
+                if cur > b * (1.0 + max_pct / 100.0) {
+                    return Err((
                         GateStatus::Fail,
                         format!(
                             "{}: {metric}={cur:.1} vs baseline {b:.1} (> +{max_pct}%)",
                             key_of(r)
                         ),
-                    );
+                    ));
                 }
-                if !detail.is_empty() {
-                    detail.push_str("; ");
-                }
-                detail.push_str(&format!("{}: {cur:.1} vs {b:.1}", key_of(r)));
-            }
-            (GateStatus::Pass, detail)
+                Ok(format!("{}: {cur:.1} vs {b:.1}", key_of(r)))
+            })
         }
         GateSpec::BaselineEq { metric } => {
             let Some(base) = baseline else {
-                return (
-                    GateStatus::Error,
-                    "no baseline available (declare `baseline` in the spec)".into(),
-                );
+                return no_baseline();
             };
-            for r in rows {
-                let Some(cur) = r.metric(metric) else {
-                    return (
-                        GateStatus::Error,
-                        format!("{} missing metric '{metric}'", key_of(r)),
-                    );
-                };
-                let Some(b) = baseline_row(base, r).and_then(|b| b.metric(metric)) else {
-                    return (
-                        GateStatus::Error,
-                        format!("baseline has no '{metric}' for {}", key_of(r)),
-                    );
-                };
-                let (cur, b) = (cur.canon(), b.canon());
-                if cur != b {
-                    return (
-                        GateStatus::Fail,
-                        format!("{}: {metric}={cur} vs baseline {b}", key_of(r)),
-                    );
-                }
-            }
-            (
-                GateStatus::Pass,
+            per_trial(
+                rows.iter(),
                 format!("{metric} equal to the baseline in every trial"),
+                |r| {
+                    let cur = r.metric(metric).ok_or_else(|| missing(r, metric))?.canon();
+                    let b = baseline_row(base, r)
+                        .and_then(|b| b.metric(metric))
+                        .ok_or_else(|| baseline_missing(r, metric))?
+                        .canon();
+                    check(cur == b, || {
+                        format!("{}: {metric}={cur} vs baseline {b}", key_of(r))
+                    })
+                },
             )
         }
     }
+}
+
+/// One trial's verdict under a per-trial gate: `Ok` with a note for the
+/// pass detail (often empty), or the failure's status and message.
+type Verdict = Result<String, (GateStatus, String)>;
+
+/// Judge every trial in `rows` and report every failure, not just the
+/// first: the gate is `Error` if any trial erred, else `Fail` if any
+/// failed. A passing gate's detail is the trials' notes, or `pass` when
+/// none left one.
+fn per_trial<'r>(
+    rows: impl Iterator<Item = &'r TrialRecord>,
+    pass: String,
+    mut judge: impl FnMut(&TrialRecord) -> Verdict,
+) -> (GateStatus, String) {
+    let mut status = GateStatus::Pass;
+    let (mut failures, mut notes) = (Vec::new(), Vec::new());
+    for r in rows {
+        match judge(r) {
+            Ok(note) if !note.is_empty() => notes.push(note),
+            Ok(_) => {}
+            Err((s, msg)) => {
+                status = status.max(s);
+                failures.push(msg);
+            }
+        }
+    }
+    let detail = match status {
+        GateStatus::Pass if notes.is_empty() => pass,
+        GateStatus::Pass => notes.join("; "),
+        _ => failures.join("; "),
+    };
+    (status, detail)
+}
+
+fn check(ok: bool, failure: impl FnOnce() -> String) -> Verdict {
+    if ok {
+        Ok(String::new())
+    } else {
+        Err((GateStatus::Fail, failure()))
+    }
+}
+
+fn missing(r: &TrialRecord, metric: &str) -> (GateStatus, String) {
+    (
+        GateStatus::Error,
+        format!("{} missing metric '{metric}'", key_of(r)),
+    )
+}
+
+fn baseline_missing(r: &TrialRecord, metric: &str) -> (GateStatus, String) {
+    (
+        GateStatus::Error,
+        format!("baseline has no '{metric}' for {}", key_of(r)),
+    )
+}
+
+fn no_baseline() -> (GateStatus, String) {
+    (
+        GateStatus::Error,
+        "no baseline available (declare `baseline` in the spec)".into(),
+    )
 }
 
 /// The baseline row with `r`'s (variant, seed, rep).
@@ -509,6 +521,58 @@ mod tests {
         assert_eq!(
             eval(&[row("a", 17, &[], 1.0)], Some(&base)).status,
             GateStatus::Error
+        );
+    }
+
+    #[test]
+    fn per_trial_gates_name_every_failing_trial() {
+        let num = |v: f64| MetricValue::Num(v);
+        let trial = |variant: &str, v: f64, wall: f64| row(variant, 17, &[("x", num(v))], wall);
+        let base = [trial("n1k", 1.0, 10.0), trial("n10k", 1.0, 100.0)];
+        // Both trials break every gate below.
+        let rows = [trial("n1k", 0.0, 18.7), trial("n10k", 0.0, 277.0)];
+        let gates = [
+            GateSpec::WallRegression {
+                metric: "wall_ms".into(),
+                max_pct: 20.0,
+            },
+            GateSpec::BaselineEq { metric: "x".into() },
+            GateSpec::MaxValue {
+                metric: "wall_ms".into(),
+                max: 1.0,
+                variants: None,
+            },
+            GateSpec::NonZero {
+                metric: "x".into(),
+                variants: None,
+            },
+            GateSpec::MetricEq {
+                a: "x".into(),
+                b: "wall_ms".into(),
+                variants: None,
+            },
+        ];
+        for r in evaluate(&gates, &rows, Some(&base)).results {
+            assert_eq!(r.status, GateStatus::Fail, "{}", r.label);
+            for key in ["n1k/seed=17/rep=0", "n10k/seed=17/rep=0"] {
+                assert!(r.detail.contains(key), "{}: {}", r.label, r.detail);
+            }
+        }
+
+        // A trial the gate cannot judge makes it an error, and the other
+        // trial's failure is still reported.
+        let rows = [row("n1k", 17, &[], 18.7), trial("n10k", 0.0, 277.0)];
+        let r = &evaluate(&gates[3..4], &rows, None).results[0];
+        assert_eq!(r.status, GateStatus::Error);
+        assert!(
+            r.detail.contains("n1k/seed=17/rep=0 missing metric 'x'"),
+            "{}",
+            r.detail
+        );
+        assert!(
+            r.detail.contains("n10k/seed=17/rep=0: x is zero"),
+            "{}",
+            r.detail
         );
     }
 

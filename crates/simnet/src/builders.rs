@@ -128,9 +128,9 @@ mod tests {
         assert_eq!(d.sources.len(), 3);
         assert_eq!(d.sinks.len(), 3);
         // 2 routers + 6 hosts.
-        assert_eq!(topo.node_count(), 8);
+        assert_eq!(topo.nodes().count(), 8);
         // bottleneck + 6 access links.
-        assert_eq!(topo.link_count(), 7);
+        assert_eq!(topo.links().count(), 7);
         // Every src can reach every dst through the bottleneck.
         for &s in &d.sources {
             for &t in &d.sinks {

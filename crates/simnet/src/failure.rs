@@ -211,15 +211,6 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Whether blocks served by `n` are being corrupted right now.
-    pub fn wire_corrupt_active(&self, n: NodeId) -> bool {
-        self.net
-            .fault_ledger
-            .wire_corrupt
-            .get(&n)
-            .is_some_and(|&(depth, _)| depth > 0)
-    }
-
     /// Whether a wire-corruption episode at `n` overlapped the closed
     /// interval `[from, to]` — the question an integrity verifier asks
     /// about a transfer that served data during that window.
@@ -262,6 +253,17 @@ mod tests {
     use super::*;
     use crate::flownet::{FlowSpec, FlowState};
     use crate::network::{Node, Topology};
+
+    impl<W> Sim<W> {
+        /// Whether blocks served by `n` are being corrupted right now.
+        fn wire_corrupt_active(&self, n: NodeId) -> bool {
+            self.net
+                .fault_ledger
+                .wire_corrupt
+                .get(&n)
+                .is_some_and(|&(depth, _)| depth > 0)
+        }
+    }
 
     fn two_hosts() -> (Topology, NodeId, NodeId, LinkId) {
         let mut t = Topology::new();

@@ -142,11 +142,6 @@ impl FlowSpec {
         self.uses_dst_disk = false;
         self
     }
-
-    pub fn cached_channel(mut self) -> Self {
-        self.slow_start = false;
-        self
-    }
 }
 
 #[derive(Debug)]
@@ -1358,6 +1353,14 @@ impl FlowNet {
 mod tests {
     use super::*;
     use crate::network::Node;
+
+    impl FlowSpec {
+        /// A cached data channel keeps its congestion window: no ramp.
+        fn cached_channel(mut self) -> Self {
+            self.slow_start = false;
+            self
+        }
+    }
 
     fn dumbbell(capacity: f64, latency_ms: u64) -> (FlowNet, NodeId, NodeId) {
         let mut t = Topology::new();

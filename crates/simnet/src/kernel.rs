@@ -16,33 +16,30 @@
 //! [`Sim::live_ticks`] counts the ticks of a label still queued.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 
 use crate::flownet::{FlowError, FlowId, FlowNet, FlowSpec};
 use crate::network::Topology;
 use crate::profile;
 use crate::time::{SimDuration, SimTime};
-use crate::timerwheel::TimerWheel;
 
 type EventFn<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 type FlowCb<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
 /// The simulator: virtual clock + event queue + network + world state.
 ///
-/// The event queue is a hierarchical [`TimerWheel`] keyed on the explicit
-/// total order `(time, seq)`: earliest time first, insertion order within an
-/// instant. This is the same tie-break the original `BinaryHeap` queue
-/// implemented via a reversed `Ord`; the same-instant determinism tests
-/// below pin it across queue implementations. A `BinaryHeap` on the same
-/// key pops the same sequence, but its push sifts with a data-dependent
-/// exit: scheduling thousands of events in random future order (a flow
-/// workload's set-up) costs about 10 ns more per event than the wheel's
-/// bucket append.
+/// Events run earliest first, and the events of one instant in the order
+/// they were scheduled. The queue is a radix heap over event times
+/// (`RadixHeap`), which keeps that tie order without a sequence number and
+/// without a sort.
+///
+/// `run_until` peeks the queue's head, then may advance to an earlier
+/// network completion whose callbacks schedule below that head; so a peek
+/// never raises the heap's floor, only a pop at `now` does.
 pub struct Sim<W> {
     now: SimTime,
-    seq: u64,
-    queue: TimerWheel<EventFn<W>>,
+    queue: RadixHeap<EventFn<W>>,
     flow_callbacks: HashMap<FlowId, FlowCb<W>>,
     /// Spare completion list, swapped with the network's at each drain so
     /// a completion instant reuses storage instead of allocating it.
@@ -59,8 +56,7 @@ impl<W> Sim<W> {
     pub fn new(topo: Topology, world: W) -> Self {
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: TimerWheel::new(),
+            queue: RadixHeap::new(),
             flow_callbacks: HashMap::new(),
             completed: Vec::new(),
             ticks: HashMap::new(),
@@ -82,9 +78,7 @@ impl<W> Sim<W> {
     /// Schedule `f` at an absolute time (clamped to now if in the past).
     pub fn schedule_at(&mut self, time: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
         let time = time.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(time.as_nanos(), seq, Box::new(f));
+        self.queue.push(time.as_nanos(), Box::new(f));
     }
 
     /// Run `body` every `period`, first at `now + period`, for as long as
@@ -156,7 +150,7 @@ impl<W> Sim<W> {
     pub fn run_until(&mut self, limit: SimTime) {
         let _kernel = profile::scope(profile::KERNEL);
         loop {
-            let queue_next = self.queue.peek().map_or(SimTime::MAX, |(t, _)| SimTime(t));
+            let queue_next = self.queue.peek().map_or(SimTime::MAX, SimTime);
             let net_next = {
                 let _a = profile::scope(profile::ALLOCATOR);
                 self.net.next_event_time()
@@ -206,11 +200,8 @@ impl<W> Sim<W> {
                     self.net.remove_flow(fid);
                 }
                 self.completed = completed;
-                while let Some((t, _)) = self.queue.peek() {
-                    if SimTime(t) > self.now {
-                        break;
-                    }
-                    let (_, _, f) = self.queue.pop().unwrap();
+                while self.queue.peek().is_some_and(|t| SimTime(t) <= self.now) {
+                    let (_, f) = self.queue.pop().expect("peek saw an event due now");
                     {
                         let _e = profile::scope(profile::EVENTS);
                         profile::count("kernel.events", 1);
@@ -233,6 +224,98 @@ impl<W> Sim<W> {
     /// Number of pending queued events (not counting network completions).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+}
+
+/// A monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990):
+/// the kernel's event queue, keyed on time.
+///
+/// No time is ever pushed below `floor`, the last popped time: the kernel
+/// clamps `schedule_at` to `now`, and pops only at `now`. Entries at the
+/// floor wait in one FIFO; any other entry sits in the bucket of the
+/// highest bit in which its time differs from the floor, so a push is one
+/// xor, one `ilog2` and a `Vec` push. A pop at an empty FIFO raises the
+/// floor to the earliest time, which lies in the lowest non-empty bucket,
+/// and pushes that bucket's entries again: each lands in the FIFO or in a
+/// strictly lower bucket, and no other bucket's index changes.
+///
+/// Ties need no sort. Equal times always share a bucket, every move keeps
+/// their order, and a later push appends after them; so same-instant
+/// entries leave in the order they were pushed.
+///
+/// `peek` only finds the earliest bucketed time and caches it. It never
+/// raises the floor, so a push below an already-peeked head stays legal.
+struct RadixHeap<T> {
+    floor: u64,
+    at_floor: VecDeque<T>,
+    buckets: [Vec<(u64, T)>; 64],
+    /// Bit `b` set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// The earliest bucketed time, once a peek has found it.
+    head: Option<u64>,
+}
+
+impl<T> RadixHeap<T> {
+    fn new() -> Self {
+        RadixHeap {
+            floor: 0,
+            at_floor: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            head: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.at_floor.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
+    }
+
+    fn push(&mut self, time: u64, item: T) {
+        debug_assert!(
+            time >= self.floor,
+            "push at {time} below the floor {}",
+            self.floor
+        );
+        if time == self.floor {
+            self.at_floor.push_back(item);
+            return;
+        }
+        let b = (time ^ self.floor).ilog2() as usize;
+        self.buckets[b].push((time, item));
+        self.occupied |= 1 << b;
+        if self.head.is_some_and(|h| time < h) {
+            self.head = Some(time);
+        }
+    }
+
+    /// The earliest queued time.
+    fn peek(&mut self) -> Option<u64> {
+        if !self.at_floor.is_empty() {
+            return Some(self.floor);
+        }
+        if self.head.is_none() && self.occupied != 0 {
+            let lowest = &self.buckets[self.occupied.trailing_zeros() as usize];
+            self.head = lowest.iter().map(|e| e.0).min();
+        }
+        self.head
+    }
+
+    /// The earliest entry; among equal times, the first pushed.
+    fn pop(&mut self) -> Option<(u64, T)> {
+        if self.at_floor.is_empty() {
+            self.floor = self.peek()?;
+            self.head = None;
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            // Refill, then hand the emptied bucket its allocation back.
+            let mut drained = std::mem::take(&mut self.buckets[b]);
+            for (time, item) in drained.drain(..) {
+                self.push(time, item);
+            }
+            self.buckets[b] = drained;
+        }
+        let item = self.at_floor.pop_front()?;
+        Some((self.floor, item))
     }
 }
 
@@ -512,11 +595,11 @@ mod tests {
         assert!((late.borrow().unwrap() - 100e6).abs() < 1.0);
     }
 
-    /// Every dispatched event as (time, next seq, what ran).
-    type Log = Vec<(u64, u64, &'static str)>;
+    /// Every dispatched event as (time, events still queued, what ran).
+    type Log = Vec<(u64, usize, &'static str)>;
 
     fn note(s: &mut Sim<Log>, what: &'static str) {
-        let entry = (s.now().as_nanos(), s.seq, what);
+        let entry = (s.now().as_nanos(), s.pending_events(), what);
         s.world.push(entry);
     }
 
@@ -702,5 +785,80 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.world, vec![5.0]);
+    }
+
+    mod radix_heap {
+        use super::super::RadixHeap;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        #[test]
+        fn same_instant_pops_in_seq_order() {
+            let mut q = RadixHeap::new();
+            // Spread the instant's entries across a refill: some are
+            // bucketed before the floor reaches 42, some pushed at it.
+            q.push(7, u32::MAX);
+            for seq in 0..100u32 {
+                q.push(42, seq);
+            }
+            assert_eq!(q.pop(), Some((7, u32::MAX)));
+            assert_eq!(q.pop(), Some((42, 0)));
+            for seq in 100..150u32 {
+                q.push(42, seq);
+            }
+            let mut seqs = vec![0];
+            while let Some((t, seq)) = q.pop() {
+                assert_eq!(t, 42);
+                seqs.push(seq);
+            }
+            assert_eq!(seqs, (0..150).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn randomized_interleaving_matches_btreemap_reference() {
+            let mut rng = StdRng::seed_from_u64(0xE56_2001);
+            for _round in 0..200 {
+                let mut q = RadixHeap::new();
+                let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
+                let mut seq = 0u64;
+                let mut floor = 0u64; // last popped time: the push floor
+                let mut peeked: Option<u64> = None;
+                for _op in 0..400 {
+                    let roll = rng.gen_range(0..10u32);
+                    if roll < 6 || reference.is_empty() {
+                        let t = match peeked {
+                            // Below an already-peeked head, as a completion
+                            // callback schedules after the kernel peeked.
+                            Some(h) if h > floor && rng.gen_bool(0.3) => rng.gen_range(floor..h),
+                            _ => floor.saturating_add(match rng.gen_range(0..10u32) {
+                                0 => 0,
+                                1..=6 => rng.gen_range(0..1_000u64),
+                                7 | 8 => rng.gen_range(0..10_000_000u64),
+                                _ => rng.gen_range(0..u64::MAX / 2),
+                            }),
+                        };
+                        q.push(t, seq as u32);
+                        reference.insert((t, seq), seq as u32);
+                        seq += 1;
+                    } else if roll < 8 {
+                        let got = q.pop();
+                        let want = reference.pop_first().map(|((t, _), v)| (t, v));
+                        assert_eq!(got, want);
+                        floor = got.map_or(floor, |(t, _)| t);
+                        peeked = None;
+                    } else {
+                        let want = reference.first_key_value().map(|(&(t, _), _)| t);
+                        peeked = q.peek();
+                        assert_eq!(peeked, want);
+                    }
+                    assert_eq!(q.len(), reference.len());
+                }
+                let want: Vec<(u64, u32)> =
+                    reference.into_iter().map(|((t, _), v)| (t, v)).collect();
+                let rest: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop()).collect();
+                assert_eq!(rest, want);
+            }
+        }
     }
 }

@@ -56,7 +56,6 @@ pub mod network;
 pub mod profile;
 pub mod tcp;
 pub mod time;
-pub mod timerwheel;
 
 pub use flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState};
 pub use kernel::{Completion, Sim};

@@ -235,25 +235,12 @@ impl Topology {
         &mut self.links[id.0]
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
     pub fn links(&self) -> impl Iterator<Item = (LinkId, &Link)> {
         self.links.iter().enumerate().map(|(i, l)| (LinkId(i), l))
-    }
-
-    /// Find a node by name. Names are expected to be unique per topology.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.name == name).map(NodeId)
     }
 
     /// BFS shortest path (by hop count) from `src` to `dst`, traversing only
@@ -419,12 +406,5 @@ mod tests {
         };
         assert!(jumbo.max_byte_rate() > 2.0 * cpu.max_byte_rate());
         assert_eq!(CpuModel::unlimited().max_byte_rate(), f64::INFINITY);
-    }
-
-    #[test]
-    fn find_node_by_name() {
-        let (t, a, ..) = line3();
-        assert_eq!(t.find_node("a"), Some(a));
-        assert_eq!(t.find_node("zzz"), None);
     }
 }

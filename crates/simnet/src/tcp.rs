@@ -73,56 +73,6 @@ impl TcpParams {
     pub fn rate_cap(&self) -> f64 {
         self.window_limit().min(self.loss_limit())
     }
-
-    /// Time for slow start to ramp the congestion window from
-    /// [`INITIAL_WINDOW`] to the effective window needed to sustain
-    /// `target_rate` (doubling once per RTT).
-    pub fn slow_start_time(&self, target_rate: f64) -> SimDuration {
-        let rtt = self.rtt.as_secs_f64();
-        if rtt <= 0.0 || !target_rate.is_finite() || target_rate <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        let target_window = (target_rate * rtt).min(self.window).max(INITIAL_WINDOW);
-        let doublings = (target_window / INITIAL_WINDOW).log2().max(0.0);
-        SimDuration::from_secs_f64(doublings.ceil() * rtt)
-    }
-
-    /// Bytes transferred *during* the slow-start ramp of
-    /// [`TcpParams::slow_start_time`]: the sum of a geometrically-doubling window is
-    /// just under twice the final window.
-    pub fn slow_start_bytes(&self, target_rate: f64) -> f64 {
-        let rtt = self.rtt.as_secs_f64();
-        if rtt <= 0.0 || !target_rate.is_finite() || target_rate <= 0.0 {
-            return 0.0;
-        }
-        let target_window = (target_rate * rtt).min(self.window).max(INITIAL_WINDOW);
-        // w0 + 2w0 + 4w0 + ... + W  ≈ 2W - w0
-        (2.0 * target_window - INITIAL_WINDOW).max(0.0)
-    }
-
-    /// Mean throughput achieved while transferring `bytes`, accounting for
-    /// the slow-start ramp, assuming `steady_rate` afterwards. Used by the
-    /// transfer engine to model short transfers and connection rebuild cost.
-    pub fn effective_transfer_time(&self, bytes: f64, steady_rate: f64) -> SimDuration {
-        if bytes <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        if steady_rate <= 0.0 {
-            return SimDuration::MAX;
-        }
-        let ss_bytes = self.slow_start_bytes(steady_rate);
-        let ss_time = self.slow_start_time(steady_rate);
-        if bytes <= ss_bytes {
-            // Entire transfer completes within slow start: scale the ramp
-            // time by the fraction of ramp bytes needed (window doubles, so
-            // bytes(t) grows exponentially; a linear scaling over the log is
-            // a close, conservative approximation).
-            let frac = (bytes / ss_bytes).clamp(0.0, 1.0);
-            return SimDuration::from_secs_f64(ss_time.as_secs_f64() * frac.sqrt());
-        }
-        let remaining = bytes - ss_bytes;
-        ss_time + SimDuration::from_secs_f64(remaining / steady_rate)
-    }
 }
 
 /// The paper's §7 buffer-sizing rule of thumb, translated to bytes:
@@ -165,49 +115,6 @@ mod tests {
         assert_eq!(p.rate_cap(), p.window_limit().min(p.loss_limit()));
         assert!(p.rate_cap() <= p.window_limit());
         assert!(p.rate_cap() <= p.loss_limit());
-    }
-
-    #[test]
-    fn slow_start_doubles_per_rtt() {
-        let p = TcpParams::new(1_048_576.0, SimDuration::from_millis(16), 0.0);
-        // Target the full window: doublings = log2(1MB / 2920B) ≈ 8.49 → 9 RTTs.
-        let t = p.slow_start_time(p.window_limit());
-        assert_eq!(t, SimDuration::from_millis(16 * 9));
-    }
-
-    #[test]
-    fn slow_start_bytes_about_twice_window() {
-        let p = TcpParams::new(1_048_576.0, SimDuration::from_millis(16), 0.0);
-        let b = p.slow_start_bytes(p.window_limit());
-        assert!(b > 1.9e6 && b < 2.1e6, "got {b}");
-    }
-
-    #[test]
-    fn tiny_transfer_faster_than_full_ramp() {
-        let p = TcpParams::new(1_048_576.0, SimDuration::from_millis(16), 0.0);
-        let rate = p.window_limit();
-        let tiny = p.effective_transfer_time(10_000.0, rate);
-        let full_ramp = p.slow_start_time(rate);
-        assert!(tiny < full_ramp);
-    }
-
-    #[test]
-    fn large_transfer_dominated_by_steady_rate() {
-        let p = TcpParams::new(1_048_576.0, SimDuration::from_millis(16), 0.0);
-        let rate = 10e6; // 10 MB/s steady
-        let t = p.effective_transfer_time(1e9, rate).as_secs_f64();
-        let ideal = 1e9 / rate;
-        assert!(t >= ideal);
-        assert!(
-            t < ideal * 1.01,
-            "slow start should be <1% of a 1 GB transfer"
-        );
-    }
-
-    #[test]
-    fn zero_rate_never_completes() {
-        let p = TcpParams::new(1e6, SimDuration::from_millis(10), 0.0);
-        assert_eq!(p.effective_transfer_time(1.0, 0.0), SimDuration::MAX);
     }
 
     #[test]

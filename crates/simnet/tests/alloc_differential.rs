@@ -93,7 +93,7 @@ impl Script {
                     spec = spec.memory_to_memory();
                 }
                 if x % 4 == 0 {
-                    spec = spec.cached_channel();
+                    spec.slow_start = false;
                 }
                 if let Ok(id) = net.start_flow(self.now, spec) {
                     self.flows.push(id);
