@@ -65,21 +65,6 @@ pub fn time_mean(ds: &Dataset, var_name: &str) -> Result<Field2d, ModelError> {
     })
 }
 
-/// One time step as a lat×lon field.
-pub fn time_slice(ds: &Dataset, var_name: &str, t: usize) -> Result<Field2d, ModelError> {
-    let var = ds.variable(var_name)?;
-    let (nt, ny, nx) = tyx_shape(ds, var)?;
-    if t >= nt {
-        return Err(ModelError::BadSlab(format!("time index {t} >= {nt}")));
-    }
-    let base = t * ny * nx;
-    Ok(Field2d {
-        lat: ds.axes[var.dims[1]].values.clone(),
-        lon: ds.axes[var.dims[2]].values.clone(),
-        data: var.data[base..base + ny * nx].to_vec(),
-    })
-}
-
 /// Area-weighted global mean time series (weights ∝ cos latitude).
 pub fn global_mean_series(ds: &Dataset, var_name: &str) -> Result<Vec<f64>, ModelError> {
     let var = ds.variable(var_name)?;
@@ -115,23 +100,6 @@ pub fn zonal_mean(ds: &Dataset, var_name: &str) -> Result<Vec<Vec<f32>>, ModelEr
         out.push(row);
     }
     Ok(out)
-}
-
-/// Anomaly of one time step relative to the time mean.
-pub fn anomaly(ds: &Dataset, var_name: &str, t: usize) -> Result<Field2d, ModelError> {
-    let mean = time_mean(ds, var_name)?;
-    let slice = time_slice(ds, var_name, t)?;
-    let data = slice
-        .data
-        .iter()
-        .zip(&mean.data)
-        .map(|(&a, &m)| a - m)
-        .collect();
-    Ok(Field2d {
-        lat: slice.lat,
-        lon: slice.lon,
-        data,
-    })
 }
 
 /// Simple statistics over a variable's full data.
@@ -191,13 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn time_slice_extracts() {
-        let s = time_slice(&ds(), "v", 1).unwrap();
-        assert_eq!(s.data, vec![5.0, 6.0, 7.0, 8.0]);
-        assert!(time_slice(&ds(), "v", 2).is_err());
-    }
-
-    #[test]
     fn global_mean_weighted_equally_for_symmetric_lats() {
         // Both latitudes are ±45° → equal weights → plain mean.
         let g = global_mean_series(&ds(), "v").unwrap();
@@ -229,16 +190,6 @@ mod tests {
     fn zonal_mean_rows() {
         let z = zonal_mean(&ds(), "v").unwrap();
         assert_eq!(z, vec![vec![1.5, 3.5], vec![5.5, 7.5]]);
-    }
-
-    #[test]
-    fn anomaly_sums_to_zero_over_time() {
-        let d = ds();
-        let a0 = anomaly(&d, "v", 0).unwrap();
-        let a1 = anomaly(&d, "v", 1).unwrap();
-        for (x, y) in a0.data.iter().zip(&a1.data) {
-            assert!((x + y).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   for netCDF) with robust corruption handling.
 //! * [`hyperslab`] — spatiotemporal region extraction (VCDAT's selection,
 //!   and the subsetting ESG-II planned to push server-side).
-//! * [`analysis`] — time/zonal/area-weighted means, anomalies, statistics.
+//! * [`analysis`] — time/zonal/area-weighted means, statistics.
 //! * [`synth`] — deterministic synthetic climate fields (substitution for
 //!   PCMDI archives; see DESIGN.md).
 //! * [`partition`] — dataset → logical file chunking (the unit the replica
@@ -21,7 +21,6 @@
 //! * [`viz`] — ASCII and PPM rendering (Figure 3's role).
 
 pub mod analysis;
-pub mod climatology;
 pub mod hyperslab;
 pub mod model;
 pub mod ncio;
@@ -30,12 +29,9 @@ pub mod regrid;
 pub mod synth;
 pub mod viz;
 
-pub use analysis::{
-    anomaly, global_mean_series, stats, time_mean, time_slice, zonal_mean, Field2d, Stats,
-};
-pub use climatology::{cycle_amplitude, deseasonalized_global_mean, phase_composite};
+pub use analysis::{global_mean_series, stats, time_mean, zonal_mean, Field2d, Stats};
 pub use hyperslab::{extract, extract_dataset, Hyperslab};
-pub use model::{flat_index, Axis, Dataset, ModelError, Variable};
+pub use model::{Axis, Dataset, ModelError, Variable};
 pub use ncio::{from_bytes, load, read_dataset, save, to_bytes, write_dataset, NcError};
 pub use partition::{chunk_of, files_for_range, partition_by_time, write_chunks, LogicalFile};
 pub use regrid::{intercompare, regrid_bilinear, Intercomparison};

@@ -64,20 +64,6 @@ impl Axis {
         self.values.is_empty()
     }
 
-    /// Index of the value closest to `x`.
-    pub fn nearest(&self, x: f64) -> usize {
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, &v) in self.values.iter().enumerate() {
-            let d = (v - x).abs();
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Smallest contiguous index range covering `[lo, hi]` (inclusive).
     pub fn range(&self, lo: f64, hi: f64) -> (usize, usize) {
         let mut start = None;
@@ -216,22 +202,6 @@ impl Dataset {
     pub fn shape_of(&self, var: &Variable) -> Vec<usize> {
         var.dims.iter().map(|&d| self.axes[d].len()).collect()
     }
-
-    /// Approximate in-memory/file size of the dataset's data in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.variables.iter().map(|v| v.data.len() as u64 * 4).sum()
-    }
-}
-
-/// Row-major flat index from per-dimension indices.
-pub fn flat_index(shape: &[usize], idx: &[usize]) -> usize {
-    debug_assert_eq!(shape.len(), idx.len());
-    let mut flat = 0;
-    for (s, i) in shape.iter().zip(idx) {
-        debug_assert!(i < s);
-        flat = flat * s + i;
-    }
-    flat
 }
 
 #[cfg(test)]
@@ -267,9 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_range() {
+    fn range() {
         let lat = Axis::latitude(6); // -75, -45, -15, 15, 45, 75
-        assert_eq!(lat.nearest(50.0), 4);
         assert_eq!(lat.range(-20.0, 50.0), (2, 3));
         assert_eq!(lat.range(500.0, 600.0), (0, 0));
     }
@@ -307,21 +276,5 @@ mod tests {
         assert!(ds.variable("pr").is_err());
         assert_eq!(ds.attr("model"), Some("PCM"));
         assert_eq!(ds.attr("nope"), None);
-    }
-
-    #[test]
-    fn flat_index_row_major() {
-        let shape = [4, 3, 4];
-        assert_eq!(flat_index(&shape, &[0, 0, 0]), 0);
-        assert_eq!(flat_index(&shape, &[0, 0, 3]), 3);
-        assert_eq!(flat_index(&shape, &[0, 1, 0]), 4);
-        assert_eq!(flat_index(&shape, &[1, 0, 0]), 12);
-        assert_eq!(flat_index(&shape, &[3, 2, 3]), 47);
-    }
-
-    #[test]
-    fn data_bytes() {
-        let ds = small();
-        assert_eq!(ds.data_bytes(), 4 * 3 * 4 * 4);
     }
 }

@@ -35,13 +35,6 @@ impl Default for SynthParams {
     }
 }
 
-impl SynthParams {
-    /// Bytes of f32 data one variable of this shape occupies.
-    pub fn var_bytes(&self) -> u64 {
-        (self.lat_points * self.lon_points * self.time_steps * 4) as u64
-    }
-}
-
 /// Generate a dataset with `tas` (temperature), `pr` (precipitation) and
 /// `clt` (cloud fraction) variables.
 pub fn generate(name: &str, p: SynthParams) -> Dataset {
@@ -175,16 +168,6 @@ mod tests {
         for &v in &ds.variable("clt").unwrap().data {
             assert!((0.0..=1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn var_bytes_matches_data() {
-        let p = small();
-        let ds = generate("t", p);
-        assert_eq!(
-            ds.variable("tas").unwrap().data.len() as u64 * 4,
-            p.var_bytes()
-        );
     }
 
     #[test]

@@ -921,12 +921,33 @@ pub fn baseline_comparison() -> Vec<(&'static str, f64)> {
 // A6: replica selection policies / A7: HRM staging
 // ---------------------------------------------------------------------------
 
+/// Submit one single-file request, run the simulation 5 s at a time until
+/// it lands or `horizon` passes, and return its sojourn in seconds.
+fn request_sojourn(
+    tb: &mut crate::scenario::EsgTestbed,
+    collection: String,
+    file: String,
+    horizon: SimDuration,
+) -> f64 {
+    let client = tb.client;
+    let before = tb.sim.world.outcomes.len();
+    esg_reqman::submit_request(&mut tb.sim, client, vec![(collection, file)], |s, o| {
+        s.world.outcomes.push(o)
+    });
+    let horizon = tb.sim.now() + horizon;
+    while tb.sim.world.outcomes.len() == before && tb.sim.now() < horizon {
+        let next = tb.sim.now() + SimDuration::from_secs(5);
+        tb.sim.run_until(next);
+    }
+    let o = tb.sim.world.outcomes.last().expect("request completed");
+    o.finished.since(o.started).as_secs_f64()
+}
+
 /// A6: mean request completion time (seconds) per selection policy, over
 /// `requests` sequential single-file requests on the multi-site testbed.
 pub fn replica_policy_comparison(requests: u32) -> Vec<(&'static str, f64)> {
     use crate::scenario::esg_testbed;
     use esg_replica::{Policy, ReplicaSelector};
-    use esg_reqman::submit_request;
 
     let policies: [(&'static str, Policy); 3] = [
         ("nws-best-bandwidth", Policy::BestBandwidth),
@@ -947,25 +968,10 @@ pub fn replica_policy_comparison(requests: u32) -> Vec<(&'static str, f64)> {
             let file = tb.sim.world.metadata.all_files("policy_ds").unwrap()[0]
                 .name
                 .clone();
-            let client = tb.client;
-            let mut total = 0.0;
-            for _ in 0..requests {
-                let before = tb.sim.world.outcomes.len();
-                submit_request(
-                    &mut tb.sim,
-                    client,
-                    vec![(collection.clone(), file.clone())],
-                    |s, o| s.world.outcomes.push(o),
-                );
-                // Run until this request lands.
-                let horizon = tb.sim.now() + SimDuration::from_secs(3_600);
-                while tb.sim.world.outcomes.len() == before && tb.sim.now() < horizon {
-                    let next = tb.sim.now() + SimDuration::from_secs(5);
-                    tb.sim.run_until(next);
-                }
-                let o = tb.sim.world.outcomes.last().expect("request completed");
-                total += o.finished.since(o.started).as_secs_f64();
-            }
+            let horizon = SimDuration::from_secs(3_600);
+            let total: f64 = (0..requests)
+                .map(|_| request_sojourn(&mut tb, collection.clone(), file.clone(), horizon))
+                .sum();
             (name, total / requests as f64)
         })
         .collect()
@@ -976,23 +982,10 @@ pub fn replica_policy_comparison(requests: u32) -> Vec<(&'static str, f64)> {
 /// read.
 pub fn hrm_staging_comparison() -> Vec<(&'static str, f64)> {
     use crate::scenario::esg_testbed;
-    use esg_reqman::submit_request;
 
-    let run_request =
-        |tb: &mut crate::scenario::EsgTestbed, collection: String, file: String| -> f64 {
-            let client = tb.client;
-            let before = tb.sim.world.outcomes.len();
-            submit_request(&mut tb.sim, client, vec![(collection, file)], |s, o| {
-                s.world.outcomes.push(o)
-            });
-            let horizon = tb.sim.now() + SimDuration::from_secs(7_200);
-            while tb.sim.world.outcomes.len() == before && tb.sim.now() < horizon {
-                let next = tb.sim.now() + SimDuration::from_secs(5);
-                tb.sim.run_until(next);
-            }
-            let o = tb.sim.world.outcomes.last().expect("request completed");
-            o.finished.since(o.started).as_secs_f64()
-        };
+    let run_request = |tb: &mut crate::scenario::EsgTestbed, collection, file| {
+        request_sojourn(tb, collection, file, SimDuration::from_secs(7_200))
+    };
 
     let mut out = Vec::new();
 

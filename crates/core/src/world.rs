@@ -65,14 +65,15 @@ pub type EsgSim = Sim<EsgWorld>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esg_simnet::Topology;
+    use esg_simnet::{NodeId, Topology};
 
     #[test]
     fn world_constructs_and_traits_resolve() {
         let mut sim: EsgSim = Sim::new(Topology::new(), EsgWorld::default());
         // Exercise each accessor once.
-        sim.world.gridftp().flush_cache();
-        assert_eq!(sim.world.nws().path_count(), 0);
+        let (a, b) = (NodeId(0), NodeId(1));
+        assert_eq!(sim.world.gridftp().cached_channels(a, b), 0);
+        assert!(sim.world.nws().history(a, b).is_empty());
         assert!(sim.world.reqman().live_requests().is_empty());
         assert!(sim.world.outcomes.is_empty());
     }

@@ -27,8 +27,6 @@ pub enum DirError {
     NoSuchEntry(Dn),
     /// Adding an entry whose parent doesn't exist.
     NoSuchParent(Dn),
-    /// Deleting an entry that still has children.
-    NotLeaf(Dn),
 }
 
 impl std::fmt::Display for DirError {
@@ -37,7 +35,6 @@ impl std::fmt::Display for DirError {
             DirError::AlreadyExists(dn) => write!(f, "entry already exists: {dn}"),
             DirError::NoSuchEntry(dn) => write!(f, "no such entry: {dn}"),
             DirError::NoSuchParent(dn) => write!(f, "parent does not exist: {dn}"),
-            DirError::NotLeaf(dn) => write!(f, "entry has children: {dn}"),
         }
     }
 }
@@ -147,33 +144,6 @@ impl Directory {
             }
             None => Err(DirError::NoSuchEntry(dn.clone())),
         }
-    }
-
-    /// Delete a leaf entry.
-    pub fn delete(&mut self, dn: &Dn) -> Result<Entry, DirError> {
-        if !self.entries.contains_key(&key(dn)) {
-            return Err(DirError::NoSuchEntry(dn.clone()));
-        }
-        if self.children(dn).next().is_some() {
-            return Err(DirError::NotLeaf(dn.clone()));
-        }
-        Ok(self.entries.remove(&key(dn)).unwrap())
-    }
-
-    /// Delete an entry and its whole subtree; returns how many entries went.
-    pub fn delete_subtree(&mut self, dn: &Dn) -> usize {
-        let prefix = key(dn);
-        let keys: Vec<String> = self
-            .entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let n = keys.len();
-        for k in keys {
-            self.entries.remove(&k);
-        }
-        n
     }
 
     /// Direct children of a DN.
@@ -337,25 +307,6 @@ mod tests {
         assert_eq!(d.get(&dn).unwrap().values("filename").len(), 2);
         let missing = Dn::parse("lc=nope, rc=ESG, o=Grid").unwrap();
         assert!(d.modify(&missing, |_| ()).is_err());
-    }
-
-    #[test]
-    fn delete_rules() {
-        let mut d = grid();
-        let parent = Dn::parse("lc=CO2 1998, rc=ESG, o=Grid").unwrap();
-        assert!(matches!(d.delete(&parent), Err(DirError::NotLeaf(_))));
-        let child = Dn::parse("loc=jupiter, lc=CO2 1998, rc=ESG, o=Grid").unwrap();
-        d.delete(&child).unwrap();
-        d.delete(&parent).unwrap();
-        assert!(d.get(&parent).is_none());
-    }
-
-    #[test]
-    fn delete_subtree_counts() {
-        let mut d = grid();
-        let n = d.delete_subtree(&Dn::parse("rc=ESG, o=Grid").unwrap());
-        assert_eq!(n, 4);
-        assert_eq!(d.len(), 1); // o=Grid remains
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Entry {
         false
     }
 
-    /// Remove an attribute entirely.
-    pub fn remove_attr(&mut self, attr: &str) -> bool {
-        self.attrs.remove(&attr.to_ascii_lowercase()).is_some()
-    }
-
     /// All values of an attribute (empty slice if absent).
     pub fn values(&self, attr: &str) -> &[String] {
         self.attrs
@@ -142,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_value_and_attr() {
+    fn remove_value() {
         let mut e = Entry::new(Dn::root());
         e.add("f", "1");
         e.add("f", "2");
@@ -151,9 +146,6 @@ mod tests {
         assert_eq!(e.values("f"), &["2".to_string()]);
         assert!(e.remove_value("f", "2"));
         assert!(e.values("f").is_empty());
-        e.add("g", "x");
-        assert!(e.remove_attr("g"));
-        assert!(!e.remove_attr("g"));
     }
 
     #[test]

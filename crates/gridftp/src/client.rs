@@ -197,12 +197,6 @@ impl GridFtpClient {
         Ok(())
     }
 
-    /// FEAT — the extension list.
-    pub fn features(&mut self) -> Result<Vec<String>> {
-        let r = self.command(&Command::Feat)?;
-        Ok(r.lines)
-    }
-
     /// SIZE of a remote file.
     pub fn size(&mut self, path: &str) -> Result<u64> {
         let r = self.expect(&Command::Size(path.into()), 213, "213")?;

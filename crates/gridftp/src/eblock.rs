@@ -16,10 +16,6 @@ use std::io::{self, IoSlice, Read, Write};
 pub mod desc {
     /// End of data on *this* connection.
     pub const EOD: u8 = 0x08;
-    /// End of file: whole-transfer completion signal.
-    pub const EOF: u8 = 0x40;
-    /// Block is a restart marker, not data.
-    pub const RESTART_MARKER: u8 = 0x10;
 }
 
 /// One extended block header.
@@ -50,22 +46,8 @@ impl BlockHeader {
         }
     }
 
-    /// EOF signal carrying the total transfer size in `offset` (our
-    /// convention; real GridFTP sends expected-EOD counts).
-    pub fn eof(total: u64) -> Self {
-        BlockHeader {
-            descriptor: desc::EOF | desc::EOD,
-            count: 0,
-            offset: total,
-        }
-    }
-
     pub fn is_eod(&self) -> bool {
         self.descriptor & desc::EOD != 0
-    }
-
-    pub fn is_eof(&self) -> bool {
-        self.descriptor & desc::EOF != 0
     }
 
     pub fn encode(&self) -> [u8; HEADER_LEN] {
@@ -103,7 +85,7 @@ pub fn write_block(w: &mut impl Write, offset: u64, payload: &[u8]) -> io::Resul
     Ok(())
 }
 
-/// Write a trailer block (EOD/EOF).
+/// Write a trailer block (EOD).
 pub fn write_trailer(w: &mut impl Write, header: BlockHeader) -> io::Result<()> {
     w.write_all(&header.encode())
 }
@@ -123,17 +105,6 @@ pub fn read_block(r: &mut impl Read, max_block: u64) -> io::Result<(BlockHeader,
     let mut payload = vec![0u8; h.count as usize];
     r.read_exact(&mut payload)?;
     Ok((h, payload))
-}
-
-/// Flip one bit of an EBLOCK payload in flight — the silent wire
-/// corruption a `WireCorrupt` fault injects. The framing stays intact
-/// (header untouched), so nothing below the checksum layer notices.
-pub fn flip_bit(payload: &mut [u8], bit: usize) {
-    if payload.is_empty() {
-        return;
-    }
-    let bit = bit % (payload.len() * 8);
-    payload[bit / 8] ^= 1 << (bit % 8);
 }
 
 /// Split a byte range `[start, end)` into round-robin block assignments for
@@ -169,17 +140,11 @@ mod tests {
         let b = h.encode();
         assert_eq!(BlockHeader::decode(&b), h);
         assert!(!h.is_eod());
-        assert!(!h.is_eof());
     }
 
     #[test]
     fn trailer_flags() {
         assert!(BlockHeader::eod().is_eod());
-        assert!(!BlockHeader::eod().is_eof());
-        let eof = BlockHeader::eof(1000);
-        assert!(eof.is_eof());
-        assert!(eof.is_eod());
-        assert_eq!(eof.offset, 1000);
     }
 
     #[test]
@@ -294,7 +259,7 @@ mod tests {
         let clean_digest = esg_gsi::sha256(&payload);
 
         let mut corrupted = payload.clone();
-        flip_bit(&mut corrupted, 42);
+        corrupted[5] ^= 1 << 2;
         assert_ne!(payload, corrupted);
 
         let mut buf = Vec::new();
@@ -309,16 +274,7 @@ mod tests {
         );
         // Flipping the same bit again restores the original content.
         let mut restored = received;
-        flip_bit(&mut restored, 42);
+        restored[5] ^= 1 << 2;
         assert_eq!(esg_gsi::sha256(&restored), clean_digest);
-    }
-
-    #[test]
-    fn flip_bit_wraps_and_tolerates_empty() {
-        let mut empty: Vec<u8> = Vec::new();
-        flip_bit(&mut empty, 5); // no panic
-        let mut one = vec![0u8];
-        flip_bit(&mut one, 8); // wraps to bit 0
-        assert_eq!(one, vec![1]);
     }
 }

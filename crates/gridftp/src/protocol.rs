@@ -338,22 +338,6 @@ impl Reply {
         Reply { code, lines }
     }
 
-    pub fn is_positive_preliminary(&self) -> bool {
-        (100..200).contains(&self.code)
-    }
-
-    pub fn is_positive(&self) -> bool {
-        (200..300).contains(&self.code)
-    }
-
-    pub fn is_intermediate(&self) -> bool {
-        (300..400).contains(&self.code)
-    }
-
-    pub fn is_error(&self) -> bool {
-        self.code >= 400
-    }
-
     pub fn text(&self) -> String {
         self.lines.join("\n")
     }
@@ -571,14 +555,6 @@ mod tests {
             let line = c.to_line();
             assert_eq!(Command::parse(&line).unwrap(), c, "{line}");
         }
-    }
-
-    #[test]
-    fn reply_classes() {
-        assert!(Reply::new(150, "opening").is_positive_preliminary());
-        assert!(Reply::new(226, "done").is_positive());
-        assert!(Reply::new(334, "adat").is_intermediate());
-        assert!(Reply::new(550, "no such file").is_error());
     }
 
     #[test]

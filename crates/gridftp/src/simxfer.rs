@@ -214,11 +214,6 @@ impl GridFtpSim {
         self.cache.get(&(src, dst)).copied().unwrap_or(0)
     }
 
-    /// Drop all cached channels (e.g. after long idle / server restart).
-    pub fn flush_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Export the service counters into a metrics registry (a set, not an
     /// add — safe to call repeatedly).
     pub fn export_metrics(&self, reg: &mut esg_netlogger::MetricsRegistry) {

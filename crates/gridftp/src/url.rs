@@ -42,11 +42,6 @@ impl GridUrl {
         }
     }
 
-    pub fn with_port(mut self, port: u16) -> Self {
-        self.port = port;
-        self
-    }
-
     /// Parse `scheme://host[:port]/path`.
     pub fn parse(s: &str) -> Result<GridUrl, UrlError> {
         let (scheme, rest) = s
@@ -164,7 +159,10 @@ mod tests {
 
     #[test]
     fn builder() {
-        let u = GridUrl::new("anl.gov", "/cache/file.esg").with_port(3000);
+        let u = GridUrl {
+            port: 3000,
+            ..GridUrl::new("anl.gov", "/cache/file.esg")
+        };
         assert_eq!(u.to_string(), "gsiftp://anl.gov:3000/cache/file.esg");
     }
 

@@ -40,7 +40,7 @@ fn anonymous_login_and_feat() {
     let server = start(&root);
     let mut c = GridFtpClient::connect(server.addr()).unwrap();
     c.login_anonymous().unwrap();
-    let feats = c.features().unwrap();
+    let feats = c.raw_command(&esg_gridftp::Command::Feat).unwrap().lines;
     assert!(feats.iter().any(|f| f.contains("MODE E")));
     assert!(feats.iter().any(|f| f.contains("PARALLEL")));
     c.quit();

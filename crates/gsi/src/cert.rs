@@ -69,10 +69,6 @@ impl Certificate {
         v
     }
 
-    pub fn is_proxy(&self) -> bool {
-        self.proxy_depth.is_some()
-    }
-
     pub fn valid_at(&self, now: SecEpoch) -> bool {
         self.not_before <= now && now <= self.not_after
     }
@@ -306,7 +302,7 @@ mod tests {
         let ca = ca();
         let user = ca.issue("/O=Grid/CN=alice", 0, 3600);
         let proxy = user.delegate(10, 600, b"rm-session").unwrap();
-        assert!(proxy.cert.is_proxy());
+        assert!(proxy.cert.proxy_depth.is_some());
         assert_eq!(proxy.identity().0, "/O=Grid/CN=alice");
 
         let mut chain = vec![proxy.cert.clone()];

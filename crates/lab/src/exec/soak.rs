@@ -3,10 +3,7 @@
 //!
 //! Trace-parity warning: these reproduce the pre-migration soak bins
 //! *draw-for-draw*. The fault schedule is always fully drawn and only
-//! then filtered by `mode` (so the RNG stream is mode-independent), and
-//! the 300-second progress ticker is kept even though it only prints —
-//! it schedules kernel events, and removing it would renumber every
-//! subsequent event's (time, seq) ordering and shift the golden traces.
+//! then filtered by `mode` (so the RNG stream is mode-independent).
 
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
@@ -16,27 +13,10 @@ use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
 
 const FAULTS_DS: &str = "pcm_soak.b06";
 const INTG_DS: &str = "pcm_intg.b06";
 const INTG_FILE_SIZE: u64 = 8_000_000;
-
-/// Progress line so long runs show where sim time has got to; the ticker
-/// stops once every request has an outcome.
-fn progress(sim: &mut esg_core::EsgSim, total: usize) -> ControlFlow<()> {
-    let done = sim.world.outcomes.len();
-    eprintln!(
-        "  t={:>6.0}s  outcomes {done}/{total}  active flows {}  log events {}",
-        sim.now().as_secs_f64(),
-        sim.net.active_flow_count(),
-        sim.world.rm.log.len(),
-    );
-    if done >= total {
-        return ControlFlow::Break(());
-    }
-    ControlFlow::Continue(())
-}
 
 pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
@@ -102,16 +82,6 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
         });
     }
-
-    // The ticker's first line is at t = 300 s, then every 300 s.
-    let total = n_requests;
-    tb.sim.schedule_at(SimTime::from_secs(300), move |s| {
-        if progress(s, total).is_continue() {
-            s.every(SimDuration::from_secs(300), "lab.soak.progress", move |s| {
-                progress(s, total)
-            });
-        }
-    });
 
     let wall = std::time::Instant::now();
     tb.sim.run_until(SimTime::from_secs(3600));

@@ -13,6 +13,7 @@
 
 use crate::journal::TrialRecord;
 use crate::spec::{GateSpec, MetricRef};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Ordered by severity: `Error` outranks `Fail`, which outranks `Pass`.
@@ -96,40 +97,37 @@ fn eval_one(
 ) -> (GateStatus, String) {
     match gate {
         GateSpec::Equivalence { metric } => {
-            for group in groups(rows) {
-                let mut canon: Option<(String, &TrialRecord)> = None;
-                for r in &group {
-                    let Some(v) = r.metric(metric) else {
-                        return (
-                            GateStatus::Error,
-                            format!("{} missing metric '{metric}'", key_of(r)),
-                        );
-                    };
-                    let rendered = v.canon();
-                    match &canon {
-                        None => canon = Some((rendered, r)),
-                        Some((first, first_row)) if *first != rendered => {
-                            return (
-                                GateStatus::Fail,
-                                format!(
-                                    "equivalence trip: {} has {metric}={rendered} but {} has {first}",
-                                    key_of(r),
-                                    key_of(first_row)
-                                ),
-                            );
-                        }
-                        Some(_) => {}
+            // Each trial against the first trial of its group that has the
+            // metric.
+            let groups = groups(rows);
+            let trials = groups.iter().flat_map(|group| {
+                let canon = group
+                    .iter()
+                    .find_map(|r| Some((r.metric(metric)?.canon(), *r)));
+                group.iter().map(move |r| (canon.clone(), *r))
+            });
+            per_trial(
+                trials,
+                || format!("{metric} identical across variants"),
+                |(canon, r)| {
+                    let rendered = r.metric(metric).ok_or_else(|| missing(r, metric))?.canon();
+                    match canon {
+                        Some((first, first_row)) if first != rendered => Err((
+                            GateStatus::Fail,
+                            format!(
+                                "equivalence trip: {} has {metric}={rendered} but {} has {first}",
+                                key_of(r),
+                                key_of(first_row)
+                            ),
+                        )),
+                        _ => Ok(String::new()),
                     }
-                }
-            }
-            (
-                GateStatus::Pass,
-                format!("{metric} identical across variants"),
+                },
             )
         }
         GateSpec::MetricEq { a, b, variants } => per_trial(
             rows.iter().filter(|r| applies(variants, &r.key.variant)),
-            format!("{a} == {b} in every trial"),
+            || format!("{a} == {b} in every trial"),
             |r| {
                 let (Some(va), Some(vb)) = (r.value(a), r.value(b)) else {
                     let msg = format!("{} missing '{a}' or '{b}'", key_of(r));
@@ -140,7 +138,7 @@ fn eval_one(
         ),
         GateSpec::NonZero { metric, variants } => per_trial(
             rows.iter().filter(|r| applies(variants, &r.key.variant)),
-            format!("{metric} non-zero in every trial"),
+            || format!("{metric} non-zero in every trial"),
             |r| {
                 let v = r.value(metric).ok_or_else(|| missing(r, metric))?;
                 check(v != 0.0, || format!("{}: {metric} is zero", key_of(r)))
@@ -152,7 +150,7 @@ fn eval_one(
             variants,
         } => per_trial(
             rows.iter().filter(|r| applies(variants, &r.key.variant)),
-            format!("{metric} <= {max} in every trial"),
+            || format!("{metric} <= {max} in every trial"),
             |r| {
                 let v = r.value(metric).ok_or_else(|| missing(r, metric))?;
                 check(v <= *max, || {
@@ -170,7 +168,7 @@ fn eval_one(
             let Some(base) = baseline else {
                 return no_baseline();
             };
-            per_trial(rows.iter(), String::new(), |r| {
+            per_trial(rows.iter(), String::new, |r| {
                 let cur = r.value(metric).ok_or_else(|| {
                     (
                         GateStatus::Error,
@@ -198,7 +196,7 @@ fn eval_one(
             };
             per_trial(
                 rows.iter(),
-                format!("{metric} equal to the baseline in every trial"),
+                || format!("{metric} equal to the baseline in every trial"),
                 |r| {
                     let cur = r.metric(metric).ok_or_else(|| missing(r, metric))?.canon();
                     let b = baseline_row(base, r)
@@ -218,19 +216,19 @@ fn eval_one(
 /// pass detail (often empty), or the failure's status and message.
 type Verdict = Result<String, (GateStatus, String)>;
 
-/// Judge every trial in `rows` and report every failure, not just the
-/// first: the gate is `Error` if any trial erred, else `Fail` if any
-/// failed. A passing gate's detail is the trials' notes, or `pass` when
-/// none left one.
-fn per_trial<'r>(
-    rows: impl Iterator<Item = &'r TrialRecord>,
-    pass: String,
-    mut judge: impl FnMut(&TrialRecord) -> Verdict,
+/// Judge every trial (or group) in `items` and report every failure, not
+/// just the first: the gate is `Error` if any erred, else `Fail` if any
+/// failed. A passing gate's detail is the notes, or `pass()` when none
+/// left one.
+fn per_trial<T>(
+    items: impl IntoIterator<Item = T>,
+    pass: impl FnOnce() -> String,
+    mut judge: impl FnMut(T) -> Verdict,
 ) -> (GateStatus, String) {
     let mut status = GateStatus::Pass;
     let (mut failures, mut notes) = (Vec::new(), Vec::new());
-    for r in rows {
-        match judge(r) {
+    for item in items {
+        match judge(item) {
             Ok(note) if !note.is_empty() => notes.push(note),
             Ok(_) => {}
             Err((s, msg)) => {
@@ -240,7 +238,7 @@ fn per_trial<'r>(
         }
     }
     let detail = match status {
-        GateStatus::Pass if notes.is_empty() => pass,
+        GateStatus::Pass if notes.is_empty() => pass(),
         GateStatus::Pass => notes.join("; "),
         _ => failures.join("; "),
     };
@@ -288,37 +286,41 @@ fn eval_min_ratio(
     variants: &Option<Vec<String>>,
     rows: &[TrialRecord],
 ) -> (GateStatus, String) {
+    // The smallest ratio judged: the pass detail, read only when every
+    // ratio held.
+    let worst = Cell::new(f64::INFINITY);
     match (&numer.variant, &denom.variant) {
         // Within-trial ratio of two metrics.
-        (None, None) => {
-            let mut worst = f64::INFINITY;
-            for r in rows.iter().filter(|r| applies(variants, &r.key.variant)) {
+        (None, None) => per_trial(
+            rows.iter().filter(|r| applies(variants, &r.key.variant)),
+            || format!("ratio {:.2} >= {min}", worst.get()),
+            |r| {
                 let (Some(n), Some(d)) = (r.value(&numer.metric), r.value(&denom.metric)) else {
-                    return (
-                        GateStatus::Error,
-                        format!(
-                            "{} missing '{}' or '{}'",
-                            key_of(r),
-                            numer.metric,
-                            denom.metric
-                        ),
+                    let msg = format!(
+                        "{} missing '{}' or '{}'",
+                        key_of(r),
+                        numer.metric,
+                        denom.metric
                     );
+                    return Err((GateStatus::Error, msg));
                 };
                 let ratio = n / d.max(1e-12);
+                worst.set(worst.get().min(ratio));
                 if ratio < min {
-                    return (
+                    return Err((
                         GateStatus::Fail,
                         format!("{}: ratio {ratio:.3} below {min}", key_of(r)),
-                    );
+                    ));
                 }
-                worst = worst.min(ratio);
-            }
-            (GateStatus::Pass, format!("ratio {worst:.2} >= {min}"))
-        }
+                Ok(String::new())
+            },
+        ),
         // Cross-variant ratio within each (seed, rep) group.
-        (Some(nv), Some(dv)) => {
-            let mut worst = f64::INFINITY;
-            for group in groups(rows) {
+        (Some(nv), Some(dv)) => per_trial(
+            groups(rows),
+            || format!("{nv}/{dv} ratio {:.2} >= {min}", worst.get()),
+            |group| {
+                let (seed, rep) = (group[0].key.seed, group[0].key.rep);
                 let find = |variant: &str, metric: &str| {
                     group
                         .iter()
@@ -326,28 +328,23 @@ fn eval_min_ratio(
                         .and_then(|r| r.value(metric))
                 };
                 let (Some(n), Some(d)) = (find(nv, &numer.metric), find(dv, &denom.metric)) else {
-                    return (
-                        GateStatus::Error,
-                        format!(
-                            "group missing variant '{nv}'/'{dv}' or metric '{}'/'{}'",
-                            numer.metric, denom.metric
-                        ),
+                    let msg = format!(
+                        "seed={seed}/rep={rep} missing variant '{nv}'/'{dv}' or metric '{}'/'{}'",
+                        numer.metric, denom.metric
                     );
+                    return Err((GateStatus::Error, msg));
                 };
                 let ratio = n / d.max(1e-12);
+                worst.set(worst.get().min(ratio));
                 if ratio < min {
-                    return (
+                    return Err((
                         GateStatus::Fail,
-                        format!("{nv}/{dv} ratio {ratio:.3} below {min}"),
-                    );
+                        format!("seed={seed}/rep={rep}: {nv}/{dv} ratio {ratio:.3} below {min}"),
+                    ));
                 }
-                worst = worst.min(ratio);
-            }
-            (
-                GateStatus::Pass,
-                format!("{nv}/{dv} ratio {worst:.2} >= {min}"),
-            )
-        }
+                Ok(String::new())
+            },
+        ),
         _ => (
             GateStatus::Error,
             "min_ratio refs must both name a variant or neither".into(),
@@ -571,6 +568,79 @@ mod tests {
         );
         assert!(
             r.detail.contains("n10k/seed=17/rep=0: x is zero"),
+            "{}",
+            r.detail
+        );
+    }
+
+    #[test]
+    fn equivalence_and_min_ratio_name_every_failing_group() {
+        let num = MetricValue::Num;
+        let trial = |variant: &str, seed: u64, trace: &str, makespan: f64| {
+            let metrics = [("trace_sha256", sha(trace)), ("makespan_s", num(makespan))];
+            row(variant, seed, &metrics, 1.0)
+        };
+        // Both seeds trip the equivalence and leave legacy/scheduler under
+        // the floor; within each trial, makespan / wall_ms is under it too.
+        let rows = [
+            trial("scheduler", 17, "x", 700.0),
+            trial("legacy", 17, "y", 726.0),
+            trial("scheduler", 23, "z", 690.0),
+            trial("legacy", 23, "w", 726.0),
+        ];
+        let metric_ref = |metric: &str, variant: Option<&str>| MetricRef {
+            metric: metric.into(),
+            variant: variant.map(Into::into),
+        };
+        let gates = [
+            GateSpec::Equivalence {
+                metric: "trace_sha256".into(),
+            },
+            GateSpec::MinRatio {
+                numer: metric_ref("makespan_s", Some("legacy")),
+                denom: metric_ref("makespan_s", Some("scheduler")),
+                min: 1.3,
+                variants: None,
+            },
+            GateSpec::MinRatio {
+                numer: metric_ref("makespan_s", None),
+                denom: metric_ref("wall_ms", None),
+                min: 1000.0,
+                variants: Some(vec!["legacy".into()]),
+            },
+        ];
+        let report = evaluate(&gates, &rows, None);
+        let expect: [[&str; 2]; 3] = [
+            ["legacy/seed=17/rep=0 has", "legacy/seed=23/rep=0 has"],
+            [
+                "seed=17/rep=0: legacy/scheduler ratio 1.037",
+                "seed=23/rep=0: legacy/scheduler ratio 1.052",
+            ],
+            [
+                "legacy/seed=17/rep=0: ratio 726.000",
+                "legacy/seed=23/rep=0: ratio 726.000",
+            ],
+        ];
+        for (r, names) in report.results.iter().zip(expect) {
+            assert_eq!(r.status, GateStatus::Fail, "{}", r.label);
+            for name in names {
+                assert!(r.detail.contains(name), "{}: {}", r.label, r.detail);
+            }
+        }
+
+        // A group the gate cannot judge makes it an error, and the other
+        // group's trip is still reported.
+        let rows = [
+            row("scheduler", 17, &[], 1.0),
+            row("legacy", 17, &[("trace_sha256", sha("y"))], 1.0),
+            trial("scheduler", 23, "z", 690.0),
+            trial("legacy", 23, "w", 726.0),
+        ];
+        let r = &evaluate(&gates[..1], &rows, None).results[0];
+        assert_eq!(r.status, GateStatus::Error);
+        assert!(r.detail.contains("scheduler/seed=17/rep=0 missing metric"));
+        assert!(
+            r.detail.contains("legacy/seed=23/rep=0 has"),
             "{}",
             r.detail
         );

@@ -12,7 +12,7 @@
 //! Because the request manager's phase state machine tiles every live file
 //! with exactly one open phase span, a delivered file's phase durations sum
 //! to its makespan; [`Lifeline::is_complete`] checks that invariant span by
-//! span and [`Lifeline::tiling_gap`] reports the float residue.
+//! span and [`Lifeline::tiling_gap_s`] reports the float residue.
 
 use crate::event::{EventRef, LogEvent, NetLog, Text, Value};
 use crate::trace::Phase;

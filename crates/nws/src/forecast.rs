@@ -254,10 +254,6 @@ impl AdaptiveForecaster {
             .collect()
     }
 
-    pub fn observation_count(&self) -> u64 {
-        self.observations
-    }
-
     /// Prediction together with the winning method's RMS error — NWS
     /// reports forecast accuracy so consumers can weigh how much to trust
     /// a number. `None` until at least one method has been scored.
@@ -386,7 +382,6 @@ mod tests {
     fn adaptive_empty_history() {
         let f = AdaptiveForecaster::standard();
         assert_eq!(f.predict(), None);
-        assert_eq!(f.observation_count(), 0);
     }
 
     #[test]

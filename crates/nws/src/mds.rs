@@ -4,7 +4,7 @@
 //! (the Globus Metacomputing Directory Service) is itself an LDAP
 //! directory. This module publishes the registry's current forecasts into
 //! an [`esg_directory::Directory`] under `ou=NWS, o=Grid`, one entry per
-//! directed path, and reads them back.
+//! directed path, and reads a bandwidth forecast back.
 
 use crate::registry::NwsRegistry;
 use esg_directory::{Directory, Dn, Entry, Filter, Scope};
@@ -59,17 +59,6 @@ pub fn lookup_bandwidth(dir: &Directory, src_host: &str, dst_host: &str) -> Opti
     hits.first()?.first("bandwidthbytespersec")?.parse().ok()
 }
 
-/// Read a published latency forecast (seconds).
-pub fn lookup_latency(dir: &Directory, src_host: &str, dst_host: &str) -> Option<f64> {
-    let filter = Filter::And(vec![
-        Filter::eq("objectclass", "MdsNwsPath"),
-        Filter::eq("srchost", src_host),
-        Filter::eq("dsthost", dst_host),
-    ]);
-    let hits = dir.search(&nws_base(), Scope::OneLevel, &filter);
-    hits.first()?.first("latencyseconds")?.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +80,8 @@ mod tests {
         publish(&r, &[(a, b)], &names, &mut dir);
         let bw = lookup_bandwidth(&dir, "lbnl", "anl").unwrap();
         assert!((bw - 40e6).abs() < 1.0);
-        let lat = lookup_latency(&dir, "lbnl", "anl").unwrap();
+        let entry = dir.get(&nws_base().child("pair", "lbnl->anl")).unwrap();
+        let lat: f64 = entry.first("latencyseconds").unwrap().parse().unwrap();
         assert!((lat - 0.025).abs() < 1e-6);
     }
 
@@ -124,6 +114,5 @@ mod tests {
     fn missing_pair_lookup_is_none() {
         let dir = Directory::new();
         assert_eq!(lookup_bandwidth(&dir, "x", "y"), None);
-        assert_eq!(lookup_latency(&dir, "x", "y"), None);
     }
 }

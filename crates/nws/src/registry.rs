@@ -62,11 +62,6 @@ impl NwsRegistry {
             .get(&(src, dst))
             .map_or(&[], |s| s.history.as_slice())
     }
-
-    /// Number of paths with at least one measurement.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
 }
 
 /// World-access trait so sensors can run inside any simulation world.
@@ -178,7 +173,6 @@ mod tests {
         let f = r.forecast_bandwidth(a, b).unwrap();
         assert!((f - 50e6).abs() < 1.0);
         assert_eq!(r.history(a, b).len(), 10);
-        assert_eq!(r.path_count(), 1);
     }
 
     #[test]

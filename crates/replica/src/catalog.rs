@@ -71,7 +71,7 @@ pub struct Replica {
 /// [`ReplicaCatalog::lookup_replicas`] costs O(locations of the collection)
 /// instead of a scan over every `lf=` sibling and every location's
 /// `filename` list. Every mutator below that writes a location entry
-/// updates it; [`ReplicaCatalog::from_ldif`] rebuilds it.
+/// updates it; the tests' `from_ldif` rebuilds it from an LDIF dump.
 #[derive(Debug)]
 pub struct ReplicaCatalog {
     dir: Directory,
@@ -180,64 +180,6 @@ fn location_key(name: &str) -> String {
     sibling_key(&Rdn::new("loc", name))
 }
 
-/// Whether `Directory::get` treats two RDN paths as the same entry.
-fn same_entry(a: &[Rdn], b: &[Rdn]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.attr == y.attr && x.value.eq_ignore_ascii_case(&y.value))
-}
-
-/// Derive the lookup index from a directory: every `lc=` child of the
-/// catalog base is a collection, every location-class child of one is
-/// indexed if a one-level search from its collection could return it, and
-/// every `lf=` child's digest is indexed as `Directory::get` finds it.
-fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
-    let base = &rc_base().rdns;
-    let mut index: HashMap<String, CollectionIndex> = HashMap::new();
-    // Tree order: a collection entry precedes its children.
-    for e in dir.iter() {
-        let rdns = e.dn.rdns.as_slice();
-        match rdns {
-            [lc, rest @ ..] if lc.attr == "lc" && same_entry(rest, base) => {
-                let files_backed = e
-                    .values("filename")
-                    .iter()
-                    .all(|f| dir.get(&ReplicaCatalog::file_dn(&lc.value, f)).is_some());
-                index.insert(
-                    dir_key(&lc.value).into_owned(),
-                    CollectionIndex::empty(files_backed),
-                );
-            }
-            [leaf, lc, rest @ ..]
-                if lc.attr == "lc"
-                    && rest == base.as_slice()
-                    && e.values("objectclass").iter().any(|c| c == LOCATION_CLASS) =>
-            {
-                if let Some(col) = index.get_mut(dir_key(&lc.value).as_ref()) {
-                    col.locations.insert(
-                        sibling_key(leaf),
-                        IndexedLocation::new(&lc.value, &leaf.value, e),
-                    );
-                }
-            }
-            _ => {}
-        }
-        if let [lf, lc, rest @ ..] = rdns {
-            if lf.attr == "lf" && lc.attr == "lc" && same_entry(rest, base) {
-                if let (Some(col), Some(digest)) = (
-                    index.get_mut(dir_key(&lc.value).as_ref()),
-                    e.first("digest"),
-                ) {
-                    col.digests
-                        .insert(dir_key(&lf.value).into_owned(), digest.to_string());
-                }
-            }
-        }
-    }
-    index
-}
-
 impl Default for ReplicaCatalog {
     fn default() -> Self {
         Self::new()
@@ -269,6 +211,7 @@ impl ReplicaCatalog {
     }
 
     /// Rebuild a catalog from an LDIF dump.
+    #[cfg(test)]
     pub fn from_ldif(text: &str) -> Result<ReplicaCatalog, CatalogError> {
         let mut dir = Directory::new();
         esg_directory::ldif_load(&mut dir, text)
@@ -539,21 +482,6 @@ impl ReplicaCatalog {
         Ok(removed)
     }
 
-    /// Delete a location entirely.
-    pub fn unregister_location(
-        &mut self,
-        collection: &str,
-        location: &str,
-    ) -> Result<(), CatalogError> {
-        self.dir
-            .delete(&Self::location_dn(collection, location))
-            .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
-        if let Some(col) = self.index.get_mut(dir_key(collection).as_ref()) {
-            col.locations.remove(&location_key(location));
-        }
-        Ok(())
-    }
-
     /// Locations (names) registered for a collection.
     pub fn locations(&self, collection: &str) -> Result<Vec<String>, CatalogError> {
         let cdn = Self::collection_dn(collection);
@@ -618,6 +546,66 @@ impl ReplicaCatalog {
                 .filter(move |loc| loc.collection == collection && loc.files.contains(file)),
         )
     }
+}
+
+/// Whether `Directory::get` treats two RDN paths as the same entry.
+#[cfg(test)]
+fn same_entry(a: &[Rdn], b: &[Rdn]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.attr == y.attr && x.value.eq_ignore_ascii_case(&y.value))
+}
+
+/// Derive the lookup index from a directory: every `lc=` child of the
+/// catalog base is a collection, every location-class child of one is
+/// indexed if a one-level search from its collection could return it, and
+/// every `lf=` child's digest is indexed as `Directory::get` finds it.
+#[cfg(test)]
+fn build_index(dir: &Directory) -> HashMap<String, CollectionIndex> {
+    let base = &rc_base().rdns;
+    let mut index: HashMap<String, CollectionIndex> = HashMap::new();
+    // Tree order: a collection entry precedes its children.
+    for e in dir.iter() {
+        let rdns = e.dn.rdns.as_slice();
+        match rdns {
+            [lc, rest @ ..] if lc.attr == "lc" && same_entry(rest, base) => {
+                let files_backed = e
+                    .values("filename")
+                    .iter()
+                    .all(|f| dir.get(&ReplicaCatalog::file_dn(&lc.value, f)).is_some());
+                index.insert(
+                    dir_key(&lc.value).into_owned(),
+                    CollectionIndex::empty(files_backed),
+                );
+            }
+            [leaf, lc, rest @ ..]
+                if lc.attr == "lc"
+                    && rest == base.as_slice()
+                    && e.values("objectclass").iter().any(|c| c == LOCATION_CLASS) =>
+            {
+                if let Some(col) = index.get_mut(dir_key(&lc.value).as_ref()) {
+                    col.locations.insert(
+                        sibling_key(leaf),
+                        IndexedLocation::new(&lc.value, &leaf.value, e),
+                    );
+                }
+            }
+            _ => {}
+        }
+        if let [lf, lc, rest @ ..] = rdns {
+            if lf.attr == "lf" && lc.attr == "lc" && same_entry(rest, base) {
+                if let (Some(col), Some(digest)) = (
+                    index.get_mut(dir_key(&lc.value).as_ref()),
+                    e.first("digest"),
+                ) {
+                    col.digests
+                        .insert(dir_key(&lf.value).into_owned(), digest.to_string());
+                }
+            }
+        }
+    }
+    index
 }
 
 #[cfg(test)]
@@ -762,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn removal_and_unregister() {
+    fn removal() {
         let mut rc = figure6();
         assert!(rc
             .remove_file_from_location("CO2 measurements 1998", "jupiter", "jan_1998.nc")
@@ -774,12 +762,6 @@ mod tests {
             .lookup_replicas("CO2 measurements 1998", "jan_1998.nc")
             .unwrap();
         assert_eq!(reps.len(), 1);
-        rc.unregister_location("CO2 measurements 1998", "jupiter")
-            .unwrap();
-        assert_eq!(rc.locations("CO2 measurements 1998").unwrap().len(), 1);
-        assert!(rc
-            .unregister_location("CO2 measurements 1998", "jupiter")
-            .is_err());
     }
 
     #[test]

@@ -176,11 +176,8 @@ proptest! {
                 3 => {
                     let _ = rc.add_file_to_location(coll, loc, file);
                 }
-                4 => {
+                4 | 5 => {
                     let _ = rc.remove_file_from_location(coll, loc, file);
-                }
-                5 => {
-                    let _ = rc.unregister_location(coll, loc);
                 }
                 6 | 7 => {
                     let _ = rc.set_host_suspect(coll, host, kind == 6);

@@ -20,7 +20,7 @@
 //! the id, and one that finds its campaign completed or cancelled returns.
 
 use crate::checkpoint::{self, complete_line, header_line, resume_line, spec_sha, Progress};
-use crate::manager::{cancel_request, submit_request_for_tenant, RequestOutcome, RmWorld};
+use crate::manager::{submit_request_for_tenant, RequestOutcome, RmWorld};
 use esg_gridftp::GridUrl;
 use esg_netlogger::{FlightRecorder, Journal, LogEvent, MetricsRegistry, Phase, SpanId, TraceCtx};
 use esg_simnet::{profile, Completion, NodeId, Sim, SimDuration, SimTime};
@@ -283,38 +283,6 @@ pub fn start_campaign<W: RmWorld>(
     }
     id
 }
-/// Cancel a live campaign: tears down the in-flight round (transfers,
-/// ledger entries, breaker probe slots), closes the campaign span and
-/// removes the campaign without firing its callback. The checkpoint keeps
-/// every settled fact, so a later [`start_campaign`] with the same spec
-/// resumes where the cancel left off. Returns `false` for unknown ids.
-pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
-    let Some(camp) = sim.world.reqman().campaigns.remove(&id) else {
-        return false;
-    };
-    if let Some(req) = camp.current_request {
-        cancel_request(sim, req);
-    }
-    let now = sim.now();
-    let ctx = TraceCtx::system();
-    let rm = sim.world.reqman();
-    rm.metrics.counter_add("rm.campaign.cancelled", 1);
-    rm.log.span_end(
-        &ctx,
-        now,
-        camp.span,
-        Phase::Campaign,
-        [("campaign", id.into()), ("status", "cancelled".into())],
-    );
-    rm.log.emit(
-        &ctx,
-        LogEvent::new(now, "rm.campaign.cancel")
-            .field("campaign", id)
-            .field("name", camp.spec.name),
-    );
-    true
-}
-
 fn launch_round<W: RmWorld>(sim: &mut Sim<W>, id: u64) {
     let now = sim.now();
     let rm = sim.world.reqman();
@@ -508,6 +476,39 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
 }
 
 // ---------------------------------------------------------------------------
+
+/// Cancel a live campaign: tears down the in-flight round (transfers,
+/// ledger entries, breaker probe slots), closes the campaign span and
+/// removes the campaign without firing its callback. The checkpoint keeps
+/// every settled fact, so a later [`start_campaign`] with the same spec
+/// resumes where the cancel left off. Returns `false` for unknown ids.
+#[cfg(test)]
+pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
+    let Some(camp) = sim.world.reqman().campaigns.remove(&id) else {
+        return false;
+    };
+    if let Some(req) = camp.current_request {
+        crate::manager::cancel_request(sim, req);
+    }
+    let now = sim.now();
+    let ctx = TraceCtx::system();
+    let rm = sim.world.reqman();
+    rm.metrics.counter_add("rm.campaign.cancelled", 1);
+    rm.log.span_end(
+        &ctx,
+        now,
+        camp.span,
+        Phase::Campaign,
+        [("campaign", id.into()), ("status", "cancelled".into())],
+    );
+    rm.log.emit(
+        &ctx,
+        LogEvent::new(now, "rm.campaign.cancel")
+            .field("campaign", id)
+            .field("name", camp.spec.name),
+    );
+    true
+}
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@
 //! `(key, transfer, block)` — with later segments overwriting earlier ones
 //! (last-writer-wins), exactly as overlapping writes to a local file would.
 //!
-//! [`verify`] is the request manager's side of it: it replays a file's
+//! `verify` is the request manager's side of it: it replays a file's
 //! segments against the catalog, charges mismatches to the serving hosts
 //! and quarantines the repeat offenders; the file's lifecycle decides
 //! between completion, repair and re-fetch.
@@ -206,6 +206,7 @@ impl IntegrityManager {
         *c
     }
 
+    #[cfg(test)]
     pub fn incident_count(&self, collection: &str, host: &str) -> u32 {
         self.incidents
             .get(&(collection.to_string(), host.to_string()))
@@ -227,6 +228,7 @@ impl IntegrityManager {
         true
     }
 
+    #[cfg(test)]
     pub fn is_quarantined(&self, collection: &str, host: &str) -> bool {
         self.quarantined
             .contains(&(collection.to_string(), host.to_string()))

@@ -35,11 +35,11 @@ pub mod planner;
 pub mod reliability;
 pub mod scheduler;
 
-pub use campaign::{cancel_campaign, start_campaign, CampaignOutcome, CampaignSpec};
+pub use campaign::{start_campaign, CampaignOutcome, CampaignSpec};
 pub use integrity::{verify_blocks, IntegrityManager, SegRecord, SegmentView, VerifyReport};
 pub use manager::{
-    cancel_request, submit_request, submit_request_for_tenant, FileStatus, HasReqMan,
-    RequestManager, RequestOutcome, RmWorld, TransferTuning,
+    submit_request, submit_request_for_tenant, FileStatus, HasReqMan, RequestManager,
+    RequestOutcome, RmWorld, TransferTuning,
 };
 pub use monitor::render_monitor;
 pub use planner::plan_spread;

@@ -119,7 +119,8 @@ pub(crate) enum Event {
     /// The verification's answer.
     Verified(Verdict),
     /// The file leaves its request this way (`cancel_request` settles
-    /// `Cancelled`).
+    /// `Cancelled`; cancellation is test-only).
+    #[cfg(test)]
     Settle(Settled),
 }
 
@@ -313,6 +314,7 @@ impl FileLife {
             }
             Event::Poll(poll) => self.poll(poll, now, rules, fx),
             Event::Verified(verdict) => self.verified(verdict, now, rules, fx),
+            #[cfg(test)]
             Event::Settle(how) => self.settle(how, fx),
         }
     }

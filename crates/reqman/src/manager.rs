@@ -38,7 +38,7 @@ pub use crate::lifecycle::FileStatus;
 use crate::lifecycle::{
     Choice, Effect, Event, FileLife, Poll, PullKind, Rules, Selection, Settled,
 };
-use crate::reliability::{BreakerState, BreakerTransition, CircuitBreaker, RetryPolicy};
+use crate::reliability::{BreakerTransition, CircuitBreaker, RetryPolicy};
 pub use crate::scheduler::TransferTuning;
 use crate::scheduler::{
     bdp_tuning, order_queue, HostLedger, SchedStats, SchedulerConfig, Tenancy, TenantTable,
@@ -336,7 +336,8 @@ impl RequestManager {
     }
 
     /// Current breaker state for a host, if one has been created.
-    pub fn breaker_state(&self, host: &str) -> Option<BreakerState> {
+    #[cfg(test)]
+    pub fn breaker_state(&self, host: &str) -> Option<crate::reliability::BreakerState> {
         self.breakers.get(host).map(|b| b.state())
     }
 
@@ -753,36 +754,6 @@ fn finish_request<W: RmWorld>(sim: &mut Sim<W>, req: RequestState) {
         total_bytes: req.total_size,
     };
     req.on_complete.call(sim, outcome);
-}
-
-/// Cancel a live request: every unsettled file is settled as cancelled and
-/// the request is removed without firing its completion callback. Returns
-/// `false` when the id is not live.
-///
-/// Whatever is still scheduled for the request — its RPC, a backoff or
-/// deferral wake, a staged start, a monitor tick — finds it gone and returns.
-pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
-    let Some(n_files) = sim.world.reqman().requests.get(&id).map(|r| r.files.len()) else {
-        return false;
-    };
-    for idx in 0..n_files {
-        drive(
-            sim,
-            FileId { request: id, idx },
-            Event::Settle(Settled::Cancelled),
-        );
-    }
-    let now = sim.now();
-    let rm = sim.world.reqman();
-    if let Some(req) = rm.requests.remove(&id) {
-        rm.tenancy.retire(&req.tenant);
-    }
-    rm.metrics.counter_add("rm.requests.cancelled", 1);
-    rm.log.emit(
-        &TraceCtx::request(id),
-        LogEvent::new(now, "rm.request.cancel"),
-    );
-    true
 }
 
 /// The driver: step file `f` with `ev`, apply the effects in order, and
@@ -1222,9 +1193,41 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
     ControlFlow::Continue(())
 }
 
+/// Cancel a live request: every unsettled file is settled as cancelled and
+/// the request is removed without firing its completion callback. Returns
+/// `false` when the id is not live.
+///
+/// Whatever is still scheduled for the request — its RPC, a backoff or
+/// deferral wake, a staged start, a monitor tick — finds it gone and returns.
+#[cfg(test)]
+pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
+    let Some(n_files) = sim.world.reqman().requests.get(&id).map(|r| r.files.len()) else {
+        return false;
+    };
+    for idx in 0..n_files {
+        drive(
+            sim,
+            FileId { request: id, idx },
+            Event::Settle(Settled::Cancelled),
+        );
+    }
+    let now = sim.now();
+    let rm = sim.world.reqman();
+    if let Some(req) = rm.requests.remove(&id) {
+        rm.tenancy.retire(&req.tenant);
+    }
+    rm.metrics.counter_add("rm.requests.cancelled", 1);
+    rm.log.emit(
+        &TraceCtx::request(id),
+        LogEvent::new(now, "rm.request.cancel"),
+    );
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliability::BreakerState;
     use crate::scheduler::AdmissionPolicy;
     use esg_gridftp::simxfer::{GridFtpSim, TransferError};
     use esg_gridftp::GridUrl;

@@ -1,6 +1,6 @@
 //! The pipelined transfer scheduler.
 //!
-//! The paper's Request Manager "plan[s] concurrent file transfers to
+//! The paper's Request Manager "plan\[s\] concurrent file transfers to
 //! maximize the number of different sites from which files are obtained"
 //! (§4), negotiates TCP buffers per path, and leans on HRM to stage tape
 //! files ahead of the WAN transfer. The seed RM fired every file worker

@@ -856,8 +856,8 @@ impl FlowNet {
     }
 
     /// Integrate progress up to `t` using the current allocation. Flows
-    /// that finish are marked `Done` and queued for
-    /// [`FlowNet::take_completed`]. Cost is O(log n) per *discontinuity*
+    /// that finish are marked `Done` and queued for the kernel's drain
+    /// (`swap_completed`). Cost is O(log n) per *discontinuity*
     /// (completion or ramp boundary) in `(last_advance, t]`, not O(flows):
     /// clean flows simply keep their anchor and rate. Every discontinuity
     /// due at one instant is applied first and the instant then makes one
@@ -1030,12 +1030,8 @@ impl FlowNet {
         self.part_scratch = parts;
     }
 
-    /// Drain the set of flows that completed during past advances.
-    pub fn take_completed(&mut self) -> Vec<FlowId> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// [`FlowNet::take_completed`] by swapping buffers: nothing reallocates.
+    /// Drain the set of flows that completed during past advances by
+    /// swapping buffers: nothing reallocates.
     pub(crate) fn swap_completed(&mut self, out: &mut Vec<FlowId>) {
         out.clear();
         std::mem::swap(&mut self.completed, out);
@@ -1374,6 +1370,53 @@ mod tests {
         FlowSpec::new(a, b, size).window(1e12).memory_to_memory()
     }
 
+    /// A star of sites around a core router, each site one host on its own
+    /// link. Returns (core, site hosts).
+    fn star_sites(
+        topo: &mut Topology,
+        site_names: &[&str],
+        site_capacity: f64,
+        site_latency: &[SimDuration],
+    ) -> (NodeId, Vec<NodeId>) {
+        assert_eq!(site_names.len(), site_latency.len());
+        let core = topo.add_node(Node::router("core"));
+        let mut hosts = Vec::new();
+        for (name, &lat) in site_names.iter().zip(site_latency) {
+            let h = topo.add_node(Node::host(*name));
+            topo.add_link(h, core, site_capacity, lat);
+            hosts.push(h);
+        }
+        (core, hosts)
+    }
+
+    #[test]
+    fn star_latencies_differ() {
+        let mut topo = Topology::new();
+        let (_, hosts) = star_sites(
+            &mut topo,
+            &["lbnl", "anl", "isi"],
+            1e9,
+            &[
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(20),
+                SimDuration::from_millis(40),
+            ],
+        );
+        let mut net = FlowNet::new(topo);
+        let rtt01 = net.path_rtt(hosts[0], hosts[1]).unwrap();
+        let rtt02 = net.path_rtt(hosts[0], hosts[2]).unwrap();
+        assert_eq!(rtt01, SimDuration::from_millis(50));
+        assert_eq!(rtt02, SimDuration::from_millis(90));
+        // Can actually move data.
+        let f = net
+            .start_flow(
+                SimTime::ZERO,
+                FlowSpec::new(hosts[0], hosts[1], f64::INFINITY).window(1e12),
+            )
+            .unwrap();
+        assert!(net.flow_rate(f) > 0.0);
+    }
+
     #[test]
     fn single_flow_completes_at_line_rate() {
         let (mut net, a, b) = dumbbell(100e6, 0);
@@ -1385,7 +1428,7 @@ mod tests {
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-6, "{t}");
         net.advance_to(t);
         assert_eq!(net.flow_state(id), Some(FlowState::Done));
-        assert_eq!(net.take_completed(), vec![id]);
+        assert_eq!(std::mem::take(&mut net.completed), vec![id]);
     }
 
     #[test]
@@ -1797,8 +1840,7 @@ mod tests {
         // Every resource is finite, as on the paper's testbed hosts.
         let mut t = Topology::new();
         let lat = [5u64, 10, 15, 20, 25].map(SimDuration::from_millis);
-        let (_, hosts) =
-            crate::builders::star_sites(&mut t, &["dst", "s0", "s1", "s2", "s3"], 100e6, &lat);
+        let (_, hosts) = star_sites(&mut t, &["dst", "s0", "s1", "s2", "s3"], 100e6, &lat);
         for &h in &hosts {
             let n = t.node_mut(h);
             n.nic_rate = 125e6;
@@ -1824,7 +1866,7 @@ mod tests {
         let dirty_res = net.flow(id).res.len();
         assert!(dirty_res >= 4, "{dirty_res}");
         net.advance_to(at);
-        assert_eq!(net.take_completed(), vec![FlowId(id)]);
+        assert_eq!(std::mem::take(&mut net.completed), vec![FlowId(id)]);
         assert!(!net.seeds.is_empty() && net.seeds.len() <= dirty_res);
         // What seeding every member of every dirty resource solves.
         let after = net.alloc_stats();
@@ -2232,7 +2274,7 @@ mod tests {
         let base = net.alloc_stats();
         let at = net.next_event_time();
         net.advance_to(at);
-        assert_eq!(net.take_completed(), cohort);
+        assert_eq!(std::mem::take(&mut net.completed), cohort);
         let after = net.alloc_stats();
         assert_eq!(after.recompute_passes, base.recompute_passes + 1);
         assert_eq!(after.components_solved, base.components_solved + 1);
@@ -2387,7 +2429,7 @@ mod tests {
                 batched.advance_to(now);
                 reference.advance_to_per_event(now);
                 let done = |net: &mut FlowNet| -> Vec<(FlowId, SimTime)> {
-                    let ids = net.take_completed();
+                    let ids = std::mem::take(&mut net.completed);
                     ids.iter().map(|&f| (f, net.flow(f.0).anchor)).collect()
                 };
                 let (got, want) = (done(&mut batched), done(&mut reference));

@@ -24,7 +24,6 @@
 //!   type-erased callback a service stores for its caller.
 //! * [`failure`] — fault injection (link/node outages, degradation, DNS).
 //! * [`background`] — seeded on/off cross-traffic generation.
-//! * [`builders`] — dumbbell/star topology construction helpers.
 //!
 //! ## Example
 //!
@@ -47,7 +46,6 @@
 
 pub mod allocation;
 pub mod background;
-pub mod builders;
 pub(crate) mod eventindex;
 pub mod failure;
 pub mod flownet;
@@ -66,12 +64,11 @@ pub use time::{SimDuration, SimTime};
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::background::{start_background, BackgroundTraffic};
-    pub use crate::builders::{dumbbell, star_sites, Dumbbell, DumbbellParams};
     pub use crate::failure::{inject, inject_all, Fault, FaultKind};
     pub use crate::flownet::{AllocStats, FlowError, FlowId, FlowNet, FlowSpec, FlowState};
     pub use crate::kernel::Sim;
     pub use crate::network::{CpuModel, Dir, Link, LinkId, Node, NodeId, NodeKind, Topology};
     pub use crate::profile::ProfileReport;
-    pub use crate::tcp::{bandwidth_delay_product, TcpParams, MSS, MSS_JUMBO};
+    pub use crate::tcp::{TcpParams, MSS, MSS_JUMBO};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -75,12 +75,6 @@ impl TcpParams {
     }
 }
 
-/// The paper's §7 buffer-sizing rule of thumb, translated to bytes:
-/// `bandwidth (bytes/s) * latency (s)` — the bandwidth-delay product.
-pub fn bandwidth_delay_product(bandwidth_bytes_per_sec: f64, rtt: SimDuration) -> f64 {
-    bandwidth_bytes_per_sec * rtt.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,12 +109,5 @@ mod tests {
         assert_eq!(p.rate_cap(), p.window_limit().min(p.loss_limit()));
         assert!(p.rate_cap() <= p.window_limit());
         assert!(p.rate_cap() <= p.loss_limit());
-    }
-
-    #[test]
-    fn bdp_matches_paper_example() {
-        // Paper example: ~500 Mb/s * 16 ms ≈ 1 MB.
-        let bdp = bandwidth_delay_product(500e6 / 8.0, SimDuration::from_millis(16));
-        assert!((bdp - 1e6).abs() < 5e4, "got {bdp}");
     }
 }

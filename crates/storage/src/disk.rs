@@ -1,17 +1,12 @@
 //! Disk subsystem models.
 //!
 //! "We used multiple disks with software RAID to ensure that disk was not
-//! the bottleneck" (§7). The model is deliberately simple: positioning
-//! latency plus streaming at a fixed rate, with RAID-0 striping multiplying
-//! the streaming rate.
-
-use esg_simnet::SimDuration;
+//! the bottleneck" (§7). The model is deliberately simple: streaming at a
+//! fixed rate, with RAID-0 striping multiplying it.
 
 /// A single spindle, year-2000 class by default.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
-    /// Average positioning (seek + rotational) latency per access.
-    pub position: SimDuration,
     /// Sequential read bandwidth, bytes/sec.
     pub read_rate: f64,
     /// Sequential write bandwidth, bytes/sec.
@@ -19,23 +14,12 @@ pub struct DiskModel {
 }
 
 impl DiskModel {
-    /// A ~2000-era SCSI disk: 8 ms positioning, ~25 MB/s streaming.
+    /// A ~2000-era SCSI disk: ~25 MB/s streaming.
     pub fn year2000_scsi() -> Self {
         DiskModel {
-            position: SimDuration::from_millis(8),
             read_rate: 25e6,
             write_rate: 20e6,
         }
-    }
-
-    /// Time to read `bytes` sequentially.
-    pub fn read_time(&self, bytes: f64) -> SimDuration {
-        self.position + SimDuration::from_secs_f64(bytes / self.read_rate)
-    }
-
-    /// Time to write `bytes` sequentially.
-    pub fn write_time(&self, bytes: f64) -> SimDuration {
-        self.position + SimDuration::from_secs_f64(bytes / self.write_rate)
     }
 }
 
@@ -74,26 +58,11 @@ impl RaidArray {
             RaidLevel::Raid1 => self.disk.write_rate, // every mirror writes everything
         }
     }
-
-    pub fn read_time(&self, bytes: f64) -> SimDuration {
-        self.disk.position + SimDuration::from_secs_f64(bytes / self.read_rate())
-    }
-
-    pub fn write_time(&self, bytes: f64) -> SimDuration {
-        self.disk.position + SimDuration::from_secs_f64(bytes / self.write_rate())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_disk_read_time() {
-        let d = DiskModel::year2000_scsi();
-        let t = d.read_time(25e6); // 1 second of streaming + 8 ms position
-        assert!((t.as_secs_f64() - 1.008).abs() < 1e-9);
-    }
 
     #[test]
     fn raid0_scales_both_ways() {
@@ -114,12 +83,5 @@ mod tests {
         // The paper's point: enough spindles to beat the NIC (125 MB/s).
         let arr = RaidArray::new(DiskModel::year2000_scsi(), 6, RaidLevel::Raid0);
         assert!(arr.read_rate() > 125e6);
-    }
-
-    #[test]
-    fn zero_bytes_costs_position_only() {
-        let d = DiskModel::year2000_scsi();
-        assert_eq!(d.read_time(0.0), d.position);
-        assert_eq!(d.write_time(0.0), d.position);
     }
 }

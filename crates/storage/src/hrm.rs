@@ -110,12 +110,6 @@ impl Hrm {
 
     /// Enable deterministic silent tape read errors: roughly one in
     /// `denom` cold stages corrupts one block of the staged file.
-    pub fn with_tape_errors(mut self, denom: u64, seed: u64) -> Self {
-        self.enable_tape_errors(denom, seed);
-        self
-    }
-
-    /// See [`Hrm::with_tape_errors`].
     pub fn enable_tape_errors(&mut self, denom: u64, seed: u64) {
         self.tape_error_denom = denom;
         self.tape_error_seed = seed;
@@ -341,7 +335,8 @@ mod tests {
     #[test]
     fn tape_errors_silently_corrupt_one_block_per_bad_stage() {
         // denom=1: every cold stage suffers a read error.
-        let mut h = hrm().with_tape_errors(1, 99);
+        let mut h = hrm();
+        h.enable_tape_errors(1, 99);
         let out = h.request_file("jan.nc", SimTime::ZERO).unwrap();
         let StageOutcome::Staged { ready, .. } = out else {
             panic!("expected stage");
@@ -349,8 +344,8 @@ mod tests {
         let bad = h.store.corrupt_blocks("jan.nc");
         assert_eq!(bad.len(), 1, "exactly one block corrupted per bad stage");
         // The corruption is not visible before the stage lands.
-        assert_eq!(h.store.flip_at("jan.nc", bad[0], SimTime::ZERO), None);
-        assert!(h.store.flip_at("jan.nc", bad[0], ready).is_some());
+        assert!(h.store.flips_at("jan.nc", SimTime::ZERO).is_empty());
+        assert_eq!(h.store.flips_at("jan.nc", ready).len(), 1);
         // A warm hit does not touch the store.
         h.request_file("jan.nc", SimTime::from_secs(500)).unwrap();
         assert_eq!(h.store.corrupt_blocks("jan.nc"), bad);
@@ -360,7 +355,8 @@ mod tests {
 
     #[test]
     fn restage_scrubs_previous_corruption() {
-        let mut h = hrm().with_tape_errors(1, 99);
+        let mut h = hrm();
+        h.enable_tape_errors(1, 99);
         h.request_file("jan.nc", SimTime::ZERO).unwrap();
         assert!(!h.store.is_clean());
         // Evict the bad copy and disable errors: the fresh stage reads

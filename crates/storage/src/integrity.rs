@@ -25,12 +25,6 @@ pub fn block_count(size: u64) -> u64 {
     size.div_ceil(BLOCK_SIZE)
 }
 
-/// Byte span `[start, end)` of block `idx` within a file of `size` bytes.
-pub fn block_span(size: u64, idx: u64) -> (u64, u64) {
-    let start = idx * BLOCK_SIZE;
-    (start, (start + BLOCK_SIZE).min(size))
-}
-
 /// Indices of the blocks overlapping the byte range `[start, end)`.
 pub fn blocks_overlapping(start: u64, end: u64) -> std::ops::Range<u64> {
     if start >= end {
@@ -122,16 +116,6 @@ impl ObjectStore {
             .or_insert((nonce, at));
     }
 
-    /// Nonce of the corruption affecting `block` of `key`, if it landed at
-    /// or before `by`.
-    pub fn flip_at(&self, key: &str, block: u64, by: SimTime) -> Option<u64> {
-        self.flips
-            .get(key)?
-            .get(&block)
-            .filter(|&&(_, at)| at <= by)
-            .map(|&(nonce, _)| nonce)
-    }
-
     /// All corruptions of `key` landed at or before `by`, as sorted
     /// `(block, nonce)` pairs.
     pub fn flips_at(&self, key: &str, by: SimTime) -> Vec<(u64, u64)> {
@@ -188,11 +172,6 @@ mod tests {
         assert_eq!(block_count(1), 1);
         assert_eq!(block_count(BLOCK_SIZE), 1);
         assert_eq!(block_count(BLOCK_SIZE + 1), 2);
-        assert_eq!(
-            block_span(3 * BLOCK_SIZE + 7, 3),
-            (3 * BLOCK_SIZE, 3 * BLOCK_SIZE + 7)
-        );
-        assert_eq!(block_span(3 * BLOCK_SIZE, 1), (BLOCK_SIZE, 2 * BLOCK_SIZE));
         assert_eq!(blocks_overlapping(0, 0), 0..0);
         assert_eq!(blocks_overlapping(0, 1), 0..1);
         assert_eq!(blocks_overlapping(BLOCK_SIZE - 1, BLOCK_SIZE + 1), 0..2);
@@ -238,14 +217,13 @@ mod tests {
         let mut s = ObjectStore::new();
         let t5 = SimTime::from_secs(5);
         s.flip("f", 3, 42, t5);
-        assert_eq!(s.flip_at("f", 3, SimTime::from_secs(4)), None);
-        assert_eq!(s.flip_at("f", 3, t5), Some(42));
-        assert_eq!(s.flip_at("f", 3, SimTime::from_secs(9)), Some(42));
-        assert_eq!(s.flip_at("f", 0, SimTime::from_secs(9)), None);
-        assert_eq!(s.flip_at("g", 3, SimTime::from_secs(9)), None);
+        assert!(s.flips_at("f", SimTime::from_secs(4)).is_empty());
+        assert_eq!(s.flips_at("f", t5), vec![(3, 42)]);
+        assert_eq!(s.flips_at("f", SimTime::from_secs(9)), vec![(3, 42)]);
+        assert!(s.flips_at("g", SimTime::from_secs(9)).is_empty());
         // First flip wins.
         s.flip("f", 3, 77, SimTime::from_secs(1));
-        assert_eq!(s.flip_at("f", 3, SimTime::from_secs(9)), Some(42));
+        assert_eq!(s.flips_at("f", SimTime::from_secs(9)), vec![(3, 42)]);
         s.flip("f", 1, 7, SimTime::from_secs(6));
         assert_eq!(
             s.flips_at("f", SimTime::from_secs(9)),

@@ -4,7 +4,7 @@
 //! software RAID, per-site disk caches, and HPSS tape archives fronted by
 //! LBNL's Hierarchical Resource Manager. This crate models each:
 //!
-//! * [`disk`] — spindle + RAID-0/1 array bandwidth and access times.
+//! * [`disk`] — spindle + RAID-0/1 array bandwidth.
 //! * [`tape`] — tape library with limited drives, mount/seek latency and
 //!   FIFO queueing.
 //! * [`cache`] — per-site LRU disk cache with pinning for active transfers.
@@ -28,7 +28,7 @@ pub use cache::{CacheError, DiskCache};
 pub use disk::{DiskModel, RaidArray, RaidLevel};
 pub use hrm::{Hrm, HrmError, StageOutcome, TapeCatalog};
 pub use integrity::{
-    block_count, block_span, blocks_overlapping, corrupt_block_digest, file_digest_hex,
-    file_digest_hex_of, pristine_block_digest, stable_hash, ObjectStore, BLOCK_SIZE,
+    block_count, blocks_overlapping, corrupt_block_digest, file_digest_hex, file_digest_hex_of,
+    pristine_block_digest, stable_hash, ObjectStore, BLOCK_SIZE,
 };
 pub use tape::{stage_corruption, StageJob, TapeLibrary, TapeParams};

@@ -87,23 +87,6 @@ impl TapeLibrary {
             drive,
         }
     }
-
-    /// How long a request submitted at `now` would wait before a drive
-    /// starts on it (queueing delay only).
-    pub fn queue_delay(&self, now: SimTime) -> SimDuration {
-        let earliest = self
-            .drive_free_at
-            .iter()
-            .min()
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        earliest.since(now)
-    }
-
-    /// Number of drives idle at `now`.
-    pub fn idle_drives(&self, now: SimTime) -> usize {
-        self.drive_free_at.iter().filter(|&&t| t <= now).count()
-    }
 }
 
 /// Deterministic tape-error sampler: does the `seq`-th cold stage of a
@@ -166,18 +149,6 @@ mod tests {
         let mut l = lib(1);
         let j = l.stage(SimTime::from_secs(500), 10e6);
         assert_eq!(j.start, SimTime::from_secs(500));
-    }
-
-    #[test]
-    fn queue_delay_and_idle_counts() {
-        let mut l = lib(2);
-        assert_eq!(l.idle_drives(SimTime::ZERO), 2);
-        assert_eq!(l.queue_delay(SimTime::ZERO), SimDuration::ZERO);
-        l.stage(SimTime::ZERO, 100e6);
-        assert_eq!(l.idle_drives(SimTime::ZERO), 1);
-        l.stage(SimTime::ZERO, 100e6);
-        assert_eq!(l.idle_drives(SimTime::ZERO), 0);
-        assert!(l.queue_delay(SimTime::ZERO) > SimDuration::ZERO);
     }
 
     #[test]
