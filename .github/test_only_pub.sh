@@ -9,8 +9,7 @@
 # name appears there only in its own definition has no non-test caller. The
 # scan is by name, so a collision can only hide one.
 #
-#   sh .github/test_only_pub.sh          # exit 1 on an unlisted name or a stale entry
-#   sh .github/test_only_pub.sh --list   # print every test-only name, allowlisted or not
+#   sh .github/test_only_pub.sh   # exit 1 on an unlisted name or a stale entry
 #
 # Each line of .github/test_only_pub.txt is `<name> <reason>`; the reason names
 # the integration test that cannot reach `#[cfg(test)]` or the open ROADMAP
@@ -41,7 +40,10 @@ for f in $(echo "$files" | comm -23 - "$tmp/testmods"); do
     skip && o == 0 && /^[[:space:]]*mod [A-Za-z_]+ \{/ { exit }
     skip {
       braces($0)
-      if ((o > 0 && o == c) || (o == 0 && $0 ~ /;[[:space:]]*$/)) skip = 0
+      # The item ends where its braces balance, at the `;` or `,` that ends
+      # a brace-less item (a field, variant or match arm), or where a brace
+      # closes a scope the item sits in.
+      if ((o > 0 && o == c) || (o == 0 && $0 ~ /[;,][[:space:]]*$/) || c > o) skip = 0
       next
     }
     /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; o = 0; c = 0; next }
@@ -75,11 +77,6 @@ awk 'FILENAME == ARGV[1] { alias[$2] = $1; next }
      { d[$1]++; at[$1] = at[$1] " " $2 }
      END { for (k in d) if (n[k] == d[k]) print k at[k] }' \
   "$tmp/aliases" "$tmp/counts" "$tmp/defs" | sort > "$tmp/only"
-
-if [ "${1:-}" = --list ]; then
-  cat "$tmp/only"
-  exit 0
-fi
 
 grep -vE '^[[:space:]]*(#|$)' "$allow" | awk '{ print $1 }' | sort > "$tmp/listed"
 status=0

@@ -160,6 +160,30 @@ mod tests {
     }
 
     #[test]
+    fn diurnal_cycle_spans_three_kelvin() {
+        // The 1.5 K diurnal term, sampled 6-hourly at 0, 6, 12 and 18 h:
+        // averaged over the grid by phase of day (`t % 4`), the four phase
+        // means span twice its amplitude; the noise averages out.
+        let (ny, nx, nt) = (8, 16, 80);
+        let p = SynthParams {
+            lat_points: ny,
+            lon_points: nx,
+            time_steps: nt,
+            hours_per_step: 6.0,
+            seed: 33,
+        };
+        let ds = generate("diurnal", p);
+        let mut phase = [0.0f64; 4];
+        for (k, &v) in ds.variable("tas").unwrap().data.iter().enumerate() {
+            phase[k / (ny * nx) % 4] += f64::from(v) / (nt / 4 * ny * nx) as f64;
+        }
+        let hi = phase.iter().copied().fold(f64::MIN, f64::max);
+        let lo = phase.iter().copied().fold(f64::MAX, f64::min);
+        let range = hi - lo;
+        assert!((2.5..3.5).contains(&range), "diurnal range {range} K");
+    }
+
+    #[test]
     fn precipitation_nonnegative_cloud_in_unit_interval() {
         let ds = generate("t", small());
         for &v in &ds.variable("pr").unwrap().data {

@@ -17,7 +17,7 @@
 //!
 //! A live campaign is owned by the manager's `campaigns` map and addressed
 //! by its id: the round callback and the marker / recorder ticks capture
-//! the id, and one that finds its campaign completed or cancelled returns.
+//! the id, and one that finds its campaign completed returns.
 
 use crate::checkpoint::{self, complete_line, header_line, resume_line, spec_sha, Progress};
 use crate::manager::{submit_request_for_tenant, RequestOutcome, RmWorld};
@@ -103,7 +103,6 @@ pub struct CampaignOutcome {
     pub rounds: usize,
     /// A valid checkpoint was loaded at start.
     pub resumed: bool,
-    pub cancelled: bool,
     /// sha256 over the sorted delivered-file manifest — the
     /// resume-equivalence witness.
     pub manifest_sha256: String,
@@ -112,8 +111,8 @@ pub struct CampaignOutcome {
 }
 
 /// A live campaign. The manager's `campaigns` map is its only owner: a
-/// campaign that completed or was cancelled is gone, and whatever is still
-/// scheduled for it finds nothing and returns.
+/// campaign that completed is gone, and whatever is still scheduled for it
+/// finds nothing and returns.
 pub(crate) struct CampaignState {
     spec: CampaignSpec,
     target_node: NodeId,
@@ -151,7 +150,7 @@ fn journal(checkpoint: &mut Option<Journal>, lines: &[String]) -> bool {
 // Orchestration
 
 /// Start a replication campaign. Returns the campaign id; `on_complete`
-/// fires once, when the final round settles (never on cancellation).
+/// fires once, when the final round settles.
 pub fn start_campaign<W: RmWorld>(
     sim: &mut Sim<W>,
     spec: CampaignSpec,
@@ -477,39 +476,6 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
 
 // ---------------------------------------------------------------------------
 
-/// Cancel a live campaign: tears down the in-flight round (transfers,
-/// ledger entries, breaker probe slots), closes the campaign span and
-/// removes the campaign without firing its callback. The checkpoint keeps
-/// every settled fact, so a later [`start_campaign`] with the same spec
-/// resumes where the cancel left off. Returns `false` for unknown ids.
-#[cfg(test)]
-pub fn cancel_campaign<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
-    let Some(camp) = sim.world.reqman().campaigns.remove(&id) else {
-        return false;
-    };
-    if let Some(req) = camp.current_request {
-        crate::manager::cancel_request(sim, req);
-    }
-    let now = sim.now();
-    let ctx = TraceCtx::system();
-    let rm = sim.world.reqman();
-    rm.metrics.counter_add("rm.campaign.cancelled", 1);
-    rm.log.span_end(
-        &ctx,
-        now,
-        camp.span,
-        Phase::Campaign,
-        [("campaign", id.into()), ("status", "cancelled".into())],
-    );
-    rm.log.emit(
-        &ctx,
-        LogEvent::new(now, "rm.campaign.cancel")
-            .field("campaign", id)
-            .field("name", camp.spec.name),
-    );
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,48 +740,6 @@ mod tests {
         let _ = std::fs::remove_file(&ckpt);
     }
 
-    /// Satellite: cancelling a campaign with pulls in flight (and a retry
-    /// pending against a downed host) must drain the shared host ledger to
-    /// zero — no leaked in-flight slots, no late finish_request.
-    #[test]
-    fn cancel_mid_flight_drains_ledger_to_zero() {
-        let (mut sim, _) = setup();
-        let id = start_campaign(&mut sim, spec_with("mirror", None), |s, o| {
-            s.world.outcomes.push(o)
-        });
-        // Knock out a source mid-round: the stalled pulls will be torn
-        // down by the monitor *after* the cancel, and their retry/backoff
-        // closures must no-op against the cancelled request.
-        sim.schedule(SimDuration::from_millis(500), |s| {
-            let node = s.world.rm.hosts["pcmdi.llnl.gov"];
-            s.net.set_node_up(node, false);
-        });
-        // At t=5 s (seed 7): f000 has failed fast on the dead host, backed
-        // off, and restarted from the healthy one (in flight, holding a
-        // ledger slot); f001's retry backoff is still pending and will
-        // fire *after* the cancel.
-        sim.run_until(SimTime::from_secs(5));
-        assert!(
-            sim.world.rm.inflight().total() > 0,
-            "pulls must be in flight at the cancel point"
-        );
-        assert!(cancel_campaign(&mut sim, id));
-        assert_eq!(
-            sim.world.rm.inflight().total(),
-            0,
-            "cancel must release every ledger slot"
-        );
-        // Let pending monitor ticks and backoff wakes fire: they must all
-        // no-op against the settled files.
-        sim.run();
-        assert_eq!(sim.world.rm.inflight().total(), 0);
-        assert!(sim.world.rm.live_requests().is_empty());
-        assert!(sim.world.rm.campaigns.is_empty());
-        assert!(sim.world.outcomes.is_empty(), "no callback after cancel");
-        assert!(!cancel_campaign(&mut sim, id), "second cancel is a no-op");
-        assert_eq!(sim.world.rm.metrics.counter("rm.campaign.cancelled"), 1);
-    }
-
     /// Satellite: campaign and interactive traffic share one breaker per
     /// host — after campaign failures trip a source, an interactive
     /// request sees the breaker half-open (probe), not closed.
@@ -838,7 +762,7 @@ mod tests {
         // The sole source goes down before anything moves.
         let node = sim.world.rm.hosts["pcmdi.llnl.gov"];
         sim.net.set_node_up(node, false);
-        let id = start_campaign(&mut sim, spec_with("mirror", None), |s, o| {
+        start_campaign(&mut sim, spec_with("mirror", None), |s, o| {
             s.world.outcomes.push(o)
         });
         sim.run_until(SimTime::from_secs(25));
@@ -850,10 +774,10 @@ mod tests {
             "campaign failures must trip the shared breaker, got {:?}",
             sim.world.rm.breaker_state("pcmdi.llnl.gov")
         );
-        cancel_campaign(&mut sim, id);
-        // Past the cooldown, an interactive request probes the host
-        // through the *same* breaker: the half-open transition must be
-        // observable before the probe's success closes it.
+        // Past the cooldown the host is back, and the campaign's retries
+        // and an interactive request go through the *same* breaker: the
+        // half-open transition must be observable before a probe's success
+        // closes it.
         sim.net.set_node_up(node, true);
         let half_open_before = sim.world.rm.log.named("rm.breaker.half_open").count();
         sim.run_until(SimTime::from_secs(40));
@@ -1112,28 +1036,23 @@ mod tests {
     }
 
     /// The marker and recorder ticks run while their campaign is live and
-    /// stop after it completes or is cancelled.
+    /// stop after it completes.
     #[test]
     fn campaign_ticks_end_with_their_campaign() {
-        for cancel in [false, true] {
-            let ckpt = tmp_checkpoint(&format!("ticks-{cancel}"));
-            let tape = tmp_checkpoint(&format!("ticks-tape-{cancel}"));
-            let (mut sim, _) = setup();
-            let mut spec = spec_with("mirror", Some(ckpt.clone()));
-            spec.recorder = Some(tape.clone());
-            let id = start_campaign(&mut sim, spec, |s, o| s.world.outcomes.push(o));
-            sim.run_until(SimTime::from_secs(5));
-            let live = |s: &Sim<World>| (s.live_ticks(MARKER_TICK), s.live_ticks(RECORDER_TICK));
-            assert_eq!(live(&sim), (1, 1));
-            if cancel {
-                assert!(cancel_campaign(&mut sim, id));
-            }
-            sim.run();
-            assert_eq!(sim.world.outcomes.len(), usize::from(!cancel));
-            assert_eq!(live(&sim), (0, 0), "cancelled: {cancel}");
-            let _ = std::fs::remove_file(&ckpt);
-            let _ = std::fs::remove_file(&tape);
-        }
+        let ckpt = tmp_checkpoint("ticks");
+        let tape = tmp_checkpoint("ticks-tape");
+        let (mut sim, _) = setup();
+        let mut spec = spec_with("mirror", Some(ckpt.clone()));
+        spec.recorder = Some(tape.clone());
+        start_campaign(&mut sim, spec, |s, o| s.world.outcomes.push(o));
+        sim.run_until(SimTime::from_secs(5));
+        let live = |s: &Sim<World>| (s.live_ticks(MARKER_TICK), s.live_ticks(RECORDER_TICK));
+        assert_eq!(live(&sim), (1, 1));
+        sim.run();
+        assert_eq!(sim.world.outcomes.len(), 1);
+        assert_eq!(live(&sim), (0, 0));
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(&tape);
     }
 
     #[test]
@@ -1336,32 +1255,5 @@ mod tests {
         let set = esg_netlogger::LifelineSet::from_log(&rm.log);
         assert_eq!(set.campaigns.len(), 1);
         assert_eq!(set.campaigns[0].end, Some(o.finished), "span left open");
-    }
-
-    /// The campaign route of the manager's
-    /// `cancel_before_the_rpc_lands_leaves_nothing_behind`: the first round's
-    /// RPC is still in flight when the campaign is cancelled.
-    #[test]
-    fn cancel_before_the_first_rpc_lands_leaves_nothing_behind() {
-        let (mut sim, _) = setup();
-        sim.world
-            .rm
-            .enable_live_analysis(SimDuration::from_secs(30));
-        let id = start_campaign(&mut sim, spec_with("mirror", None), |s, o| {
-            s.world.outcomes.push(o)
-        });
-        assert!(cancel_campaign(&mut sim, id));
-        sim.run_until(SimTime::from_secs(600));
-        let rm = &sim.world.rm;
-        assert!(rm.campaigns.is_empty() && rm.live_requests().is_empty());
-        assert_eq!(rm.inflight().total(), 0);
-        assert_eq!(rm.sched_stats().admitted, 0);
-        assert!(sim.world.outcomes.is_empty(), "no callback after cancel");
-        assert_eq!(rm.live().unwrap().open_count(), 0, "a span nothing closes");
-        assert_eq!(rm.log.named("obs.stall").count(), 0);
-        let spans: Vec<_> = rm.log.named("span.start").collect();
-        assert_eq!(spans.len(), 1, "only the campaign span ever opened");
-        let set = esg_netlogger::LifelineSet::from_log(&rm.log);
-        assert_eq!(set.campaigns[0].status.as_deref(), Some("cancelled"));
     }
 }

@@ -327,7 +327,6 @@ impl Progress {
             bytes_skipped: self.bytes_skipped,
             rounds: self.round_idx,
             resumed: self.resumed,
-            cancelled: false,
             manifest_sha256: manifest_sha(&self.settled),
             started,
             finished,

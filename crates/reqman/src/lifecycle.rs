@@ -87,8 +87,6 @@ pub(crate) enum Settled {
     Done,
     /// Given up: the retry policy's attempt cap is exhausted.
     Failed,
-    /// Its request was cancelled: nothing is counted, no callback fires.
-    Cancelled,
 }
 
 /// The manager's settings a step reads.
@@ -118,10 +116,6 @@ pub(crate) enum Event {
     Poll(Poll),
     /// The verification's answer.
     Verified(Verdict),
-    /// The file leaves its request this way (`cancel_request` settles
-    /// `Cancelled`; cancellation is test-only).
-    #[cfg(test)]
-    Settle(Settled),
 }
 
 /// What the monitor read of a live transfer: its delivered bytes, whether
@@ -314,8 +308,6 @@ impl FileLife {
             }
             Event::Poll(poll) => self.poll(poll, now, rules, fx),
             Event::Verified(verdict) => self.verified(verdict, now, rules, fx),
-            #[cfg(test)]
-            Event::Settle(how) => self.settle(how, fx),
         }
     }
 
@@ -488,20 +480,16 @@ impl FileLife {
         }
     }
 
-    /// The one terminal transition: give back the live transfer, the ledger
-    /// entry and the admission slot, and close the lifeline.
+    /// The one terminal transition: give back the admission slot and close
+    /// the lifeline. A file settles at a verdict or at the attempt cap, each
+    /// reached only after its pull was given back.
     fn settle(&mut self, how: Settled, fx: &mut Vec<Effect>) {
+        debug_assert!(self.pull.is_none(), "settled holding a pull");
         if how == Settled::Done {
             self.status.bytes_done = self.status.size;
             self.status.done = true;
         } else {
             self.status.failed = true;
-        }
-        if let Some(pull) = self.pull.take() {
-            if let Some(live) = pull.live {
-                fx.push(Effect::Cancel(live.handle));
-            }
-            fx.push(Effect::Release(pull.host, pull.kind, None));
         }
         self.phase = None;
         fx.push(Effect::Settle(how, std::mem::take(&mut self.slot)));
@@ -729,8 +717,6 @@ mod tests {
                 Event::Selected(Selection::Empty(0)), Some(Backoff), (true, false, false), "enter(backoff) backoff"),
             ("budget spent or unattributable", spent(f(Some(Verify), true, false, false)), Event::Verified(corrupt(vec![1])),
                 Some(Backoff), (true, false, false), "note enter(backoff) backoff"),
-            ("request cancelled", f(Some(Transfer), true, true, true), Event::Settle(Settled::Cancelled),
-                None, (false, false, false), "cancel release settle(Cancelled)"),
         ];
         for (row, mut life, event, phase, holdings, effects) in rows {
             let mut fx = Vec::new();
@@ -807,7 +793,6 @@ mod tests {
                         seq += 1;
                         Event::Started(TransferHandle(seq), seq)
                     }
-                    Ask::Nothing if d % 64 == 0 => Event::Settle(Settled::Cancelled),
                     Ask::Nothing => {
                         let mut enabled = Vec::new();
                         if life.phase.is_none() {

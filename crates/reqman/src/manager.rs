@@ -30,8 +30,8 @@
 //! calls a file makes. The manager owns every live request (and campaign)
 //! outright. A file is addressed by a `Copy` `FileId`, scheduled closures
 //! capture ids and the data of their own event, and **a wake that finds its
-//! request gone returns** — so a request that was finished or cancelled is
-//! freed on the spot and nothing scheduled for it can act on it.
+//! request gone returns** — so a finished request is freed on the spot and
+//! nothing scheduled for it can act on it.
 
 use crate::integrity::{verify, IntegrityManager};
 pub use crate::lifecycle::FileStatus;
@@ -889,9 +889,7 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
                 }
                 Effect::Settle(how, slot) => {
                     req.active -= slot as usize;
-                    // A cancelled file keeps its share of `remaining`, so
-                    // `finish_request` can never fire for its request.
-                    req.remaining -= (how != Settled::Cancelled) as usize;
+                    req.remaining -= 1;
                     let root = std::mem::replace(&mut fw.trace_root, SpanId::NONE);
                     let open = fw.trace_phase.take();
                     if !root.is_none() {
@@ -900,7 +898,7 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
                             rm.metrics
                                 .observe(phase.metric(), now.since(opened).as_secs_f64());
                         }
-                        let status = ["done", "failed", "cancelled"][how as usize];
+                        let status = ["done", "failed"][how as usize];
                         rm.log
                             .span_end(&ctx, now, root, Phase::File, [("status", status.into())]);
                         let makespan = now.since(fw.trace_opened).as_secs_f64();
@@ -918,7 +916,6 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
                             let event = LogEvent::new(now, "rm.file.failed");
                             ("rm.files.failed", event.field("attempts", attempts))
                         }
-                        Settled::Cancelled => continue,
                     };
                     rm.metrics.counter_add(counter, 1);
                     rm.log.emit(&ctx, event);
@@ -1191,37 +1188,6 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
         drive(sim, FileId { request: id, idx }, Event::Poll(poll));
     }
     ControlFlow::Continue(())
-}
-
-/// Cancel a live request: every unsettled file is settled as cancelled and
-/// the request is removed without firing its completion callback. Returns
-/// `false` when the id is not live.
-///
-/// Whatever is still scheduled for the request — its RPC, a backoff or
-/// deferral wake, a staged start, a monitor tick — finds it gone and returns.
-#[cfg(test)]
-pub fn cancel_request<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> bool {
-    let Some(n_files) = sim.world.reqman().requests.get(&id).map(|r| r.files.len()) else {
-        return false;
-    };
-    for idx in 0..n_files {
-        drive(
-            sim,
-            FileId { request: id, idx },
-            Event::Settle(Settled::Cancelled),
-        );
-    }
-    let now = sim.now();
-    let rm = sim.world.reqman();
-    if let Some(req) = rm.requests.remove(&id) {
-        rm.tenancy.retire(&req.tenant);
-    }
-    rm.metrics.counter_add("rm.requests.cancelled", 1);
-    rm.log.emit(
-        &TraceCtx::request(id),
-        LogEvent::new(now, "rm.request.cancel"),
-    );
-    true
 }
 
 #[cfg(test)]
@@ -1755,74 +1721,6 @@ mod tests {
         }
     }
 
-    /// Settling is the one place a file's holdings are given back.
-    /// File 0 of a two-file, one-slot request is settled each way while it
-    /// holds everything a file can hold: a slot, a ledger entry, a live
-    /// pull, banked progress and open spans.
-    #[test]
-    fn settling_gives_back_everything_the_file_holds() {
-        for how in [Settled::Done, Settled::Failed, Settled::Cancelled] {
-            let (mut sim, client) = setup(Policy::BestBandwidth);
-            {
-                let rm = &mut sim.world.rm;
-                rm.poll = SimDuration::from_millis(100);
-                rm.scheduler.policy = AdmissionPolicy::Fifo;
-                rm.scheduler.max_active_per_request = 1;
-                let cat = &mut rm.catalog;
-                cat.add_logical_file("co2", "feb.esg", 1_000_000).unwrap();
-                cat.add_file_to_location("co2", "llnl", "feb.esg").unwrap();
-            }
-            let id = submit_files(&mut sim, client, &["jan.esg", "feb.esg"]);
-            let file = FileId {
-                request: id,
-                idx: 0,
-            };
-            run_to(&mut sim, |s| s.world.rm.requests[&id].progress.contains(&0));
-            let handle = {
-                let st = &sim.world.rm.requests[&id];
-                assert!(st.live.contains(&0) && st.files[0].life.slot);
-                assert_eq!((st.active, st.remaining), (1, 2));
-                st.files[0].life.live().unwrap().handle
-            };
-            assert_eq!(sim.world.rm.inflight().total(), 1);
-
-            drive(&mut sim, file, Event::Settle(how));
-            // Idempotent: a second verdict on a settled file is ignored.
-            drive(&mut sim, file, Event::Settle(Settled::Failed));
-
-            let counted = (how != Settled::Cancelled) as usize;
-            {
-                let st = &sim.world.rm.requests[&id];
-                let fw = &st.files[0];
-                let life = &fw.life;
-                assert!(life.live().is_none() && !life.slot && life.pull.is_none());
-                assert!(fw.trace_root.is_none() && fw.trace_phase.is_none());
-                assert_eq!(life.status.done, how == Settled::Done);
-                assert_eq!(life.status.failed, how != Settled::Done);
-                assert!(!st.live.contains(&0));
-                // Banked bytes of an undelivered file stay journal-worthy.
-                assert_eq!(st.progress.contains(&0), how != Settled::Done);
-                assert_eq!(st.remaining, 2 - counted);
-                // The freed slot went to file 1 — unless nothing is pumped.
-                assert_eq!((st.active, st.files[1].life.slot), (counted, counted == 1));
-            }
-            assert_eq!(transfer_bytes(&mut sim, handle), 0, "pull not cancelled");
-            let rm = &sim.world.rm;
-            assert_eq!(rm.inflight().load("fast.llnl.gov"), counted);
-            let done = (how == Settled::Done) as u64;
-            assert_eq!(rm.metrics.counter("rm.files.completed"), done);
-            assert_eq!(rm.metrics.counter("rm.files.failed"), counted as u64 - done);
-            let set = esg_netlogger::LifelineSet::from_log(&rm.log);
-            let l = set.lifeline(id, "jan.esg").unwrap();
-            let status = ["done", "failed", "cancelled"][how as usize];
-            assert!(l.is_complete() && l.status() == Some(status));
-
-            sim.run_until(SimTime::from_secs(300));
-            assert_eq!(sim.world.outcomes.len(), counted);
-            assert_eq!(sim.world.rm.inflight().total(), 0);
-        }
-    }
-
     /// Register `name` with its only replica on tape at `hpss.lbl.gov`.
     fn add_tape_only_file(rm: &mut RequestManager, name: &str, size: u64) {
         rm.catalog.add_logical_file("co2", name, size).unwrap();
@@ -1834,32 +1732,6 @@ mod tests {
         }
         if !rm.hrms.contains_key("hpss.lbl.gov") {
             rm.add_hrm("hpss.lbl.gov", Hrm::new(TapeParams::default(), 1 << 34));
-        }
-    }
-
-    /// Regression: the RPC closure never asked whether its request still
-    /// existed, so a request cancelled inside the RPC window was admitted,
-    /// opened spans nothing would close, tripped the stall probe and (second
-    /// case) had tape mounted for it.
-    #[test]
-    fn cancel_before_the_rpc_lands_leaves_nothing_behind() {
-        for name in ["jan.esg", "deep.esg"] {
-            let (mut sim, client) = setup(Policy::BestBandwidth);
-            add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
-            sim.world
-                .rm
-                .enable_live_analysis(SimDuration::from_secs(30));
-            let id = submit_files(&mut sim, client, &[name]);
-            assert!(cancel_request(&mut sim, id));
-            sim.run_until(SimTime::from_secs(600));
-            let rm = &sim.world.rm;
-            assert!(rm.live_requests().is_empty() && sim.world.outcomes.is_empty());
-            assert_eq!(rm.live().unwrap().open_count(), 0, "{name}: open spans");
-            let stats = rm.sched_stats();
-            assert_eq!((stats.admitted, stats.prestaged), (0, 0), "{name}");
-            assert_eq!(rm.log.named("obs.stall").count(), 0, "{name}");
-            assert_eq!(rm.log.named("span.start").count(), 0, "{name}");
-            assert_eq!(sim.world.gridftp.transfers_started, 0, "{name}");
         }
     }
 
@@ -2059,16 +1931,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Nothing outlives a request, however it leaves. Random request
-        /// mixes on the three-site world under random outages; a random
-        /// subset is cancelled at the submit instant, at the RPC's instant
-        /// just ahead of it, or any time later.
+        /// Nothing outlives a request. Random request mixes on the
+        /// three-site world under random outages: the monitor ticks, backoff
+        /// and deferral wakes still queued when a request finishes find it
+        /// gone.
         #[test]
         fn nothing_outlives_a_request(
-            requests in proptest::collection::vec(
-                (0u64..20_000, 1usize..6, 0u8..5, 3u64..60_000),
-                1..5,
-            ),
+            requests in proptest::collection::vec((0u64..20_000, 1usize..6), 1..5),
             outages in proptest::collection::vec((0usize..3, 0u64..40_000, 1_000u64..30_000), 0..3),
         ) {
             use esg_simnet::prelude::{inject, Fault, FaultKind};
@@ -2098,30 +1967,17 @@ mod tests {
             let mut order: Vec<usize> = (0..requests.len()).collect();
             order.sort_by_key(|&i| requests[i].0);
             for (id, &i) in order.iter().enumerate() {
-                let (at, n_files, mode, later) = requests[i];
+                let (at, n_files) = requests[i];
                 let at = SimTime::ZERO + SimDuration::from_millis(at);
-                let cancel = move |s: &mut Sim<World>| {
-                    cancel_request(s, id as u64);
-                };
-                if mode == 3 {
-                    // Scheduled before the submit: fires ahead of its RPC.
-                    sim.schedule_at(at + RPC_LATENCY, cancel);
-                }
                 let names: Vec<&str> = (0..n_files).map(|k| FILES[(i + k) % 5]).collect();
                 sim.schedule_at(at, move |s| {
                     assert_eq!(submit_files(s, client, &names), id as u64);
                 });
-                match mode {
-                    2 => sim.schedule_at(at, cancel),
-                    4 => sim.schedule_at(at + SimDuration::from_millis(later), cancel),
-                    _ => {}
-                }
             }
             sim.run_until(SimTime::from_secs(3600));
 
             let rm = &sim.world.rm;
-            let cancelled = rm.metrics.counter("rm.requests.cancelled") as usize;
-            proptest::prop_assert_eq!(sim.world.outcomes.len() + cancelled, requests.len());
+            proptest::prop_assert_eq!(sim.world.outcomes.len(), requests.len());
             proptest::prop_assert!(rm.live_requests().is_empty());
             proptest::prop_assert!(rm.tenancy.live.is_empty(), "a tenant never retired");
             proptest::prop_assert_eq!(rm.inflight().total(), 0);
