@@ -93,7 +93,7 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, LdifError> {
 
 /// Load LDIF text into a directory, creating missing ancestors. Returns
 /// how many entries were added.
-pub fn load(dir: &mut Directory, text: &str) -> Result<usize, LdifError> {
+pub fn ldif_load(dir: &mut Directory, text: &str) -> Result<usize, LdifError> {
     let entries = parse(text)?;
     let mut added = 0;
     for (i, e) in entries.into_iter().enumerate() {
@@ -118,7 +118,7 @@ pub fn load(dir: &mut Directory, text: &str) -> Result<usize, LdifError> {
 
 /// Export every entry of a directory as LDIF (tree order), with long lines
 /// folded at 76 characters per the RFC's convention.
-pub fn dump(dir: &Directory) -> String {
+pub fn ldif_dump(dir: &Directory) -> String {
     let mut out = String::new();
     for entry in dir.iter() {
         for raw_line in entry.to_ldif().lines() {
@@ -194,7 +194,7 @@ filename: jan_1998.nc
     #[test]
     fn load_builds_searchable_directory() {
         let mut dir = Directory::new();
-        assert_eq!(load(&mut dir, SAMPLE).unwrap(), 4);
+        assert_eq!(ldif_load(&mut dir, SAMPLE).unwrap(), 4);
         let hits = dir.search(
             &Dn::parse("o=Grid").unwrap(),
             Scope::Subtree,
@@ -206,10 +206,10 @@ filename: jan_1998.nc
     #[test]
     fn dump_load_round_trip() {
         let mut dir = Directory::new();
-        load(&mut dir, SAMPLE).unwrap();
-        let text = dump(&dir);
+        ldif_load(&mut dir, SAMPLE).unwrap();
+        let text = ldif_dump(&dir);
         let mut dir2 = Directory::new();
-        load(&mut dir2, &text).unwrap();
+        ldif_load(&mut dir2, &text).unwrap();
         assert_eq!(dir2.len(), dir.len());
         for e in dir.iter() {
             let e2 = dir2.get(&e.dn).expect("entry survives round trip");
@@ -234,10 +234,10 @@ filename: jan_1998.nc
         let long_value = "x".repeat(300);
         e.add("payload", long_value.clone());
         dir.add_with_ancestors(e).unwrap();
-        let text = dump(&dir);
+        let text = ldif_dump(&dir);
         assert!(text.lines().all(|l| l.len() <= 76));
         let mut dir2 = Directory::new();
-        load(&mut dir2, &text).unwrap();
+        ldif_load(&mut dir2, &text).unwrap();
         let got = dir2.get(&Dn::parse("cn=long").unwrap()).unwrap();
         assert_eq!(got.first("payload"), Some(long_value.as_str()));
     }
@@ -257,8 +257,8 @@ filename: jan_1998.nc
     #[test]
     fn duplicate_load_rejected() {
         let mut dir = Directory::new();
-        load(&mut dir, "dn: cn=a\nx: 1\n").unwrap();
-        assert!(load(&mut dir, "dn: cn=a\nx: 2\n").is_err());
+        ldif_load(&mut dir, "dn: cn=a\nx: 1\n").unwrap();
+        assert!(ldif_load(&mut dir, "dn: cn=a\nx: 2\n").is_err());
     }
 
     #[test]

@@ -26,4 +26,4 @@ pub use dit::{sibling_key, DirError, Directory, Scope};
 pub use dn::{Dn, DnParseError, Rdn};
 pub use entry::Entry;
 pub use filter::{Filter, FilterParseError};
-pub use ldif::{dump as ldif_dump, load as ldif_load, parse as ldif_parse, LdifError};
+pub use ldif::{ldif_dump, ldif_load, LdifError};

@@ -233,12 +233,14 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Lowercase hex encoding of a digest.
+/// Lowercase hex encoding of a digest: two table lookups per byte, high
+/// nibble first.
 pub fn hex(digest: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(digest.len() * 2);
-    for b in digest {
-        use std::fmt::Write;
-        write!(s, "{b:02x}").unwrap();
+    for &b in digest {
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     s
 }
@@ -389,8 +391,29 @@ mod tests {
         }
     }
 
+    /// The formatter `hex` replaced, as its oracle.
+    fn hex_by_format(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn hex_format() {
         assert_eq!(hex(&[0x00, 0xff, 0x10]), "00ff10");
+        assert_eq!(hex(&[]), "");
+        let every: Vec<u8> = (0..=255).collect();
+        for b in &every {
+            assert_eq!(hex(std::slice::from_ref(b)), hex_by_format(&[*b]));
+        }
+        assert_eq!(hex(&every), hex_by_format(&every));
+        // Odd lengths, and a digest-sized input.
+        for len in [1, 3, 31, 33, 255] {
+            assert_eq!(
+                hex(&every[..len]),
+                hex_by_format(&every[..len]),
+                "len {len}"
+            );
+        }
+        let d = sha256(b"abc");
+        assert_eq!(hex(&d), hex_by_format(&d));
     }
 }

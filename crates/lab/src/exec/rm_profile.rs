@@ -56,7 +56,6 @@ fn live_matches_offline(live: &LiveLifelines, log: &NetLog, stall_s: f64) -> boo
     let offline = LifelineSet::from_log(log);
     let totals = offline.lifelines.iter().all(|l| {
         live.file_phase_totals(l.request, &l.file)
-            .cloned()
             .unwrap_or_default()
             == l.phase_totals()
     });

@@ -84,6 +84,12 @@ impl PartialEq<&str> for Text {
     }
 }
 
+impl std::hash::Hash for Text {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
 impl PartialOrd for Text {
     fn partial_cmp(&self, other: &Text) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -697,8 +703,9 @@ impl NetLog {
         self.append(&TraceCtx::default(), event);
     }
 
-    /// Store `event` under `ctx`, its time clamped to the tail's.
-    pub(crate) fn append(&mut self, ctx: &TraceCtx, mut event: LogEvent) {
+    /// Store `event` under `ctx`, its time clamped to the tail's; returns
+    /// the stored time.
+    pub(crate) fn append(&mut self, ctx: &TraceCtx, mut event: LogEvent) -> SimTime {
         let mut time = event.time;
         if let Some(last) = self.records.last() {
             if time < last.time {
@@ -737,6 +744,7 @@ impl NetLog {
             rec.name |= HAS_ATTEMPT;
         }
         self.records.push(rec);
+        time
     }
 
     /// Grow the stores so the next `events` events with `fields` own

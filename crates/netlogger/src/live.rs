@@ -5,7 +5,7 @@
 //! of a running log is that same pass over the events stored so far.
 //! [`LiveLifelines`] keeps only what a running request asks: the request
 //! manager's [`TracedLog`](crate::trace::TracedLog) taps every event it
-//! stores into [`LiveLifelines::observe`], which maintains
+//! stores into it, which maintains
 //!
 //! * the set of currently-open spans with ages ([`open_spans`],
 //!   [`oldest_open`], [`open_phase_of`]) — what a monitor needs to say
@@ -17,10 +17,17 @@
 //! * the trace horizon and three tallies: events seen, spans closed and
 //!   live-fired stall probes ([`note_stall_fired`]).
 //!
-//! A non-span event costs two string compares; a span start or end one
-//! ordered-map operation on the open set, the start parsed by the same
-//! [`Span`] rule the offline pass uses. A closed span is forgotten, so the
-//! tap's memory is O(open spans + files), not O(spans).
+//! The spans `TracedLog::span_start` and `span_end` store reach the tap
+//! typed — id, parent, phase and context as the emitter holds them, at the
+//! time the log stored — so they read no field. Any other event goes
+//! through [`LiveLifelines::observe`], which reads a span event's fields by
+//! the same [`Span`] rule the offline pass uses (an attached tap's replay,
+//! and span events sent through plain `emit`) and feeds the same updates.
+//! A span start or end is one ordered-map operation on the open set; a
+//! close credits its lifeline through one id-keyed lookup into a dense
+//! per-phase slot, resolved when the lifeline's root opened. A closed span
+//! is forgotten, so the tap's memory is O(open spans + lifelines), not
+//! O(events).
 //!
 //! [`open_spans`]: LiveLifelines::open_spans
 //! [`oldest_open`]: LiveLifelines::oldest_open
@@ -34,7 +41,7 @@ use crate::event::{EventRef, Text};
 use crate::lifeline::Span;
 use crate::trace::Phase;
 use esg_simnet::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A currently-open span, as tracked incrementally.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +62,14 @@ impl OpenSpan {
     }
 }
 
+/// One lifeline's closed-phase sums in seconds, indexed by phase.
+#[derive(Debug, Clone, Default)]
+struct PhaseSums {
+    secs: [f64; Phase::ALL.len()],
+    /// Bit `p` is set once a span of phase `p` closed.
+    closed: u16,
+}
+
 /// Incremental open-span index and per-file totals, fed event by event as
 /// a run executes.
 #[derive(Debug, Clone, Default)]
@@ -63,13 +78,16 @@ pub struct LiveLifelines {
     /// are allocated sequentially by `TracedLog`). A later start of an open
     /// id replaces it.
     open: BTreeMap<u64, OpenSpan>,
-    /// Root File span id → (request, file), for attributing child closes.
-    roots: BTreeMap<u64, (u64, Text)>,
-    /// (request, file) → closed phase totals in seconds, summed in close
-    /// order — the streaming mirror of [`Lifeline::phase_totals`].
+    /// Root File span id → its lifeline's slot in `sums`, for attributing
+    /// child closes. A root stays one after it closes.
+    roots: HashMap<u64, u32>,
+    /// (request, file) → slot in `sums`, resolved when a root opens.
+    slots: HashMap<(u64, Text), u32>,
+    /// Closed phase totals per lifeline, summed in close order — the
+    /// streaming mirror of [`Lifeline::phase_totals`].
     ///
     /// [`Lifeline::phase_totals`]: crate::lifeline::Lifeline::phase_totals
-    totals: BTreeMap<(u64, Text), BTreeMap<&'static str, f64>>,
+    sums: Vec<PhaseSums>,
     trace_end: SimTime,
     events_seen: u64,
     spans_closed: u64,
@@ -81,52 +99,72 @@ impl LiveLifelines {
         LiveLifelines::default()
     }
 
-    /// Feed one event. Every event advances the trace horizon
+    /// Feed one stored event. Every event advances the trace horizon
     /// (`trace_end`); only `span.start` and `span.end` read a field.
     pub fn observe(&mut self, e: EventRef<'_>) {
-        self.events_seen += 1;
-        self.trace_end = self.trace_end.max(e.time);
-        if e.name == "span.start" {
-            let Some(id) = e.get_num("span") else { return };
-            let s = Span::opened(id as u64, e);
-            if let (Phase::File, Some(r), Some(f)) = (s.phase, s.request, &s.file) {
-                self.roots.insert(s.id, (r, f.clone()));
-            }
-            let open = OpenSpan {
-                span: s.id,
-                parent: s.parent,
-                phase: s.phase,
-                request: s.request,
-                file: s.file,
-                start: s.start,
-            };
-            self.open.insert(open.span, open);
-        } else if e.name == "span.end" {
-            let Some(id) = e.get_num("span") else { return };
-            // An end without an open start changes nothing here.
-            if let Some(done) = self.open.remove(&(id as u64)) {
-                self.spans_closed += 1;
-                self.credit_close(&done, e.time);
-            }
+        let opens = match e.name {
+            "span.start" => true,
+            "span.end" => false,
+            _ => return self.saw(e.time),
+        };
+        let Some(id) = e.get_num("span").map(|x| x as u64) else {
+            return self.saw(e.time);
+        };
+        if !opens {
+            return self.span_closed(id, e.time);
         }
+        let s = Span::opened(id, e);
+        self.span_opened(OpenSpan {
+            span: s.id,
+            parent: s.parent,
+            phase: s.phase,
+            request: s.request,
+            file: s.file,
+            start: s.start,
+        });
     }
 
-    /// Accumulate a closed child phase span into its lifeline's totals,
-    /// matching the offline attribution: only children whose parent is a
-    /// root File span with both request and file count.
-    fn credit_close(&mut self, done: &OpenSpan, end: SimTime) {
+    /// Count one event stored at `time`.
+    fn saw(&mut self, time: SimTime) {
+        self.events_seen += 1;
+        self.trace_end = self.trace_end.max(time);
+    }
+
+    /// A `span.start` was stored at time `span.start`: open the span,
+    /// replacing an open one of the same id, and make a File span with both
+    /// request and file its lifeline's root.
+    pub(crate) fn span_opened(&mut self, span: OpenSpan) {
+        self.saw(span.start);
+        if let (Phase::File, Some(r), Some(f)) = (span.phase, span.request, &span.file) {
+            let next = self.sums.len() as u32;
+            let slot = *self.slots.entry((r, f.clone())).or_insert(next);
+            if slot == next {
+                self.sums.push(PhaseSums::default());
+            }
+            self.roots.insert(span.span, slot);
+        }
+        self.open.insert(span.span, span);
+    }
+
+    /// A `span.end` of span `id` was stored at `time`. An end without an
+    /// open start changes nothing but the tallies. A closed child phase
+    /// span is credited to its lifeline, matching the offline attribution:
+    /// only children whose parent is a root File span with both request
+    /// and file count.
+    pub(crate) fn span_closed(&mut self, id: u64, time: SimTime) {
+        self.saw(time);
+        let Some(done) = self.open.remove(&id) else {
+            return;
+        };
+        self.spans_closed += 1;
         if matches!(done.phase, Phase::File | Phase::Prestage | Phase::Campaign) {
             return;
         }
-        let Some(key) = self.roots.get(&done.parent) else {
-            return;
-        };
-        *self
-            .totals
-            .entry(key.clone())
-            .or_default()
-            .entry(done.phase.as_str())
-            .or_insert(0.0) += end.since(done.start).as_secs_f64();
+        if let Some(&slot) = self.roots.get(&done.parent) {
+            let sums = &mut self.sums[slot as usize];
+            sums.secs[done.phase as usize] += time.since(done.start).as_secs_f64();
+            sums.closed |= 1 << done.phase as u16;
+        }
     }
 
     /// Time of the latest event observed (the live "now" of the trace).
@@ -173,13 +211,22 @@ impl LiveLifelines {
             .min_by_key(|s| (s.start, s.span))
     }
 
-    /// Closed-phase totals for one lifeline, accumulated incrementally.
+    /// Closed-phase totals for one lifeline, accumulated incrementally;
+    /// `None` until one of its phase spans closed.
     pub fn file_phase_totals(
         &self,
         request: u64,
         file: &str,
-    ) -> Option<&BTreeMap<&'static str, f64>> {
-        self.totals.get(&(request, Text::shared(file)))
+    ) -> Option<BTreeMap<&'static str, f64>> {
+        let slot = *self.slots.get(&(request, Text::shared(file)))?;
+        let sums = &self.sums[slot as usize];
+        (sums.closed != 0).then(|| {
+            Phase::ALL
+                .into_iter()
+                .filter(|&p| sums.closed & (1 << p as u16) != 0)
+                .map(|p| (p.as_str(), sums.secs[p as usize]))
+                .collect()
+        })
     }
 
     /// Record that a live stall probe fired `obs.stall` (called by the
@@ -277,7 +324,7 @@ mod tests {
         for l in &offline.lifelines {
             assert_eq!(
                 live.file_phase_totals(l.request, &l.file),
-                Some(&l.phase_totals())
+                Some(l.phase_totals())
             );
         }
     }
@@ -346,10 +393,10 @@ mod tests {
         let live = feed(&log);
         let offline = LifelineSet::from_log(&log);
         let l = offline.lifeline(7, "f1").unwrap();
-        assert_eq!(live.file_phase_totals(7, "f1").unwrap(), &l.phase_totals());
+        assert_eq!(live.file_phase_totals(7, "f1").unwrap(), l.phase_totals());
         // f2's transfer never closed: only the queue phase is credited,
         // exactly like the offline closed-only sum.
         let l2 = offline.lifeline(7, "f2").unwrap();
-        assert_eq!(live.file_phase_totals(7, "f2").unwrap(), &l2.phase_totals());
+        assert_eq!(live.file_phase_totals(7, "f2").unwrap(), l2.phase_totals());
     }
 }

@@ -14,8 +14,8 @@ use std::fmt::Write;
 
 /// Histogram over power-of-two buckets.
 ///
-/// The bucket for value `v` is the smallest `k` with `v <= 2^k`, found by
-/// comparing against exact power-of-two f64s (no `log2` call, whose libm
+/// The bucket for value `v` is the smallest `k` with `v <= 2^k`, read from
+/// the f64's exponent and mantissa bits (no `log2` call, whose libm
 /// rounding could differ across platforms). Exponents cover `2^-30`
 /// (~1 ns as seconds) through `2^40` (~1 TB as bytes).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -39,15 +39,21 @@ impl Histogram {
         Histogram::default()
     }
 
+    /// `v`'s bucket: 0 up to `2^MIN_EXP` (negatives, zeros and subnormals
+    /// included), the last for values past `2^(MIN_EXP + N_BUCKETS - 2)`,
+    /// infinity and NaN, else `ceil(log2 v) - MIN_EXP`: a normal `v`'s
+    /// unbiased exponent, plus one unless `v` is a power of two.
     fn bucket_index(v: f64) -> usize {
-        let mut bound = 2f64.powi(MIN_EXP);
-        for i in 0..N_BUCKETS - 1 {
-            if v <= bound {
-                return i;
-            }
-            bound *= 2.0;
+        if v.is_nan() {
+            return N_BUCKETS - 1;
         }
-        N_BUCKETS - 1
+        if v <= 2f64.powi(MIN_EXP) {
+            return 0;
+        }
+        let bits = v.to_bits();
+        let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+        let ceil_log2 = exp + i32::from(bits & ((1 << 52) - 1) != 0);
+        ((ceil_log2 - MIN_EXP) as usize).min(N_BUCKETS - 1)
     }
 
     /// Upper bound of bucket `i` (`f64::INFINITY` for the overflow bucket).
@@ -338,6 +344,48 @@ mod tests {
         let p99 = h.quantile(0.99).unwrap();
         assert!((1000.0..=1024.0).contains(&p99), "{p99}");
         assert!(h.quantile(0.0).unwrap() <= 0.5);
+    }
+
+    /// The bucket loop `bucket_index` replaced, as its oracle.
+    fn bucket_by_loop(v: f64) -> usize {
+        let mut bound = 2f64.powi(MIN_EXP);
+        for i in 0..N_BUCKETS - 1 {
+            if v <= bound {
+                return i;
+            }
+            bound *= 2.0;
+        }
+        N_BUCKETS - 1
+    }
+
+    #[test]
+    fn bucket_index_matches_the_doubling_loop() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.3,
+            1000.0,
+            1e12,
+        ];
+        for k in MIN_EXP - 2..=MAX_EXP + 2 {
+            let p = 2f64.powi(k);
+            values.extend([p, p.next_up(), p.next_down(), 1.5 * p, -p]);
+        }
+        for v in values {
+            assert_eq!(Histogram::bucket_index(v), bucket_by_loop(v), "{v:e}");
+        }
     }
 
     #[test]

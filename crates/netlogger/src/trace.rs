@@ -20,7 +20,7 @@
 //! un-contexted emission a compile error rather than a code-review hazard.
 
 use crate::event::{LogEvent, NetLog, Text, Value};
-use crate::live::LiveLifelines;
+use crate::live::{LiveLifelines, OpenSpan};
 use esg_simnet::SimTime;
 use std::ops::Deref;
 
@@ -259,6 +259,10 @@ impl TracedLog {
     /// Open a span: allocates the next [`SpanId`], emits a `span.start`
     /// event carrying `span`, `parent` (0 for a root) and `phase`, and
     /// returns the id for the matching [`span_end`](TracedLog::span_end).
+    ///
+    /// A live analyzer gets the span as this call holds it, at the time the
+    /// log stored: what [`LiveLifelines::observe`] would read back from the
+    /// stored event, without reading it.
     pub fn span_start(
         &mut self,
         ctx: &TraceCtx,
@@ -268,16 +272,28 @@ impl TracedLog {
     ) -> SpanId {
         self.next_span += 1;
         let id = SpanId(self.next_span);
+        let parent = parent.unwrap_or(SpanId::NONE);
         let event = LogEvent::new(time, "span.start")
             .field("span", id.0)
-            .field("parent", parent.unwrap_or(SpanId::NONE).0)
+            .field("parent", parent.0)
             .field("phase", phase.as_str());
-        self.emit(ctx, event);
+        let start = self.log.append(ctx, event);
+        if let Some(live) = &mut self.live {
+            live.span_opened(OpenSpan {
+                span: id.0,
+                parent: parent.0,
+                phase,
+                request: ctx.request,
+                file: ctx.file.clone(),
+                start,
+            });
+        }
         id
     }
 
     /// Close a span, attaching any extra fields (e.g. `bytes` banked by a
-    /// transfer attempt, or a terminal `status`).
+    /// transfer attempt, or a terminal `status`). A live analyzer gets the
+    /// id and the stored time, as for [`span_start`](TracedLog::span_start).
     pub fn span_end(
         &mut self,
         ctx: &TraceCtx,
@@ -292,7 +308,10 @@ impl TracedLog {
         for (k, v) in extra {
             event = event.field(k, v);
         }
-        self.emit(ctx, event);
+        let end = self.log.append(ctx, event);
+        if let Some(live) = &mut self.live {
+            live.span_closed(span.0, end);
+        }
     }
 }
 
@@ -378,7 +397,7 @@ mod tests {
         let offline = crate::lifeline::LifelineSet::from_log(&log);
         assert_eq!(
             live.file_phase_totals(1, "f"),
-            Some(&offline.lifelines[0].phase_totals())
+            Some(offline.lifelines[0].phase_totals())
         );
         assert_eq!(live.trace_end(), offline.trace_end);
         assert_eq!(live.open_count(), 0);

@@ -106,7 +106,10 @@ pub fn tap_matches_recount(live: &LiveLifelines, log: &NetLog) -> Result<(), Str
         return Err(format!("tap open spans {open:?}, recount {want:?}"));
     }
     for key in &r.files {
-        let (got, want) = (live.file_phase_totals(key.0, &key.1), r.totals.get(key));
+        let (got, want) = (
+            live.file_phase_totals(key.0, &key.1),
+            r.totals.get(key).cloned(),
+        );
         if got != want {
             return Err(format!("{key:?}: tap totals {got:?}, recount {want:?}"));
         }

@@ -12,8 +12,15 @@
 //!    attached mid-stream. It must export the same bytes as the oracle,
 //!    re-parse to the same bytes and answer every query the same, and the
 //!    live analyzer must hold what [`recount`] says it must.
+//! 3. The typed tap: request-manager-shaped streams of `span_start`,
+//!    `span_end` and `emit` calls reach the live analyzer mostly without
+//!    being read back, and it must hold what `attach_live`'s replay of the
+//!    finished log and the offline `LifelineSet::from_log` pass hold.
 
-use esg_netlogger::{LifelineSet, LogEvent, NetLog, TraceCtx, TracedLog, Value};
+use esg_netlogger::{
+    LifelineSet, LiveLifelines, LogEvent, NetLog, OpenSpan, Phase, SpanId, TraceCtx, TracedLog,
+    Value,
+};
 use esg_simnet::SimTime;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -519,5 +526,160 @@ proptest! {
             log.attach_live();
         }
         prop_assert_eq!(recount::tap_matches_recount(log.live().unwrap(), &log), Ok(()));
+    }
+
+    /// The typed tap against both readers of the stored log. Lifelines
+    /// open under requests of two files each, walk through phases with one
+    /// open at a time, and settle; a prestage span opens and closes beside
+    /// them. Through plain `emit`, span events reuse the typed path's ids:
+    /// a phase is closed, or replaced while open by another phase of the
+    /// same id, and ends arrive for ids never opened. Times step backwards
+    /// (the log clamps them) and the tap attaches mid-stream. The tap must
+    /// then hold exactly what `attach_live` rebuilds by reading the whole
+    /// log and what the offline pass reconstructs: open spans in order,
+    /// every lifeline's phase totals, the horizon and the tallies.
+    #[test]
+    fn typed_tap_holds_what_replay_and_offline_hold(
+        stream in prop::collection::vec(
+            (0u8..9, 0usize..4, 0usize..7, (0u64..8, 0u64..1_000_000)),
+            0..80usize,
+        ),
+        attach_at in 0usize..20,
+    ) {
+        const PHASES: [Phase; 7] = [
+            Phase::Queue,
+            Phase::Select,
+            Phase::Stage,
+            Phase::Transfer,
+            Phase::Verify,
+            Phase::Repair,
+            Phase::Backoff,
+        ];
+        struct Lane {
+            ctx: TraceCtx,
+            root: SpanId,
+            phase: Option<(SpanId, Phase)>,
+        }
+        let mut log = TracedLog::new();
+        let mut lanes: [Option<Lane>; 4] = Default::default();
+        let mut prestage: Option<(TraceCtx, SpanId)> = None;
+        let mut roots = 0u64;
+        let mut secs = 10u64;
+        for (i, &(op, lane, phase, (step, micros))) in stream.iter().enumerate() {
+            if i == attach_at {
+                log.attach_live();
+            }
+            secs = (secs + step).saturating_sub(3);
+            let t = SimTime(secs * 1_000_000_000 + micros * 1_000);
+            let next = PHASES[phase];
+            let slot = &mut lanes[lane];
+            match (op, slot.as_mut()) {
+                (0 | 1, None) => {
+                    roots += 1;
+                    let ctx = TraceCtx::request(1 + roots / 2).with_file(format!("f{lane}.{roots}"));
+                    let root = log.span_start(&ctx, t, Phase::File, None);
+                    *slot = Some(Lane { ctx, root, phase: None });
+                }
+                (0 | 1, Some(l)) => {
+                    if let Some((id, p)) = l.phase.take() {
+                        log.span_end(&l.ctx, t, id, p, vec![("bytes", Value::from(micros))]);
+                    }
+                    let id = log.span_start(&l.ctx, t, next, Some(l.root));
+                    l.phase = Some((id, next));
+                }
+                (2, Some(l)) => {
+                    if let Some((id, p)) = l.phase.take() {
+                        log.span_end(&l.ctx, t, id, p, vec![]);
+                    }
+                    log.span_end(&l.ctx, t, l.root, Phase::File, vec![("status", "done".into())]);
+                    *slot = None;
+                }
+                (3, l) => {
+                    let mut e = LogEvent::new(t, "rm.tick");
+                    let ctx = match l {
+                        Some(l) => {
+                            if let Some((id, p)) = l.phase {
+                                e = e.field("span", id.0).field("phase", p.as_str());
+                            }
+                            l.ctx.clone()
+                        }
+                        None => TraceCtx::system(),
+                    };
+                    log.emit(&ctx, e);
+                }
+                (4, Some(l)) => {
+                    if let Some((id, p)) = l.phase.take() {
+                        let e = LogEvent::new(t, "span.end")
+                            .field("span", id.0)
+                            .field("phase", p.as_str());
+                        log.emit(&l.ctx, e);
+                    }
+                }
+                (5, Some(l)) => {
+                    if let Some((id, _)) = l.phase {
+                        let e = LogEvent::new(t, "span.start")
+                            .field("span", id.0)
+                            .field("parent", l.root.0)
+                            .field("phase", next.as_str());
+                        log.emit(&l.ctx, e);
+                        l.phase = Some((id, next));
+                    }
+                }
+                (6, _) => {
+                    let e = LogEvent::new(t, "span.end").field("span", 1_000_000 + micros);
+                    log.emit(&TraceCtx::request(1), e);
+                }
+                (7, _) => match prestage.take() {
+                    Some((ctx, id)) => log.span_end(&ctx, t, id, Phase::Prestage, vec![]),
+                    None => {
+                        let ctx = TraceCtx::request(1 + roots / 2);
+                        let id = log.span_start(&ctx, t, Phase::Prestage, None);
+                        prestage = Some((ctx, id));
+                    }
+                },
+                _ => {}
+            }
+        }
+        if log.live().is_none() {
+            log.attach_live();
+        }
+        let live = log.live().unwrap();
+        let mut again = log.clone();
+        again.attach_live();
+        let replay = again.live().unwrap();
+        let offline = LifelineSet::from_log(&log);
+
+        let tallies = |l: &LiveLifelines| {
+            (l.events_seen(), l.spans_closed(), l.stalls_fired(), l.trace_end(), l.open_count())
+        };
+        prop_assert_eq!(tallies(live), tallies(replay));
+        prop_assert_eq!(live.events_seen(), log.len() as u64);
+        prop_assert_eq!(live.trace_end(), offline.trace_end);
+        let open: Vec<&OpenSpan> = live.open_spans().collect();
+        prop_assert_eq!(&open, &replay.open_spans().collect::<Vec<_>>());
+        let mut still_open: Vec<OpenSpan> = offline
+            .lifelines
+            .iter()
+            .flat_map(|l| std::iter::once(&l.root).chain(&l.phases))
+            .chain(offline.prestage.iter().chain(&offline.campaigns))
+            .filter(|s| s.end.is_none())
+            .map(|s| OpenSpan {
+                span: s.id,
+                parent: s.parent,
+                phase: s.phase,
+                request: s.request,
+                file: s.file.clone(),
+                start: s.start,
+            })
+            .collect();
+        still_open.sort_by_key(|s| s.span);
+        prop_assert_eq!(open, still_open.iter().collect::<Vec<_>>());
+        prop_assert_eq!(offline.lifelines.len() as u64, roots);
+        for l in &offline.lifelines {
+            let totals = live.file_phase_totals(l.request, &l.file);
+            prop_assert_eq!(&totals, &replay.file_phase_totals(l.request, &l.file));
+            prop_assert_eq!(totals.unwrap_or_default(), l.phase_totals(), "{}", l.file);
+        }
+        prop_assert_eq!(recount::tap_matches_recount(live, &log), Ok(()));
     }
 }

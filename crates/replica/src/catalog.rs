@@ -65,13 +65,14 @@ pub struct Replica {
 
 /// The replica catalog, owning its directory subtree.
 ///
-/// The directory is the single source of truth (`to_ldif`, `directory()`,
-/// MDS co-hosting all read it). `index` is derived from it — what slapd's
-/// `index filename eq` is to its database — so that the per-file
-/// [`ReplicaCatalog::lookup_replicas`] costs O(locations of the collection)
-/// instead of a scan over every `lf=` sibling and every location's
-/// `filename` list. Every mutator below that writes a location entry
-/// updates it; the tests' `from_ldif` rebuilds it from an LDIF dump.
+/// The directory is the single source of truth (`directory()` and MDS
+/// co-hosting read it, and the tests' `to_ldif` dumps it). `index` is
+/// derived from it — what slapd's `index filename eq` is to its database —
+/// so that the per-file [`ReplicaCatalog::lookup_replicas`] costs
+/// O(locations of the collection) instead of a scan over every `lf=`
+/// sibling and every location's `filename` list. Every mutator below that
+/// writes a location entry updates it; the tests' `from_ldif` rebuilds it
+/// from an LDIF dump.
 #[derive(Debug)]
 pub struct ReplicaCatalog {
     dir: Directory,
@@ -206,6 +207,7 @@ impl ReplicaCatalog {
 
     /// Dump the whole catalog as LDIF (how 2001 LDAP catalogs were
     /// administered and replicated between sites).
+    #[cfg(test)]
     pub fn to_ldif(&self) -> String {
         esg_directory::ldif_dump(&self.dir)
     }

@@ -25,10 +25,14 @@
 //! `(key, transfer, block)` — with later segments overwriting earlier ones
 //! (last-writer-wins), exactly as overlapping writes to a local file would.
 //!
-//! `verify` is the request manager's side of it: it replays a file's
-//! segments against the catalog, charges mismatches to the serving hosts
-//! and quarantines the repeat offenders; the file's lifecycle decides
-//! between completion, repair and re-fetch.
+//! `verify` is the request manager's side of it: it checks a delivery
+//! against the catalog, charges mismatches to the serving hosts and
+//! quarantines the repeat offenders; the file's lifecycle decides between
+//! completion, repair and re-fetch. A delivery no segment tainted received
+//! the pristine blocks, so its check is one compare against the content
+//! key's pristine file digest, hashed once per key (`IntegrityManager`'s
+//! `check`); only a tainted delivery, or one whose catalog digest is not
+//! the pristine one, replays its segments.
 
 use crate::lifecycle::{FileLife, Verdict};
 use crate::manager::RmWorld;
@@ -36,8 +40,8 @@ use esg_gridftp::RangeSet;
 use esg_netlogger::{LogEvent, TraceCtx};
 use esg_simnet::{NodeId, Sim, SimDuration, SimTime};
 use esg_storage::{
-    block_count, blocks_overlapping, corrupt_block_digest, pristine_block_digest, stable_hash,
-    ObjectStore, BLOCK_SIZE,
+    block_count, blocks_overlapping, corrupt_block_digest, pristine_block_digest,
+    pristine_file_digest, stable_hash, ObjectStore, BLOCK_SIZE,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -73,7 +77,7 @@ pub struct SegmentView {
 }
 
 /// Result of verifying a file's received blocks against expectations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
     /// Hex digest over the received per-block digests.
     pub received_hex: String,
@@ -133,9 +137,7 @@ pub fn verify_blocks(
                 .iter()
                 .find(|&&(blk, _)| blk == b)
                 .map(|&(_, nonce)| nonce);
-            let wire = seg.wire_active
-                && wire_denom > 0
-                && stable_hash(key, seg.seq, b).is_multiple_of(wire_denom);
+            let wire = wire_hit(key, seg, b, wire_denom);
             if let Some(nonce) = at_rest {
                 received[b as usize] = corrupt_block_digest(key, b, nonce);
                 blame[b as usize] = Some(&seg.host);
@@ -158,6 +160,11 @@ pub fn verify_blocks(
     }
 }
 
+/// Whether an active wire fault's sampler hits block `b` of `seg`.
+fn wire_hit(key: &str, seg: &SegmentView, b: u64, wire_denom: u64) -> bool {
+    seg.wire_active && wire_denom > 0 && stable_hash(key, seg.seq, b).is_multiple_of(wire_denom)
+}
+
 /// Integrity policy and quarantine bookkeeping, owned by the request
 /// manager.
 #[derive(Debug)]
@@ -178,6 +185,8 @@ pub struct IntegrityManager {
     pub stores: HashMap<String, ObjectStore>,
     incidents: HashMap<(String, String), u32>,
     quarantined: BTreeSet<(String, String)>,
+    /// Content key → the size and pristine file digest last hashed for it.
+    pristine: HashMap<Box<str>, (u64, [u8; 32])>,
 }
 
 impl Default for IntegrityManager {
@@ -190,11 +199,59 @@ impl Default for IntegrityManager {
             stores: HashMap::new(),
             incidents: HashMap::new(),
             quarantined: BTreeSet::new(),
+            pristine: HashMap::new(),
         }
     }
 }
 
 impl IntegrityManager {
+    /// Check one delivery of content key `key` (`collection/name`) against
+    /// the catalog's `expected_hex`: the received file digest if it matches,
+    /// else the report of what did not.
+    ///
+    /// A delivery with no at-rest flip inside any segment's span and no
+    /// sampled wire hit in any wire-active segment received the pristine
+    /// blocks, so it is clean exactly when the key's pristine file digest
+    /// (hashed on the key's first use at this size, then kept) is the
+    /// catalog's. Any other delivery replays its segments through
+    /// [`verify_blocks`].
+    pub(crate) fn check(
+        &mut self,
+        key: &str,
+        size: u64,
+        expected_hex: &str,
+        segments: &[SegmentView],
+    ) -> Result<String, VerifyReport> {
+        let denom = self.wire_rate_denom;
+        let tainted = segments.iter().any(|seg| {
+            let mut span = blocks_overlapping(seg.start, seg.end.min(size));
+            seg.at_rest.iter().any(|(b, _)| span.contains(b))
+                || span.any(|b| wire_hit(key, seg, b, denom))
+        });
+        if !tainted {
+            let hex = esg_gsi::hex(&self.pristine_digest(key, size));
+            if hex == expected_hex {
+                return Ok(hex);
+            }
+        }
+        let report = verify_blocks(key, size, denom, segments);
+        if report.is_clean() && report.received_hex == expected_hex {
+            return Ok(report.received_hex);
+        }
+        Err(report)
+    }
+
+    fn pristine_digest(&mut self, key: &str, size: u64) -> [u8; 32] {
+        match self.pristine.get(key) {
+            Some(&(sz, digest)) if sz == size => digest,
+            _ => {
+                let digest = pristine_file_digest(key, size);
+                self.pristine.insert(key.into(), (size, digest));
+                digest
+            }
+        }
+    }
+
     /// Count one corrupt-serving incident against `(collection, host)` and
     /// return the new total.
     pub fn record_incident(&mut self, collection: &str, host: &str) -> u32 {
@@ -297,10 +354,10 @@ pub(crate) fn verify<W: RmWorld>(sim: &mut Sim<W>, file: &FileLife, ctx: &TraceC
         })
         .collect();
     let key = format!("{collection}/{name}");
-    let report = verify_blocks(&key, size, rm.integrity.wire_rate_denom, &views);
-    if report.is_clean() && report.received_hex == expected_hex {
-        return Verdict::Clean(report.received_hex);
-    }
+    let report = match rm.integrity.check(&key, size, expected_hex, &views) {
+        Ok(hex) => return Verdict::Clean(hex),
+        Err(report) => report,
+    };
     for (b, h) in &report.corrupt {
         rm.metrics.counter_add("rm.integrity.block_mismatches", 1);
         rm.log.emit(
@@ -462,6 +519,192 @@ mod tests {
         let r = verify_blocks("c/empty", 0, 16, &[]);
         assert!(r.is_clean());
         assert_eq!(r.received_hex, esg_storage::file_digest_hex("c/empty", 0));
+    }
+
+    /// `verify_blocks` as it stood before `check` could skip it: the
+    /// oracle of the differential below.
+    fn verify_blocks_replayed(
+        key: &str,
+        size: u64,
+        wire_denom: u64,
+        segments: &[SegmentView],
+    ) -> VerifyReport {
+        let n = block_count(size) as usize;
+        let expected: Vec<[u8; 32]> = (0..n as u64)
+            .map(|b| pristine_block_digest(key, b))
+            .collect();
+        let mut received = expected.clone();
+        let mut blame: Vec<Option<&str>> = vec![None; n];
+        let mut covered = RangeSet::new();
+        for seg in segments.iter().rev() {
+            let (s0, e0) = (seg.start, seg.end.min(size));
+            for b in blocks_overlapping(s0, e0) {
+                let bs = (b * BLOCK_SIZE).max(s0);
+                let be = ((b + 1) * BLOCK_SIZE).min(e0);
+                if bs >= be || covered.contains(bs, be) {
+                    continue;
+                }
+                let at_rest = seg
+                    .at_rest
+                    .iter()
+                    .find(|&&(blk, _)| blk == b)
+                    .map(|&(_, nonce)| nonce);
+                let wire = seg.wire_active
+                    && wire_denom > 0
+                    && stable_hash(key, seg.seq, b).is_multiple_of(wire_denom);
+                if let Some(nonce) = at_rest {
+                    received[b as usize] = corrupt_block_digest(key, b, nonce);
+                    blame[b as usize] = Some(&seg.host);
+                }
+                if wire {
+                    let nonce = stable_hash(key, seg.seq, b) | 1;
+                    received[b as usize] = corrupt_block_digest(key, b, nonce);
+                    blame[b as usize] = Some(&seg.host);
+                }
+            }
+            covered.insert(s0, e0);
+        }
+        let corrupt = esg_gridftp::mismatched_blocks(&expected, &received)
+            .into_iter()
+            .map(|b| (b, blame[b as usize].unwrap_or_default().to_string()))
+            .collect();
+        VerifyReport {
+            received_hex: esg_storage::file_digest_hex_of(&received),
+            corrupt,
+        }
+    }
+
+    /// The comparison `verify` made of the replay against the catalog.
+    fn replayed(
+        key: &str,
+        size: u64,
+        wire_denom: u64,
+        expected_hex: &str,
+        segments: &[SegmentView],
+    ) -> Result<String, VerifyReport> {
+        let report = verify_blocks_replayed(key, size, wire_denom, segments);
+        if report.is_clean() && report.received_hex == expected_hex {
+            return Ok(report.received_hex);
+        }
+        Err(report)
+    }
+
+    /// `check`, with its pristine-digest memo cold, warmed by a delivery of
+    /// the same key at another size, and warmed across every case, returns
+    /// what replaying every segment returns: the hex, the corrupt blocks
+    /// and their blame, in order. The segments overlap and cover files
+    /// partly, flips fall inside and outside their spans, wire faults
+    /// sample at several rates, files are empty, one block or a few, and
+    /// the catalog's digest is sometimes another size's or another key's.
+    #[test]
+    fn check_matches_the_segment_replay() {
+        const SIZES: [u64; 8] = [
+            0,
+            1,
+            BLOCK_SIZE - 1,
+            BLOCK_SIZE,
+            BLOCK_SIZE + 1,
+            3 * BLOCK_SIZE,
+            3 * BLOCK_SIZE + 17,
+            6 * BLOCK_SIZE - 5,
+        ];
+        const KEYS: [&str; 3] = ["c/f", "c/g", "d/f"];
+        let mut rng = proptest::TestRng::seed_from_u64(0x5eed);
+        let mut across = IntegrityManager::default();
+        // (untainted clean, untainted but not the catalog's, tainted by
+        // wire alone, tainted at rest)
+        let mut seen = [0u32; 4];
+        for case in 0..3000 {
+            let key = KEYS[rng.below(0, KEYS.len() - 1)];
+            let size = SIZES[rng.below(0, SIZES.len() - 1)];
+            let other_size = SIZES[rng.below(0, SIZES.len() - 1)];
+            let denom = [0, 1, 2, 3, 8, 16][rng.below(0, 5)];
+            let reach = size + BLOCK_SIZE;
+            let segments: Vec<SegmentView> = (0..rng.below(0, 4))
+                .map(|_| {
+                    let start = match rng.below(0, 2) {
+                        0 => 0,
+                        _ => rng.below(0, reach as usize) as u64,
+                    };
+                    let end = match rng.below(0, 2) {
+                        0 => size,
+                        _ => start + rng.below(0, reach as usize) as u64,
+                    };
+                    let mut sg = seg(
+                        ["a", "b", "c"][rng.below(0, 2)],
+                        start,
+                        end,
+                        rng.below(1, 40) as u64,
+                    );
+                    sg.wire_active = rng.below(0, 3) == 0;
+                    if rng.below(0, 3) == 0 {
+                        let blocks = block_count(size) as usize + 2;
+                        sg.at_rest = (0..rng.below(1, 2))
+                            .map(|_| (rng.below(0, blocks) as u64, rng.below(1, 9) as u64))
+                            .collect();
+                    }
+                    sg
+                })
+                .collect();
+            let expected = match rng.below(0, 5) {
+                0 => esg_storage::file_digest_hex(key, other_size),
+                1 => esg_storage::file_digest_hex(KEYS[rng.below(0, KEYS.len() - 1)], size),
+                _ => esg_storage::file_digest_hex(key, size),
+            };
+            let want = replayed(key, size, denom, &expected, &segments);
+
+            let mut cold = IntegrityManager {
+                wire_rate_denom: denom,
+                ..Default::default()
+            };
+            assert_eq!(
+                cold.check(key, size, &expected, &segments),
+                want,
+                "cold, case {case}"
+            );
+            let mut warm = IntegrityManager {
+                wire_rate_denom: denom,
+                ..Default::default()
+            };
+            let other_hex = esg_storage::file_digest_hex(key, other_size);
+            assert!(warm.check(key, other_size, &other_hex, &[]).is_ok());
+            assert_eq!(
+                warm.check(key, size, &expected, &segments),
+                want,
+                "warmed, case {case}"
+            );
+            assert_eq!(
+                warm.check(key, size, &expected, &segments),
+                want,
+                "warm, case {case}"
+            );
+            across.wire_rate_denom = denom;
+            assert_eq!(
+                across.check(key, size, &expected, &segments),
+                want,
+                "across, case {case}"
+            );
+
+            let in_span = |sg: &SegmentView| {
+                let span = blocks_overlapping(sg.start, sg.end.min(size));
+                sg.at_rest.iter().any(|(b, _)| span.contains(b))
+            };
+            let wire_only = denom > 0 && segments.iter().any(|sg| sg.wire_active);
+            let class = if segments.iter().any(in_span) {
+                3
+            } else if want.is_err()
+                && wire_only
+                && expected == esg_storage::file_digest_hex(key, size)
+            {
+                2
+            } else if want.is_ok() {
+                0
+            } else {
+                1
+            };
+            seen[class] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 50), "every class drawn: {seen:?}");
     }
 
     #[test]

@@ -64,12 +64,19 @@ pub fn file_digest_hex_of(blocks: &[[u8; 32]]) -> String {
     hex(&h.finalize())
 }
 
+/// Whole-file digest of the pristine content for `key`/`size`: the digest
+/// over its pristine block digests, streamed without collecting them.
+pub fn pristine_file_digest(key: &str, size: u64) -> [u8; 32] {
+    let mut h = Sha256::new();
+    for i in 0..block_count(size) {
+        h.update(&pristine_block_digest(key, i));
+    }
+    h.finalize()
+}
+
 /// Whole-file digest (hex) of the pristine content for `key`/`size`.
 pub fn file_digest_hex(key: &str, size: u64) -> String {
-    let blocks: Vec<[u8; 32]> = (0..block_count(size))
-        .map(|i| pristine_block_digest(key, i))
-        .collect();
-    file_digest_hex_of(&blocks)
+    hex(&pristine_file_digest(key, size))
 }
 
 /// Deterministic 64-bit mix used to sample corruption events (which block

@@ -29,6 +29,6 @@ pub use disk::{DiskModel, RaidArray, RaidLevel};
 pub use hrm::{Hrm, HrmError, StageOutcome, TapeCatalog};
 pub use integrity::{
     block_count, blocks_overlapping, corrupt_block_digest, file_digest_hex, file_digest_hex_of,
-    pristine_block_digest, stable_hash, ObjectStore, BLOCK_SIZE,
+    pristine_block_digest, pristine_file_digest, stable_hash, ObjectStore, BLOCK_SIZE,
 };
 pub use tape::{stage_corruption, StageJob, TapeLibrary, TapeParams};

@@ -114,7 +114,6 @@ proptest! {
         for l in &offline.lifelines {
             let inc = live
                 .file_phase_totals(l.request, &l.file)
-                .cloned()
                 .unwrap_or_default();
             prop_assert_eq!(inc, l.phase_totals(), "incremental totals for {}", l.file);
         }

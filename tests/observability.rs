@@ -220,7 +220,6 @@ fn streaming_analyzer_matches_offline_lifeline_pass_end_to_end() {
     for l in &offline.lifelines {
         let inc = live
             .file_phase_totals(l.request, &l.file)
-            .cloned()
             .unwrap_or_default();
         assert_eq!(inc, l.phase_totals(), "incremental totals for {}", l.file);
         assert!(l.is_complete(), "complete tiling for {}", l.file);
