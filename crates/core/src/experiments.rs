@@ -69,17 +69,8 @@ pub struct Table1Config {
     /// The file being served: "a 2-gigabyte file partitioned across the
     /// eight workstations".
     pub file_bytes: u64,
-    /// TCP buffer: "We chose 1 MB as a reasonable buffer size".
-    pub window: f64,
-    /// "up to four simultaneous TCP streams ... from each server".
-    pub max_concurrent_per_server: usize,
-    /// "a new transfer ... initiated after 25% of the previous transfer
-    /// was complete".
-    pub start_next_frac: f64,
     /// Measurement length (paper: one hour).
     pub duration: SimDuration,
-    /// Meter sampling interval (must be ≤ 0.1 s for the 0.1 s peak).
-    pub sample: SimDuration,
 }
 
 impl Default for Table1Config {
@@ -87,14 +78,20 @@ impl Default for Table1Config {
         Table1Config {
             net: Sc2000Config::default(),
             file_bytes: 2_000_000_000,
-            window: (1u64 << 20) as f64,
-            max_concurrent_per_server: 4,
-            start_next_frac: 0.25,
             duration: SimDuration::from_hours(1),
-            sample: SimDuration::from_millis(50),
         }
     }
 }
+
+/// TCP buffer: "We chose 1 MB as a reasonable buffer size".
+const TABLE1_WINDOW: f64 = (1u64 << 20) as f64;
+/// "up to four simultaneous TCP streams ... from each server".
+const TABLE1_STREAMS_PER_SERVER: usize = 4;
+/// "a new transfer ... initiated after 25% of the previous transfer was
+/// complete".
+const TABLE1_START_NEXT_FRAC: f64 = 0.25;
+/// Meter sampling interval (must be ≤ 0.1 s for the 0.1 s peak).
+const TABLE1_SAMPLE: SimDuration = SimDuration::from_millis(50);
 
 /// The Table 1 row set.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +110,6 @@ pub struct Table1Results {
 /// The runner's state: the pipeline of per-server transfers and what they
 /// have delivered.
 struct Table1State {
-    cfg: Table1Config,
     servers: Vec<NodeId>,
     receivers: Vec<NodeId>,
     partition: u64,
@@ -146,7 +142,7 @@ struct Table1State {
 const TABLE1_WATCH_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// One transfer's next watch read: at `due`, read its progress and start
-/// its server's next copy once it passes `start_next_frac`.
+/// its server's next copy once it passes [`TABLE1_START_NEXT_FRAC`].
 struct Watch {
     due: SimTime,
     key: u64,
@@ -171,7 +167,6 @@ pub fn run_table1_metered(cfg: Table1Config) -> (Table1Results, BandwidthMeter) 
     let mut sim = wan_sim(
         tb.topo,
         Table1State {
-            cfg,
             servers: tb.servers,
             receivers: tb.receivers,
             partition: cfg.file_bytes / n as u64,
@@ -222,7 +217,7 @@ pub fn run_table1_metered(cfg: Table1Config) -> (Table1Results, BandwidthMeter) 
         spawn_table1_transfer(&mut sim, i);
     }
 
-    sim.every(cfg.sample, TABLE1_SAMPLER, table1_sample_tick);
+    sim.every(TABLE1_SAMPLE, TABLE1_SAMPLER, table1_sample_tick);
 
     sim.run_until(end);
 
@@ -253,8 +248,8 @@ pub fn run_table1_metered(cfg: Table1Config) -> (Table1Results, BandwidthMeter) 
     let results = Table1Results {
         striped_servers_source: n,
         striped_servers_destination: n_receivers,
-        max_streams_per_server: cfg.max_concurrent_per_server,
-        max_streams_total: cfg.max_concurrent_per_server * n,
+        max_streams_per_server: TABLE1_STREAMS_PER_SERVER,
+        max_streams_total: TABLE1_STREAMS_PER_SERVER * n,
         peak_0_1s_gbps: to_gbps(meter.peak_rate(SimDuration::from_millis(100))),
         peak_5s_gbps: to_gbps(meter.peak_rate(SimDuration::from_secs(5))),
         sustained_mbps: to_mbps(meter.mean_rate(SimTime::ZERO, end)),
@@ -283,14 +278,14 @@ fn schedule_loss_window<S: 'static>(
 fn spawn_table1_transfer(sim: &mut WanSim<Table1State>, server: usize) {
     let now = sim.now();
     let st = &mut sim.world.run;
-    if now >= st.end || st.live_per_server[server] >= st.cfg.max_concurrent_per_server {
+    if now >= st.end || st.live_per_server[server] >= TABLE1_STREAMS_PER_SERVER {
         return;
     }
     st.live_per_server[server] += 1;
     // "Each workstation actually had four copies of its file partition" —
     // each transfer is one TCP stream moving one copy of the partition.
     let spec = TransferSpec::new(st.servers[server], st.receivers[server], st.partition)
-        .window(st.cfg.window)
+        .window(TABLE1_WINDOW)
         .streams(1);
     // A refused start drops this closure uncalled and leaves `next_key`
     // alone, so the key is never seen twice.
@@ -332,7 +327,7 @@ fn spawn_table1_transfer(sim: &mut WanSim<Table1State>, server: usize) {
 /// A read drops the watch once its key left `active` (the completion
 /// closure removed it) or every byte is delivered (the `226` will remove
 /// it). Otherwise it starts the server's next copy once the transfer passes
-/// `start_next_frac`, and pushes the watch back one period out, after the
+/// [`TABLE1_START_NEXT_FRAC`], and pushes the watch back one period out, after the
 /// child's. That is the order in which one self-re-arming tick per transfer
 /// queued its reads, and no other event of a wake's instant is queued
 /// between those reads and the wake (EXPERIMENTS.md A37 counted none: the
@@ -354,7 +349,7 @@ fn table1_watch_wake(s: &mut WanSim<Table1State>) {
         if bytes >= st.partition {
             continue;
         }
-        if !w.spawned_next && bytes as f64 >= st.cfg.start_next_frac * st.partition as f64 {
+        if !w.spawned_next && bytes as f64 >= TABLE1_START_NEXT_FRAC * st.partition as f64 {
             w.spawned_next = true;
             spawn_table1_transfer(s, w.server);
         }
@@ -368,7 +363,7 @@ fn table1_watch_wake(s: &mut WanSim<Table1State>) {
     }
 }
 
-/// The Table 1 sampler's tick, every `cfg.sample`: record the bytes
+/// The Table 1 sampler's tick, every [`TABLE1_SAMPLE`]: record the bytes
 /// received so far, the completed transfers' total plus each live
 /// transfer's progress.
 ///
@@ -410,7 +405,7 @@ fn table1_sample_tick(s: &mut WanSim<Table1State>) -> ControlFlow<()> {
 
 /// A fault event in the Figure 8 schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig8Fault {
+enum Fig8Fault {
     /// SCinet power failure: the floor link goes down.
     PowerFailure,
     /// DNS problems: no new connections.
@@ -419,45 +414,21 @@ pub enum Fig8Fault {
     Backbone,
 }
 
-/// Configuration for the Figure 8 run.
-#[derive(Debug, Clone)]
-pub struct Fig8Config {
-    /// Repeatedly transferred file (paper: 2 GB).
-    pub file_bytes: u64,
-    /// Run length (paper: ~14 hours).
-    pub duration: SimDuration,
-    /// Base parallelism, and the raised level used "toward the right side
-    /// of the graph".
-    pub base_streams: u32,
-    pub late_streams: u32,
-    /// When the parallelism increase happens, as a fraction of duration.
-    pub late_frac: f64,
-    /// Use post-SC'00 data-channel caching (the A4 ablation flips this).
-    pub channel_cache: bool,
-    /// Fault schedule: (start fraction of duration, length, kind).
-    pub faults: Vec<(f64, SimDuration, Fig8Fault)>,
-    /// Series bin width for the output.
-    pub bin: SimDuration,
-}
-
-impl Default for Fig8Config {
-    fn default() -> Self {
-        Fig8Config {
-            file_bytes: 2_000_000_000,
-            duration: SimDuration::from_hours(14),
-            base_streams: 4,
-            late_streams: 8,
-            late_frac: 0.80,
-            channel_cache: false,
-            faults: vec![
-                (0.22, SimDuration::from_mins(25), Fig8Fault::PowerFailure),
-                (0.45, SimDuration::from_mins(15), Fig8Fault::DnsOutage),
-                (0.62, SimDuration::from_mins(40), Fig8Fault::Backbone),
-            ],
-            bin: SimDuration::from_secs(60),
-        }
-    }
-}
+/// The repeatedly transferred file (paper: 2 GB).
+const FIG8_FILE_BYTES: u64 = 2_000_000_000;
+/// Base parallelism, and the raised level used "toward the right side of
+/// the graph" from [`FIG8_LATE_FRAC`] of the run on.
+const FIG8_BASE_STREAMS: u32 = 4;
+const FIG8_LATE_STREAMS: u32 = 8;
+const FIG8_LATE_FRAC: f64 = 0.80;
+/// Fault schedule: (start fraction of the run, length, kind).
+const FIG8_FAULTS: [(f64, SimDuration, Fig8Fault); 3] = [
+    (0.22, SimDuration::from_mins(25), Fig8Fault::PowerFailure),
+    (0.45, SimDuration::from_mins(15), Fig8Fault::DnsOutage),
+    (0.62, SimDuration::from_mins(40), Fig8Fault::Backbone),
+];
+/// Series bin width for the output.
+const FIG8_BIN: SimDuration = SimDuration::from_secs(60);
 
 /// Results of the Figure 8 run.
 #[derive(Debug, Clone)]
@@ -484,15 +455,14 @@ struct Fig8State {
     restarts: u64,
     streams: u32,
     end: SimTime,
-    channel_cache: bool,
-    file_bytes: u64,
     stall_since: Option<SimTime>,
 }
 
-/// Run the Figure 8 experiment.
-pub fn run_fig8(cfg: Fig8Config) -> Fig8Results {
+/// Run the Figure 8 experiment for `duration` (paper: ~14 hours), its
+/// faults and parallelism bump placed at fixed fractions of it.
+pub fn run_fig8(duration: SimDuration) -> Fig8Results {
     let tb = fig8_testbed();
-    let end = SimTime::ZERO + cfg.duration;
+    let end = SimTime::ZERO + duration;
     let mut sim = wan_sim(
         tb.topo,
         Fig8State {
@@ -502,17 +472,15 @@ pub fn run_fig8(cfg: Fig8Config) -> Fig8Results {
             current: None,
             file_done: 0,
             restarts: 0,
-            streams: cfg.base_streams,
+            streams: FIG8_BASE_STREAMS,
             end,
-            channel_cache: cfg.channel_cache,
-            file_bytes: cfg.file_bytes,
             stall_since: None,
         },
     );
 
     // Fault schedule.
-    for &(frac, len, kind) in &cfg.faults {
-        let at = SimTime::from_secs_f64(cfg.duration.as_secs_f64() * frac);
+    for (frac, len, kind) in FIG8_FAULTS {
+        let at = SimTime::from_secs_f64(duration.as_secs_f64() * frac);
         let kind = match kind {
             Fig8Fault::PowerFailure => FaultKind::LinkDown(tb.floor),
             Fig8Fault::DnsOutage => FaultKind::NameServiceDown,
@@ -522,10 +490,9 @@ pub fn run_fig8(cfg: Fig8Config) -> Fig8Results {
     }
 
     // Parallelism bump late in the run.
-    let late_streams = cfg.late_streams;
     sim.schedule_at(
-        SimTime::from_secs_f64(cfg.duration.as_secs_f64() * cfg.late_frac),
-        move |s| s.world.run.streams = late_streams,
+        SimTime::from_secs_f64(duration.as_secs_f64() * FIG8_LATE_FRAC),
+        move |s| s.world.run.streams = FIG8_LATE_STREAMS,
     );
 
     fig8_start_next(&mut sim);
@@ -537,7 +504,7 @@ pub fn run_fig8(cfg: Fig8Config) -> Fig8Results {
 
     let meter = &sim.world.meter;
     let series: Vec<(f64, f64)> = meter
-        .series(cfg.bin)
+        .series(FIG8_BIN)
         .into_iter()
         .map(|(t, rate)| (t.as_secs_f64(), to_mbps(rate)))
         .collect();
@@ -565,11 +532,8 @@ fn fig8_start_next(sim: &mut WanSim<Fig8State>) {
     if sim.now() >= st.end {
         return;
     }
-    let mut spec =
-        TransferSpec::new(st.src, st.dst, st.file_bytes - st.file_done).streams(st.streams);
-    if st.channel_cache {
-        spec = spec.cached();
-    }
+    let spec =
+        TransferSpec::new(st.src, st.dst, FIG8_FILE_BYTES - st.file_done).streams(st.streams);
     let result = start_transfer(sim, spec, |s, result| match result {
         Ok(r) => {
             let st = &mut s.world.run;
@@ -610,7 +574,7 @@ fn fig8_monitor_tick(s: &mut WanSim<Fig8State>) -> ControlFlow<()> {
                     // Restart from the marker.
                     let banked = cancel_transfer(s, h);
                     let st = &mut s.world.run;
-                    st.file_done = (st.file_done + banked).min(st.file_bytes);
+                    st.file_done = (st.file_done + banked).min(FIG8_FILE_BYTES);
                     st.completed_bytes += banked as f64;
                     st.current = None;
                     st.restarts += 1;
@@ -1229,7 +1193,6 @@ mod tests {
     fn short_table1() -> Table1Config {
         Table1Config {
             duration: SimDuration::from_mins(10),
-            sample: SimDuration::from_millis(50),
             ..Table1Config::default()
         }
     }
@@ -1278,15 +1241,10 @@ mod tests {
 
     #[test]
     fn fig8_shape_faults_and_recovery() {
-        let cfg = Fig8Config {
-            duration: SimDuration::from_hours(2),
-            faults: vec![
-                (0.25, SimDuration::from_mins(10), Fig8Fault::PowerFailure),
-                (0.60, SimDuration::from_mins(8), Fig8Fault::DnsOutage),
-            ],
-            ..Fig8Config::default()
-        };
-        let r = run_fig8(cfg);
+        // Three hours: at two, the backbone window (62–95 % of the run)
+        // covers all but 6 min of the 8-stream stretch, so the 90th
+        // percentile bin is a 4-stream one (57 Mb/s).
+        let r = run_fig8(SimDuration::from_hours(3));
         // Plateau ~80 Mb/s (disk limited).
         assert!(
             r.plateau_mbps > 60.0 && r.plateau_mbps < 95.0,

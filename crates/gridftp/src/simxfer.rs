@@ -22,14 +22,11 @@
 use esg_simnet::{Completion, FlowId, FlowSpec, NodeId, Sim, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
-/// Per-block protection overhead fraction (sequence + MAC per 64 KiB
-/// block; see `esg_gsi::channel`).
-pub fn protection_overhead(p: esg_gsi::Protection) -> f64 {
-    match p {
-        esg_gsi::Protection::Clear => 0.0,
-        esg_gsi::Protection::Safe | esg_gsi::Protection::Private => 40.0 / 65_536.0,
-    }
-}
+/// CPU time for the GSI handshake's public-key operations plus process
+/// setup on year-2000 hardware; paid once per un-cached connection
+/// establishment. (This, with the round trips, is the "costly breakdown,
+/// restart, and re-authentication" of §7.)
+const AUTH_COMPUTE: SimDuration = SimDuration::from_millis(800);
 
 /// What to transfer and how.
 #[derive(Debug, Clone)]
@@ -53,13 +50,6 @@ pub struct TransferSpec {
     /// Reuse cached data channels (skip handshake + slow start) when
     /// available; cache channels on completion.
     pub channel_cache: bool,
-    /// Data-channel protection level (adds per-block overhead bytes).
-    pub protection: esg_gsi::Protection,
-    /// CPU time for the GSI handshake's public-key operations plus process
-    /// setup on year-2000 hardware; paid once per un-cached connection
-    /// establishment. (This, with the round trips, is the "costly
-    /// breakdown, restart, and re-authentication" of §7.)
-    pub auth_compute: SimDuration,
 }
 
 impl TransferSpec {
@@ -73,8 +63,6 @@ impl TransferSpec {
             mss: esg_simnet::tcp::MSS,
             use_disk: true,
             channel_cache: false,
-            protection: esg_gsi::Protection::Clear,
-            auth_compute: SimDuration::from_millis(800),
         }
     }
 
@@ -107,11 +95,6 @@ impl TransferSpec {
 
     pub fn cached(mut self) -> Self {
         self.channel_cache = true;
-        self
-    }
-
-    pub fn protection(mut self, p: esg_gsi::Protection) -> Self {
-        self.protection = p;
         self
     }
 }
@@ -256,7 +239,7 @@ pub fn start_transfer<W: HasGridFtp + 'static>(
             needs_handshake = true;
             // TCP connect + GSI handshake + PASV/RETR exchange, plus the
             // public-key compute cost of authentication.
-            rtt * (esg_gsi::HANDSHAKE_ROUND_TRIPS as u64 + 2) + spec.auth_compute
+            rtt * (esg_gsi::HANDSHAKE_ROUND_TRIPS as u64 + 2) + AUTH_COMPUTE
         };
         if setup > max_setup {
             max_setup = setup;
@@ -302,9 +285,7 @@ fn launch<W: HasGridFtp + 'static>(sim: &mut Sim<W>, id: u64) {
     let spec = &st.spec;
     let n_sources = spec.sources.len() as u64;
     let streams = spec.streams_per_source as u64;
-    let overhead = 1.0 + protection_overhead(spec.protection);
-    let wire_bytes = (spec.size as f64 * overhead).ceil();
-    let per_stream = wire_bytes / (n_sources * streams) as f64;
+    let per_stream = spec.size as f64 / (n_sources * streams) as f64;
 
     let mut flow_specs = Vec::new();
     for &src in &spec.sources {
@@ -402,7 +383,7 @@ pub fn transfer_bytes<W: HasGridFtp>(sim: &mut Sim<W>, handle: TransferHandle) -
     for &f in &st.flows {
         bytes += sim.net.flow_bytes(f);
     }
-    // Clamp: protection overhead means wire bytes ≥ payload bytes.
+    // Clamp: the streams' shares are rounded, so their sum may pass the size.
     (bytes as u64).min(st.spec.size)
 }
 
@@ -696,28 +677,6 @@ mod tests {
         sim.run();
         let r = sim.world.results[0].as_ref().unwrap();
         assert_eq!(r.bytes, remaining);
-    }
-
-    #[test]
-    fn protection_adds_overhead_time() {
-        let run = |p: esg_gsi::Protection| -> f64 {
-            let (mut sim, a, b) = two_hosts(10e6, 0);
-            start_transfer(
-                &mut sim,
-                TransferSpec::new(a, b, 50_000_000)
-                    .memory_to_memory()
-                    .protection(p),
-                record(),
-            )
-            .unwrap();
-            sim.run();
-            let r = sim.world.results[0].as_ref().unwrap();
-            r.finished.since(r.started).as_secs_f64()
-        };
-        let clear = run(esg_gsi::Protection::Clear);
-        let safe = run(esg_gsi::Protection::Safe);
-        assert!(safe > clear, "protection must cost time");
-        assert!(safe < clear * 1.01, "but well under 1%");
     }
 
     /// Run past set-up, then step the network event by event to the

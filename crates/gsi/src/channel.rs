@@ -59,8 +59,8 @@ impl SecureChannel {
         self.protection
     }
 
-    /// Per-record overhead in bytes added by `seal` (used by the simulator
-    /// to account for protection bandwidth cost).
+    /// Per-record overhead in bytes added by `seal`.
+    #[cfg(test)]
     pub fn overhead(&self) -> usize {
         match self.protection {
             Protection::Clear => 0,

@@ -50,7 +50,9 @@ impl TrialCtx<'_> {
     }
 }
 
-/// Dispatch a trial to its kind's executor.
+/// Dispatch a trial to its kind's executor. A param the executor never read
+/// fails the trial, naming it: a misspelled or orphaned key must not run the
+/// default unseen.
 pub fn run_trial(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let mut record = match ctx.spec.kind.as_str() {
         "user_scaling" => user_scaling::run(ctx),
@@ -63,6 +65,12 @@ pub fn run_trial(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         "rm_profile" => rm_profile::run(ctx),
         other => paper::run(ctx).unwrap_or_else(|| Err(format!("unknown scenario kind '{other}'"))),
     }?;
+    let unread = ctx.params.unread();
+    if !unread.is_empty() {
+        let kind = &ctx.spec.kind;
+        let keys: Vec<String> = unread.iter().map(|k| format!("'{k}'")).collect();
+        return Err(format!("kind '{kind}' reads no param {}", keys.join(", ")));
+    }
     record.sort_metrics();
     Ok(record)
 }
@@ -120,5 +128,22 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, "param 'minutes' is 30.0, expected an unsigned integer");
+    }
+
+    #[test]
+    fn an_unread_param_fails_the_trial_instead_of_running_the_default() {
+        let text = ScenarioSpec::load("table1").unwrap().to_json_string();
+        let misspelled = text.replace(r#""minutes":60"#, r#""minutes":1,"minuts":60,"sample":1"#);
+        assert_ne!(misspelled, text);
+        let spec = ScenarioSpec::from_json_str(&misspelled).unwrap();
+        let err = run_trial(&TrialCtx {
+            spec: &spec,
+            params: spec.params.clone(),
+            variant: "base".into(),
+            seed: 1,
+            rep: 0,
+        })
+        .unwrap_err();
+        assert_eq!(err, "kind 'table1' reads no param 'minuts', 'sample'");
     }
 }

@@ -12,8 +12,8 @@ use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
 use esg_core::experiments::{
     ablation_channel_caching, ablation_cpu_model, baseline_comparison, hrm_staging_comparison,
     nws_forecast_accuracy, planner_spread_comparison, replica_policy_comparison, run_fig8,
-    run_table1, subsetting_comparison, sweep_buffer_size, sweep_parallel_streams, Fig8Config,
-    Table1Config, SWEEP_LINK_MBPS,
+    run_table1, subsetting_comparison, sweep_buffer_size, sweep_parallel_streams, Table1Config,
+    SWEEP_LINK_MBPS,
 };
 use esg_simnet::SimDuration;
 use std::fmt::Write as _;
@@ -76,11 +76,8 @@ fn to_u32(v: u64, key: &str) -> Result<u32, String> {
 fn table1(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     let p = &ctx.params;
     let minutes = p.u64("minutes", 60)?;
-    let per_server = p.usize("max_concurrent_per_server", 4)?;
     let r = run_table1(Table1Config {
         duration: SimDuration::from_mins(minutes),
-        file_bytes: p.u64("file_bytes", 2_000_000_000)?,
-        max_concurrent_per_server: per_server,
         ..Table1Config::default()
     });
     put(rec, "minutes", minutes as f64);
@@ -117,10 +114,7 @@ fn fig8(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     let p = &ctx.params;
     let hours = p.u64("hours", 14)?;
     let csv_path = p.str("csv_path", "fig8_series.csv")?;
-    let r = run_fig8(Fig8Config {
-        duration: SimDuration::from_hours(hours),
-        ..Fig8Config::default()
-    });
+    let r = run_fig8(SimDuration::from_hours(hours));
     let mut csv = String::from("time_s,rate_mbps\n");
     for &(t, mbps) in &r.series {
         writeln!(csv, "{t:.0},{mbps:.2}").unwrap();

@@ -2,8 +2,7 @@
 //! the request manager's reliability and integrity layers.
 //!
 //! Trace-parity warning: these reproduce the pre-migration soak bins
-//! *draw-for-draw*. The fault schedule is always fully drawn and only
-//! then filtered by `mode` (so the RNG stream is mode-independent).
+//! *draw-for-draw*.
 
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
@@ -21,7 +20,6 @@ const INTG_FILE_SIZE: u64 = 8_000_000;
 pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
     let n_requests = p.usize("requests", 200)?;
-    let mode = p.str("mode", "all")?.to_string();
     let seed = ctx.seed;
 
     let mut tb = esg_core::esg_testbed(seed);
@@ -46,16 +44,7 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         } else {
             FaultKind::NodeDown(tb.sites[rng.gen_range(1usize..6)].node)
         };
-        let keep = match mode.as_str() {
-            "none" => false,
-            "node" => matches!(kind, FaultKind::NodeDown(_)),
-            "ns" => matches!(kind, FaultKind::NameServiceDown),
-            "all" => true,
-            other => return Err(format!("mode must be all|node|ns|none, got '{other}'")),
-        };
-        if keep {
-            faults.push(Fault::new(at, duration, kind));
-        }
+        faults.push(Fault::new(at, duration, kind));
     }
     faults.extend(super::spec_faults(&ctx.spec.faults, &tb.sites)?);
     let n_faults = faults.len();
@@ -105,7 +94,6 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     Ok(TrialRecord {
         key: ctx.key(),
         metrics: vec![
-            ("mode".into(), MetricValue::Str(mode)),
             ("requests".into(), Num(n_requests as f64)),
             ("requests_done".into(), Num(outcomes.len() as f64)),
             ("faults_injected".into(), Num(n_faults as f64)),

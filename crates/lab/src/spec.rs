@@ -12,16 +12,44 @@
 //! identity the trial journal can trust across resumes.
 
 use crate::json::Json;
+use std::cell::Cell;
 
 /// Ordered kind-specific parameter map. Order is preserved from the
 /// authored spec (it is part of the spec's canonical bytes), lookups are
-/// by key with last-write-wins so variant overrides can shadow.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Params(pub Vec<(String, Json)>);
+/// by key with last-write-wins so variant overrides can shadow. Every
+/// typed lookup marks its key read, so a trial can name the keys its
+/// executor never asked for ([`Params::unread`]).
+#[derive(Debug, Clone, Default)]
+pub struct Params {
+    entries: Vec<(String, Json)>,
+    /// One flag per entry: a typed lookup asked for its key.
+    read: Vec<Cell<bool>>,
+}
+
+impl From<Vec<(String, Json)>> for Params {
+    fn from(entries: Vec<(String, Json)>) -> Self {
+        let read = vec![Cell::new(false); entries.len()];
+        Params { entries, read }
+    }
+}
+
+/// Equal entries in equal order; what was read is not part of a spec.
+impl PartialEq for Params {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
 
 impl Params {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    /// The keys no typed lookup asked for, each once, in authored order.
+    pub fn unread(&self) -> Vec<&str> {
+        let mut keys: Vec<&str> = Vec::new();
+        for ((key, _), read) in self.entries.iter().zip(&self.read) {
+            if !read.get() && !keys.contains(&key.as_str()) {
+                keys.push(key);
+            }
+        }
+        keys
     }
 
     /// `default` when `key` is absent; an error naming the key, its value
@@ -34,7 +62,15 @@ impl Params {
         expected: &str,
         convert: impl FnOnce(&'a Json) -> Option<T>,
     ) -> Result<T, String> {
-        match self.get(key) {
+        // Every entry of the key is read; the last one wins.
+        let mut value = None;
+        for ((k, v), read) in self.entries.iter().zip(&self.read) {
+            if k == key {
+                read.set(true);
+                value = Some(v);
+            }
+        }
+        match value {
             None => Ok(default),
             Some(v) => convert(v)
                 .ok_or_else(|| format!("param '{key}' is {}, expected {expected}", v.emit())),
@@ -65,18 +101,17 @@ impl Params {
     /// lookup; emission order keeps base-then-override, so the merged
     /// params are themselves canonical).
     pub fn merged(&self, overrides: &Params) -> Params {
-        let mut out = self.clone();
-        out.0.extend(overrides.0.iter().cloned());
-        out
+        let entries = self.entries.iter().chain(&overrides.entries).cloned();
+        Params::from(entries.collect::<Vec<_>>())
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(self.0.clone())
+        Json::Obj(self.entries.clone())
     }
 
     fn from_json(v: &Json, what: &str) -> Result<Params, String> {
         match v {
-            Json::Obj(m) => Ok(Params(m.clone())),
+            Json::Obj(m) => Ok(Params::from(m.clone())),
             _ => Err(format!("{what} must be an object")),
         }
     }
@@ -661,14 +696,14 @@ mod tests {
             description: "a demo".into(),
             seeds: vec![17, 23],
             reps: 2,
-            params: Params(vec![
+            params: Params::from(vec![
                 ("n".into(), Json::Int(1000)),
                 ("min_rate".into(), Json::Float(2.6e6)),
             ]),
             variants: vec![
                 Variant {
                     name: "a".into(),
-                    overrides: Params(vec![("n".into(), Json::Int(10))]),
+                    overrides: Params::from(vec![("n".into(), Json::Int(10))]),
                 },
                 Variant {
                     name: "b".into(),
@@ -723,7 +758,7 @@ mod tests {
 
     #[test]
     fn a_missing_param_defaults_and_a_mistyped_one_is_an_error() {
-        let p = Params(vec![
+        let p = Params::from(vec![
             ("n".into(), Json::Int(-5)),
             ("s".into(), Json::str("30")),
         ]);

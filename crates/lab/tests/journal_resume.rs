@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 fn probe_spec() -> ScenarioSpec {
     let point = |n: i128| Variant {
         name: format!("n{n}"),
-        overrides: Params(vec![("n".into(), Json::Int(n))]),
+        overrides: Params::from(vec![("n".into(), Json::Int(n))]),
     };
     ScenarioSpec {
         name: "resume_probe".into(),
@@ -23,7 +23,7 @@ fn probe_spec() -> ScenarioSpec {
         description: "journal resume test workload".into(),
         seeds: vec![17, 23],
         reps: 1,
-        params: Params(vec![
+        params: Params::from(vec![
             ("regions".into(), Json::Int(8)),
             ("oracle_probes".into(), Json::Int(2)),
             ("repeats".into(), Json::Int(1)),
@@ -209,7 +209,8 @@ fn changed_spec_invalidates_the_journal() {
 
     // Same scenario name, different params — same journal file, but the
     // recorded spec hash no longer matches, so nothing is reusable.
-    spec.params.0.push(("oracle_probes".into(), Json::Int(3)));
+    let overrides = Params::from(vec![("oracle_probes".into(), Json::Int(3))]);
+    spec.params = spec.params.merged(&overrides);
     let second = run_scenario(&spec, &opts(&dir)).unwrap();
     assert_eq!(
         second.reused, 0,

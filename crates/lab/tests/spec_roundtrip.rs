@@ -64,7 +64,7 @@ fn params(rng: &mut StdRng, max_entries: usize) -> Params {
         };
         out.push((key, value(rng)));
     }
-    Params(out)
+    Params::from(out)
 }
 
 fn fault(rng: &mut StdRng) -> FaultSpec {

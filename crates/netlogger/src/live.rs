@@ -7,9 +7,8 @@
 //! manager's [`TracedLog`](crate::trace::TracedLog) taps every event it
 //! stores into it, which maintains
 //!
-//! * the set of currently-open spans with ages ([`open_spans`],
-//!   [`oldest_open`], [`open_phase_of`]) — what a monitor needs to say
-//!   "file X has sat in `stage` for 212 s";
+//! * the set of currently-open spans with their start times
+//!   ([`open_spans`]) — what the request manager's stall wake asks;
 //! * the root `File` span of every file and per-(request, file)
 //!   closed-phase totals accumulated at span close
 //!   ([`file_phase_totals`]), matching [`Lifeline::phase_totals`] for every
@@ -30,8 +29,6 @@
 //! O(events).
 //!
 //! [`open_spans`]: LiveLifelines::open_spans
-//! [`oldest_open`]: LiveLifelines::oldest_open
-//! [`open_phase_of`]: LiveLifelines::open_phase_of
 //! [`file_phase_totals`]: LiveLifelines::file_phase_totals
 //! [`note_stall_fired`]: LiveLifelines::note_stall_fired
 //! [`Lifeline::phase_totals`]: crate::lifeline::Lifeline::phase_totals
@@ -53,13 +50,6 @@ pub struct OpenSpan {
     pub request: Option<u64>,
     pub file: Option<Text>,
     pub start: SimTime,
-}
-
-impl OpenSpan {
-    /// How long the span has been open as of `now`.
-    pub fn age_s(&self, now: SimTime) -> f64 {
-        now.since(self.start).as_secs_f64()
-    }
 }
 
 /// One lifeline's closed-phase sums in seconds, indexed by phase.
@@ -184,31 +174,6 @@ impl LiveLifelines {
 
     pub fn open_count(&self) -> usize {
         self.open.len()
-    }
-
-    /// The longest-open span, excluding root/umbrella spans (File,
-    /// Prestage, Campaign) when `phases_only` — those are open for a file's
-    /// whole lifetime by design and would drown the signal.
-    pub fn oldest_open(&self, phases_only: bool) -> Option<&OpenSpan> {
-        self.open
-            .values()
-            .filter(|s| {
-                !phases_only || !matches!(s.phase, Phase::File | Phase::Prestage | Phase::Campaign)
-            })
-            .min_by_key(|s| (s.start, s.span))
-    }
-
-    /// The currently-open *phase* span of a named file (any request), for
-    /// monitor straggler annotation. Root File spans are skipped: the
-    /// answer is "what is this file doing right now", not "it exists".
-    pub fn open_phase_of(&self, file: &str) -> Option<&OpenSpan> {
-        self.open
-            .values()
-            .filter(|s| {
-                s.file.as_deref() == Some(file)
-                    && !matches!(s.phase, Phase::File | Phase::Prestage | Phase::Campaign)
-            })
-            .min_by_key(|s| (s.start, s.span))
     }
 
     /// Closed-phase totals for one lifeline, accumulated incrementally;
@@ -376,15 +341,18 @@ mod tests {
     fn open_span_tracking() {
         let log = sample();
         let live = feed(&log);
-        // f2's root + transfer still open.
+        // f2's root + transfer still open, in open order.
         assert_eq!(live.open_count(), 2);
-        let oldest = live.oldest_open(true).unwrap();
-        assert_eq!(oldest.phase, Phase::Transfer);
-        assert_eq!(oldest.file.as_deref(), Some("f2"));
-        assert_eq!(oldest.age_s(SimTime::from_secs(10)), 7.0);
-        let open = live.open_phase_of("f2").unwrap();
-        assert_eq!(open.phase, Phase::Transfer);
-        assert!(live.open_phase_of("f1").is_none());
+        let open: Vec<(Phase, Option<&str>)> = live
+            .open_spans()
+            .map(|s| (s.phase, s.file.as_deref()))
+            .collect();
+        assert_eq!(
+            open,
+            [(Phase::File, Some("f2")), (Phase::Transfer, Some("f2"))]
+        );
+        let transfer = live.open_spans().nth(1).unwrap();
+        assert_eq!(transfer.start, SimTime::from_secs(3));
     }
 
     #[test]

@@ -748,8 +748,6 @@ mod tests {
         let (mut sim, target) = setup();
         {
             let rm = &mut sim.world.rm;
-            rm.breaker_threshold = 2;
-            rm.breaker_cooldown = SimDuration::from_secs(30);
             // Leave only one replica per file so failover cannot dodge the
             // downed host.
             for i in 0..FILES {
@@ -780,7 +778,7 @@ mod tests {
         // closes it.
         sim.net.set_node_up(node, true);
         let half_open_before = sim.world.rm.log.named("rm.breaker.half_open").count();
-        sim.run_until(SimTime::from_secs(40));
+        sim.run_until(SimTime::from_secs(80));
         submit_request(
             &mut sim,
             target,
@@ -798,15 +796,17 @@ mod tests {
 
     /// Fair-share gate: a campaign whose tenant quota is 1 can only hold
     /// one ledger slot; the rest of its round defers, and once the wait
-    /// exceeds the starvation window the distress signal fires.
+    /// exceeds the 120 s starvation window the distress signal fires. The
+    /// archive's link (the setup's third) is throttled to 0.25 MB/s, so
+    /// each 50 MB pull holds that slot for 200 s.
     #[test]
     fn tenant_quota_defers_campaign_and_reports_starvation() {
         let (mut sim, _) = setup();
+        sim.net.set_link_capacity(esg_simnet::LinkId(2), 0.25e6);
         {
             let rm = &mut sim.world.rm;
             rm.tenants.budget = 2;
             rm.tenants.set_quota("mirror", 1);
-            rm.tenants.starvation_after = SimDuration::from_secs(2);
         }
         let mut spec = spec_with("mirror", None);
         spec.batch_files = FILES; // one big round: max pressure on the quota

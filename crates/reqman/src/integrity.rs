@@ -165,21 +165,18 @@ fn wire_hit(key: &str, seg: &SegmentView, b: u64, wire_denom: u64) -> bool {
     seg.wire_active && wire_denom > 0 && stable_hash(key, seg.seq, b).is_multiple_of(wire_denom)
 }
 
+/// A wire fault corrupts a block when
+/// `stable_hash(key, seq, block) % WIRE_RATE_DENOM == 0`: one block in 16.
+const WIRE_RATE_DENOM: u64 = 16;
+/// Delay before a quarantined replica is re-verified and rehabilitated.
+const REVERIFY_AFTER: SimDuration = SimDuration::from_secs(300);
+
 /// Integrity policy and quarantine bookkeeping, owned by the request
 /// manager.
 #[derive(Debug)]
 pub struct IntegrityManager {
     /// Distinct verify rounds blaming a host before it is quarantined.
     pub quarantine_threshold: u32,
-    /// Block-granular ERET repair rounds before escalating to a whole-file
-    /// re-transfer.
-    pub max_repair_rounds: u32,
-    /// Delay before a quarantined replica is re-verified and rehabilitated.
-    pub reverify_after: SimDuration,
-    /// A wire fault corrupts a block when
-    /// `stable_hash(key, seq, block) % wire_rate_denom == 0`; larger means
-    /// sparser corruption, zero disables wire sampling.
-    pub wire_rate_denom: u64,
     /// At-rest corruption for plain disk sites (tape sites record theirs in
     /// their HRM's store).
     pub stores: HashMap<String, ObjectStore>,
@@ -193,9 +190,6 @@ impl Default for IntegrityManager {
     fn default() -> Self {
         IntegrityManager {
             quarantine_threshold: 3,
-            max_repair_rounds: 3,
-            reverify_after: SimDuration::from_secs(300),
-            wire_rate_denom: 16,
             stores: HashMap::new(),
             incidents: HashMap::new(),
             quarantined: BTreeSet::new(),
@@ -222,11 +216,10 @@ impl IntegrityManager {
         expected_hex: &str,
         segments: &[SegmentView],
     ) -> Result<String, VerifyReport> {
-        let denom = self.wire_rate_denom;
         let tainted = segments.iter().any(|seg| {
             let mut span = blocks_overlapping(seg.start, seg.end.min(size));
             seg.at_rest.iter().any(|(b, _)| span.contains(b))
-                || span.any(|b| wire_hit(key, seg, b, denom))
+                || span.any(|b| wire_hit(key, seg, b, WIRE_RATE_DENOM))
         });
         if !tainted {
             let hex = esg_gsi::hex(&self.pristine_digest(key, size));
@@ -234,7 +227,7 @@ impl IntegrityManager {
                 return Ok(hex);
             }
         }
-        let report = verify_blocks(key, size, denom, segments);
+        let report = verify_blocks(key, size, WIRE_RATE_DENOM, segments);
         if report.is_clean() && report.received_hex == expected_hex {
             return Ok(report.received_hex);
         }
@@ -384,9 +377,8 @@ pub(crate) fn verify<W: RmWorld>(sim: &mut Sim<W>, file: &FileLife, ctx: &TraceC
             quarantined.push((collection.clone(), host.clone()));
         }
     }
-    let reverify_after = rm.integrity.reverify_after;
     for (c, h) in quarantined {
-        sim.schedule(reverify_after, move |s| rehabilitate_replica(s, c, h));
+        sim.schedule(REVERIFY_AFTER, move |s| rehabilitate_replica(s, c, h));
     }
     Verdict::Corrupt {
         blocks: report.corrupt_blocks(),
@@ -594,7 +586,7 @@ mod tests {
     /// what replaying every segment returns: the hex, the corrupt blocks
     /// and their blame, in order. The segments overlap and cover files
     /// partly, flips fall inside and outside their spans, wire faults
-    /// sample at several rates, files are empty, one block or a few, and
+    /// sample at the manager's rate, files are empty, one block or a few, and
     /// the catalog's digest is sometimes another size's or another key's.
     #[test]
     fn check_matches_the_segment_replay() {
@@ -618,7 +610,6 @@ mod tests {
             let key = KEYS[rng.below(0, KEYS.len() - 1)];
             let size = SIZES[rng.below(0, SIZES.len() - 1)];
             let other_size = SIZES[rng.below(0, SIZES.len() - 1)];
-            let denom = [0, 1, 2, 3, 8, 16][rng.below(0, 5)];
             let reach = size + BLOCK_SIZE;
             let segments: Vec<SegmentView> = (0..rng.below(0, 4))
                 .map(|_| {
@@ -651,21 +642,15 @@ mod tests {
                 1 => esg_storage::file_digest_hex(KEYS[rng.below(0, KEYS.len() - 1)], size),
                 _ => esg_storage::file_digest_hex(key, size),
             };
-            let want = replayed(key, size, denom, &expected, &segments);
+            let want = replayed(key, size, WIRE_RATE_DENOM, &expected, &segments);
 
-            let mut cold = IntegrityManager {
-                wire_rate_denom: denom,
-                ..Default::default()
-            };
+            let mut cold = IntegrityManager::default();
             assert_eq!(
                 cold.check(key, size, &expected, &segments),
                 want,
                 "cold, case {case}"
             );
-            let mut warm = IntegrityManager {
-                wire_rate_denom: denom,
-                ..Default::default()
-            };
+            let mut warm = IntegrityManager::default();
             let other_hex = esg_storage::file_digest_hex(key, other_size);
             assert!(warm.check(key, other_size, &other_hex, &[]).is_ok());
             assert_eq!(
@@ -678,7 +663,6 @@ mod tests {
                 want,
                 "warm, case {case}"
             );
-            across.wire_rate_denom = denom;
             assert_eq!(
                 across.check(key, size, &expected, &segments),
                 want,
@@ -689,7 +673,7 @@ mod tests {
                 let span = blocks_overlapping(sg.start, sg.end.min(size));
                 sg.at_rest.iter().any(|(b, _)| span.contains(b))
             };
-            let wire_only = denom > 0 && segments.iter().any(|sg| sg.wire_active);
+            let wire_only = segments.iter().any(|sg| sg.wire_active);
             let class = if segments.iter().any(in_span) {
                 3
             } else if want.is_err()

@@ -14,7 +14,7 @@
 //!   transitions are one pure step function (`lifecycle.rs`).
 //! * [`scheduler`] — pipelined transfer scheduling: admission control,
 //!   BDP tuning, the cross-request ledger, the live tenant set, and the
-//!   four settings it has.
+//!   two settings it has.
 //! * [`monitor`] — the Figure 4 dynamic transfer monitor rendering.
 //! * [`reliability`] — retry/backoff policy and per-host circuit breakers.
 //! * [`integrity`] — post-delivery block digest verification, ERET block

@@ -89,12 +89,15 @@ pub(crate) enum Settled {
     Failed,
 }
 
+/// Block-granular ERET repair rounds before a corrupt file escalates to a
+/// whole-file re-transfer.
+pub(crate) const MAX_REPAIR_ROUNDS: u32 = 3;
+
 /// The manager's settings a step reads.
 pub(crate) struct Rules {
     pub retry: RetryPolicy,
     pub min_rate: f64,
     pub grace: SimDuration,
-    pub max_repair_rounds: u32,
 }
 
 pub(crate) enum Event {
@@ -307,7 +310,7 @@ impl FileLife {
                 self.verify(fx);
             }
             Event::Poll(poll) => self.poll(poll, now, rules, fx),
-            Event::Verified(verdict) => self.verified(verdict, now, rules, fx),
+            Event::Verified(verdict) => self.verified(verdict, now, fx),
         }
     }
 
@@ -445,7 +448,7 @@ impl FileLife {
         self.wake(now, rules, fx);
     }
 
-    fn verified(&mut self, verdict: Verdict, now: SimTime, rules: &Rules, fx: &mut Vec<Effect>) {
+    fn verified(&mut self, verdict: Verdict, now: SimTime, fx: &mut Vec<Effect>) {
         match verdict {
             Verdict::Trusted => self.settle(Settled::Done, fx),
             Verdict::Clean(digest) => {
@@ -461,7 +464,7 @@ impl FileLife {
             // blamed. The attempt cap still bounds the file — it fails
             // loudly rather than completing corrupt.
             Verdict::Corrupt { blocks, blamed }
-                if blocks.is_empty() || self.repair_rounds >= rules.max_repair_rounds =>
+                if blocks.is_empty() || self.repair_rounds >= MAX_REPAIR_ROUNDS =>
             {
                 self.status.bytes_done = 0;
                 self.segments.clear();
@@ -545,7 +548,6 @@ mod tests {
             },
             min_rate: 1e5,
             grace: SimDuration::from_secs(10),
-            max_repair_rounds: 2,
         }
     }
 
@@ -651,7 +653,7 @@ mod tests {
         };
         let spent = |mut life: FileLife| {
             life.status.bytes_done = life.status.size;
-            life.repair_rounds = 2;
+            life.repair_rounds = MAX_REPAIR_ROUNDS;
             life
         };
         let corrupt = |blocks: Vec<u64>| Verdict::Corrupt {
@@ -744,9 +746,9 @@ mod tests {
         #[test]
         fn the_lifecycle_keeps_its_invariants(
             draws in proptest::collection::vec(0u64..1 << 40, 1..240),
-            policy in (0u32..4, 0u32..3, 1u64..5),
+            policy in (0u32..4, 1u64..5),
         ) {
-            let (max_attempts, max_repair_rounds, blocks) = policy;
+            let (max_attempts, blocks) = policy;
             let rules = Rules {
                 retry: RetryPolicy {
                     max_attempts,
@@ -755,7 +757,6 @@ mod tests {
                 },
                 min_rate: 1e5,
                 grace: SimDuration::from_secs(10),
-                max_repair_rounds,
             };
             let size = blocks * MB;
             let status = FileStatus { size, ..FileStatus::default() };

@@ -41,8 +41,8 @@ use crate::lifecycle::{
 use crate::reliability::{BreakerTransition, CircuitBreaker, RetryPolicy};
 pub use crate::scheduler::TransferTuning;
 use crate::scheduler::{
-    bdp_tuning, order_queue, HostLedger, SchedStats, SchedulerConfig, Tenancy, TenantTable,
-    DEFAULT_TENANT, DEFER_RETRY,
+    bdp_tuning, order_queue, AdmissionPolicy, HostLedger, SchedStats, SchedulerConfig, Tenancy,
+    TenantTable, DEFAULT_TENANT, DEFER_RETRY, MAX_INFLIGHT_PER_HOST,
 };
 use esg_gridftp::simxfer::{
     cancel_transfer, start_transfer, transfer_bytes, transfer_rate, transfer_stalled, HasGridFtp,
@@ -60,6 +60,10 @@ use std::ops::ControlFlow;
 
 /// CORBA call latency between the client and the RM.
 const RPC_LATENCY: SimDuration = SimDuration::from_millis(2);
+
+/// Monitor poll interval: the RM checks each transfer's progress "every few
+/// seconds" (§4).
+const POLL: SimDuration = SimDuration::from_secs(3);
 
 /// World bound shared by all request-manager operations.
 pub trait RmWorld: HasGridFtp + HasNws + HasReqMan + 'static {}
@@ -175,10 +179,6 @@ pub struct RequestManager {
     pub hrms: HashMap<String, Hrm>,
     /// Replica selection policy.
     pub selector: ReplicaSelector,
-    /// Transfer tuning.
-    pub tuning: TransferTuning,
-    /// Monitor poll interval ("every few seconds").
-    pub poll: SimDuration,
     /// Reliability plugin: restart when rate drops below this (bytes/sec).
     /// Zero disables the rate check (stalls are always handled).
     pub min_rate: f64,
@@ -186,10 +186,6 @@ pub struct RequestManager {
     pub grace: SimDuration,
     /// Backoff schedule, attempt cap and per-attempt timeout for requeues.
     pub retry: RetryPolicy,
-    /// Consecutive failures that trip a host's circuit breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker blocks its host before a probe.
-    pub breaker_cooldown: SimDuration,
     /// Live stall detection threshold. When set (via
     /// [`enable_live_analysis`](Self::enable_live_analysis)), every phase
     /// and prestage span is watched until `open + threshold + 1 ns`, and one
@@ -218,8 +214,8 @@ pub struct RequestManager {
     /// histogram lives here behind one interface (scheduler stats, monitor
     /// ticks, integrity incidents, phase-duration histograms).
     pub metrics: MetricsRegistry,
-    /// Multi-tenant weighted fair-share table (weights, quotas,
-    /// starvation window). Inert by default.
+    /// Multi-tenant weighted fair-share table (budget, weights, quotas).
+    /// Inert by default.
     pub tenants: TenantTable,
     /// Manager-wide in-flight pulls per source host (all requests).
     inflight: HostLedger,
@@ -258,13 +254,9 @@ impl RequestManager {
             hosts: HashMap::new(),
             hrms: HashMap::new(),
             selector: ReplicaSelector::new(policy, seed),
-            tuning: TransferTuning::default(),
-            poll: SimDuration::from_secs(3),
             min_rate: 0.0,
             grace: SimDuration::from_secs(10),
             retry: RetryPolicy::default(),
-            breaker_threshold: 3,
-            breaker_cooldown: SimDuration::from_secs(60),
             stall_threshold: None,
             spread_sites: false,
             log: TracedLog::new(),
@@ -390,8 +382,8 @@ impl RequestManager {
         judge: impl FnOnce(&mut CircuitBreaker) -> Option<BreakerTransition>,
     ) {
         if !self.breakers.contains_key(host) {
-            let fresh = CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown);
-            self.breakers.insert(host.to_string(), fresh);
+            self.breakers
+                .insert(host.to_string(), CircuitBreaker::default());
         }
         let name = match self.breakers.get_mut(host).and_then(judge) {
             Some(BreakerTransition::Opened) => "rm.breaker.open",
@@ -615,7 +607,8 @@ pub fn submit_request_for_tenant<W: RmWorld>(
                 return;
             };
             let sizes: Vec<u64> = req.files.iter().map(|f| f.life.status.size).collect();
-            req.queue = VecDeque::from(order_queue(sched.policy, &sizes));
+            let order = order_queue(AdmissionPolicy::ShortestFirst, &sizes);
+            req.queue = VecDeque::from(order);
             pump_request(s, id);
         } else {
             for idx in 0..n_files {
@@ -772,7 +765,6 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
         retry: rm.retry,
         min_rate: rm.min_rate,
         grace: rm.grace,
-        max_repair_rounds: rm.integrity.max_repair_rounds,
     };
     let mut fx = std::mem::take(&mut rm.fx);
     let (mut next, mut settled) = (Some(ev), None);
@@ -846,8 +838,8 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
                 }
                 Effect::Watch => {
                     if !std::mem::replace(&mut req.monitor_active, true) {
-                        let (poll, id) = (rm.poll, f.request);
-                        sim.every(poll, MONITOR_TICK, move |s| monitor_tick(s, id));
+                        let id = f.request;
+                        sim.every(POLL, MONITOR_TICK, move |s| monitor_tick(s, id));
                     }
                 }
                 Effect::Cancel(handle) => {
@@ -866,8 +858,7 @@ fn drive<W: RmWorld>(sim: &mut Sim<W>, f: FileId, ev: Event) {
                     // The one point where a tenant's demand is visibly
                     // postponed, behind its share or a host cap: the
                     // fairness layer's distress signal is raised here.
-                    let window = rm.tenants.starvation_after;
-                    if let Some(waited) = rm.tenancy.starved(&req.tenant, now, window) {
+                    if let Some(waited) = rm.tenancy.starved(&req.tenant, now) {
                         rm.metrics.counter_add("rm.campaign.starved", 1);
                         let starved = LogEvent::new(now, "rm.campaign.starved")
                             .field("tenant", rm.names.get(&req.tenant))
@@ -1056,7 +1047,7 @@ fn select<W: RmWorld>(
             {
                 return Selection::Deferred(true);
             }
-            rm.scheduler.max_inflight_per_host
+            MAX_INFLIGHT_PER_HOST
         } else {
             0
         };
@@ -1106,11 +1097,9 @@ fn select<W: RmWorld>(
     let rtt = nws.forecast_latency(src, req.client);
     let rm = sim.world.reqman();
     let (tuning, tuned) = if rm.scheduler.enabled {
-        let mut base = rm.tuning;
-        base.channel_cache = true;
-        bdp_tuning(base, bw, rtt)
+        bdp_tuning(bw, rtt)
     } else {
-        (rm.tuning, false)
+        (TransferTuning::default(), false)
     };
     if tuned {
         rm.metrics.counter_add(SchedStats::TUNED, 1);
@@ -1193,8 +1182,7 @@ fn monitor_tick<W: RmWorld>(sim: &mut Sim<W>, id: u64) -> ControlFlow<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliability::BreakerState;
-    use crate::scheduler::AdmissionPolicy;
+    use crate::reliability::{BreakerState, BREAKER_THRESHOLD};
     use esg_gridftp::simxfer::{GridFtpSim, TransferError};
     use esg_gridftp::GridUrl;
     use esg_nws::NwsRegistry;
@@ -1649,7 +1637,6 @@ mod tests {
         for (kind, after_start, unreachable) in cases {
             let case = format!("{kind:?} after_start={after_start} no_route={unreachable}");
             let (mut sim, client) = setup(Policy::BestBandwidth);
-            sim.world.rm.breaker_threshold = 1;
             register_digest(&mut sim.world.rm, "co2", "jan.esg", 50_000_000);
             // The attempt pulls from the fast site; the repair of a block
             // the fast site corrupted pulls from the slow one.
@@ -1662,6 +1649,12 @@ mod tests {
                 }
             };
             let node = sim.world.rm.hosts[host];
+            // Strikes short of the breaker's threshold: one more failure
+            // against the host trips it.
+            for _ in 1..BREAKER_THRESHOLD {
+                let t0 = SimTime::ZERO;
+                sim.world.rm.breaker(host, t0, |b| b.record_failure(t0));
+            }
             let id = submit_files(&mut sim, client, &["jan.esg"]);
             let file = FileId {
                 request: id,
@@ -1746,7 +1739,6 @@ mod tests {
             let (mut sim, client) = setup(Policy::BestBandwidth);
             add_tape_only_file(&mut sim.world.rm, "deep.esg", 20_000_000);
             add_tape_only_file(&mut sim.world.rm, "deeper.esg", 30_000_000);
-            sim.world.rm.poll = SimDuration::from_millis(500);
             (sim, client)
         };
         let (mut plain, client) = twin();
@@ -2038,15 +2030,21 @@ mod tests {
     #[test]
     fn status_snapshot_shows_progress() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        sim.world.rm.poll = SimDuration::from_millis(100);
-        // Setup (handshake + auth compute) takes ~0.85 s before data moves.
+        // 500 MB from the fast site outlasts the first 3 s monitor poll.
+        let rm = &mut sim.world.rm;
+        rm.catalog
+            .add_logical_file("co2", "big.esg", 500_000_000)
+            .unwrap();
+        rm.catalog
+            .add_file_to_location("co2", "llnl", "big.esg")
+            .unwrap();
         let id = submit_request(
             &mut sim,
             client,
-            vec![("co2".into(), "jan.esg".into())],
+            vec![("co2".into(), "big.esg".into())],
             |s, o| s.world.outcomes.push(o),
         );
-        sim.run_until(SimTime::from_secs_f64(1.4));
+        sim.run_until(SimTime::from_secs_f64(3.5));
         let status = sim.world.rm.status(id).unwrap();
         assert_eq!(status.len(), 1);
         assert!(status[0].bytes_done > 0, "monitor should have polled");
@@ -2105,27 +2103,28 @@ mod tests {
         assert!(sim.world.outcomes.is_empty());
     }
 
+    /// Submit one request for `jan.esg` per breaker strike: with the fast
+    /// site down, each first attempt fails to route there, together
+    /// tripping its breaker, and each file finishes from the slow site.
+    fn trip_fast_site(sim: &mut Sim<World>, client: NodeId) {
+        for _ in 0..BREAKER_THRESHOLD {
+            submit_files(sim, client, &["jan.esg"]);
+        }
+    }
+
     #[test]
     fn breaker_opens_and_blocks_host() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        sim.world.rm.breaker_threshold = 1;
-        sim.world.rm.breaker_cooldown = SimDuration::from_secs(1000);
-        // Fast site is dead before anything starts: the first attempt
-        // fails to route, trips the breaker, and the file finishes from
-        // the slow site.
+        // Fast site is dead before anything starts.
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         sim.net.set_node_up(fast, false);
-        submit_request(
-            &mut sim,
-            client,
-            vec![("co2".into(), "jan.esg".into())],
-            |s, o| s.world.outcomes.push(o),
-        );
+        trip_fast_site(&mut sim, client);
         sim.run_until(SimTime::from_secs(300));
-        assert_eq!(sim.world.outcomes.len(), 1);
-        let o = &sim.world.outcomes[0];
-        assert!(o.files[0].done);
-        assert_eq!(o.files[0].replica_host.as_deref(), Some("slow.isi.edu"));
+        assert_eq!(sim.world.outcomes.len(), BREAKER_THRESHOLD as usize);
+        for o in &sim.world.outcomes {
+            assert!(o.files[0].done);
+            assert_eq!(o.files[0].replica_host.as_deref(), Some("slow.isi.edu"));
+        }
         assert!(matches!(
             sim.world.rm.breaker_state("fast.llnl.gov"),
             Some(BreakerState::Open { .. })
@@ -2152,19 +2151,13 @@ mod tests {
     #[test]
     fn breaker_half_open_probe_readmits_recovered_host() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        sim.world.rm.breaker_threshold = 1;
-        sim.world.rm.breaker_cooldown = SimDuration::from_secs(30);
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         sim.net.set_node_up(fast, false);
-        // First request trips the breaker and completes from slow.
-        submit_request(
-            &mut sim,
-            client,
-            vec![("co2".into(), "jan.esg".into())],
-            |s, o| s.world.outcomes.push(o),
-        );
+        // The first requests trip the breaker and complete from slow.
+        trip_fast_site(&mut sim, client);
         sim.run_until(SimTime::from_secs(120));
-        assert_eq!(sim.world.outcomes.len(), 1);
+        let tripping = BREAKER_THRESHOLD as usize;
+        assert_eq!(sim.world.outcomes.len(), tripping);
         // Host recovers; after the cooldown a new request probes it.
         sim.net.set_node_up(fast, true);
         sim.schedule(SimDuration::from_secs(60), move |s| {
@@ -2176,8 +2169,8 @@ mod tests {
             );
         });
         sim.run_until(SimTime::from_secs(400));
-        assert_eq!(sim.world.outcomes.len(), 2);
-        let o = &sim.world.outcomes[1];
+        assert_eq!(sim.world.outcomes.len(), tripping + 1);
+        let o = &sim.world.outcomes[tripping];
         assert!(o.files[0].done);
         assert_eq!(
             o.files[0].replica_host.as_deref(),
@@ -2201,8 +2194,6 @@ mod tests {
     #[test]
     fn all_replicas_down_requeues_with_backoff_until_heal() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        sim.world.rm.breaker_threshold = 1;
-        sim.world.rm.breaker_cooldown = SimDuration::from_secs(20);
         // Both replicas dead at submit time: the file must wait, not fail.
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         let slow = sim.world.rm.hosts["slow.isi.edu"];
@@ -2396,7 +2387,6 @@ mod tests {
     fn repeated_corruption_quarantines_then_rehabilitates_replica() {
         let (mut sim, client) = setup(Policy::BestBandwidth);
         sim.world.rm.integrity.quarantine_threshold = 1;
-        sim.world.rm.integrity.reverify_after = SimDuration::from_secs(200);
         register_digest(&mut sim.world.rm, "co2", "jan.esg", 50_000_000);
         sim.world
             .rm
@@ -2470,7 +2460,6 @@ mod tests {
     fn wire_corruption_is_detected_and_repaired() {
         use esg_simnet::prelude::{inject, Fault, FaultKind};
         let (mut sim, client) = setup(Policy::BestBandwidth);
-        sim.world.rm.integrity.wire_rate_denom = 4;
         register_digest(&mut sim.world.rm, "co2", "jan.esg", 50_000_000);
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         inject(
@@ -2494,7 +2483,7 @@ mod tests {
         let mismatches: Vec<_> = sim.world.rm.log.named("integrity.block.mismatch").collect();
         assert!(
             !mismatches.is_empty() && mismatches.len() < 48,
-            "1/4 sampling over 48 blocks should corrupt some, not all: {}",
+            "1/16 sampling over 48 blocks should corrupt some, not all: {}",
             mismatches.len()
         );
         let repaired: f64 = sim
@@ -2522,7 +2511,6 @@ mod tests {
         let (mut sim, client) = setup(Policy::BestBandwidth);
         sim.world.rm.retry.max_attempts = 3;
         sim.world.rm.retry.base = SimDuration::from_secs(1);
-        sim.world.rm.retry.max_backoff = SimDuration::from_secs(4);
         let fast = sim.world.rm.hosts["fast.llnl.gov"];
         let slow = sim.world.rm.hosts["slow.isi.edu"];
         sim.net.set_node_up(fast, false);
@@ -2644,34 +2632,33 @@ mod tests {
 
     #[test]
     fn host_cap_is_never_exceeded_under_contention() {
-        // Soak-style invariant: with a per-host in-flight cap of 2 and
-        // three 4-file requests hammering two hosts, the attempt-count
-        // high-water mark must never pass the cap — overflow demand is
-        // deferred (capacity wait), not failed.
+        // Soak-style invariant: with the per-host in-flight cap of 8 and
+        // six 4-file requests hammering two hosts, the attempt-count
+        // high-water mark must reach the cap and never pass it — overflow
+        // demand is deferred (capacity wait), not failed.
         let (mut sim, client, names) = setup_equal_pair(4);
-        sim.world.rm.scheduler.max_inflight_per_host = 2;
         let files: Vec<(String, String)> = names
             .iter()
             .map(|n| ("co2".to_string(), n.clone()))
             .collect();
-        for _ in 0..3 {
+        for _ in 0..6 {
             let fs = files.clone();
             submit_request(&mut sim, client, fs, |s, o| s.world.outcomes.push(o));
         }
         sim.run();
-        assert_eq!(sim.world.outcomes.len(), 3);
+        assert_eq!(sim.world.outcomes.len(), 6);
         for o in &sim.world.outcomes {
             assert!(o.files.iter().all(|f| f.done && !f.failed));
         }
         let rm = &sim.world.rm;
-        assert!(
-            rm.inflight().peak_attempts() <= 2,
-            "per-host cap violated: peak {}",
-            rm.inflight().peak_attempts()
+        assert_eq!(
+            rm.inflight().peak_attempts(),
+            MAX_INFLIGHT_PER_HOST,
+            "per-host cap violated or never reached"
         );
         assert!(
             rm.sched_stats().deferred > 0,
-            "12 files over 2 hosts at cap 2 must defer some selections"
+            "24 admitted files over 2 hosts at cap 8 must defer some selections"
         );
         assert_eq!(rm.inflight().total(), 0, "ledger must drain");
         assert!(rm.log.named("rm.sched.defer").next().is_some());
@@ -2694,7 +2681,7 @@ mod tests {
         let o = &sim.world.outcomes[0];
         assert!(o.files.iter().all(|f| f.done));
         let dt = o.finished.since(o.started).as_secs_f64();
-        let poll = sim.world.rm.poll.as_secs_f64();
+        let poll = POLL.as_secs_f64();
         let ticks = sim.world.rm.monitor_ticks();
         // One tick per interval, plus slack for retire/re-arm cycles at
         // transfer boundaries. A per-file monitor would be ~an order of
@@ -2709,24 +2696,21 @@ mod tests {
 
     #[test]
     fn prestage_overlaps_tape_staging_with_warm_transfers() {
-        // Two big warm files ahead of two cold tape-only files, admission
-        // cap 2, FIFO order: the cold stages are kicked off at submit, so
-        // mount/seek/stream (~62 s) runs while the warm transfers (~40 s)
-        // move. Pipelined completion ≈ max(stage, warm) + cold transfer;
-        // serializing the stage behind the warm files would pass 100 s.
+        // Two warm files ahead of two cold tape-only files of the same
+        // size (so shortest-first keeps submit order), admission cap 2: the
+        // cold stages are kicked off at submit, so mount/seek/stream
+        // (~65 s) runs while the warm transfers (~20 s) move. Pipelined
+        // completion ≈ max(stage, warm) + cold transfer (~20 s); serializing
+        // the stage behind the warm files would pass 105 s.
         let (mut sim, client) = setup(Policy::BestBandwidth);
         {
             let rm = &mut sim.world.rm;
-            rm.scheduler.policy = AdmissionPolicy::Fifo;
             rm.scheduler.max_active_per_request = 2;
-            for f in ["warm1.esg", "warm2.esg"] {
-                rm.catalog
-                    .add_logical_file("co2", f, 1_000_000_000)
-                    .unwrap();
-                rm.catalog.add_file_to_location("co2", "llnl", f).unwrap();
+            for f in ["warm1.esg", "warm2.esg", "cold1.esg", "cold2.esg"] {
+                rm.catalog.add_logical_file("co2", f, 500_000_000).unwrap();
             }
-            for f in ["cold1.esg", "cold2.esg"] {
-                rm.catalog.add_logical_file("co2", f, 20_000_000).unwrap();
+            for f in ["warm1.esg", "warm2.esg"] {
+                rm.catalog.add_file_to_location("co2", "llnl", f).unwrap();
             }
             rm.catalog
                 .register_location(
@@ -2743,7 +2727,7 @@ mod tests {
                         drives: 2,
                         mount: SimDuration::from_secs(40),
                         seek: SimDuration::from_secs(20),
-                        rate: 10e6,
+                        rate: 100e6,
                     },
                     1 << 34,
                 ),
@@ -2767,11 +2751,11 @@ mod tests {
         assert_eq!(sim.world.rm.sched_stats().prestaged, 2);
         assert!(sim.world.rm.log.named("rm.prestage").next().is_some());
         let dt = o.finished.since(o.started).as_secs_f64();
-        // Stage floor: the tape path alone takes 40+20+2 = 62 s.
-        assert!(dt > 60.0, "tape stage must bound completion: {dt}");
+        // Stage floor: the tape path alone takes 40+20+5 = 65 s.
+        assert!(dt > 65.0, "tape stage must bound completion: {dt}");
         assert!(
-            dt < 85.0,
-            "stage must overlap warm transfers (serial sum > 100 s): {dt}"
+            dt < 95.0,
+            "stage must overlap warm transfers (serial sum > 105 s): {dt}"
         );
     }
 

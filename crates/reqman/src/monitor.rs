@@ -9,7 +9,7 @@
 //! selection and file transfer ... are displayed." (§4)
 
 use crate::manager::FileStatus;
-use esg_netlogger::{LiveLifelines, NetLog};
+use esg_netlogger::NetLog;
 use esg_simnet::SimTime;
 use std::fmt::Write;
 
@@ -90,24 +90,8 @@ fn total_line(out: &mut String, files: &[FileStatus]) {
 /// summarized view — counts by status plus the worst stragglers — so the
 /// string (and the screen) stays bounded at campaign scale.
 pub fn render_monitor(now: SimTime, files: &[FileStatus], log: &NetLog) -> String {
-    render_monitor_live(now, files, log, None)
-}
-
-/// [`render_monitor`] with an optional online lifeline analyzer. With
-/// `live`, the summarized view annotates each straggler with its
-/// currently-open phase span and age, and a `live:` line reports the open
-/// span count, stalls fired so far, and the oldest open phase span — the
-/// questions a 10k-file round's operator actually asks ("is f0412 stuck in
-/// `stage`, and for how long?") answered from streaming state instead of a
-/// post-hoc trace pass. `None` renders byte-identically to the plain view.
-pub fn render_monitor_live(
-    now: SimTime,
-    files: &[FileStatus],
-    log: &NetLog,
-    live: Option<&LiveLifelines>,
-) -> String {
     if files.len() > SUMMARY_THRESHOLD {
-        return render_summary(now, files, log, live);
+        return render_summary(now, files, log);
     }
     let mut out = String::new();
     writeln!(
@@ -148,12 +132,7 @@ pub fn render_monitor_live(
 
 /// The large-request monitor: one counts-by-status line, the running byte
 /// total, and progress bars for only the least-complete unsettled files.
-fn render_summary(
-    now: SimTime,
-    files: &[FileStatus],
-    log: &NetLog,
-    live: Option<&LiveLifelines>,
-) -> String {
+fn render_summary(now: SimTime, files: &[FileStatus], log: &NetLog) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -183,24 +162,6 @@ fn render_summary(
         files.len(),
     )
     .unwrap();
-    if let Some(live) = live {
-        let oldest = match live.oldest_open(true) {
-            Some(s) => format!(
-                "oldest open: {} {} ({:.1}s)",
-                s.phase.as_str(),
-                s.file.as_deref().unwrap_or("-"),
-                s.age_s(now),
-            ),
-            None => "no open phase spans".to_string(),
-        };
-        writeln!(
-            out,
-            "  live: {} open spans, {} stalls fired, {oldest}",
-            live.open_count(),
-            live.stalls_fired(),
-        )
-        .unwrap();
-    }
     total_line(&mut out, files);
 
     // The stragglers pane: the unsettled files closest to zero progress,
@@ -215,19 +176,6 @@ fn render_summary(
     writeln!(out, "\n--- worst stragglers ---").unwrap();
     for f in unsettled.into_iter().take(STRAGGLERS) {
         bar_line(&mut out, f);
-        if let Some(live) = live {
-            match live.open_phase_of(&f.name) {
-                Some(s) => writeln!(
-                    out,
-                    "      in {} for {:.1}s (span {})",
-                    s.phase.as_str(),
-                    s.age_s(now),
-                    s.span,
-                )
-                .unwrap(),
-                None => writeln!(out, "      no open phase span").unwrap(),
-            }
-        }
     }
 
     message_pane(&mut out, log);
@@ -421,46 +369,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("total transferred:"));
-    }
-
-    #[test]
-    fn summary_annotates_stragglers_from_live_analyzer() {
-        use esg_netlogger::{Phase, TraceCtx, TracedLog};
-        let mut tlog = TracedLog::new();
-        tlog.attach_live();
-        let c = TraceCtx::request(1).with_file("slowest.esg");
-        let r = tlog.span_start(&c, SimTime::ZERO, Phase::File, None);
-        let _t = tlog.span_start(&c, SimTime::from_secs(2), Phase::Transfer, Some(r));
-        let mut files: Vec<FileStatus> = (0..100)
-            .map(|i| file(&format!("fast{i:03}.esg"), 900, 1000))
-            .collect();
-        files.push(file("slowest.esg", 1, 1000));
-        let live = tlog.live().unwrap();
-        let text = render_monitor_live(SimTime::from_secs(12), &files, &tlog, Some(live));
-        assert!(
-            text.contains("live: 2 open spans, 0 stalls fired"),
-            "{text}"
-        );
-        assert!(
-            text.contains("oldest open: transfer slowest.esg (10.0s)"),
-            "{text}"
-        );
-        // The straggler's bar is annotated with its open phase and age;
-        // fast files with no open span say so instead of going silent.
-        assert!(text.contains("in transfer for 10.0s"), "{text}");
-        assert!(text.contains("no open phase span"), "{text}");
-    }
-
-    #[test]
-    fn summary_without_live_is_byte_identical_to_plain_render() {
-        let files: Vec<FileStatus> = (0..100)
-            .map(|i| file(&format!("f{i:03}.esg"), 10, 1000))
-            .collect();
-        let log = NetLog::new();
-        let plain = render_monitor(SimTime::ZERO, &files, &log);
-        let live_none = render_monitor_live(SimTime::ZERO, &files, &log, None);
-        assert_eq!(plain, live_none);
-        assert!(!plain.contains("live:"));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! * [`RetryPolicy`] — exponential backoff with seeded jitter, a cap on
 //!   attempts, and an optional per-attempt timeout. Every requeue the RM
-//!   schedules goes through one policy, so tests can tighten or relax the
-//!   whole manager's patience in one place.
+//!   schedules goes through one policy.
 //! * [`CircuitBreaker`] — a per-host three-state machine (closed → open →
 //!   half-open). Consecutive failures open the breaker; while open the host
 //!   receives no traffic; after a cooldown a single probe transfer is
@@ -25,22 +24,26 @@ use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Growth factor of the backoff per attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on any single backoff delay (pre-jitter).
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(60);
+/// Jitter amplitude as a fraction of the delay.
+const JITTER: f64 = 0.2;
+/// Consecutive failures that trip a host's circuit breaker.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+/// How long a tripped breaker blocks its host before a probe.
+pub(crate) const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(60);
+
 /// Backoff schedule for requeued file workers.
 ///
-/// Attempt `n` (0-based) sleeps `base * factor^n`, clamped to
-/// `max_backoff`, then spread by ±`jitter` (a fraction of the delay) so
-/// that workers knocked over by the same outage do not thunder back in
-/// lockstep.
+/// Attempt `n` (0-based) sleeps `base * 2^n`, clamped to 60 s, then spread
+/// by ±20 % of the delay so that workers knocked over by the same outage do
+/// not thunder back in lockstep.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// First retry delay.
     pub base: SimDuration,
-    /// Exponential growth factor per attempt.
-    pub factor: f64,
-    /// Ceiling on any single delay (pre-jitter).
-    pub max_backoff: SimDuration,
-    /// Jitter amplitude as a fraction of the delay, in `[0, 1)`.
-    pub jitter: f64,
     /// Give up on a file after this many attempts (0 = never give up).
     pub max_attempts: u32,
     /// Cancel an attempt that has run longer than this (ZERO = no limit).
@@ -51,9 +54,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             base: SimDuration::from_secs(2),
-            factor: 2.0,
-            max_backoff: SimDuration::from_secs(60),
-            jitter: 0.2,
             max_attempts: 0,
             attempt_timeout: SimDuration::ZERO,
         }
@@ -63,15 +63,10 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Delay before retry number `attempt` (0-based), jittered by `rng`.
     pub fn backoff(&self, attempt: u32, rng: &mut StdRng) -> SimDuration {
-        let exp = self.factor.powi(attempt.min(30) as i32);
-        let raw = (self.base.as_secs_f64() * exp).min(self.max_backoff.as_secs_f64());
-        let delay = if self.jitter > 0.0 {
-            let u: f64 = rng.gen_range(-1.0..1.0);
-            raw * (1.0 + self.jitter * u)
-        } else {
-            raw
-        };
-        SimDuration::from_secs_f64(delay.max(0.0))
+        let exp = BACKOFF_FACTOR.powi(attempt.min(30) as i32);
+        let raw = (self.base.as_secs_f64() * exp).min(MAX_BACKOFF.as_secs_f64());
+        let u: f64 = rng.gen_range(-1.0..1.0);
+        SimDuration::from_secs_f64((raw * (1.0 + JITTER * u)).max(0.0))
     }
 
     /// Whether attempt count `attempts` has exhausted the policy.
@@ -81,9 +76,10 @@ impl RetryPolicy {
 }
 
 /// Where a breaker currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: all traffic admitted.
+    #[default]
     Closed,
     /// Tripped: no traffic until `until`.
     Open { until: SimTime },
@@ -101,28 +97,17 @@ pub enum BreakerTransition {
 
 /// Per-host circuit breaker.
 ///
-/// `threshold` consecutive failures trip it open for `cooldown`; the first
-/// admission query after the cooldown moves it to half-open and admits a
-/// single probe. The probe's outcome either closes the breaker or re-opens
-/// it for another cooldown.
-#[derive(Debug, Clone)]
+/// Three consecutive failures (`BREAKER_THRESHOLD`) trip it open for 60 s
+/// (`BREAKER_COOLDOWN`); the first admission query after the cooldown moves
+/// it to half-open and admits a single probe. The probe's outcome either
+/// closes the breaker or re-opens it for another cooldown.
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    pub threshold: u32,
-    pub cooldown: SimDuration,
     consecutive_failures: u32,
     state: BreakerState,
 }
 
 impl CircuitBreaker {
-    pub fn new(threshold: u32, cooldown: SimDuration) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown,
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-        }
-    }
-
     pub fn state(&self) -> BreakerState {
         self.state
     }
@@ -161,17 +146,17 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::HalfOpen { .. } => {
                 // Probe failed: straight back to open.
-                self.consecutive_failures = self.threshold;
+                self.consecutive_failures = BREAKER_THRESHOLD;
                 self.state = BreakerState::Open {
-                    until: now + self.cooldown,
+                    until: now + BREAKER_COOLDOWN,
                 };
                 Some(BreakerTransition::Opened)
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.threshold {
+                if self.consecutive_failures >= BREAKER_THRESHOLD {
                     self.state = BreakerState::Open {
-                        until: now + self.cooldown,
+                        until: now + BREAKER_COOLDOWN,
                     };
                     Some(BreakerTransition::Opened)
                 } else {
@@ -222,30 +207,44 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A breaker tripped by [`BREAKER_THRESHOLD`] failures at `at`.
+    fn tripped(at: u64) -> CircuitBreaker {
+        let mut b = CircuitBreaker::default();
+        for _ in 1..BREAKER_THRESHOLD {
+            assert_eq!(b.record_failure(t(at)), None);
+        }
+        assert_eq!(b.record_failure(t(at)), Some(BreakerTransition::Opened));
+        b
+    }
+
     #[test]
     fn backoff_grows_and_clamps() {
         let p = RetryPolicy {
             base: SimDuration::from_secs(1),
-            factor: 2.0,
-            max_backoff: SimDuration::from_secs(10),
-            jitter: 0.0,
             ..RetryPolicy::default()
         };
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(p.backoff(0, &mut rng).as_secs_f64(), 1.0);
-        assert_eq!(p.backoff(1, &mut rng).as_secs_f64(), 2.0);
-        assert_eq!(p.backoff(3, &mut rng).as_secs_f64(), 8.0);
-        // Clamped at max_backoff from attempt 4 on.
-        assert_eq!(p.backoff(4, &mut rng).as_secs_f64(), 10.0);
-        assert_eq!(p.backoff(20, &mut rng).as_secs_f64(), 10.0);
+        // Each delay is `min(2^n, 60)` s spread by at most ±20 %.
+        for (attempt, raw) in [
+            (0, 1.0),
+            (1, 2.0),
+            (3, 8.0),
+            (5, 32.0),
+            (6, 60.0),
+            (20, 60.0),
+        ] {
+            let d = p.backoff(attempt, &mut rng).as_secs_f64();
+            assert!(
+                (raw * 0.8..=raw * 1.2).contains(&d),
+                "attempt {attempt}: {d} s outside {raw} s ± 20 %"
+            );
+        }
     }
 
     #[test]
     fn backoff_jitter_stays_in_band_and_is_deterministic() {
         let p = RetryPolicy {
             base: SimDuration::from_secs(4),
-            factor: 1.0,
-            jitter: 0.25,
             ..RetryPolicy::default()
         };
         let sample = |seed: u64| -> Vec<f64> {
@@ -256,7 +255,7 @@ mod tests {
         };
         let a = sample(9);
         for d in &a {
-            assert!((3.0..=5.0).contains(d), "jitter out of band: {d}");
+            assert!((3.2..=4.8).contains(d), "jitter out of band: {d}");
         }
         assert_eq!(a, sample(9), "same seed must give same delays");
         assert_ne!(a, sample(10));
@@ -276,60 +275,56 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold() {
-        let mut b = CircuitBreaker::new(3, SimDuration::from_secs(30));
-        assert_eq!(b.record_failure(t(1)), None);
-        assert_eq!(b.record_failure(t(2)), None);
-        assert_eq!(b.record_failure(t(3)), Some(BreakerTransition::Opened));
+        let mut b = tripped(3);
         assert!(!b.admits(t(10)).0, "open breaker must block");
         assert!(matches!(b.state(), BreakerState::Open { .. }));
     }
 
     #[test]
     fn breaker_half_open_probe_readmits_on_success() {
-        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(30));
-        assert_eq!(b.record_failure(t(0)), Some(BreakerTransition::Opened));
+        let mut b = tripped(0);
         assert!(!b.admits(t(10)).0);
         // Cooldown elapsed: exactly one probe allowed.
-        let (ok, tr) = b.admits(t(31));
+        let (ok, tr) = b.admits(t(61));
         assert!(ok);
         assert_eq!(tr, Some(BreakerTransition::HalfOpened));
-        assert!(!b.admits(t(32)).0, "second concurrent probe must wait");
+        assert!(!b.admits(t(62)).0, "second concurrent probe must wait");
         assert_eq!(b.record_success(), Some(BreakerTransition::Closed));
-        assert!(b.admits(t(33)).0);
+        assert!(b.admits(t(63)).0);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn breaker_probe_failure_reopens() {
-        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(30));
-        b.record_failure(t(0));
-        assert!(b.admits(t(31)).0);
-        assert_eq!(b.record_failure(t(31)), Some(BreakerTransition::Opened));
-        assert!(!b.admits(t(40)).0);
+        let mut b = tripped(0);
+        assert!(b.admits(t(61)).0);
+        // One failed probe re-opens it, whatever the threshold.
+        assert_eq!(b.record_failure(t(61)), Some(BreakerTransition::Opened));
+        assert!(!b.admits(t(100)).0);
         // A second full cooldown is required before the next probe.
-        assert!(b.admits(t(62)).0);
+        assert!(b.admits(t(122)).0);
     }
 
     #[test]
     fn would_admit_does_not_consume_probe() {
-        let mut b = CircuitBreaker::new(1, SimDuration::from_secs(30));
-        b.record_failure(t(0));
-        assert!(b.would_admit(t(31)), "cooldown elapsed");
+        let mut b = tripped(0);
+        assert!(b.would_admit(t(61)), "cooldown elapsed");
         assert!(
             matches!(b.state(), BreakerState::Open { .. }),
             "peek must not transition"
         );
-        assert!(b.admits(t(31)).0);
-        assert!(!b.would_admit(t(31)), "probe slot taken");
+        assert!(b.admits(t(61)).0);
+        assert!(!b.would_admit(t(61)), "probe slot taken");
         b.release();
-        assert!(b.would_admit(t(31)));
+        assert!(b.would_admit(t(61)));
     }
 
     #[test]
     fn success_resets_failure_streak() {
-        let mut b = CircuitBreaker::new(3, SimDuration::from_secs(30));
-        b.record_failure(t(1));
-        b.record_failure(t(2));
+        let mut b = CircuitBreaker::default();
+        for s in 1..BREAKER_THRESHOLD as u64 {
+            b.record_failure(t(s));
+        }
         b.record_success();
         assert_eq!(b.record_failure(t(3)), None, "streak must restart");
         assert!(b.admits(t(4)).0);

@@ -61,19 +61,19 @@ impl TransferTuning {
     }
 }
 
-/// Order in which a request's ready queue is released by admission.
+/// Order in which a request's ready queue is released by admission. One
+/// order is in use; [`order_queue`] takes it by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Submit order.
-    Fifo,
     /// Smallest file first: minimizes mean file sojourn, and small files
     /// are exactly the ones a multi-GB neighbour would starve.
     ShortestFirst,
 }
 
 /// Scheduler configuration living inside the request manager. Everything
-/// else has one value in use: the constants below, and BDP tuning, cached
-/// data channels and tape prestaging are simply what the scheduler does.
+/// else has one value in use: the constants below, and shortest-first
+/// admission, BDP tuning, cached data channels and tape prestaging are
+/// simply what the scheduler does.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Master switch: `false` restores the seed "start all N workers at
@@ -81,15 +81,6 @@ pub struct SchedulerConfig {
     pub enabled: bool,
     /// In-flight file cap per request (admission slots).
     pub max_active_per_request: usize,
-    /// In-flight transfer cap per source host across all requests
-    /// (0 = uncapped). Checked against the manager-wide [`HostLedger`];
-    /// block-repair fetches bypass the cap but still count in the ledger.
-    /// Nothing but the RM's unit tests sets it: they need a small cap to
-    /// drive capacity deferral.
-    pub max_inflight_per_host: usize,
-    /// Ready-queue release order. Nothing but the RM's unit tests sets it:
-    /// they need `Fifo` to hold a known file order.
-    pub policy: AdmissionPolicy,
 }
 
 impl Default for SchedulerConfig {
@@ -97,11 +88,14 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             enabled: true,
             max_active_per_request: 4,
-            max_inflight_per_host: 8,
-            policy: AdmissionPolicy::ShortestFirst,
         }
     }
 }
+
+/// In-flight transfer cap per source host across all requests, checked
+/// against the manager-wide [`HostLedger`]; block-repair fetches bypass the
+/// cap but still count in the ledger.
+pub(crate) const MAX_INFLIGHT_PER_HOST: usize = 8;
 
 /// Wait before re-running a selection round that found its tenant at its
 /// share or every candidate replica at its host cap. A capacity wait, not
@@ -243,43 +237,29 @@ impl HostLedger {
 /// [`submit_request`]: crate::manager::submit_request
 pub const DEFAULT_TENANT: &str = "interactive";
 
+/// A tenant whose queued work has made no admission progress for this long
+/// is starved: the next deferral emits `rm.campaign.starved` (rate-limited
+/// to once per window).
+pub(crate) const STARVATION_AFTER: SimDuration = SimDuration::from_secs(120);
+
 /// Multi-tenant weighted fair-share configuration.
 ///
 /// Lives on the request manager (not inside the `Copy`
 /// [`SchedulerConfig`]) because it owns per-tenant maps. With
 /// `budget == 0` and no quotas the table is inert and the scheduler
-/// behaves exactly as before this layer existed.
-#[derive(Debug, Clone)]
+/// behaves exactly as before this layer existed. A tenant without an
+/// explicit weight weighs 1.
+#[derive(Debug, Clone, Default)]
 pub struct TenantTable {
     /// Global concurrent-pull budget divided among *active* tenants
     /// (those with live requests) in proportion to weight. `0` disables
     /// weighted sharing entirely.
     pub budget: usize,
-    /// Weight for tenants without an explicit entry.
-    pub default_weight: u32,
-    /// A tenant whose queued work has made no admission progress for
-    /// this long is starved: the next deferral emits
-    /// `rm.campaign.starved` (rate-limited to once per window).
-    /// `SimDuration::ZERO` disables detection.
-    pub starvation_after: SimDuration,
     weights: HashMap<String, u32>,
     quotas: HashMap<String, usize>,
     /// Bumped on every weight/quota edit so the manager's cached
     /// active-weight sum knows when to recompute.
     epoch: u64,
-}
-
-impl Default for TenantTable {
-    fn default() -> Self {
-        TenantTable {
-            budget: 0,
-            default_weight: 1,
-            starvation_after: SimDuration::from_secs(120),
-            weights: HashMap::new(),
-            quotas: HashMap::new(),
-            epoch: 0,
-        }
-    }
 }
 
 impl TenantTable {
@@ -302,11 +282,7 @@ impl TenantTable {
     }
 
     pub fn weight(&self, tenant: &str) -> u32 {
-        self.weights
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.default_weight)
-            .max(1)
+        self.weights.get(tenant).copied().unwrap_or(1)
     }
 
     pub fn quota(&self, tenant: &str) -> usize {
@@ -351,11 +327,10 @@ pub(crate) struct Tenancy {
     /// Bumped whenever the active set changes — one half of the
     /// active-weight cache key.
     epoch: u64,
-    /// Cached active-weight sum:
-    /// `((epoch, table epoch, default weight), weight)`. Valid while
-    /// neither the active set nor the table changed, so the admission path
-    /// skips the per-event tenant scan.
-    weight_cache: Option<((u64, u64, u32), u64)>,
+    /// Cached active-weight sum: `((epoch, table epoch), weight)`. Valid
+    /// while neither the active set nor the table changed, so the admission
+    /// path skips the per-event tenant scan.
+    weight_cache: Option<((u64, u64), u64)>,
 }
 
 impl Tenancy {
@@ -392,7 +367,7 @@ impl Tenancy {
     /// The active-weight sum [`TenantTable::limit`] splits the budget by,
     /// recomputed only when a tenant activates/retires or `table` changes.
     pub fn active_weight(&mut self, table: &TenantTable) -> u64 {
-        let key = (self.epoch, table.epoch(), table.default_weight);
+        let key = (self.epoch, table.epoch());
         match self.weight_cache {
             Some((k, w)) if k == key => w,
             _ => {
@@ -405,19 +380,12 @@ impl Tenancy {
     }
 
     /// A deferred `tenant` that has made no admission progress for
-    /// `window` is starved: how long it waited, at most once per window
-    /// (`window == 0` disables detection).
-    pub fn starved(
-        &mut self,
-        tenant: &str,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Option<SimDuration> {
-        if window.is_zero() {
-            return None;
-        }
+    /// [`STARVATION_AFTER`] is starved: how long it waited, at most once per
+    /// window.
+    pub fn starved(&mut self, tenant: &str, now: SimTime) -> Option<SimDuration> {
         let waited = now.since(self.progress.get(tenant).copied().unwrap_or(now));
         let reported = self.starved_at.get(tenant);
+        let window = STARVATION_AFTER;
         if waited < window || reported.is_some_and(|&at| now.since(at) < window) {
             return None;
         }
@@ -470,13 +438,11 @@ impl SchedStats {
 
 /// Order a request's file indices into its ready queue.
 ///
-/// `sizes[i]` is the catalog size of file `i`. Ties (and `Fifo`) preserve
-/// submit order, which keeps the schedule a pure function of the request.
+/// `sizes[i]` is the catalog size of file `i`. Ties preserve submit order, which keeps the schedule a pure function of the request.
 pub fn order_queue(policy: AdmissionPolicy, sizes: &[u64]) -> Vec<usize> {
+    let AdmissionPolicy::ShortestFirst = policy;
     let mut idx: Vec<usize> = (0..sizes.len()).collect();
-    if policy == AdmissionPolicy::ShortestFirst {
-        idx.sort_by_key(|&i| (sizes[i], i));
-    }
+    idx.sort_by_key(|&i| (sizes[i], i));
     idx
 }
 
@@ -492,14 +458,14 @@ pub fn order_queue(policy: AdmissionPolicy, sizes: &[u64]) -> Vec<usize> {
 ///   paths whose BDP exceeds one clamped window get extra streams;
 /// * `window = clamp(bdp / streams, WINDOW_MIN, WINDOW_MAX)`.
 ///
-/// Returns `(tuning, true)` when a forecast-driven decision was made, or
-/// `(base, false)` when either forecast is missing (cold NWS path) and the
-/// fixed defaults apply.
-pub fn bdp_tuning(
-    base: TransferTuning,
-    bandwidth: Option<f64>,
-    rtt: Option<f64>,
-) -> (TransferTuning, bool) {
+/// Data channels are cached either way. Returns `(tuning, true)` when a
+/// forecast-driven decision was made, or `(defaults, false)` when either
+/// forecast is missing (cold NWS path) and the fixed defaults apply.
+pub fn bdp_tuning(bandwidth: Option<f64>, rtt: Option<f64>) -> (TransferTuning, bool) {
+    let base = TransferTuning {
+        channel_cache: true,
+        ..TransferTuning::default()
+    };
     let (Some(bw), Some(rtt)) = (bandwidth, rtt) else {
         return (base, false);
     };
@@ -515,7 +481,7 @@ pub fn bdp_tuning(
         TransferTuning {
             streams,
             window,
-            channel_cache: base.channel_cache,
+            ..base
         },
         true,
     )
@@ -526,8 +492,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_preserves_submit_order() {
-        assert_eq!(order_queue(AdmissionPolicy::Fifo, &[30, 10, 20]), [0, 1, 2]);
+    fn equal_sizes_keep_submit_order() {
+        let order = order_queue(AdmissionPolicy::ShortestFirst, &[10, 10, 10]);
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
@@ -614,13 +581,12 @@ mod tests {
 
     #[test]
     fn bdp_tuning_falls_back_without_forecasts() {
-        let base = TransferTuning::default();
-        let (t, tuned) = bdp_tuning(base, None, Some(0.01));
+        let (t, tuned) = bdp_tuning(None, Some(0.01));
         assert!(!tuned);
-        assert_eq!(t.streams, base.streams);
-        let (_, tuned) = bdp_tuning(base, Some(1e7), None);
+        assert_eq!(t.streams, TransferTuning::default().streams);
+        let (_, tuned) = bdp_tuning(Some(1e7), None);
         assert!(!tuned);
-        let (_, tuned) = bdp_tuning(base, Some(0.0), Some(0.01));
+        let (_, tuned) = bdp_tuning(Some(0.0), Some(0.01));
         assert!(!tuned, "degenerate forecasts fall back");
     }
 
@@ -628,7 +594,7 @@ mod tests {
     fn bdp_tuning_small_path_gets_one_stream() {
         // 10 MB/s × 10 ms × 2 headroom = 200 KB BDP: one stream, floor
         // window.
-        let (t, tuned) = bdp_tuning(TransferTuning::default(), Some(10e6), Some(0.010));
+        let (t, tuned) = bdp_tuning(Some(10e6), Some(0.010));
         assert!(tuned);
         assert_eq!(t.streams, 1);
         assert_eq!(t.window, WINDOW_MIN);
@@ -638,7 +604,7 @@ mod tests {
     fn bdp_tuning_long_fat_path_gets_streams_and_capped_window() {
         // 150 MB/s × 80 ms × 2 = 24 MB BDP: ceil(24e6/4MiB) = 6 streams,
         // each window bdp/6 = 4.0 MB (just inside the 4 MiB ceiling).
-        let (t, tuned) = bdp_tuning(TransferTuning::default(), Some(150e6), Some(0.080));
+        let (t, tuned) = bdp_tuning(Some(150e6), Some(0.080));
         assert!(tuned);
         assert_eq!(t.streams, 6);
         assert_eq!(t.window, 24e6 / 6.0);
@@ -648,7 +614,7 @@ mod tests {
     #[test]
     fn bdp_tuning_respects_stream_ceiling() {
         // 1 GB/s × 200 ms × 2 = 400 MB BDP: 96 full windows' worth.
-        let (t, _) = bdp_tuning(TransferTuning::default(), Some(1e9), Some(0.2));
+        let (t, _) = bdp_tuning(Some(1e9), Some(0.2));
         assert_eq!(t.streams, MAX_STREAMS);
         assert_eq!(t.window, WINDOW_MAX);
     }
@@ -657,7 +623,7 @@ mod tests {
     fn bdp_tuning_window_times_streams_covers_bdp_when_unclamped() {
         let bw = 60e6;
         let rtt = 0.05;
-        let (t, _) = bdp_tuning(TransferTuning::default(), Some(bw), Some(rtt));
+        let (t, _) = bdp_tuning(Some(bw), Some(rtt));
         let bdp = bw * rtt * BDP_HEADROOM;
         assert!(
             t.streams as f64 * t.window >= bdp - 1.0,
@@ -667,12 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn bdp_tuning_preserves_channel_cache_flag() {
-        let base = TransferTuning {
-            channel_cache: true,
-            ..Default::default()
-        };
-        let (t, _) = bdp_tuning(base, Some(50e6), Some(0.02));
-        assert!(t.channel_cache);
+    fn bdp_tuning_caches_data_channels() {
+        let (tuned, _) = bdp_tuning(Some(50e6), Some(0.02));
+        let (cold, _) = bdp_tuning(None, None);
+        assert!(tuned.channel_cache && cold.channel_cache);
     }
 }

@@ -235,10 +235,6 @@ impl Topology {
         &mut self.links[id.0]
     }
 
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
-    }
-
     pub fn links(&self) -> impl Iterator<Item = (LinkId, &Link)> {
         self.links.iter().enumerate().map(|(i, l)| (LinkId(i), l))
     }

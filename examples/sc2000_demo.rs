@@ -17,16 +17,16 @@ fn main() {
         duration: SimDuration::from_mins(10),
         ..Table1Config::default()
     };
-    println!(
-        "configuration: {} -> {} striped servers, {} streams/server ({} total), 1 MB buffers",
-        cfg.net.hosts_per_side,
-        cfg.net.hosts_per_side,
-        cfg.max_concurrent_per_server,
-        cfg.net.hosts_per_side * cfg.max_concurrent_per_server,
-    );
     println!("simulating 10 minutes of SC'00 show-floor transfer activity...\n");
 
     let r = run_table1(cfg);
+    println!(
+        "configuration: {} -> {} striped servers, {} streams/server ({} total), 1 MB buffers\n",
+        r.striped_servers_source,
+        r.striped_servers_destination,
+        r.max_streams_per_server,
+        r.max_streams_total,
+    );
 
     println!("{:<44} {:>12} {:>12}", "metric", "measured", "paper (1h)");
     println!("{:-<70}", "");

@@ -8,7 +8,7 @@
 //! the last commit (`6d6bfc7`) that held inline copies of the bins; if an
 //! executor drifts from its bin ancestry, this is the tripwire.
 
-use esg::core::{run_fig8, run_table1, run_table1_metered, Fig8Config, Table1Config};
+use esg::core::{run_fig8, run_table1, run_table1_metered, Table1Config};
 use esg::netlogger::BandwidthMeter;
 use esg::simnet::SimDuration;
 use esg_lab::exec::{run_trial, TrialCtx};
@@ -216,12 +216,9 @@ const FIG8_PIN: [u64; 5] = [
 
 #[test]
 fn fig8_series_is_bit_identical() {
-    let cfg = Fig8Config {
-        duration: SimDuration::from_mins(45),
-        ..Fig8Config::default()
-    };
-    let a = run_fig8(cfg.clone());
-    let b = run_fig8(cfg);
+    let duration = SimDuration::from_mins(45);
+    let a = run_fig8(duration);
+    let b = run_fig8(duration);
     assert_eq!(a.series.len(), b.series.len());
     for (x, y) in a.series.iter().zip(&b.series) {
         assert_eq!(x.0.to_bits(), y.0.to_bits());
@@ -371,11 +368,11 @@ fn lab_trial(kind: &str, seed: u64, params: &[(&str, Json)]) -> TrialRecord {
     let spec = format!(r#"{{"name": "pin", "kind": "{kind}", "seeds": [{seed}]}}"#);
     run_trial(&TrialCtx {
         spec: &ScenarioSpec::from_json_str(&spec).unwrap(),
-        params: Params(
+        params: Params::from(
             params
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+                .collect::<Vec<_>>(),
         ),
         variant: "base".into(),
         seed,
@@ -449,11 +446,7 @@ const SOAK_FAULTS_TRACE: &str = "8ebbd066385e4da7419502bae59f4c0c7b3e587f3b18bed
 
 #[test]
 fn soak_faults_executor_holds_its_pin() {
-    let row = lab_trial(
-        "soak_faults",
-        11,
-        &[("requests", Json::Int(12)), ("mode", Json::str("all"))],
-    );
+    let row = lab_trial("soak_faults", 11, &[("requests", Json::Int(12))]);
     assert_eq!(str_metric(&row, "trace_sha256"), SOAK_FAULTS_TRACE);
 }
 
