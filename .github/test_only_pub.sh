@@ -8,8 +8,11 @@
 # `use a as b` counts every `b` as an `a`). A `pub fn` or `pub const` whose
 # name appears there only in its own definition has no non-test caller. A
 # field is not a call: `.name` with no `(` or `::` after it, and `name:`
-# (a field's declaration or initialiser), are not counted. The scan is by
-# name, so a collision can only hide one.
+# (a field's declaration or initialiser), are not counted. A local binding
+# is not a call either: the name after `let` or `let mut`, and a line that
+# is one lower-case name and a comma (a struct-init shorthand written one
+# field a line), are not counted. The scan is by name, so a collision can
+# only hide one.
 #
 #   sh .github/test_only_pub.sh   # exit 1 on an unlisted name or a stale entry
 #
@@ -69,11 +72,14 @@ done > "$tmp/code"
 sed -nE 's/^([^:]*:[0-9]+):[[:space:]]*pub (const |unsafe |async )*fn ([A-Za-z_][A-Za-z0-9_]*).*/\3 \1/p;
          s/^([^:]*:[0-9]+):[[:space:]]*pub const ([A-Za-z_][A-Za-z0-9_]*)[[:space:]]*:.*/\2 \1/p' \
   "$tmp/code" | sort > "$tmp/defs"
-# Mentions of every name in the code, definitions included; field reads and
-# field initialisers are dropped first.
+# Mentions of every name in the code, definitions included; field reads,
+# field initialisers, `let` bindings and one-a-line struct-init shorthands
+# are dropped first.
 cut -d: -f3- "$tmp/code" |
   sed -E 's/\.[a-z_][a-z0-9_]*([^A-Za-z0-9_(:]|$)/\1/g;
-          s/(^|[^A-Za-z0-9_:])[a-z_][a-z0-9_]*:([^:]|$)/\1\2/g' |
+          s/(^|[^A-Za-z0-9_:])[a-z_][a-z0-9_]*:([^:]|$)/\1\2/g;
+          s/(^|[^A-Za-z0-9_])let (mut )?[a-z_][a-z0-9_]*/\1/g;
+          s/^[[:space:]]*[a-z_][a-z0-9_]*,[[:space:]]*$//' |
   grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c |
   awk '{ print $2, $1 }' > "$tmp/counts"
 # A name is test-only when every mention, its aliases' included, is one of

@@ -639,58 +639,41 @@ pub(crate) fn measure_transfer(topo: Topology, spec: TransferSpec) -> f64 {
     sim.world.run.expect("transfer completed")
 }
 
-/// A1: aggregate bandwidth vs number of parallel streams (Mb/s).
-pub fn sweep_parallel_streams(streams: &[u32]) -> Vec<(u32, f64)> {
-    streams
-        .iter()
-        .map(|&n| {
-            let (topo, a, b) = sweep_pair(12, 0.001);
-            let rate = measure_transfer(
-                topo,
-                TransferSpec::new(a, b, 512_000_000)
-                    .streams(n)
-                    .memory_to_memory(),
-            );
-            (n, to_mbps(rate))
-        })
-        .collect()
+/// A1: aggregate bandwidth at `streams` parallel streams (Mb/s).
+pub fn sweep_parallel_streams(streams: u32) -> f64 {
+    let (topo, a, b) = sweep_pair(12, 0.001);
+    to_mbps(measure_transfer(
+        topo,
+        TransferSpec::new(a, b, 512_000_000)
+            .streams(streams)
+            .memory_to_memory(),
+    ))
 }
 
-/// A2: bandwidth vs TCP buffer size on a loss-free long-fat path (Mb/s).
-/// The crossover sits at the bandwidth-delay product (§7's formula).
-pub fn sweep_buffer_size(windows: &[u64]) -> Vec<(u64, f64)> {
-    windows
-        .iter()
-        .map(|&w| {
-            let (topo, a, b) = sweep_pair(15, 0.0);
-            let rate = measure_transfer(
-                topo,
-                TransferSpec::new(a, b, 512_000_000)
-                    .window(w as f64)
-                    .memory_to_memory(),
-            );
-            (w, to_mbps(rate))
-        })
-        .collect()
+/// A2: bandwidth at TCP buffer size `window` on a loss-free long-fat path
+/// (Mb/s). The crossover sits at the bandwidth-delay product (§7's
+/// formula).
+pub fn sweep_buffer_size(window: u64) -> f64 {
+    let (topo, a, b) = sweep_pair(15, 0.0);
+    to_mbps(measure_transfer(
+        topo,
+        TransferSpec::new(a, b, 512_000_000)
+            .window(window as f64)
+            .memory_to_memory(),
+    ))
 }
 
-/// A3: aggregate bandwidth vs stripe width on the SC'00 testbed (Mb/s).
-/// Each added server contributes its own NIC/CPU and streams.
-pub fn sweep_stripes(stripe_counts: &[usize]) -> Vec<(usize, f64)> {
-    stripe_counts
-        .iter()
-        .map(|&k| {
-            let tb = sc2000_scinet(Sc2000Config::default());
-            let sources: Vec<NodeId> = tb.servers.iter().copied().take(k).collect();
-            let rate = measure_transfer(
-                tb.topo,
-                TransferSpec::striped(sources, tb.receivers[0], 2_000_000_000)
-                    .streams(4)
-                    .memory_to_memory(),
-            );
-            (k, to_mbps(rate))
-        })
-        .collect()
+/// A3: aggregate bandwidth at stripe width `servers` on the SC'00 testbed
+/// (Mb/s). Each added server contributes its own NIC/CPU and streams.
+pub fn sweep_stripes(servers: usize) -> f64 {
+    let tb = sc2000_scinet(Sc2000Config::default());
+    let sources: Vec<NodeId> = tb.servers.iter().copied().take(servers).collect();
+    to_mbps(measure_transfer(
+        tb.topo,
+        TransferSpec::striped(sources, tb.receivers[0], 2_000_000_000)
+            .streams(4)
+            .memory_to_memory(),
+    ))
 }
 
 /// A4: channel caching ablation — transfer `files` consecutive files and
@@ -885,6 +868,12 @@ pub fn baseline_comparison() -> Vec<(&'static str, f64)> {
 // A6: replica selection policies / A7: HRM staging
 // ---------------------------------------------------------------------------
 
+/// The first logical file of `dataset` as its `(collection, file)` pair.
+fn first_file(tb: &crate::scenario::EsgTestbed, dataset: &str) -> (String, String) {
+    let mut files = tb.sim.world.metadata.request_files(dataset).unwrap();
+    files.swap_remove(0)
+}
+
 /// Submit one single-file request, run the simulation 5 s at a time until
 /// it lands or `horizon` passes, and return its sojourn in seconds.
 fn request_sojourn(
@@ -928,10 +917,7 @@ pub fn replica_policy_comparison(requests: u32) -> Vec<(&'static str, f64)> {
             tb.sim.world.rm.selector = ReplicaSelector::new(policy, 23);
             tb.start_nws(SimDuration::from_secs(20));
             tb.sim.run_until(SimTime::from_secs(100));
-            let collection = tb.sim.world.metadata.collection_of("policy_ds").unwrap();
-            let file = tb.sim.world.metadata.all_files("policy_ds").unwrap()[0]
-                .name
-                .clone();
+            let (collection, file) = first_file(&tb, "policy_ds");
             let horizon = SimDuration::from_secs(3_600);
             let total: f64 = (0..requests)
                 .map(|_| request_sojourn(&mut tb, collection.clone(), file.clone(), horizon))
@@ -950,59 +936,41 @@ pub fn hrm_staging_comparison() -> Vec<(&'static str, f64)> {
     let run_request = |tb: &mut crate::scenario::EsgTestbed, collection, file| {
         request_sojourn(tb, collection, file, SimDuration::from_secs(7_200))
     };
+    // A testbed seeded `seed` with `dataset` at `sites`, NWS warmed up to
+    // t = 100 s, and the dataset's first file.
+    let warm = |seed: u64, dataset: &str, sites: &[usize]| {
+        let mut tb = esg_testbed(seed);
+        tb.publish_dataset(dataset, 8, 8, 12_500_000, sites);
+        tb.start_nws(SimDuration::from_secs(20));
+        tb.sim.run_until(SimTime::from_secs(100));
+        let (c, f) = first_file(&tb, dataset);
+        (tb, c, f)
+    };
 
     let mut out = Vec::new();
 
     // Disk-resident at LLNL.
-    {
-        let mut tb = esg_testbed(31);
-        tb.publish_dataset("on_disk", 8, 8, 12_500_000, &[1]);
-        tb.start_nws(SimDuration::from_secs(20));
-        tb.sim.run_until(SimTime::from_secs(100));
-        let c = tb.sim.world.metadata.collection_of("on_disk").unwrap();
-        let f = tb.sim.world.metadata.all_files("on_disk").unwrap()[0]
-            .name
-            .clone();
-        out.push(("disk-resident (LLNL)", run_request(&mut tb, c, f)));
-    }
+    let (mut tb, c, f) = warm(31, "on_disk", &[1]);
+    out.push(("disk-resident (LLNL)", run_request(&mut tb, c, f)));
 
     // Tape-resident at LBNL HPSS: cold, then warm, then prestaged.
-    {
-        let mut tb = esg_testbed(32);
-        tb.publish_dataset("on_tape", 8, 8, 12_500_000, &[0]);
-        tb.start_nws(SimDuration::from_secs(20));
-        tb.sim.run_until(SimTime::from_secs(100));
-        let c = tb.sim.world.metadata.collection_of("on_tape").unwrap();
-        let f = tb.sim.world.metadata.all_files("on_tape").unwrap()[0]
-            .name
-            .clone();
-        out.push((
-            "tape cold (HRM stage)",
-            run_request(&mut tb, c.clone(), f.clone()),
-        ));
-        out.push(("tape warm (HRM cache hit)", run_request(&mut tb, c, f)));
-    }
-    {
-        let mut tb = esg_testbed(33);
-        tb.publish_dataset("prestaged", 8, 8, 12_500_000, &[0]);
-        tb.start_nws(SimDuration::from_secs(20));
-        tb.sim.run_until(SimTime::from_secs(100));
-        let c = tb.sim.world.metadata.collection_of("prestaged").unwrap();
-        let f = tb.sim.world.metadata.all_files("prestaged").unwrap()[0]
-            .name
-            .clone();
-        // Prestage ahead of the request (the "replicate popular
-        // collections" pattern), then wait out the staging time.
-        let now = tb.sim.now();
-        let size = tb.sim.world.rm.catalog.file_size(&c, &f).unwrap();
-        {
-            let hrm = tb.sim.world.rm.hrms.get_mut("hpss.lbl.gov").unwrap();
-            hrm.catalog.register(&f, size);
-            hrm.prestage(&[&f], now).unwrap();
-        }
-        tb.sim.run_until(SimTime::from_secs(2_000));
-        out.push(("tape prestaged", run_request(&mut tb, c, f)));
-    }
+    let (mut tb, c, f) = warm(32, "on_tape", &[0]);
+    out.push((
+        "tape cold (HRM stage)",
+        run_request(&mut tb, c.clone(), f.clone()),
+    ));
+    out.push(("tape warm (HRM cache hit)", run_request(&mut tb, c, f)));
+
+    let (mut tb, c, f) = warm(33, "prestaged", &[0]);
+    // Prestage ahead of the request (the "replicate popular collections"
+    // pattern), then wait out the staging time.
+    let now = tb.sim.now();
+    let size = tb.sim.world.rm.catalog.file_size(&c, &f).unwrap();
+    let hrm = tb.sim.world.rm.hrms.get_mut("hpss.lbl.gov").unwrap();
+    hrm.catalog.register(&f, size);
+    hrm.prestage(&[&f], now).unwrap();
+    tb.sim.run_until(SimTime::from_secs(2_000));
+    out.push(("tape prestaged", run_request(&mut tb, c, f)));
     out
 }
 
@@ -1024,16 +992,7 @@ pub fn planner_spread_comparison() -> (f64, f64) {
         tb.sim.world.rm.scheduler.max_active_per_request = 8;
         tb.start_nws(SimDuration::from_secs(20));
         tb.sim.run_until(SimTime::from_secs(100));
-        let collection = tb.sim.world.metadata.collection_of("spread_ds").unwrap();
-        let files: Vec<(String, String)> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("spread_ds")
-            .unwrap()
-            .iter()
-            .map(|f| (collection.clone(), f.name.clone()))
-            .collect();
+        let files = tb.sim.world.metadata.request_files("spread_ds").unwrap();
         let client = tb.client;
         submit_request(&mut tb.sim, client, files, |s, o| s.world.outcomes.push(o));
         tb.sim.run_until(SimTime::from_secs(7_200));
@@ -1265,32 +1224,32 @@ mod tests {
 
     #[test]
     fn parallel_sweep_monotone_until_cap() {
-        let sweep = sweep_parallel_streams(&[1, 2, 4, 8]);
-        assert!(sweep[1].1 > sweep[0].1 * 1.5, "{sweep:?}");
-        assert!(sweep[2].1 > sweep[1].1 * 1.4, "{sweep:?}");
+        let sweep = [1, 2, 4, 8].map(sweep_parallel_streams);
+        assert!(sweep[1] > sweep[0] * 1.5, "{sweep:?}");
+        assert!(sweep[2] > sweep[1] * 1.4, "{sweep:?}");
         // 8 streams approaches or hits a ceiling — still ≥ 4-stream rate.
-        assert!(sweep[3].1 >= sweep[2].1 * 0.95, "{sweep:?}");
+        assert!(sweep[3] >= sweep[2] * 0.95, "{sweep:?}");
     }
 
     #[test]
     fn buffer_sweep_crosses_at_bdp() {
         // Path: 622 Mb/s, RTT 30 ms → BDP ≈ 2.3 MB.
-        let sweep = sweep_buffer_size(&[64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20]);
+        let sweep = [64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20].map(sweep_buffer_size);
         // Below BDP rate ≈ window/RTT: 64 KB / 30 ms ≈ 17.5 Mb/s.
-        assert!(sweep[0].1 < 25.0, "{sweep:?}");
+        assert!(sweep[0] < 25.0, "{sweep:?}");
         // Well above BDP the link saturates.
-        assert!(sweep[4].1 > 500.0, "{sweep:?}");
+        assert!(sweep[4] > 500.0, "{sweep:?}");
         // Monotone non-decreasing.
         for w in sweep.windows(2) {
-            assert!(w[1].1 >= w[0].1 * 0.99, "{sweep:?}");
+            assert!(w[1] >= w[0] * 0.99, "{sweep:?}");
         }
     }
 
     #[test]
     fn stripes_scale_toward_wan_cap() {
-        let sweep = sweep_stripes(&[1, 2, 4, 8]);
-        assert!(sweep[1].1 > sweep[0].1 * 1.6, "{sweep:?}");
-        assert!(sweep[3].1 > sweep[2].1 * 1.2, "{sweep:?}");
+        let sweep = [1, 2, 4, 8].map(sweep_stripes);
+        assert!(sweep[1] > sweep[0] * 1.6, "{sweep:?}");
+        assert!(sweep[3] > sweep[2] * 1.2, "{sweep:?}");
     }
 
     #[test]

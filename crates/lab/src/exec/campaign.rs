@@ -19,13 +19,13 @@
 //! campaigns at all — the denominator for the declared fairness bound on
 //! interactive p95 makespan.
 
-use super::TrialCtx;
-use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
-use esg_reqman::{start_campaign, submit_request, CampaignOutcome, CampaignSpec, DEFAULT_TENANT};
+use super::{put, put_str, random_requests, TrialCtx};
+use crate::journal::TrialRecord;
+use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec, DEFAULT_TENANT};
 use esg_simnet::prelude::inject_all;
 use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -94,33 +94,14 @@ fn build(
 
     // Interactive workload: identical RNG stream in every run and
     // variant (campaign construction draws nothing from it).
-    let collection = tb
+    let names = tb
         .sim
         .world
         .metadata
-        .collection_of(INTER_DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(INTER_DS)
-        .map_err(|e| format!("all_files: {e}"))?
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+        .request_files(INTER_DS)
+        .map_err(|e| format!("request_files: {e}"))?;
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xCA4A_16B5_0DD5_EED5);
-    let client = tb.client;
-    for _ in 0..n_inter {
-        let at = SimTime::from_secs(rng.gen_range(120u64..820));
-        let k = rng.gen_range(1usize..=2);
-        let files: Vec<_> = (0..k)
-            .map(|_| names[rng.gen_range(0usize..names.len())].clone())
-            .collect();
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
+    random_requests(&mut tb, &mut rng, &names, n_inter, 120..820, 2);
 
     for i in 0..campaigns {
         let coll = tb
@@ -188,20 +169,10 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let interrupt = SimTime::from_secs(p.u64("interrupt_s", 240)?);
     let n_inter = p.usize("interactive_requests", 16)?;
 
-    let ckpt_path = |tag: &str, i: usize| {
-        std::env::temp_dir().join(format!(
-            "esg-lab-{}-{}-s{}-r{}-{tag}-{i}.ckpt",
-            ctx.spec.name,
-            ctx.variant,
-            ctx.seed,
-            ctx.rep,
-            i = i
-        ))
-    };
     let fresh = |tag: &str| -> Vec<PathBuf> {
         (0..2)
             .map(|i| {
-                let p = ckpt_path(tag, i);
+                let p = ctx.tmp_path(&format!("{tag}-{i}"), "ckpt");
                 let _ = std::fs::remove_file(&p);
                 p
             })
@@ -218,23 +189,18 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let wall_full = wall.elapsed().as_secs_f64() * 1e3;
     drop(full);
 
-    let mut metrics = vec![
-        ("campaigns".into(), Num(n_campaigns as f64)),
-        ("interactive_requests".into(), Num(n_inter as f64)),
-        (
-            "interactive_done".into(),
-            Num(full_stats.interactive_done as f64),
-        ),
-        (
-            "interactive_p95_s".into(),
-            Num((full_stats.interactive_p95_s * 1e6).round() / 1e6),
-        ),
-        (
-            "trace_sha256".into(),
-            MetricValue::Str(full_stats.trace_sha256.clone()),
-        ),
-    ];
-    let mut timing = vec![("wall_ms_full".into(), wall_full)];
+    let mut rec = ctx.record();
+    put(&mut rec, "campaigns", n_campaigns as f64);
+    put(&mut rec, "interactive_requests", n_inter as f64);
+    put(
+        &mut rec,
+        "interactive_done",
+        full_stats.interactive_done as f64,
+    );
+    let p95 = (full_stats.interactive_p95_s * 1e6).round() / 1e6;
+    put(&mut rec, "interactive_p95_s", p95);
+    put_str(&mut rec, "trace_sha256", full_stats.trace_sha256.clone());
+    rec.timing.push(("wall_ms_full".into(), wall_full));
 
     if n_campaigns > 0 {
         let files_total: usize = full_stats.campaigns.values().map(|o| o.files_total).sum();
@@ -285,53 +251,35 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         let retransferred = (bytes_interrupted + res_stats.campaign_bytes) as f64
             - full_stats.campaign_bytes as f64;
 
-        metrics.extend([
-            ("campaign_files_total".into(), Num(files_total as f64)),
-            ("full_files_delivered".into(), Num(full_delivered as f64)),
-            (
-                "full_campaign_bytes".into(),
-                Num(full_stats.campaign_bytes as f64),
-            ),
-            (
-                "full_checkpoints".into(),
-                Num(full_stats.checkpoints as f64),
-            ),
-            ("starved_events".into(), Num(full_stats.starved as f64)),
-            (
-                "resume_manifest_match".into(),
-                Num(if manifests_match && all_resumed {
-                    1.0
-                } else {
-                    0.0
-                }),
-            ),
-            ("resume_files_skipped".into(), Num(res_skipped as f64)),
-            ("resume_files_delivered".into(), Num(res_delivered as f64)),
-            ("resume_files_accounted".into(), Num(res_accounted as f64)),
-            (
-                "resume_bytes_interrupted".into(),
-                Num(bytes_interrupted as f64),
-            ),
-            (
-                "resume_bytes_transferred".into(),
-                Num(res_stats.campaign_bytes as f64),
-            ),
-            ("resume_retransferred_bytes".into(), Num(retransferred)),
-        ]);
-        timing.push((
-            "wall_ms_resume".into(),
-            wall.elapsed().as_secs_f64() * 1e3 - wall_full,
-        ));
+        let manifest_match = manifests_match && all_resumed;
+        put(&mut rec, "campaign_files_total", files_total as f64);
+        put(&mut rec, "full_files_delivered", full_delivered as f64);
+        put(
+            &mut rec,
+            "full_campaign_bytes",
+            full_stats.campaign_bytes as f64,
+        );
+        put(&mut rec, "full_checkpoints", full_stats.checkpoints as f64);
+        put(&mut rec, "starved_events", full_stats.starved as f64);
+        put(&mut rec, "resume_manifest_match", f64::from(manifest_match));
+        put(&mut rec, "resume_files_skipped", res_skipped as f64);
+        put(&mut rec, "resume_files_delivered", res_delivered as f64);
+        put(&mut rec, "resume_files_accounted", res_accounted as f64);
+        put(
+            &mut rec,
+            "resume_bytes_interrupted",
+            bytes_interrupted as f64,
+        );
+        let res_bytes = res_stats.campaign_bytes as f64;
+        put(&mut rec, "resume_bytes_transferred", res_bytes);
+        put(&mut rec, "resume_retransferred_bytes", retransferred);
+        let wall_resume = wall.elapsed().as_secs_f64() * 1e3 - wall_full;
+        rec.timing.push(("wall_ms_resume".into(), wall_resume));
 
         for path in full_ckpts.iter().chain(res_ckpts.iter()) {
             let _ = std::fs::remove_file(path);
         }
     }
 
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics,
-        timing,
-        aux: vec![],
-    })
+    Ok(rec)
 }

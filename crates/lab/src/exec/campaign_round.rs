@@ -12,18 +12,9 @@ use esg_core::scenario::EsgTestbed;
 use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec};
 use esg_simnet::prelude::inject_all;
 use esg_simnet::{SimDuration, SimTime};
-use std::path::PathBuf;
 
 /// Campaign destination (OC-3 access link).
 const TARGET_SITE: usize = 4;
-
-/// Scratch file for one trial, unique per (scenario, variant, seed, rep).
-pub fn tmp_path(ctx: &TrialCtx, tag: &str, ext: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "esg-lab-{}-{}-s{}-r{}-{tag}.{ext}",
-        ctx.spec.name, ctx.variant, ctx.seed, ctx.rep
-    ))
-}
 
 pub struct CampaignRound {
     pub tb: EsgTestbed,
@@ -64,7 +55,7 @@ impl CampaignRound {
             .metadata
             .collection_of(dataset)
             .map_err(|e| format!("collection_of: {e}"))?;
-        let ckpt = tmp_path(ctx, tag, "ckpt");
+        let ckpt = ctx.tmp_path(tag, "ckpt");
         let _ = std::fs::remove_file(&ckpt);
         let mut spec = CampaignSpec::new(campaign, coll, tb.sites[TARGET_SITE].host.clone());
         spec.batch_files = batch;

@@ -8,9 +8,9 @@
 //! metrics of the record, and the raw ULM trace is journaled as an
 //! auxiliary file by path + sha256.
 
-use super::{mixed, TrialCtx};
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use esg_netlogger::{LifelineSet, MetricsRegistry, NetLog};
+use super::{mixed, put, put_str, TrialCtx};
+use crate::journal::{AuxFile, TrialRecord};
+use esg_netlogger::{LifelineSet, NetLog};
 use std::collections::BTreeMap;
 
 pub const DISK_DS: &str = "pcm_life.disk";
@@ -100,74 +100,48 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let trace_sha = crate::sha_hex(&ulm);
     std::fs::write(&trace_path, &ulm).map_err(|e| format!("write {trace_path}: {e}"))?;
 
-    let mut metrics = vec![
-        ("requests".into(), Num(n_requests as f64)),
-        ("requests_done".into(), Num(outcomes.len() as f64)),
-        ("files".into(), Num(n_files as f64)),
-        ("files_delivered".into(), Num(files_delivered as f64)),
-        (
-            "files_with_lifeline".into(),
-            Num(files_with_lifeline as f64),
-        ),
-        ("files_bytes_exact".into(), Num(files_bytes_exact as f64)),
-        ("files_status_done".into(), Num(files_status_done as f64)),
-        ("lifelines".into(), Num(set.lifelines.len() as f64)),
-        ("lifelines_complete".into(), Num(complete as f64)),
-        ("orphans".into(), Num(set.orphans.len() as f64)),
-        ("max_tiling_gap_s".into(), Num(max_gap)),
-        ("delivered_bytes".into(), Num(delivered_bytes as f64)),
-        ("transfer_span_bytes".into(), Num(span_bytes as f64)),
-        (
-            "roundtrip_identical".into(),
-            Num(roundtrip_identical as u64 as f64),
-        ),
-        ("critical_paths".into(), Num(cps.len() as f64)),
-        ("stalls".into(), Num(stalls.len() as f64)),
-        (
-            "stalls_open".into(),
-            Num(stalls.iter().filter(|s| s.open).count() as f64),
-        ),
-        ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
-    ];
+    let mut rec = ctx.record();
+    put(&mut rec, "requests", n_requests as f64);
+    put(&mut rec, "requests_done", outcomes.len() as f64);
+    put(&mut rec, "files", n_files as f64);
+    put(&mut rec, "files_delivered", files_delivered as f64);
+    put(&mut rec, "files_with_lifeline", files_with_lifeline as f64);
+    put(&mut rec, "files_bytes_exact", files_bytes_exact as f64);
+    put(&mut rec, "files_status_done", files_status_done as f64);
+    put(&mut rec, "lifelines", set.lifelines.len() as f64);
+    put(&mut rec, "lifelines_complete", complete as f64);
+    put(&mut rec, "orphans", set.orphans.len() as f64);
+    put(&mut rec, "max_tiling_gap_s", max_gap);
+    put(&mut rec, "delivered_bytes", delivered_bytes as f64);
+    put(&mut rec, "transfer_span_bytes", span_bytes as f64);
+    put(
+        &mut rec,
+        "roundtrip_identical",
+        f64::from(roundtrip_identical),
+    );
+    put(&mut rec, "critical_paths", cps.len() as f64);
+    put(&mut rec, "stalls", stalls.len() as f64);
+    let open = stalls.iter().filter(|s| s.open).count();
+    put(&mut rec, "stalls_open", open as f64);
+    put_str(&mut rec, "trace_sha256", trace_sha.clone());
     for (ph, d) in phase_totals {
-        metrics.push((format!("phase_total_s.{ph}"), Num(d)));
+        put(&mut rec, &format!("phase_total_s.{ph}"), d);
     }
     for cp in &cps {
         let at = format!("critical_path.{}", cp.request);
-        metrics.push((format!("{at}.file"), MetricValue::Str(cp.file.to_string())));
-        metrics.push((format!("{at}.makespan_s"), Num(cp.makespan_s)));
+        put_str(&mut rec, &format!("{at}.file"), cp.file.to_string());
+        put(&mut rec, &format!("{at}.makespan_s"), cp.makespan_s);
     }
     // The whole registry snapshot rides along under a `reg.` prefix, so
     // gates can target the unified snapshot directly.
-    metrics.extend(registry_metrics(&reg));
-
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics,
-        timing: vec![("wall_ms".into(), run.wall.as_secs_f64() * 1e3)],
-        aux: vec![AuxFile {
-            path: trace_path,
-            sha256: trace_sha,
-        }],
-    })
-}
-
-/// Every counter and gauge of `reg` by name, and every histogram's count,
-/// sum, min, max, p50 and p99 as `<name>.<field>`, each under `reg.`.
-fn registry_metrics(reg: &MetricsRegistry) -> Vec<(String, MetricValue)> {
-    let mut out: Vec<(String, f64)> = reg.counters().map(|(k, v)| (k.into(), v as f64)).collect();
-    out.extend(reg.gauges().map(|(k, v)| (k.into(), v)));
-    for (k, h) in reg.histograms() {
-        out.extend([
-            (format!("{k}.count"), h.count() as f64),
-            (format!("{k}.sum"), h.sum()),
-            (format!("{k}.min"), h.min().unwrap_or(0.0)),
-            (format!("{k}.max"), h.max().unwrap_or(0.0)),
-            (format!("{k}.p50"), h.quantile(0.5).unwrap_or(0.0)),
-            (format!("{k}.p99"), h.quantile(0.99).unwrap_or(0.0)),
-        ]);
+    for (k, v) in reg.flat() {
+        put(&mut rec, &format!("reg.{k}"), v);
     }
-    out.into_iter()
-        .map(|(k, v)| (format!("reg.{k}"), Num(v)))
-        .collect()
+    rec.timing
+        .push(("wall_ms".into(), run.wall.as_secs_f64() * 1e3));
+    rec.aux.push(AuxFile {
+        path: trace_path,
+        sha256: trace_sha,
+    });
+    Ok(rec)
 }

@@ -77,51 +77,22 @@ pub fn run_mixed(
         inject_all(&mut tb.sim, &faults);
     }
 
-    let disk_coll = tb
-        .sim
-        .world
-        .metadata
-        .collection_of(cfg.disk_ds)
-        .map_err(|e| format!("collection_of(disk): {e}"))?;
-    let tape_coll = tb
-        .sim
-        .world
-        .metadata
-        .collection_of(cfg.tape_ds)
-        .map_err(|e| format!("collection_of(tape): {e}"))?;
-    let disk_files: Vec<String> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(cfg.disk_ds)
-        .map_err(|e| format!("all_files(disk): {e}"))?
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
-    let tape_files: Vec<String> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(cfg.tape_ds)
-        .map_err(|e| format!("all_files(tape): {e}"))?
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
+    let md = &tb.sim.world.metadata;
+    let disk = md
+        .request_files(cfg.disk_ds)
+        .map_err(|e| format!("request_files(disk): {e}"))?;
+    let tape = md
+        .request_files(cfg.tape_ds)
+        .map_err(|e| format!("request_files(tape): {e}"))?;
 
     // Request r: sixteen disk files + two tape files, deterministic picks,
     // submitted two seconds apart.
     let client = tb.client;
     for r in 0..cfg.n_requests {
         let mut files: Vec<(String, String)> = (0..16)
-            .map(|k| {
-                let f = &disk_files[(r * 16 + k) % disk_files.len()];
-                (disk_coll.clone(), f.clone())
-            })
+            .map(|k| disk[(r * 16 + k) % disk.len()].clone())
             .collect();
-        for k in 0..2 {
-            let f = &tape_files[(r * 2 + k) % tape_files.len()];
-            files.push((tape_coll.clone(), f.clone()));
-        }
+        files.extend((0..2).map(|k| tape[(r * 2 + k) % tape.len()].clone()));
         let at = SimTime::from_secs(100 + 2 * r as u64);
         tb.sim.schedule_at(at, move |sim| {
             submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));

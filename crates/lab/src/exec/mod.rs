@@ -11,12 +11,25 @@
 //! the golden trace pins carried over bit-for-bit — `tests/determinism.rs`
 //! at the workspace root pins, through `run_trial`, the sha256 each bin
 //! produced before it was deleted.
+//!
+//! The chores executors share have one copy each, here: an empty record
+//! ([`TrialCtx::record`]), a scratch path ([`TrialCtx::tmp_path`]), a row
+//! ([`put`], [`put_str`]), trace-event counts ([`put_counts`]), the
+//! outcome summary ([`put_deliveries`]) and a random interactive workload
+//! ([`random_requests`]).
 
-use crate::journal::{TrialKey, TrialRecord};
+use crate::journal::{MetricValue, TrialKey, TrialRecord};
 use crate::spec::{FaultSpec, Params, ScenarioSpec};
 use esg_core::scenario::Site;
+use esg_core::EsgTestbed;
+use esg_netlogger::NetLog;
+use esg_reqman::{submit_request, RequestOutcome};
 use esg_simnet::prelude::{Fault, FaultKind};
 use esg_simnet::{SimDuration, SimTime};
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::ops::Range;
+use std::path::PathBuf;
 
 pub mod campaign;
 mod campaign_round;
@@ -40,13 +53,94 @@ pub struct TrialCtx<'a> {
 }
 
 impl TrialCtx<'_> {
-    /// The trial's coordinates in the variant × seed × rep matrix.
-    pub fn key(&self) -> TrialKey {
-        TrialKey {
-            variant: self.variant.clone(),
-            seed: self.seed,
-            rep: self.rep,
+    /// An empty record at the trial's coordinates in the variant × seed ×
+    /// rep matrix.
+    pub fn record(&self) -> TrialRecord {
+        TrialRecord {
+            key: TrialKey {
+                variant: self.variant.clone(),
+                seed: self.seed,
+                rep: self.rep,
+            },
+            metrics: Vec::new(),
+            timing: Vec::new(),
+            aux: Vec::new(),
         }
+    }
+
+    /// Scratch file for this trial, unique per (scenario, variant, seed,
+    /// rep, tag).
+    pub fn tmp_path(&self, tag: &str, ext: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "esg-lab-{}-{}-s{}-r{}-{tag}.{ext}",
+            self.spec.name, self.variant, self.seed, self.rep
+        ))
+    }
+}
+
+/// Add one numeric metric to `rec`.
+pub fn put(rec: &mut TrialRecord, name: &str, v: f64) {
+    rec.metrics.push((name.into(), MetricValue::Num(v)));
+}
+
+/// Add one string metric (a digest, a mode) to `rec`.
+pub fn put_str(rec: &mut TrialRecord, name: &str, v: String) {
+    rec.metrics.push((name.into(), MetricValue::Str(v)));
+}
+
+/// One metric per `(metric, event)` row: how many `event` records `log`
+/// holds.
+pub fn put_counts(rec: &mut TrialRecord, log: &NetLog, table: &[(&str, &str)]) {
+    for &(metric, event) in table {
+        put(rec, metric, log.named(event).count() as f64);
+    }
+}
+
+/// Bytes delivered across every file of `outcomes`.
+pub fn bytes_delivered(outcomes: &[RequestOutcome]) -> u64 {
+    outcomes
+        .iter()
+        .flat_map(|o| &o.files)
+        .map(|f| f.bytes_done)
+        .sum()
+}
+
+/// The outcome summary: `files` requested, `files_complete` (done with
+/// every byte) and `bytes_delivered`.
+pub fn put_deliveries(rec: &mut TrialRecord, outcomes: &[RequestOutcome]) {
+    let files = outcomes.iter().flat_map(|o| &o.files);
+    let complete = files
+        .clone()
+        .filter(|f| f.done && f.bytes_done == f.size)
+        .count();
+    put(rec, "files", files.count() as f64);
+    put(rec, "files_complete", complete as f64);
+    put(rec, "bytes_delivered", bytes_delivered(outcomes) as f64);
+}
+
+/// Schedule `n` interactive requests against `files`, each pushing its
+/// outcome to `world.outcomes`. Each request draws, in this order: its
+/// submit time, a uniform whole second in `window`; its size, uniform in
+/// 1..=`k`; then each of its files, uniform over `files` (repeats
+/// allowed). The soak and campaign traces pin that draw order.
+pub fn random_requests(
+    tb: &mut EsgTestbed,
+    rng: &mut StdRng,
+    files: &[(String, String)],
+    n: usize,
+    window: Range<u64>,
+    k: usize,
+) {
+    let client = tb.client;
+    for _ in 0..n {
+        let at = SimTime::from_secs(rng.gen_range(window.clone()));
+        let k = rng.gen_range(1usize..=k);
+        let picks: Vec<_> = (0..k)
+            .map(|_| files[rng.gen_range(0usize..files.len())].clone())
+            .collect();
+        tb.sim.schedule_at(at, move |sim| {
+            submit_request(sim, client, picks, |s, o| s.world.outcomes.push(o));
+        });
     }
 }
 

@@ -7,8 +7,8 @@
 //! given configuration — the seed only labels the trial, except in E1,
 //! where it seeds the synthetic climate data.
 
-use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
+use super::{put, put_str, TrialCtx};
+use crate::journal::{AuxFile, TrialRecord};
 use esg_core::experiments::{
     ablation_channel_caching, ablation_cpu_model, baseline_comparison, hrm_staging_comparison,
     nws_forecast_accuracy, planner_spread_comparison, replica_policy_comparison, run_fig8,
@@ -38,21 +38,12 @@ pub fn run(ctx: &TrialCtx) -> Option<Result<TrialRecord, String>> {
         "extension_subsetting" => extension_subsetting,
         _ => return None,
     };
-    let mut rec = TrialRecord {
-        key: ctx.key(),
-        metrics: Vec::new(),
-        timing: Vec::new(),
-        aux: Vec::new(),
-    };
+    let mut rec = ctx.record();
     let wall = std::time::Instant::now();
     let result = kind(ctx, &mut rec);
     rec.timing
         .push(("wall_ms".into(), wall.elapsed().as_secs_f64() * 1e3));
     Some(result.map(|()| rec))
-}
-
-fn put(rec: &mut TrialRecord, name: &str, v: f64) {
-    rec.metrics.push((name.into(), Num(v)));
 }
 
 /// One metric per named row, e.g. `"tape cold (HRM stage)"` with unit
@@ -128,8 +119,7 @@ fn fig8(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     put(rec, "transfers_completed", r.transfers_completed as f64);
     put(rec, "restarts", r.restarts as f64);
     put(rec, "dead_bins", r.dead_bins as f64);
-    rec.metrics
-        .push(("series_sha256".into(), MetricValue::Str(sha256.clone())));
+    put_str(rec, "series_sha256", sha256.clone());
     rec.aux.push(AuxFile {
         path: csv_path.into(),
         sha256,
@@ -140,7 +130,7 @@ fn fig8(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
 /// A1: one parallel-stream count on the lossy sweep pair.
 fn sweep_parallel(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     let streams = to_u32(ctx.params.u64("streams", 4)?, "streams")?;
-    let (_, mbps) = sweep_parallel_streams(&[streams])[0];
+    let mbps = sweep_parallel_streams(streams);
     put(rec, "streams", streams as f64);
     put(rec, "mbps", mbps);
     put(rec, "link_mbps", SWEEP_LINK_MBPS);
@@ -150,7 +140,7 @@ fn sweep_parallel(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
 /// A2: one TCP buffer size on the lossless long-fat sweep pair.
 fn sweep_buffer(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     let window = ctx.params.u64("window_bytes", 1 << 20)?;
-    let (_, mbps) = sweep_buffer_size(&[window])[0];
+    let mbps = sweep_buffer_size(window);
     put(rec, "window_bytes", window as f64);
     put(rec, "mbps", mbps);
     put(rec, "link_mbps", SWEEP_LINK_MBPS);
@@ -160,7 +150,7 @@ fn sweep_buffer(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
 /// A3: one stripe width on the SC'00 testbed.
 fn sweep_stripes(ctx: &TrialCtx, rec: &mut TrialRecord) -> Result<(), String> {
     let servers = ctx.params.usize("servers", 8)?;
-    let (_, mbps) = esg_core::experiments::sweep_stripes(&[servers])[0];
+    let mbps = esg_core::experiments::sweep_stripes(servers);
     put(rec, "servers", servers as f64);
     put(rec, "mbps", mbps);
     Ok(())

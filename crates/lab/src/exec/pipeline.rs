@@ -5,12 +5,20 @@
 //! declared gates (delivery equivalence, verified==complete, host cap,
 //! makespan speedup floor).
 
-use super::{mixed, TrialCtx};
-use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
+use super::{bytes_delivered, mixed, put, put_counts, put_str, TrialCtx};
+use crate::journal::TrialRecord;
 use std::fmt::Write as _;
 
 pub const DISK_DS: &str = "pcm_pipe.disk";
 pub const TAPE_DS: &str = "pcm_pipe.tape";
+
+/// `(metric, trace event)` rows each arm counts.
+const COUNTS: [(&str, &str); 4] = [
+    ("files_complete", "rm.file.complete"),
+    ("files_verified", "integrity.file.verified"),
+    ("failovers", "rm.reliability.failover"),
+    ("defers", "rm.sched.defer"),
+];
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
@@ -48,11 +56,7 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         .max()
         .ok_or("no outcomes")?;
     let makespan = last_finish.since(first_start).as_secs_f64();
-    let bytes: u64 = outcomes
-        .iter()
-        .flat_map(|o| o.files.iter())
-        .map(|f| f.bytes_done)
-        .sum();
+    let bytes = bytes_delivered(outcomes);
     let mean_sojourn = outcomes
         .iter()
         .map(|o| o.finished.since(o.started).as_secs_f64())
@@ -79,43 +83,26 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     }
 
     let rm = &tb.sim.world.rm;
-    let count = |name: &str| rm.log.named(name).count();
-    let completes = count("rm.file.complete");
-    let verified = count("integrity.file.verified");
-    let failovers = count("rm.reliability.failover");
-    let defers = count("rm.sched.defer");
-    let prestaged = rm.sched_stats().prestaged;
-    let tuned = rm.sched_stats().tuned;
-    let peak_host_inflight = rm.inflight().peak_attempts();
     let agg_mbps = bytes as f64 / makespan.max(1e-9) / 1e6;
-    let trace_sha = crate::sha_hex(&rm.log.to_ulm());
 
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics: vec![
-            ("mode".into(), MetricValue::Str(mode)),
-            ("requests".into(), Num(n_requests as f64)),
-            ("requests_done".into(), Num(outcomes.len() as f64)),
-            ("files_delivered".into(), Num(deliveries.len() as f64)),
-            ("all_delivered".into(), Num(all_delivered as u64 as f64)),
-            ("makespan_s".into(), Num(makespan)),
-            ("aggregate_mb_s".into(), Num(agg_mbps)),
-            ("mean_sojourn_s".into(), Num(mean_sojourn)),
-            ("bytes_delivered".into(), Num(bytes as f64)),
-            ("files_complete".into(), Num(completes as f64)),
-            ("files_verified".into(), Num(verified as f64)),
-            ("failovers".into(), Num(failovers as f64)),
-            ("defers".into(), Num(defers as f64)),
-            ("prestaged".into(), Num(prestaged as f64)),
-            ("tuned".into(), Num(tuned as f64)),
-            ("peak_host_inflight".into(), Num(peak_host_inflight as f64)),
-            (
-                "deliveries_sha256".into(),
-                MetricValue::Str(crate::sha_hex(&manifest)),
-            ),
-            ("trace_sha256".into(), MetricValue::Str(trace_sha)),
-        ],
-        timing: vec![("wall_ms".into(), run.wall.as_secs_f64() * 1e3)],
-        aux: vec![],
-    })
+    let mut rec = ctx.record();
+    put_str(&mut rec, "mode", mode);
+    put(&mut rec, "requests", n_requests as f64);
+    put(&mut rec, "requests_done", outcomes.len() as f64);
+    put(&mut rec, "files_delivered", deliveries.len() as f64);
+    put(&mut rec, "all_delivered", f64::from(all_delivered));
+    put(&mut rec, "makespan_s", makespan);
+    put(&mut rec, "aggregate_mb_s", agg_mbps);
+    put(&mut rec, "mean_sojourn_s", mean_sojourn);
+    put(&mut rec, "bytes_delivered", bytes as f64);
+    put_counts(&mut rec, &rm.log, &COUNTS);
+    put(&mut rec, "prestaged", rm.sched_stats().prestaged as f64);
+    put(&mut rec, "tuned", rm.sched_stats().tuned as f64);
+    let peak_host_inflight = rm.inflight().peak_attempts();
+    put(&mut rec, "peak_host_inflight", peak_host_inflight as f64);
+    put_str(&mut rec, "deliveries_sha256", crate::sha_hex(&manifest));
+    put_str(&mut rec, "trace_sha256", crate::sha_hex(&rm.log.to_ulm()));
+    rec.timing
+        .push(("wall_ms".into(), run.wall.as_secs_f64() * 1e3));
+    Ok(rec)
 }

@@ -20,9 +20,9 @@
 //! totals, same open spans, same trace horizon, and live probes fired for
 //! exactly the offline stall set.
 
-use super::campaign_round::{tmp_path, CampaignRound};
-use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
+use super::campaign_round::CampaignRound;
+use super::{put, put_str, TrialCtx};
+use crate::journal::{AuxFile, TrialRecord};
 use esg_netlogger::{LifelineSet, LiveLifelines, NetLog, OpenSpan};
 use esg_reqman::CampaignOutcome;
 use esg_simnet::profile;
@@ -102,7 +102,7 @@ fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
         .world
         .rm
         .enable_live_analysis(SimDuration::from_secs_f64(stall_s));
-    let tape = tmp_path(ctx, tag, "jsonl");
+    let tape = ctx.tmp_path(tag, "jsonl");
     let _ = std::fs::remove_file(&tape);
     round.spec.recorder = Some(tape.clone());
     round.spec.recorder_every = SimDuration::from_secs(p.u64("recorder_every_s", 30)?);
@@ -170,59 +170,45 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let r = &a.report;
     let total_ms = r.total_s * 1e3;
     let attributed_ms = r.attributed_s() * 1e3;
-    let as01 = |v: bool| Num(if v { 1.0 } else { 0.0 });
+    let live_match = a.live_match && b.live_match;
 
-    let mut metrics = vec![
-        ("n".into(), Num(n as f64)),
-        ("files_total".into(), Num(a.outcome.files_total as f64)),
-        (
-            "files_delivered".into(),
-            Num(a.outcome.files_delivered as f64),
-        ),
-        ("rounds".into(), Num(a.outcome.rounds as f64)),
-        ("live_match".into(), as01(a.live_match && b.live_match)),
-        ("snapshot_match".into(), as01(snapshot_match)),
-        ("obs_stalls".into(), Num(a.obs_stalls as f64)),
-        ("obs_stall_events".into(), Num(a.stall_events as f64)),
-        ("recorder_lines".into(), Num(a.tape.lines().count() as f64)),
-        (
-            "net_poll_calls".into(),
-            Num(r.count_of("net_poll.calls") as f64),
-        ),
-        (
-            "kernel_events".into(),
-            Num(r.count_of("kernel.events") as f64),
-        ),
-        (
-            "flow_callbacks".into(),
-            Num(r.count_of("kernel.flow_callbacks") as f64),
-        ),
-        (
-            "journal_lines".into(),
-            Num(r.count_of("journal.lines") as f64),
-        ),
-        (
-            "monitor_ticks".into(),
-            Num(r.count_of("rm.monitor_ticks") as f64),
-        ),
-        (
-            "trace_sha256".into(),
-            MetricValue::Str(a.trace_sha256.clone()),
-        ),
-        ("tape_sha256".into(), MetricValue::Str(tape_sha.clone())),
-        ("trace_bytes".into(), Num(a.trace_bytes as f64)),
-    ];
+    let mut rec = ctx.record();
+    put(&mut rec, "n", n as f64);
+    put(&mut rec, "files_total", a.outcome.files_total as f64);
+    put(
+        &mut rec,
+        "files_delivered",
+        a.outcome.files_delivered as f64,
+    );
+    put(&mut rec, "rounds", a.outcome.rounds as f64);
+    put(&mut rec, "live_match", f64::from(live_match));
+    put(&mut rec, "snapshot_match", f64::from(snapshot_match));
+    put(&mut rec, "obs_stalls", a.obs_stalls as f64);
+    put(&mut rec, "obs_stall_events", a.stall_events as f64);
+    put(&mut rec, "recorder_lines", a.tape.lines().count() as f64);
+    for (metric, count) in [
+        ("net_poll_calls", "net_poll.calls"),
+        ("kernel_events", "kernel.events"),
+        ("flow_callbacks", "kernel.flow_callbacks"),
+        ("journal_lines", "journal.lines"),
+        ("monitor_ticks", "rm.monitor_ticks"),
+    ] {
+        put(&mut rec, metric, r.count_of(count) as f64);
+    }
+    put_str(&mut rec, "trace_sha256", a.trace_sha256.clone());
+    put_str(&mut rec, "tape_sha256", tape_sha.clone());
+    put(&mut rec, "trace_bytes", a.trace_bytes as f64);
     for (name, v) in &a.reg {
-        metrics.push((format!("reg.{name}"), Num(*v)));
+        put(&mut rec, &format!("reg.{name}"), *v);
     }
 
     // Shares of the wall come from the wall: timing, out of the table.
     let frac = |ms: f64| if total_ms > 0.0 { ms / total_ms } else { 0.0 };
-    let mut timing = vec![
+    rec.timing.extend([
         ("wall_ms_total".into(), total_ms),
         ("wall_ms_attributed".into(), attributed_ms),
         ("attributed_frac".into(), frac(attributed_ms)),
-    ];
+    ]);
     for name in [
         profile::KERNEL,
         profile::ALLOCATOR,
@@ -232,17 +218,12 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         profile::EVENTS,
     ] {
         let ms = r.self_s_of(name) * 1e3;
-        timing.push((format!("wall_ms_{name}"), ms));
-        timing.push((format!("share_{name}"), frac(ms)));
+        rec.timing.push((format!("wall_ms_{name}"), ms));
+        rec.timing.push((format!("share_{name}"), frac(ms)));
     }
-
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics,
-        timing,
-        aux: vec![AuxFile {
-            path: tape_path,
-            sha256: tape_sha,
-        }],
-    })
+    rec.aux.push(AuxFile {
+        path: tape_path,
+        sha256: tape_sha,
+    });
+    Ok(rec)
 }

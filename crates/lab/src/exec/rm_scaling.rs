@@ -9,8 +9,8 @@
 //! are pinned in the committed `BENCH_rm_scaling.json`.
 
 use super::campaign_round::CampaignRound;
-use super::TrialCtx;
-use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
+use super::{put, put_str, TrialCtx};
+use crate::journal::TrialRecord;
 use esg_reqman::CampaignOutcome;
 
 /// The campaign's source dataset.
@@ -51,21 +51,13 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         best.wall_ms = best.wall_ms.min(r.wall_ms);
     }
     let o = &best.outcome;
-    let metrics = vec![
-        ("n".into(), Num(o.files_total as f64)),
-        ("files_total".into(), Num(o.files_total as f64)),
-        ("files_delivered".into(), Num(o.files_delivered as f64)),
-        ("rounds".into(), Num(o.rounds as f64)),
-        ("trace_sha256".into(), MetricValue::Str(best.trace_sha256)),
-        (
-            "manifest_sha256".into(),
-            MetricValue::Str(o.manifest_sha256.clone()),
-        ),
-    ];
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics,
-        timing: vec![("wall_ms".into(), best.wall_ms)],
-        aux: vec![],
-    })
+    let mut rec = ctx.record();
+    put(&mut rec, "n", o.files_total as f64);
+    put(&mut rec, "files_total", o.files_total as f64);
+    put(&mut rec, "files_delivered", o.files_delivered as f64);
+    put(&mut rec, "rounds", o.rounds as f64);
+    put_str(&mut rec, "trace_sha256", best.trace_sha256.clone());
+    put_str(&mut rec, "manifest_sha256", o.manifest_sha256.clone());
+    rec.timing.push(("wall_ms".into(), best.wall_ms));
+    Ok(rec)
 }

@@ -4,9 +4,8 @@
 //! Trace-parity warning: these reproduce the pre-migration soak bins
 //! *draw-for-draw*.
 
-use super::TrialCtx;
-use crate::journal::{AuxFile, MetricValue, MetricValue::Num, TrialRecord};
-use esg_reqman::submit_request;
+use super::{put, put_counts, put_deliveries, put_str, random_requests, TrialCtx};
+use crate::journal::{AuxFile, TrialRecord};
 use esg_simnet::prelude::{inject_all, Fault, FaultKind};
 use esg_simnet::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -17,6 +16,30 @@ const FAULTS_DS: &str = "pcm_soak.b06";
 const INTG_DS: &str = "pcm_intg.b06";
 const INTG_FILE_SIZE: u64 = 8_000_000;
 
+/// `(metric, trace event)` rows `soak_faults` counts.
+const FAULT_COUNTS: [(&str, &str); 8] = [
+    ("transfer_attempts", "rm.replica.selected"),
+    ("retry_backoffs", "rm.retry.backoff"),
+    ("failovers", "rm.reliability.failover"),
+    ("restart_markers", "rm.failover.restart_marker"),
+    ("breaker_opens", "rm.breaker.open"),
+    ("breaker_half_opens", "rm.breaker.half_open"),
+    ("breaker_closes", "rm.breaker.close"),
+    ("files_failed", "rm.file.failed"),
+];
+
+/// `(metric, trace event)` rows `soak_corruption` counts.
+const CORRUPTION_COUNTS: [(&str, &str); 8] = [
+    ("files_verified", "integrity.file.verified"),
+    ("rm_completes", "rm.file.complete"),
+    ("block_mismatches", "integrity.block.mismatch"),
+    ("eret_repairs", "integrity.repair.eret"),
+    ("escalations", "integrity.repair.escalate"),
+    ("quarantines", "integrity.replica.quarantine"),
+    ("rehabilitations", "integrity.replica.rehabilitated"),
+    ("files_failed", "rm.file.failed"),
+];
+
 pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let p = &ctx.params;
     let n_requests = p.usize("requests", 200)?;
@@ -24,12 +47,12 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
     let mut tb = esg_core::esg_testbed(seed);
     tb.publish_dataset(FAULTS_DS, 24, 4, 2_000_000, &[1, 2, 3, 4, 5]);
-    let collection = tb
+    let names = tb
         .sim
         .world
         .metadata
-        .collection_of(FAULTS_DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
+        .request_files(FAULTS_DS)
+        .map_err(|e| format!("request_files: {e}"))?;
     tb.start_nws(SimDuration::from_secs(25));
     tb.sim.run_until(SimTime::from_secs(100));
 
@@ -50,27 +73,7 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let n_faults = faults.len();
     inject_all(&mut tb.sim, &faults);
 
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(FAULTS_DS)
-        .map_err(|e| format!("all_files: {e}"))?
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
-
-    let client = tb.client;
-    for _ in 0..n_requests {
-        let at = SimTime::from_secs(rng.gen_range(100u64..1300));
-        let k = rng.gen_range(1usize..=3);
-        let files: Vec<_> = (0..k)
-            .map(|_| names[rng.gen_range(0usize..names.len())].clone())
-            .collect();
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
+    random_requests(&mut tb, &mut rng, &names, n_requests, 100..1300, 3);
 
     let wall = std::time::Instant::now();
     tb.sim.run_until(SimTime::from_secs(3600));
@@ -78,62 +81,16 @@ pub fn run_faults(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
     let outcomes = &tb.sim.world.outcomes;
     let log = &tb.sim.world.rm.log;
-    let count = |name: &str| log.named(name).count();
-    let files: usize = outcomes.iter().map(|o| o.files.len()).sum();
-    let complete = outcomes
-        .iter()
-        .flat_map(|o| o.files.iter())
-        .filter(|f| f.done && f.bytes_done == f.size)
-        .count();
-    let bytes: u64 = outcomes
-        .iter()
-        .flat_map(|o| o.files.iter())
-        .map(|f| f.bytes_done)
-        .sum();
-
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics: vec![
-            ("requests".into(), Num(n_requests as f64)),
-            ("requests_done".into(), Num(outcomes.len() as f64)),
-            ("faults_injected".into(), Num(n_faults as f64)),
-            ("files".into(), Num(files as f64)),
-            ("files_complete".into(), Num(complete as f64)),
-            ("bytes_delivered".into(), Num(bytes as f64)),
-            (
-                "transfer_attempts".into(),
-                Num(count("rm.replica.selected") as f64),
-            ),
-            (
-                "retry_backoffs".into(),
-                Num(count("rm.retry.backoff") as f64),
-            ),
-            (
-                "failovers".into(),
-                Num(count("rm.reliability.failover") as f64),
-            ),
-            (
-                "restart_markers".into(),
-                Num(count("rm.failover.restart_marker") as f64),
-            ),
-            ("breaker_opens".into(), Num(count("rm.breaker.open") as f64)),
-            (
-                "breaker_half_opens".into(),
-                Num(count("rm.breaker.half_open") as f64),
-            ),
-            (
-                "breaker_closes".into(),
-                Num(count("rm.breaker.close") as f64),
-            ),
-            ("files_failed".into(), Num(count("rm.file.failed") as f64)),
-            (
-                "trace_sha256".into(),
-                MetricValue::Str(crate::sha_hex(&log.to_ulm())),
-            ),
-        ],
-        timing: vec![("wall_ms".into(), wall.as_secs_f64() * 1e3)],
-        aux: Vec::<AuxFile>::new(),
-    })
+    let mut rec = ctx.record();
+    put(&mut rec, "requests", n_requests as f64);
+    put(&mut rec, "requests_done", outcomes.len() as f64);
+    put(&mut rec, "faults_injected", n_faults as f64);
+    put_deliveries(&mut rec, outcomes);
+    put_counts(&mut rec, log, &FAULT_COUNTS);
+    put_str(&mut rec, "trace_sha256", crate::sha_hex(&log.to_ulm()));
+    rec.timing
+        .push(("wall_ms".into(), wall.as_secs_f64() * 1e3));
+    Ok(rec)
 }
 
 pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
@@ -152,24 +109,14 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
         .enable_tape_errors(3, seed);
     tb.sim.world.rm.integrity.quarantine_threshold = 1;
     tb.publish_dataset(INTG_DS, 24, 4, 2_000_000, &[0, 1, 2, 3, 4, 5]);
-    let collection = tb
+    let names = tb
         .sim
         .world
         .metadata
-        .collection_of(INTG_DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
+        .request_files(INTG_DS)
+        .map_err(|e| format!("request_files: {e}"))?;
     tb.start_nws(SimDuration::from_secs(25));
     tb.sim.run_until(SimTime::from_secs(100));
-
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(INTG_DS)
-        .map_err(|e| format!("all_files: {e}"))?
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0BAD_B10C_C0DE_C0DE);
 
@@ -211,17 +158,7 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     faults.extend(super::spec_faults(&ctx.spec.faults, &tb.sites)?);
     inject_all(&mut tb.sim, &faults);
 
-    let client = tb.client;
-    for _ in 0..n_requests {
-        let at = SimTime::from_secs(rng.gen_range(100u64..1300));
-        let k = rng.gen_range(1usize..=2);
-        let files: Vec<_> = (0..k)
-            .map(|_| names[rng.gen_range(0usize..names.len())].clone())
-            .collect();
-        tb.sim.schedule_at(at, move |sim| {
-            submit_request(sim, client, files, |s, o| s.world.outcomes.push(o));
-        });
-    }
+    random_requests(&mut tb, &mut rng, &names, n_requests, 100..1300, 2);
 
     let wall = std::time::Instant::now();
     tb.sim.run_until(SimTime::from_secs(3600));
@@ -229,18 +166,6 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
 
     let outcomes = &tb.sim.world.outcomes;
     let log = &tb.sim.world.rm.log;
-    let count = |name: &str| log.named(name).count();
-    let files: usize = outcomes.iter().map(|o| o.files.len()).sum();
-    let complete = outcomes
-        .iter()
-        .flat_map(|o| o.files.iter())
-        .filter(|f| f.done && f.bytes_done == f.size)
-        .count();
-    let bytes: u64 = outcomes
-        .iter()
-        .flat_map(|o| o.files.iter())
-        .map(|f| f.bytes_done)
-        .sum();
     let repair_bytes: f64 = log
         .named("integrity.repair.eret")
         .filter_map(|e| e.get_num("bytes"))
@@ -250,50 +175,21 @@ pub fn run_corruption(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let trace_sha = crate::sha_hex(&trace);
     std::fs::write(&trace_path, &trace).map_err(|e| format!("write {trace_path}: {e}"))?;
 
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics: vec![
-            ("requests".into(), Num(n_requests as f64)),
-            ("requests_done".into(), Num(outcomes.len() as f64)),
-            ("at_rest_flips".into(), Num(flips as f64)),
-            ("wire_windows".into(), Num(wire_windows as f64)),
-            ("files".into(), Num(files as f64)),
-            ("files_complete".into(), Num(complete as f64)),
-            ("bytes_delivered".into(), Num(bytes as f64)),
-            (
-                "files_verified".into(),
-                Num(count("integrity.file.verified") as f64),
-            ),
-            ("rm_completes".into(), Num(count("rm.file.complete") as f64)),
-            (
-                "block_mismatches".into(),
-                Num(count("integrity.block.mismatch") as f64),
-            ),
-            (
-                "eret_repairs".into(),
-                Num(count("integrity.repair.eret") as f64),
-            ),
-            ("repair_bytes".into(), Num(repair_bytes)),
-            (
-                "escalations".into(),
-                Num(count("integrity.repair.escalate") as f64),
-            ),
-            (
-                "quarantines".into(),
-                Num(count("integrity.replica.quarantine") as f64),
-            ),
-            (
-                "rehabilitations".into(),
-                Num(count("integrity.replica.rehabilitated") as f64),
-            ),
-            ("files_failed".into(), Num(count("rm.file.failed") as f64)),
-            ("trace_events".into(), Num(log.len() as f64)),
-            ("trace_sha256".into(), MetricValue::Str(trace_sha.clone())),
-        ],
-        timing: vec![("wall_ms".into(), wall.as_secs_f64() * 1e3)],
-        aux: vec![AuxFile {
-            path: trace_path,
-            sha256: trace_sha,
-        }],
-    })
+    let mut rec = ctx.record();
+    put(&mut rec, "requests", n_requests as f64);
+    put(&mut rec, "requests_done", outcomes.len() as f64);
+    put(&mut rec, "at_rest_flips", flips as f64);
+    put(&mut rec, "wire_windows", wire_windows as f64);
+    put_deliveries(&mut rec, outcomes);
+    put_counts(&mut rec, log, &CORRUPTION_COUNTS);
+    put(&mut rec, "repair_bytes", repair_bytes);
+    put(&mut rec, "trace_events", log.len() as f64);
+    put_str(&mut rec, "trace_sha256", trace_sha.clone());
+    rec.timing
+        .push(("wall_ms".into(), wall.as_secs_f64() * 1e3));
+    rec.aux.push(AuxFile {
+        path: trace_path,
+        sha256: trace_sha,
+    });
+    Ok(rec)
 }

@@ -2,8 +2,8 @@
 //! scaling curve — the seeded workload checked against the from-scratch
 //! oracle by in-run probes (`scaling::run_curve_point`).
 
-use super::TrialCtx;
-use crate::journal::{MetricValue, MetricValue::Num, TrialRecord};
+use super::{put, put_str, TrialCtx};
+use crate::journal::TrialRecord;
 use crate::scaling::run_curve_point;
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
@@ -21,49 +21,29 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
     let point = run_curve_point(n, regions, ctx.seed, oracle_probes, repeats);
     let trace_sha256 = crate::sha_hex(&point.trace_ulm);
 
-    let metrics = vec![
-        ("n".to_string(), Num(n as f64)),
-        ("regions".to_string(), Num(regions as f64)),
-        ("equivalent".to_string(), Num(1.0)),
-        (
-            "oracle_probes".to_string(),
-            Num(point.oracle_probes_run as f64),
-        ),
-        (
-            "recompute_passes".to_string(),
-            Num(point.stats.recompute_passes as f64),
-        ),
-        (
-            "components_solved".to_string(),
-            Num(point.stats.components_solved as f64),
-        ),
-        (
-            "flow_solves".to_string(),
-            Num(point.stats.flow_solves as f64),
-        ),
-        (
-            "rate_changes".to_string(),
-            Num(point.stats.rate_changes as f64),
-        ),
-        (
-            "peak_concurrent_flows".to_string(),
-            Num(point.peak_concurrent as f64),
-        ),
-        ("trace_sha256".to_string(), MetricValue::Str(trace_sha256)),
-    ];
-
-    let timing = vec![
-        ("wall_ms".to_string(), point.wall.as_secs_f64() * 1e3),
-        (
-            "peak_rss_kb".to_string(),
-            point.peak_rss_kb.unwrap_or(0) as f64,
-        ),
-    ];
-
-    Ok(TrialRecord {
-        key: ctx.key(),
-        metrics,
-        timing,
-        aux: vec![],
-    })
+    let stats = &point.stats;
+    let mut rec = ctx.record();
+    put(&mut rec, "n", n as f64);
+    put(&mut rec, "regions", regions as f64);
+    put(&mut rec, "equivalent", 1.0);
+    put(&mut rec, "oracle_probes", point.oracle_probes_run as f64);
+    put(&mut rec, "recompute_passes", stats.recompute_passes as f64);
+    put(
+        &mut rec,
+        "components_solved",
+        stats.components_solved as f64,
+    );
+    put(&mut rec, "flow_solves", stats.flow_solves as f64);
+    put(&mut rec, "rate_changes", stats.rate_changes as f64);
+    put(
+        &mut rec,
+        "peak_concurrent_flows",
+        point.peak_concurrent as f64,
+    );
+    put_str(&mut rec, "trace_sha256", trace_sha256);
+    rec.timing.extend([
+        ("wall_ms".into(), point.wall.as_secs_f64() * 1e3),
+        ("peak_rss_kb".into(), point.peak_rss_kb.unwrap_or(0) as f64),
+    ]);
+    Ok(rec)
 }

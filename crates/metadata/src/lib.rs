@@ -230,6 +230,17 @@ impl MetadataCatalog {
             .map(|v| v.as_slice())
             .ok_or_else(|| MetadataError::NoSuchDataset(dataset.to_string()))
     }
+
+    /// Every logical file of a dataset as the `(collection, file)` pair a
+    /// request names it by, in [`MetadataCatalog::all_files`] order.
+    pub fn request_files(&self, dataset: &str) -> Result<Vec<(String, String)>, MetadataError> {
+        let collection = self.collection_of(dataset)?;
+        Ok(self
+            .all_files(dataset)?
+            .iter()
+            .map(|f| (collection.clone(), f.name.clone()))
+            .collect())
+    }
 }
 
 /// A convenient standard description for synthetic PCM-like output.
@@ -356,6 +367,28 @@ mod tests {
         assert_eq!(
             mc.collection_of("pcm_b06.61").unwrap(),
             "pcm_b06.61 collection"
+        );
+    }
+
+    #[test]
+    fn request_files_pair_the_collection_with_each_file_in_order() {
+        let mc = catalog();
+        let pairs = mc.request_files("ccsm_run1").unwrap();
+        let names: Vec<&str> = mc
+            .all_files("ccsm_run1")
+            .unwrap()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names.len(), 4);
+        assert_eq!(
+            pairs.iter().map(|(_, f)| f.as_str()).collect::<Vec<_>>(),
+            names
+        );
+        assert!(pairs.iter().all(|(c, _)| c == "ccsm_run1 collection"));
+        assert_eq!(
+            mc.request_files("nope"),
+            Err(MetadataError::NoSuchDataset("nope".into()))
         );
     }
 }

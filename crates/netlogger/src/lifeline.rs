@@ -14,7 +14,7 @@
 //! to its makespan; [`Lifeline::is_complete`] checks that invariant span by
 //! span and [`Lifeline::tiling_gap_s`] reports the float residue.
 
-use crate::event::{EventRef, LogEvent, NetLog, Text, Value};
+use crate::event::{EventRef, NetLog, Text, Value};
 use crate::trace::Phase;
 use esg_simnet::SimTime;
 use std::collections::BTreeMap;
@@ -343,40 +343,12 @@ impl LifelineSet {
         stalls.sort_by_key(|s| (s.start, s.span));
         stalls
     }
-
-    /// Render detected stalls as `obs.stall` events, one at the instant each
-    /// span crossed the threshold.
-    pub fn stall_events(&self, threshold_s: f64) -> NetLog {
-        let mut log = NetLog::new();
-        let mut stalls = self.detect_stalls(threshold_s);
-        stalls.sort_by_key(|s| {
-            (
-                SimTime(s.start.as_nanos() + SimTime::from_secs_f64(threshold_s).as_nanos()),
-                s.span,
-            )
-        });
-        for s in stalls {
-            let fire = SimTime(s.start.as_nanos() + SimTime::from_secs_f64(threshold_s).as_nanos());
-            let mut e = LogEvent::new(fire, "obs.stall")
-                .field("span", s.span)
-                .field("phase", s.phase.as_str())
-                .field("stalled_s", s.duration_s)
-                .field("open", u64::from(s.open));
-            if let Some(r) = s.request {
-                e = e.field("request", r);
-            }
-            if let Some(f) = &s.file {
-                e = e.field("file", f.clone());
-            }
-            log.push(e);
-        }
-        log
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LogEvent;
     use crate::trace::{Phase, SpanId, TraceCtx, TracedLog};
 
     /// Build a two-phase lifeline: queue 0→2, transfer 2→10 (bytes 1000).
@@ -505,12 +477,6 @@ mod tests {
         assert_eq!(stalls[1].phase, Phase::Transfer);
         assert!(stalls[1].open);
         assert_eq!(stalls[1].duration_s, 200.0);
-        let events = set.stall_events(60.0);
-        assert_eq!(events.named("obs.stall").count(), 2);
-        assert_eq!(
-            events.named("obs.stall").next().unwrap().time,
-            SimTime::from_secs(60)
-        );
         // Nothing stalls with a generous threshold.
         assert!(set.detect_stalls(1000.0).is_empty());
     }

@@ -253,16 +253,25 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+    /// Every metric as one sorted `name → value` map: counters and gauges
+    /// by name, each histogram as `<name>.count`, `.sum`, `.min`, `.max`,
+    /// `.p50` and `.p99` (an empty histogram's min, max and quantiles read
+    /// 0). Counters win a name clash, as in [`MetricsRegistry::value`].
+    pub fn flat(&self) -> BTreeMap<String, f64> {
+        let mut flat: BTreeMap<String, f64> =
+            self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        for (k, h) in &self.histograms {
+            flat.extend([
+                (format!("{k}.count"), h.count() as f64),
+                (format!("{k}.sum"), h.sum()),
+                (format!("{k}.min"), h.min().unwrap_or(0.0)),
+                (format!("{k}.max"), h.max().unwrap_or(0.0)),
+                (format!("{k}.p50"), h.quantile(0.5).unwrap_or(0.0)),
+                (format!("{k}.p99"), h.quantile(0.99).unwrap_or(0.0)),
+            ]);
+        }
+        flat.extend(self.counters.iter().map(|(k, &v)| (k.clone(), v as f64)));
+        flat
     }
 
     /// Deterministic JSON snapshot: keys sorted (BTreeMap order), floats

@@ -32,43 +32,18 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Flatten a registry into sorted `key → rendered-number` pairs:
-    /// counters and gauges by name, histograms through `.count` / `.sum` /
-    /// `.min` / `.max` / `.p50` / `.p99` suffixes (the same fields
-    /// `to_json` exports). Counters are rendered last so they win name
-    /// collisions, matching [`MetricsRegistry::value`] precedence.
-    fn flatten(reg: &MetricsRegistry) -> BTreeMap<String, String> {
-        let mut flat = BTreeMap::new();
-        for (k, v) in reg.gauges() {
-            flat.insert(k.to_string(), format!("{v}"));
-        }
-        for (k, h) in reg.histograms() {
-            flat.insert(format!("{k}.count"), format!("{}", h.count()));
-            flat.insert(format!("{k}.sum"), format!("{}", h.sum()));
-            flat.insert(format!("{k}.min"), format!("{}", h.min().unwrap_or(0.0)));
-            flat.insert(format!("{k}.max"), format!("{}", h.max().unwrap_or(0.0)));
-            flat.insert(
-                format!("{k}.p50"),
-                format!("{}", h.quantile(0.5).unwrap_or(0.0)),
-            );
-            flat.insert(
-                format!("{k}.p99"),
-                format!("{}", h.quantile(0.99).unwrap_or(0.0)),
-            );
-        }
-        for (k, v) in reg.counters() {
-            flat.insert(k.to_string(), format!("{v}"));
-        }
-        flat
-    }
-
     /// Capture one snapshot at sim time `t`, appending (and returning) one
     /// JSONL line: `{"t": <secs>, "set": {<changed key>: <value>, ...}}`.
-    /// The first snapshot's `set` is the full flattened state; later ones
+    /// The first snapshot's `set` is the whole [`MetricsRegistry::flat`]
+    /// view, each value rendered with `{}`; later ones
     /// carry only keys whose rendered value changed. An unchanged registry
     /// still appends a line (empty `set`) so the cadence itself is on tape.
     pub fn snapshot(&mut self, t: SimTime, reg: &MetricsRegistry) -> &str {
-        let flat = Self::flatten(reg);
+        let flat: BTreeMap<String, String> = reg
+            .flat()
+            .into_iter()
+            .map(|(k, v)| (k, format!("{v}")))
+            .collect();
         let mut line = format!("{{\"t\": {:.6}, \"set\": {{", t.as_secs_f64());
         let mut first = true;
         for (k, v) in &flat {

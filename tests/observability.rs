@@ -194,8 +194,6 @@ fn stall_detector_flags_tape_staging_but_not_healthy_transfers() {
     assert!(stalls
         .iter()
         .all(|s| s.phase.as_str() == "stage" || s.phase.as_str() == "prestage"));
-    let events = set.stall_events(15.0);
-    assert_eq!(events.named("obs.stall").count(), stalls.len());
     // A generous threshold is silent.
     assert!(set.detect_stalls(500.0).is_empty());
 }
