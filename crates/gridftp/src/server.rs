@@ -213,7 +213,7 @@ impl Session {
         // write between them, so with Nagle on (the default, as here) the
         // 226 waits for the client's delayed ACK of the 150 and a transfer
         // shorter than that timer (40 ms on Linux) still takes 40 ms.
-        // `set_nodelay(true)` on this socket removes it; ROADMAP item 2
+        // `set_nodelay(true)` on this socket removes it; ROADMAP item 14
         // says why that is not done yet.
         self.send(Reply::new(220, "ESG GridFTP server ready"))?;
         let reader = self.ctrl.try_clone()?;

@@ -607,7 +607,7 @@ fn eblock_offset_overflow_fails_the_store_not_the_server() {
 }
 
 #[test]
-#[ignore = "the control channel still runs with Nagle on: every short get waits 40 ms for its 226 (ROADMAP item 2)"]
+#[ignore = "the control channel still runs with Nagle on: every short get waits 40 ms for its 226 (ROADMAP item 14)"]
 fn fresh_session_transfers_carry_no_stall() {
     // 20 × (connect + GSI login + 64 KiB get + quit). With Nagle on the
     // control channel every get waits 40 ms for the 226 (20 × 40 ms =

@@ -6,7 +6,7 @@
 //! live stall probes, metrics flight recorder — and the
 //! [`esg_simnet::profile`] subsystem profiler wrapped around the single
 //! `run_until` that does the work. The committed `BENCH_profile.json`
-//! answers ROADMAP item 1's question with numbers: how much of the wall is
+//! answers ROADMAP item 4's question with numbers: how much of the wall is
 //! kernel shell, allocator, RM bookkeeping, per-transfer polling
 //! (`net_poll` — the wall `rm_scaling` found), journal I/O, and event
 //! callbacks — with the profiler's tiling guaranteeing the shares sum to

@@ -945,36 +945,46 @@ fn select_replica<W: RmWorld>(
     excluded: &[String],
     host_cap: usize,
 ) -> Result<(Text, NodeId), Option<usize>> {
-    // Filter the catalog's borrowed `(host, suspect)` view first, then
-    // name the survivors and run the stateful selector. Nothing is built
-    // for a round that ends in a capacity wait.
+    // One walk over the catalog's borrowed `(host, suspect)` view counts
+    // the candidates and the healthy ones of each trust class, and keeps
+    // only the healthy hosts under the cap; then name the survivors and run
+    // the stateful selector. A round that ends in a capacity wait keeps
+    // nothing, so it builds nothing.
     let now = sim.now();
     let rm = sim.world.reqman();
     let file = &req.files[idx].life.status;
-    let registered = rm.catalog.replica_hosts(&file.collection, &file.name);
-    let candidates = registered.clone().count();
-    let mut healthy: Vec<(&str, bool)> = registered
-        .filter(|&(host, _)| {
-            !excluded.iter().any(|h| h == host) && rm.breaker_would_admit(host, now)
-        })
-        .collect();
+    let inflight = &rm.inflight;
+    let (mut candidates, mut trusted, mut suspects) = (0, 0, 0);
+    let mut healthy: Vec<(&str, bool)> = Vec::new();
+    for (host, suspect) in rm.catalog.replica_hosts(&file.collection, &file.name) {
+        candidates += 1;
+        if excluded.iter().any(|h| h == host) || !rm.breaker_would_admit(host, now) {
+            continue;
+        }
+        *(if suspect { &mut suspects } else { &mut trusted }) += 1;
+        // Admission: a host already serving `host_cap` pulls is passed
+        // over (`host_cap == 0` admits every host).
+        if host_cap == 0 || inflight.load(host) < host_cap {
+            healthy.push((host, suspect));
+        }
+    }
     // Quarantine demotion: while any trusted candidate remains, suspect
     // replicas drop out of the round entirely. (The selector demotes too,
     // but the spread planner bypasses it, so filter here as well.)
-    if healthy.iter().any(|&(_, suspect)| !suspect) {
+    let in_round = if trusted > 0 {
         healthy.retain(|&(_, suspect)| !suspect);
-    }
-    if healthy.is_empty() {
+        trusted
+    } else {
+        suspects
+    };
+    if in_round == 0 {
         return Err(Some(candidates));
     }
-    // Admission: drop hosts already serving `host_cap` pulls. If that
-    // empties a non-empty healthy set, the caller should wait for
-    // capacity rather than burn an attempt.
+    // If the cap emptied a non-empty healthy set, the caller should wait
+    // for capacity rather than burn an attempt.
     if host_cap > 0 {
         rm.metrics
-            .counter_add("rm.select.ledger_lookups", healthy.len() as u64);
-        let inflight = &rm.inflight;
-        healthy.retain(|&(host, _)| inflight.load(host) < host_cap);
+            .counter_add("rm.select.ledger_lookups", in_round as u64);
         if healthy.is_empty() {
             return Err(None);
         }

@@ -47,8 +47,14 @@
 //! each resource's capacity once, as it first meets it (`cap_r`) →
 //! `solve_components` walks that arena in place, assembling each component
 //! as CSR into `SolveScratch`'s `WaterFill` (capacities from `cap_r`, one
-//! stamp compare per pair, the cap kept on each flow) and solving it there
-//! → `apply_rates` reads the rates as a slice of that scratch.
+//! stamp compare per pair) and solving it there → `apply_rates` reads the
+//! rates as a slice of that scratch.
+//!
+//! The partition and the assembly read each flow through its dense solver
+//! record (`SolveRec`: the cap and a run of finite resources), never
+//! through `FlowRt`. The record is re-derived where it can change: a start,
+//! a reroute, a departure, a link capacity crossing to or from infinity,
+//! and for the cap a loss change or a ramp crossing.
 //!
 //! A slow-start crossing dirties its flow only when the cap rise can move a
 //! bit: a flow already held below its old cap by a bottleneck share keeps
@@ -163,12 +169,6 @@ struct FlowRt {
     /// Congestion-window ramp stage; cap = INITIAL_WINDOW * 2^stage / rtt
     /// until it reaches the steady cap. `None` once ramp is finished.
     ramp_stage: Option<u32>,
-    /// `current_cap()`, re-derived only where RTT, loss or ramp stage change.
-    cap: f64,
-    /// Interned resource ids this flow crosses, in canonical order (route
-    /// links first, then endpoint NIC/CPU/disk), deduplicated. Empty while
-    /// the flow is stalled or done.
-    res: Vec<u32>,
 }
 
 impl FlowRt {
@@ -256,6 +256,39 @@ enum ResKey {
     DiskWrite(NodeId),
 }
 
+impl ResKey {
+    fn capacity(self, topo: &Topology) -> f64 {
+        match self {
+            ResKey::LinkDir(l, _) => topo.link(l).capacity,
+            ResKey::NicTx(n) | ResKey::NicRx(n) => topo.node(n).nic_rate,
+            ResKey::Cpu(n) => topo.node(n).cpu.max_byte_rate(),
+            ResKey::DiskRead(n) => topo.node(n).disk_read_rate,
+            ResKey::DiskWrite(n) => topo.node(n).disk_write_rate,
+        }
+    }
+}
+
+/// The solver's view of one flow, indexed by flow id: its rate cap and its
+/// resources, one run of `FlowNet::arena` with the finite ones first. An
+/// infinite resource constrains nothing and connects nothing, so the
+/// partition and the subproblem read only the finite prefix, and never a
+/// `FlowRt`. The prefix keeps canonical order, the order the subproblem
+/// interns resources in, so the solver's input is the same as if every
+/// infinite resource were met and passed over.
+#[derive(Debug, Clone, Copy, Default)]
+struct SolveRec {
+    /// `FlowRt::current_cap()`, re-derived only where RTT, loss or ramp
+    /// stage change.
+    cap: f64,
+    /// Start of the run in `FlowNet::arena`.
+    off: u32,
+    /// The finite resources, in canonical order: `arena[off..off + fin]`.
+    fin: u16,
+    /// The whole run, the infinite resources last, in canonical order too.
+    /// 0 unless the flow is running.
+    len: u16,
+}
+
 /// Cumulative counters for allocation work — the observability hook behind
 /// the recompute-count regression tests and the `user_scaling` curve.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -274,7 +307,7 @@ pub struct AllocStats {
     /// Always 0: nothing increments it since the worker pool was deleted
     /// (EXPERIMENTS A21). Kept only because the frozen
     /// `benchmark/src/workloads/mod.rs` reads it; dropped with the next
-    /// `benchmark` PR (ROADMAP item 2d).
+    /// `benchmark` PR (ROADMAP item 14(d)).
     pub parallel_batches: u64,
     /// Bitwise rate changes committed — each one materializes a flow's
     /// progress and re-keys its completion in the event index. Counted per
@@ -379,50 +412,60 @@ impl PartitionScratch {
     }
 }
 
-/// Canonical resource-key list for a flow: route link-directions in path
-/// order, then source NIC/CPU/disk, then destination NIC/CPU/disk, with
-/// duplicates removed preserving first occurrence. Both the persistent
-/// index and the from-scratch oracle derive per-flow resources through this
-/// single function, so their subproblems are assembled identically.
-fn resource_keys_for(spec: &FlowSpec, route: &[(LinkId, Dir)], topo: &Topology) -> Vec<ResKey> {
-    fn push(out: &mut Vec<ResKey>, k: ResKey) {
-        if !out.contains(&k) {
-            out.push(k);
-        }
-    }
-    let mut out = Vec::with_capacity(route.len() + 6);
+/// A flow's resource keys in canonical order: route link-directions in
+/// path order, then source NIC/CPU/disk, then destination NIC/CPU/disk.
+/// A key may come twice (one host at both ends); the first occurrence
+/// counts. Both the persistent index and the from-scratch oracle derive
+/// per-flow resources through this single walk, so their subproblems are
+/// assembled identically.
+fn for_each_resource_key(
+    spec: &FlowSpec,
+    route: &[(LinkId, Dir)],
+    topo: &Topology,
+    mut visit: impl FnMut(ResKey),
+) {
     for &(l, d) in route {
-        push(&mut out, ResKey::LinkDir(l, d));
+        visit(ResKey::LinkDir(l, d));
     }
     let (src, dst) = (spec.src, spec.dst);
     if topo.node(src).kind == NodeKind::Host {
-        push(&mut out, ResKey::NicTx(src));
-        push(&mut out, ResKey::Cpu(src));
+        visit(ResKey::NicTx(src));
+        visit(ResKey::Cpu(src));
         if spec.uses_src_disk {
-            push(&mut out, ResKey::DiskRead(src));
+            visit(ResKey::DiskRead(src));
         }
     }
     if topo.node(dst).kind == NodeKind::Host {
-        push(&mut out, ResKey::NicRx(dst));
-        push(&mut out, ResKey::Cpu(dst));
+        visit(ResKey::NicRx(dst));
+        visit(ResKey::Cpu(dst));
         if spec.uses_dst_disk {
-            push(&mut out, ResKey::DiskWrite(dst));
+            visit(ResKey::DiskWrite(dst));
         }
     }
+}
+
+/// [`for_each_resource_key`]'s keys, deduplicated.
+fn resource_keys_for(spec: &FlowSpec, route: &[(LinkId, Dir)], topo: &Topology) -> Vec<ResKey> {
+    let mut out = Vec::with_capacity(route.len() + 6);
+    for_each_resource_key(spec, route, topo, |k| {
+        if !out.contains(&k) {
+            out.push(k);
+        }
+    });
     out
 }
 
 /// Partition the flows reachable from `seeds` (ascending; repeats are
 /// skipped) into connected components of the flow↔resource bipartite
 /// graph, written flat into `scratch` (see [`PartitionScratch::component`]).
-/// Only finite-capacity resources carry connectivity (infinite resources
-/// never constrain anything); `capacity` is asked once per resource met
-/// and the answer kept in `cap_r`. Components are emitted in ascending
-/// order of their smallest seed and each component is sorted by flow id —
-/// a canonical order shared by the incremental path and the oracle.
-/// Traversal borrows the per-flow resource slices and visits resource
-/// members through a callback; once the scratch has grown to the largest
-/// partition seen it allocates nothing at all.
+/// `res_of` gives a flow's finite resources: only they carry connectivity
+/// (an infinite resource never constrains anything). `capacity` is asked
+/// once per resource met and the answer kept in `cap_r`. Components are
+/// emitted in ascending order of their smallest seed and each component is
+/// sorted by flow id — a canonical order shared by the incremental path
+/// and the oracle. Traversal borrows the per-flow resource slices and
+/// visits resource members through a callback; once the scratch has grown
+/// to the largest partition seen it allocates nothing at all.
 fn partition_components<'a>(
     seeds: &[u64],
     n_res: usize,
@@ -458,11 +501,7 @@ fn partition_components<'a>(
                     continue;
                 }
                 seen_r[r as usize] = epoch;
-                let cap = capacity(r);
-                cap_r[r as usize] = cap;
-                if !cap.is_finite() {
-                    continue;
-                }
+                cap_r[r as usize] = capacity(r);
                 flows_on(r, &mut |g| {
                     if seen_f[g as usize] != epoch {
                         seen_f[g as usize] = epoch;
@@ -511,8 +550,19 @@ pub struct FlowNet {
     res_keys: Vec<ResKey>,
     /// Membership: resource index → the running flows crossing it, by id
     /// ascending (`dirty_seeds` takes the first as the smallest). Ids only
-    /// grow, so a start appends; `reroute_all` rebuilds every list.
+    /// grow, so a start appends; `reroute_all` rebuilds every list. Every
+    /// resource, infinite ones too: `host_cpu_utilization` sums a CPU's
+    /// members, and `dirty_seeds` reseeds a resource that turned infinite.
     members: Vec<Vec<u64>>,
+    /// Solver record by flow id; a flow that is not running keeps an
+    /// empty run.
+    recs: Vec<SolveRec>,
+    /// The runs of the records: every resource each running flow crosses,
+    /// one run per flow, in ascending flow id. A departed flow's run stays
+    /// behind as garbage until `compact_arena` closes the gaps.
+    arena: Vec<u32>,
+    /// Resources in the runs of running flows: the arena less its garbage.
+    arena_live: usize,
     /// Flows whose cap/route/existence changed since the last recompute.
     /// A reused list, not a set: repeats are allowed and ids of flows since
     /// removed or stalled linger — `dirty_seeds` drops both.
@@ -558,6 +608,9 @@ impl FlowNet {
             res_ids: HashMap::new(),
             res_keys: Vec::new(),
             members: Vec::new(),
+            recs: Vec::new(),
+            arena: Vec::new(),
+            arena_live: 0,
             dirty_flows: Vec::new(),
             dirty_res: Vec::new(),
             dirty_all: false,
@@ -590,14 +643,93 @@ impl FlowNet {
         self.dirty_all || !self.dirty_flows.is_empty() || !self.dirty_res.is_empty()
     }
 
-    fn capacity_of(&self, key: ResKey) -> f64 {
-        match key {
-            ResKey::LinkDir(l, _) => self.topo.link(l).capacity,
-            ResKey::NicTx(n) | ResKey::NicRx(n) => self.topo.node(n).nic_rate,
-            ResKey::Cpu(n) => self.topo.node(n).cpu.max_byte_rate(),
-            ResKey::DiskRead(n) => self.topo.node(n).disk_read_rate,
-            ResKey::DiskWrite(n) => self.topo.node(n).disk_write_rate,
+    fn capacity_of(&self, r: u32) -> f64 {
+        self.res_keys[r as usize].capacity(&self.topo)
+    }
+
+    /// `id`'s finite resources, as its record lists them.
+    fn finite_run(&self, id: u64) -> &[u32] {
+        let rec = &self.recs[id as usize];
+        &self.arena[rec.off as usize..][..rec.fin as usize]
+    }
+
+    /// `id`'s every resource, as its record lists them.
+    #[cfg(any(test, debug_assertions))]
+    fn full_run(&self, id: u64) -> &[u32] {
+        let rec = &self.recs[id as usize];
+        &self.arena[rec.off as usize..][..rec.len as usize]
+    }
+
+    /// Join `id` to the member list of each of `res` (its resources in
+    /// canonical order) and append its run to the arena.
+    fn attach(&mut self, id: u64, res: &[u32]) {
+        for &r in res {
+            // Attached in ascending id order: appending keeps lists sorted.
+            self.members[r as usize].push(id);
         }
+        self.write_run(id, self.arena.len(), res);
+        self.arena_live += res.len();
+    }
+
+    /// Write `res` (`id`'s resources in canonical order) as `id`'s run at
+    /// `off`, over its old run or appended at the arena's end: the finite
+    /// ones first, each part in canonical order.
+    fn write_run(&mut self, id: u64, off: usize, res: &[u32]) {
+        if off == self.arena.len() {
+            self.arena.extend_from_slice(res);
+        } else {
+            self.arena[off..off + res.len()].copy_from_slice(res);
+        }
+        // A stable partition: each finite resource rotates down past the
+        // infinite ones before it.
+        let (topo, keys) = (&self.topo, &self.res_keys);
+        let run = &mut self.arena[off..off + res.len()];
+        let mut fin = 0;
+        for i in 0..run.len() {
+            if keys[run[i] as usize].capacity(topo).is_finite() {
+                run[fin..=i].rotate_right(1);
+                fin += 1;
+            }
+        }
+        let rec = &mut self.recs[id as usize];
+        rec.off = u32::try_from(off).expect("resource arena under 2^32 entries");
+        rec.fin = fin as u16;
+        rec.len = u16::try_from(res.len()).expect("a flow crosses under 2^16 resources");
+    }
+
+    /// Leave every member list `id` is on, dirtying each resource so its
+    /// remaining sharers are re-solved, and empty its run.
+    fn detach(&mut self, id: u64) {
+        let rec = &mut self.recs[id as usize];
+        let (off, len) = (rec.off as usize, rec.len as usize);
+        (rec.off, rec.fin, rec.len) = (0, 0, 0);
+        for &r in &self.arena[off..off + len] {
+            remove_member(&mut self.members[r as usize], id);
+            self.dirty_res.push(r);
+        }
+        self.arena_live -= len;
+    }
+
+    /// Close the gaps departed flows left in the arena, once they outweigh
+    /// the live runs and the active set (whose walk is what this costs).
+    /// Live runs lie in ascending id order, so one forward copy over
+    /// `active` moves each down to its new place.
+    fn compact_arena(&mut self) {
+        if self.arena.len() - self.arena_live <= self.arena_live + self.active.len() {
+            return;
+        }
+        let mut end = 0;
+        for &id in &self.active {
+            let rec = &mut self.recs[id as usize];
+            let (off, len) = (rec.off as usize, rec.len as usize);
+            if len > 0 {
+                self.arena.copy_within(off..off + len, end);
+                rec.off = end as u32;
+                end += len;
+            }
+        }
+        debug_assert_eq!(end, self.arena_live);
+        self.arena.truncate(end);
     }
 
     fn intern_all(&mut self, keys: &[ResKey]) -> Vec<u32> {
@@ -648,11 +780,7 @@ impl FlowNet {
         };
         let keys = resource_keys_for(&spec, &route, &self.topo);
         let res = self.intern_all(&keys);
-        for &r in &res {
-            // The newest id is the largest: appending keeps the list sorted.
-            self.members[r as usize].push(id.0);
-        }
-        let mut f = FlowRt {
+        let f = FlowRt {
             spec,
             route,
             rtt,
@@ -663,15 +791,19 @@ impl FlowNet {
             state: FlowState::Running,
             started: now,
             ramp_stage,
-            cap: 0.0,
-            res,
         };
-        f.cap = f.current_cap();
         if let Some(b) = f.next_ramp_boundary() {
             self.events.set(EV_RAMP, id.0, b);
         }
         debug_assert_eq!(self.flows.len(), id.0 as usize);
+        self.recs.push(SolveRec {
+            cap: f.current_cap(),
+            ..SolveRec::default()
+        });
         self.flows.push(Some(f));
+        self.compact_arena();
+        // The newest id is the largest: its run goes last.
+        self.attach(id.0, &res);
         self.active.insert(id.0);
         self.dirty_flows.push(id.0);
         // Room for every active flow to cross at one instant, grown here
@@ -695,10 +827,7 @@ impl FlowNet {
         // the resources it sat on so surviving sharers get re-solved.
         // Removing a stalled or completed flow changes nothing.
         if f.state == FlowState::Running {
-            for &r in &f.res {
-                remove_member(&mut self.members[r as usize], id.0);
-                self.dirty_res.push(r);
-            }
+            self.detach(id.0);
         }
         self.active.remove(&id.0);
     }
@@ -757,12 +886,25 @@ impl FlowNet {
 
     /// Change a link's capacity (degradation scenarios). Dirties only the
     /// link's two directed resources — routes are hop-count shortest paths,
-    /// so capacity changes never invalidate the route cache.
+    /// so capacity changes never invalidate the route cache. A capacity
+    /// turning infinite, or finite again, moves the link to the other part
+    /// of each sharer's run.
     pub fn set_link_capacity(&mut self, link: LinkId, capacity: f64) {
+        let flips = self.topo.link(link).capacity.is_finite() != capacity.is_finite();
         self.topo.link_mut(link).capacity = capacity;
         for d in [Dir::Fwd, Dir::Rev] {
-            if let Some(&r) = self.res_ids.get(&ResKey::LinkDir(link, d)) {
-                self.dirty_res.push(r);
+            let Some(&r) = self.res_ids.get(&ResKey::LinkDir(link, d)) else {
+                continue;
+            };
+            self.dirty_res.push(r);
+            if !flips {
+                continue;
+            }
+            for i in 0..self.members[r as usize].len() {
+                let id = self.members[r as usize][i];
+                let f = self.flow(id);
+                let res = self.intern_all(&resource_keys_for(&f.spec, &f.route, &self.topo));
+                self.write_run(id, self.recs[id as usize].off as usize, &res);
             }
         }
     }
@@ -784,7 +926,7 @@ impl FlowNet {
         for id in touched {
             let f = self.flows[id as usize].as_mut().expect("live flow");
             f.loss = self.topo.route_loss(&f.route);
-            f.cap = f.current_cap();
+            self.recs[id as usize].cap = f.current_cap();
             self.dirty_flows.push(id);
         }
     }
@@ -793,8 +935,11 @@ impl FlowNet {
         // Up-state changed somewhere: every cached path may be invalid.
         self.route_cache.clear();
         // Every active flow is re-attached below, in ascending id order, so
-        // each member list is rebuilt sorted by appending alone.
+        // each member list and the arena are rebuilt in order by appending
+        // alone.
         self.members.iter_mut().for_each(Vec::clear);
+        self.arena.clear();
+        self.arena_live = 0;
         let ids: Vec<u64> = self.active.iter().copied().collect();
         for id in ids {
             let spec = self.flow(id).spec;
@@ -803,16 +948,13 @@ impl FlowNet {
                     let loss = self.topo.route_loss(&route);
                     let keys = resource_keys_for(&spec, &route, &self.topo);
                     let res = self.intern_all(&keys);
-                    for &r in &res {
-                        self.members[r as usize].push(id);
-                    }
+                    self.attach(id, &res);
                     let last = self.last_advance;
                     let events = &mut self.events;
                     let f = self.flows[id as usize].as_mut().expect("live flow");
                     f.rtt = rtt;
                     f.loss = loss;
                     f.route = route;
-                    f.res = res;
                     if f.state == FlowState::Stalled {
                         // A flow resuming after an outage re-enters slow
                         // start. This also discards ramp boundaries frozen
@@ -827,7 +969,7 @@ impl FlowNet {
                         };
                     }
                     f.state = FlowState::Running;
-                    f.cap = f.current_cap();
+                    self.recs[id as usize].cap = f.current_cap();
                     // The RTT (and thus any pending boundary) may have
                     // moved; clamp to the strict future so a boundary
                     // already behind the clock still fires (and ramp
@@ -844,11 +986,12 @@ impl FlowNet {
                     let f = self.flows[id as usize].as_mut().expect("live flow");
                     f.materialize(last);
                     f.route.clear();
-                    f.res.clear();
                     f.rate = 0.0;
                     f.state = FlowState::Stalled;
                     events.set(EV_COMPLETE, id, SimTime::MAX);
                     events.set(EV_RAMP, id, SimTime::MAX);
+                    let rec = &mut self.recs[id as usize];
+                    (rec.off, rec.fin, rec.len) = (0, 0, 0);
                 }
             }
         }
@@ -930,18 +1073,14 @@ impl FlowNet {
         f.rate = 0.0;
         f.state = FlowState::Done;
         events.set(EV_RAMP, id, SimTime::MAX);
-        let res = std::mem::take(&mut f.res);
-        for r in res {
-            remove_member(&mut self.members[r as usize], id);
-            self.dirty_res.push(r);
-        }
+        self.detach(id);
         self.active.remove(&id);
         self.completed.push(FlowId(id));
     }
 
     /// Cross the slow-start boundaries of `id` that are due, and dirty the
-    /// flow unless the cap rise provably moves no rate: `f.cap >= old_cap`
-    /// and `f.rate < old_cap`. Why that moves no bit:
+    /// flow unless the cap rise provably moves no rate: the record's new
+    /// `cap >= old_cap` and `f.rate < old_cap`. Why that moves no bit:
     /// - `f.rate` is the rate the last pass solved. If an earlier
     ///   discontinuity of this instant has since dirtied the component,
     ///   the instant's pass re-solves it with the new cap anyway; if none
@@ -961,7 +1100,8 @@ impl FlowNet {
         let last = self.last_advance;
         let events = &mut self.events;
         let f = self.flows[id as usize].as_mut().expect("live flow");
-        let old_cap = f.cap;
+        let rec = &mut self.recs[id as usize];
+        let old_cap = rec.cap;
         // Cross every boundary at or before now (a clamped stale entry —
         // reroute with a shrunken RTT — can cover several at once).
         while let Some(stage) = f.ramp_stage {
@@ -978,13 +1118,13 @@ impl FlowNet {
                 f.ramp_stage = Some(next);
             }
         }
-        f.cap = f.current_cap();
+        rec.cap = f.current_cap();
         let b = f
             .next_ramp_boundary()
             .map(|b| b.max(last + SimDuration::from_nanos(1)))
             .unwrap_or(SimTime::MAX);
         events.set(EV_RAMP, id, b);
-        if f.cap >= old_cap && f.rate < old_cap {
+        if rec.cap >= old_cap && f.rate < old_cap {
             #[cfg(debug_assertions)]
             self.pruned.push(id);
         } else {
@@ -1069,7 +1209,7 @@ impl FlowNet {
         }
         seeds.extend(self.dirty_flows.iter().copied().filter(|&id| running(id)));
         for &r in &self.dirty_res {
-            let finite = self.capacity_of(self.res_keys[r as usize]).is_finite();
+            let finite = self.capacity_of(r).is_finite();
             let n = if finite { 1 } else { usize::MAX };
             seeds.extend(self.members[r as usize].iter().take(n));
         }
@@ -1100,9 +1240,9 @@ impl FlowNet {
             self.res_keys.len(),
             self.next_id,
             parts,
-            |f| self.flow(f).res.as_slice(),
+            |f| self.finite_run(f),
             |r, visit| self.members[r as usize].iter().for_each(|&g| visit(g)),
-            |r| self.capacity_of(self.res_keys[r as usize]),
+            |r| self.capacity_of(r),
         );
     }
 
@@ -1111,9 +1251,11 @@ impl FlowNet {
     /// against an immutable view of the network. Assembly order is
     /// canonical — flows ascending by id, resources interned by first
     /// encounter — so the same component always produces the same bits no
-    /// matter what else is recomputed around it. Capacities are those the
-    /// partition recorded (`cap_r`), caps those kept on the flows; debug
-    /// builds hold both to the live functions on every pass.
+    /// matter what else is recomputed around it. It reads only the flows'
+    /// solver records: capacities are those the partition recorded
+    /// (`cap_r`), resources and caps those the records keep. Debug builds
+    /// hold all three to a rebuild from the topology and `FlowRt` on every
+    /// pass.
     fn solve_component_rates<'s>(
         &self,
         comp: &[u64],
@@ -1122,23 +1264,56 @@ impl FlowNet {
     ) -> &'s [f64] {
         scratch.begin(self.res_keys.len());
         for &fid in comp {
-            let f = self.flow(fid);
-            for &r in &f.res {
+            #[cfg(debug_assertions)]
+            self.assert_record_fresh(fid);
+            for &r in self.finite_run(fid) {
                 let cap = cap_r[r as usize];
-                debug_assert_eq!(
-                    cap.to_bits(),
-                    self.capacity_of(self.res_keys[r as usize]).to_bits()
-                );
-                if !cap.is_finite() {
-                    continue; // unconstrained resources don't participate
-                }
+                debug_assert_eq!(cap.to_bits(), self.capacity_of(r).to_bits());
                 let local = scratch.intern(r, cap);
                 scratch.fill.push_flow_resource(local);
             }
-            debug_assert_eq!(f.cap.to_bits(), f.current_cap().to_bits());
-            scratch.fill.end_flow(f.cap);
+            scratch.fill.end_flow(self.recs[fid as usize].cap);
         }
         scratch.fill.solve()
+    }
+
+    /// `id`'s solver record is what `FlowRt` and the topology give now: a
+    /// running flow's cap is `current_cap()` and its run is its canonical
+    /// resources with the finite ones moved first, each part in canonical
+    /// order; any other flow's run is empty. Allocates nothing, so a debug
+    /// build checking every solved flow keeps a warm pass off the heap.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_record_fresh(&self, id: u64) {
+        let rec = self.recs[id as usize];
+        let running = self.flows[id as usize].as_ref();
+        let Some(f) = running.filter(|f| f.state == FlowState::Running) else {
+            assert_eq!((rec.fin, rec.len), (0, 0), "run of idle flow {id}");
+            return;
+        };
+        assert_eq!(
+            rec.cap.to_bits(),
+            f.current_cap().to_bits(),
+            "cap of flow {id}"
+        );
+        let run = self.full_run(id);
+        let fin = rec.fin as usize;
+        // Next slot to match in each part.
+        let (mut at_fin, mut at_inf) = (0, fin);
+        for_each_resource_key(&f.spec, &f.route, &self.topo, |k| {
+            let (part, at) = if k.capacity(&self.topo).is_finite() {
+                (0..fin, &mut at_fin)
+            } else {
+                (fin..run.len(), &mut at_inf)
+            };
+            let matched = &run[part.start..*at];
+            if matched.iter().any(|&r| self.res_keys[r as usize] == k) {
+                return; // a repeated key
+            }
+            assert!(*at < part.end, "run of flow {id} lacks {k:?}");
+            assert_eq!(self.res_keys[run[*at] as usize], k, "run of flow {id}");
+            *at += 1;
+        });
+        assert_eq!((at_fin, at_inf), (fin, run.len()), "run of flow {id}");
     }
 
     /// Commit one solved component: flows whose rate changed *bitwise*
@@ -1277,6 +1452,9 @@ impl FlowNet {
             let rkeys = resource_keys_for(&f.spec, &f.route, &self.topo);
             let mut rs: Vec<u32> = Vec::with_capacity(rkeys.len());
             for key in rkeys {
+                if !key.capacity(&self.topo).is_finite() {
+                    continue; // unconstrained resources don't participate
+                }
                 let next = keys.len() as u32;
                 let rid = *key_ids.entry(key).or_insert_with(|| {
                     keys.push(key);
@@ -1304,7 +1482,7 @@ impl FlowNet {
                     visit(g);
                 }
             },
-            |r| self.capacity_of(keys[r as usize]),
+            |r| keys[r as usize].capacity(&self.topo),
         );
         let mut out: Vec<(FlowId, f64)> = Vec::new();
         for k in 0..ps.len() {
@@ -1315,10 +1493,7 @@ impl FlowNet {
             for &fid in comp {
                 let mut rs: Vec<usize> = Vec::new();
                 for &r in &flow_res[&fid] {
-                    let cap = self.capacity_of(keys[r as usize]);
-                    if !cap.is_finite() {
-                        continue;
-                    }
+                    let cap = keys[r as usize].capacity(&self.topo);
                     let next = local.len();
                     let lid = *local.entry(r).or_insert_with(|| {
                         capacities.push(cap);
@@ -1863,7 +2038,7 @@ mod tests {
         // on and no flow: one seed per resource names the component.
         let (at, kind, id) = net.events.first().unwrap();
         assert_eq!(kind, EV_COMPLETE);
-        let dirty_res = net.flow(id).res.len();
+        let dirty_res = net.full_run(id).len();
         assert!(dirty_res >= 4, "{dirty_res}");
         net.advance_to(at);
         assert_eq!(std::mem::take(&mut net.completed), vec![FlowId(id)]);
@@ -1909,6 +2084,202 @@ mod tests {
         assert_eq!(net.alloc_stats().components_solved, base + 3 + 1);
     }
 
+    // ---- solver-record tests ----
+
+    /// Every flow's solver record equal to a rebuild from `FlowRt` and the
+    /// topology, and the arena laid out as `compact_arena` relies on: the
+    /// runs of running flows in ascending id order, disjoint, summing to
+    /// `arena_live`.
+    fn assert_records_fresh(net: &FlowNet) {
+        assert_eq!(net.recs.len() as u64, net.next_id);
+        let (mut end, mut live) = (0, 0);
+        for id in 0..net.next_id {
+            net.assert_record_fresh(id);
+            let rec = net.recs[id as usize];
+            if rec.len > 0 {
+                assert!(rec.off as usize >= end, "run of flow {id} overlaps");
+                end = rec.off as usize + rec.len as usize;
+                live += rec.len as usize;
+            }
+        }
+        assert!(end <= net.arena.len());
+        assert_eq!(live, net.arena_live);
+    }
+
+    /// The resource keys of `id`'s record: its finite run, then the rest.
+    fn record_keys(net: &FlowNet, id: FlowId) -> (Vec<ResKey>, Vec<ResKey>) {
+        let keys = |rs: &[u32]| rs.iter().map(|&r| net.res_keys[r as usize]).collect();
+        let fin = net.recs[id.0 as usize].fin as usize;
+        let run = net.full_run(id.0);
+        (keys(&run[..fin]), keys(&run[fin..]))
+    }
+
+    #[test]
+    fn solver_records_follow_a_link_to_infinity_and_back() {
+        // Two flows share a 90 MB/s link out of a host with a 100 MB/s NIC;
+        // every other endpoint resource is infinite.
+        let mut t = Topology::new();
+        let a = t.add_node(Node::host("a").with_nic(100e6));
+        let b = t.add_node(Node::host("b"));
+        let link = t.add_link(a, b, 90e6, SimDuration::from_millis(10));
+        let mut net = FlowNet::new(t);
+        let spec = FlowSpec::new(a, b, f64::INFINITY)
+            .window(1e9)
+            .memory_to_memory()
+            .cached_channel();
+        let flows = [0, 1].map(|_| net.start_flow(SimTime::ZERO, spec).unwrap());
+        let hop = ResKey::LinkDir(link, Dir::Fwd);
+        let rest = vec![ResKey::Cpu(a), ResKey::NicRx(b), ResKey::Cpu(b)];
+        let shared = (vec![hop, ResKey::NicTx(a)], rest.clone());
+        let mut unbounded = rest.clone();
+        unbounded.insert(0, hop);
+        let nic_only = (vec![ResKey::NicTx(a)], unbounded);
+        for (capacity, want, rate) in [
+            (90e6, &shared, 45e6),
+            (f64::INFINITY, &nic_only, 50e6),
+            (90e6, &shared, 45e6),
+        ] {
+            net.set_link_capacity(link, capacity);
+            for f in flows {
+                assert_eq!(&record_keys(&net, f), want, "link at {capacity}");
+            }
+            assert_records_fresh(&net);
+            assert_matches_oracle(&mut net);
+            for f in flows {
+                assert_eq!(net.flow_rate(f), rate);
+            }
+        }
+    }
+
+    #[test]
+    fn solver_record_runs_compact_down_in_id_order() {
+        let (mut net, a, b, c, d) = twin_dumbbells();
+        let spec = |s, t| big_window_spec(s, t, f64::INFINITY);
+        let flows: Vec<FlowId> = [(a, b), (c, d), (a, b), (c, d), (a, b)]
+            .iter()
+            .map(|&(s, t)| net.start_flow(SimTime::ZERO, spec(s, t)).unwrap())
+            .collect();
+        // Each run is a link and the four infinite endpoint resources.
+        assert_eq!(net.arena.len(), 25);
+        for &f in &flows[..3] {
+            net.remove_flow(f);
+        }
+        // 15 entries of garbage outweigh 10 live ones and 2 active flows:
+        // the next start closes the gaps first.
+        assert_eq!((net.arena.len(), net.arena_live), (25, 10));
+        let last = net.start_flow(SimTime::ZERO, spec(c, d)).unwrap();
+        let offs: Vec<u32> = [flows[3], flows[4], last]
+            .iter()
+            .map(|f| net.recs[f.0 as usize].off)
+            .collect();
+        assert_eq!(offs, [0, 5, 10]);
+        assert_eq!(net.arena.len(), 15);
+        assert_records_fresh(&net);
+        assert_members_exact(&net);
+        assert_matches_oracle(&mut net);
+    }
+
+    /// A random history for the record property: a topology whose host
+    /// `i` has a finite NIC, CPU and disks when bit `i` of the mask is
+    /// set, and one scripted step per op. Starts and removals outnumber the
+    /// outages, whose reroutes lay the arena out afresh, so departures pile
+    /// up garbage and later starts compact live runs.
+    fn run_record_history(topo: &DiffTopo, finite_hosts: u8, ops: &[DiffOp]) {
+        let (mut net, hosts, links) = diff_net(topo);
+        for (i, &h) in hosts.iter().enumerate() {
+            if finite_hosts >> i & 1 == 1 {
+                let n = net.topo.node_mut(h);
+                n.nic_rate = 40e6 + i as f64 * 10e6;
+                n.cpu = crate::network::CpuModel::year2000_workstation();
+                (n.disk_read_rate, n.disk_write_rate) = (30e6, 25e6);
+            }
+        }
+        let mut flows: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for &(kind, x, y, v) in ops {
+            match kind % 10 {
+                0..=2 => {
+                    let (src, dst) = (hosts[x % hosts.len()], hosts[y % hosts.len()]);
+                    let size = if x % 3 == 0 {
+                        f64::INFINITY
+                    } else {
+                        1e6 + v * 1e8
+                    };
+                    let mut spec = FlowSpec::new(src, dst, size).window(1e5 + v * 1e7);
+                    if y % 2 == 0 {
+                        spec = spec.memory_to_memory();
+                    }
+                    if x % 4 == 0 {
+                        spec = spec.cached_channel();
+                    }
+                    flows.extend(net.start_flow(now, spec));
+                }
+                3 | 4 if !flows.is_empty() => net.remove_flow(flows.remove(x % flows.len())),
+                5 if !links.is_empty() => {
+                    // A third of the changes take the link to infinity.
+                    let capacity = if y % 3 == 0 {
+                        f64::INFINITY
+                    } else {
+                        1e6 + v * 2e8
+                    };
+                    net.set_link_capacity(links[x % links.len()], capacity);
+                }
+                6 if y % 2 == 0 && !links.is_empty() => {
+                    let l = links[x % links.len()];
+                    let up = net.topo.link(l).up;
+                    net.set_link_up(l, !up);
+                }
+                6 => {
+                    let h = hosts[x % hosts.len()];
+                    let up = net.topo.node(h).up;
+                    net.set_node_up(h, !up);
+                }
+                7 if !links.is_empty() => net.set_link_loss(links[x % links.len()], v * 0.02),
+                8 => {
+                    now += SimDuration::from_millis(1 + (x % 400) as u64);
+                    net.advance_to(now);
+                }
+                9 => {
+                    // Onto the next ramp crossing or completion.
+                    now = net
+                        .next_event_time()
+                        .min(now + SimDuration::from_millis(400));
+                    net.advance_to(now);
+                }
+                _ => {}
+            }
+            assert_records_fresh(&net);
+            assert_matches_oracle(&mut net);
+        }
+    }
+
+    proptest::proptest! {
+        /// The solver records are re-derived wherever they can change:
+        /// after every step of a random history of starts, completions,
+        /// removals, link capacity changes (to infinity and back), link
+        /// and node outages, loss changes and ramp crossings, each record
+        /// equals a rebuild from `FlowRt` and the topology, the arena's
+        /// live runs lie in id order, and every rate is the oracle's bit
+        /// for bit.
+        #[test]
+        fn solver_records_match_a_rebuild_through_random_histories(
+            topo in (
+                2usize..7,
+                proptest::collection::vec(
+                    (0usize..7, 0usize..7, 5e6f64..500e6, 0u64..40),
+                    1..10,
+                ),
+            ),
+            finite_hosts in 0u8..128,
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..1 << 16, 0usize..1 << 16, 0.0f64..1.0),
+                0..80,
+            ),
+        ) {
+            run_record_history(&topo, finite_hosts, &ops);
+        }
+    }
+
     // ---- pruned-crossing tests ----
 
     #[test]
@@ -1928,8 +2299,8 @@ mod tests {
         let base = net.alloc_stats();
         let mut crossings = 0;
         while net.flow(ramping).ramp_stage.is_some() {
-            let f = net.flow(ramping);
-            assert!(f.rate < f.cap, "{} vs {}", f.rate, f.cap);
+            let (rate, cap) = (net.flow(ramping).rate, net.recs[ramping as usize].cap);
+            assert!(rate < cap, "{rate} vs {cap}");
             let at = net.next_event_time();
             assert_eq!(net.events.first(), Some((at, EV_RAMP, ramping)));
             net.advance_to(at);
@@ -1954,8 +2325,7 @@ mod tests {
         assert_matches_oracle(&mut net);
         let mut crossings = 0;
         while net.flow(id).ramp_stage.is_some() {
-            let f = net.flow(id);
-            assert_eq!(f.rate, f.cap);
+            assert_eq!(net.flow(id).rate, net.recs[id as usize].cap);
             let before = net.alloc_stats();
             let at = net.next_event_time();
             net.advance_to(at);
@@ -1975,7 +2345,7 @@ mod tests {
     fn assert_members_exact(net: &FlowNet) {
         let mut want: Vec<Vec<u64>> = vec![Vec::new(); net.res_keys.len()];
         for &id in &net.active {
-            for &r in &net.flow(id).res {
+            for &r in net.full_run(id) {
                 want[r as usize].push(id);
             }
         }
@@ -2125,8 +2495,10 @@ mod tests {
         /// The flat arena holds exactly the partition a textbook BFS over
         /// `Vec<Vec<_>>` produces: components in order of their smallest
         /// seed, flows ascending within each, repeated seeds skipped,
-        /// infinite resources carrying no connectivity — and a second
-        /// partition through the same scratch sees nothing of the first.
+        /// infinite resources carrying no connectivity (the BFS skips
+        /// them; the partition is given each flow's finite resources, as
+        /// its solver record lists them) — and a second partition through
+        /// the same scratch sees nothing of the first.
         /// The dirty seed list is drawn both ways: every member of each
         /// dirty resource (what the BFS is given), and `dirty_seeds`' rule
         /// — the first member of a finite one, all of an infinite one.
@@ -2148,6 +2520,10 @@ mod tests {
                 }
             }
             let capacity = |r: u32| if infinite.contains(&r) { f64::INFINITY } else { 1e6 + r as f64 };
+            let finite_res: Vec<Vec<u32>> = flow_res
+                .iter()
+                .map(|rs| rs.iter().copied().filter(|&r| capacity(r).is_finite()).collect())
+                .collect();
 
             let naive_bfs = |seeds: &[u64]| {
                 let mut naive: Vec<Vec<u64>> = Vec::new();
@@ -2205,17 +2581,17 @@ mod tests {
                     N_RES,
                     nf as u64,
                     &mut scratch,
-                    |f| flow_res[f as usize].as_slice(),
+                    |f| finite_res[f as usize].as_slice(),
                     |r, visit| members[r as usize].iter().for_each(|&g| visit(g)),
                     capacity,
                 );
                 let arena: Vec<Vec<u64>> =
                     (0..scratch.len()).map(|k| scratch.component(k).to_vec()).collect();
                 proptest::prop_assert_eq!(arena, naive_bfs(bfs_seeds));
-                // Assembly finds the capacity of every resource of every
-                // flow in the arena on record.
+                // Assembly finds the capacity of every finite resource of
+                // every flow in the arena on record.
                 for &f in &scratch.flows {
-                    for &r in &flow_res[f as usize] {
+                    for &r in &finite_res[f as usize] {
                         proptest::prop_assert_eq!(scratch.seen_r[r as usize], scratch.epoch);
                         proptest::prop_assert_eq!(scratch.cap_r[r as usize], capacity(r));
                     }

@@ -1,7 +1,7 @@
 //! Deterministic subsystem profiler: scoped wall-clock + sim-event
 //! accounting attributed to named subsystems.
 //!
-//! The question ROADMAP item 1 needs answered — *where does the wall go in
+//! The question ROADMAP item 4 needs answered — *where does the wall go in
 //! a 10k-files-per-round campaign?* — is about real elapsed time, which a
 //! deterministic simulator deliberately never looks at. This module
 //! measures it from the outside without contaminating the simulation:

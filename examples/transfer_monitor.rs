@@ -19,15 +19,7 @@ fn main() {
     tb.sim.run_until(SimTime::from_secs(80));
 
     let collection = tb.sim.world.metadata.collection_of("pcm_b06.61").unwrap();
-    let files: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files("pcm_b06.61")
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+    let files = tb.sim.world.metadata.request_files("pcm_b06.61").unwrap();
 
     // Force one file to be tape-only so the staging pane shows.
     // (Remove its disk replica at LLNL; it remains at the HPSS site.)

@@ -309,16 +309,7 @@ fn end_to_end_testbed_outcomes_are_stable() {
         tb.publish_dataset("det_ds", 16, 8, 10_000_000, &[1, 2]);
         tb.start_nws(SimDuration::from_secs(25));
         tb.sim.run_until(SimTime::from_secs(100));
-        let collection = tb.sim.world.metadata.collection_of("det_ds").unwrap();
-        let files: Vec<(String, String)> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("det_ds")
-            .unwrap()
-            .iter()
-            .map(|f| (collection.clone(), f.name.clone()))
-            .collect();
+        let files = tb.sim.world.metadata.request_files("det_ds").unwrap();
         let client = tb.client;
         submit_request(&mut tb.sim, client, files, |s, o| s.world.outcomes.push(o));
         tb.sim.run_until(SimTime::from_secs(7200));
@@ -503,33 +494,15 @@ fn scheduler_pipeline_trace_is_pinned() {
         tb.publish_dataset("sched_tape", 8, 2, 15_000_000, &[0]);
         tb.start_nws(SimDuration::from_secs(25));
         tb.sim.run_until(SimTime::from_secs(100));
-        let dc = tb.sim.world.metadata.collection_of("sched_disk").unwrap();
-        let tc = tb.sim.world.metadata.collection_of("sched_tape").unwrap();
-        let disk: Vec<String> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("sched_disk")
-            .unwrap()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
-        let tape: Vec<String> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("sched_tape")
-            .unwrap()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
+        let disk = tb.sim.world.metadata.request_files("sched_disk").unwrap();
+        let tape = tb.sim.world.metadata.request_files("sched_tape").unwrap();
         let client = tb.client;
         for r in 0..2usize {
             let mut files: Vec<(String, String)> = (0..4)
-                .map(|k| (dc.clone(), disk[(r * 4 + k) % disk.len()].clone()))
+                .map(|k| disk[(r * 4 + k) % disk.len()].clone())
                 .collect();
             for k in 0..2 {
-                files.push((tc.clone(), tape[(r * 2 + k) % tape.len()].clone()));
+                files.push(tape[(r * 2 + k) % tape.len()].clone());
             }
             let at = SimTime::from_secs(100 + 2 * r as u64);
             tb.sim.schedule_at(at, move |sim| {
@@ -570,7 +543,6 @@ fn soak_trace_is_pinned() {
     let run = || -> String {
         let mut tb = esg_testbed(11);
         tb.publish_dataset("pcm_det.b06", 8, 4, 2_000_000, &[1, 2, 3]);
-        let collection = tb.sim.world.metadata.collection_of("pcm_det.b06").unwrap();
         tb.start_nws(SimDuration::from_secs(25));
         tb.sim.run_until(SimTime::from_secs(100));
         let site2 = tb.sites[2].node;
@@ -595,15 +567,7 @@ fn soak_trace_is_pinned() {
                 ),
             ],
         );
-        let names: Vec<(String, String)> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("pcm_det.b06")
-            .unwrap()
-            .iter()
-            .map(|f| (collection.clone(), f.name.clone()))
-            .collect();
+        let names = tb.sim.world.metadata.request_files("pcm_det.b06").unwrap();
         let client = tb.client;
         for (k, at) in [(0usize, 110u64), (1, 150), (0, 210), (1, 270)] {
             let files = vec![names[k].clone()];

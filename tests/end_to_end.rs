@@ -38,16 +38,7 @@ fn full_pipeline_metadata_to_visualization() {
 #[test]
 fn concurrent_requests_from_multiple_users() {
     let (mut tb, _) = published(2);
-    let collection = tb.sim.world.metadata.collection_of("pcm_b06.61").unwrap();
-    let files: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files("pcm_b06.61")
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+    let files = tb.sim.world.metadata.request_files("pcm_b06.61").unwrap();
     let client = tb.client;
     // Three overlapping requests ("multiple users concurrently", §4).
     for chunk in files.chunks(2) {
@@ -91,16 +82,7 @@ fn policy_choice_changes_selection_behaviour() {
     // win over the 155 Mb/s ISI site for nearly all requests.
     let (mut tb, _) = published(4);
     tb.sim.world.rm.selector = esg::replica::ReplicaSelector::new(Policy::BestBandwidth, 9);
-    let collection = tb.sim.world.metadata.collection_of("pcm_b06.61").unwrap();
-    let files: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files("pcm_b06.61")
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+    let files = tb.sim.world.metadata.request_files("pcm_b06.61").unwrap();
     let client = tb.client;
     submit_request(&mut tb.sim, client, files, |s, o| s.world.outcomes.push(o));
     tb.sim.run_until(SimTime::from_secs(7200));

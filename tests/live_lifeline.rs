@@ -76,18 +76,9 @@ proptest! {
             .collect();
         inject_all(&mut tb.sim, &schedule);
 
-        let dc = tb.sim.world.metadata.collection_of("prop.disk").unwrap();
         let tc = tb.sim.world.metadata.collection_of("prop.tape").unwrap();
-        let mut files: Vec<(String, String)> = tb
-            .sim
-            .world
-            .metadata
-            .all_files("prop.disk")
-            .unwrap()
-            .iter()
-            .take(3)
-            .map(|f| (dc.clone(), f.name.clone()))
-            .collect();
+        let mut files = tb.sim.world.metadata.request_files("prop.disk").unwrap();
+        files.truncate(3);
         files.push((
             tc.clone(),
             tb.sim.world.metadata.all_files("prop.tape").unwrap()[0]

@@ -44,18 +44,9 @@ fn run_mixed_with(seed: u64, live_threshold_s: Option<u64>) -> esg::core::EsgTes
     tb.start_nws(SimDuration::from_secs(25));
     tb.sim.run_until(SimTime::from_secs(100));
 
-    let dc = tb.sim.world.metadata.collection_of("obs.disk").unwrap();
     let tc = tb.sim.world.metadata.collection_of("obs.tape").unwrap();
-    let mut files: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files("obs.disk")
-        .unwrap()
-        .iter()
-        .take(4)
-        .map(|f| (dc.clone(), f.name.clone()))
-        .collect();
+    let mut files = tb.sim.world.metadata.request_files("obs.disk").unwrap();
+    files.truncate(4);
     files.push((
         tc.clone(),
         tb.sim.world.metadata.all_files("obs.tape").unwrap()[0]

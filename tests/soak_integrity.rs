@@ -50,20 +50,11 @@ fn run_soak(seed: u64, n_requests: usize) -> SoakResult {
     // exercises the full quarantine → rehabilitation cycle.
     tb.sim.world.rm.integrity.quarantine_threshold = 1;
     tb.publish_dataset(DATASET, 24, 4, 2_000_000, &[0, 1, 2, 3, 4, 5]);
-    let collection = tb.sim.world.metadata.collection_of(DATASET).unwrap();
 
     tb.start_nws(SimDuration::from_secs(25));
     tb.sim.run_until(SimTime::from_secs(100));
 
-    let names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(DATASET)
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+    let names = tb.sim.world.metadata.request_files(DATASET).unwrap();
 
     // The harness RNG is decorrelated from the testbed seed so changing
     // one does not silently reuse the other's stream.

@@ -55,15 +55,7 @@ fn run_soak(seed: u64, n_requests: usize) -> SoakResult {
     tb.start_nws(SimDuration::from_secs(25));
     tb.sim.run_until(SimTime::from_secs(100));
 
-    let mut names: Vec<(String, String)> = tb
-        .sim
-        .world
-        .metadata
-        .all_files(DATASET)
-        .unwrap()
-        .iter()
-        .map(|f| (collection.clone(), f.name.clone()))
-        .collect();
+    let mut names = tb.sim.world.metadata.request_files(DATASET).unwrap();
     names.push((collection.clone(), ZERO_FILE.to_string()));
 
     // The harness RNG is decorrelated from the testbed seed so changing
